@@ -6,17 +6,15 @@
 //	knives list
 //	    List the algorithms and the reproducible experiments.
 //
-//	knives optimize [-benchmark tpch|ssb] [-sf N] [-table NAME|all]
-//	                [-algorithm NAME|all] [-model hdd|ssd|mm] [device flags]
+//	knives optimize [workload] [target: -algorithm NAME|all]
 //	    Compute layouts and report costs, candidates, and opt time.
 //
-//	knives advise [-benchmark tpch|ssb] [-sf N]
-//	              [-server URL] [-retries N] [-retry-delay D]
+//	knives advise [workload] [remote]
 //	    Recommend the cheapest layout per table across all heuristics —
 //	    locally, or via a running knivesd (-server) with retrying requests
 //	    that back off on 429/503 from a daemon under load.
 //
-//	knives observe -server URL [-benchmark tpch|ssb] [-sf N] [-table NAME|all]
+//	knives observe -server URL [workload] [-table NAME|all]
 //	               [-rounds N] [-batch N] [-retries N] [-retry-delay D]
 //	    Stream the benchmark's workload to a running knivesd as BATCHED
 //	    observations — many tables x many queries per POST /observe — and
@@ -24,29 +22,27 @@
 //	    Advise the benchmark on the daemon first (knives advise -server ...,
 //	    or run knivesd with -prewarm) so the tables are registered.
 //
-//	knives replay [-benchmark tpch|ssb] [-sf N] [-table NAME|all]
-//	              [-algorithm advisor|NAME|Row|Column] [-model hdd|ssd|mm]
-//	              [device flags] [-rows N] [-workers N] [-seed N]
-//	              [-backend mem|file] [-dir PATH]
-//	    Materialize advised layouts through the storage engine, replay the
-//	    workload, and verify measured I/O equals the cost model exactly.
-//
-//	knives exec [-benchmark tpch|ssb] [-sf N] [-table NAME|all]
-//	            [-algorithm advisor|NAME|Row|Column] [-model hdd|ssd|mm]
-//	            [device flags] [-rows N] [-workers N] [-seed N]
+//	knives exec [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
+//	            [-exec row|vector] [-batch N] [-exec-workers N]
 //	            [-select-table NAME -select-column COL [-select-bound N]]
-//	            [-server URL] [-retries N] [-retry-delay D]
-//	    Run every query as a streaming σ/π/⋈ operator pipeline over an
-//	    epoch snapshot of the advised layout, print each plan with its
-//	    per-operator accounting, and verify the measured cost equals the
-//	    cost model bit for bit. -select-* pushes a σ(column < bound) into
-//	    one table's scans. With -server, a running knivesd executes via
-//	    POST /query instead.
+//	            [remote]
+//	    Advise (or name) a layout per table, materialize it, run every query
+//	    as a streaming σ/π/⋈ operator pipeline over an epoch snapshot, print
+//	    each plan with its per-operator accounting, and verify the measured
+//	    cost equals the cost model bit for bit (non-zero exit otherwise).
+//	    -exec picks row-at-a-time or batch-at-a-time pipelines (same
+//	    numbers); -select-* pushes a σ(column < bound) on an int or date
+//	    column into one table's scans. With -server, a running knivesd
+//	    executes via POST /query instead.
 //
-//	knives migrate [-benchmark tpch|ssb] [-sf N] [-table NAME|all]
-//	               [-algorithm advisor|NAME] [-model hdd|ssd|mm] [device flags]
+//	knives replay [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
+//	              [store]
+//	    exec minus the selection, exec-mode, and -server knobs: the same
+//	    chain with every query executed as one monolithic engine scan, on
+//	    mem- or file-backed pages.
+//
+//	knives migrate [workload] [target: -algorithm advisor|NAME] [sample] [store]
 //	               [-drift F] [-drift-seed N] [-window N]
-//	               [-rows N] [-workers N] [-seed N] [-backend mem|file] [-dir PATH]
 //	    Plan and execute the drift-triggered re-layout of each table: the
 //	    layout advised for the original workload is materialized, the
 //	    workload drifts by fraction F, the layout advised for the drifted
@@ -57,6 +53,14 @@
 //
 //	knives experiment ID|all [-reps N]
 //	    Regenerate a paper figure/table (fig1..fig14, tab3..tab7).
+//
+// The bracketed groups are one shared flag set:
+//
+//	workload  -benchmark tpch|ssb  -sf N
+//	target    -table NAME|all  -algorithm ...  -model hdd|ssd|mm  [device flags]
+//	sample    -rows N  -workers N  -seed N
+//	store     -backend mem|file  -dir PATH
+//	remote    -server URL  -retries N  -retry-delay D
 //
 // Every -model flag resolves a device preset (hdd, ssd, mm, plus aliases
 // like disk, flash, ram), and the shared device flags override individual
@@ -212,6 +216,185 @@ commands:
 run "knives <command> -h" for command flags`)
 }
 
+// command is the flag set and per-table loop that optimize, advise, replay,
+// exec, and migrate share. Each subcommand registers only the flag groups it
+// accepts — so none gains a flag it did not have — parses, and resolves the
+// shared ones in one place.
+type command struct {
+	fs        *flag.FlagSet
+	benchName *string
+	sf        *float64
+	verbose   *bool
+
+	// target(): which tables, which layout source, which device.
+	table, algoName, modelName *string
+	families                   bool // -algorithm also accepts Row and Column
+	devf                       func() (knives.Disk, error)
+	// sample(): the materialized copy.
+	rows    *int64
+	workers *int
+	seed    *int64
+	// store(): where partition pages live.
+	backend, dir *string
+	// remote(): a running knivesd answers instead.
+	server     *string
+	retries    *int
+	retryDelay *time.Duration
+
+	// Filled by parse.
+	bench    *knives.Benchmark
+	override knives.Disk
+	model    knives.CostModel
+	vt       *vtimer
+}
+
+// newCommand starts a subcommand's flag set with the workload flags every
+// one of them takes.
+func newCommand(name string) *command {
+	c := &command{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
+	c.benchName = c.fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
+	c.sf = c.fs.Float64("sf", 10, "scale factor (0 = default 10)")
+	return c
+}
+
+func (c *command) target(algoDefault, algoUsage string, families bool) {
+	c.table = c.fs.String("table", "all", "table name or all")
+	c.algoName = c.fs.String("algorithm", algoDefault, algoUsage)
+	c.modelName = c.fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
+	c.families = families
+	c.devf = devflag.Register(c.fs)
+}
+
+func (c *command) sample() {
+	c.rows = c.fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
+	c.workers = c.fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
+	c.seed = c.fs.Int64("seed", 1, "data generator seed")
+}
+
+func (c *command) store() {
+	c.backend = c.fs.String("backend", "mem", "partition page store: mem or file")
+	c.dir = c.fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
+}
+
+func (c *command) remote(serverUsage string) {
+	c.server = c.fs.String("server", "", serverUsage)
+	c.retries = c.fs.Int("retries", 3, "total attempts per request in -server mode (429/503/transport errors retry)")
+	c.retryDelay = c.fs.Duration("retry-delay", 100*time.Millisecond, "base backoff between -server retries (doubles per attempt)")
+}
+
+func (c *command) verboseFlag() {
+	c.verbose = c.fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
+}
+
+// parse parses the arguments, starts the -verbose timer (the caller defers
+// c.vt.total()), rejects a negative -rows before any search runs, and
+// resolves the shared flags: the benchmark and, for commands with a target,
+// the device override and the cost model.
+func (c *command) parse(args []string) error {
+	err := parseFlags(c.fs, args)
+	if err != nil {
+		return err
+	}
+	c.vt = newVTimer(c.verbose != nil && *c.verbose)
+	if c.rows != nil && *c.rows < 0 {
+		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *c.rows)}
+	}
+	if c.bench, err = knives.BenchmarkByName(*c.benchName, *c.sf); err != nil || c.devf == nil {
+		return err
+	}
+	if c.override, err = c.devf(); err != nil {
+		return usageError{err: err}
+	}
+	c.model, err = knives.CostModelByName(*c.modelName, c.override)
+	return err
+}
+
+// client returns the retrying knivesd client -server mode talks through.
+func (c *command) client() (*advisor.Client, error) {
+	if *c.retries < 1 {
+		return nil, usageError{err: fmt.Errorf("-retries must be >= 1 (got %d)", *c.retries)}
+	}
+	client := advisor.NewClient(*c.server)
+	client.Retry = advisor.RetryPolicy{MaxAttempts: *c.retries, BaseDelay: *c.retryDelay}
+	return client, nil
+}
+
+// replayConfig assembles the materialize-and-execute config from the shared
+// flags, creates the temp dir a file backend without -dir needs (cleanup
+// removes it), and validates the result before any portfolio search runs:
+// an unknown backend or exec mode must fail fast, not after minutes of
+// optimization (and not never, when a migration plan happens to be an
+// identity).
+func (c *command) replayConfig(cfg knives.ReplayConfig) (knives.ReplayConfig, func(), error) {
+	cfg.Model, cfg.Disk = *c.modelName, c.override
+	cfg.MaxRows, cfg.Workers, cfg.Seed = *c.rows, *c.workers, *c.seed
+	cleanup := func() {}
+	if c.backend != nil {
+		cfg.Backend, cfg.Dir = *c.backend, *c.dir
+		if cfg.Backend == "file" && cfg.Dir == "" {
+			tmp, err := os.MkdirTemp("", "knives-"+c.fs.Name()+"-")
+			if err != nil {
+				return cfg, cleanup, err
+			}
+			cleanup = func() { os.RemoveAll(tmp) }
+			cfg.Dir = tmp
+		}
+	}
+	_, _, err := cfg.Normalized()
+	return cfg, cleanup, err
+}
+
+// eachTable runs fn on every benchmark table -table selects; a name that
+// matches none is a command failure.
+func (c *command) eachTable(fn func(tw knives.TableWorkload) error) error {
+	matched := false
+	for _, tw := range c.bench.TableWorkloads() {
+		if *c.table != "all" && tw.Table.Name != *c.table {
+			continue
+		}
+		matched = true
+		if err := fn(tw); err != nil {
+			return err
+		}
+	}
+	if !matched {
+		return fmt.Errorf("benchmark %s has no table %q", c.bench.Name, *c.table)
+	}
+	return nil
+}
+
+// layoutFor resolves -algorithm for one table workload: "advisor" races the
+// portfolio and takes its winner, Row/Column (where the subcommand accepts
+// them) name the baseline families, anything else names one algorithm.
+// Layouts are computed per matched table, so -table never searches the rest
+// of the benchmark.
+func (c *command) layoutFor(tw knives.TableWorkload) (knives.Partitioning, string, error) {
+	switch name := strings.ToLower(*c.algoName); {
+	case name == "advisor":
+		advice, err := knives.AdviseTable(tw, c.model)
+		if err != nil {
+			return knives.Partitioning{}, "", err
+		}
+		return advice.Layout, advice.Algorithm, nil
+	case c.families && name == "row":
+		return knives.RowLayout(tw.Table), "Row", nil
+	case c.families && name == "column":
+		return knives.ColumnLayout(tw.Table), "Column", nil
+	}
+	a, err := knives.AlgorithmByName(*c.algoName)
+	if err != nil {
+		return knives.Partitioning{}, "", err
+	}
+	res, err := a.Partition(tw, c.model)
+	if err != nil {
+		return knives.Partitioning{}, "", err
+	}
+	return res.Partitioning, a.Name(), nil
+}
+
+// errDiverged is the exit-1 verdict of the zero-tolerance commands.
+var errDiverged = errors.New("measured execution diverged from the cost model (see deltas above)")
+
 func runList() error {
 	fmt.Println("algorithms:")
 	for _, a := range knives.Algorithms() {
@@ -225,55 +408,32 @@ func runList() error {
 }
 
 func runOptimize(args []string) error {
-	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "all", "algorithm name or all")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
-	if err != nil {
+	c := newCommand("optimize")
+	c.target("all", "algorithm name or all", false)
+	if err := c.parse(args); err != nil {
 		return err
 	}
 
 	var algos []knives.Algorithm
-	if *algoName == "all" {
+	if *c.algoName == "all" {
 		algos = knives.Algorithms()
 	} else {
-		a, err := knives.AlgorithmByName(*algoName)
+		a, err := knives.AlgorithmByName(*c.algoName)
 		if err != nil {
 			return err
 		}
 		algos = []knives.Algorithm{a}
 	}
 
-	matched := false
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
+	return c.eachTable(func(tw knives.TableWorkload) error {
 		fmt.Printf("table %s (%d rows, %d attrs, %d queries)\n",
 			tw.Table.Name, tw.Table.Rows, tw.Table.NumAttrs(), len(tw.Queries))
-		rowC := knives.WorkloadCost(model, tw, knives.RowLayout(tw.Table))
-		colC := knives.WorkloadCost(model, tw, knives.ColumnLayout(tw.Table))
+		rowC := knives.WorkloadCost(c.model, tw, knives.RowLayout(tw.Table))
+		colC := knives.WorkloadCost(c.model, tw, knives.ColumnLayout(tw.Table))
 		fmt.Printf("  %-10s cost=%12.4f\n", "Row", rowC)
 		fmt.Printf("  %-10s cost=%12.4f\n", "Column", colC)
 		for _, a := range algos {
-			res, err := a.Partition(tw, model)
+			res, err := a.Partition(tw, c.model)
 			if err != nil {
 				fmt.Printf("  %-10s error: %v\n", a.Name(), err)
 				continue
@@ -282,44 +442,33 @@ func runOptimize(args []string) error {
 				a.Name(), res.Cost, res.Stats.Candidates, res.Stats.Duration, res.Partitioning)
 		}
 		fmt.Println()
-	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	return nil
+		return nil
+	})
 }
 
 func runAdvise(args []string) error {
-	fs := flag.NewFlagSet("advise", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	server := fs.String("server", "", "ask a running knivesd at this base URL instead of searching locally")
-	retries := fs.Int("retries", 3, "total attempts per request in -server mode (429/503/transport errors retry)")
-	retryDelay := fs.Duration("retry-delay", 100*time.Millisecond, "base backoff between -server retries (doubles per attempt)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
-	if err := parseFlags(fs, args); err != nil {
+	c := newCommand("advise")
+	c.remote("ask a running knivesd at this base URL instead of searching locally")
+	c.verboseFlag()
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
-	defer vt.total()
-	if *server != "" {
-		if *retries < 1 {
-			return usageError{err: fmt.Errorf("-retries must be >= 1 (got %d)", *retries)}
+	defer c.vt.total()
+	if *c.server != "" {
+		client, err := c.client()
+		if err != nil {
+			return err
 		}
-		err := adviseViaServer(*server, *benchName, *sf, *retries, *retryDelay)
-		vt.step("advise via server")
+		err = adviseViaServer(client, *c.benchName, *c.sf)
+		c.vt.step("advise via server")
 		return err
 	}
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
+	c.vt.step("build benchmark")
+	advice, err := knives.Advise(c.bench, knives.NewHDDModel(knives.DefaultDisk()))
 	if err != nil {
 		return err
 	}
-	vt.step("build benchmark")
-	advice, err := knives.Advise(bench, knives.NewHDDModel(knives.DefaultDisk()))
-	if err != nil {
-		return err
-	}
-	vt.step("portfolio search")
+	c.vt.step("portfolio search")
 	for _, a := range advice {
 		fmt.Printf("%-10s use %-9s cost=%10.3f  vs row %+.1f%%  vs column %+.1f%%\n",
 			a.Table.Name, a.Algorithm, a.Cost,
@@ -333,9 +482,7 @@ func runAdvise(args []string) error {
 // of searching locally — the daemon's fingerprint cache answers a prewarmed
 // benchmark without a single search, and the retry policy rides out 429
 // shedding and 503 deadlines from a daemon under load.
-func adviseViaServer(baseURL, benchName string, sf float64, retries int, retryDelay time.Duration) error {
-	client := advisor.NewClient(baseURL)
-	client.Retry = advisor.RetryPolicy{MaxAttempts: retries, BaseDelay: retryDelay}
+func adviseViaServer(client *advisor.Client, benchName string, sf float64) error {
 	resp, err := client.Advise(context.Background(), advisor.AdviseRequest{Benchmark: benchName, ScaleFactor: sf})
 	if err != nil {
 		return err
@@ -466,378 +613,200 @@ func runObserve(args []string) error {
 	return nil
 }
 
-func runReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
-		"layout source: an algorithm name, Row, Column, or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
-	backend := fs.String("backend", "mem", "partition page store: mem or file")
-	dir := fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
-	if err := parseFlags(fs, args); err != nil {
+func runReplay(args []string) error { return runExecute("replay", args) }
+
+func runExec(args []string) error { return runExecute("exec", args) }
+
+// runExecute is both `knives exec` and `knives replay`: advise (or name) a
+// layout per table, materialize it, execute the workload, and verify that
+// measured equals predicted bit for bit. exec runs every query as a
+// streaming σ/π/⋈ operator pipeline over an epoch snapshot — locally, or
+// via a running knivesd's POST /query; replay is exec minus the selection,
+// exec-mode, and -server knobs, executed as monolithic engine scans, and
+// keeps the page-store flags.
+func runExecute(name string, args []string) error {
+	pipelines := name == "exec"
+	c := newCommand(name)
+	c.target("advisor", "layout source: an algorithm name, Row, Column, or advisor (portfolio winner)", true)
+	c.sample()
+	var execMode, selTable, selColumn *string
+	var batch, execWorkers *int
+	var selBound *uint64
+	if pipelines {
+		execMode = c.fs.String("exec", "row", "pipeline execution mode: row (oracle) or vector (batch-at-a-time); never changes the numbers")
+		batch = c.fs.Int("batch", 0, "vector-mode rows per batch (0 = default)")
+		execWorkers = c.fs.Int("exec-workers", 0, "vector-mode morsel-parallel leaf scans per pipeline (<= 1 = synchronous)")
+		selTable = c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
+		selColumn = c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
+		selBound = c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
+		c.remote("execute via a running knivesd at this base URL (POST /query)")
+	} else {
+		c.store()
+	}
+	c.verboseFlag()
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
-	defer vt.total()
+	defer c.vt.total()
 
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	if *rows < 0 {
-		// Reject before any portfolio search runs, not after.
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
-	if err != nil {
-		return err
-	}
-	cfg := knives.ReplayConfig{
-		Model:   *modelName,
-		Disk:    override,
-		MaxRows: *rows,
-		Workers: *workers,
-		Seed:    *seed,
-		Backend: *backend,
-		Dir:     *dir,
-	}
-	if *backend == "file" && *dir == "" {
-		tmp, err := os.MkdirTemp("", "knives-replay-")
-		if err != nil {
-			return err
+	var sel *advisor.SelectionSpec
+	var cfg knives.ReplayConfig
+	if pipelines {
+		if (*selTable == "") != (*selColumn == "") {
+			return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
 		}
-		defer os.RemoveAll(tmp)
-		cfg.Dir = tmp
-	}
-
-	// The advisor path replays each table's portfolio winner; a named
-	// algorithm (or Row/Column) replays that layout family everywhere.
-	// Advice is computed per matched table, so -table never searches the
-	// rest of the benchmark.
-	advisorMode := strings.EqualFold(*algoName, "advisor")
-	matched := false
-	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
-		var rep *knives.TableReplay
-		if advisorMode {
-			advice, err := knives.AdviseTable(tw, model)
-			if err != nil {
-				return err
-			}
-			vt.step("advise " + tw.Table.Name)
-			rep, err = knives.ReplayAdvice(tw, advice, cfg)
-			if err != nil {
-				return err
-			}
-		} else {
-			rep, err = knives.ReplayAlgorithm(tw, *algoName, cfg)
-			if err != nil {
-				return err
-			}
-		}
-		vt.step("replay " + tw.Table.Name)
-		fmt.Print(rep)
-		fmt.Println()
-		if !rep.Exact() {
-			allExact = false
-		}
-	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	if !allExact {
-		return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
-	}
-	return nil
-}
-
-// runExec runs the workload as streaming σ/π/⋈ operator pipelines over
-// epoch snapshots — locally, or via a running knivesd's POST /query — and
-// verifies the per-operator-decomposed measured cost equals the cost model
-// bit for bit.
-func runExec(args []string) error {
-	fs := flag.NewFlagSet("exec", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
-		"layout source: an algorithm name, Row, Column, or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
-	execMode := fs.String("exec", "row", "pipeline execution mode: row (oracle) or vector (batch-at-a-time); never changes the numbers")
-	batch := fs.Int("batch", 0, "vector-mode rows per batch (0 = default)")
-	execWorkers := fs.Int("exec-workers", 0, "vector-mode morsel-parallel leaf scans per pipeline (<= 1 = synchronous)")
-	selTable := fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
-	selColumn := fs.String("select-column", "", "u32 column (int or date) the selection filters on")
-	selBound := fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
-	server := fs.String("server", "", "execute via a running knivesd at this base URL (POST /query)")
-	retries := fs.Int("retries", 3, "total attempts per request in -server mode (429/503/transport errors retry)")
-	retryDelay := fs.Duration("retry-delay", 100*time.Millisecond, "base backoff between -server retries (doubles per attempt)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	vt := newVTimer(*verbose)
-	defer vt.total()
-	if *rows < 0 {
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
-	}
-	if (*selTable == "") != (*selColumn == "") {
-		return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
-	}
-	if *selBound > 1<<32-1 {
-		return usageError{err: fmt.Errorf("-select-bound %d exceeds uint32", *selBound)}
-	}
-
-	if *server != "" {
-		if *retries < 1 {
-			return usageError{err: fmt.Errorf("-retries must be >= 1 (got %d)", *retries)}
-		}
-		client := advisor.NewClient(*server)
-		client.Retry = advisor.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryDelay}
-		req := advisor.QueryRequest{
-			Benchmark:   *benchName,
-			ScaleFactor: *sf,
-			MaxRows:     *rows,
-			Seed:        *seed,
-			Workers:     *workers,
-			Exec:        *execMode,
-			BatchSize:   *batch,
-			ExecWorkers: *execWorkers,
-			Model:       &advisor.ModelSpec{Name: *modelName},
+		if *selBound > 1<<32-1 {
+			return usageError{err: fmt.Errorf("-select-bound %d exceeds uint32", *selBound)}
 		}
 		if *selTable != "" {
-			req.Selection = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
+			sel = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
 		}
-		resp, err := client.Query(context.Background(), req)
+		cfg.ExecMode, cfg.BatchSize, cfg.ExecWorkers = *execMode, *batch, *execWorkers
+		if *c.server != "" {
+			return execViaServer(c, cfg, sel)
+		}
+	}
+
+	cfg, cleanup, err := c.replayConfig(cfg)
+	defer cleanup()
+	if err != nil {
+		return err
+	}
+	// Bind the selection to its column before any search runs: the same
+	// check POST /query applies, failing as a usage error.
+	var opSel *knives.Selection
+	if sel != nil && c.bench.Table(sel.Table) != nil {
+		opSel, err = advisor.ExecSelection{Column: sel.Column, Bound: sel.Bound}.On(c.bench.Table(sel.Table))
+		if err != nil {
+			return usageError{err: err}
+		}
+	}
+
+	allExact := true
+	err = c.eachTable(func(tw knives.TableWorkload) error {
+		layout, algorithm, err := c.layoutFor(tw)
 		if err != nil {
 			return err
 		}
-		vt.step("query via server")
-		allExact := true
-		for _, rep := range resp.Reports {
-			if *table != "all" && rep.Table != *table {
-				continue
-			}
-			from := "executed"
-			if rep.Cached {
-				from = "cached"
-			}
-			fmt.Printf("exec %s: algorithm=%s model=%s rows=%d/%d (%s)\n",
-				rep.Table, rep.Algorithm, rep.Model, rep.RowsReplayed, rep.RowsFull, from)
-			if rep.Selection != "" {
-				fmt.Printf("  selection: %s\n", rep.Selection)
-			}
-			for _, p := range rep.Pipelines {
-				fmt.Printf("  %-8s %s -> %d rows  measured=%.6e predicted=%.6e\n",
-					p.ID, p.Plan, p.ResultRows, p.MeasuredSeconds, p.PredictedSeconds)
-			}
-			fmt.Printf("  total: measured=%.9e predicted=%.9e exact=%v\n",
-				rep.MeasuredSeconds, rep.PredictedSeconds, rep.Exact)
-			fmt.Println()
-			allExact = allExact && rep.Exact
+		c.vt.step("advise " + tw.Table.Name)
+		var rep interface {
+			fmt.Stringer
+			Exact() bool
 		}
-		if !allExact {
-			return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
-		}
-		return nil
-	}
-
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
-	if err != nil {
-		return err
-	}
-	cfg := knives.ReplayConfig{
-		Model:       *modelName,
-		Disk:        override,
-		MaxRows:     *rows,
-		Workers:     *workers,
-		Seed:        *seed,
-		ExecMode:    *execMode,
-		BatchSize:   *batch,
-		ExecWorkers: *execWorkers,
-	}
-
-	advisorMode := strings.EqualFold(*algoName, "advisor")
-	matched := false
-	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
-		var sel *knives.Selection
-		if *selTable == tw.Table.Name && *selTable != "" {
-			attr := tw.Table.AttrIndex(*selColumn)
-			if attr < 0 {
-				return fmt.Errorf("table %s has no column %q", tw.Table.Name, *selColumn)
+		if pipelines {
+			var tsel *knives.Selection
+			if sel != nil && sel.Table == tw.Table.Name {
+				tsel = opSel
 			}
-			sel = &knives.Selection{Attr: attr, Bound: uint32(*selBound)}
-		}
-		var rep *knives.OperatorReplay
-		if advisorMode {
-			advice, err := knives.AdviseTable(tw, model)
-			if err != nil {
-				return err
-			}
-			vt.step("advise " + tw.Table.Name)
-			rep, err = knives.ExecuteAdvice(tw, advice, cfg, sel)
-			if err != nil {
-				return err
-			}
+			rep, err = knives.ExecuteLayout(tw, layout, algorithm, cfg, tsel)
 		} else {
-			rep, err = knives.ExecuteAlgorithm(tw, *algoName, cfg, sel)
-			if err != nil {
-				return err
-			}
+			rep, err = knives.ReplayLayout(tw, layout, algorithm, cfg)
 		}
-		vt.step("execute " + tw.Table.Name)
+		if err != nil {
+			return err
+		}
+		c.vt.step(name + " " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
 		allExact = allExact && rep.Exact()
+		return nil
+	})
+	if err == nil && !allExact {
+		err = errDiverged
 	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
+	return err
+}
+
+// execViaServer asks a running knivesd to execute the benchmark via POST
+// /query and renders the tables -table selects.
+func execViaServer(c *command, cfg knives.ReplayConfig, sel *advisor.SelectionSpec) error {
+	client, err := c.client()
+	if err != nil {
+		return err
+	}
+	resp, err := client.Query(context.Background(), advisor.QueryRequest{
+		Benchmark:   *c.benchName,
+		ScaleFactor: *c.sf,
+		MaxRows:     *c.rows,
+		Seed:        *c.seed,
+		Workers:     *c.workers,
+		Exec:        cfg.ExecMode,
+		BatchSize:   cfg.BatchSize,
+		ExecWorkers: cfg.ExecWorkers,
+		Selection:   sel,
+		Model:       &advisor.ModelSpec{Name: *c.modelName},
+	})
+	if err != nil {
+		return err
+	}
+	c.vt.step("query via server")
+	allExact := true
+	for _, rep := range resp.Reports {
+		if *c.table != "all" && rep.Table != *c.table {
+			continue
+		}
+		from := "executed"
+		if rep.Cached {
+			from = "cached"
+		}
+		fmt.Printf("exec %s: algorithm=%s model=%s rows=%d/%d (%s)\n",
+			rep.Table, rep.Algorithm, rep.Model, rep.RowsReplayed, rep.RowsFull, from)
+		if rep.Selection != "" {
+			fmt.Printf("  selection: %s\n", rep.Selection)
+		}
+		for _, p := range rep.Pipelines {
+			fmt.Printf("  %-8s %s -> %d rows  measured=%.6e predicted=%.6e\n",
+				p.ID, p.Plan, p.ResultRows, p.MeasuredSeconds, p.PredictedSeconds)
+		}
+		fmt.Printf("  total: measured=%.9e predicted=%.9e exact=%v\n",
+			rep.MeasuredSeconds, rep.PredictedSeconds, rep.Exact)
+		fmt.Println()
+		allExact = allExact && rep.Exact
 	}
 	if !allExact {
-		return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
+		return errDiverged
 	}
 	return nil
 }
 
 func runMigrate(args []string) error {
-	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
-		"layout source for both endpoints: an algorithm name or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	drift := fs.Float64("drift", 0.5, "fraction of the workload replaced by perturbed queries")
-	driftSeed := fs.Int64("drift-seed", 42, "seed for the deterministic workload drift")
-	window := fs.Int64("window", 0, "break-even horizon bound in queries (0 = default)")
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
-	backend := fs.String("backend", "mem", "partition page store: mem or file")
-	dir := fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
-	if err := parseFlags(fs, args); err != nil {
+	c := newCommand("migrate")
+	c.target("advisor", "layout source for both endpoints: an algorithm name or advisor (portfolio winner)", false)
+	drift := c.fs.Float64("drift", 0.5, "fraction of the workload replaced by perturbed queries")
+	driftSeed := c.fs.Int64("drift-seed", 42, "seed for the deterministic workload drift")
+	window := c.fs.Int64("window", 0, "break-even horizon bound in queries (0 = default)")
+	c.sample()
+	c.store()
+	c.verboseFlag()
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
-	defer vt.total()
-
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	if *rows < 0 {
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
-	}
+	defer c.vt.total()
 	if *drift < 0 || *drift > 1 {
 		return usageError{err: fmt.Errorf("-drift %v outside [0, 1]", *drift)}
 	}
-	override, err := devf()
+	cfg, cleanup, err := c.replayConfig(knives.MigrationConfig{})
+	defer cleanup()
 	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
-	if err != nil {
-		return err
-	}
-	cfg := knives.MigrationConfig{
-		Model:   *modelName,
-		Disk:    override,
-		MaxRows: *rows,
-		Workers: *workers,
-		Seed:    *seed,
-		Backend: *backend,
-		Dir:     *dir,
-	}
-	if *backend == "file" && *dir == "" {
-		tmp, err := os.MkdirTemp("", "knives-migrate-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		cfg.Dir = tmp
-	}
-	// Validate the execution config before any portfolio search runs: an
-	// unknown backend must fail fast, not after minutes of optimization
-	// (and not never, when every table's plan happens to be an identity).
-	if _, _, err := cfg.Normalized(); err != nil {
 		return err
 	}
 
 	// Per table: the FROM layout is what the source advises for the
 	// original workload, the TO layout what it advises after the workload
-	// drifts. The advisor path races the portfolio; a named algorithm uses
-	// that algorithm on both endpoints.
-	layoutFor := func(tw knives.TableWorkload) (knives.Partitioning, string, error) {
-		if strings.EqualFold(*algoName, "advisor") {
-			advice, err := knives.AdviseTable(tw, model)
-			if err != nil {
-				return knives.Partitioning{}, "", err
-			}
-			return advice.Layout, advice.Algorithm, nil
-		}
-		a, err := knives.AlgorithmByName(*algoName)
-		if err != nil {
-			return knives.Partitioning{}, "", err
-		}
-		res, err := a.Partition(tw, model)
-		if err != nil {
-			return knives.Partitioning{}, "", err
-		}
-		return res.Partitioning, a.Name(), nil
-	}
-
-	matched := false
+	// drifts.
 	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
+	err = c.eachTable(func(tw knives.TableWorkload) error {
 		drifted := knives.DriftWorkload(tw, *drift, *driftSeed)
-		from, fromAlgo, err := layoutFor(tw)
+		from, fromAlgo, err := c.layoutFor(tw)
 		if err != nil {
 			return err
 		}
-		to, toAlgo, err := layoutFor(drifted)
+		to, toAlgo, err := c.layoutFor(drifted)
 		if err != nil {
 			return err
 		}
-		vt.step("advise endpoints " + tw.Table.Name)
-		plan, err := knives.MigratePlan(drifted, from, to, model, *window)
+		c.vt.step("advise endpoints " + tw.Table.Name)
+		plan, err := knives.MigratePlan(drifted, from, to, c.model, *window)
 		if err != nil {
 			return err
 		}
@@ -845,26 +814,22 @@ func runMigrate(args []string) error {
 		if plan.From.Equal(plan.To) {
 			fmt.Print(plan)
 			fmt.Println()
-			continue
+			return nil
 		}
 		rep, err := knives.MigrateExecute(drifted, plan, cfg)
 		if err != nil {
 			return err
 		}
-		vt.step("migrate " + tw.Table.Name)
+		c.vt.step("migrate " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
-		if !rep.Exact() {
-			allExact = false
-		}
+		allExact = allExact && rep.Exact()
+		return nil
+	})
+	if err == nil && !allExact {
+		err = fmt.Errorf("migration diverged: measured cost != predicted, or the migrated store failed verification (see above)")
 	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	if !allExact {
-		return fmt.Errorf("migration diverged: measured cost != predicted, or the migrated store failed verification (see above)")
-	}
-	return nil
+	return err
 }
 
 func runExperiment(args []string) error {

@@ -137,39 +137,87 @@ func TestRunAdvise(t *testing.T) {
 	}
 }
 
+// replay, exec, and migrate share one flag set and one per-table loop, so
+// the same cases drive all three: a nil error IS the zero-tolerance
+// assertion (any measured/predicted divergence makes the command error).
 func TestRunReplaySmallTable(t *testing.T) {
-	// Region at SF 0.01 with a capped sample: the full advise-materialize-
-	// replay-verify path, exact or the command errors (exit 1).
-	if err := runReplay([]string{"-table", "region", "-sf", "0.01", "-rows", "500"}); err != nil {
-		t.Fatal(err)
-	}
-	// A named algorithm, the MM model, and the file backend all flow
-	// through the same path.
-	if err := runReplay([]string{"-table", "region", "-sf", "0.01", "-rows", "500",
-		"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		cmd   string
+		run   func([]string) error
+		extra []string
+	}{
+		// Region at SF 0.01 with a capped sample: the full advise-
+		// materialize-execute-verify path.
+		{"replay", runReplay, nil},
+		{"exec", runExec, nil},
+		{"migrate", runMigrate, []string{"-drift", "0.5"}},
+		// A named algorithm, the MM model, and the file backend all flow
+		// through the same path.
+		{"replay", runReplay, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
+		{"migrate", runMigrate, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
+		// exec has no page-store flags; its knobs are the exec mode and the
+		// pushed-down selection (region's int key), and the baseline
+		// families are layout sources like any algorithm.
+		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm", "-exec", "vector", "-batch", "64", "-exec-workers", "2"}},
+		{"exec", runExec, []string{"-algorithm", "Column", "-select-table", "region", "-select-column", "r_regionkey", "-select-bound", "3"}},
+	} {
+		args := append([]string{"-table", "region", "-sf", "0.01", "-rows", "500"}, tc.extra...)
+		if err := tc.run(args); err != nil {
+			t.Errorf("%s %v: %v", tc.cmd, args, err)
+		}
 	}
 }
 
 func TestRunReplayRejectsBadFlags(t *testing.T) {
-	cases := [][]string{
+	region := []string{"-table", "region", "-sf", "0.01"}
+	shared := [][]string{
 		{"-model", "quantum"},
 		{"-benchmark", "mystery"},
-		{"-algorithm", "Nope", "-table", "region", "-sf", "0.01"},
+		append([]string{"-algorithm", "Nope"}, region...),
 		{"-table", "nonexistent", "-sf", "0.01"},
-		{"-backend", "s3", "-table", "region", "-sf", "0.01"},
-		{"-rows", "-4", "-table", "region", "-sf", "0.01"},
+		append([]string{"-rows", "-4"}, region...),
 	}
-	for _, args := range cases {
-		if err := runReplay(args); err == nil {
-			t.Errorf("runReplay(%v) accepted bad input", args)
+	for _, cmd := range []string{"replay", "exec", "migrate"} {
+		cases := shared
+		switch cmd {
+		case "exec":
+			cases = append(cases[:len(cases):len(cases)],
+				append([]string{"-exec", "columnar"}, region...),
+				append([]string{"-select-table", "region"}, region...),
+				append([]string{"-select-table", "region", "-select-column", "nope"}, region...))
+		default:
+			cases = append(cases[:len(cases):len(cases)], append([]string{"-backend", "s3"}, region...))
+		}
+		for _, args := range cases {
+			if got := run(append([]string{cmd}, args...)); got == 0 {
+				t.Errorf("%s %v accepted bad input", cmd, args)
+			}
+		}
+		if got := run([]string{cmd, "-nosuchflag"}); got != 2 {
+			t.Errorf("%s usage error exited %d, want 2", cmd, got)
+		}
+		if got := run([]string{cmd, "-table", "nonexistent", "-sf", "0.01"}); got != 1 {
+			t.Errorf("%s unknown table exited %d, want 1", cmd, got)
+		}
+		if got := run(append([]string{cmd, "-rows", "-4"}, region...)); got != 2 {
+			t.Errorf("%s negative -rows exited %d, want 2 (usage)", cmd, got)
 		}
 	}
-	if got := run([]string{"replay", "-nosuchflag"}); got != 2 {
-		t.Errorf("replay usage error exited %d, want 2", got)
+	// The selection contract is "u32 column (int or date)": a text column
+	// is a usage error before any search runs, not a silent 0-row answer.
+	for _, col := range []string{"l_returnflag", "l_comment"} {
+		if got := run([]string{"exec", "-table", "lineitem", "-sf", "0.01", "-rows", "500",
+			"-select-table", "lineitem", "-select-column", col, "-select-bound", "5"}); got != 2 {
+			t.Errorf("exec -select-column %s exited %d, want 2", col, got)
+		}
 	}
-	if got := run([]string{"replay", "-table", "nonexistent", "-sf", "0.01"}); got != 1 {
-		t.Errorf("replay unknown table exited %d, want 1", got)
+	// Each subcommand keeps exactly its own flags: replay has no exec knobs,
+	// exec no page store.
+	if got := run([]string{"replay", "-exec", "vector"}); got != 2 {
+		t.Errorf("replay accepted exec's -exec flag (exit %d)", got)
+	}
+	if got := run([]string{"exec", "-backend", "file"}); got != 2 {
+		t.Errorf("exec accepted replay's -backend flag (exit %d)", got)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"knives/internal/algo"
 	"knives/internal/algorithms"
@@ -70,36 +69,6 @@ func PortfolioNames() []string {
 		names[i] = a.Name()
 	}
 	return names
-}
-
-// fanOut runs f(0), ..., f(n-1) concurrently, waits for all of them, and
-// returns the lowest-index error — the same first-error-wins semantics as a
-// serial loop, shared by every fan-out in this package. A panicking worker
-// is converted into that worker's error: net/http only recovers panics on
-// the handler's own goroutine, so without this a single degenerate request
-// could kill the whole long-running daemon instead of failing alone.
-func fanOut(n int, f func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("advisor: worker %d panicked: %v", i, r)
-				}
-			}()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // normalizeWeights returns tw with zero query weights replaced by 1 — the
@@ -158,7 +127,7 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 	}
 	algos := portfolio()
 	results := make([]algo.Result, len(algos))
-	err := fanOut(len(algos), func(i int) error {
+	err := algo.FanOut(len(algos), func(i int) error {
 		_, gateSp := telemetry.StartSpan(ctx, "gate-wait "+algos[i].Name())
 		err := algo.AcquireSearchSlotCtx(ctx)
 		gateSp.End()
@@ -221,7 +190,7 @@ func Advise(b *schema.Benchmark, m cost.Model) ([]TableAdvice, error) {
 	}
 	tws := b.TableWorkloads()
 	out := make([]TableAdvice, len(tws))
-	err := fanOut(len(tws), func(i int) error {
+	err := algo.FanOut(len(tws), func(i int) error {
 		var err error
 		out[i], err = AdviseTable(tws[i], m)
 		return err

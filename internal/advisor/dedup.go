@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // Batched observes retry on lost responses, which makes delivery
@@ -25,14 +24,6 @@ const DefaultObserveDedupWindow = 1024
 // verbatim, so an unbounded ID would be an unbounded memory lever.
 const maxBatchIDLen = 128
 
-// observeDedupEntry holds one applied batch's outcomes. The once collapses
-// a retry racing the original ingest into a single application — the retry
-// blocks until the first attempt's outcomes exist, then answers them.
-type observeDedupEntry struct {
-	once sync.Once
-	outs []ObserveOutcome
-}
-
 // ObserveBatchID is ObserveBatch under a client batch ID: the first call
 // with an ID ingests and records its outcomes in the dedup window; every
 // later call with the same ID answers those outcomes verbatim (dup=true)
@@ -44,21 +35,13 @@ func (s *Service) ObserveBatchID(ctx context.Context, batchID string, batches []
 	if len(batchID) > maxBatchIDLen {
 		return nil, false, fmt.Errorf("%w: batch id longer than %d bytes", ErrBadObservation, maxBatchIDLen)
 	}
-	s.mu.Lock()
-	e, ok := s.observeSeen.Get(batchID)
-	if !ok {
-		e = &observeDedupEntry{}
-		s.observeSeen.Insert(batchID, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		e.outs = s.ObserveBatch(ctx, batches)
+	// Per-entry failures live inside the outcomes, so the application
+	// itself never fails and an applied ID is always remembered.
+	outs, ran, _ := s.observeSeen.Do(batchID, func() ([]ObserveOutcome, error) {
+		return s.ObserveBatch(ctx, batches), nil
 	})
 	if !ran {
 		s.observeDups.Add(1)
 	}
-	return e.outs, !ran, nil
+	return outs, !ran, nil
 }

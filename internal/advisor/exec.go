@@ -3,10 +3,8 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"knives/internal/cost"
-	"knives/internal/partition"
 	"knives/internal/replay"
 	"knives/internal/schema"
 )
@@ -27,22 +25,29 @@ type ExecSelection struct {
 	Bound  uint32
 }
 
+// On binds the selection to a table's column. The predicate compares the
+// column's first four bytes as a little-endian u32, so anything but an int
+// or date column (the engine's u32 encodings) is refused: on a narrower
+// column no row could ever match, and on text it would filter on the first
+// four characters.
+func (sel ExecSelection) On(t *schema.Table) (*replay.Selection, error) {
+	attr := t.AttrIndex(sel.Column)
+	if attr < 0 {
+		return nil, fmt.Errorf("%w: table %s has no column %q", ErrBadReplay, t.Name, sel.Column)
+	}
+	c := t.Columns[attr]
+	if (c.Kind != schema.KindInt && c.Kind != schema.KindDate) || c.Size < 4 {
+		return nil, fmt.Errorf("%w: selection column %s.%s is %s(%d), not a u32 column (int or date)",
+			ErrBadReplay, t.Name, c.Name, c.Kind, c.Size)
+	}
+	return &replay.Selection{Attr: attr, Bound: sel.Bound}, nil
+}
+
 // execKey identifies one cached execution: the replay key plus the
 // selection (the predicate changes plans, rows out, and per-query pricing).
 type execKey struct {
-	fp    Fingerprint
-	model string
-	rows  int64
-	seed  int64
-	sel   ExecSelection
-}
-
-// execEntry computes one execution at most once, exactly like the replay
-// cache's entry.
-type execEntry struct {
-	once   sync.Once
-	report *replay.OperatorReplay
-	err    error
+	replayKey
+	sel ExecSelection
 }
 
 // ExecTable answers one table's advise-materialize-execute chain under the
@@ -53,72 +58,30 @@ func (s *Service) ExecTable(tw schema.TableWorkload, opt ReplayOptions, sel *Exe
 }
 
 // execTableAs is ExecTable under an explicit pricing model (a wire
-// request's resolved ModelSpec, or the service default).
+// request's resolved ModelSpec, or the service default): replayTableAs with
+// a selection in the key and operator pipelines as the executor.
 func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (*replay.OperatorReplay, Fingerprint, bool, error) {
-	if err := opt.validate(); err != nil {
-		return nil, Fingerprint{}, false, err
-	}
-	cfg, err := replayConfigFor(m, opt)
+	p, err := planExec(tw, opt, sel, m, mkey)
 	if err != nil {
 		return nil, Fingerprint{}, false, err
 	}
-	if cfg.MaxRows == 0 {
-		cfg.MaxRows = replay.DefaultMaxRows
-	}
-	if tw.Table == nil {
-		return nil, Fingerprint{}, false, fmt.Errorf("advisor: nil table")
-	}
-	var opSel *replay.Selection
-	var keySel ExecSelection
-	if sel != nil {
-		attr := tw.Table.AttrIndex(sel.Column)
-		if attr < 0 {
-			return nil, Fingerprint{}, false, fmt.Errorf("%w: table %s has no column %q",
-				ErrBadReplay, tw.Table.Name, sel.Column)
-		}
-		opSel = &replay.Selection{Attr: attr, Bound: sel.Bound}
-		keySel = *sel
-	}
-	tw = normalizeWeights(tw)
-	key := execKey{fp: FingerprintOf(tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed, sel: keySel}
-
-	s.mu.Lock()
-	e, ok := s.execEntries.Get(key)
-	if !ok {
-		e = &execEntry{}
-		s.execEntries.Insert(key, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		// Advice may be cached from a request whose *Table pointer differs;
-		// rebind the layout onto THIS workload's table.
-		advice, _, _, err := s.adviseTableAs(ctx, tw, m, mkey)
+	s.queries.Add(1)
+	rep, ran, err := s.execEntries.Do(p.key, func() (*replay.OperatorReplay, error) {
+		layout, algorithm, err := s.advisedLayout(ctx, p.tw, m, mkey)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		layout, err := partition.New(tw.Table, advice.Layout.Parts)
-		if err != nil {
-			e.err = err
-			return
+		rep, err := replay.Operators(p.tw, layout, algorithm, p.cfg, p.sel)
+		if err == nil {
+			s.tm.recordExec(rep)
 		}
-		e.report, e.err = replay.Operators(tw, layout, advice.Algorithm, cfg, opSel)
-		if e.err == nil {
-			s.tm.recordOpStats(e.report.Ops)
-			s.tm.recordExec(e.report)
-		}
+		return rep, err
 	})
-	if e.err != nil {
-		// A failed execution must not poison its cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.execEntries.Get(key); ok && cur == e {
-			s.execEntries.Drop(key)
-		}
-		s.mu.Unlock()
-		return nil, key.fp, false, e.err
+	if err != nil {
+		return nil, p.key.fp, false, err
 	}
-	return e.report, key.fp, !ran, nil
+	if !ran {
+		s.queryHits.Add(1)
+	}
+	return rep, p.key.fp, !ran, nil
 }

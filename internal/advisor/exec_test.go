@@ -2,6 +2,8 @@ package advisor
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -73,6 +75,30 @@ func TestServerQueryEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The PR-8 identity at the HTTP layer: without a selection, /query's
+	// pipelines and /replay's monolithic scans agree on every per-query
+	// measured/predicted number and every total — which is what keeps the
+	// two executors honest until they fold.
+	q := queryRequest()
+	replayed, err := client.Replay(ctx, ReplayRequest{Tables: q.Tables, Queries: q.Queries, MaxRows: q.MaxRows, Seed: q.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := replayed.Reports[0]
+	if mono.MeasuredSeconds != rep.MeasuredSeconds || mono.PredictedSeconds != rep.PredictedSeconds ||
+		mono.BytesRead != rep.BytesRead || mono.Seeks != rep.Seeks || mono.ReconJoins != rep.ReconJoins ||
+		mono.RowsReplayed != rep.RowsReplayed || mono.Exact != rep.Exact || mono.Fingerprint != rep.Fingerprint {
+		t.Errorf("/replay totals %+v differ from /query totals %+v", mono, rep)
+	}
+	if len(mono.Queries) != len(rep.Pipelines) {
+		t.Fatalf("/replay reports %d queries, /query %d pipelines", len(mono.Queries), len(rep.Pipelines))
+	}
+	for i, mq := range mono.Queries {
+		if mq != rep.Pipelines[i].QueryReplayWire {
+			t.Errorf("query %s: /replay %+v != /query %+v", mq.ID, mq, rep.Pipelines[i].QueryReplayWire)
+		}
+	}
+
 	again, err := client.Query(ctx, queryRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +155,17 @@ func TestServerQueryErrors(t *testing.T) {
 	req.Selection = &SelectionSpec{Table: "events", Column: "nope", Bound: 1}
 	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "no column") {
 		t.Errorf("unknown selection column error = %v", err)
+	}
+
+	// The predicate reads a little-endian u32: a char column would filter on
+	// its first four bytes of text (and a narrower one match no row at all),
+	// so anything but an int or date column is a 400, not a silent answer.
+	req = queryRequest()
+	req.Selection = &SelectionSpec{Table: "events", Column: "a", Bound: 1}
+	_, err := client.Query(ctx, req)
+	var he *httpError
+	if !errors.As(err, &he) || he.status != http.StatusBadRequest || !strings.Contains(err.Error(), "not a u32 column") {
+		t.Errorf("char selection column error = %v, want 400 naming the u32 contract", err)
 	}
 
 	req = queryRequest()

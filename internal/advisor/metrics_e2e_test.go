@@ -218,6 +218,11 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		"knives_query_exec_seconds_count":       float64(len(qres.Reports[0].Pipelines)),
 		"knives_query_batch_fill_ratio_count":   float64(len(qres.Reports[0].Pipelines)),
 		`knives_operator_rows_total{op="scan"}`: 1,
+		// /query is counted like /replay, and the exec cache — the largest
+		// objects in the daemon — shows in the cached-replays gauge.
+		"knives_queries_total":  1,
+		"knives_cached_replays": 1,
+		"knives_cached_entries": 1,
 	} {
 		if got := sampleValue(t, expo, name); got < min {
 			t.Errorf("%s = %v, want >= %v", name, got, min)
@@ -241,6 +246,11 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	if st.Recovery == nil {
 		t.Fatal("journaling service /stats has no recovery report")
+	}
+	// cached_replays sums both report caches: the one /query execution
+	// above, no /replay report yet.
+	if st.CachedReplays != 1 || st.Replays != 0 {
+		t.Errorf("/stats cached_replays = %d (replays %d), want the exec cache's 1 entry", st.CachedReplays, st.Replays)
 	}
 
 	// pprof answers on its operator-enabled mount.

@@ -3,12 +3,10 @@ package advisor
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"knives/internal/migrate"
 	"knives/internal/partition"
-	"knives/internal/replay"
 )
 
 // The migration endpoint: a drift-triggered client asks the service to
@@ -76,14 +74,6 @@ type migrateKey struct {
 	seed     int64
 }
 
-// migrateEntry computes one migration outcome at most once, with the same
-// sync.Once discipline as the advice and replay caches.
-type migrateEntry struct {
-	once    sync.Once
-	outcome *MigrationOutcome
-	err     error
-}
-
 // MigrationOutcome is what one migration request resolves to.
 type MigrationOutcome struct {
 	Table string
@@ -126,9 +116,6 @@ func (s *Service) MigrateTable(table string, opt MigrateOptions) (*MigrationOutc
 	if err != nil {
 		return nil, false, err
 	}
-	if rcfg.MaxRows == 0 {
-		rcfg.MaxRows = replay.DefaultMaxRows
-	}
 
 	s.migrations.Add(1)
 	key := migrateKey{
@@ -136,42 +123,26 @@ func (s *Service) MigrateTable(table string, opt MigrateOptions) (*MigrationOutc
 		window: window, rows: rcfg.MaxRows, seed: rcfg.Seed,
 	}
 
-	s.mu.Lock()
-	e, ok := s.migrateEntries.Get(key)
-	if !ok {
-		e = &migrateEntry{}
-		s.migrateEntries.Insert(key, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
+	outcome, ran, err := s.migrateEntries.Do(key, func() (*MigrationOutcome, error) {
 		t0 := time.Now()
-		e.outcome, e.err = s.migrateOnce(table, st, key, rcfg)
-		if e.err == nil {
+		out, err := s.migrateOnce(table, st, key, rcfg)
+		if err == nil {
 			s.tm.migrateExec.Since(t0)
 		}
+		return out, err
 	})
-	if e.err != nil {
-		// Like a failed advice search or replay, a failed migration must
-		// not poison its cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.migrateEntries.Get(key); ok && cur == e {
-			s.migrateEntries.Drop(key)
-		}
-		s.mu.Unlock()
-		return nil, false, e.err
+	if err != nil {
+		return nil, false, err
 	}
 	if !ran {
 		s.migrateHits.Add(1)
 	}
-	// Advance the applied layout outside the once so cache hits converge
+	// Advance the applied layout outside the cache so cache hits converge
 	// too: the CAS against currentFP refuses if a newer drift recompute or
 	// re-registration moved the advice since this outcome was computed. A
 	// journal-append failure surfaces as the request's error — the outcome
 	// stays cached, so the retry re-attempts exactly this advance.
-	out := *e.outcome
+	out := *outcome
 	if out.Plan != nil && (out.Report == nil || (out.Plan.Viable && out.Report.Exact())) {
 		applied, err := t.MarkApplied(st.currentFP)
 		if err != nil {

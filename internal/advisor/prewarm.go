@@ -61,15 +61,11 @@ func (s *Service) Prewarm(b *schema.Benchmark) error {
 }
 
 // seed inserts precomputed advice under the workload's fingerprint (unless
-// an entry already resolved) and registers the drift tracker through the
+// the key is already cached) and registers the drift tracker through the
 // same helper the advise paths use — so re-running Prewarm restores
 // trackers evicted past TrackerCapacity without resetting live ones.
 func (s *Service) seed(tw schema.TableWorkload, advice TableAdvice) {
 	fp := FingerprintOf(tw)
-	e := s.lookup(adviceKey{fp: fp, model: s.modelKey})
-	e.once.Do(func() { e.advice = advice })
-	if e.err != nil {
-		return
-	}
-	s.registerTracker(tw, e.advice, fp, s.model, s.modelKey)
+	s.entries.Seed(adviceKey{fp: fp, model: s.modelKey}, advice)
+	s.registerTracker(tw, advice, fp, s.model, s.modelKey)
 }

@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"knives/internal/cost"
 	"knives/internal/operator"
@@ -85,27 +84,17 @@ type replayKey struct {
 	seed  int64
 }
 
-// replayEntry computes one replay at most once, like the advice cache's
-// entry: the service mutex only guards the map, the expensive
-// materialize-and-scan runs under the once, so identical concurrent
-// requests collapse into one execution.
-type replayEntry struct {
-	once   sync.Once
-	report *replay.TableReplay
-	err    error
-}
-
 // replayConfigFor translates a pricing model into a replay config: the
 // model's full device becomes the config's device (replay.Config treats a
 // named Disk with an empty Model as the device itself), so the engine
 // materializes, measures, and prices on exactly the hardware the request
-// resolved.
+// resolved. MaxRows is defaulted here because it joins the cache keys.
 func replayConfigFor(m cost.Model, opt ReplayOptions) (replay.Config, error) {
 	dm, ok := m.(*cost.DeviceModel)
 	if !ok {
 		return replay.Config{}, fmt.Errorf("advisor: cost model %s has no replay pricing", m.Name())
 	}
-	return replay.Config{
+	cfg := replay.Config{
 		Disk:        dm.Device(),
 		MaxRows:     opt.MaxRows,
 		Seed:        opt.Seed,
@@ -113,15 +102,69 @@ func replayConfigFor(m cost.Model, opt ReplayOptions) (replay.Config, error) {
 		ExecMode:    opt.ExecMode,
 		BatchSize:   opt.BatchSize,
 		ExecWorkers: opt.ExecWorkers,
-	}, nil
+	}
+	if cfg.MaxRows == 0 {
+		cfg.MaxRows = replay.DefaultMaxRows
+	}
+	return cfg, nil
+}
+
+// execPlan is what the replay and exec paths decide BEFORE consulting their
+// caches: the weight-normalized workload, the replay config, the resolved
+// selection (nil on the replay path), and the cache key.
+type execPlan struct {
+	tw  schema.TableWorkload
+	cfg replay.Config
+	sel *replay.Selection
+	key execKey
+}
+
+// planExec is the shared prelude of ReplayTable and ExecTable: validate the
+// options, translate the model into a replay config, resolve the selection
+// against the table, normalize the weights, and fingerprint the workload.
+// Every rejection of outside input on the two paths lives here.
+func planExec(tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (execPlan, error) {
+	if err := opt.validate(); err != nil {
+		return execPlan{}, err
+	}
+	cfg, err := replayConfigFor(m, opt)
+	if err != nil {
+		return execPlan{}, err
+	}
+	if tw.Table == nil {
+		return execPlan{}, fmt.Errorf("advisor: nil table")
+	}
+	p := execPlan{cfg: cfg}
+	if sel != nil {
+		if p.sel, err = sel.On(tw.Table); err != nil {
+			return execPlan{}, err
+		}
+		p.key.sel = *sel
+	}
+	p.tw = normalizeWeights(tw)
+	p.key.replayKey = replayKey{fp: FingerprintOf(p.tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed}
+	return p, nil
+}
+
+// advisedLayout answers the workload's advice (from the fingerprint cache,
+// searching on a miss) and rebinds the advised layout onto THIS workload's
+// table: cached advice may have been computed for an earlier request whose
+// *Table pointer differs (the fingerprint guarantees identical schemas).
+func (s *Service) advisedLayout(ctx context.Context, tw schema.TableWorkload, m cost.Model, mkey string) (partition.Partitioning, string, error) {
+	advice, _, _, err := s.adviseTableAs(ctx, tw, m, mkey)
+	if err != nil {
+		return partition.Partitioning{}, "", err
+	}
+	layout, err := partition.New(tw.Table, advice.Layout.Parts)
+	return layout, advice.Algorithm, err
 }
 
 // ReplayTable answers one table's advise-materialize-replay-report chain:
 // the advice comes from the fingerprint cache (searching on a miss), the
 // layout is materialized through the storage engine, the workload replayed,
 // and the report compared against the cost model. Reports are cached under
-// (fingerprint, rows, seed); the bool reports whether this call executed a
-// replay (false = cache hit).
+// (fingerprint, rows, seed); the bool reports whether this call was answered
+// from cache (no replay executed).
 func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*replay.TableReplay, Fingerprint, bool, error) {
 	return s.replayTableAs(context.Background(), tw, opt, s.model, s.modelKey)
 }
@@ -131,61 +174,23 @@ func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*repl
 // bounds the embedded advise step's search waits; the materialize-and-scan
 // itself runs to completion once started.
 func (s *Service) replayTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (*replay.TableReplay, Fingerprint, bool, error) {
-	if err := opt.validate(); err != nil {
-		return nil, Fingerprint{}, false, err
-	}
-	cfg, err := replayConfigFor(m, opt)
+	p, err := planExec(tw, opt, nil, m, mkey)
 	if err != nil {
 		return nil, Fingerprint{}, false, err
 	}
-	if cfg.MaxRows == 0 {
-		cfg.MaxRows = replay.DefaultMaxRows
-	}
-	if tw.Table == nil {
-		return nil, Fingerprint{}, false, fmt.Errorf("advisor: nil table")
-	}
-	tw = normalizeWeights(tw)
 	s.replays.Add(1)
-	key := replayKey{fp: FingerprintOf(tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed}
-
-	s.mu.Lock()
-	e, ok := s.replayEntries.Get(key)
-	if !ok {
-		e = &replayEntry{}
-		s.replayEntries.Insert(key, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		// The advice may come from the cache, computed for an earlier
-		// request whose *Table pointer differs; rebind the layout onto THIS
-		// workload's table (the fingerprint guarantees identical schemas).
-		advice, _, _, err := s.adviseTableAs(ctx, tw, m, mkey)
+	rep, ran, err := s.replayEntries.Do(p.key.replayKey, func() (*replay.TableReplay, error) {
+		layout, algorithm, err := s.advisedLayout(ctx, p.tw, m, mkey)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		layout, err := partition.New(tw.Table, advice.Layout.Parts)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.report, e.err = replay.Layout(tw, layout, advice.Algorithm, cfg)
+		return replay.Layout(p.tw, layout, algorithm, p.cfg)
 	})
-	if e.err != nil {
-		// Like a failed advice search, a failed replay must not poison its
-		// cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.replayEntries.Get(key); ok && cur == e {
-			s.replayEntries.Drop(key)
-		}
-		s.mu.Unlock()
-		return nil, key.fp, false, e.err
+	if err != nil {
+		return nil, p.key.fp, false, err
 	}
 	if !ran {
 		s.replayHits.Add(1)
 	}
-	return e.report, key.fp, !ran, nil
+	return rep, p.key.fp, !ran, nil
 }

@@ -12,6 +12,9 @@ import (
 	"strconv"
 	"time"
 
+	"knives/internal/algo"
+	"knives/internal/cost"
+	"knives/internal/schema"
 	"knives/internal/telemetry"
 )
 
@@ -253,86 +256,100 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err)
 }
 
+// decodeRequest parses the request body into v, answering the decode
+// failure itself; false means the response is already written.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeBody(w, r, v); err != nil {
+		writeDecodeError(w, err)
+		return false
+	}
+	return true
+}
+
+// serveTables is the one body behind the workload endpoints (/advise,
+// /replay, /query): validate the replay knobs, resolve the model spec once
+// per request (400 on unknown names or NaN/Inf/non-positive overrides — it
+// scopes every cache the request touches), materialize the workload, run
+// the endpoint's own pre-flight check, fan the tables out over the parallel
+// kernel, and map failures to statuses. The wires keep the request's table
+// order; false means the error response is already written.
+func serveTables[W any](s *Server, w http.ResponseWriter, wl AdviseRequest, opt ReplayOptions,
+	check func(tws []schema.TableWorkload) error,
+	each func(tw schema.TableWorkload, m cost.Model, mkey string) (W, error),
+) ([]W, bool) {
+	if err := opt.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	m, mkey, err := s.svc.modelFor(wl.Model)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	b, err := wl.Materialize()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	tws := b.TableWorkloads()
+	if check != nil {
+		if err := check(tws); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return nil, false
+		}
+	}
+	wires := make([]W, len(tws))
+	err = algo.FanOut(len(tws), func(i int) error {
+		var err error
+		wires[i], err = each(tws[i], m, mkey)
+		return err
+	})
+	switch {
+	case err == nil:
+		return wires, true
+	case errors.Is(err, ErrBadReplay):
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		s.writeServiceError(w, err)
+	}
+	return nil, false
+}
+
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	var req AdviseRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	// The model spec resolves once per request (400 on unknown names or
-	// NaN/Inf/non-positive overrides) and scopes every cache the request
-	// touches.
-	m, mkey, err := s.svc.modelFor(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	wires, ok := serveTables(s, w, req, ReplayOptions{}, nil,
+		func(tw schema.TableWorkload, m cost.Model, mkey string) (TableAdviceWire, error) {
+			advice, fp, cached, err := s.svc.adviseTableAs(r.Context(), tw, m, mkey)
+			if err != nil {
+				return TableAdviceWire{}, err
+			}
+			return toWire(advice, fp, cached), nil
+		})
+	if ok {
+		writeJSON(w, AdviseResponse{Advice: wires})
 	}
-	b, err := req.Materialize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Fan the tables out over the parallel kernel; the response keeps the
-	// request's table order.
-	tws := b.TableWorkloads()
-	wires := make([]TableAdviceWire, len(tws))
-	err = fanOut(len(tws), func(i int) error {
-		advice, fp, cached, err := s.svc.adviseTableAs(r.Context(), tws[i], m, mkey)
-		if err != nil {
-			return err
-		}
-		wires[i] = toWire(advice, fp, cached)
-		return nil
-	})
-	if err != nil {
-		s.writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, AdviseResponse{Advice: wires})
 }
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var req ReplayRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	opt := ReplayOptions{MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers}
-	if err := opt.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	wires, ok := serveTables(s, w, req.advise(), opt, nil,
+		func(tw schema.TableWorkload, m cost.Model, mkey string) (TableReplayWire, error) {
+			rep, fp, cached, err := s.svc.replayTableAs(r.Context(), tw, opt, m, mkey)
+			if err != nil {
+				return TableReplayWire{}, err
+			}
+			return toReplayWire(rep, fp, cached), nil
+		})
+	if ok {
+		writeJSON(w, ReplayResponse{Reports: wires})
 	}
-	m, mkey, err := s.svc.modelFor(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	b, err := req.advise().Materialize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Fan the tables out, as /advise does; the response keeps the request's
-	// table order.
-	tws := b.TableWorkloads()
-	wires := make([]TableReplayWire, len(tws))
-	err = fanOut(len(tws), func(i int) error {
-		rep, fp, cached, err := s.svc.replayTableAs(r.Context(), tws[i], opt, m, mkey)
-		if err != nil {
-			return err
-		}
-		wires[i] = toReplayWire(rep, fp, cached)
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrBadReplay) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, ReplayResponse{Reports: wires})
 }
 
 // handleQuery answers POST /query: advise, materialize, and EXECUTE the
@@ -341,70 +358,43 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 // its named table; other tables execute unfiltered.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	opt := ReplayOptions{
 		MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers,
 		ExecMode: req.Exec, BatchSize: req.BatchSize, ExecWorkers: req.ExecWorkers,
 	}
-	if err := opt.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	m, mkey, err := s.svc.modelFor(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	b, err := req.advise().Materialize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tws := b.TableWorkloads()
-	if sel := req.Selection; sel != nil {
-		if sel.Table == "" || sel.Column == "" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: selection needs both table and column", ErrBadReplay))
-			return
+	sel := req.Selection
+	check := func(tws []schema.TableWorkload) error {
+		if sel == nil {
+			return nil
 		}
-		found := false
+		if sel.Table == "" || sel.Column == "" {
+			return fmt.Errorf("%w: selection needs both table and column", ErrBadReplay)
+		}
 		for _, tw := range tws {
 			if tw.Table.Name == sel.Table {
-				found = true
-				break
+				return nil
 			}
 		}
-		if !found {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: selection table %q not in workload", ErrBadReplay, sel.Table))
-			return
-		}
+		return fmt.Errorf("%w: selection table %q not in workload", ErrBadReplay, sel.Table)
 	}
-	wires := make([]TableExecWire, len(tws))
-	err = fanOut(len(tws), func(i int) error {
-		var sel *ExecSelection
-		if req.Selection != nil && req.Selection.Table == tws[i].Table.Name {
-			sel = &ExecSelection{Column: req.Selection.Column, Bound: req.Selection.Bound}
-		}
-		rep, fp, cached, err := s.svc.execTableAs(r.Context(), tws[i], opt, sel, m, mkey)
-		if err != nil {
-			return err
-		}
-		wires[i] = toExecWire(rep, fp, cached)
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrBadReplay) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeServiceError(w, err)
-		return
+	wires, ok := serveTables(s, w, req.advise(), opt, check,
+		func(tw schema.TableWorkload, m cost.Model, mkey string) (TableExecWire, error) {
+			var tsel *ExecSelection
+			if sel != nil && sel.Table == tw.Table.Name {
+				tsel = &ExecSelection{Column: sel.Column, Bound: sel.Bound}
+			}
+			rep, fp, cached, err := s.svc.execTableAs(r.Context(), tw, opt, tsel, m, mkey)
+			if err != nil {
+				return TableExecWire{}, err
+			}
+			return toExecWire(rep, fp, cached), nil
+		})
+	if ok {
+		writeJSON(w, QueryResponse{Reports: wires})
 	}
-	writeJSON(w, QueryResponse{Reports: wires})
 }
 
 // observeStatus maps an observe-path error to the HTTP status the
@@ -432,8 +422,7 @@ func observeStatus(err error) int {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Batches) > 0 {
@@ -508,8 +497,7 @@ func (s *Server) observeBatched(w http.ResponseWriter, r *http.Request, req Obse
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Table == "" {

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"knives/internal/algo"
 	"knives/internal/cost"
 	"knives/internal/migrate"
+	"knives/internal/replay"
 	"knives/internal/schema"
 	"knives/internal/statestore"
 	"knives/internal/telemetry"
@@ -39,18 +41,10 @@ type Config struct {
 	// (its table must be re-advised to be tracked again). 0 uses
 	// DefaultTrackerCapacity, negative disables eviction.
 	TrackerCapacity int
-	// ReplayCacheCapacity bounds the replay report cache (FIFO, like the
-	// advice cache). 0 uses DefaultReplayCacheCapacity, negative disables
-	// eviction.
-	ReplayCacheCapacity int
 	// MigrateWindow is the default break-even horizon bound (in queries of
 	// the tracked mix) for migration plans whose request does not name one.
 	// 0 uses migrate.DefaultWindow.
 	MigrateWindow int64
-	// MigrateCacheCapacity bounds the migration outcome cache (FIFO, like
-	// the replay cache). 0 uses DefaultMigrateCacheCapacity, negative
-	// disables eviction.
-	MigrateCacheCapacity int
 	// DriftTracking selects how trackers price drift per batch: TrackExact
 	// (the default, "" or "exact") copies and prices the full observation
 	// window; TrackSketch ("sketch") prices a windowed attribute-set
@@ -123,19 +117,24 @@ type Service struct {
 	store statestore.Store
 	jn    *journal
 
-	// The caches and the tracker registry are FIFO-bounded maps; the
-	// caches are rebuildable from searches and deliberately NOT journaled,
-	// the trackers are the durable state.
-	mu             sync.Mutex
-	entries        *statestore.FIFO[adviceKey, *entry]
-	trackers       *statestore.FIFO[string, *Tracker]
-	replayEntries  *statestore.FIFO[replayKey, *replayEntry]
-	execEntries    *statestore.FIFO[execKey, *execEntry]
-	migrateEntries *statestore.FIFO[migrateKey, *migrateEntry]
+	// The tracker registry is the durable state: a FIFO-bounded map under
+	// the service mutex, journaled before every mutation.
+	mu       sync.Mutex
+	trackers *statestore.FIFO[string, *Tracker]
+
+	// The caches are rebuildable from searches and deliberately NOT
+	// journaled: compute-once caches, each under its own lock, so the
+	// expensive work (portfolio search, materialize-and-scan, migration)
+	// never runs under the service mutex.
+	entries        *statestore.OnceCache[adviceKey, TableAdvice]
+	replayEntries  *statestore.OnceCache[replayKey, *replay.TableReplay]
+	execEntries    *statestore.OnceCache[execKey, *replay.OperatorReplay]
+	migrateEntries *statestore.OnceCache[migrateKey, *MigrationOutcome]
 	// observeSeen is the redelivery-dedup window: recently applied batch
 	// IDs and their outcomes, so a client retry after a lost response
-	// answers the original ingest instead of double-counting.
-	observeSeen *statestore.FIFO[string, *observeDedupEntry]
+	// answers the original ingest instead of double-counting — and a retry
+	// RACING the original blocks until the first attempt's outcomes exist.
+	observeSeen *statestore.OnceCache[string, []ObserveOutcome]
 
 	// ing is the sharded observe-ingest stage: every observation batch
 	// funnels through it so concurrent batches share group commits.
@@ -151,6 +150,8 @@ type Service struct {
 	recomputes  atomic.Int64 // drift-triggered recomputations
 	replays     atomic.Int64 // table replay requests answered
 	replayHits  atomic.Int64 // replays answered from cache without executing
+	queries     atomic.Int64 // table execution (/query) requests answered
+	queryHits   atomic.Int64 // executions answered from cache without executing
 	migrations  atomic.Int64 // migration requests answered
 	migrateHits atomic.Int64 // migrations answered from cache without executing
 
@@ -161,16 +162,6 @@ type Service struct {
 	observeBatches  atomic.Int64
 	ingestGroups    atomic.Int64
 	observeDups     atomic.Int64 // batched observes answered from the dedup window
-}
-
-// entry computes one workload's advice at most once. The service mutex only
-// guards the map; the expensive portfolio search runs under the entry's
-// once, so different workloads compute concurrently and identical
-// concurrent requests collapse into one search.
-type entry struct {
-	once   sync.Once
-	advice TableAdvice
-	err    error
 }
 
 // NewService returns an empty advisor service. It accepts only
@@ -208,14 +199,8 @@ func OpenService(cfg Config) (*Service, error) {
 	if cfg.TrackerCapacity == 0 {
 		cfg.TrackerCapacity = DefaultTrackerCapacity
 	}
-	if cfg.ReplayCacheCapacity == 0 {
-		cfg.ReplayCacheCapacity = DefaultReplayCacheCapacity
-	}
 	if cfg.MigrateWindow == 0 {
 		cfg.MigrateWindow = migrate.DefaultWindow
-	}
-	if cfg.MigrateCacheCapacity == 0 {
-		cfg.MigrateCacheCapacity = DefaultMigrateCacheCapacity
 	}
 	switch cfg.DriftTracking {
 	case "", TrackExact, TrackSketch:
@@ -242,12 +227,12 @@ func OpenService(cfg Config) (*Service, error) {
 		modelKey:       modelKeyOf(m),
 		store:          st,
 		jn:             newJournal(st),
-		entries:        statestore.NewFIFO[adviceKey, *entry](cfg.CacheCapacity),
 		trackers:       statestore.NewFIFO[string, *Tracker](cfg.TrackerCapacity),
-		replayEntries:  statestore.NewFIFO[replayKey, *replayEntry](cfg.ReplayCacheCapacity),
-		execEntries:    statestore.NewFIFO[execKey, *execEntry](cfg.ReplayCacheCapacity),
-		migrateEntries: statestore.NewFIFO[migrateKey, *migrateEntry](cfg.MigrateCacheCapacity),
-		observeSeen:    statestore.NewFIFO[string, *observeDedupEntry](DefaultObserveDedupWindow),
+		entries:        statestore.NewOnceCache[adviceKey, TableAdvice](cfg.CacheCapacity),
+		replayEntries:  statestore.NewOnceCache[replayKey, *replay.TableReplay](DefaultReplayCacheCapacity),
+		execEntries:    statestore.NewOnceCache[execKey, *replay.OperatorReplay](DefaultReplayCacheCapacity),
+		migrateEntries: statestore.NewOnceCache[migrateKey, *MigrationOutcome](DefaultMigrateCacheCapacity),
+		observeSeen:    statestore.NewOnceCache[string, []ObserveOutcome](DefaultObserveDedupWindow),
 	}
 	for _, ts := range st.Recovered() {
 		if ts.ModelKey != s.modelKey {
@@ -304,7 +289,8 @@ type Stats struct {
 	Cached     int   `json:"cached_entries"`
 	Tracked    int   `json:"tracked_tables"`
 	// Replays counts replay requests answered; ReplayHits the ones served
-	// from the report cache without materializing anything.
+	// from the report cache without materializing anything. CachedReplays
+	// sums both report caches — /replay's reports and /query's executions.
 	Replays       int64 `json:"replays"`
 	ReplayHits    int64 `json:"replay_hits"`
 	CachedReplays int   `json:"cached_replays"`
@@ -336,7 +322,7 @@ type Stats struct {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	cached, tracked, cachedReplays, cachedMigrations := s.entries.Len(), s.trackers.Len(), s.replayEntries.Len(), s.migrateEntries.Len()
+	tracked := s.trackers.Len()
 	s.mu.Unlock()
 	// Load hits before requests: a request increments requests first, so
 	// this order can only overcount misses, never report a negative count.
@@ -358,35 +344,19 @@ func (s *Service) Stats() Stats {
 		Misses:           req - hits,
 		Searches:         s.searches.Load(),
 		Recomputes:       s.recomputes.Load(),
-		Cached:           cached,
+		Cached:           s.entries.Len(),
 		Tracked:          tracked,
 		Replays:          replays,
 		ReplayHits:       replayHits,
-		CachedReplays:    cachedReplays,
+		CachedReplays:    s.replayEntries.Len() + s.execEntries.Len(),
 		Migrations:       migrations,
 		MigrateHits:      migrateHits,
-		CachedMigrations: cachedMigrations,
+		CachedMigrations: s.migrateEntries.Len(),
 		ObservedQueries:  s.observedQueries.Load(),
 		ObserveBatches:   s.observeBatches.Load(),
 		IngestGroups:     s.ingestGroups.Load(),
 		DuplicateBatches: s.observeDups.Load(),
 	}
-}
-
-// lookup returns the cache entry for an advice key, creating it if absent.
-// Hit/miss attribution is NOT decided here — it belongs to whoever wins
-// the entry's once and actually runs the search. Evicted entries that a
-// request is currently resolving still complete through their retained
-// *entry pointer; they are simply no longer findable.
-func (s *Service) lookup(k adviceKey) *entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries.Get(k)
-	if !ok {
-		e = &entry{}
-		s.entries.Insert(k, e)
-	}
-	return e
 }
 
 // AdviseTable answers one table workload, from cache when the fingerprint
@@ -403,22 +373,15 @@ func (s *Service) AdviseTableContext(ctx context.Context, tw schema.TableWorkloa
 	return advice, hit, err
 }
 
-// adviseTable is AdviseTable plus the fingerprint the answer is cached
-// under, so the HTTP layer can render it without hashing the workload a
-// second time.
-func (s *Service) adviseTable(ctx context.Context, tw schema.TableWorkload) (TableAdvice, Fingerprint, bool, error) {
-	return s.adviseTableAs(ctx, tw, s.model, s.modelKey)
-}
-
 // adviseTableAs answers one table workload under an explicit pricing model
 // (a wire request's resolved ModelSpec, or the service default). Cache
 // entries are scoped to (fingerprint, model key), so the same workload
 // priced on different devices never shares advice.
 //
-// The context governs the search-slot waits of the requester that WINS the
-// entry's once; a canceled winner's error entry is dropped like any failed
-// computation, so a later request recomputes cleanly. Losers blocked on the
-// once wait for the winner regardless of their own deadlines — the wait is
+// The context governs the search-slot waits of the requester that RUNS the
+// search; a canceled winner's error is dropped like any failed computation,
+// so a later request recomputes cleanly. Requesters blocked on the same key
+// wait for the winner regardless of their own deadlines — the wait is
 // bounded by one search, and the handler's deadline still bounds the whole
 // request.
 func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m cost.Model, mkey string) (TableAdvice, Fingerprint, bool, error) {
@@ -438,32 +401,18 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 	t0 := time.Now()
 	s.requests.Add(1)
 	fp := FingerprintOf(tw)
-	key := adviceKey{fp: fp, model: mkey}
-	e := s.lookup(key)
-	ran := false
-	e.once.Do(func() {
-		ran = true
+	advice, ran, err := s.entries.Do(adviceKey{fp: fp, model: mkey}, func() (TableAdvice, error) {
 		s.searches.Add(1)
 		sctx, sp := telemetry.StartSpan(ctx, "portfolio-search "+tw.Table.Name)
-		tSearch := time.Now()
-		e.advice, e.err = AdviseTableContext(sctx, tw, m)
-		sp.End()
-		s.tm.search.Since(tSearch)
+		defer sp.End()
+		defer s.tm.search.Since(time.Now())
+		return AdviseTableContext(sctx, tw, m)
 	})
-	// Attribution is by who ran the search, not who created the entry: a
-	// concurrent requester can find the entry yet win the once race and do
-	// the work, while the creator blocks and gets the cached result. "Hit"
-	// must always mean "did not run the kernel".
-	hit := !ran
-	if e.err != nil {
-		// Failed computations must not poison the cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.entries.Get(key); ok && cur == e {
-			s.entries.Drop(key)
-		}
-		s.mu.Unlock()
-		return TableAdvice{}, fp, false, e.err
+	if err != nil {
+		return TableAdvice{}, fp, false, err
 	}
+	// "Hit" always means "did not run the kernel".
+	hit := !ran
 	if hit {
 		s.hits.Add(1)
 	}
@@ -484,7 +433,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 		// registration was not applied (journal-before-apply), the advice
 		// entry stays cached, and the client's retry re-attempts exactly
 		// the registration.
-		if err := s.registerTracker(tw, e.advice, fp, m, mkey); err != nil {
+		if err := s.registerTracker(tw, advice, fp, m, mkey); err != nil {
 			return TableAdvice{}, fp, false, err
 		}
 	}
@@ -493,7 +442,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 	} else {
 		s.tm.adviseMiss.Since(t0)
 	}
-	return e.advice, fp, hit, nil
+	return advice, fp, hit, nil
 }
 
 // registerTracker creates or refreshes the drift tracker for a table after
@@ -563,7 +512,7 @@ func (s *Service) AdviseBenchmark(b *schema.Benchmark) ([]TableAdvice, []bool, e
 	tws := b.TableWorkloads()
 	advice := make([]TableAdvice, len(tws))
 	hits := make([]bool, len(tws))
-	err := fanOut(len(tws), func(i int) error {
+	err := algo.FanOut(len(tws), func(i int) error {
 		var err error
 		advice[i], hits[i], err = s.AdviseTable(tws[i])
 		return err
@@ -699,17 +648,16 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		// The advice was computed for exactly rec.snapshot under
 		// rec.modelKey's device, so the pairing is safe to cache even if
 		// newer batches have since moved the tracker.
-		e := &entry{advice: rec.advice}
-		e.once.Do(func() {}) // mark resolved
 		snapFP := FingerprintOf(rec.snapshot)
-		s.mu.Lock()
-		s.entries.Insert(adviceKey{fp: snapFP, model: rec.modelKey}, e)
+		s.entries.Seed(adviceKey{fp: snapFP, model: rec.modelKey}, rec.advice)
 		// A recompute means the advice this tracker serves MOVED: replay
 		// reports cached under the fingerprint it covered until now (and
 		// under the snapshot's own key, if a client replayed it while an
 		// older advice entry answered it) describe a layout the daemon no
 		// longer advises. Without this eviction, a post-drift /replay
-		// would serve the stale layout's report from cache.
+		// would serve the stale layout's report from cache. The seed above
+		// comes first, so a replay racing this eviction can only recompute
+		// against the NEW advice.
 		s.replayEntries.DropFunc(func(k replayKey) bool {
 			return k.fp == rec.prevFP || k.fp == snapFP
 		})
@@ -718,7 +666,6 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		s.execEntries.DropFunc(func(k execKey) bool {
 			return k.fp == rec.prevFP || k.fp == snapFP
 		})
-		s.mu.Unlock()
 	}
 	return rep, nil
 }

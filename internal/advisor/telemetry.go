@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"knives/internal/algo"
-	"knives/internal/operator"
 	"knives/internal/replay"
 	"knives/internal/telemetry"
 )
@@ -105,6 +104,8 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.CounterFunc("knives_recomputes_total", s.recomputes.Load)
 	reg.CounterFunc("knives_replays_total", s.replays.Load)
 	reg.CounterFunc("knives_replay_hits_total", s.replayHits.Load)
+	reg.CounterFunc("knives_queries_total", s.queries.Load)
+	reg.CounterFunc("knives_query_hits_total", s.queryHits.Load)
 	reg.CounterFunc("knives_migrations_total", s.migrations.Load)
 	reg.CounterFunc("knives_migrate_hits_total", s.migrateHits.Load)
 	reg.CounterFunc("knives_observed_queries_total", s.observedQueries.Load)
@@ -114,11 +115,12 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 
 	reg.SetHelp("knives_ingest_queue_depth", "Observation batches pending across all ingest shards.")
 	reg.GaugeFunc("knives_ingest_queue_depth", func() float64 { return float64(s.ing.queueDepth()) })
-	reg.GaugeFunc("knives_cached_entries", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.entries.Len())
+	reg.GaugeFunc("knives_cached_entries", func() float64 { return float64(s.entries.Len()) })
+	reg.SetHelp("knives_cached_replays", "Cached /replay reports plus cached /query executions.")
+	reg.GaugeFunc("knives_cached_replays", func() float64 {
+		return float64(s.replayEntries.Len() + s.execEntries.Len())
 	})
+	reg.GaugeFunc("knives_cached_migrations", func() float64 { return float64(s.migrateEntries.Len()) })
 	reg.GaugeFunc("knives_tracked_tables", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -126,27 +128,20 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	})
 }
 
-// recordOpStats folds one execution's per-operator accounting into the
-// operator counters. Unknown kinds are dropped (bounded label set).
-func (m *svcMetrics) recordOpStats(ops [][]operator.OpStats) {
-	if m.opRows == nil {
-		return
-	}
-	for _, plan := range ops {
-		for _, st := range plan {
-			m.opRows[st.Op].Add(st.RowsOut)
-			m.opSim[st.Op].Observe(st.SimTime)
-		}
-	}
-}
-
-// recordExec folds one /query execution's per-query telemetry in: result
-// rows, wall-clock execution seconds, and (vector runs) batch fill ratios.
-// Nil-receiver safe like every instrumentation point — an unbound service
+// recordExec folds one /query execution's telemetry in: the per-operator
+// accounting (unknown operator kinds are dropped — bounded label set), and
+// per query the result rows, wall-clock execution seconds, and (vector runs)
+// batch fill ratios. Like every instrumentation point, an unbound service
 // pays one nil check.
 func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 	if m.queryRows == nil {
 		return
+	}
+	for _, plan := range rep.Ops {
+		for _, st := range plan {
+			m.opRows[st.Op].Add(st.RowsOut)
+			m.opSim[st.Op].Observe(st.SimTime)
+		}
 	}
 	for i := range rep.ResultRows {
 		m.queryRows.Add(rep.ResultRows[i])

@@ -6,6 +6,7 @@ import (
 
 	"knives/internal/attrset"
 	"knives/internal/operator"
+	"knives/internal/partition"
 	"knives/internal/replay"
 	"knives/internal/schema"
 )
@@ -290,7 +291,7 @@ type MigrationWire struct {
 func toMigrationWire(o *MigrationOutcome, cached bool) MigrationWire {
 	p := o.Plan
 	t := p.Table
-	layoutNames := func(pg [][]string, parts []schema.Set) [][]string {
+	partNames := func(pg [][]string, parts []schema.Set) [][]string {
 		for _, part := range parts {
 			pg = append(pg, t.AttrNames(part))
 		}
@@ -300,8 +301,8 @@ func toMigrationWire(o *MigrationOutcome, cached bool) MigrationWire {
 		Table:            o.Table,
 		FromAlgorithm:    p.FromAlgorithm,
 		ToAlgorithm:      p.ToAlgorithm,
-		FromLayout:       layoutNames(nil, p.From.Parts),
-		ToLayout:         layoutNames(nil, p.To.Parts),
+		FromLayout:       partNames(nil, p.From.Parts),
+		ToLayout:         partNames(nil, p.To.Parts),
 		Model:            p.Model,
 		MigrationSeconds: p.Migration.Seconds,
 		PerQueryFrom:     p.PerQueryFrom,
@@ -502,31 +503,40 @@ func resolveAttrs(t *schema.Table, names []string) (attrset.Set, error) {
 	return s, nil
 }
 
+// layoutNames renders a layout's canonical partitions as column names.
+func layoutNames(p partition.Partitioning) [][]string {
+	layout := make([][]string, 0, p.NumParts())
+	for _, part := range p.Canonical().Parts {
+		layout = append(layout, p.Table.AttrNames(part))
+	}
+	return layout
+}
+
+// toQueryWire renders one query's measured execution for the wire.
+func toQueryWire(q replay.QueryReplay) QueryReplayWire {
+	return QueryReplayWire{
+		ID:               q.ID,
+		Weight:           q.Weight,
+		Seeks:            q.Stats.Seeks,
+		BytesRead:        q.Stats.BytesRead,
+		CacheLines:       q.Stats.CacheLines,
+		ReconJoins:       q.Stats.ReconJoins,
+		Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
+		MeasuredSeconds:  q.MeasuredSeconds,
+		PredictedSeconds: q.PredictedSeconds,
+	}
+}
+
 // toReplayWire renders a replay report for the wire.
 func toReplayWire(r *replay.TableReplay, fp Fingerprint, cached bool) TableReplayWire {
-	t := r.Layout.Table
-	layout := make([][]string, 0, r.Layout.NumParts())
-	for _, part := range r.Layout.Canonical().Parts {
-		layout = append(layout, t.AttrNames(part))
-	}
 	qs := make([]QueryReplayWire, len(r.Queries))
 	for i, q := range r.Queries {
-		qs[i] = QueryReplayWire{
-			ID:               q.ID,
-			Weight:           q.Weight,
-			Seeks:            q.Stats.Seeks,
-			BytesRead:        q.Stats.BytesRead,
-			CacheLines:       q.Stats.CacheLines,
-			ReconJoins:       q.Stats.ReconJoins,
-			Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
-			MeasuredSeconds:  q.MeasuredSeconds,
-			PredictedSeconds: q.PredictedSeconds,
-		}
+		qs[i] = toQueryWire(q)
 	}
 	return TableReplayWire{
 		Table:            r.Table,
 		Algorithm:        r.Algorithm,
-		Layout:           layout,
+		Layout:           layoutNames(r.Layout),
 		Model:            r.Model,
 		RowsReplayed:     r.RowsReplayed,
 		RowsFull:         r.RowsFull,
@@ -545,34 +555,19 @@ func toReplayWire(r *replay.TableReplay, fp Fingerprint, cached bool) TableRepla
 
 // toExecWire renders an executed-pipeline report for the wire.
 func toExecWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableExecWire {
-	t := r.Layout.Table
-	layout := make([][]string, 0, r.Layout.NumParts())
-	for _, part := range r.Layout.Canonical().Parts {
-		layout = append(layout, t.AttrNames(part))
-	}
 	ps := make([]PipelineWire, len(r.Queries))
 	for i, q := range r.Queries {
 		ps[i] = PipelineWire{
-			QueryReplayWire: QueryReplayWire{
-				ID:               q.ID,
-				Weight:           q.Weight,
-				Seeks:            q.Stats.Seeks,
-				BytesRead:        q.Stats.BytesRead,
-				CacheLines:       q.Stats.CacheLines,
-				ReconJoins:       q.Stats.ReconJoins,
-				Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
-				MeasuredSeconds:  q.MeasuredSeconds,
-				PredictedSeconds: q.PredictedSeconds,
-			},
-			Plan:       r.Plans[i],
-			ResultRows: r.ResultRows[i],
-			Operators:  r.Ops[i],
+			QueryReplayWire: toQueryWire(q),
+			Plan:            r.Plans[i],
+			ResultRows:      r.ResultRows[i],
+			Operators:       r.Ops[i],
 		}
 	}
 	return TableExecWire{
 		Table:            r.Table,
 		Algorithm:        r.Algorithm,
-		Layout:           layout,
+		Layout:           layoutNames(r.Layout),
 		Model:            r.Model,
 		Selection:        r.Selection,
 		ExecMode:         r.ExecMode,
@@ -593,14 +588,10 @@ func toExecWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableExec
 
 // toWire renders advice for the wire.
 func toWire(a TableAdvice, fp Fingerprint, cached bool) TableAdviceWire {
-	layout := make([][]string, 0, a.Layout.NumParts())
-	for _, part := range a.Layout.Canonical().Parts {
-		layout = append(layout, a.Table.AttrNames(part))
-	}
 	return TableAdviceWire{
 		Table:                 a.Table.Name,
 		Algorithm:             a.Algorithm,
-		Layout:                layout,
+		Layout:                layoutNames(a.Layout),
 		Cost:                  a.Cost,
 		RowCost:               a.RowCost,
 		ColumnCost:            a.ColumnCost,

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
+	"knives/internal/algo"
 	"knives/internal/attrset"
 	"knives/internal/partition"
 	"knives/internal/replay"
@@ -22,13 +22,19 @@ const executedSampleRows = 5_000
 // experiment replays only Lineitem, so it can afford more rows.
 const extOperatorsSampleRows = 20_000
 
-// executedEntry caches one layout family's operator replays per suite, so
-// fig4 and fig5 share a single set of pipeline executions.
-type executedEntry struct {
-	once    sync.Once
+// sampleConfig is the replay config every executed experiment shares: the
+// suite's disk, a sampled row count, and the fixed data seed that keeps the
+// reports byte-stable.
+func (s *Suite) sampleConfig(rows int64) replay.Config {
+	return replay.Config{Disk: s.Disk, MaxRows: rows, Seed: 1}
+}
+
+// executedSet is one layout family's operator replays next to the layouts
+// they executed, cached per suite so fig4 and fig5 share a single set of
+// pipeline executions.
+type executedSet struct {
 	reps    []*replay.OperatorReplay
 	layouts []partition.Partitioning
-	err     error
 }
 
 // executedReplays materializes the named layout family's advised layouts
@@ -37,62 +43,23 @@ type executedEntry struct {
 // through σ/π/⋈ operator pipelines at a sampled row count. Replays are
 // returned in benchmark table order, next to the layouts they executed.
 func (s *Suite) executedReplays(name string) ([]*replay.OperatorReplay, []partition.Partitioning, error) {
-	s.opMu.Lock()
-	if s.opCache == nil {
-		s.opCache = make(map[string]*executedEntry)
-	}
-	e, ok := s.opCache[name]
-	if !ok {
-		e = &executedEntry{}
-		s.opCache[name] = e
-	}
-	s.opMu.Unlock()
-	e.once.Do(func() {
+	set, _, err := s.executed.Do(name, func() (executedSet, error) {
 		tws := s.Bench.TableWorkloads()
-		layouts := make([]partition.Partitioning, len(tws))
-		switch name {
-		case "Row", "Column":
-			family := partition.Row
-			if name == "Column" {
-				family = partition.Column
-			}
-			for i, tw := range tws {
-				layouts[i] = family(tw.Table)
-			}
-		default:
-			rs, err := s.results(name)
-			if err != nil {
-				e.err = err
-				return
-			}
-			for i, res := range rs {
-				layouts[i] = res.Partitioning
-			}
+		layouts, _, err := s.familyLayouts(name)
+		if err != nil {
+			return executedSet{}, err
 		}
 		reps := make([]*replay.OperatorReplay, len(tws))
-		errs := make([]error, len(tws))
-		var wg sync.WaitGroup
-		for i := range tws {
-			wg.Add(1)
-			go func(i int, tw schema.TableWorkload) {
-				defer wg.Done()
-				reps[i], errs[i] = replay.Operators(tw, layouts[i], name, replay.Config{
-					Disk:    s.Disk,
-					MaxRows: executedSampleRows,
-					Seed:    1,
-				}, nil)
-			}(i, tws[i])
+		err = algo.FanOut(len(tws), func(i int) (err error) {
+			reps[i], err = replay.Operators(tws[i], layouts[i], name, s.sampleConfig(executedSampleRows), nil)
+			return err
+		})
+		if err != nil {
+			return executedSet{}, err
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				e.err = err
-				return
-			}
-		}
-		e.reps, e.layouts = reps, layouts
+		return executedSet{reps: reps, layouts: layouts}, nil
 	})
-	return e.reps, e.layouts, e.err
+	return set.reps, set.layouts, err
 }
 
 // repsExact reports whether every replay measured exactly what the cost

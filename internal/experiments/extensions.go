@@ -57,11 +57,8 @@ func ExtSelectivity(s *Suite) (*Report, error) {
 		if !res.Partitioning.Equal(base.Partitioning) {
 			differs = "yes"
 		}
-		rep, err := replay.Operators(tw, res.Partitioning, "HillClimb", replay.Config{
-			Disk:    s.Disk,
-			MaxRows: executedSampleRows,
-			Seed:    1,
-		}, &replay.Selection{Attr: selAttr, Bound: uint32(sel * storage.DateDomain)})
+		rep, err := replay.Operators(tw, res.Partitioning, "HillClimb", s.sampleConfig(executedSampleRows),
+			&replay.Selection{Attr: selAttr, Bound: uint32(sel * storage.DateDomain)})
 		if err != nil {
 			return nil, err
 		}

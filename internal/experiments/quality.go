@@ -269,11 +269,7 @@ func Tab3(s *Suite) (*Report, error) {
 				return nil, err
 			}
 			row = append(row, fmtPercent(metrics.UnnecessaryRead(tw, res.Partitioning.Parts)))
-			rep, err := replay.Operators(tw, res.Partitioning, name, replay.Config{
-				Disk:    s.Disk,
-				MaxRows: executedSampleRows,
-				Seed:    1,
-			}, nil)
+			rep, err := replay.Operators(tw, res.Partitioning, name, s.sampleConfig(executedSampleRows), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"knives/internal/algo"
 	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/replay"
@@ -73,58 +73,22 @@ func ExtReplay(s *Suite) (*Report, error) {
 		}
 		sampled[i] = schema.TableWorkload{Table: st, Queries: tw.Queries}
 	}
-	layoutsFor := func(name string) ([]partition.Partitioning, float64, error) {
-		switch name {
-		case "Row", "Column":
-			family := partition.Row
-			if name == "Column" {
-				family = partition.Column
-			}
-			out := make([]partition.Partitioning, len(tws))
-			for i, tw := range tws {
-				out[i] = family(tw.Table)
-			}
-			return out, layoutCost(s.Bench, m, family), nil
-		}
-		rs, err := s.results(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]partition.Partitioning, len(rs))
-		for i, res := range rs {
-			out[i] = res.Partitioning
-		}
-		return out, totalCost(rs), nil
-	}
-
 	names := append(append([]string{}, evaluatedAlgorithms...), "Column", "Row")
 	lines := make([]line, len(names))
 	for li, name := range names {
-		layouts, fullCost, err := layoutsFor(name)
+		layouts, fullCost, err := s.familyLayouts(name)
 		if err != nil {
 			return nil, err
 		}
 		// Fan the per-table replays out; aggregation below runs in table
 		// order, so the report is identical at any parallelism.
 		reps := make([]*replay.TableReplay, len(tws))
-		errs := make([]error, len(tws))
-		var wg sync.WaitGroup
-		for i := range tws {
-			wg.Add(1)
-			go func(i int, tw schema.TableWorkload) {
-				defer wg.Done()
-				reps[i], errs[i] = replay.Layout(tw, layouts[i], name, replay.Config{
-					Disk:    s.Disk,
-					MaxRows: replaySampleRows,
-					Seed:    1,
-				})
-			}(i, tws[i])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		err = algo.FanOut(len(tws), func(i int) (err error) {
+			reps[i], err = replay.Layout(tws[i], layouts[i], name, s.sampleConfig(replaySampleRows))
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		l := line{name: name, exact: true, fullCost: fullCost}
 		for i, rep := range reps {

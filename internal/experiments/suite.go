@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"knives/internal/algo"
 	"knives/internal/algorithms"
@@ -11,6 +10,7 @@ import (
 	"knives/internal/metrics"
 	"knives/internal/partition"
 	"knives/internal/schema"
+	"knives/internal/statestore"
 )
 
 // Suite holds the shared configuration of an experiment run: the benchmark
@@ -25,31 +25,19 @@ type Suite struct {
 	// SSB optionally supplies the Star Schema Benchmark for Table 5.
 	SSB *schema.Benchmark
 
-	mu     sync.Mutex
-	cache  map[string]*cacheEntry  // default-disk layouts by algorithm name
-	timing map[string]*timingEntry // isolated optimization timings by algorithm name
-
-	opMu    sync.Mutex
-	opCache map[string]*executedEntry // operator replays by layout-family name
+	// Compute-once caches (unbounded; a suite lives for one run), so
+	// different algorithms warm up concurrently and experiments sharing a
+	// result never repeat its searches.
+	layouts  statestore.OnceCache[string, []algo.Result] // default-disk layouts by algorithm name
+	timing   statestore.OnceCache[string, optTiming]     // isolated optimization timings by algorithm name
+	executed statestore.OnceCache[string, executedSet]   // operator replays by layout-family name
 }
 
-// cacheEntry computes one algorithm's default-setting layouts at most once.
-// The suite mutex only guards the map; the expensive computation runs under
-// the entry's once, so different algorithms can warm up concurrently.
-type cacheEntry struct {
-	once sync.Once
-	rs   []algo.Result
-	err  error
-}
-
-// timingEntry measures one algorithm's optimization time at most once, so
-// Fig1 and Fig10 share a single measurement instead of repeating the
-// expensive searches.
-type timingEntry struct {
-	once       sync.Once
+// optTiming is one algorithm's measured optimization time, shared by Fig1 and
+// Fig10 instead of each repeating the expensive searches.
+type optTiming struct {
 	seconds    float64
 	candidates int64
-	err        error
 }
 
 // NewSuite returns a Suite over TPC-H SF 10 with the paper's default disk.
@@ -75,25 +63,14 @@ func (s *Suite) model() cost.Model { return cost.NewHDD(s.Disk) }
 // results runs (or returns cached) default-setting layouts for the named
 // algorithm over every table of the benchmark.
 func (s *Suite) results(name string) ([]algo.Result, error) {
-	s.mu.Lock()
-	if s.cache == nil {
-		s.cache = make(map[string]*cacheEntry)
-	}
-	e, ok := s.cache[name]
-	if !ok {
-		e = &cacheEntry{}
-		s.cache[name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
+	rs, _, err := s.layouts.Do(name, func() ([]algo.Result, error) {
 		a, err := algorithms.ByName(name)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.rs, e.err = runAll(a, s.Bench, s.model())
+		return runAll(a, s.Bench, s.model())
 	})
-	return e.rs, e.err
+	return rs, err
 }
 
 // timedSeconds measures (once per suite) the named algorithm's optimization
@@ -102,47 +79,50 @@ func (s *Suite) results(name string) ([]algo.Result, error) {
 // enumeration is slow and stable enough. The timing runs in isolation — not
 // under Prewarm's fan-out — so contention never inflates it.
 func (s *Suite) timedSeconds(name string) (float64, int64, error) {
-	s.mu.Lock()
-	if s.timing == nil {
-		s.timing = make(map[string]*timingEntry)
-	}
-	e, ok := s.timing[name]
-	if !ok {
-		e = &timingEntry{}
-		s.timing[name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
+	t, _, err := s.timing.Do(name, func() (optTiming, error) {
 		reps := s.reps()
 		if name == "BruteForce" {
 			reps = 1
 		}
-		var rs []algo.Result
-		rs, e.seconds, e.candidates, e.err = timeAlgorithm(s, name, reps)
-		if e.err == nil {
-			// The timed searches are deterministic, so their layouts are
-			// exactly what results() would compute — seed the cache instead
-			// of letting a later caller search all over again.
-			s.seedResults(name, rs)
+		rs, seconds, candidates, err := timeAlgorithm(s, name, reps)
+		if err != nil {
+			return optTiming{}, err
 		}
+		// The timed searches are deterministic, so their layouts are
+		// exactly what results() would compute — seed the cache instead
+		// of letting a later caller search all over again.
+		s.layouts.Seed(name, rs)
+		return optTiming{seconds: seconds, candidates: candidates}, nil
 	})
-	return e.seconds, e.candidates, e.err
+	return t.seconds, t.candidates, err
 }
 
-// seedResults stores already-computed layouts for an algorithm unless the
-// cache already resolved them.
-func (s *Suite) seedResults(name string, rs []algo.Result) {
-	s.mu.Lock()
-	if s.cache == nil {
-		s.cache = make(map[string]*cacheEntry)
+// familyLayouts returns the named layout family's layouts in benchmark table
+// order, with their full-scale estimated cost: algorithm names search through
+// the suite's layout cache, "Row" and "Column" are the fixed families.
+func (s *Suite) familyLayouts(name string) ([]partition.Partitioning, float64, error) {
+	switch name {
+	case "Row", "Column":
+		family := partition.Row
+		if name == "Column" {
+			family = partition.Column
+		}
+		tws := s.Bench.TableWorkloads()
+		out := make([]partition.Partitioning, len(tws))
+		for i, tw := range tws {
+			out[i] = family(tw.Table)
+		}
+		return out, layoutCost(s.Bench, s.model(), family), nil
 	}
-	e, ok := s.cache[name]
-	if !ok {
-		e = &cacheEntry{}
-		s.cache[name] = e
+	rs, err := s.results(name)
+	if err != nil {
+		return nil, 0, err
 	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.rs = rs })
+	out := make([]partition.Partitioning, len(rs))
+	for i, res := range rs {
+		out[i] = res.Partitioning
+	}
+	return out, totalCost(rs), nil
 }
 
 // Results returns the cached (or computes the) default-setting layouts of
@@ -156,22 +136,10 @@ func (s *Suite) Results(name string) ([]algo.Result, error) { return s.results(n
 // so the independent (table x algorithm) partitioning jobs use every core;
 // each result lands in the cache exactly once.
 func (s *Suite) Prewarm(names ...string) error {
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			_, errs[i] = s.results(name)
-		}(i, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return algo.FanOut(len(names), func(i int) error {
+		_, err := s.results(names[i])
+		return err
+	})
 }
 
 // runAll partitions every table of a benchmark, tables in parallel (bounded
@@ -182,27 +150,16 @@ func (s *Suite) Prewarm(names ...string) error {
 func runAll(a algo.Algorithm, b *schema.Benchmark, m cost.Model) ([]algo.Result, error) {
 	tws := b.TableWorkloads()
 	rs := make([]algo.Result, len(tws))
-	errs := make([]error, len(tws))
-	var wg sync.WaitGroup
-	for i, tw := range tws {
-		wg.Add(1)
-		go func(i int, tw schema.TableWorkload) {
-			defer wg.Done()
-			algo.AcquireSearchSlot()
-			r, err := a.Partition(tw, m)
-			algo.ReleaseSearchSlot()
-			if err != nil {
-				errs[i] = fmt.Errorf("experiments: %s on %s: %w", a.Name(), tw.Table.Name, err)
-				return
-			}
-			rs[i] = r
-		}(i, tw)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := algo.FanOut(len(tws), func(i int) (err error) {
+		algo.AcquireSearchSlot()
+		defer algo.ReleaseSearchSlot()
+		if rs[i], err = a.Partition(tws[i], m); err != nil {
+			err = fmt.Errorf("experiments: %s on %s: %w", a.Name(), tws[i].Table.Name, err)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rs, nil
 }

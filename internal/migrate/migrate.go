@@ -136,56 +136,35 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 	}
 	start := time.Now()
 
-	// Sample: same columns, capped rows — identical to the replay rule, so
-	// the verification replays see the same store scale.
-	sample := tw.Table
-	if sample.Rows > cfg.MaxRows {
-		sample, err = schema.NewTable(tw.Table.Name, cfg.MaxRows, tw.Table.Columns)
-		if err != nil {
-			return nil, fmt.Errorf("migrate: sample %s: %w", tw.Table.Name, err)
-		}
-	}
-	sampledTW := schema.TableWorkload{Table: sample, Queries: normalizeWeights(tw.Queries)}
-	fromS, err := partition.New(sample, p.From.Parts)
-	if err != nil {
-		return nil, fmt.Errorf("migrate: %w", err)
-	}
-	toS, err := partition.New(sample, p.To.Parts)
-	if err != nil {
-		return nil, fmt.Errorf("migrate: %w", err)
-	}
-
 	// File-backed runs get two subdirectories: the live store (which holds
 	// both epochs' partition files until Close) and the fresh verification
 	// materialization, so the two engines can never truncate each other's
 	// open files.
-	var newBackend func(name string, pageSize int) (storage.Backend, error)
-	freshCfg := cfg
+	storeCfg, freshCfg := cfg, cfg
 	if cfg.Backend == replay.BackendFile {
-		storeDir := filepath.Join(cfg.Dir, "store")
-		freshDir := filepath.Join(cfg.Dir, "fresh")
-		for _, d := range []string{storeDir, freshDir} {
+		storeCfg.Dir = filepath.Join(cfg.Dir, "store")
+		freshCfg.Dir = filepath.Join(cfg.Dir, "fresh")
+		for _, d := range []string{storeCfg.Dir, freshCfg.Dir} {
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				return nil, fmt.Errorf("migrate: %w", err)
 			}
 		}
-		freshCfg.Dir = freshDir
-		newBackend = func(name string, pageSize int) (storage.Backend, error) {
-			return storage.NewFileBackend(storeDir, name, pageSize)
-		}
 	}
 
-	e, err := storage.NewEngine(fromS, cfg.Disk, newBackend)
+	// Materialize (the replay's own sampling rule, so the verification
+	// replays see the same store scale) + repartition under one process-wide
+	// search slot (the same heavy-job class as a replay); released before
+	// the verification replays take their own slots, so stacked acquisition
+	// cannot deadlock.
+	algo.AcquireSearchSlot()
+	e, err := replay.Materialize(tw, p.From, storeCfg)
 	if err != nil {
+		algo.ReleaseSearchSlot()
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
 	defer e.Close()
-
-	// Materialize + repartition under one process-wide search slot (the
-	// same heavy-job class as a replay); released before the verification
-	// replays take their own slots, so stacked acquisition cannot deadlock.
-	algo.AcquireSearchSlot()
-	err = e.LoadParallel(storage.NewGenerator(cfg.Seed), sample.Rows, cfg.Workers)
+	sample, fromS := e.Table(), e.Layout()
+	toS, err := partition.New(sample, p.To.Parts)
 	var measured storage.RepartitionStats
 	if err == nil {
 		measured, err = e.Repartition(toS, cfg.Workers)
@@ -194,6 +173,7 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
+	sampledTW := schema.TableWorkload{Table: sample, Queries: normalizeWeights(tw.Queries)}
 
 	predicted, err := cost.MigrationCost(model, sample, fromS.Parts, toS.Parts)
 	if err != nil {

@@ -48,7 +48,7 @@ func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := materialize(tw, layout, cfg)
+	e, err := Materialize(tw, layout, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

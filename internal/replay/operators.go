@@ -3,15 +3,12 @@ package replay
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"knives/internal/algo"
-	"knives/internal/attrset"
-	"knives/internal/cost"
 	"knives/internal/operator"
 	"knives/internal/partition"
 	"knives/internal/schema"
+	"knives/internal/storage"
 )
 
 // Selection configures an optional σ pushed down into every query of an
@@ -63,50 +60,13 @@ type OperatorReplay struct {
 // tolerance — now composed from per-operator terms. With a non-nil sel,
 // every plan gains a σ pushed onto the partition scan holding sel.Attr.
 func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	cfg, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if tw.Table == nil {
-		return nil, fmt.Errorf("replay: nil table")
-	}
-	if layout.Table != tw.Table {
-		return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
-	}
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	// Same heavy-job class as Layout: a materialization plus a pipeline
-	// per query.
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	start := time.Now()
-
-	e, err := materialize(tw, layout, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	sample := e.Table()
-	parts := e.Layout().Canonical().Parts
+	n := len(tw.Queries)
 	rep := &OperatorReplay{
-		TableReplay: TableReplay{
-			Table:        sample.Name,
-			Algorithm:    algorithm,
-			Layout:       e.Layout(),
-			RowsFull:     tw.Table.Rows,
-			RowsReplayed: e.Rows(),
-			Model:        model.Name(),
-			Backend:      cfg.Backend,
-			Queries:      make([]QueryReplay, len(tw.Queries)),
-		},
-		Plans:       make([]string, len(tw.Queries)),
-		Ops:         make([][]operator.OpStats, len(tw.Queries)),
-		ResultRows:  make([]int64, len(tw.Queries)),
-		ExecMode:    cfg.ExecMode,
-		ExecSeconds: make([]float64, len(tw.Queries)),
-		FillRatios:  make([][]float64, len(tw.Queries)),
+		Plans:       make([]string, n),
+		Ops:         make([][]operator.OpStats, n),
+		ResultRows:  make([]int64, n),
+		ExecSeconds: make([]float64, n),
+		FillRatios:  make([][]float64, n),
 	}
 	var pred *operator.Pred
 	if sel != nil {
@@ -114,81 +74,39 @@ func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm
 		pred = &p
 		rep.Selection = p.Name
 	}
-
-	// One snapshot pins the epoch; every pipeline opens its own cursors on
-	// it, so the query fan-out below shares pages without sharing state.
-	snap := e.Snapshot()
-	sem := make(chan struct{}, cfg.Workers)
-	errs := make([]error, len(tw.Queries))
-	var wg sync.WaitGroup
-	for i, q := range tw.Queries {
-		wg.Add(1)
-		go func(i int, q schema.TableQuery) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, operator.ExecOptions{
-				Mode:      operator.ExecMode(cfg.ExecMode),
-				BatchSize: cfg.BatchSize,
-				Workers:   cfg.ExecWorkers,
-			})
+	tr, err := run(tw, &layout, nil, algorithm, cfg, sel, func(e *storage.Engine, cfg Config) queryExec {
+		rep.ExecMode = cfg.ExecMode
+		opts := operator.ExecOptions{
+			Mode:      operator.ExecMode(cfg.ExecMode),
+			BatchSize: cfg.BatchSize,
+			Workers:   cfg.ExecWorkers,
+		}
+		// One snapshot pins the epoch; every pipeline opens its own cursors
+		// on it, so the query fan-out shares pages without sharing state.
+		snap := e.Snapshot()
+		table := e.Table().Name
+		return func(i int, q schema.TableQuery) (storage.ScanStats, error) {
+			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts)
 			if err != nil {
-				errs[i] = fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
-				return
+				return storage.ScanStats{}, fmt.Errorf("replay: plan %s/%s: %w", table, q.ID, err)
 			}
 			execStart := time.Now()
 			res, err := pipe.Run()
 			if err != nil {
-				errs[i] = fmt.Errorf("replay: exec %s/%s: %w", sample.Name, q.ID, err)
-				return
+				return storage.ScanStats{}, fmt.Errorf("replay: exec %s/%s: %w", table, q.ID, err)
 			}
 			rep.ExecSeconds[i] = time.Since(execStart).Seconds()
 			rep.FillRatios[i] = res.FillRatios
-			measured, err := measuredSeconds(model, res.Stats)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Price what the plan references: the query's attributes plus
-			// the selection attribute σ reads.
-			priced := q.Attrs
-			if sel != nil {
-				priced = priced.Union(attrset.Single(sel.Attr)).Intersect(sample.AllAttrs())
-			}
-			rep.Queries[i] = QueryReplay{
-				ID:               q.ID,
-				Weight:           q.Weight,
-				Stats:            res.Stats,
-				MeasuredSeconds:  measured,
-				PredictedSeconds: model.QueryCost(sample, parts, priced),
-				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
-				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
-			}
 			rep.Plans[i] = pipe.Describe()
 			rep.Ops[i] = res.Ops
 			rep.ResultRows[i] = res.Rows
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			return res.Stats, nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Weighted totals, mirroring cost.WorkloadCost's arithmetic.
-	for i := range rep.Queries {
-		q := &rep.Queries[i]
-		mq := q.Weight * q.MeasuredSeconds
-		rep.MeasuredTotal += mq
-		pq := q.Weight * q.PredictedSeconds
-		rep.PredictedTotal += pq
-		rep.BytesRead += q.Stats.BytesRead
-		rep.Seeks += q.Stats.Seeks
-		rep.ReconJoins += q.Stats.ReconJoins
-		rep.Tuples += q.Stats.Tuples
-	}
-	rep.Elapsed = time.Since(start)
+	rep.TableReplay = *tr
 	return rep, nil
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"knives/internal/algo"
 	"knives/internal/algorithms"
+	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/operator"
 	"knives/internal/partition"
@@ -258,41 +259,7 @@ func (r *TableReplay) String() string {
 // row count (the layout and the model both move to the sampled table, so
 // exactness is preserved).
 func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config) (*TableReplay, error) {
-	cfg, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if tw.Table == nil {
-		return nil, fmt.Errorf("replay: nil table")
-	}
-	if layout.Table != tw.Table {
-		return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
-	}
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	// A replay materializes up to MaxRows of real pages and scans them with
-	// a worker pool — the same class of heavy job as a search. Drawing from
-	// the process-wide gate bounds concurrent replays (stacked fan-outs,
-	// parallel /replay requests) by the core count instead of letting each
-	// request hold its own table copy and pool. No caller holds a slot
-	// while invoking Layout, so this cannot deadlock.
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	start := time.Now()
-
-	e, err := materialize(tw, layout, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	rep, err := replayLoaded(tw, e, algorithm, cfg, model)
-	if err != nil {
-		return nil, err
-	}
-	rep.RowsFull = tw.Table.Rows
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return run(tw, &layout, nil, algorithm, cfg, nil, scanExec)
 }
 
 // OnEngine replays a workload over an ALREADY-MATERIALIZED engine — loaded
@@ -303,6 +270,39 @@ func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm st
 // subsystem uses this to verify a migrated store with the same zero-
 // tolerance harness a fresh materialization gets.
 func OnEngine(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config) (*TableReplay, error) {
+	return run(tw, nil, e, algorithm, cfg, nil, scanExec)
+}
+
+// queryExec executes query i of the workload and returns what the engine
+// measured for it. Implementations wrap their own errors.
+type queryExec func(i int, q schema.TableQuery) (storage.ScanStats, error)
+
+// scanExec is the monolithic executor: every query is one Engine.Scan. Scan
+// keeps all state in local cursors, so concurrent scans over one loaded
+// engine are safe.
+func scanExec(e *storage.Engine, _ Config) queryExec {
+	return func(_ int, q schema.TableQuery) (storage.ScanStats, error) {
+		stats, err := e.Scan(q.Attrs)
+		if err != nil {
+			return stats, fmt.Errorf("replay: scan %s/%s: %w", e.Table().Name, q.ID, err)
+		}
+		return stats, nil
+	}
+}
+
+// run is the one replay core behind Layout, OnEngine, and Operators: it
+// validates the request, takes the process-wide search slot, obtains the
+// loaded engine (materializing layout, or adopting the caller's loaded
+// engine), fans the queries out through the bound executor, prices every
+// measurement against the model, and accumulates the weighted totals. With
+// a non-nil sel, every query is priced over its attributes plus the
+// selection attribute σ reads. bind receives the loaded engine and the
+// normalized config and returns the per-query executor.
+//
+// Results land at their query's index and the aggregation runs in query
+// order, keeping every reported number independent of the worker count.
+func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storage.Engine, algorithm string,
+	cfg Config, sel *Selection, bind func(*storage.Engine, Config) queryExec) (*TableReplay, error) {
 	cfg, model, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -310,37 +310,125 @@ func OnEngine(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg 
 	if tw.Table == nil {
 		return nil, fmt.Errorf("replay: nil table")
 	}
-	if e.Table() != tw.Table {
-		return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
-			e.Table().Name, e.Table().Rows, tw.Table.Name, tw.Table.Rows)
-	}
-	// The caller built the engine, possibly with a different device's line
-	// granularity; re-sync it to the model's so measured cache lines are
-	// counted in the units the model prices them.
-	if line := cfg.Disk.CacheLineSize; line > 0 {
-		if err := e.SetCacheLine(line); err != nil {
+	if loaded != nil {
+		if loaded.Table() != tw.Table {
+			return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
+				loaded.Table().Name, loaded.Table().Rows, tw.Table.Name, tw.Table.Rows)
+		}
+		// The caller built the engine, possibly with a different device's
+		// line granularity; re-sync it to the model's so measured cache
+		// lines are counted in the units the model prices them.
+		if line := cfg.Disk.CacheLineSize; line > 0 {
+			if err := loaded.SetCacheLine(line); err != nil {
+				return nil, fmt.Errorf("replay: %w", err)
+			}
+		}
+	} else {
+		if layout.Table != tw.Table {
+			return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
+		}
+		if err := layout.Validate(); err != nil {
 			return nil, fmt.Errorf("replay: %w", err)
 		}
 	}
-	// Same heavy-job class as Layout: a full workload scan pool.
+	// A replay materializes up to MaxRows of real pages and scans them with
+	// a worker pool — the same class of heavy job as a search. Drawing from
+	// the process-wide gate bounds concurrent replays (stacked fan-outs,
+	// parallel /replay requests) by the core count instead of letting each
+	// request hold its own table copy and pool. No caller holds a slot
+	// while invoking a replay, so this cannot deadlock.
 	algo.AcquireSearchSlot()
 	defer algo.ReleaseSearchSlot()
 	start := time.Now()
-	rep, err := replayLoaded(tw, e, algorithm, cfg, model)
-	if err != nil {
-		return nil, err
+
+	e := loaded
+	if e == nil {
+		if e, err = Materialize(tw, *layout, cfg); err != nil {
+			return nil, err
+		}
+		defer e.Close()
 	}
-	rep.RowsFull = tw.Table.Rows
+	current := e.Layout()
+	sample := current.Table
+	parts := current.Canonical().Parts
+	rep := &TableReplay{
+		Table:        sample.Name,
+		Algorithm:    algorithm,
+		Layout:       current,
+		RowsFull:     tw.Table.Rows,
+		RowsReplayed: e.Rows(),
+		Model:        model.Name(),
+		Backend:      cfg.Backend,
+		Queries:      make([]QueryReplay, len(tw.Queries)),
+	}
+	exec := bind(e, cfg)
+	sem := make(chan struct{}, cfg.Workers)
+	errs := make([]error, len(tw.Queries))
+	var wg sync.WaitGroup
+	for i, q := range tw.Queries {
+		wg.Add(1)
+		go func(i int, q schema.TableQuery) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			stats, err := exec(i, q)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			measured, err := measuredSeconds(model, stats)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			// Price what the execution references: the query's attributes
+			// plus the selection attribute σ reads.
+			priced := q.Attrs
+			if sel != nil {
+				priced = priced.Union(attrset.Single(sel.Attr)).Intersect(sample.AllAttrs())
+			}
+			rep.Queries[i] = QueryReplay{
+				ID:               q.ID,
+				Weight:           q.Weight,
+				Stats:            stats,
+				MeasuredSeconds:  measured,
+				PredictedSeconds: model.QueryCost(sample, parts, priced),
+				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
+				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
+			}
+		}(i, q)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Weighted totals, mirroring cost.WorkloadCost's arithmetic (weighted
+	// product rounded in its own statement before the running sum).
+	for i := range rep.Queries {
+		q := &rep.Queries[i]
+		mq := q.Weight * q.MeasuredSeconds
+		rep.MeasuredTotal += mq
+		pq := q.Weight * q.PredictedSeconds
+		rep.PredictedTotal += pq
+		rep.BytesRead += q.Stats.BytesRead
+		rep.Seeks += q.Stats.Seeks
+		rep.ReconJoins += q.Stats.ReconJoins
+		rep.Tuples += q.Stats.Tuples
+	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
-// materialize samples the table to cfg.MaxRows, builds the engine for the
-// layout on cfg's backend, and loads the deterministic data. The caller
-// owns (and closes) the engine; cfg must already be normalized. Attribute
-// sets are positional, so the full-scale layout transfers to the sampled
-// twin unchanged.
-func materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Config) (*storage.Engine, error) {
+// Materialize samples the table to cfg.MaxRows, builds the engine for the
+// layout on cfg's backend, and loads the deterministic data — the one
+// materialization every replay, execution, and migration starts from. The
+// caller owns (and closes) the engine, whose Table() is the sampled twin;
+// cfg must already be normalized. Attribute sets are positional, so the
+// full-scale layout transfers to the sampled twin unchanged.
+func Materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Config) (*storage.Engine, error) {
 	sample := tw.Table
 	var err error
 	if sample.Rows > cfg.MaxRows {
@@ -370,79 +458,6 @@ func materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Con
 		return nil, fmt.Errorf("replay: load %s: %w", sample.Name, err)
 	}
 	return e, nil
-}
-
-// replayLoaded runs the query-parallel scan pool over a loaded engine and
-// assembles the report against the engine's current layout. Scan keeps all
-// state in local cursors, so concurrent scans over one loaded engine are
-// safe; results land at their query's index and the aggregation below runs
-// in query order, keeping every reported number independent of the worker
-// count.
-func replayLoaded(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config, model cost.Model) (*TableReplay, error) {
-	layout := e.Layout()
-	sample := layout.Table
-	parts := layout.Canonical().Parts
-	rep := &TableReplay{
-		Table:        sample.Name,
-		Algorithm:    algorithm,
-		Layout:       layout,
-		RowsFull:     sample.Rows,
-		RowsReplayed: e.Rows(),
-		Model:        model.Name(),
-		Backend:      cfg.Backend,
-		Queries:      make([]QueryReplay, len(tw.Queries)),
-	}
-	sem := make(chan struct{}, cfg.Workers)
-	errs := make([]error, len(tw.Queries))
-	var wg sync.WaitGroup
-	for i, q := range tw.Queries {
-		wg.Add(1)
-		go func(i int, q schema.TableQuery) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			stats, err := e.Scan(q.Attrs)
-			if err != nil {
-				errs[i] = fmt.Errorf("replay: scan %s/%s: %w", sample.Name, q.ID, err)
-				return
-			}
-			measured, err := measuredSeconds(model, stats)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rep.Queries[i] = QueryReplay{
-				ID:               q.ID,
-				Weight:           q.Weight,
-				Stats:            stats,
-				MeasuredSeconds:  measured,
-				PredictedSeconds: model.QueryCost(sample, parts, q.Attrs),
-				PredictedBytes:   cost.ScanBytes(sample, parts, q.Attrs, cfg.Disk.BlockSize),
-				PredictedSeeks:   predictedSeeks(sample, parts, q.Attrs, cfg.Disk),
-			}
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Weighted totals, mirroring cost.WorkloadCost's arithmetic (weighted
-	// product rounded in its own statement before the running sum).
-	for i := range rep.Queries {
-		q := &rep.Queries[i]
-		mq := q.Weight * q.MeasuredSeconds
-		rep.MeasuredTotal += mq
-		pq := q.Weight * q.PredictedSeconds
-		rep.PredictedTotal += pq
-		rep.BytesRead += q.Stats.BytesRead
-		rep.Seeks += q.Stats.Seeks
-		rep.ReconJoins += q.Stats.ReconJoins
-		rep.Tuples += q.Stats.Tuples
-	}
-	return rep, nil
 }
 
 // measuredSeconds prices a measured scan in the model's unit. For
@@ -536,20 +551,12 @@ func Benchmark(b *schema.Benchmark, name string, cfg Config) ([]*TableReplay, er
 	}
 	tws := b.TableWorkloads()
 	out := make([]*TableReplay, len(tws))
-	errs := make([]error, len(tws))
-	var wg sync.WaitGroup
-	for i, tw := range tws {
-		wg.Add(1)
-		go func(i int, tw schema.TableWorkload) {
-			defer wg.Done()
-			out[i], errs[i] = Algorithm(tw, name, cfg)
-		}(i, tw)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := algo.FanOut(len(tws), func(i int) (err error) {
+		out[i], err = Algorithm(tws[i], name, cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -8,8 +8,9 @@ package statestore
 // order would make eviction delete a FRESH entry when it pops the stale
 // occurrence.
 //
-// FIFO does no locking; callers serialize access (the advisor holds its
-// service mutex).
+// FIFO does no locking; callers serialize access (the advisor's tracker
+// registry under its service mutex, OnceCache under its own). The zero
+// value is an empty map that never evicts.
 type FIFO[K comparable, V any] struct {
 	m     map[K]V
 	order []K
@@ -38,6 +39,9 @@ func (f *FIFO[K, V]) Insert(k K, v V) []K {
 	if _, live := f.m[k]; live {
 		f.m[k] = v
 		return nil
+	}
+	if f.m == nil {
+		f.m = make(map[K]V)
 	}
 	f.m[k] = v
 	f.order = append(f.order, k)
