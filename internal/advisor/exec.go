@@ -10,7 +10,8 @@ import (
 )
 
 // The exec path answers POST /query: advise the workload (from the
-// fingerprint cache), materialize the advised layout, and EXECUTE every
+// fingerprint cache), lease the resident store of the advised layout
+// (materializing it if no earlier request has), and EXECUTE every
 // query as a σ/π/⋈ operator pipeline over an epoch snapshot — returning
 // per-operator accounting next to the same zero-tolerance predictions the
 // replay path verifies against. Where /replay measures monolithic scans,
@@ -50,7 +51,7 @@ type execKey struct {
 	sel ExecSelection
 }
 
-// ExecTable answers one table's advise-materialize-execute chain under the
+// ExecTable answers one table's advise-lease-execute chain under the
 // service's default pricing model. The bool reports whether the call
 // answered from cache.
 func (s *Service) ExecTable(tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection) (*replay.OperatorReplay, Fingerprint, bool, error) {
@@ -71,7 +72,16 @@ func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt 
 		if err != nil {
 			return nil, err
 		}
-		rep, err := replay.Operators(p.tw, layout, algorithm, p.cfg, p.sel)
+		// The store outlives the request: a /query that differs from an
+		// earlier one only in its selection scans the table that one
+		// materialized. The lease keeps an eviction or a drift drop from
+		// closing it under this execution.
+		st, err := s.leaseStore(ctx, p, layout)
+		if err != nil {
+			return nil, err
+		}
+		defer s.stores.release(st)
+		rep, err := replay.OperatorsOn(p.tw, layout, st.engine, algorithm, p.cfg, p.sel)
 		if err == nil {
 			s.tm.recordExec(rep)
 		}

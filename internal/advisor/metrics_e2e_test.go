@@ -175,6 +175,12 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if queryRows == 0 {
 		t.Fatal("vector /query emitted no rows; fill-ratio samples would be vacuous")
 	}
+	// The same /query under a selection: a different execution (the exec
+	// cache misses) of the table the first one left resident.
+	qreq.Selection = &SelectionSpec{Table: "events", Column: "ts", Bound: 1263}
+	if _, err := client.Query(ctx, qreq); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -220,13 +226,21 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		`knives_operator_rows_total{op="scan"}`: 1,
 		// /query is counted like /replay, and the exec cache — the largest
 		// objects in the daemon — shows in the cached-replays gauge.
-		"knives_queries_total":  1,
-		"knives_cached_replays": 1,
+		"knives_queries_total":  2,
+		"knives_cached_replays": 2,
 		"knives_cached_entries": 1,
+		// The second /query ran on the store the first one materialized.
+		"knives_store_hits_total":          1,
+		"knives_materialize_seconds_count": 1,
+		"knives_resident_stores":           1,
+		"knives_resident_store_bytes":      600 * 304,
 	} {
 		if got := sampleValue(t, expo, name); got < min {
 			t.Errorf("%s = %v, want >= %v", name, got, min)
 		}
+	}
+	if got := sampleValue(t, expo, "knives_store_materializations_total"); got != 1 {
+		t.Errorf("two /query selections over one table ran %v materializations, want 1", got)
 	}
 	// Fill ratios land in (0, 1].
 	if got := sampleValue(t, expo, "knives_query_batch_fill_ratio_sum"); got <= 0 ||
@@ -247,10 +261,14 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if st.Recovery == nil {
 		t.Fatal("journaling service /stats has no recovery report")
 	}
-	// cached_replays sums both report caches: the one /query execution
+	// cached_replays sums both report caches: the two /query executions
 	// above, no /replay report yet.
-	if st.CachedReplays != 1 || st.Replays != 0 {
-		t.Errorf("/stats cached_replays = %d (replays %d), want the exec cache's 1 entry", st.CachedReplays, st.Replays)
+	if st.CachedReplays != 2 || st.Replays != 0 {
+		t.Errorf("/stats cached_replays = %d (replays %d), want the exec cache's 2 entries", st.CachedReplays, st.Replays)
+	}
+	if st.ResidentStores != 1 || st.ResidentStoreBytes < 600*304 {
+		t.Errorf("/stats resident_stores = %d (%d bytes), want the one store both executions shared",
+			st.ResidentStores, st.ResidentStoreBytes)
 	}
 
 	// pprof answers on its operator-enabled mount.

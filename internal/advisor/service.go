@@ -135,6 +135,9 @@ type Service struct {
 	// answers the original ingest instead of double-counting — and a retry
 	// RACING the original blocks until the first attempt's outcomes exist.
 	observeSeen *statestore.OnceCache[string, []ObserveOutcome]
+	// stores keeps the tables /query materialized loaded between requests;
+	// see storeRegistry.
+	stores *storeRegistry
 
 	// ing is the sharded observe-ingest stage: every observation batch
 	// funnels through it so concurrent batches share group commits.
@@ -233,6 +236,7 @@ func OpenService(cfg Config) (*Service, error) {
 		execEntries:    statestore.NewOnceCache[execKey, *replay.OperatorReplay](DefaultReplayCacheCapacity),
 		migrateEntries: statestore.NewOnceCache[migrateKey, *MigrationOutcome](DefaultMigrateCacheCapacity),
 		observeSeen:    statestore.NewOnceCache[string, []ObserveOutcome](DefaultObserveDedupWindow),
+		stores:         newStoreRegistry(residentStoreBudget),
 	}
 	for _, ts := range st.Recovered() {
 		if ts.ModelKey != s.modelKey {
@@ -299,6 +303,11 @@ type Stats struct {
 	Migrations       int64 `json:"migrations"`
 	MigrateHits      int64 `json:"migrate_hits"`
 	CachedMigrations int   `json:"cached_migrations"`
+	// ResidentStores counts the materialized tables /query keeps loaded
+	// between requests, ResidentStoreBytes their page bytes (bounded by a
+	// fixed budget).
+	ResidentStores     int   `json:"resident_stores"`
+	ResidentStoreBytes int64 `json:"resident_store_bytes"`
 	// Shed counts requests refused with 429 by the server's admission gate.
 	// The Service itself never sheds; the serving layer fills this in.
 	Shed int64 `json:"shed"`
@@ -332,6 +341,7 @@ func (s *Service) Stats() Stats {
 	replays := s.replays.Load()
 	migrateHits := s.migrateHits.Load()
 	migrations := s.migrations.Load()
+	stores, storeBytes := s.stores.resident()
 	var recovery *statestore.RecoveryReport
 	if s.store.Journaling() {
 		rep := s.store.Report()
@@ -356,6 +366,9 @@ func (s *Service) Stats() Stats {
 		ObserveBatches:   s.observeBatches.Load(),
 		IngestGroups:     s.ingestGroups.Load(),
 		DuplicateBatches: s.observeDups.Load(),
+
+		ResidentStores:     stores,
+		ResidentStoreBytes: storeBytes,
 	}
 }
 
@@ -637,7 +650,7 @@ func (s *Service) tracker(table string) (*Tracker, error) {
 }
 
 // afterObserve books a drift recompute into the stats and the cache, and
-// evicts the replay reports the recompute invalidated.
+// evicts the replay reports and resident stores the recompute invalidated.
 func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error) (DriftReport, error) {
 	if err != nil {
 		return rep, err
@@ -665,6 +678,13 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		// eviction.
 		s.execEntries.DropFunc(func(k execKey) bool {
 			return k.fp == rec.prevFP || k.fp == snapFP
+		})
+		// The stores those executions ran on hold the table under a layout
+		// the daemon no longer advises. The layout in their key already
+		// keeps them from being read again; dropping them frees the bytes.
+		table, advised := rec.advice.Table.Name, layoutKey(rec.advice.Layout)
+		s.stores.drop(func(k storeKey) bool {
+			return k.table == table && k.model == rec.modelKey && k.layout != advised
 		})
 	}
 	return rep, nil

@@ -34,6 +34,10 @@ type svcMetrics struct {
 	// migrateExec times migrateOnce: plan + sampled execute-and-verify.
 	migrateExec *telemetry.Histogram
 
+	// materialize times building one resident store (sample, generate,
+	// write pages) — the half of a /query store miss that is not execution.
+	materialize *telemetry.Histogram
+
 	// Per-operator accounting from /query executions, keyed by operator
 	// kind ("scan", "select", "join", "project").
 	opRows map[string]*telemetry.Counter
@@ -76,6 +80,8 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	m.driftCheck = reg.Histogram("knives_drift_check_seconds")
 	m.driftRecompute = reg.Histogram("knives_drift_recompute_seconds")
 	m.migrateExec = reg.Histogram("knives_migrate_exec_seconds")
+	reg.SetHelp("knives_materialize_seconds", "Time materializing one resident store for /query (a store miss).")
+	m.materialize = reg.Histogram("knives_materialize_seconds")
 
 	m.opRows = make(map[string]*telemetry.Counter, len(operatorKinds))
 	m.opSim = make(map[string]*telemetry.Histogram, len(operatorKinds))
@@ -106,6 +112,10 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.CounterFunc("knives_replay_hits_total", s.replayHits.Load)
 	reg.CounterFunc("knives_queries_total", s.queries.Load)
 	reg.CounterFunc("knives_query_hits_total", s.queryHits.Load)
+	reg.SetHelp("knives_store_hits_total", "/query executions that ran on an already-resident store.")
+	reg.CounterFunc("knives_store_hits_total", s.stores.hits.Load)
+	reg.SetHelp("knives_store_materializations_total", "Resident-store materializations run for /query.")
+	reg.CounterFunc("knives_store_materializations_total", s.stores.materializations.Load)
 	reg.CounterFunc("knives_migrations_total", s.migrations.Load)
 	reg.CounterFunc("knives_migrate_hits_total", s.migrateHits.Load)
 	reg.CounterFunc("knives_observed_queries_total", s.observedQueries.Load)
@@ -121,6 +131,10 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 		return float64(s.replayEntries.Len() + s.execEntries.Len())
 	})
 	reg.GaugeFunc("knives_cached_migrations", func() float64 { return float64(s.migrateEntries.Len()) })
+	reg.SetHelp("knives_resident_stores", "Materialized tables kept loaded between /query requests.")
+	reg.GaugeFunc("knives_resident_stores", func() float64 { n, _ := s.stores.resident(); return float64(n) })
+	reg.SetHelp("knives_resident_store_bytes", "Page bytes of the resident stores (bounded by a fixed budget).")
+	reg.GaugeFunc("knives_resident_store_bytes", func() float64 { _, b := s.stores.resident(); return float64(b) })
 	reg.GaugeFunc("knives_tracked_tables", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"knives/internal/attrset"
@@ -125,5 +128,148 @@ func TestOnEngineValidation(t *testing.T) {
 	}
 	if _, err := OnEngine(tw, e, "x", Config{Model: "quantum"}); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// TestOnEngineConcurrentReplays: replays of one loaded engine under the
+// model it was built for may overlap — the line-size re-sync writes nothing
+// when the value already holds. Meaningful under -race, where the parent's
+// unconditional write was reported against every concurrent Scan.
+func TestOnEngineConcurrentReplays(t *testing.T) {
+	tw := testWorkload(t, 1_000)
+	cfg := Config{Model: "mm", Seed: 2}
+	ncfg, _, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Materialize(tw, partition.Column(tw.Table), ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tw.Table = e.Table()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := OnEngine(tw, e, "shared", cfg)
+			if err != nil {
+				t.Error(err)
+			} else if !rep.Exact() {
+				t.Error("concurrent OnEngine replay not exact")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameExecution compares two operator replays field for field, wall clock
+// aside.
+func sameExecution(t *testing.T, got, want *OperatorReplay) {
+	t.Helper()
+	g, w := *got, *want
+	g.Elapsed, w.Elapsed = 0, 0
+	g.ExecSeconds, w.ExecSeconds = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("shared-engine execution differs from a private one:\n got %+v\nwant %+v", g, w)
+	}
+}
+
+// TestOperatorsOnSharedEngine: executions over one shared, already-loaded
+// engine — from workloads decoded separately, so no table pointer matches
+// the engine's — report exactly what a private materialization reports, for
+// every selection, exec mode, and device, concurrently.
+func TestOperatorsOnSharedEngine(t *testing.T) {
+	first := testWorkload(t, 3_000)
+	parts := []attrset.Set{attrset.Of(0, 1), attrset.Of(2), attrset.Of(3, 4)}
+	for _, model := range []string{"hdd", "ssd", "mm"} {
+		for _, mode := range []string{"row", "vector"} {
+			t.Run(model+"/"+mode, func(t *testing.T) {
+				cfg := Config{Model: model, MaxRows: 1_000, Seed: 5, ExecMode: mode}
+				ncfg, _, err := cfg.Normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := Materialize(first, partition.Must(first.Table, parts), ncfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				var wg sync.WaitGroup
+				for _, bound := range []uint32{0, 400, 1263, storage.DateDomain} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tw := testWorkload(t, 3_000)
+						layout := partition.Must(tw.Table, parts)
+						sel := &Selection{Attr: 2, Bound: bound}
+						want, err := Operators(tw, layout, "test", cfg, sel)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := OperatorsOn(tw, layout, e, "test", cfg, sel)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						sameExecution(t, got, want)
+						if !got.Exact() || got.RowsFull != 3_000 || got.RowsReplayed != 1_000 {
+							t.Errorf("bound %d: exact=%v rows %d/%d, want exact 1000/3000",
+								bound, got.Exact(), got.RowsReplayed, got.RowsFull)
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
+	}
+}
+
+// TestOperatorsOnRefusesForeignEngine: a shared engine is matched by value,
+// and anything but the layout's own sampled twin is an error.
+func TestOperatorsOnRefusesForeignEngine(t *testing.T) {
+	tw := testWorkload(t, 3_000)
+	layout := partition.Row(tw.Table)
+	cfg := Config{MaxRows: 1_000, Seed: 1}
+	ncfg, _, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Materialize(tw, layout, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := OperatorsOn(tw, layout, e, "x", cfg, nil); err != nil {
+		t.Fatalf("the engine's own request refused: %v", err)
+	}
+
+	small := testWorkload(t, 800) // samples to 800 rows, not 1000
+	renamed := testWorkload(t, 3_000)
+	renamed.Table = schema.MustTable("other", 3_000, renamed.Table.Columns)
+	cols := append([]schema.Column(nil), tw.Table.Columns...)
+	cols[1].Name = "cost"
+	recolumned := testWorkload(t, 3_000)
+	recolumned.Table = schema.MustTable("events", 3_000, cols)
+	cases := []struct {
+		name   string
+		tw     schema.TableWorkload
+		layout partition.Partitioning
+		cfg    Config
+		want   string
+	}{
+		{"other sampled rows", small, partition.Row(small.Table), cfg, "engine stores"},
+		{"other max rows", tw, layout, Config{MaxRows: 500, Seed: 1}, "engine stores"},
+		{"other table name", renamed, partition.Row(renamed.Table), cfg, "engine stores"},
+		{"other columns", recolumned, partition.Row(recolumned.Table), cfg, "engine stores"},
+		{"other layout", tw, partition.Column(tw.Table), cfg, "replayed layout"},
+		{"layout of another table", tw, partition.Row(small.Table), cfg, "layout partitions"},
+	}
+	for _, c := range cases {
+		if _, err := OperatorsOn(c.tw, c.layout, e, "x", c.cfg, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }

@@ -60,6 +60,18 @@ type OperatorReplay struct {
 // tolerance — now composed from per-operator terms. With a non-nil sel,
 // every plan gains a σ pushed onto the partition scan holding sel.Attr.
 func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
+	return OperatorsOn(tw, layout, nil, algorithm, cfg, sel)
+}
+
+// OperatorsOn is Operators over an ALREADY-MATERIALIZED engine that may be
+// shared with concurrent executions: e must hold exactly what Operators
+// would materialize for layout under cfg (same table by value, sampled rows,
+// partitions — a mismatch is an error, never a silent wrong answer), is only
+// ever read (every pipeline keeps its state in cursors on one snapshot, and
+// the line granularity travels in the cursors' device), and stays open — the
+// caller owns it. A nil e materializes privately, which is Operators. The
+// report is the one Operators returns, field for field, wall clock aside.
+func OperatorsOn(tw schema.TableWorkload, layout partition.Partitioning, e *storage.Engine, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
 	n := len(tw.Queries)
 	rep := &OperatorReplay{
 		Plans:       make([]string, n),
@@ -74,7 +86,7 @@ func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm
 		pred = &p
 		rep.Selection = p.Name
 	}
-	tr, err := run(tw, &layout, nil, algorithm, cfg, sel, func(e *storage.Engine, cfg Config) queryExec {
+	tr, err := run(tw, &layout, e, algorithm, cfg, sel, func(e *storage.Engine, cfg Config) queryExec {
 		rep.ExecMode = cfg.ExecMode
 		opts := operator.ExecOptions{
 			Mode:      operator.ExecMode(cfg.ExecMode),

@@ -24,6 +24,7 @@ package replay
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -206,7 +207,9 @@ type TableReplay struct {
 	MeasuredTotal, PredictedTotal float64
 	// Unweighted engine totals across all queries.
 	BytesRead, Seeks, ReconJoins, Tuples int64
-	// Elapsed is the wall-clock time of materialization plus replay.
+	// Elapsed is the wall-clock time run spent holding its search slot:
+	// materialization plus replay when run built the store, the replay
+	// alone over a caller's or a resident engine.
 	Elapsed time.Duration
 }
 
@@ -290,14 +293,21 @@ func scanExec(e *storage.Engine, _ Config) queryExec {
 	}
 }
 
-// run is the one replay core behind Layout, OnEngine, and Operators: it
-// validates the request, takes the process-wide search slot, obtains the
-// loaded engine (materializing layout, or adopting the caller's loaded
-// engine), fans the queries out through the bound executor, prices every
-// measurement against the model, and accumulates the weighted totals. With
-// a non-nil sel, every query is priced over its attributes plus the
-// selection attribute σ reads. bind receives the loaded engine and the
-// normalized config and returns the per-query executor.
+// run is the one replay core behind Layout, OnEngine, Operators, and
+// OperatorsOn: it validates the request, takes the process-wide search slot,
+// obtains the loaded engine (materializing layout, or adopting loaded), fans
+// the queries out through the bound executor, prices every measurement
+// against the model, and accumulates the weighted totals. With a non-nil
+// sel, every query is priced over its attributes plus the selection
+// attribute σ reads. bind receives the loaded engine and the normalized
+// config and returns the per-query executor.
+//
+// The caller names the store one of three ways: layout alone (materialize
+// it, close it on return), loaded alone (the caller's own engine, whose
+// table IS the workload's and whose current layout is replayed), or both (a
+// SHARED engine that must hold layout's sampled twin — compared by value,
+// because a resident engine outlives the request whose table pointer it was
+// built from — and that run only ever reads).
 //
 // Results land at their query's index and the aggregation runs in query
 // order, keeping every reported number independent of the worker count.
@@ -310,11 +320,24 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 	if tw.Table == nil {
 		return nil, fmt.Errorf("replay: nil table")
 	}
-	if loaded != nil {
-		if loaded.Table() != tw.Table {
-			return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
-				loaded.Table().Name, loaded.Table().Rows, tw.Table.Name, tw.Table.Rows)
+	if layout != nil {
+		if layout.Table != tw.Table {
+			return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
 		}
+		if err := layout.Validate(); err != nil {
+			return nil, fmt.Errorf("replay: %w", err)
+		}
+	}
+	switch {
+	case loaded == nil: // materialized below, under the search slot
+	case layout != nil:
+		if err := holdsSample(loaded, *layout, cfg.MaxRows); err != nil {
+			return nil, err
+		}
+	case loaded.Table() != tw.Table:
+		return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
+			loaded.Table().Name, loaded.Table().Rows, tw.Table.Name, tw.Table.Rows)
+	default:
 		// The caller built the engine, possibly with a different device's
 		// line granularity; re-sync it to the model's so measured cache
 		// lines are counted in the units the model prices them.
@@ -322,13 +345,6 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 			if err := loaded.SetCacheLine(line); err != nil {
 				return nil, fmt.Errorf("replay: %w", err)
 			}
-		}
-	} else {
-		if layout.Table != tw.Table {
-			return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
-		}
-		if err := layout.Validate(); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
 		}
 	}
 	// A replay materializes up to MaxRows of real pages and scans them with
@@ -420,6 +436,23 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// holdsSample reports (as an error) whether a shared engine stores what
+// Materialize would build for layout at maxRows: the same table by name,
+// sampled row count, and columns, cut into the same partitions. The page
+// size is checked where it matters, by every cursor opened on the engine.
+func holdsSample(e *storage.Engine, layout partition.Partitioning, maxRows int64) error {
+	have, want := e.Table(), layout.Table
+	rows := min(want.Rows, maxRows)
+	if have.Name != want.Name || have.Rows != rows || e.Rows() != rows || !slices.Equal(have.Columns, want.Columns) {
+		return fmt.Errorf("replay: engine stores %s (%d rows, %d columns), workload is over %s (%d sampled rows, %d columns)",
+			have.Name, e.Rows(), len(have.Columns), want.Name, rows, len(want.Columns))
+	}
+	if !slices.Equal(e.Layout().Parts, layout.Canonical().Parts) {
+		return fmt.Errorf("replay: engine stores %s as %s, the replayed layout is %s", have.Name, e.Layout(), layout)
+	}
+	return nil
 }
 
 // Materialize samples the table to cfg.MaxRows, builds the engine for the

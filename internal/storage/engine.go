@@ -135,14 +135,17 @@ func NewEngine(layout partition.Partitioning, disk cost.Disk, newBackend func(na
 	ep := &engineEpoch{layout: layout.Canonical()}
 	for i, p := range ep.layout.Parts {
 		part, err := buildPart(t, p, disk.BlockSize)
+		if err == nil {
+			part.backend, err = newBackend(fmt.Sprintf("%s_p%d", t.Name, i), int(disk.BlockSize))
+		}
 		if err != nil {
+			// The partitions before i already own a backend (an open file on
+			// the file backend) that no engine will ever close.
+			for _, built := range ep.parts {
+				built.backend.Close()
+			}
 			return nil, err
 		}
-		b, err := newBackend(fmt.Sprintf("%s_p%d", t.Name, i), int(disk.BlockSize))
-		if err != nil {
-			return nil, err
-		}
-		part.backend = b
 		ep.parts = append(ep.parts, part)
 	}
 	e.epoch.Store(ep)
@@ -157,6 +160,16 @@ func (e *Engine) Layout() partition.Partitioning { return e.epoch.Load().layout 
 
 // Rows returns the number of rows the current epoch holds.
 func (e *Engine) Rows() int64 { return e.epoch.Load().rows }
+
+// Bytes returns the page bytes the current epoch's partition files hold —
+// what keeping the loaded engine resident costs.
+func (e *Engine) Bytes() int64 {
+	var pages int64
+	for _, p := range e.epoch.Load().parts {
+		pages += p.backend.Pages()
+	}
+	return pages * e.disk.BlockSize
+}
 
 // Close releases all partition backends, current and retired.
 func (e *Engine) Close() error {
@@ -184,13 +197,16 @@ func (e *Engine) Close() error {
 // SetCacheLine changes the granularity Scan counts cache-line transfers at.
 // The engine initializes it from its device's CacheLineSize (64-byte
 // default); replay.OnEngine re-syncs it to the model a caller-built engine
-// is validated against. Must be called before Scan, not concurrently with
-// it.
+// is validated against. A call that CHANGES the value must happen before
+// Scan, not concurrently with it; a call naming the current value writes
+// nothing and is safe beside any number of scans.
 func (e *Engine) SetCacheLine(bytes int64) error {
 	if bytes <= 0 {
 		return fmt.Errorf("storage: cache line size %d must be positive", bytes)
 	}
-	e.cacheLine = bytes
+	if e.cacheLine != bytes {
+		e.cacheLine = bytes
+	}
 	return nil
 }
 

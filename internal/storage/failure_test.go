@@ -231,3 +231,69 @@ func TestFileBackendInjectedCrashLatches(t *testing.T) {
 		t.Errorf("post-crash write error = %v, want ErrCrashed", err)
 	}
 }
+
+// closeCounter counts Close calls on the backends NewEngine was handed.
+type closeCounter struct {
+	Backend
+	closed *int
+}
+
+func (c closeCounter) Close() error { *c.closed++; return c.Backend.Close() }
+
+// TestNewEngineClosesBackendsOnError: a constructor that fails at partition
+// i must close the i backends it already created — on the file backend each
+// is an open file no engine exists to close.
+func TestNewEngineClosesBackendsOnError(t *testing.T) {
+	tab := schema.MustTable("t", 10, []schema.Column{
+		{Name: "a", Kind: schema.KindInt, Size: 4},
+		{Name: "b", Kind: schema.KindInt, Size: 4},
+		{Name: "c", Kind: schema.KindVarchar, Size: 600},
+	})
+	t.Run("newBackend fails", func(t *testing.T) {
+		created, closed := 0, 0
+		_, err := NewEngine(partition.Column(tab), cost.DefaultDisk(), func(string, int) (Backend, error) {
+			if created == 2 {
+				return nil, errInjected
+			}
+			created++
+			return closeCounter{NewMemBackend(512), &closed}, nil
+		})
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("NewEngine error = %v, want injected failure", err)
+		}
+		if closed != created {
+			t.Errorf("%d of %d created backends closed", closed, created)
+		}
+	})
+	t.Run("buildPart fails", func(t *testing.T) {
+		// Column c (600 bytes) does not fit smallDisk's 512-byte block, so
+		// the third partition fails after two backends exist.
+		created, closed := 0, 0
+		_, err := NewEngine(partition.Column(tab), smallDisk(), func(string, int) (Backend, error) {
+			created++
+			return closeCounter{NewMemBackend(512), &closed}, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "exceeds block size") {
+			t.Fatalf("NewEngine error = %v, want a row-size failure", err)
+		}
+		if created != 2 || closed != created {
+			t.Errorf("created %d backends, closed %d; want 2 and 2", created, closed)
+		}
+	})
+}
+
+// TestEngineBytes: Bytes is the page bytes the loaded partitions hold.
+func TestEngineBytes(t *testing.T) {
+	e, tab := failureFixture(t, func() *failingBackend { return &failingBackend{} })
+	defer e.Close()
+	if err := e.Load(NewGenerator(1), tab.Rows); err != nil {
+		t.Fatal(err)
+	}
+	var pages int64
+	for _, p := range e.epoch.Load().parts {
+		pages += p.backend.Pages()
+	}
+	if got, want := e.Bytes(), pages*512; got != want || got < tab.Rows*28 {
+		t.Errorf("Bytes() = %d, want %d pages x 512 = %d (>= %d data bytes)", got, pages, want, tab.Rows*28)
+	}
+}
