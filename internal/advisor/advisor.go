@@ -13,6 +13,7 @@ package advisor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -119,6 +120,17 @@ func AdviseTable(tw schema.TableWorkload, m cost.Model) (TableAdvice, error) {
 // relative to any sane deadline, and the result still populates caches
 // for the client's retry.
 func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Model) (TableAdvice, error) {
+	return adviseTable(ctx, tw, m, nil)
+}
+
+// adviseTable is AdviseTableContext recording each member's search into tm
+// (nil records nothing).
+//
+// A member that declines the input (algo.ErrDeclined: Trojan past its
+// enumeration width) is left out of the advice — the other knives can lay
+// the table out, so its refusal is not the request's failure. Any other
+// error fails the fan-out, lowest portfolio index first.
+func adviseTable(ctx context.Context, tw schema.TableWorkload, m cost.Model, tm *svcMetrics) (TableAdvice, error) {
 	if tw.Table == nil {
 		return TableAdvice{}, fmt.Errorf("advisor: nil table")
 	}
@@ -127,6 +139,7 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 	}
 	algos := portfolio()
 	results := make([]algo.Result, len(algos))
+	declined := make([]bool, len(algos))
 	err := algo.FanOut(len(algos), func(i int) error {
 		_, gateSp := telemetry.StartSpan(ctx, "gate-wait "+algos[i].Name())
 		err := algo.AcquireSearchSlotCtx(ctx)
@@ -138,20 +151,29 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 		_, searchSp := telemetry.StartSpan(ctx, "search "+algos[i].Name())
 		res, err := algos[i].Partition(tw, m)
 		searchSp.End()
+		if errors.Is(err, algo.ErrDeclined) {
+			declined[i] = true
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("advisor: %s on %s: %w", algos[i].Name(), tw.Table.Name, err)
 		}
+		tm.recordSearch(algos[i].Name(), res.Stats)
 		results[i] = res
 		return nil
 	})
 	if err != nil {
 		return TableAdvice{}, err
 	}
-	names := make([]string, len(algos))
+	var names []string
+	var ran []algo.Result
 	for i, a := range algos {
-		names[i] = a.Name()
+		if !declined[i] {
+			names = append(names, a.Name())
+			ran = append(ran, results[i])
+		}
 	}
-	return pickCheapest(tw, m, names, results), nil
+	return pickCheapest(tw, m, names, ran), nil
 }
 
 // pickCheapest assembles advice from per-algorithm results, comparing in

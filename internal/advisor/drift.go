@@ -234,7 +234,7 @@ func (t *Tracker) observeValidatedLocked(ctx context.Context, queries []schema.T
 	if len(queries) == 0 {
 		return in.report(), nil, nil
 	}
-	return t.priceDrift(ctx, in)
+	return t.priceDrift(ctx, in, nil)
 }
 
 // validateLocked checks a numeric observation batch against the CURRENT
@@ -369,8 +369,9 @@ func (t *Tracker) report() DriftReport {
 // enough to DECIDE drift, but installed advice, its fingerprint, and the
 // cache pairing must be computed from the same exact workload in every
 // mode, so sketch and exact trackers are interchangeable beyond the
-// trigger decision.
-func (t *Tracker) priceDrift(ctx context.Context, in driftInput) (DriftReport, *recomputedAdvice, error) {
+// trigger decision. A recompute's per-knife search telemetry goes to tm (nil
+// for a tracker observed outside a service).
+func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics) (DriftReport, *recomputedAdvice, error) {
 	rep := in.report()
 	if len(in.pricing) == 0 {
 		return rep, nil, nil
@@ -418,7 +419,7 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput) (DriftReport, *
 	obsAt := t.observed
 	t.mu.Unlock()
 
-	fresh, err := AdviseTableContext(ctx, tw, in.model)
+	fresh, err := adviseTable(ctx, tw, in.model, tm)
 	if err != nil {
 		return rep, nil, err
 	}

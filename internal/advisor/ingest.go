@@ -231,7 +231,7 @@ func (in *ingester) process(group []*ingestJob) {
 			}
 			ctx, stop := mergeContexts(ctxs)
 			tDrift := time.Now()
-			rep, rec, err := t.priceDrift(ctx, inputs[t])
+			rep, rec, err := t.priceDrift(ctx, inputs[t], &svc.tm)
 			drift := time.Since(tDrift).Seconds()
 			svc.tm.driftCheck.Observe(drift)
 			if rep.Recomputed {

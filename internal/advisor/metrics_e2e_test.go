@@ -286,6 +286,67 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// Which knife owns a search: one /advise miss puts exactly one sample under
+// each portfolio member in knives_knife_search_seconds and its candidates in
+// knives_knife_candidates_total; a hit runs no knife and adds nothing.
+func TestServerKnifeMetricsPerAdviseMiss(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ts, svc := telemetryServer(t, reg)
+	client := NewClient(ts.URL)
+	client.HTTPClient = ts.Client()
+
+	scrape := func() string {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.CheckExposition(string(b)); err != nil {
+			t.Fatalf("exposition fails strict check: %v", err)
+		}
+		return string(b)
+	}
+	// The label set is fixed at registration: all six series exist, at zero,
+	// before any search.
+	expo := scrape()
+	for _, name := range PortfolioNames() {
+		if got := sampleValue(t, expo, `knives_knife_search_seconds_count{algo="`+name+`"}`); got != 0 {
+			t.Errorf("%s: %v searches before any request", name, got)
+		}
+	}
+	for i, wantCached := range []bool{false, true} {
+		resp, err := client.Advise(context.Background(), eventsRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Advice[0].Cached != wantCached {
+			t.Fatalf("advise %d: cached = %v", i, resp.Advice[0].Cached)
+		}
+		expo = scrape()
+		for _, name := range PortfolioNames() {
+			if got := sampleValue(t, expo, `knives_knife_search_seconds_count{algo="`+name+`"}`); got != 1 {
+				t.Errorf("%s: %v search samples after one miss (advise %d), want 1", name, got, i)
+			}
+			if got := sampleValue(t, expo, `knives_knife_candidates_total{algo="`+name+`"}`); got < 1 {
+				t.Errorf("%s: %v candidates after one miss", name, got)
+			}
+		}
+	}
+	// Trojan's count is exact: 2^4 - 1 column groups over the four referenced
+	// columns plus the final layout.
+	if got := sampleValue(t, expo, `knives_knife_candidates_total{algo="Trojan"}`); got != 16 {
+		t.Errorf("Trojan candidates = %v, want 16", got)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 // The -race gate for the telemetry layer: scrapes, stats reads, and
 // observation ingest hammer the same registry concurrently; every scrape
 // must stay parseable under the strict checker.

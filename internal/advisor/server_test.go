@@ -1,7 +1,11 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,6 +76,64 @@ func TestServerAdviseEndToEnd(t *testing.T) {
 	}
 	if again.Advice[0].Cost != adv.Cost || again.Advice[0].Fingerprint != adv.Fingerprint {
 		t.Error("cached advice differs from first answer")
+	}
+}
+
+// Regression: a table with 22 referenced columns answered HTTP 500 "trojan:
+// table wide has 22 referenced attrs, cap is 20" although five knives can lay
+// it out. One knife declining an input is not the request's failure: the
+// member is left out, the rest of the portfolio answers.
+func TestServerAdviseWiderThanTrojansCap(t *testing.T) {
+	ts, _, _ := newTestServer(t, Config{})
+	wide := TableSpec{Name: "wide", Rows: 1_000_000}
+	var all []string
+	for i := 0; i < 22; i++ {
+		name := fmt.Sprintf("c%d", i)
+		wide.Columns = append(wide.Columns, ColumnSpec{Name: name, Kind: "int", Size: 4})
+		all = append(all, name)
+	}
+	body, err := json.Marshal(AdviseRequest{
+		Tables: []TableSpec{wide},
+		Queries: []QuerySpec{
+			{ID: "q1", Tables: map[string][]string{"wide": all[:11]}},
+			{ID: "q2", Tables: map[string][]string{"wide": all[11:]}},
+			{ID: "q3", Tables: map[string][]string{"wide": all[:3]}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/advise", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("22 referenced columns: status %d (%s), want 200", resp.StatusCode, b)
+	}
+	var out AdviseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	adv := out.Advice[0]
+	if _, ok := adv.PerAlgorithm["Trojan"]; ok || len(adv.PerAlgorithm) != len(PortfolioNames())-1 {
+		t.Errorf("per_algorithm = %v, want every knife but Trojan", adv.PerAlgorithm)
+	}
+	seen := map[string]bool{}
+	for _, part := range adv.Layout {
+		for _, col := range part {
+			if seen[col] {
+				t.Errorf("column %s laid out twice: %v", col, adv.Layout)
+			}
+			seen[col] = true
+		}
+	}
+	if len(seen) != len(all) {
+		t.Errorf("layout covers %d of %d columns: %v", len(seen), len(all), adv.Layout)
+	}
+	if adv.Cost > adv.ColumnCost {
+		t.Errorf("advice cost %v worse than the column baseline %v", adv.Cost, adv.ColumnCost)
 	}
 }
 

@@ -419,7 +419,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 		sctx, sp := telemetry.StartSpan(ctx, "portfolio-search "+tw.Table.Name)
 		defer sp.End()
 		defer s.tm.search.Since(time.Now())
-		return AdviseTableContext(sctx, tw, m)
+		return adviseTable(sctx, tw, m, &s.tm)
 	})
 	if err != nil {
 		return TableAdvice{}, fp, false, err

@@ -21,6 +21,11 @@ type svcMetrics struct {
 	// search times the portfolio fan-out alone (the miss path minus
 	// caching and registration).
 	search *telemetry.Histogram
+	// Per-knife accounting from every portfolio search (advise misses and
+	// drift recomputes), keyed by algorithm name: which knife owns the
+	// search time, and how many candidates it priced for it.
+	knifeSearch     map[string]*telemetry.Histogram
+	knifeCandidates map[string]*telemetry.Counter
 
 	// Ingest stage: submit-to-done wait per batch, group-commit sizes in
 	// batches and queries, and the coalesced drift check (recompute is the
@@ -83,6 +88,15 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.SetHelp("knives_materialize_seconds", "Time materializing one resident store for /query (a store miss).")
 	m.materialize = reg.Histogram("knives_materialize_seconds")
 
+	m.knifeSearch = make(map[string]*telemetry.Histogram)
+	m.knifeCandidates = make(map[string]*telemetry.Counter)
+	reg.SetHelp("knives_knife_search_seconds", "Search time of one portfolio member on one table, by algorithm.")
+	reg.SetHelp("knives_knife_candidates_total", "Candidate layouts evaluated by portfolio members, by algorithm.")
+	for _, name := range PortfolioNames() {
+		m.knifeSearch[name] = reg.Histogram(`knives_knife_search_seconds{algo="` + name + `"}`)
+		m.knifeCandidates[name] = reg.Counter(`knives_knife_candidates_total{algo="` + name + `"}`)
+	}
+
 	m.opRows = make(map[string]*telemetry.Counter, len(operatorKinds))
 	m.opSim = make(map[string]*telemetry.Histogram, len(operatorKinds))
 	reg.SetHelp("knives_operator_rows_total", "Rows emitted by executed plan operators, by operator kind.")
@@ -140,6 +154,17 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 		defer s.mu.Unlock()
 		return float64(s.trackers.Len())
 	})
+}
+
+// recordSearch folds one portfolio member's finished search in. The label set
+// is PortfolioNames(), bound at registration; a nil receiver (a search outside
+// any service) or an unbound service records nothing.
+func (m *svcMetrics) recordSearch(name string, st algo.Stats) {
+	if m == nil {
+		return
+	}
+	m.knifeSearch[name].Observe(st.Duration.Seconds())
+	m.knifeCandidates[name].Add(st.Candidates)
 }
 
 // recordExec folds one /query execution's telemetry in: the per-operator

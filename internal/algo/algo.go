@@ -3,6 +3,7 @@
 package algo
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,12 @@ type Algorithm interface {
 	// Partition computes a layout for the table of tw.
 	Partition(tw schema.TableWorkload, model cost.Model) (Result, error)
 }
+
+// ErrDeclined marks an algorithm's refusal of an input it is not built for
+// — today only Trojan's enumeration-width cap wraps it. The input is valid
+// and the other algorithms can lay it out, so a portfolio leaves the
+// declining member out instead of failing; test with errors.Is.
+var ErrDeclined = errors.New("algo: input declined")
 
 // Counter tallies candidate evaluations during a search. It is safe for
 // concurrent use, so parallel searches (the sharded BruteForce walk, the

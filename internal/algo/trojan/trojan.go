@@ -19,6 +19,26 @@
 // model never guides the search; it only prices the final layout. That is
 // why Trojan can be near-optimal on TPC-H yet far off on SSB (Table 5): its
 // heuristic value function is oblivious to partition byte widths.
+//
+// The three phases are computed by a kernel (kernel.go) whose output equals
+// the direct transcription's — kept in reference_test.go as the oracle —
+// part for part, cost bit for cost bit and candidate for candidate:
+//
+//   - Scoring costs O(1) per group instead of O(k²): pair sums inside each
+//     half of the attributes and across the halves come from small tables. A
+//     reordered float sum may not decide a threshold, so the tabulated sum
+//     only filters, 1e-9 wide of the threshold where its reordering error is
+//     under 1e-11, and whatever it cannot rule out is re-scored the
+//     reference's way.
+//   - The cover DP runs over the attributes of the surviving groups only,
+//     2^u states rather than 2^r: every other attribute can only be a
+//     singleton of value 0, and the smaller DP performs the reference's float
+//     operations in the reference's order.
+//   - Where most groups survive a DP state walks its own submasks rather than
+//     the survivor list, which bounds the DP by 3^u steps (the list scan is
+//     ~4^r/3).
+//
+// DESIGN.md, "Trojan kernel", has the error bound and the induction.
 package trojan
 
 import (
@@ -66,74 +86,26 @@ func (tr *Trojan) Partition(tw schema.TableWorkload, model cost.Model) (algo.Res
 	referenced := tw.ReferencedAttrs().Attrs()
 	r := len(referenced)
 	if r > maxRef {
-		return algo.Result{}, fmt.Errorf("trojan: table %s has %d referenced attrs, cap is %d",
-			tw.Table.Name, r, maxRef)
+		return algo.Result{}, fmt.Errorf("trojan: table %s has %d referenced attrs, cap is %d: %w",
+			tw.Table.Name, r, maxRef, algo.ErrDeclined)
 	}
 	// Unreferenced attributes form one partition aside, as in the other
 	// algorithms' layouts for TPC-H (paper, Appendix B).
 	unreferenced := tw.Table.AllAttrs().Minus(tw.ReferencedAttrs())
 
-	if r == 0 {
-		parts := []attrset.Set{unreferenced}
-		costVal := c.Eval(model, tw, parts)
-		return algo.Finish(tw, parts, costVal, &c, start)
-	}
+	// Phases 1+2: every one of the 2^r - 1 column groups is a candidate;
+	// the interesting multi-attribute ones survive. Phase 3: the best
+	// disjoint cover by survivors and (value 0) singletons.
+	c.Add(int64(1)<<uint(r) - 1)
+	chosen, _ := cover(interestingGroups(pairwiseNMI(tw, referenced), r, threshold), r)
 
-	nmi := pairwiseNMI(tw, referenced)
-
-	// Phase 1+2: score all 2^r - 1 column groups, keep the interesting
-	// multi-attribute ones. Singletons are always feasible with value 0.
-	type group struct {
-		mask  uint32
-		value float64
-	}
-	byLowBit := make([][]group, r)
-	total := uint32(1)<<uint(r) - 1
-	for mask := uint32(1); mask <= total; mask++ {
-		k := bits.OnesCount32(mask)
-		c.Tick() // every enumerated column group is a candidate
-		if k < 2 {
-			continue
-		}
-		intg := groupInterestingness(nmi, mask, r)
-		if intg < threshold {
-			continue
-		}
-		lb := bits.TrailingZeros32(mask)
-		byLowBit[lb] = append(byLowBit[lb], group{mask: mask, value: intg * float64(k)})
-	}
-
-	// Phase 3: exact-cover DP. dp[mask] = best total value of a disjoint
-	// cover of mask; choice[mask] = the group covering mask's lowest bit.
-	dp := make([]float64, total+1)
-	choice := make([]uint32, total+1)
-	for mask := uint32(1); mask <= total; mask++ {
-		lb := bits.TrailingZeros32(mask)
-		single := uint32(1) << uint(lb)
-		// Default: the singleton group (value 0).
-		dp[mask] = dp[mask^single]
-		choice[mask] = single
-		for _, g := range byLowBit[lb] {
-			if g.mask&mask != g.mask {
-				continue
-			}
-			if v := dp[mask^g.mask] + g.value; v > dp[mask] {
-				dp[mask] = v
-				choice[mask] = g.mask
-			}
-		}
-	}
-
-	// Reconstruct the chosen groups as attribute sets.
-	var parts []attrset.Set
-	for mask := total; mask != 0; {
-		g := choice[mask]
+	parts := make([]attrset.Set, 0, len(chosen)+1)
+	for _, g := range chosen {
 		var set attrset.Set
 		for m := g; m != 0; m &= m - 1 {
 			set = set.Add(referenced[bits.TrailingZeros32(m)])
 		}
 		parts = append(parts, set)
-		mask ^= g
 	}
 	if !unreferenced.IsEmpty() {
 		parts = append(parts, unreferenced)

@@ -1,8 +1,10 @@
 package trojan
 
 import (
+	"errors"
 	"testing"
 
+	"knives/internal/algo"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/schema"
@@ -10,7 +12,7 @@ import (
 
 func model() cost.Model { return cost.NewHDD(cost.DefaultDisk()) }
 
-func workload(t *testing.T, nAttrs int, queries ...schema.TableQuery) schema.TableWorkload {
+func workload(t testing.TB, nAttrs int, queries ...schema.TableQuery) schema.TableWorkload {
 	t.Helper()
 	cols := make([]schema.Column, nAttrs)
 	for i := range cols {
@@ -129,8 +131,10 @@ func TestReferencedAttrCap(t *testing.T) {
 		{ID: "q", Weight: 1, Attrs: tab.AllAttrs()},
 	}}
 	tr := &Trojan{MaxReferencedAttrs: 20}
-	if _, err := tr.Partition(tw, model()); err == nil {
-		t.Error("accepted 25 referenced attrs with cap 20")
+	// The refusal is typed: a portfolio tells "Trojan declines this width"
+	// from a failure by the sentinel.
+	if _, err := tr.Partition(tw, model()); !errors.Is(err, algo.ErrDeclined) {
+		t.Errorf("25 referenced attrs with cap 20: err = %v, want algo.ErrDeclined", err)
 	}
 }
 

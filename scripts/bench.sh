@@ -11,6 +11,9 @@
 #   scripts/bench.sh                 # full suite, 1 iteration per bench
 #   BENCH=Lineitem scripts/bench.sh  # only benchmarks matching a pattern
 #   BENCHTIME=3x scripts/bench.sh    # more iterations for stabler numbers
+#   BENCH=TrojanPartition BENCHTIME=200x scripts/bench.sh
+#                                    # a micro benchmark (ms per op and under):
+#                                    # one iteration is a cold start, give it many
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
