@@ -111,10 +111,14 @@ func newTracker(tw schema.TableWorkload, advice TableAdvice, m cost.Model, mkey 
 	return t
 }
 
-// trim drops the oldest log entries beyond the window. Caller holds mu.
+// trim drops the oldest log entries beyond the window by sliding the rest
+// down in place: the log never aliases anything handed out — every reader
+// copies under mu — so steady-state ingest reuses one backing array.
+// Caller holds mu.
 func (t *Tracker) trim() {
 	if t.window > 0 && len(t.log) > t.window {
-		t.log = append([]schema.TableQuery(nil), t.log[len(t.log)-t.window:]...)
+		n := copy(t.log, t.log[len(t.log)-t.window:])
+		t.log = t.log[:n]
 	}
 }
 

@@ -2,7 +2,6 @@ package advisor
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,12 +91,13 @@ func newIngester(svc *Service, shards, group int) *ingester {
 // silently dropped from the queue.
 func (in *ingester) submit(ctx context.Context, job *ingestJob) (DriftReport, error) {
 	t0 := time.Now()
-	ctx, sp := telemetry.StartSpan(ctx, "ingest "+job.table)
+	var sp *telemetry.Span
+	if telemetry.TraceFrom(ctx) != nil {
+		ctx, sp = telemetry.StartSpan(ctx, "ingest "+job.table)
+	}
 	job.ctx = ctx
 	job.done = make(chan struct{})
-	h := fnv.New32a()
-	h.Write([]byte(job.table))
-	sh := in.shards[h.Sum32()%uint32(len(in.shards))]
+	sh := in.shards[fnv32a(job.table)%uint32(len(in.shards))]
 
 	sh.mu.Lock()
 	sh.pending = append(sh.pending, job)
@@ -113,6 +113,16 @@ func (in *ingester) submit(ctx context.Context, job *ingestJob) (DriftReport, er
 	sp.End()
 	in.svc.tm.ingestWait.Since(t0)
 	return job.rep, job.err
+}
+
+// fnv32a is hash/fnv's New32a over the bytes of s, without the hasher or
+// the []byte copy.
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // lead drains the shard until its queue is empty, processing up to group
@@ -185,7 +195,7 @@ func (in *ingester) process(group []*ingestJob) {
 	// failure NOTHING is applied — journal and memory still agree — and
 	// every valid job reports the retryable journal error.
 	if svc.jn != nil && len(events) > 0 {
-		if err := svc.jn.appendBatch(events); err != nil {
+		if err := svc.jn.appendBatch(valid[0].ctx, events); err != nil {
 			for _, job := range valid {
 				job.err = err
 			}

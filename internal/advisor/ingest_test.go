@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"knives/internal/faultinject"
 	"knives/internal/schema"
 	"knives/internal/statestore"
+	"knives/internal/telemetry"
 	"knives/internal/vfs"
 )
 
@@ -377,4 +379,97 @@ func TestMergeContexts(t *testing.T) {
 		t.Error("single-member merge should return the member")
 	}
 	cancelC()
+}
+
+// The tracker slides its window in place, so a snapshot that aliased the
+// log would be rewritten by the next batch — and a caller scribbling on its
+// snapshot would rewrite the log. Every reader copies under t.mu; this pins
+// it in both directions, for each reader, across batches that slide.
+func TestTrackerSnapshotsSurviveInPlaceTrim(t *testing.T) {
+	const window = 16
+	svc := NewService(Config{DriftThreshold: 100, DriftWindow: window})
+	register(t, svc)
+	tr, err := svc.tracker("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(round int) []schema.TableQuery {
+		qs := make([]schema.TableQuery, 6)
+		for i := range qs {
+			qs[i] = schema.TableQuery{ID: fmt.Sprintf("r%d-%d", round, i), Weight: float64(1 + i), Attrs: attrset.Of(i%4, (i+1)%4)}
+		}
+		return qs
+	}
+	var want []schema.TableQuery // the window, maintained without sharing anything
+	for round := 0; round < 8; round++ {
+		if _, err := svc.Observe("events", batch(round)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch(round)...)
+		if len(want) > window {
+			want = append([]schema.TableQuery(nil), want[len(want)-window:]...)
+		}
+		_, state := tr.State()
+		mig := tr.MigrationState().tw.Queries
+		tr.mu.Lock()
+		pricing := tr.driftInputLocked().pricing
+		tr.mu.Unlock()
+		snaps := [][]schema.TableQuery{state.Queries, mig, pricing}
+		if round < 3 {
+			continue // the window is not full yet; nothing slides
+		}
+		for _, snap := range snaps {
+			if !slices.Equal(snap, want) {
+				t.Fatalf("round %d: snapshot %v, want %v", round, snap, want)
+			}
+		}
+		// A later batch slides the log down over its own backing array:
+		// the snapshots must not move with it.
+		if _, err := svc.Observe("events", batch(100+round)); err != nil {
+			t.Fatal(err)
+		}
+		for _, snap := range snaps {
+			if !slices.Equal(snap, want) {
+				t.Fatalf("round %d: a snapshot changed under a later batch: %v, want %v", round, snap, want)
+			}
+		}
+		want = append(want, batch(100+round)...)
+		want = append([]schema.TableQuery(nil), want[len(want)-window:]...)
+		// And scribbling on a snapshot must not reach the log.
+		for _, snap := range snaps {
+			for i := range snap {
+				snap[i] = schema.TableQuery{ID: "scribble", Weight: -1, Attrs: attrset.Of(3)}
+			}
+		}
+		if got := trackerLog(t, svc, "events"); !slices.Equal(got, want) {
+			t.Fatalf("round %d: mutating snapshots changed the log: %v, want %v", round, got, want)
+		}
+	}
+}
+
+// A traced /observe that leads the WAL commit shows it: the "wal commit"
+// span nests under the request's "ingest <table>" span, so a slow-request
+// log says whose fsync the request paid for (and a follower's trace, having
+// no such span, says it rode someone else's).
+func TestObserveTraceShowsWalCommit(t *testing.T) {
+	svc, err := OpenService(Config{DriftThreshold: 100, DriftWindow: 16, Store: durableStore(t, t.TempDir(), 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	register(t, svc)
+
+	ctx, tr := telemetry.NewTrace(context.Background(), "POST /observe")
+	if _, err := svc.ObserveContext(ctx, "events", singleColumnBatch()); err != nil {
+		t.Fatal(err)
+	}
+	depth := map[string]int{}
+	for _, sp := range tr.Spans() {
+		depth[sp.Name] = sp.Depth
+	}
+	ingest, ok := depth["ingest events"]
+	commit, ok2 := depth["wal commit (1 callers, 1 events)"]
+	if !ok || !ok2 || commit != ingest+1 {
+		t.Fatalf("spans %v: want \"wal commit (1 callers, 1 events)\" one level under \"ingest events\"", tr.Spans())
+	}
 }

@@ -242,6 +242,15 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if got := sampleValue(t, expo, "knives_store_materializations_total"); got != 1 {
 		t.Errorf("two /query selections over one table ran %v materializations, want 1", got)
 	}
+	// Every fsync carried at least one caller's events; both series count
+	// what they always counted, however many callers shared a commit.
+	fsyncs := sampleValue(t, expo, "knives_wal_fsync_seconds_count")
+	if callers := sampleValue(t, expo, "knives_wal_commit_callers_total"); !(callers >= fsyncs && fsyncs > 0) {
+		t.Errorf("wal commit callers %v, fsyncs %v: want callers >= fsyncs > 0", callers, fsyncs)
+	}
+	if got := sampleValue(t, expo, "knives_wal_commit_events_count"); got != fsyncs {
+		t.Errorf("knives_wal_commit_events_count = %v, want one observation per fsync (%v)", got, fsyncs)
+	}
 	// Fill ratios land in (0, 1].
 	if got := sampleValue(t, expo, "knives_query_batch_fill_ratio_sum"); got <= 0 ||
 		got > sampleValue(t, expo, "knives_query_batch_fill_ratio_count") {

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -41,11 +42,24 @@ func (j *journal) append(ev statestore.Event) error {
 	return nil
 }
 
-// appendBatch journals a whole ingest group as one commit (one write, one
-// fsync). All-or-nothing for the caller: on error none of the events were
+// contextBatcher is a store that can record the commit an AppendBatch led
+// on the request's trace (statestore.Durable).
+type contextBatcher interface {
+	AppendBatchContext(ctx context.Context, evs []statestore.Event) error
+}
+
+// appendBatch journals a whole ingest group as one unit of a WAL commit (a
+// write and an fsync it may share with other shards' groups).
+// All-or-nothing for the caller: on error none of the events were
 // acknowledged and none may be applied.
-func (j *journal) appendBatch(evs []statestore.Event) error {
-	if err := j.store.AppendBatch(evs); err != nil {
+func (j *journal) appendBatch(ctx context.Context, evs []statestore.Event) error {
+	var err error
+	if cb, ok := j.store.(contextBatcher); ok {
+		err = cb.AppendBatchContext(ctx, evs)
+	} else {
+		err = j.store.AppendBatch(evs)
+	}
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	return nil

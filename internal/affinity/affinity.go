@@ -14,9 +14,21 @@ import (
 // summed weight of queries that reference attributes i and j together
 // (the paper's "number of times attribute i co-occurs with attribute j").
 // The diagonal holds each attribute's total access frequency.
+//
+// Bond energies are cached: a bond is a function of two rows, so it is
+// computed at most once between changes to either row. A Matrix is not safe
+// for concurrent use — Order and Reinsert fill the cache.
 type Matrix struct {
 	n int
 	a []float64 // row-major n*n
+
+	// bonds[i*n+j] holds bond(i, j) while known[i*n+j] is set. bond stores
+	// both (i, j) and (j, i): the products commute and the k-order of the
+	// sum is the same, so the two are one bit pattern. AddQuery clears the
+	// row and the column of every attribute whose affinities it changed.
+	bonds    []float64
+	known    []bool
+	computed int // bonds computed by the loop rather than served from the cache
 }
 
 // NewMatrix returns an all-zero affinity matrix over n attributes.
@@ -24,7 +36,7 @@ func NewMatrix(n int) *Matrix {
 	if n < 0 || n > attrset.MaxAttrs {
 		panic(fmt.Sprintf("affinity: NewMatrix(%d) out of range", n))
 	}
-	return &Matrix{n: n, a: make([]float64, n*n)}
+	return &Matrix{n: n, a: make([]float64, n*n), bonds: make([]float64, n*n), known: make([]bool, n*n)}
 }
 
 // Build constructs the affinity matrix of a per-table workload.
@@ -42,6 +54,10 @@ func (m *Matrix) N() int { return m.n }
 // At returns the affinity of attributes i and j.
 func (m *Matrix) At(i, j int) float64 { return m.a[i*m.n+j] }
 
+// BondsComputed returns how many bond energies the matrix has computed from
+// its rows so far (cache misses); benchmarks report it per query.
+func (m *Matrix) BondsComputed() int { return m.computed }
+
 // AddQuery folds one query with the given weight into the matrix. This is
 // the online update O2P performs for every incoming query.
 func (m *Matrix) AddQuery(attrs attrset.Set, weight float64) {
@@ -53,6 +69,11 @@ func (m *Matrix) AddQuery(attrs attrset.Set, weight float64) {
 		for _, j := range list {
 			m.a[i*m.n+j] += weight
 		}
+		// Row i changed, so every bond with i on either side is stale.
+		clear(m.known[i*m.n : (i+1)*m.n])
+		for k := 0; k < m.n; k++ {
+			m.known[k*m.n+i] = false
+		}
 	}
 }
 
@@ -63,10 +84,18 @@ func (m *Matrix) bond(i, j int) float64 {
 	if i < 0 || j < 0 {
 		return 0
 	}
-	var s float64
-	for k := 0; k < m.n; k++ {
-		s += m.a[i*m.n+k] * m.a[j*m.n+k]
+	if m.known[i*m.n+j] {
+		return m.bonds[i*m.n+j]
 	}
+	ri, rj := m.a[i*m.n:(i+1)*m.n], m.a[j*m.n:(j+1)*m.n]
+	rj = rj[:len(ri)] // lets the compiler drop the bounds check in the loop
+	var s float64
+	for k, v := range ri {
+		s += v * rj[k]
+	}
+	m.computed++
+	m.bonds[i*m.n+j], m.known[i*m.n+j] = s, true
+	m.bonds[j*m.n+i], m.known[j*m.n+i] = s, true
 	return s
 }
 
@@ -87,7 +116,7 @@ func (m *Matrix) Order() []int {
 	if m.n == 0 {
 		return nil
 	}
-	order := []int{0}
+	order := make([]int, 1, m.n)
 	placed := attrset.Single(0)
 	for len(order) < m.n {
 		bestAttr, bestPos, bestCont := -1, 0, 0.0
@@ -123,26 +152,22 @@ func (m *Matrix) bestPosition(order []int, x int) (int, float64) {
 	return bestPos, bestCont
 }
 
+// insertAt inserts x at pos, shifting the tail up within order's backing
+// array when it has room.
 func insertAt(order []int, pos, x int) []int {
-	out := make([]int, 0, len(order)+1)
-	out = append(out, order[:pos]...)
-	out = append(out, x)
-	out = append(out, order[pos:]...)
-	return out
-}
-
-// insert places attribute x into the ordering at its best position.
-func (m *Matrix) insert(order []int, x int) []int {
-	pos, _ := m.bestPosition(order, x)
-	return insertAt(order, pos, x)
+	order = append(order, 0)
+	copy(order[pos+1:], order[pos:])
+	order[pos] = x
+	return order
 }
 
 // Reinsert removes every attribute of attrs from the ordering and re-inserts
 // each at its now-best position. This is the incremental clustering step
 // O2P performs after folding a query into the matrix: only the attributes
-// whose affinities changed are reconsidered.
+// whose affinities changed are reconsidered. The ordering is rearranged in
+// place: the result shares order's backing array.
 func (m *Matrix) Reinsert(order []int, attrs attrset.Set) []int {
-	out := make([]int, 0, len(order))
+	out := order[:0]
 	for _, a := range order {
 		if !attrs.Has(a) {
 			out = append(out, a)
@@ -153,7 +178,8 @@ func (m *Matrix) Reinsert(order []int, attrs attrset.Set) []int {
 			out = append(out, a)
 			return
 		}
-		out = m.insert(out, a)
+		pos, _ := m.bestPosition(out, a)
+		out = insertAt(out, pos, a)
 	})
 	return out
 }

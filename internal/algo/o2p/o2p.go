@@ -46,24 +46,34 @@ type segment struct {
 	z       float64 // memoized z of the best split
 }
 
-// Partition implements algo.Algorithm. It consumes tw.Queries as a stream,
-// exactly as an online system would; the reported optimization time covers
-// the whole stream.
-func (o *O2P) Partition(tw schema.TableWorkload, model cost.Model) (algo.Result, error) {
-	start := time.Now()
-	var c algo.Counter
-
+// cluster is the online phase: fold each query into the affinity matrix and
+// re-cluster only the attributes it touched.
+func cluster(tw schema.TableWorkload) (*affinity.Matrix, []int) {
 	nAttrs := tw.Table.NumAttrs()
 	m := affinity.NewMatrix(nAttrs)
 	order := make([]int, nAttrs)
 	for i := range order {
 		order[i] = i
 	}
-	// Online phase: update and re-cluster per query.
 	for _, q := range tw.Queries {
 		m.AddQuery(q.Attrs, q.Weight)
 		order = m.Reinsert(order, q.Attrs)
 	}
+	return m, order
+}
+
+// Partition implements algo.Algorithm. It consumes tw.Queries as a stream,
+// exactly as an online system would; the reported optimization time covers
+// the whole stream.
+func (o *O2P) Partition(tw schema.TableWorkload, model cost.Model) (algo.Result, error) {
+	start := time.Now()
+	m, order := cluster(tw)
+	return split(tw, model, m, order, start)
+}
+
+// split is the partitioning analysis over a clustered ordering.
+func split(tw schema.TableWorkload, model cost.Model, m *affinity.Matrix, order []int, start time.Time) (algo.Result, error) {
+	var c algo.Counter
 
 	// Partitioning analysis: one best split per step, memoized per segment.
 	analyze := func(attrs []int) *segment {

@@ -1,8 +1,12 @@
 package o2p
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"knives/internal/affinity"
+	"knives/internal/algo"
 	"knives/internal/algo/navathe"
 	"knives/internal/attrset"
 	"knives/internal/cost"
@@ -101,4 +105,91 @@ func TestCandidateBudget(t *testing.T) {
 	if res.Stats.Candidates > limit {
 		t.Errorf("candidates = %d, want <= %d", res.Stats.Candidates, limit)
 	}
+}
+
+// shadowStream is the drift tracker's view of one table under steady
+// /observe traffic: the table's own queries round-robin, with fractional
+// weights so a reordered bond sum would change bits.
+func shadowStream(tw schema.TableWorkload, n int) []schema.TableQuery {
+	out := make([]schema.TableQuery, n)
+	for i := range out {
+		q := tw.Queries[i%len(tw.Queries)]
+		q.Weight = float64(1+i%7) / 3
+		out[i] = q
+	}
+	return out
+}
+
+// TestO2PShadowBitIdentical pins the drift shadow against a clustering that
+// cannot be served a stale bond: for every query it rebuilds the affinity
+// matrix of the prefix from scratch — an empty cache, every bond computed
+// by the loop from the rows as they are — and reinserts on that. Layout,
+// cost bits and candidate count must be equal on every TPC-H table, under
+// every device, at every position of a 256-query sliding window.
+func TestO2PShadowBitIdentical(t *testing.T) {
+	models := map[string]cost.Model{"hdd": cost.NewHDD(cost.DefaultDisk()), "ssd": cost.NewSSD(), "mm": cost.NewMM()}
+	const window, slide, slides = 256, 32, 4
+	for _, full := range schema.TPCH(10).TableWorkloads() {
+		if len(full.Queries) == 0 {
+			continue
+		}
+		stream := shadowStream(full, window+slide*slides)
+		for off := 0; off+window <= len(stream); off += slide {
+			tw := schema.TableWorkload{Table: full.Table, Queries: stream[off : off+window]}
+			order := make([]int, tw.Table.NumAttrs())
+			for i := range order {
+				order[i] = i
+			}
+			var fresh *affinity.Matrix
+			for i, q := range tw.Queries {
+				fresh = affinity.Build(schema.TableWorkload{Table: tw.Table, Queries: tw.Queries[:i+1]})
+				order = fresh.Reinsert(order, q.Attrs)
+			}
+			for name, m := range models {
+				want, err := split(tw, m, fresh, order, time.Now())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := New().Partition(tw, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Partitioning.Equal(want.Partitioning) ||
+					math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
+					got.Stats.Candidates != want.Stats.Candidates {
+					t.Fatalf("%s/%s window@%d: got %v cost %x candidates %d, want %v cost %x candidates %d",
+						tw.Table.Name, name, off, got.Partitioning, math.Float64bits(got.Cost), got.Stats.Candidates,
+						want.Partitioning, math.Float64bits(want.Cost), want.Stats.Candidates)
+				}
+			}
+		}
+	}
+}
+
+var sinkResult algo.Result
+
+// BenchmarkO2PShadow is one drift check's search: O2P over a full 256-query
+// window of lineitem. bonds/query is how many bond energies the clustering
+// computed from matrix rows per query — about |q|·n with the cache, where
+// the uncached loop computed 3·|q|·(n+1).
+func BenchmarkO2PShadow(b *testing.B) {
+	var tw schema.TableWorkload
+	for _, w := range schema.TPCH(10).TableWorkloads() {
+		if w.Table.Name == "lineitem" {
+			tw = schema.TableWorkload{Table: w.Table, Queries: shadowStream(w, 256)}
+		}
+	}
+	m := model()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := New().Partition(tw, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkResult = res
+	}
+	b.StopTimer()
+	am, _ := cluster(tw)
+	b.ReportMetric(float64(am.BondsComputed())/float64(len(tw.Queries)), "bonds/query")
 }

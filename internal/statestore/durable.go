@@ -1,6 +1,8 @@
 package statestore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -69,13 +71,23 @@ type RecoveryReport struct {
 // Durable is the WAL-backed store: Append journals events with CRC-framed
 // records before the service applies them, Snapshot compacts the journal,
 // and Open replays snapshot + WAL back into the state the daemon died
-// with. All methods are safe for concurrent use; appends are serialized,
-// so journal order is apply order.
+// with. All methods are safe for concurrent use; appends are committed in
+// queue order — concurrent callers share one write and one fsync — so
+// journal order is apply order.
 type Durable struct {
 	fs  vfs.FS
 	opt Options
 
-	mu        sync.Mutex
+	// The commit queue. An appender enqueues its group and waits; whoever
+	// finds no commit in flight leads one for everything queued. qmu is
+	// never held across I/O, so callers keep queueing while a leader is in
+	// its fsync, and they are the next commit.
+	qmu        sync.Mutex
+	qcond      *sync.Cond // on qmu: a commit finished
+	queue      []*commitReq
+	committing bool
+
+	mu        sync.Mutex // the store's state; a commit holds it from write to fold
 	st        *state
 	recovered []TableState
 	report    RecoveryReport
@@ -87,16 +99,26 @@ type Durable struct {
 	snapSeq    uint64
 	sinceSnap  int
 	unsynced   int
-	needRepair bool // a failed append may have left torn bytes
+	needRepair bool // a failed commit may have left bytes past segEnd
 	closed     bool
 
 	snapshots    int64
 	snapshotErrs int64
 
-	// WAL timing histograms; nil (and therefore free) without Options.Metrics.
-	appendHist *telemetry.Histogram
-	fsyncHist  *telemetry.Histogram
-	snapHist   *telemetry.Histogram
+	// WAL telemetry; nil (and therefore free) without Options.Metrics.
+	appendHist    *telemetry.Histogram
+	fsyncHist     *telemetry.Histogram
+	snapHist      *telemetry.Histogram
+	commitEvents  *telemetry.Histogram
+	commitCallers *telemetry.Counter
+}
+
+// commitReq is one caller's event group in the commit queue. err and done
+// are written by the commit's leader under qmu.
+type commitReq struct {
+	evs  []Event
+	err  error
+	done bool
 }
 
 // Open replays the directory's snapshot and WAL segments and returns a
@@ -110,6 +132,7 @@ func Open(fsys vfs.FS, opt Options) (*Durable, error) {
 		opt.SnapshotEvery = DefaultSnapshotEvery
 	}
 	d := &Durable{fs: fsys, opt: opt, st: newState(opt.DriftWindow)}
+	d.qcond = sync.NewCond(&d.qmu)
 
 	names, err := fsys.List()
 	if err != nil {
@@ -216,12 +239,16 @@ func (d *Durable) bindMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.SetHelp("knives_wal_append_seconds", "WAL group-commit latency: frame build through fold, including any fsync.")
-	reg.SetHelp("knives_wal_fsync_seconds", "WAL fsync latency (only appends that actually synced per SyncEvery).")
+	reg.SetHelp("knives_wal_append_seconds", "WAL append latency per caller: enqueued through acknowledged, including the wait for and the fsync of its commit.")
+	reg.SetHelp("knives_wal_fsync_seconds", "WAL fsync latency (one observation per fsync; commits below SyncEvery do not sync).")
 	reg.SetHelp("knives_wal_snapshot_seconds", "Snapshot + WAL truncation latency.")
+	reg.SetHelp("knives_wal_commit_events", "Events made durable per WAL fsync.")
+	reg.SetHelp("knives_wal_commit_callers_total", "Append calls acknowledged by WAL commits; over knives_wal_fsync_seconds_count it is the callers sharing one fsync.")
 	d.appendHist = reg.Histogram("knives_wal_append_seconds")
 	d.fsyncHist = reg.Histogram("knives_wal_fsync_seconds")
 	d.snapHist = reg.Histogram("knives_wal_snapshot_seconds")
+	d.commitEvents = reg.Histogram("knives_wal_commit_events")
+	d.commitCallers = reg.Counter("knives_wal_commit_callers_total")
 	reg.GaugeFunc("knives_wal_last_seq", func() float64 { return float64(d.LastSeq()) })
 	reg.CounterFunc("knives_wal_snapshots_total", func() int64 { n, _ := d.Snapshots(); return n })
 	reg.CounterFunc("knives_wal_snapshot_errors_total", func() int64 { _, e := d.Snapshots(); return e })
@@ -291,30 +318,89 @@ func (d *Durable) ensureSegmentLocked() error {
 	return nil
 }
 
-// Append journals one event: framed, written in a single call, fsynced
-// (per SyncEvery), then folded into the store's state. On any failure the
-// event is NOT applied and the WAL is repaired before the next attempt —
-// so a caller that journals before mutating can simply retry.
+// Append journals one event: a one-event group through the same commit as
+// AppendBatch. On any failure the event is NOT applied and the WAL is
+// repaired before the next commit — so a caller that journals before
+// mutating can simply retry.
 func (d *Durable) Append(ev Event) error {
-	return d.appendGroup([]Event{ev})
+	return d.appendGroup(context.Background(), []Event{ev})
 }
 
-// AppendBatch journals a group of events as one commit: every frame lands
-// in a single write and the group costs at most one fsync, however many
-// events it carries. On any failure none of the events are applied and
-// the WAL is repaired to the last valid boundary before the next attempt,
-// so a prefix of the group never leaks into the folded state — though it
-// may survive on disk and replay after a crash, exactly like a single
+// AppendBatch journals a group of events as one unit of a commit: its
+// frames are contiguous in the journal, in order, and it shares the
+// commit's single write and (at most one) fsync with whatever other groups
+// were queued. On any failure none of the events are applied and the WAL
+// is repaired to the last valid boundary before the next commit, so a
+// prefix of the group never leaks into the folded state — though it may
+// survive on disk and replay after a crash, exactly like a single
 // unacknowledged Append.
 func (d *Durable) AppendBatch(evs []Event) error {
+	return d.AppendBatchContext(context.Background(), evs)
+}
+
+// AppendBatchContext is AppendBatch for a caller inside a traced request:
+// if this caller ends up leading the commit, the commit is recorded as a
+// "wal commit" span on ctx's trace. The context does not bound the append.
+func (d *Durable) AppendBatchContext(ctx context.Context, evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	return d.appendGroup(evs)
+	return d.appendGroup(ctx, evs)
 }
 
-func (d *Durable) appendGroup(evs []Event) error {
+// errCommitAborted answers the callers of a commit whose leader panicked
+// out of it (a crash point in tests); none of their events were folded.
+var errCommitAborted = errors.New("statestore: commit aborted")
+
+// appendGroup is the one append path: enqueue, then either ride a commit
+// someone else leads or lead one. All-or-nothing per caller, and per
+// commit: every group in a commit gets that commit's result.
+func (d *Durable) appendGroup(ctx context.Context, evs []Event) error {
 	t0 := time.Now()
+	req := &commitReq{evs: evs}
+	d.qmu.Lock()
+	d.queue = append(d.queue, req)
+	for !req.done && d.committing {
+		d.qcond.Wait()
+	}
+	if req.done {
+		d.qmu.Unlock()
+	} else {
+		d.leadLocked(ctx)
+	}
+	if req.err == nil {
+		d.appendHist.Since(t0)
+	}
+	return req.err
+}
+
+// leadLocked commits everything queued — the caller's own group included —
+// and answers every caller in it. Called with qmu held and no commit in
+// flight; returns with qmu released. The answer is deferred so that a
+// panicking file system cannot strand the followers.
+func (d *Durable) leadLocked(ctx context.Context) {
+	batch := d.queue
+	d.queue = nil
+	d.committing = true
+	d.qmu.Unlock()
+	err := errCommitAborted
+	defer func() {
+		d.qmu.Lock()
+		for _, r := range batch {
+			r.err, r.done = err, true
+		}
+		d.committing = false
+		d.qmu.Unlock()
+		d.qcond.Broadcast()
+	}()
+	err = d.commit(ctx, batch)
+}
+
+// commit journals the batch's groups as one write with contiguous sequence
+// numbers, fsyncs once (per SyncEvery), then folds the events in queue
+// order. A failed write or fsync fails the whole batch: nothing is folded
+// and the next commit truncates back to the pre-commit boundary.
+func (d *Durable) commit(ctx context.Context, batch []*commitReq) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -323,45 +409,57 @@ func (d *Durable) appendGroup(evs []Event) error {
 	if err := d.ensureSegmentLocked(); err != nil {
 		return err
 	}
-	first := d.lastSeq + 1
+	first, n := d.lastSeq+1, 0
 	var frame []byte
-	for i, ev := range evs {
-		frame = appendRecord(frame, first+uint64(i), ev.encode())
+	for _, r := range batch {
+		for _, ev := range r.evs {
+			frame = appendRecord(frame, first+uint64(n), ev.encode())
+			n++
+		}
 	}
+	last := first + uint64(n) - 1
+	if telemetry.TraceFrom(ctx) != nil {
+		_, sp := telemetry.StartSpan(ctx, fmt.Sprintf("wal commit (%d callers, %d events)", len(batch), n))
+		defer sp.End()
+	}
+	// Until the commit is acknowledged the segment may hold bytes past
+	// segEnd — a torn write, or whole records whose fsync failed; either
+	// way the next commit truncates them before anything else lands.
+	d.needRepair = true
 	if _, err := d.seg.Write(frame); err != nil {
-		// The write may have torn: repair to the last valid boundary
-		// before anything else lands.
-		d.needRepair = true
-		return fmt.Errorf("statestore: append seq %d..%d: %w", first, first+uint64(len(evs))-1, err)
+		return fmt.Errorf("statestore: append seq %d..%d: %w", first, last, err)
 	}
-	d.unsynced += len(evs)
-	if d.opt.SyncEvery <= 1 || d.unsynced >= d.opt.SyncEvery {
+	unsynced := d.unsynced + n
+	if d.opt.SyncEvery <= 1 || unsynced >= d.opt.SyncEvery {
 		tSync := time.Now()
 		err := d.seg.Sync()
 		d.fsyncHist.Since(tSync)
 		if err != nil {
-			// Not durable: discard the records (truncate on next attempt)
-			// and report failure; the caller retries.
-			d.needRepair = true
-			return fmt.Errorf("statestore: sync seq %d..%d: %w", first, first+uint64(len(evs))-1, err)
+			// Not durable: report failure; the callers retry.
+			return fmt.Errorf("statestore: sync seq %d..%d: %w", first, last, err)
 		}
-		d.unsynced = 0
+		d.commitEvents.Observe(float64(unsynced))
+		unsynced = 0
 	}
+	d.unsynced = unsynced
+	d.needRepair = false
+	d.commitCallers.Add(int64(len(batch)))
 	d.segEnd += int64(len(frame))
-	d.lastSeq = first + uint64(len(evs)) - 1
-	for _, ev := range evs {
-		d.st.apply(ev)
+	d.lastSeq = last
+	for _, r := range batch {
+		for _, ev := range r.evs {
+			d.st.apply(ev)
+		}
 	}
-	d.sinceSnap += len(evs)
+	d.sinceSnap += n
 	if d.opt.SnapshotEvery > 0 && d.sinceSnap >= d.opt.SnapshotEvery {
 		// The records are durable; a failed automatic snapshot must not
-		// fail the append. It is retried at the next cadence.
+		// fail the commit. It is retried at the next cadence.
 		if err := d.snapshotLocked(); err != nil {
 			d.snapshotErrs++
 		}
 		d.sinceSnap = 0
 	}
-	d.appendHist.Since(t0)
 	return nil
 }
 

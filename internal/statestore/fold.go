@@ -49,11 +49,12 @@ func newState(window int) *state {
 	return &state{window: window, tables: make(map[string]*TableState)}
 }
 
-// trim drops the oldest log entries beyond the window — the tracker's rule,
-// verbatim.
+// trimLog drops the oldest log entries beyond the window — the tracker's
+// rule, verbatim, including the slide in place: a fold's log is private
+// (apply copies what it is given, export copies what it hands out).
 func trimLog(log []QueryRec, window int) []QueryRec {
 	if window > 0 && len(log) > window {
-		return append([]QueryRec(nil), log[len(log)-window:]...)
+		return log[:copy(log, log[len(log)-window:])]
 	}
 	return log
 }

@@ -14,6 +14,10 @@
 #   BENCH=TrojanPartition BENCHTIME=200x scripts/bench.sh
 #                                    # a micro benchmark (ms per op and under):
 #                                    # one iteration is a cold start, give it many
+#   BENCH='O2PShadow|DurableAppendConcurrent' BENCHTIME=300x scripts/bench.sh
+#                                    # the two layers of an /observe: the drift
+#                                    # shadow (bonds/query) and the WAL commit
+#                                    # (fsyncs/append at 1, 2, 8 appenders)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
