@@ -635,7 +635,7 @@ func runExecute(name string, args []string) error {
 	if pipelines {
 		execMode = c.fs.String("exec", "row", "pipeline execution mode: row (oracle) or vector (batch-at-a-time); never changes the numbers")
 		batch = c.fs.Int("batch", 0, "vector-mode rows per batch (0 = default)")
-		execWorkers = c.fs.Int("exec-workers", 0, "vector-mode morsel-parallel leaf scans per pipeline (<= 1 = synchronous)")
+		execWorkers = c.fs.Int("exec-workers", 0, "accepted for compatibility; has no effect (vector pipelines run on the calling goroutine)")
 		selTable = c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
 		selColumn = c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
 		selBound = c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")

@@ -44,7 +44,8 @@ type ReplayOptions struct {
 	ExecMode string
 	// BatchSize is vector mode's rows per batch (0 = default).
 	BatchSize int
-	// ExecWorkers bounds morsel-parallel leaf scans per pipeline.
+	// ExecWorkers is accepted and range-checked for the clients that send
+	// it, and has no effect (operator.ExecOptions.Workers).
 	ExecWorkers int
 }
 

@@ -51,11 +51,11 @@ type guardBackend struct {
 	open   *atomic.Int64
 }
 
-func (g *guardBackend) ReadPage(idx int64, dst []byte) error {
+func (g *guardBackend) ReadPage(idx int64, buf []byte) ([]byte, error) {
 	if g.closed.Load() {
-		return errors.New("read after Close")
+		return nil, errors.New("read after Close")
 	}
-	return g.Backend.ReadPage(idx, dst)
+	return g.Backend.ReadPage(idx, buf)
 }
 
 func (g *guardBackend) Close() error {

@@ -174,11 +174,11 @@ type QueryRequest struct {
 	Workers int   `json:"workers,omitempty"`
 
 	// Exec selects pipeline execution: "" or "row" (oracle) or "vector".
-	// BatchSize and ExecWorkers tune the vector path (0 = defaults). All
-	// three change wall-clock only, never a result, so — like Workers —
-	// they are deliberately NOT part of the exec cache key: a row-mode and
-	// a vector-mode request for the same workload share one cached
-	// execution.
+	// BatchSize tunes the vector path (0 = default); ExecWorkers is still
+	// accepted and range-checked but no longer does anything. None of the
+	// three can change a result, so — like Workers — they are deliberately
+	// NOT part of the exec cache key: a row-mode and a vector-mode request
+	// for the same workload share one cached execution.
 	Exec        string `json:"exec,omitempty"`
 	BatchSize   int    `json:"batch_size,omitempty"`
 	ExecWorkers int    `json:"exec_workers,omitempty"`

@@ -10,8 +10,8 @@ import (
 
 // ExtVectorized pins the vectorized execution mode against the row-at-a-time
 // oracle on a real advised layout: Lineitem's workload runs as batch-at-a-time
-// σ/π/⋈ pipelines (morsel-parallel leaf scans included) over the HillClimb
-// layout, across a batch-size and worker sweep. Every vector run must
+// σ/π/⋈ pipelines over the HillClimb layout, across a batch-size and worker
+// sweep (the worker knob is inert now; the sweep keeps pinning that). Every vector run must
 // reproduce the oracle bit for bit — checksums, I/O accounting, simulated
 // seconds — because batching changes WHEN bytes move, never WHICH bytes or
 // what they cost. The wall-clock speedup is reported as a note; it is the

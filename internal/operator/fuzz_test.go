@@ -2,6 +2,7 @@ package operator
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"knives/internal/partition"
 	"knives/internal/schema"
 	"knives/internal/storage"
+	"knives/internal/vfs"
 )
 
 // fuzzTable is the fixed 8-column table random plans run over; small rows
@@ -155,18 +157,62 @@ func FuzzPlanVsOracle(f *testing.F) {
 	})
 }
 
-// FuzzVectorVsRowOracle checks, for a random layout, projection set,
-// predicate, batch size, and worker count, that the vectorized pipeline
-// reproduces the row oracle exactly: same row stream (IDs and bytes, in
-// order), same checksum, and bit-identical ScanStats and per-operator
-// OpStats.
+// fuzzPred picks one of the predicate shapes σ evaluates: the three tagged
+// comparison forms (inline over a run when the column is wide enough, Match
+// otherwise — the attribute is arbitrary, so both happen) and a hand-built
+// Pred that can only go through Match.
+func fuzzPred(form, attr int, bound uint32) Pred {
+	switch form % 4 {
+	case 0:
+		return U32Less(attr, bound)
+	case 1:
+		return U32GreaterEq(attr, bound)
+	case 2:
+		// Spread the 32 fuzzed bits over the decimal encoding's range.
+		return U64Less(attr, uint64(bound)<<16|uint64(bound>>16))
+	}
+	return Pred{Attr: attr, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
+}
+
+// FuzzVectorVsRowOracle checks, for a random layout, row count, projection
+// set, predicate, batch size and backend, that the zero-copy vector pipeline
+// reproduces BOTH its oracles exactly — the row pipeline and the reference
+// copying vector pipeline (reference_test.go): same row stream (IDs and
+// bytes, in order), same checksum, and bit-identical ScanStats and
+// per-operator OpStats down to Float64bits of every SimTime.
+//
+// The seeds are chosen for what makes page runs interesting on the 64-byte
+// test pages: batch sizes coprime to every partition's rows-per-page, row
+// counts that end mid-page, the all-in-one layout whose 39-byte row leaves
+// ONE row per page, 1-row batches, batches larger than the table, leaves
+// whose page boundaries never coincide, and the file backend (real page
+// buffers recycled through the cursor's ring, via vfs).
 func FuzzVectorVsRowOracle(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint16(0x0f), uint16(0), uint32(0), uint16(1), uint8(0))
-	f.Add(uint64(2), uint64(0x15a5), uint16(0xff), uint16(3), uint32(1000), uint16(7), uint8(2))
-	f.Add(uint64(3), uint64(0x9249), uint16(0x31), uint16(11), uint32(1<<31), uint16(64), uint8(5))
-	f.Add(uint64(4), uint64(0x4444), uint16(0x80), uint16(5), uint32(40), uint16(4096), uint8(1))
-	f.Fuzz(func(t *testing.T, seed, groups uint64, qmask, predSel uint16, bound uint32, batchRaw uint16, workersRaw uint8) {
-		const rows = 257
+	// Arguments: seed, groups, qmask, predSel, bound, batchRaw (batch-1),
+	// rowsRaw (rows-1), shape (bit 0: file backend; bits 1-2: predicate form).
+	f.Add(uint64(1), uint64(0), uint16(0x0f), uint16(0), uint32(0), uint16(1), uint16(256), uint8(0))
+	f.Add(uint64(2), uint64(0x15a5), uint16(0xff), uint16(3), uint32(1000), uint16(6), uint16(256), uint8(2))
+	f.Add(uint64(3), uint64(0x9249), uint16(0x31), uint16(11), uint32(1<<31), uint16(63), uint16(256), uint8(5))
+	f.Add(uint64(4), uint64(0x4444), uint16(0x80), uint16(5), uint32(40), uint16(271), uint16(256), uint8(1))
+	// One row per page (groups 0 = one 39-byte partition): 1-row batches in
+	// memory, 7-row batches on the file backend.
+	f.Add(uint64(5), uint64(0), uint16(0xff), uint16(3), uint32(1263), uint16(0), uint16(40), uint8(0))
+	f.Add(uint64(6), uint64(0), uint16(0xa5), uint16(9), uint32(60), uint16(6), uint16(99), uint8(1))
+	// Four two-column groups at 8, 8, 4 and 6 rows per page: batches of 5 and
+	// 11 rows are coprime to all of them, 299 rows end mid-page on every
+	// leaf, and σ runs on the decimal (the u64 form: about half, then a
+	// bound past 2^32 that keeps every row) and on a char column (Match).
+	f.Add(uint64(7), uint64(0o76543210), uint16(0xff), uint16(5), uint32(7), uint16(4), uint16(298), uint8(4))
+	f.Add(uint64(8), uint64(0o76543210), uint16(0x5b), uint16(13), uint32(9), uint16(10), uint16(298), uint8(7))
+	f.Add(uint64(9), uint64(0o76543210), uint16(0x3c), uint16(5), uint32(1<<20), uint16(4), uint16(299), uint8(4))
+	// 8, 5, 8 and 5 rows per page, 37-row batches, ≥ on a date, file backend.
+	f.Add(uint64(10), uint64(0o00112233), uint16(0xff), uint16(3), uint32(1263), uint16(36), uint16(299), uint8(3))
+	// A 28-byte leaf (2 rows per page) beside 3- and 4-byte ones (21 and 16
+	// per page): a 13-row batch spans seven pages of one and at most two of
+	// the others.
+	f.Add(uint64(11), uint64(0o00012003), uint16(0xfe), uint16(9), uint32(150), uint16(12), uint16(200), uint8(1))
+	f.Fuzz(func(t *testing.T, seed, groups uint64, qmask, predSel uint16, bound uint32, batchRaw, rowsRaw uint16, shape uint8) {
+		rows := int64(rowsRaw)%300 + 1 // [1, 300]
 		tbl := fuzzTable(rows)
 		parts := fuzzLayout(tbl, groups)
 		layout, err := partition.New(tbl, parts)
@@ -174,7 +220,17 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 			t.Fatalf("fuzzLayout built an invalid partitioning: %v", err)
 		}
 		dev := testDevice()
-		e, err := storage.NewEngine(layout, dev, nil)
+		var newBackend func(string, int) (storage.Backend, error)
+		if shape&1 != 0 {
+			fsys, err := vfs.Dir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			newBackend = func(name string, pageSize int) (storage.Backend, error) {
+				return storage.NewFileBackendFS(fsys, name, pageSize)
+			}
+		}
+		e, err := storage.NewEngine(layout, dev, newBackend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,27 +243,28 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 		query := attrset.Set(qmask & 0xff)
 		var pred *Pred
 		if predSel&1 != 0 {
-			p := U32Less(int(predSel>>1)%len(tbl.Columns), bound)
+			p := fuzzPred(int(shape>>1), int(predSel>>1)%len(tbl.Columns), bound)
 			pred = &p
 		}
-		batch := int(batchRaw)%(rows+16) + 1 // [1, rows+16]
-		workers := int(workersRaw) % 9       // [0, 8]
+		batch := int(batchRaw)%(int(rows)+16) + 1 // [1, rows+16]
 
 		type gotRow struct {
 			id   int64
 			vals []byte
 		}
 		qcols := query.Attrs()
-		collect := func(pipe *Pipeline) ([]gotRow, Result) {
-			var out []gotRow
-			res, err := pipe.RunFunc(func(r *Row) error {
-				g := gotRow{id: r.ID}
-				for _, a := range qcols {
-					g.vals = append(g.vals, append([]byte(nil), r.Col(a)...)...)
-				}
-				out = append(out, g)
-				return nil
-			})
+		var out []gotRow
+		keep := func(r *Row) error {
+			g := gotRow{id: r.ID}
+			for _, a := range qcols {
+				g.vals = append(g.vals, r.Col(a)...)
+			}
+			out = append(out, g)
+			return nil
+		}
+		collect := func(run func(fn func(*Row) error) (Result, error)) ([]gotRow, Result) {
+			out = nil
+			res, err := run(keep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,33 +275,34 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRows, want := collect(rowPipe)
-
-		vecPipe, err := BuildExec(snap, dev, query, pred,
-			ExecOptions{Mode: ExecVector, BatchSize: batch, Workers: workers})
+		rowRows, rowRes := collect(rowPipe.RunFunc)
+		refRows, refRes := collect(func(fn func(*Row) error) (Result, error) {
+			return refRun(snap, dev, query, pred, batch, fn)
+		})
+		vecPipe, err := BuildExec(snap, dev, query, pred, ExecOptions{Mode: ExecVector, BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRows, got := collect(vecPipe)
+		gotRows, got := collect(vecPipe.RunFunc)
 
-		if got.Rows != want.Rows || got.Checksum != want.Checksum {
-			t.Fatalf("vector rows/checksum %d/%x, row oracle %d/%x (batch %d workers %d)",
-				got.Rows, got.Checksum, want.Rows, want.Checksum, batch, workers)
-		}
-		if !reflect.DeepEqual(got.Stats, want.Stats) {
-			t.Fatalf("vector stats diverge from row oracle\n got %+v\nwant %+v", got.Stats, want.Stats)
-		}
-		if !reflect.DeepEqual(got.Ops, want.Ops) {
-			t.Fatalf("vector per-operator stats diverge\n got %+v\nwant %+v", got.Ops, want.Ops)
-		}
-		if len(gotRows) != len(wantRows) {
-			t.Fatalf("vector emitted %d rows, oracle %d", len(gotRows), len(wantRows))
-		}
-		for i := range gotRows {
-			if gotRows[i].id != wantRows[i].id || !bytes.Equal(gotRows[i].vals, wantRows[i].vals) {
-				t.Fatalf("row %d: vector id=%d % x, oracle id=%d % x",
-					i, gotRows[i].id, gotRows[i].vals, wantRows[i].id, wantRows[i].vals)
+		for _, oracle := range []struct {
+			name string
+			rows []gotRow
+			res  Result
+		}{{"row pipeline", rowRows, rowRes}, {"reference vector pipeline", refRows, refRes}} {
+			resultsEqual(t, fmt.Sprintf("vs %s (batch %d, %d rows)", oracle.name, batch, rows), got, oracle.res)
+			if len(gotRows) != len(oracle.rows) {
+				t.Fatalf("vector emitted %d rows, %s %d", len(gotRows), oracle.name, len(oracle.rows))
 			}
+			for i := range gotRows {
+				if gotRows[i].id != oracle.rows[i].id || !bytes.Equal(gotRows[i].vals, oracle.rows[i].vals) {
+					t.Fatalf("row %d: vector id=%d % x, %s id=%d % x",
+						i, gotRows[i].id, gotRows[i].vals, oracle.name, oracle.rows[i].id, oracle.rows[i].vals)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got.FillRatios, refRes.FillRatios) {
+			t.Fatalf("fill ratios diverge from the reference\n got %v\nwant %v", got.FillRatios, refRes.FillRatios)
 		}
 	})
 }

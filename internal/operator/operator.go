@@ -109,19 +109,23 @@ func (s *Scan) Next() (*Row, error) {
 // per-partition form.
 func (s *Scan) PartStats() storage.PartScanStats { return s.c.Stats() }
 
-// Stats prices the leaf's reads under its device's discipline: seek plus
-// scan time for block devices, cache-line transfers times miss latency
-// for cache devices — exactly the cost model's per-partition term.
-func (s *Scan) Stats() OpStats {
-	ps := s.c.Stats()
+// Stats prices the leaf's reads (leafStats).
+func (s *Scan) Stats() OpStats { return leafStats(s.c, s.dev, s.out) }
+
+// leafStats prices a leaf's reads — row or vector, the cursor is the same —
+// under its device's discipline: seek plus scan time for block devices,
+// cache-line transfers times miss latency for cache devices — exactly the
+// cost model's per-partition term.
+func leafStats(c *storage.PartCursor, dev cost.Device, out int64) OpStats {
+	ps := c.Stats()
 	st := OpStats{
-		Op: "scan", Name: "scan" + s.row.Attrs.String(), RowsOut: s.out,
+		Op: "scan", Name: "scan" + ps.Attrs.String(), RowsOut: out,
 		Seeks: ps.Seeks, BytesRead: ps.BytesRead, CacheLines: ps.CacheLines,
 	}
-	if s.dev.Pricing == cost.PricingCache {
-		st.SimTime = float64(ps.CacheLines) * s.dev.MissLatency
+	if dev.Pricing == cost.PricingCache {
+		st.SimTime = float64(ps.CacheLines) * dev.MissLatency
 	} else {
-		st.SimTime = s.dev.SeekTime*float64(ps.Seeks) + float64(ps.BytesRead)/s.dev.ReadBandwidth
+		st.SimTime = dev.SeekTime*float64(ps.Seeks) + float64(ps.BytesRead)/dev.ReadBandwidth
 	}
 	return st
 }

@@ -39,7 +39,6 @@ type Pipeline struct {
 	vproj   *VecProject
 	vjoin   *VecReconJoin
 	vleaves []*VecScan
-	vsels   []*VecSelect // index-aligned with vleaves; nil where no σ
 	vops    []VecOperator
 }
 
@@ -50,8 +49,8 @@ const (
 	// ExecRow is the PR-8 row-at-a-time Volcano path — the oracle every
 	// other mode must match bit for bit.
 	ExecRow ExecMode = "row"
-	// ExecVector is the batch-at-a-time path with optional morsel-parallel
-	// leaf scans.
+	// ExecVector is the batch-at-a-time path: batches are views over the
+	// store's pages, σ and π read them in place.
 	ExecVector ExecMode = "vector"
 )
 
@@ -64,9 +63,13 @@ type ExecOptions struct {
 	// BatchSize is the rows per batch in vector mode; 0 uses
 	// DefaultBatchSize, bounds are [1, MaxBatchSize].
 	BatchSize int
-	// Workers bounds how many leaf scans fill concurrently in vector mode;
-	// <= 1 runs everything on the calling goroutine, > 1 puts each leaf on
-	// its own goroutine behind a Workers-sized fill semaphore.
+	// Workers has no effect. It used to put each vector leaf on its own
+	// goroutine so page-to-column copies could overlap; a leaf no longer
+	// copies anything, so there was nothing left to overlap and the hand-off
+	// cost more than it hid (CHANGES.md, PR 16). The field is still accepted
+	// and validated (non-negative) because requests, flags and configs carry
+	// it — and since every reported number was worker-invariant by contract,
+	// ignoring it changes no output.
 	Workers int
 }
 
@@ -217,13 +220,10 @@ func buildVector(p *Pipeline, snap *storage.Snapshot, dev cost.Device, query att
 		p.vleaves = append(p.vleaves, leaf)
 		p.vops = append(p.vops, leaf)
 		var child VecOperator = leaf
-		var vsel *VecSelect
 		if pred != nil && snap.PartAttrs(i).Has(pred.Attr) {
-			vsel = NewVecSelect(leaf, *pred)
-			p.vops = append(p.vops, vsel)
-			child = vsel
+			child = NewVecSelect(leaf, *pred)
+			p.vops = append(p.vops, child)
 		}
-		p.vsels = append(p.vsels, vsel)
 		children = append(children, child)
 	}
 
@@ -300,19 +300,9 @@ func (p *Pipeline) RunFunc(fn func(r *Row) error) (Result, error) {
 		}
 	}
 
-	// Aggregate exactly as Engine.Scan does: per-partition measurements in
-	// canonical order, simulated time charged with the same per-partition
-	// grouping and summation order (floating-point addition is not
-	// associative; any other order could differ in the last bit).
 	st := &res.Stats
 	for _, leaf := range p.leaves {
-		ps := leaf.PartStats()
-		st.Parts = append(st.Parts, ps)
-		st.Seeks += ps.Seeks
-		st.BytesRead += ps.BytesRead
-		st.CacheLines += ps.CacheLines
-		st.SimTime += p.dev.SeekTime*float64(ps.Seeks) +
-			float64(ps.BytesRead)/p.dev.ReadBandwidth
+		p.charge(st, leaf.PartStats())
 	}
 	st.Tuples = res.Rows
 	if p.join != nil {
@@ -326,42 +316,27 @@ func (p *Pipeline) RunFunc(fn func(r *Row) error) (Result, error) {
 	return res, nil
 }
 
-// runVector drives the batch-at-a-time plan to end of stream. With
-// opts.Workers > 1 each leaf chain moves onto its own goroutine behind a
-// bounded recycled-buffer queue (morsel.go); the consumer tree is re-pointed
-// at the feeders, which changes scheduling and nothing else — the same
-// cursors are driven through the same stream by exactly one goroutine each.
+// charge adds one leaf's measurements to the totals exactly as Engine.Scan
+// does — leaves come in canonical order, and simulated time is charged with
+// the same per-partition grouping and summation order (floating-point
+// addition is not associative; any other order could differ in the last bit).
+func (p *Pipeline) charge(st *storage.ScanStats, ps storage.PartScanStats) {
+	st.Parts = append(st.Parts, ps)
+	st.Seeks += ps.Seeks
+	st.BytesRead += ps.BytesRead
+	st.CacheLines += ps.CacheLines
+	st.SimTime += p.dev.SeekTime*float64(ps.Seeks) +
+		float64(ps.BytesRead)/p.dev.ReadBandwidth
+}
+
+// runVector drives the batch-at-a-time plan to end of stream on the calling
+// goroutine. Rows handed to fn are windows onto the batch's pages: read-only,
+// and gone with the batch.
 func (p *Pipeline) runVector(fn func(r *Row) error) (Result, error) {
 	var res Result
 	if p.vroot == nil {
 		return res, nil
 	}
-	if p.opts.Workers > 1 && len(p.vleaves) > 0 {
-		pool := &morselPool{quit: make(chan struct{})}
-		sem := make(chan struct{}, p.opts.Workers)
-		for i, leaf := range p.vleaves {
-			var chain VecOperator = leaf
-			if p.vsels[i] != nil {
-				chain = p.vsels[i]
-			}
-			f := &leafFeeder{
-				chain: chain,
-				out:   make(chan feedMsg, feederRing),
-				free:  make(chan *Batch, feederRing),
-			}
-			for k := 0; k < feederRing; k++ {
-				f.free <- newLeafBatch(leaf.c, p.opts.BatchSize)
-			}
-			pool.start(f, leaf, p.vsels[i], sem)
-			if p.vjoin != nil {
-				p.vjoin.children[i] = f
-			} else {
-				p.vproj.child = f
-			}
-		}
-		defer pool.stop()
-	}
-
 	var row Row
 	row.Attrs = p.query
 	qcols := p.query.Attrs()
@@ -398,18 +373,9 @@ func (p *Pipeline) runVector(fn func(r *Row) error) (Result, error) {
 		}
 	}
 
-	// The identical aggregation the row path performs: per-partition
-	// measurements in canonical order, simulated time charged with the same
-	// per-partition grouping and summation order.
 	st := &res.Stats
 	for _, leaf := range p.vleaves {
-		ps := leaf.PartStats()
-		st.Parts = append(st.Parts, ps)
-		st.Seeks += ps.Seeks
-		st.BytesRead += ps.BytesRead
-		st.CacheLines += ps.CacheLines
-		st.SimTime += p.dev.SeekTime*float64(ps.Seeks) +
-			float64(ps.BytesRead)/p.dev.ReadBandwidth
+		p.charge(st, leaf.PartStats())
 	}
 	st.Tuples = res.Rows
 	if p.vjoin != nil {

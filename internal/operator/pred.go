@@ -19,6 +19,7 @@ package operator
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Pred is a selection predicate over one attribute's raw column bytes, as
@@ -26,6 +27,13 @@ import (
 // dates, little-endian u64 for decimals, padded ASCII for chars). Match
 // must be pure: the σ operator may evaluate it on every row of a
 // partition stream.
+//
+// Match is the predicate's definition. The constructors below also tag the
+// Pred with the comparison it performs, which lets the vectorized σ evaluate
+// it inline over a page run instead of calling Match per row; a Pred built
+// by hand carries no tag and always goes through Match. (To swap Match on a
+// constructor-built Pred, copy Attr and Name into a fresh one: the tag
+// would keep answering for the old Match.)
 type Pred struct {
 	// Attr is the attribute index the predicate reads.
 	Attr int
@@ -33,7 +41,20 @@ type Pred struct {
 	Name string
 	// Match decides the row given the attribute's column bytes.
 	Match func(col []byte) bool
+
+	form  predForm
+	bound uint64
 }
+
+// predForm tags the comparisons filterRun evaluates without calling Match.
+type predForm uint8
+
+const (
+	formMatch predForm = iota // no inline form: call Match
+	formU32Less
+	formU32GreaterEq
+	formU64Less
+)
 
 // U32Less returns the predicate attr < bound over a little-endian uint32
 // column (the engine's int and date encodings).
@@ -44,6 +65,7 @@ func U32Less(attr int, bound uint32) Pred {
 		Match: func(col []byte) bool {
 			return len(col) >= 4 && binary.LittleEndian.Uint32(col) < bound
 		},
+		form: formU32Less, bound: uint64(bound),
 	}
 }
 
@@ -56,6 +78,7 @@ func U32GreaterEq(attr int, bound uint32) Pred {
 		Match: func(col []byte) bool {
 			return len(col) >= 4 && binary.LittleEndian.Uint32(col) >= bound
 		},
+		form: formU32GreaterEq, bound: uint64(bound),
 	}
 }
 
@@ -68,5 +91,45 @@ func U64Less(attr int, bound uint64) Pred {
 		Match: func(col []byte) bool {
 			return len(col) >= 8 && binary.LittleEndian.Uint64(col) < bound
 		},
+		form: formU64Less, bound: bound,
 	}
+}
+
+// filterRun evaluates the predicate over one page run — r.n rows at stride
+// rs, the column w bytes at off — and writes the surviving batch slots to
+// sel[k:], returning the new k. The tagged forms compile to a load, a
+// subtract and an add per row: the slot is stored unconditionally and k
+// advances by the comparison's borrow bit, so a 50 % selectivity costs no
+// mispredictions. A column narrower than the comparison reads (which Match
+// answers false on) and every untagged Pred take the Match loop.
+func (p *Pred) filterRun(r *run, rs, off, w int, sel []int32, k int) int {
+	col := r.rows[off:]
+	switch {
+	case p.form == formU32Less && w >= 4:
+		for i := 0; i < r.n; i++ {
+			v := uint64(binary.LittleEndian.Uint32(col[i*rs:]))
+			sel[k] = int32(r.first + i)
+			k += int((v - p.bound) >> 63) // both < 2^32: the top bit is v < bound
+		}
+	case p.form == formU32GreaterEq && w >= 4:
+		for i := 0; i < r.n; i++ {
+			v := uint64(binary.LittleEndian.Uint32(col[i*rs:]))
+			sel[k] = int32(r.first + i)
+			k += int((v-p.bound)>>63) ^ 1
+		}
+	case p.form == formU64Less && w >= 8:
+		for i := 0; i < r.n; i++ {
+			_, lt := bits.Sub64(binary.LittleEndian.Uint64(col[i*rs:]), p.bound, 0)
+			sel[k] = int32(r.first + i)
+			k += int(lt)
+		}
+	default:
+		for i := 0; i < r.n; i++ {
+			if p.Match(col[i*rs : i*rs+w]) {
+				sel[k] = int32(r.first + i)
+				k++
+			}
+		}
+	}
+	return k
 }

@@ -9,30 +9,70 @@ import (
 )
 
 // Vectorized execution: the same σ/π/⋈ plans, batch-at-a-time. Every
-// operator moves a Batch — up to BatchSize consecutive rows as per-attribute
-// column slices plus a selection vector — instead of one row per interface
-// call. The physical accounting is untouched (batches are filled through the
-// SAME PartCursor stream, page fetch for page fetch), σ writes a selection
-// vector instead of moving rows, ⋈ degenerates to chunk alignment because
+// operator moves a Batch — up to BatchSize consecutive rows plus a selection
+// vector — instead of one row per interface call, and no operator moves a
+// row's bytes at all: a batch is a set of VIEWS over the pages its leaves'
+// cursors hand out (the store's own pages on a resident backend), one run
+// per page the batch straddles. σ reads the predicate column where it lies
+// and writes a selection vector, ⋈ degenerates to chunk alignment because
 // leaves emit consecutive IDs in lockstep chunks, and π digests the
-// surviving rows with the identical FNV-64a byte stream the row path feeds —
-// so checksums, row counts, and ScanStats are bit-equal to the row oracle.
+// surviving rows straight off the pages with the identical FNV-64a byte
+// stream the row path feeds. The physical accounting is untouched (batches
+// are cut from the SAME PartCursor stream, page fetch for page fetch) — so
+// checksums, row counts, and ScanStats are bit-equal to the row oracle.
+//
+// Lifetime: pages are read-only, always — on a resident backend a view IS
+// the store. A batch, and every byte reachable through it, is valid until
+// its leaves' next NextBatch call: the next fill drops the batch's page
+// references (nothing stays pinned past a batch) and a non-resident backend
+// reuses the buffers underneath. Whoever keeps bytes longer copies them.
 
 // DefaultBatchSize is the rows per batch when ExecOptions leaves it zero:
 // big enough to amortize per-batch overhead, small enough that a plan's
 // batches stay cache-resident.
 const DefaultBatchSize = 1024
 
-// MaxBatchSize caps requested batch sizes; beyond it per-batch buffers
-// stop paying for themselves and only cost memory.
+// MaxBatchSize caps requested batch sizes; beyond it a batch only grows its
+// selection vector and run lists.
 const MaxBatchSize = 1 << 16
 
-// Batch is one chunk of up to cap consecutive rows flowing through a
+// run is one page's share of a leaf batch: n consecutive rows occupying
+// batch slots first..first+n-1, whose partition rows start at rows[0] — the
+// page, sliced at the run's first row and never copied.
+type run struct {
+	rows  []byte
+	first int
+	n     int
+}
+
+// view is one leaf's window onto its partition for the current batch: the
+// page runs in slot order and the partition's row stride.
+type view struct {
+	runs    []run
+	rowSize int
+	at      int // the run the last row lookup landed in; lookups mostly ascend
+}
+
+// row returns slot i's partition row (and whatever follows it on the page).
+func (v *view) row(i int) []byte {
+	k := v.at
+	if k >= len(v.runs) || i < v.runs[k].first {
+		k = 0
+	}
+	for i >= v.runs[k].first+v.runs[k].n {
+		k++
+	}
+	v.at = k
+	return v.runs[k].rows[(i-v.runs[k].first)*v.rowSize:]
+}
+
+// Batch is one chunk of up to BatchSize consecutive rows flowing through a
 // vectorized pipeline. Rows occupy slots 0..n-1; slot i holds row Base+i of
-// the stored table, and attribute a's value lives at cols[a][i*w:(i+1)*w].
-// A nil selection vector means every slot survives; a non-nil one lists the
-// surviving slots in ascending order (σ only ever shrinks it). Leaf batches
-// own their column buffers; a join's output batch aliases its children's.
+// the stored table, and attribute a's value lies width[a] bytes at offs[a]
+// into slot i's row of src[a], the view of the leaf that stores a. A nil
+// selection vector means every slot survives; a non-nil one lists the
+// surviving slots in ascending order (σ only ever shrinks it). A leaf batch
+// owns its view; a join's output batch aliases its children's.
 type Batch struct {
 	// Base is the table row ID of slot 0; leaves emit consecutive IDs, so
 	// slot i is row Base+i.
@@ -40,22 +80,25 @@ type Batch struct {
 
 	n     int
 	attrs attrset.Set
+	cols  []int // attrs, ascending
 	sel   []int32
-	cols  [attrset.MaxAttrs][]byte
+	src   [attrset.MaxAttrs]*view
+	offs  [attrset.MaxAttrs]int
 	width [attrset.MaxAttrs]int
 
-	selBuf []int32 // σ's backing storage, cap == batch capacity
+	selBuf []int32 // σ's backing storage, grown to the batch's row count
 }
 
-// newLeafBatch allocates the reusable buffers for one leaf's column group.
-func newLeafBatch(c *storage.PartCursor, size int) *Batch {
-	b := &Batch{attrs: c.Attrs(), selBuf: make([]int32, 0, size)}
-	for _, a := range c.Attrs().Attrs() {
-		_, w := c.ColSpec(a)
-		b.width[a] = w
-		b.cols[a] = make([]byte, size*w)
+// newLeafBatch lays out the (empty) batch one leaf fills over and over, and
+// the view it owns.
+func newLeafBatch(c *storage.PartCursor) (*Batch, *view) {
+	b := &Batch{attrs: c.Attrs(), cols: c.Attrs().Attrs()}
+	v := &view{rowSize: c.RowSize()}
+	for _, a := range b.cols {
+		b.src[a] = v
+		b.offs[a], b.width[a] = c.ColSpec(a)
 	}
-	return b
+	return b, v
 }
 
 // Len returns the number of row slots filled.
@@ -65,16 +108,19 @@ func (b *Batch) Len() int { return b.n }
 // or nil when every slot survives.
 func (b *Batch) Sel() []int32 { return b.sel }
 
-// Attrs returns the attribute set the batch carries columns for.
+// Attrs returns the attribute set the batch carries values for.
 func (b *Batch) Attrs() attrset.Set { return b.attrs }
 
-// Col returns slot i's bytes of attribute a (no selection applied).
+// Col returns slot i's bytes of attribute a (no selection applied), or nil
+// when the batch does not carry a. The bytes are a read-only window onto a
+// page, valid as long as the batch is.
 func (b *Batch) Col(a, i int) []byte {
-	w := b.width[a]
-	if w == 0 {
+	v := b.src[a]
+	if v == nil {
 		return nil
 	}
-	return b.cols[a][i*w : (i+1)*w]
+	off := b.offs[a]
+	return v.row(i)[off : off+b.width[a] : off+b.width[a]]
 }
 
 // live returns how many of the batch's slots survive its selection.
@@ -97,86 +143,51 @@ type VecOperator interface {
 	Name() string
 }
 
-// VecScan is the vectorized leaf: it fills batches from a storage.PartCursor
-// in page-sized runs (NextRows), copying each column into the batch's own
-// buffers so rows survive past the cursor's page — the copy is what lets
-// batches cross goroutines and outlive page refills. The cursor stream, and
-// therefore every physical measurement, is identical to the row scan's.
+// VecScan is the vectorized leaf: it cuts batches from a storage.PartCursor
+// in page-sized runs (NextRows) and keeps, per run, the page itself — the
+// batch is a list of views, not a copy. The cursor holds one batch's worth
+// of pages valid (storage.PartCursor.Hold), which is the batch's lifetime:
+// until this leaf's next NextBatch. The cursor stream, and therefore every
+// physical measurement, is identical to the row scan's.
 type VecScan struct {
-	c     *storage.PartCursor
-	dev   cost.Device
-	attrs attrset.Set
-	cols  []int
-	offs  [attrset.MaxAttrs]int
-	width [attrset.MaxAttrs]int
-	size  int
-	buf   *Batch // sync-mode reusable batch; morsel feeders bring their own
-	out   int64
+	c    *storage.PartCursor
+	dev  cost.Device
+	size int
+	buf  *Batch
+	view *view // buf's own
+	out  int64
 }
 
 // NewVecScan opens a vectorized leaf over cur with the given batch size.
 func NewVecScan(cur *storage.PartCursor, dev cost.Device, size int) *VecScan {
-	s := &VecScan{c: cur, dev: dev, attrs: cur.Attrs(), cols: cur.Attrs().Attrs(), size: size}
-	for _, a := range s.cols {
-		s.offs[a], s.width[a] = cur.ColSpec(a)
-	}
-	return s
+	cur.Hold(size)
+	b, v := newLeafBatch(cur)
+	return &VecScan{c: cur, dev: dev, size: size, buf: b, view: v}
 }
 
-// FillInto fills b from the cursor: up to the batch size in page-sized runs,
-// strided column copies, no per-row calls. b.n == 0 signals end of stream.
-func (s *VecScan) FillInto(b *Batch) error {
-	b.Base = s.out
-	b.sel = nil
-	rs := s.c.RowSize()
-	filled := 0
-	for filled < s.size {
-		page, start, n, err := s.c.NextRows(s.size - filled)
+// NextBatch cuts the next batch: up to the batch size in page-sized runs, no
+// per-row work. The previous batch's page references are dropped first.
+func (s *VecScan) NextBatch() (*Batch, error) {
+	b, v := s.buf, s.view
+	clear(v.runs)
+	v.runs, v.at = v.runs[:0], 0
+	b.Base, b.sel, b.n = s.out, nil, 0
+	for b.n < s.size {
+		page, start, n, err := s.c.NextRows(s.size - b.n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if n == 0 {
 			break
 		}
-		src := page[start*rs:]
-		for _, a := range s.cols {
-			w, off := s.width[a], s.offs[a]
-			dst := b.cols[a][filled*w:]
-			switch w {
-			case 4: // the u32 int/date columns dominating the benchmarks
-				for i := 0; i < n; i++ {
-					so, do := i*rs+off, i*4
-					dst[do] = src[so]
-					dst[do+1] = src[so+1]
-					dst[do+2] = src[so+2]
-					dst[do+3] = src[so+3]
-				}
-			default:
-				for i := 0; i < n; i++ {
-					so := i*rs + off
-					copy(dst[i*w:(i+1)*w], src[so:so+w])
-				}
-			}
-		}
-		filled += n
+		v.runs = append(v.runs, run{rows: page[start*v.rowSize:], first: b.n, n: n})
+		b.n += n
 	}
-	b.n = filled
-	s.out += int64(filled)
-	return nil
-}
-
-// NextBatch fills the scan's own reusable batch.
-func (s *VecScan) NextBatch() (*Batch, error) {
-	if s.buf == nil {
-		s.buf = newLeafBatch(s.c, s.size)
-	}
-	if err := s.FillInto(s.buf); err != nil {
-		return nil, err
-	}
-	if s.buf.n == 0 {
+	if b.n == 0 {
 		return nil, nil
 	}
-	return s.buf, nil
+	s.out += int64(b.n)
+	return b, nil
 }
 
 // PartStats returns the leaf's physical accounting in the engine's
@@ -184,27 +195,17 @@ func (s *VecScan) NextBatch() (*Batch, error) {
 func (s *VecScan) PartStats() storage.PartScanStats { return s.c.Stats() }
 
 // Stats prices the leaf exactly as the row Scan does.
-func (s *VecScan) Stats() OpStats {
-	ps := s.c.Stats()
-	st := OpStats{
-		Op: "scan", Name: "scan" + s.attrs.String(), RowsOut: s.out,
-		Seeks: ps.Seeks, BytesRead: ps.BytesRead, CacheLines: ps.CacheLines,
-	}
-	if s.dev.Pricing == cost.PricingCache {
-		st.SimTime = float64(ps.CacheLines) * s.dev.MissLatency
-	} else {
-		st.SimTime = s.dev.SeekTime*float64(ps.Seeks) + float64(ps.BytesRead)/s.dev.ReadBandwidth
-	}
-	return st
-}
+func (s *VecScan) Stats() OpStats { return leafStats(s.c, s.dev, s.out) }
 
 // Name renders the leaf with its column group.
-func (s *VecScan) Name() string { return "scan" + s.attrs.String() }
+func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
 
-// VecSelect is the vectorized σ: the predicate is evaluated over the batch's
-// predicate column into the selection vector — no row movement, no
-// per-row pulls. Row counts match the row σ's: every slot that reaches it
-// counts in, every surviving slot counts out.
+// VecSelect is the vectorized σ: the predicate is evaluated over the
+// predicate column where it lies on the page, run by run, into the selection
+// vector — no row movement, no per-row pulls, and for the built-in
+// comparison forms no call and no branch per row either (Pred.filterRun).
+// Row counts match the row σ's: every slot that reaches it counts in, every
+// surviving slot counts out.
 type VecSelect struct {
 	child VecOperator
 	pred  Pred
@@ -217,41 +218,38 @@ func NewVecSelect(child VecOperator, pred Pred) *VecSelect {
 	return &VecSelect{child: child, pred: pred}
 }
 
-// Apply evaluates the predicate into b's selection vector in place. Exposed
-// (within the package) so morsel leaf goroutines can run the σ next to the
-// fill.
-func (s *VecSelect) Apply(b *Batch) {
-	w := b.width[s.pred.Attr]
-	col := b.cols[s.pred.Attr]
-	sel := b.selBuf[:0]
-	if b.sel == nil {
-		s.in += int64(b.n)
-		for i := 0; i < b.n; i++ {
-			if s.pred.Match(col[i*w : (i+1)*w]) {
-				sel = append(sel, int32(i))
-			}
-		}
-	} else {
-		s.in += int64(len(b.sel))
-		for _, i := range b.sel {
-			off := int(i) * w
-			if s.pred.Match(col[off : off+w]) {
-				sel = append(sel, i)
-			}
-		}
-	}
-	b.selBuf = sel
-	b.sel = sel
-	s.out += int64(len(sel))
-}
-
-// NextBatch pulls one batch and filters it.
+// NextBatch pulls one batch and filters it: the selection vector is written
+// in place, over the batch's own backing storage.
 func (s *VecSelect) NextBatch() (*Batch, error) {
 	b, err := s.child.NextBatch()
 	if b == nil || err != nil {
 		return nil, err
 	}
-	s.Apply(b)
+	a := s.pred.Attr
+	v, off, w := b.src[a], b.offs[a], b.width[a]
+	if cap(b.selBuf) < b.n {
+		b.selBuf = make([]int32, b.n)
+	}
+	sel := b.selBuf[:b.n]
+	k := 0
+	if b.sel == nil {
+		s.in += int64(b.n)
+		for ri := range v.runs {
+			k = s.pred.filterRun(&v.runs[ri], v.rowSize, off, w, sel, k)
+		}
+	} else {
+		// A batch some other σ already thinned: only its survivors are
+		// looked at, compacted in place (k never passes the read position).
+		s.in += int64(len(b.sel))
+		for _, i := range b.sel {
+			if s.pred.Match(v.row(int(i))[off : off+w]) {
+				sel[k] = i
+				k++
+			}
+		}
+	}
+	b.sel = sel[:k]
+	s.out += int64(k)
 	return b, nil
 }
 
@@ -266,10 +264,11 @@ func (s *VecSelect) Name() string { return "σ(" + s.pred.Name + ")" }
 // VecReconJoin is the vectorized ⋈. Because every leaf emits consecutive
 // row IDs in identically-sized chunks, chunk k of every child covers the
 // same ID range — the row path's ID merge collapses into aligning chunk
-// selection vectors. The output batch carries no copies at all: its column
-// slices alias the children's buffers and only the intersected selection
-// vector is new. The common-granularity drain is implicit: every child is
-// pulled to end of stream no matter what the selections discard.
+// selection vectors. The output batch carries no bytes at all: each
+// attribute points at the view of the child that stores it, and only the
+// intersected selection vector is new. The common-granularity drain is
+// implicit: every child is pulled to end of stream no matter what the
+// selections discard.
 type VecReconJoin struct {
 	children []VecOperator
 	out      Batch
@@ -312,9 +311,8 @@ func (j *VecReconJoin) NextBatch() (*Batch, error) {
 				b.Base, j.out.Base, b.n, j.out.n)
 		}
 		j.out.attrs = j.out.attrs.Union(b.attrs)
-		for _, a := range b.attrs.Attrs() {
-			j.out.cols[a] = b.cols[a]
-			j.out.width[a] = b.width[a]
+		for _, a := range b.cols {
+			j.out.src[a], j.out.offs[a], j.out.width[a] = b.src[a], b.offs[a], b.width[a]
 		}
 		sel = intersectSel(sel, b.sel, &j.selBuf)
 	}
@@ -378,15 +376,34 @@ const (
 	fnv64Prime  uint64 = 1099511628211
 )
 
-// VecProject is the vectorized π: one loop digests every surviving row's
-// query columns in ascending attribute order — the exact byte stream the
-// row Project feeds its hash — so the checksum stays layout-, mode-, and
-// batch-size-invariant. It also records per-batch fill ratios (surviving
-// rows over batch capacity), the serving layer's batching-efficiency signal.
+// span is one stretch of a partition row the digest reads in one go: the
+// query's attributes in ascending order, with neighbours that are also
+// neighbours in the same partition row fused (they are already the byte
+// stream the digest wants). attr names the leaf; v, ri and base track where
+// the current batch's current segment lies in that leaf's runs.
+type span struct {
+	attr   int
+	off, w int
+
+	v    *view
+	rs   int    // v's row stride
+	ri   int    // v's run under the current segment
+	base []byte // the segment's first row, sliced at off
+}
+
+// VecProject is the vectorized π: it digests every surviving row's query
+// columns in ascending attribute order — the exact byte stream the row
+// Project feeds its hash — so the checksum stays layout-, mode-, and
+// batch-size-invariant. The bytes are read where they lie: the batch's slot
+// range is split at the union of its leaves' run boundaries, and inside a
+// segment every leaf's rows sit at a fixed stride on one page. It also
+// records per-batch fill ratios (surviving rows over batch capacity), the
+// serving layer's batching-efficiency signal.
 type VecProject struct {
 	child VecOperator
 	attrs attrset.Set
 	cols  []int
+	spans []span // built from the first batch; the layout never changes
 	h     uint64
 	rows  int64
 	cap   int
@@ -405,32 +422,75 @@ func (p *VecProject) NextBatch() (*Batch, error) {
 	if b == nil || err != nil {
 		return nil, err
 	}
-	h := p.h
-	if b.sel == nil {
-		for i := 0; i < b.n; i++ {
-			for _, a := range p.cols {
-				w := b.width[a]
-				for _, c := range b.cols[a][i*w : (i+1)*w] {
-					h = (h ^ uint64(c)) * fnv64Prime
-				}
-			}
-		}
-		p.rows += int64(b.n)
-	} else {
-		for _, s := range b.sel {
-			i := int(s)
-			for _, a := range p.cols {
-				w := b.width[a]
-				for _, c := range b.cols[a][i*w : (i+1)*w] {
-					h = (h ^ uint64(c)) * fnv64Prime
-				}
-			}
-		}
-		p.rows += int64(len(b.sel))
+	if len(p.cols) > 0 {
+		p.digest(b)
 	}
-	p.h = h
+	p.rows += int64(b.live())
 	p.fills = append(p.fills, float64(b.live())/float64(p.cap))
 	return b, nil
+}
+
+// digest folds b's surviving rows into the checksum, segment by segment.
+func (p *VecProject) digest(b *Batch) {
+	if p.spans == nil {
+		for _, a := range p.cols {
+			if k := len(p.spans) - 1; k >= 0 && b.src[p.spans[k].attr] == b.src[a] && p.spans[k].off+p.spans[k].w == b.offs[a] {
+				p.spans[k].w += b.width[a]
+				continue
+			}
+			p.spans = append(p.spans, span{attr: a, off: b.offs[a], w: b.width[a]})
+		}
+	}
+	for k := range p.spans {
+		sp := &p.spans[k]
+		sp.v, sp.ri = b.src[sp.attr], 0
+		sp.rs = sp.v.rowSize
+	}
+
+	h := p.h
+	si := 0 // next entry of b.sel
+	for s := 0; s < b.n; {
+		// The segment starting at slot s ends where the first leaf runs out
+		// of page: step every span onto the run holding s, then take the
+		// nearest run end.
+		e := b.n
+		for k := range p.spans {
+			sp := &p.spans[k]
+			r := &sp.v.runs[sp.ri]
+			if r.first+r.n <= s {
+				sp.ri++
+				r = &sp.v.runs[sp.ri]
+			}
+			sp.base = r.rows[(s-r.first)*sp.rs+sp.off:]
+			if end := r.first + r.n; end < e {
+				e = end
+			}
+		}
+		if b.sel == nil {
+			for i := 0; i < e-s; i++ {
+				for k := range p.spans {
+					sp := &p.spans[k]
+					o := i * sp.rs
+					for _, c := range sp.base[o : o+sp.w] {
+						h = (h ^ uint64(c)) * fnv64Prime
+					}
+				}
+			}
+		} else {
+			for ; si < len(b.sel) && int(b.sel[si]) < e; si++ {
+				i := int(b.sel[si]) - s
+				for k := range p.spans {
+					sp := &p.spans[k]
+					o := i * sp.rs
+					for _, c := range sp.base[o : o+sp.w] {
+						h = (h ^ uint64(c)) * fnv64Prime
+					}
+				}
+			}
+		}
+		s = e
+	}
+	p.h = h
 }
 
 // Checksum returns the digest of everything projected so far.

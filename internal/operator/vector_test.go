@@ -3,6 +3,7 @@ package operator
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -18,13 +19,21 @@ func vecBatchSweep(rows int64) []int {
 	return []int{1, 7, 64, 4096, int(rows) + 1}
 }
 
-// resultsEqual compares two pipeline Results at zero tolerance, ignoring
-// FillRatios (a vector-only telemetry signal, deliberately absent in row
-// mode).
+// resultsEqual compares two pipeline Results at zero tolerance — floats by
+// their bits — ignoring FillRatios (a vector-only telemetry signal,
+// deliberately absent in row mode).
 func resultsEqual(t *testing.T, label string, got, want Result) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Checksum != want.Checksum {
 		t.Errorf("%s: rows/checksum %d/%x, want %d/%x", label, got.Rows, got.Checksum, want.Rows, want.Checksum)
+	}
+	if g, w := math.Float64bits(got.Stats.SimTime), math.Float64bits(want.Stats.SimTime); g != w {
+		t.Errorf("%s: SimTime bits %#x, want %#x", label, g, w)
+	}
+	for i := range got.Ops {
+		if i < len(want.Ops) && math.Float64bits(got.Ops[i].SimTime) != math.Float64bits(want.Ops[i].SimTime) {
+			t.Errorf("%s: op %s SimTime bits diverge", label, got.Ops[i].Name)
+		}
 	}
 	if !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Errorf("%s: stats diverge\n got %+v\nwant %+v", label, got.Stats, want.Stats)
@@ -101,10 +110,10 @@ func TestVectorEqualsRowOracle(t *testing.T) {
 	}
 }
 
-// TestVectorMorselWorkerInvariance pins the morsel path's defining property:
-// the worker count changes scheduling and nothing else. Every worker count
-// (including over-provisioned ones) must reproduce the single-goroutine
-// vector run and the row oracle exactly.
+// TestVectorMorselWorkerInvariance pins what ExecOptions.Workers promised
+// when it drove morsel feeders and still promises now that it drives
+// nothing: no worker count (including over-provisioned ones) changes a
+// reported number — every one reproduces the row oracle exactly.
 func TestVectorMorselWorkerInvariance(t *testing.T) {
 	const rows = 533
 	pred := U32Less(1, storage.DateDomain/3)
@@ -234,7 +243,7 @@ func TestExecOptionsValidation(t *testing.T) {
 
 // TestVectorLifecycle covers the vector mode's plumbing corners: Describe
 // parity with the row plan, the run-once guard, empty plans, and callback
-// error propagation through both the sync and morsel paths.
+// error propagation (with and without the inert Workers knob).
 func TestVectorLifecycle(t *testing.T) {
 	dev := testDevice()
 	e := loadEngine(t, testTable(t, 150), testLayouts["grouped"], dev, 1)
@@ -268,7 +277,7 @@ func TestVectorLifecycle(t *testing.T) {
 		t.Errorf("empty vector plan: %+v, %v", res, err)
 	}
 
-	// A callback error aborts the run — sync and morsel.
+	// A callback error aborts the run.
 	wantErr := fmt.Errorf("stop")
 	for _, workers := range []int{0, 4} {
 		pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{Mode: ExecVector, BatchSize: 8, Workers: workers})
@@ -284,17 +293,25 @@ func TestVectorLifecycle(t *testing.T) {
 // TestBatchAccessors covers the Batch surface operators outside this
 // package see.
 func TestBatchAccessors(t *testing.T) {
-	b := &Batch{n: 4, attrs: attrset.Of(2)}
-	b.width[2] = 2
-	b.cols[2] = []byte{0, 1, 2, 3, 4, 5, 6, 7}
+	// Four 3-byte rows straddling two pages (slots 0-1 on one, 2-3 on the
+	// next); attribute 2 is the 2 bytes at offset 1 of each row.
+	v := &view{rowSize: 3, runs: []run{
+		{rows: []byte{9, 0, 1, 9, 2, 3}, first: 0, n: 2},
+		{rows: []byte{9, 4, 5, 9, 6, 7}, first: 2, n: 2},
+	}}
+	b := &Batch{n: 4, attrs: attrset.Of(2), cols: []int{2}}
+	b.src[2], b.offs[2], b.width[2] = v, 1, 2
 	if b.Len() != 4 {
 		t.Errorf("Len = %d", b.Len())
 	}
 	if b.Attrs() != attrset.Of(2) {
 		t.Errorf("Attrs = %v", b.Attrs())
 	}
-	if got := b.Col(2, 1); !bytes.Equal(got, []byte{2, 3}) {
-		t.Errorf("Col(2,1) = %v", got)
+	// Ascending, then back across the page boundary.
+	for _, i := range []int{1, 2, 3, 0, 3, 1} {
+		if got := b.Col(2, i); !bytes.Equal(got, []byte{byte(2 * i), byte(2*i + 1)}) {
+			t.Errorf("Col(2,%d) = %v", i, got)
+		}
 	}
 	if b.Col(3, 0) != nil {
 		t.Error("Col on absent attr not nil")
@@ -327,5 +344,65 @@ func TestIntersectSel(t *testing.T) {
 	}
 	if got := intersectSel([]int32{1}, []int32{2}, &buf); len(got) != 0 {
 		t.Errorf("disjoint = %v", got)
+	}
+}
+
+// TestVecSelectStacked covers the σ-over-σ path no built plan takes: a
+// selection over an already-thinned batch evaluates survivors only and
+// compacts the selection vector in place. Both orders must keep exactly the
+// rows both predicates match, and count only what reached them.
+func TestVecSelectStacked(t *testing.T) {
+	const rows = 300
+	dev := testDevice()
+	e := loadEngine(t, testTable(t, rows), testLayouts["row"], dev, 9)
+	snap := e.Snapshot()
+	lo, hi := U32GreaterEq(1, storage.DateDomain/4), U32Less(1, storage.DateDomain/2)
+	odd := Pred{Attr: 3, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
+	for _, preds := range [][2]Pred{{lo, hi}, {hi, odd}, {odd, lo}} {
+		var want []int64
+		cur, err := snap.Cursor(0, dev, int64(snap.PartRowSize(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); ; id++ {
+			ok, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if preds[0].Match(cur.Col(preds[0].Attr)) && preds[1].Match(cur.Col(preds[1].Attr)) {
+				want = append(want, id)
+			}
+		}
+
+		cur, err = snap.Cursor(0, dev, int64(snap.PartRowSize(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := NewVecSelect(NewVecScan(cur, dev, 23), preds[0])
+		outer := NewVecSelect(inner, preds[1])
+		var got []int64
+		for {
+			b, err := outer.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			for _, s := range b.Sel() {
+				got = append(got, b.Base+int64(s))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s then %s: kept %v, want %v", preds[0].Name, preds[1].Name, got, want)
+		}
+		in, out := inner.Stats(), outer.Stats()
+		if in.RowsIn != rows || out.RowsIn != in.RowsOut || out.RowsOut != int64(len(want)) {
+			t.Errorf("%s then %s: row flow %d->%d, %d->%d, want %d->·->%d",
+				preds[0].Name, preds[1].Name, in.RowsIn, in.RowsOut, out.RowsIn, out.RowsOut, rows, len(want))
+		}
 	}
 }

@@ -36,8 +36,9 @@ func BenchmarkReplayLineitemParallel(b *testing.B)   { benchmarkLineitem(b, 0) }
 // and draining σ/π/⋈ pipelines. (The benchmark used to re-run the HillClimb
 // search per iteration, drowning the execution signal in search time.) The
 // σ on l_shipdate keeps roughly half the rows, exercising the predicate
-// branch per tuple while the leaf decomposition must stay bit-exact.
-func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions) {
+// branch per tuple while the leaf decomposition must stay bit-exact; with
+// sel nil the plans are the predicate-free ones Engine.Scan also answers.
+func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions, sel *Selection) {
 	bench := schema.TPCH(10)
 	tw := bench.Workload.ForTable(bench.Table("lineitem"))
 	cfg, model, err := (Config{MaxRows: 20_000, Seed: 1}).normalized()
@@ -54,14 +55,17 @@ func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions) {
 	}
 	defer e.Close()
 	snap := e.Snapshot()
-	sel := Selection{Attr: tw.Table.AttrIndex("l_shipdate"), Bound: 1263}
-	pred := sel.pred()
+	var pred *operator.Pred
+	if sel != nil {
+		p := sel.pred()
+		pred = &p
+	}
 
 	// The row oracle's checksums, computed once: every timed run — row or
 	// vector, any batch size — must reproduce them bit-exactly.
 	want := make([]uint64, len(tw.Queries))
 	for i, q := range tw.Queries {
-		pipe, err := operator.Build(snap, cfg.Disk, q.Attrs, &pred)
+		pipe, err := operator.Build(snap, cfg.Disk, q.Attrs, pred)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +81,7 @@ func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions) {
 	for i := 0; i < b.N; i++ {
 		rows = 0
 		for qi, q := range tw.Queries {
-			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, &pred, opts)
+			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,15 +103,55 @@ func benchmarkOperatorPipeline(b *testing.B, opts operator.ExecOptions) {
 	b.ReportMetric(float64(rows), "result-rows")
 }
 
-func BenchmarkOperatorPipeline(b *testing.B) {
-	benchmarkOperatorPipeline(b, operator.ExecOptions{Mode: operator.ExecRow})
+// shipdateSel is the σ the pipeline benchmarks push down.
+func shipdateSel() *Selection {
+	li := schema.TPCH(10).Table("lineitem")
+	return &Selection{Attr: li.AttrIndex("l_shipdate"), Bound: 1263}
 }
 
-// The vectorized leg of the same workload: batch-at-a-time execution with
-// morsel-parallel leaf scans. The rows/s ratio against the row benchmark is
-// the PR's headline number (CI floors it at 1.3x on one core).
+func BenchmarkOperatorPipeline(b *testing.B) {
+	benchmarkOperatorPipeline(b, operator.ExecOptions{Mode: operator.ExecRow}, shipdateSel())
+}
+
+// The vectorized leg of the same workload: batch-at-a-time execution over
+// views of the store's pages. Run it with -benchmem: B/op is the record that
+// nothing buffers rows (operator.TestVectorScanDoesNotBufferRows is the gate).
 func BenchmarkOperatorPipelineVectorized(b *testing.B) {
-	benchmarkOperatorPipeline(b, operator.ExecOptions{Mode: operator.ExecVector})
+	benchmarkOperatorPipeline(b, operator.ExecOptions{Mode: operator.ExecVector}, shipdateSel())
+}
+
+// ROADMAP item 2's exit test, as a pair: the predicate-free vector pipelines
+// against Engine.Scan over the same store and the same 17 queries. The one
+// executor item 2 wants is the pipeline; it may replace the monolithic scan
+// once the first of these is no slower than the second.
+func BenchmarkOperatorPipelineVectorizedNoPredicate(b *testing.B) {
+	benchmarkOperatorPipeline(b, operator.ExecOptions{Mode: operator.ExecVector}, nil)
+}
+
+func BenchmarkEngineScanLineitem(b *testing.B) {
+	bench := schema.TPCH(10)
+	tw := bench.Workload.ForTable(bench.Table("lineitem"))
+	cfg, model, err := (Config{MaxRows: 20_000, Seed: 1}).normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, _, err := layoutFor(tw, "HillClimb", model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := Materialize(tw, layout, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range tw.Queries {
+			if _, err := e.Scan(q.Attrs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // The SSD leg of the replay record: the same materialize-and-scan chain on

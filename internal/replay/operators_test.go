@@ -239,7 +239,7 @@ func TestOperatorsErrors(t *testing.T) {
 
 // TestOperatorsVectorDifferential is the vector-mode leg of the acceptance
 // matrix: every algorithm x {TPC-H, SSB} x {HDD, SSD, MM}, executed
-// batch-at-a-time with morsel-parallel leaves, must reproduce the row
+// batch-at-a-time (and with the now-inert ExecWorkers set), must reproduce the row
 // oracle's per-query stats, measurements, and predictions EXACTLY — zero
 // tolerance, checksum for checksum — while still measuring what the cost
 // model predicts.

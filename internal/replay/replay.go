@@ -85,8 +85,8 @@ type Config struct {
 	// BatchSize is vector mode's rows per batch; 0 uses the operator
 	// layer's default.
 	BatchSize int
-	// ExecWorkers bounds morsel-parallel leaf scans within one vectorized
-	// pipeline; <= 1 keeps each pipeline on its calling goroutine.
+	// ExecWorkers is accepted, validated (non-negative) and ignored: every
+	// pipeline runs on its calling goroutine (operator.ExecOptions.Workers).
 	ExecWorkers int
 }
 

@@ -11,15 +11,29 @@ import (
 type Backend interface {
 	// WritePage appends a page; pages are written in order.
 	WritePage(page []byte) error
-	// ReadPage reads page idx into dst (len(dst) = page size).
-	ReadPage(idx int64, dst []byte) error
+	// ReadPage returns page idx, read-only. A resident backend hands out its
+	// own page, shared with every other reader, and ignores buf; any other
+	// fills buf (at least a page long) and returns it.
+	ReadPage(idx int64, buf []byte) ([]byte, error)
+	// Resident reports whether ReadPage hands out backend-owned pages.
+	Resident() bool
 	// Pages returns the number of pages written.
 	Pages() int64
 	// Close releases resources.
 	Close() error
 }
 
-// memBackend keeps pages in memory; the default for tests and experiments.
+// pageBuf returns the buffer b.ReadPage needs: nil for a resident backend.
+func pageBuf(b Backend, pageSize int64) []byte {
+	if b.Resident() {
+		return nil
+	}
+	return make([]byte, pageSize)
+}
+
+// memBackend keeps pages in memory; the default for tests, experiments and
+// the daemon's resident stores. A page is written once and never touched
+// again, which is what lets ReadPage hand it out instead of copying it.
 type memBackend struct {
 	pages    [][]byte
 	pageSize int
@@ -40,16 +54,16 @@ func (m *memBackend) WritePage(page []byte) error {
 	return nil
 }
 
-func (m *memBackend) ReadPage(idx int64, dst []byte) error {
+func (m *memBackend) ReadPage(idx int64, _ []byte) ([]byte, error) {
 	if idx < 0 || idx >= int64(len(m.pages)) {
-		return fmt.Errorf("storage: page %d out of range (%d pages)", idx, len(m.pages))
+		return nil, fmt.Errorf("storage: page %d out of range (%d pages)", idx, len(m.pages))
 	}
-	copy(dst, m.pages[idx])
-	return nil
+	return m.pages[idx], nil
 }
 
-func (m *memBackend) Pages() int64 { return int64(len(m.pages)) }
-func (m *memBackend) Close() error { return nil }
+func (m *memBackend) Resident() bool { return true }
+func (m *memBackend) Pages() int64   { return int64(len(m.pages)) }
+func (m *memBackend) Close() error   { return nil }
 
 // fileBackend stores pages in one file of a vfs.FS; used by integration
 // tests to exercise the real I/O path and by fault-injection tests to
@@ -91,15 +105,16 @@ func (b *fileBackend) WritePage(page []byte) error {
 	return nil
 }
 
-func (b *fileBackend) ReadPage(idx int64, dst []byte) error {
+func (b *fileBackend) ReadPage(idx int64, buf []byte) ([]byte, error) {
 	if idx < 0 || idx >= b.n {
-		return fmt.Errorf("storage: page %d out of range (%d pages)", idx, b.n)
+		return nil, fmt.Errorf("storage: page %d out of range (%d pages)", idx, b.n)
 	}
-	if _, err := b.f.ReadAt(dst[:b.pageSize], idx*int64(b.pageSize)); err != nil {
-		return fmt.Errorf("storage: read page %d: %w", idx, err)
+	if _, err := b.f.ReadAt(buf[:b.pageSize], idx*int64(b.pageSize)); err != nil {
+		return nil, fmt.Errorf("storage: read page %d: %w", idx, err)
 	}
-	return nil
+	return buf[:b.pageSize], nil
 }
 
-func (b *fileBackend) Pages() int64 { return b.n }
-func (b *fileBackend) Close() error { return b.f.Close() }
+func (b *fileBackend) Resident() bool { return false }
+func (b *fileBackend) Pages() int64   { return b.n }
+func (b *fileBackend) Close() error   { return b.f.Close() }

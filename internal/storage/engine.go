@@ -309,6 +309,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 		p         *enginePart
 		pagesBuff int64  // pages per buffer refill
 		page      []byte // current page
+		buf       []byte // what a non-resident backend reads pages into
 		buffered  int64  // pages remaining in the buffer
 		nextPage  int64  // next page index to fetch
 		inPage    int    // row index within the current page
@@ -322,7 +323,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 		if pagesBuff < 1 {
 			pagesBuff = 1
 		}
-		cursors[i] = &cursor{p: p, pagesBuff: pagesBuff, page: make([]byte, e.disk.BlockSize)}
+		cursors[i] = &cursor{p: p, pagesBuff: pagesBuff, buf: pageBuf(p.backend, e.disk.BlockSize)}
 	}
 
 	// fetch loads the cursor's next page, charging a seek whenever its
@@ -332,9 +333,11 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 			c.seeks++
 			c.buffered = c.pagesBuff
 		}
-		if err := c.p.backend.ReadPage(c.nextPage, c.page); err != nil {
+		page, err := c.p.backend.ReadPage(c.nextPage, c.buf)
+		if err != nil {
 			return err
 		}
+		c.page = page
 		c.bytes += e.disk.BlockSize
 		c.nextPage++
 		c.buffered--

@@ -37,15 +37,16 @@ func (f *failingBackend) WritePage(p []byte) error {
 	return f.inner.WritePage(p)
 }
 
-func (f *failingBackend) ReadPage(idx int64, dst []byte) error {
+func (f *failingBackend) ReadPage(idx int64, buf []byte) ([]byte, error) {
 	f.reads++
 	if f.failRead > 0 && f.reads == f.failRead {
-		return errInjected
+		return nil, errInjected
 	}
-	return f.inner.ReadPage(idx, dst)
+	return f.inner.ReadPage(idx, buf)
 }
 
-func (f *failingBackend) Pages() int64 { return f.inner.Pages() }
+func (f *failingBackend) Resident() bool { return f.inner.Resident() }
+func (f *failingBackend) Pages() int64   { return f.inner.Pages() }
 func (f *failingBackend) Close() error {
 	if f.closeError != nil {
 		return f.closeError
@@ -128,12 +129,14 @@ func TestMemBackendBounds(t *testing.T) {
 	if err := b.WritePage(make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 64)
-	if err := b.ReadPage(1, dst); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := b.ReadPage(1, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range read error = %v", err)
 	}
-	if err := b.ReadPage(-1, dst); err == nil {
+	if _, err := b.ReadPage(-1, nil); err == nil {
 		t.Error("accepted negative page index")
+	}
+	if page, err := b.ReadPage(0, nil); err != nil || len(page) != 64 || !b.Resident() {
+		t.Errorf("resident read = %d bytes, %v", len(page), err)
 	}
 }
 
@@ -149,8 +152,12 @@ func TestFileBackendBounds(t *testing.T) {
 	if err := b.WritePage(make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReadPage(5, make([]byte, 64)); err == nil {
+	buf := make([]byte, 64)
+	if _, err := b.ReadPage(5, buf); err == nil {
 		t.Error("accepted out-of-range read")
+	}
+	if page, err := b.ReadPage(0, buf); err != nil || &page[0] != &buf[0] || b.Resident() {
+		t.Errorf("file read did not fill the caller's buffer: %v", err)
 	}
 	if got := b.Pages(); got != 1 {
 		t.Errorf("Pages = %d", got)

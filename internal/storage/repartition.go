@@ -255,7 +255,8 @@ func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged m
 	if pagesBuff < 1 {
 		pagesBuff = 1
 	}
-	page := make([]byte, e.disk.BlockSize)
+	var page []byte
+	buf := pageBuf(p.backend, e.disk.BlockSize)
 	var buffered int64
 	inPage := p.rowsPerPage // force an initial fetch
 	var nextPage int64
@@ -265,7 +266,8 @@ func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged m
 				ps.Seeks++
 				buffered = pagesBuff
 			}
-			if err := p.backend.ReadPage(nextPage, page); err != nil {
+			var err error
+			if page, err = p.backend.ReadPage(nextPage, buf); err != nil {
 				return ps, fmt.Errorf("storage: repartition read %v: %w", p.attrs, err)
 			}
 			ps.Bytes += e.disk.BlockSize

@@ -76,7 +76,8 @@ type PartCursor struct {
 	dev cost.Device
 
 	pagesBuff int64
-	page      []byte
+	page      []byte   // current page: the backend's own, or a ring slot
+	ring      [][]byte // page buffers a non-resident backend reads into; nil otherwise
 	buffered  int64
 	nextPage  int64
 	inPage    int
@@ -86,9 +87,10 @@ type PartCursor struct {
 	bytes     int64
 	cacheLine int64
 
-	// offsets[a] is the byte offset of attribute a within the partition
-	// row, or -1 when the partition does not hold a.
+	// offsets[a] and widths[a] are the byte offset and width of attribute a
+	// within the partition row; -1 and 0 when the partition does not hold a.
 	offsets [attrset.MaxAttrs]int
+	widths  [attrset.MaxAttrs]int
 }
 
 // Cursor opens a cursor over partition i, accounting against dev. The
@@ -126,14 +128,17 @@ func (s *Snapshot) Cursor(i int, dev cost.Device, totalRowSize int64) (*PartCurs
 	}
 	c := &PartCursor{
 		p: p, dev: dev, pagesBuff: pagesBuff,
-		page: make([]byte, dev.BlockSize),
 		rows: s.ep.rows, cacheLine: line,
+	}
+	if !p.backend.Resident() {
+		c.ring = make([][]byte, 1)
 	}
 	for a := range c.offsets {
 		c.offsets[a] = -1
 	}
 	for ci, col := range p.cols {
 		c.offsets[col] = p.offsets[ci]
+		c.widths[col] = s.table.Columns[col].Size
 	}
 	return c, nil
 }
@@ -144,61 +149,82 @@ func (c *PartCursor) Attrs() attrset.Set { return c.p.attrs }
 // RowSize returns the bytes one partition row occupies.
 func (c *PartCursor) RowSize() int { return c.p.rowSize }
 
+// Hold guarantees that the pages under any rows consecutive rows are valid
+// together: a page NextRows returned is reused only once the cursor has read
+// past the rows-row window that began on it — one batch, for a vector leaf
+// that keeps views of every page its batch straddles. It sizes the ring a
+// non-resident backend reads into (resident pages never go away) and must be
+// called before the first row is read.
+func (c *PartCursor) Hold(rows int) {
+	if c.ring != nil && rows > 0 {
+		// The most pages rows consecutive rows can touch.
+		c.ring = make([][]byte, (rows+c.p.rowsPerPage-2)/c.p.rowsPerPage+1)
+	}
+}
+
+// step moves onto the next row, fetching (and accounting) the next page when
+// the walk crosses a page boundary: one seek per buffer refill, BlockSize
+// bytes per page.
+func (c *PartCursor) step() error {
+	if c.nextPage != 0 {
+		c.inPage++
+	}
+	if c.nextPage != 0 && c.inPage != c.p.rowsPerPage {
+		return nil
+	}
+	if c.buffered == 0 {
+		c.seeks++
+		c.buffered = c.pagesBuff
+	}
+	var buf []byte
+	if c.ring != nil {
+		slot := &c.ring[c.nextPage%int64(len(c.ring))]
+		if *slot == nil {
+			*slot = make([]byte, c.dev.BlockSize)
+		}
+		buf = *slot
+	}
+	page, err := c.p.backend.ReadPage(c.nextPage, buf)
+	if err != nil {
+		return err
+	}
+	c.page = page
+	c.bytes += c.dev.BlockSize
+	c.nextPage++
+	c.buffered--
+	c.inPage = 0
+	return nil
+}
+
 // Next advances to the next row, fetching (and accounting) pages as the
 // row walk crosses page boundaries. It returns false at end of stream.
 func (c *PartCursor) Next() (bool, error) {
 	if c.row >= c.rows {
 		return false, nil
 	}
-	if c.nextPage != 0 {
-		c.inPage++
-	}
-	if c.nextPage == 0 || c.inPage == c.p.rowsPerPage {
-		if c.buffered == 0 {
-			c.seeks++
-			c.buffered = c.pagesBuff
-		}
-		if err := c.p.backend.ReadPage(c.nextPage, c.page); err != nil {
-			return false, err
-		}
-		c.bytes += c.dev.BlockSize
-		c.nextPage++
-		c.buffered--
-		c.inPage = 0
+	if err := c.step(); err != nil {
+		return false, err
 	}
 	c.row++
 	return true, nil
 }
 
 // NextRows advances through up to max rows that share one page, returning
-// the page buffer, the index of the first row within it, and the row count.
-// It is accounting-equivalent to calling Next that many times: the page
-// fetch, seek charge, and byte count land at exactly the same points in the
+// the page, the index of the first row within it, and the row count. It is
+// accounting-equivalent to calling Next that many times: the page fetch,
+// seek charge, and byte count land at exactly the same points in the
 // stream, and Stats afterwards are bit-identical — which is what lets the
 // vectorized scan batch rows without perturbing a single measured number.
-// n == 0 means end of stream. The page aliases cursor-owned memory and is
-// valid only until the next Next/NextRows call; callers copy what they keep.
+// n == 0 means end of stream. The page is READ-ONLY — on a resident backend
+// it is the store itself — and valid for as many further rows as Hold asked
+// for: by default until the next Next/NextRows call, for a vector leaf until
+// its next batch.
 func (c *PartCursor) NextRows(max int) (page []byte, start, n int, err error) {
 	if c.row >= c.rows || max <= 0 {
 		return nil, 0, 0, nil
 	}
-	// Step onto the next row exactly as Next does, fetching (and charging)
-	// on the page boundary.
-	if c.nextPage != 0 {
-		c.inPage++
-	}
-	if c.nextPage == 0 || c.inPage == c.p.rowsPerPage {
-		if c.buffered == 0 {
-			c.seeks++
-			c.buffered = c.pagesBuff
-		}
-		if err := c.p.backend.ReadPage(c.nextPage, c.page); err != nil {
-			return nil, 0, 0, err
-		}
-		c.bytes += c.dev.BlockSize
-		c.nextPage++
-		c.buffered--
-		c.inPage = 0
+	if err := c.step(); err != nil {
+		return nil, 0, 0, err
 	}
 	start = c.inPage
 	// The run ends at the page boundary, the stream end, or max — whichever
@@ -222,35 +248,19 @@ func (c *PartCursor) NextRows(max int) (page []byte, start, n int, err error) {
 // with NextRows it lets a batch reader address page[ (start+i)*RowSize()+off
 // : ... +off+width ] without per-row calls.
 func (c *PartCursor) ColSpec(a int) (off, width int) {
-	off = c.offsets[a]
-	if off < 0 {
-		return -1, 0
-	}
-	return off, c.p.colSize(a)
+	return c.offsets[a], c.widths[a]
 }
 
 // Col returns the current row's bytes of attribute a, valid until the next
-// Next call. It returns nil when the partition does not hold a.
+// Next call and read-only like every page. It returns nil when the
+// partition does not hold a.
 func (c *PartCursor) Col(a int) []byte {
 	off := c.offsets[a]
 	if off < 0 {
 		return nil
 	}
-	base := c.inPage * c.p.rowSize
-	return c.page[base+off : base+off+c.p.colSize(a)]
-}
-
-// colSize returns the byte width of attribute a within the partition row.
-func (p *enginePart) colSize(a int) int {
-	for ci, col := range p.cols {
-		if col == a {
-			if ci+1 < len(p.offsets) {
-				return p.offsets[ci+1] - p.offsets[ci]
-			}
-			return p.rowSize - p.offsets[ci]
-		}
-	}
-	return 0
+	base := c.inPage*c.p.rowSize + off
+	return c.page[base : base+c.widths[a]]
 }
 
 // Stats returns the cursor's accounting so far. Cache lines are counted
