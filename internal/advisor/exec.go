@@ -93,5 +93,8 @@ func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt 
 	if !ran {
 		s.queryHits.Add(1)
 	}
+	if !rep.Exact() {
+		s.inexact.Add(1)
+	}
 	return rep, p.key.fp, !ran, nil
 }

@@ -242,6 +242,11 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if got := sampleValue(t, expo, "knives_store_materializations_total"); got != 1 {
 		t.Errorf("two /query selections over one table ran %v materializations, want 1", got)
 	}
+	// Both /query reports left exact: the series exists (sampleValue fails
+	// the test on a missing one) and reads 0.
+	if got := sampleValue(t, expo, "knives_exactness_failures_total"); got != 0 {
+		t.Errorf("knives_exactness_failures_total = %v, want 0", got)
+	}
 	// Every fsync carried at least one caller's events; both series count
 	// what they always counted, however many callers shared a commit.
 	fsyncs := sampleValue(t, expo, "knives_wal_fsync_seconds_count")

@@ -143,6 +143,9 @@ func (s *Service) MigrateTable(table string, opt MigrateOptions) (*MigrationOutc
 	// journal-append failure surfaces as the request's error — the outcome
 	// stays cached, so the retry re-attempts exactly this advance.
 	out := *outcome
+	if out.Report != nil && !out.Report.VerifyExact() {
+		s.inexact.Add(1)
+	}
 	if out.Plan != nil && (out.Report == nil || (out.Plan.Viable && out.Report.Exact())) {
 		applied, err := t.MarkApplied(st.currentFP)
 		if err != nil {

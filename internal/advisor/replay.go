@@ -193,5 +193,8 @@ func (s *Service) replayTableAs(ctx context.Context, tw schema.TableWorkload, op
 	if !ran {
 		s.replayHits.Add(1)
 	}
+	if !rep.Exact() {
+		s.inexact.Add(1)
+	}
 	return rep, p.key.fp, !ran, nil
 }

@@ -157,6 +157,11 @@ type Service struct {
 	queryHits   atomic.Int64 // executions answered from cache without executing
 	migrations  atomic.Int64 // migration requests answered
 	migrateHits atomic.Int64 // migrations answered from cache without executing
+	// inexact counts /replay, /query and /migrate reports returned (fresh or
+	// cached) with exact / verify_exact false — the system's ground-truth
+	// claim, exported so that a broken identity is not visible only in a
+	// response body. It must stay 0.
+	inexact atomic.Int64
 
 	// Batch-accurate observation counters: queries observed (not HTTP
 	// requests), observation batches applied, and group commits — so

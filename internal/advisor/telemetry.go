@@ -132,6 +132,8 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.CounterFunc("knives_store_materializations_total", s.stores.materializations.Load)
 	reg.CounterFunc("knives_migrations_total", s.migrations.Load)
 	reg.CounterFunc("knives_migrate_hits_total", s.migrateHits.Load)
+	reg.SetHelp("knives_exactness_failures_total", "Reports returned by /replay, /query or /migrate with exact / verify_exact false; must stay 0.")
+	reg.CounterFunc("knives_exactness_failures_total", s.inexact.Load)
 	reg.CounterFunc("knives_observed_queries_total", s.observedQueries.Load)
 	reg.CounterFunc("knives_observe_batches_total", s.observeBatches.Load)
 	reg.CounterFunc("knives_ingest_groups_total", s.ingestGroups.Load)

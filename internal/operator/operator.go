@@ -1,9 +1,6 @@
 package operator
 
 import (
-	"hash"
-	"hash/fnv"
-
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/storage"
@@ -308,22 +305,21 @@ func (j *ReconJoin) Stats() OpStats {
 func (j *ReconJoin) Name() string { return "⋈" }
 
 // Project is the π operator: it restricts rows to the query's attributes
-// and folds the projected values into the same layout-independent FNV-64a
-// checksum Engine.Scan computes (each row's query columns in ascending
-// attribute order), so a pipeline's result digest is directly comparable
-// to a monolithic scan's.
+// and folds them into the row digest — the one checksum definition, in
+// storage/digest.go, that Engine.Scan and the vector π compute too — so a
+// pipeline's result checksum is directly comparable to a monolithic scan's.
 type Project struct {
 	child Operator
 	attrs attrset.Set
 	cols  []int
-	h     hash.Hash64
+	h     uint64
 	out   Row
 	in    int64
 }
 
 // NewProject projects child onto attrs.
 func NewProject(child Operator, attrs attrset.Set) *Project {
-	p := &Project{child: child, attrs: attrs, cols: attrs.Attrs(), h: fnv.New64a()}
+	p := &Project{child: child, attrs: attrs, cols: attrs.Attrs(), h: storage.ChecksumSeed}
 	p.out.Attrs = attrs
 	return p
 }
@@ -335,17 +331,19 @@ func (p *Project) Next() (*Row, error) {
 		return nil, err
 	}
 	p.in++
+	rh := storage.RowSeed
 	for _, a := range p.cols {
 		b := r.Col(a)
-		p.h.Write(b)
+		rh = storage.FoldValue(rh, b)
 		p.out.vals[a] = b
 	}
+	p.h = storage.FoldRow(p.h, rh)
 	p.out.ID = r.ID
 	return &p.out, nil
 }
 
 // Checksum returns the digest of everything projected so far.
-func (p *Project) Checksum() uint64 { return p.h.Sum64() }
+func (p *Project) Checksum() uint64 { return p.h }
 
 // Stats reports the projection's row flow.
 func (p *Project) Stats() OpStats {

@@ -394,10 +394,10 @@ func TestPreds(t *testing.T) {
 		t.Error("U64Less(5000) accepts 5000")
 	}
 	// Narrow columns never match numeric predicates.
-	if p := U32Less(0, 1 << 30); p.Match([]byte{1}) {
+	if p := U32Less(0, 1<<30); p.Match([]byte{1}) {
 		t.Error("U32Less matched a 1-byte column")
 	}
-	if p := U64Less(0, 1 << 60); p.Match(le4) {
+	if p := U64Less(0, 1<<60); p.Match(le4) {
 		t.Error("U64Less matched a 4-byte column")
 	}
 }

@@ -55,7 +55,7 @@ const (
 )
 
 // ExecOptions tune HOW a pipeline executes; they can never change WHAT it
-// computes or measures — every mode shares the cursors, the digest stream,
+// computes or measures — every mode shares the cursors, the row digest,
 // and the aggregation order, so results and ScanStats are knob-invariant.
 type ExecOptions struct {
 	// Mode selects row- or batch-at-a-time execution; empty means row.
@@ -104,7 +104,8 @@ func (o ExecOptions) normalized() (ExecOptions, error) {
 type Result struct {
 	// Rows is the number of result rows the root emitted.
 	Rows int64
-	// Checksum digests the projected result, layout-independently.
+	// Checksum is the row digest of the projected result (storage/digest.go):
+	// equal across layouts, devices, backends and exec modes.
 	Checksum uint64
 	// Stats aggregates the pipeline in Engine.Scan's terms — for a plan
 	// with no predicate it equals the monolithic scan's ScanStats bit for

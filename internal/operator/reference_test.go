@@ -12,8 +12,9 @@ import (
 // path replaced, kept verbatim as its oracle. A leaf TRANSPOSES every page
 // run into per-attribute column buffers the batch owns (refScan.FillInto),
 // σ calls Pred.Match per row, ⋈ aliases column slices, and π digests the
-// column buffers — no views, no page lifetime to get wrong, no inline
-// predicate forms. It shares nothing with vector.go but the cursors, OpStats
+// column buffers row by row with the row digest spelled out byte by byte —
+// no views, no page lifetime to get wrong, no inline predicate forms, no
+// word loads. It shares nothing with vector.go but the cursors, OpStats
 // and intersectSel, so a bug in how the production path walks runs, splits
 // segments or evaluates a tagged predicate cannot hide in both. refRun is
 // buildVector + runVector over these operators.
@@ -308,11 +309,39 @@ func (j *refJoin) Stats() OpStats {
 // Name renders the join.
 func (j *refJoin) Name() string { return "⋈" }
 
-// refProject is the vectorized π: one loop digests every surviving row's
-// query columns in ascending attribute order — the exact byte stream the
-// row Project feeds its hash — so the checksum stays layout-, mode-, and
-// batch-size-invariant. It also records per-batch fill ratios (surviving
-// rows over batch capacity), the serving layer's batching-efficiency signal.
+// The row digest, spelled out byte by byte — the definition production code
+// (storage/digest.go) must equal, sharing nothing with it: its own
+// constants, no word loads, no width cases.
+//
+//	refStep(h, w) = x ^ x>>32, x = (h ^ w) * 0xd6e8feb86659fd93
+//	row hash      = refStep from 0xbb67ae8584caa73b over the row's query
+//	                columns in ascending attribute order, each value cut into
+//	                8-byte little-endian words, the last one zero-extended
+//	checksum      = refStep from 0x6a09e667f3bcc908 over the row hashes of
+//	                the surviving rows, in row order
+func refStep(h, w uint64) uint64 {
+	x := (h ^ w) * 0xd6e8feb86659fd93
+	return x ^ x>>32
+}
+
+// refRowHash folds one value into a row hash: byte j of the value is byte
+// j%8 of word j/8.
+func refRowHash(rh uint64, v []byte) uint64 {
+	for at := 0; at < len(v); at += 8 {
+		var w uint64
+		for j := at; j < at+8 && j < len(v); j++ {
+			w |= uint64(v[j]) << (8 * uint(j-at))
+		}
+		rh = refStep(rh, w)
+	}
+	return rh
+}
+
+// refProject is the vectorized π: one loop hashes every surviving row's
+// query columns in ascending attribute order and folds the row hash into the
+// checksum — the definition above, row at a time, a column-less row
+// included. It also records per-batch fill ratios (surviving rows over batch
+// capacity), the serving layer's batching-efficiency signal.
 type refProject struct {
 	child refOperator
 	attrs attrset.Set
@@ -326,7 +355,7 @@ type refProject struct {
 // newRefProject projects child onto attrs; cap is the pipeline batch size
 // the fill ratios are measured against.
 func newRefProject(child refOperator, attrs attrset.Set, cap int) *refProject {
-	return &refProject{child: child, attrs: attrs, cols: attrs.Attrs(), h: fnv64Offset, cap: cap}
+	return &refProject{child: child, attrs: attrs, cols: attrs.Attrs(), h: 0x6a09e667f3bcc908, cap: cap}
 }
 
 // NextBatch digests one batch's surviving rows.
@@ -335,30 +364,24 @@ func (p *refProject) NextBatch() (*refBatch, error) {
 	if b == nil || err != nil {
 		return nil, err
 	}
-	h := p.h
+	digest := func(i int) {
+		rh := uint64(0xbb67ae8584caa73b)
+		for _, a := range p.cols {
+			w := b.width[a]
+			rh = refRowHash(rh, b.cols[a][i*w:(i+1)*w])
+		}
+		p.h = refStep(p.h, rh)
+	}
 	if b.sel == nil {
 		for i := 0; i < b.n; i++ {
-			for _, a := range p.cols {
-				w := b.width[a]
-				for _, c := range b.cols[a][i*w : (i+1)*w] {
-					h = (h ^ uint64(c)) * fnv64Prime
-				}
-			}
+			digest(i)
 		}
-		p.rows += int64(b.n)
 	} else {
 		for _, s := range b.sel {
-			i := int(s)
-			for _, a := range p.cols {
-				w := b.width[a]
-				for _, c := range b.cols[a][i*w : (i+1)*w] {
-					h = (h ^ uint64(c)) * fnv64Prime
-				}
-			}
+			digest(int(s))
 		}
-		p.rows += int64(len(b.sel))
 	}
-	p.h = h
+	p.rows += int64(b.live())
 	p.fills = append(p.fills, float64(b.live())/float64(p.cap))
 	return b, nil
 }

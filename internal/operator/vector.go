@@ -15,9 +15,10 @@ import (
 // cursors hand out (the store's own pages on a resident backend), one run
 // per page the batch straddles. σ reads the predicate column where it lies
 // and writes a selection vector, ⋈ degenerates to chunk alignment because
-// leaves emit consecutive IDs in lockstep chunks, and π digests the
-// surviving rows straight off the pages with the identical FNV-64a byte
-// stream the row path feeds. The physical accounting is untouched (batches
+// leaves emit consecutive IDs in lockstep chunks, and π folds the
+// surviving rows straight off the pages into the row digest — the one
+// checksum definition, storage/digest.go, the row path and Engine.Scan
+// compute too. The physical accounting is untouched (batches
 // are cut from the SAME PartCursor stream, page fetch for page fetch) — so
 // checksums, row counts, and ScanStats are bit-equal to the row oracle.
 //
@@ -367,20 +368,9 @@ func (j *VecReconJoin) Stats() OpStats {
 // Name renders the join.
 func (j *VecReconJoin) Name() string { return "⋈" }
 
-// fnv64Offset and fnv64Prime are FNV-64a's constants; VecProject inlines the
-// hash state as a bare uint64 (hash/fnv's object costs an interface call and
-// a pointer chase per write) — the byte stream, and therefore the digest, is
-// identical to the row path's fnv.New64a.
-const (
-	fnv64Offset uint64 = 14695981039346656037
-	fnv64Prime  uint64 = 1099511628211
-)
-
-// span is one stretch of a partition row the digest reads in one go: the
-// query's attributes in ascending order, with neighbours that are also
-// neighbours in the same partition row fused (they are already the byte
-// stream the digest wants). attr names the leaf; v, ri and base track where
-// the current batch's current segment lies in that leaf's runs.
+// span is one query attribute as the digest reads it: where its values lie
+// in its leaf's partition row, and where the current batch's current segment
+// lies in that leaf's runs (v, ri, base).
 type span struct {
 	attr   int
 	off, w int
@@ -391,19 +381,22 @@ type span struct {
 	base []byte // the segment's first row, sliced at off
 }
 
-// VecProject is the vectorized π: it digests every surviving row's query
-// columns in ascending attribute order — the exact byte stream the row
-// Project feeds its hash — so the checksum stays layout-, mode-, and
-// batch-size-invariant. The bytes are read where they lie: the batch's slot
-// range is split at the union of its leaves' run boundaries, and inside a
-// segment every leaf's rows sit at a fixed stride on one page. It also
-// records per-batch fill ratios (surviving rows over batch capacity), the
-// serving layer's batching-efficiency signal.
+// VecProject is the vectorized π: it folds every surviving row's query
+// columns into the row digest (storage/digest.go, the one checksum
+// definition the row Project and Engine.Scan compute too), so the checksum
+// stays layout-, mode-, and batch-size-invariant. The bytes are read where
+// they lie: the batch's slot range is split at the union of its leaves' run
+// boundaries (and at the scratch's length), and inside a segment every
+// leaf's rows sit at a fixed stride on one page — so a segment is folded
+// column-at-a-time into the scratch row hashes rh (independent of each
+// other, which is where the speed comes from), then row by row into the
+// checksum. Where a segment ends never shows in the value. It also records per-batch fill ratios (surviving rows over
+// batch capacity), the serving layer's batching-efficiency signal.
 type VecProject struct {
 	child VecOperator
 	attrs attrset.Set
-	cols  []int
-	spans []span // built from the first batch; the layout never changes
+	spans []span      // one per query attribute, ascending; placed onto each batch's views
+	rh    [256]uint64 // row hashes of the segment being folded
 	h     uint64
 	rows  int64
 	cap   int
@@ -413,7 +406,11 @@ type VecProject struct {
 // NewVecProject projects child onto attrs; cap is the pipeline batch size
 // the fill ratios are measured against.
 func NewVecProject(child VecOperator, attrs attrset.Set, cap int) *VecProject {
-	return &VecProject{child: child, attrs: attrs, cols: attrs.Attrs(), h: fnv64Offset, cap: cap}
+	p := &VecProject{child: child, attrs: attrs, h: storage.ChecksumSeed, cap: cap}
+	for _, a := range attrs.Attrs() {
+		p.spans = append(p.spans, span{attr: a})
+	}
+	return p
 }
 
 // NextBatch digests one batch's surviving rows.
@@ -422,9 +419,7 @@ func (p *VecProject) NextBatch() (*Batch, error) {
 	if b == nil || err != nil {
 		return nil, err
 	}
-	if len(p.cols) > 0 {
-		p.digest(b)
-	}
+	p.digest(b)
 	p.rows += int64(b.live())
 	p.fills = append(p.fills, float64(b.live())/float64(p.cap))
 	return b, nil
@@ -432,28 +427,19 @@ func (p *VecProject) NextBatch() (*Batch, error) {
 
 // digest folds b's surviving rows into the checksum, segment by segment.
 func (p *VecProject) digest(b *Batch) {
-	if p.spans == nil {
-		for _, a := range p.cols {
-			if k := len(p.spans) - 1; k >= 0 && b.src[p.spans[k].attr] == b.src[a] && p.spans[k].off+p.spans[k].w == b.offs[a] {
-				p.spans[k].w += b.width[a]
-				continue
-			}
-			p.spans = append(p.spans, span{attr: a, off: b.offs[a], w: b.width[a]})
-		}
-	}
 	for k := range p.spans {
 		sp := &p.spans[k]
 		sp.v, sp.ri = b.src[sp.attr], 0
-		sp.rs = sp.v.rowSize
+		sp.off, sp.w, sp.rs = b.offs[sp.attr], b.width[sp.attr], sp.v.rowSize
 	}
 
-	h := p.h
 	si := 0 // next entry of b.sel
 	for s := 0; s < b.n; {
 		// The segment starting at slot s ends where the first leaf runs out
-		// of page: step every span onto the run holding s, then take the
-		// nearest run end.
-		e := b.n
+		// of page, or the scratch out of room: step every span onto the run
+		// holding s, then take the nearest run end. (With no spans — an
+		// empty projection under σ — the rows are column-less.)
+		e := min(b.n, s+len(p.rh))
 		for k := range p.spans {
 			sp := &p.spans[k]
 			r := &sp.v.runs[sp.ri]
@@ -466,31 +452,24 @@ func (p *VecProject) digest(b *Batch) {
 				e = end
 			}
 		}
-		if b.sel == nil {
-			for i := 0; i < e-s; i++ {
-				for k := range p.spans {
-					sp := &p.spans[k]
-					o := i * sp.rs
-					for _, c := range sp.base[o : o+sp.w] {
-						h = (h ^ uint64(c)) * fnv64Prime
-					}
-				}
+		rh := p.rh[:e-s]
+		var sel []int32 // the segment's survivors; nil = all of [s, e)
+		if b.sel != nil {
+			sj := si
+			for sj < len(b.sel) && int(b.sel[sj]) < e {
+				sj++
 			}
-		} else {
-			for ; si < len(b.sel) && int(b.sel[si]) < e; si++ {
-				i := int(b.sel[si]) - s
-				for k := range p.spans {
-					sp := &p.spans[k]
-					o := i * sp.rs
-					for _, c := range sp.base[o : o+sp.w] {
-						h = (h ^ uint64(c)) * fnv64Prime
-					}
-				}
-			}
+			sel, si = b.sel[si:sj], sj
+			rh = rh[:len(sel)]
 		}
+		storage.SeedRows(rh)
+		for k := range p.spans {
+			sp := &p.spans[k]
+			storage.FoldColumn(rh, sp.base, sp.rs, sp.w, sel, s)
+		}
+		p.h = storage.FoldRows(p.h, rh)
 		s = e
 	}
-	p.h = h
 }
 
 // Checksum returns the digest of everything projected so far.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +18,7 @@ type ScanStats struct {
 	Seeks      int64   // buffer refills (one seek each, as in the cost model)
 	SimTime    float64 // seconds charged by the virtual disk
 	ReconJoins int64   // tuple-reconstruction joins performed
-	Checksum   uint64  // layout-independent digest of the projected values
+	Checksum   uint64  // row digest of the projected values (digest.go): layout-independent
 	CacheLines int64   // cache lines touched walking the referenced column-group streams
 	// Parts breaks the totals down per referenced partition, in the
 	// layout's canonical order — the same order the cost model sums its
@@ -278,8 +277,9 @@ func (e *Engine) loadPart(p *enginePart, rows int64) error {
 }
 
 // Scan executes a projection query: it reads every partition containing a
-// referenced attribute in full, reconstructs tuples, and digests the
-// projected attribute values into a layout-independent checksum.
+// referenced attribute in full, reconstructs tuples, and folds the
+// projected attribute values into the row digest (digest.go), the
+// layout-independent checksum.
 //
 // Scan snapshots the current epoch once and keeps all of its state in local
 // cursors, so after Load has returned, any number of Scans may run
@@ -345,7 +345,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 		return nil
 	}
 
-	h := fnv.New64a()
+	h := ChecksumSeed
 	queryCols := query.Attrs()
 	// Map each referenced column to (cursor, offset) for reconstruction.
 	type colRef struct {
@@ -375,10 +375,12 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 				}
 			}
 		}
+		rh := RowSeed
 		for _, cr := range colRefs {
 			base := cr.c.inPage * cr.c.p.rowSize
-			h.Write(cr.c.page[base+cr.off : base+cr.off+cr.size])
+			rh = FoldValue(rh, cr.c.page[base+cr.off:base+cr.off+cr.size])
 		}
+		h = FoldRow(h, rh)
 		for _, c := range cursors {
 			c.inPage++
 		}
@@ -411,6 +413,6 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 		stats.SimTime += e.disk.SeekTime*float64(ps.Seeks) +
 			float64(ps.BytesRead)/e.disk.ReadBandwidth
 	}
-	stats.Checksum = h.Sum64()
+	stats.Checksum = h
 	return stats, nil
 }
