@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
 // One benchmark per artifact; each reports the headline quantity of its
 // figure as a custom metric so `go test -bench` output doubles as the
-// reproduction record (see EXPERIMENTS.md). scripts/bench.sh runs the suite
-// and commits the numbers as a BENCH_<date>.json baseline.
+// reproduction record (see EXPERIMENTS.md).
 package knives_test
 
 import (
@@ -249,13 +248,6 @@ func BenchmarkExtOperators(b *testing.B) {
 	b.ReportMetric(cell(b, rep, "hdd", 3), "hillclimb-hdd-executed-seconds")
 	b.ReportMetric(cell(b, rep, "hdd", 5), "hillclimb-hdd-max-abs-delta")
 	b.ReportMetric(cell(b, rep, "mm", 8), "hillclimb-mm-bytes")
-}
-
-func BenchmarkExtVectorized(b *testing.B) {
-	rep := runExperiment(b, "ext-vectorized")
-	b.ReportMetric(cell(b, rep, "row", 3), "row-oracle-measured-seconds")
-	b.ReportMetric(cell(b, rep, "vector", 3), "vector-measured-seconds")
-	b.ReportMetric(cell(b, rep, "vector", 6), "vector-rows-out")
 }
 
 // Kernel benches: the parallel, incremental search kernel (see DESIGN.md).

@@ -23,23 +23,23 @@
 //	    or run knivesd with -prewarm) so the tables are registered.
 //
 //	knives exec [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
-//	            [-exec row|vector] [-batch N] [-exec-workers N]
+//	            [-batch N]
 //	            [-select-table NAME -select-column COL [-select-bound N]]
 //	            [remote]
 //	    Advise (or name) a layout per table, materialize it, run every query
 //	    as a streaming σ/π/⋈ operator pipeline over an epoch snapshot, print
 //	    each plan with its per-operator accounting, and verify the measured
 //	    cost equals the cost model bit for bit (non-zero exit otherwise).
-//	    -exec picks row-at-a-time or batch-at-a-time pipelines (same
-//	    numbers); -select-* pushes a σ(column < bound) on an int or date
+//	    -batch sets the pipelines' rows per batch (same numbers at any
+//	    size); -select-* pushes a σ(column < bound) on an int or date
 //	    column into one table's scans. With -server, a running knivesd
 //	    executes via POST /query instead.
 //
 //	knives replay [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
 //	              [store]
-//	    exec minus the selection, exec-mode, and -server knobs: the same
-//	    chain with every query executed as one monolithic engine scan, on
-//	    mem- or file-backed pages.
+//	    exec minus the selection, -batch, and -server knobs and the
+//	    per-operator rows of the report: the same chain on the same
+//	    executor, on mem- or file-backed pages.
 //
 //	knives migrate [workload] [target: -algorithm advisor|NAME] [sample] [store]
 //	               [-drift F] [-drift-seed N] [-window N]
@@ -322,8 +322,8 @@ func (c *command) client() (*advisor.Client, error) {
 // replayConfig assembles the materialize-and-execute config from the shared
 // flags, creates the temp dir a file backend without -dir needs (cleanup
 // removes it), and validates the result before any portfolio search runs:
-// an unknown backend or exec mode must fail fast, not after minutes of
-// optimization (and not never, when a migration plan happens to be an
+// an unknown backend or a bad batch size must fail fast, not after minutes
+// of optimization (and not never, when a migration plan happens to be an
 // identity).
 func (c *command) replayConfig(cfg knives.ReplayConfig) (knives.ReplayConfig, func(), error) {
 	cfg.Model, cfg.Disk = *c.modelName, c.override
@@ -618,24 +618,22 @@ func runReplay(args []string) error { return runExecute("replay", args) }
 func runExec(args []string) error { return runExecute("exec", args) }
 
 // runExecute is both `knives exec` and `knives replay`: advise (or name) a
-// layout per table, materialize it, execute the workload, and verify that
-// measured equals predicted bit for bit. exec runs every query as a
-// streaming σ/π/⋈ operator pipeline over an epoch snapshot — locally, or
-// via a running knivesd's POST /query; replay is exec minus the selection,
-// exec-mode, and -server knobs, executed as monolithic engine scans, and
-// keeps the page-store flags.
+// layout per table, materialize it, execute the workload as σ/π/⋈ operator
+// pipelines over an epoch snapshot, and verify that measured equals
+// predicted bit for bit. exec prints each plan with its per-operator
+// accounting, takes a selection and a batch size, and can run via a knivesd's
+// POST /query; replay prints the totals alone and keeps the page-store
+// flags.
 func runExecute(name string, args []string) error {
 	pipelines := name == "exec"
 	c := newCommand(name)
 	c.target("advisor", "layout source: an algorithm name, Row, Column, or advisor (portfolio winner)", true)
 	c.sample()
-	var execMode, selTable, selColumn *string
-	var batch, execWorkers *int
+	var selTable, selColumn *string
+	var batch *int
 	var selBound *uint64
 	if pipelines {
-		execMode = c.fs.String("exec", "row", "pipeline execution mode: row (oracle) or vector (batch-at-a-time); never changes the numbers")
-		batch = c.fs.Int("batch", 0, "vector-mode rows per batch (0 = default)")
-		execWorkers = c.fs.Int("exec-workers", 0, "accepted for compatibility; has no effect (vector pipelines run on the calling goroutine)")
+		batch = c.fs.Int("batch", 0, "pipeline rows per batch (0 = default); never changes the numbers")
 		selTable = c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
 		selColumn = c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
 		selBound = c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
@@ -661,7 +659,7 @@ func runExecute(name string, args []string) error {
 		if *selTable != "" {
 			sel = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
 		}
-		cfg.ExecMode, cfg.BatchSize, cfg.ExecWorkers = *execMode, *batch, *execWorkers
+		cfg.BatchSize = *batch
 		if *c.server != "" {
 			return execViaServer(c, cfg, sel)
 		}
@@ -672,12 +670,15 @@ func runExecute(name string, args []string) error {
 	if err != nil {
 		return err
 	}
-	// Bind the selection to its column before any search runs: the same
-	// check POST /query applies, failing as a usage error.
+	// Bind the selection to its table and column before any search runs: the
+	// same checks POST /query applies, failing as usage errors.
 	var opSel *knives.Selection
-	if sel != nil && c.bench.Table(sel.Table) != nil {
-		opSel, err = advisor.ExecSelection{Column: sel.Column, Bound: sel.Bound}.On(c.bench.Table(sel.Table))
-		if err != nil {
+	if sel != nil {
+		t := c.bench.Table(sel.Table)
+		if t == nil {
+			return usageError{err: fmt.Errorf("selection table %q not in workload", sel.Table)}
+		}
+		if opSel, err = (advisor.ExecSelection{Column: sel.Column, Bound: sel.Bound}).On(t); err != nil {
 			return usageError{err: err}
 		}
 	}
@@ -730,9 +731,7 @@ func execViaServer(c *command, cfg knives.ReplayConfig, sel *advisor.SelectionSp
 		MaxRows:     *c.rows,
 		Seed:        *c.seed,
 		Workers:     *c.workers,
-		Exec:        cfg.ExecMode,
 		BatchSize:   cfg.BatchSize,
-		ExecWorkers: cfg.ExecWorkers,
 		Selection:   sel,
 		Model:       &advisor.ModelSpec{Name: *c.modelName},
 	})

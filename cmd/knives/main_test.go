@@ -155,10 +155,10 @@ func TestRunReplaySmallTable(t *testing.T) {
 		// through the same path.
 		{"replay", runReplay, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
 		{"migrate", runMigrate, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
-		// exec has no page-store flags; its knobs are the exec mode and the
+		// exec has no page-store flags; its knobs are the batch size and the
 		// pushed-down selection (region's int key), and the baseline
 		// families are layout sources like any algorithm.
-		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm", "-exec", "vector", "-batch", "64", "-exec-workers", "2"}},
+		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm", "-batch", "64"}},
 		{"exec", runExec, []string{"-algorithm", "Column", "-select-table", "region", "-select-column", "r_regionkey", "-select-bound", "3"}},
 	} {
 		args := append([]string{"-table", "region", "-sf", "0.01", "-rows", "500"}, tc.extra...)
@@ -182,7 +182,7 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 		switch cmd {
 		case "exec":
 			cases = append(cases[:len(cases):len(cases)],
-				append([]string{"-exec", "columnar"}, region...),
+				append([]string{"-batch", "-1"}, region...),
 				append([]string{"-select-table", "region"}, region...),
 				append([]string{"-select-table", "region", "-select-column", "nope"}, region...))
 		default:
@@ -211,10 +211,23 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 			t.Errorf("exec -select-column %s exited %d, want 2", col, got)
 		}
 	}
-	// Each subcommand keeps exactly its own flags: replay has no exec knobs,
-	// exec no page store.
-	if got := run([]string{"replay", "-exec", "vector"}); got != 2 {
-		t.Errorf("replay accepted exec's -exec flag (exit %d)", got)
+	// A selection on a table the workload does not have is the same usage
+	// error the daemon answers with a 400, not an unfiltered run.
+	if got := run([]string{"exec", "-table", "region", "-sf", "0.01", "-rows", "500",
+		"-select-table", "nosuch", "-select-column", "r_regionkey", "-select-bound", "5"}); got != 2 {
+		t.Errorf("exec -select-table nosuch exited %d, want 2", got)
+	}
+	// Each subcommand keeps exactly its own flags: replay has no batch knob,
+	// exec no page store, and the executor-selecting flags are gone from both.
+	for _, args := range [][]string{
+		{"replay", "-batch", "64"},
+		{"replay", "-exec", "vector"},
+		{"exec", "-exec", "vector"},
+		{"exec", "-exec-workers", "2"},
+	} {
+		if got := run(args); got != 2 {
+			t.Errorf("%v exited %d, want 2 (flag provided but not defined)", args, got)
+		}
 	}
 	if got := run([]string{"exec", "-backend", "file"}); got != 2 {
 		t.Errorf("exec accepted replay's -backend flag (exit %d)", got)

@@ -1,10 +1,11 @@
 // Enginecompare: running real scans instead of trusting the cost model.
 //
-// The paper's results are estimated costs; this example validates them with
-// the storage engine: it generates a synthetic Lineitem sample, stores it
-// three times (row layout, column layout, and the layout HillClimb picks),
-// executes two classic queries against each copy, and reports measured
-// bytes, seeks, and simulated I/O time. The checksums prove that every
+// The paper's results are estimated costs; this example validates them by
+// execution (knives.ExecuteLayout): it generates a synthetic Lineitem
+// sample, stores it three times (row layout, column layout, and the layout
+// HillClimb picks), executes two classic queries against each copy as
+// operator pipelines, and reports measured bytes, seeks, and simulated I/O
+// time. The checksums prove that every
 // layout reconstructs identical tuples; the measurements reproduce the
 // cost model's ranking.
 package main
@@ -58,33 +59,31 @@ func main() {
 			"l_returnflag", "l_linestatus", "l_shipdate")},
 	}
 
-	gen := knives.NewGenerator(2013)
+	// One execution per layout: materialize the sample, run both queries as
+	// operator pipelines, keep the per-query measurements.
+	var exec knives.TableWorkload
+	exec.Table = li
 	for _, q := range queries {
+		exec.Queries = append(exec.Queries, knives.TableQuery{ID: q.name, Weight: 1, Attrs: q.attrs})
+	}
+	cfg := knives.ReplayConfig{MaxRows: sampleRows, Seed: 2013}
+	reports := make([]*knives.OperatorReplay, len(layouts))
+	for i, l := range layouts {
+		if reports[i], err = knives.ExecuteLayout(exec, l.layout, l.name, cfg, nil); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	for qi, q := range queries {
 		fmt.Printf("%s over %d generated rows:\n", q.name, sampleRows)
-		var checksum uint64
 		for i, l := range layouts {
-			engine, err := knives.NewEngine(l.layout, knives.DefaultDisk())
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := engine.Load(gen, sampleRows); err != nil {
-				log.Fatal(err)
-			}
-			stats, err := engine.Scan(q.attrs)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if i == 0 {
-				checksum = stats.Checksum
-			} else if stats.Checksum != checksum {
+			stats := reports[i].Queries[qi].Stats
+			if stats.Checksum != reports[0].Queries[qi].Stats.Checksum {
 				log.Fatalf("layout %s produced different tuples", l.name)
 			}
 			fmt.Printf("  %-10s read %9.2f MB in %5d seeks, simulated %7.3f s, %d recon joins/tuple\n",
 				l.name, float64(stats.BytesRead)/(1<<20), stats.Seeks, stats.SimTime,
 				stats.ReconJoins/stats.Tuples)
-			if err := engine.Close(); err != nil {
-				log.Fatal(err)
-			}
 		}
 		fmt.Println("  (identical checksums: all layouts reconstruct the same tuples)")
 		fmt.Println()

@@ -14,8 +14,9 @@ import (
 // (materializing it if no earlier request has), and EXECUTE every
 // query as a σ/π/⋈ operator pipeline over an epoch snapshot — returning
 // per-operator accounting next to the same zero-tolerance predictions the
-// replay path verifies against. Where /replay measures monolithic scans,
-// /query decomposes the identical totals into plan operators, and can push
+// replay path verifies against. /replay runs the same pipelines over a
+// private, one-shot store and reports the totals alone; /query keeps the
+// store, reports the plan operators the totals decompose into, and can push
 // a selection predicate into the scans.
 
 // ExecSelection names a σ pushed into every pipeline of one table's
@@ -60,7 +61,7 @@ func (s *Service) ExecTable(tw schema.TableWorkload, opt ReplayOptions, sel *Exe
 
 // execTableAs is ExecTable under an explicit pricing model (a wire
 // request's resolved ModelSpec, or the service default): replayTableAs with
-// a selection in the key and operator pipelines as the executor.
+// a selection in the key, over the leased resident store.
 func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (*replay.OperatorReplay, Fingerprint, bool, error) {
 	p, err := planExec(tw, opt, sel, m, mkey)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -181,56 +182,57 @@ func TestServerQueryErrors(t *testing.T) {
 	}
 }
 
-// TestServerQueryExecModes pins the exec-knob contract on /query: a
-// vector-mode request is wire-valid, returns the identical report numbers,
-// and — because exec knobs change wall-clock, never results — SHARES the
-// cached execution with a row-mode request for the same workload (the same
-// deliberate exclusion the replay cache applies to workers).
+// TestServerQueryExecModes pins that the exec knob selects nothing. On one
+// service, exec "vector" (with the other knobs turned), "row" and "" share
+// ONE cached execution — exec knobs are deliberately not part of the key, the
+// same exclusion the replay cache applies to workers — and answer reports
+// equal in every field but cached. On fresh services, each label's own
+// execution differs from the others' in the echoed exec_mode alone, and the
+// default request still answers "row".
 func TestServerQueryExecModes(t *testing.T) {
-	_, _, client := newTestServer(t, Config{})
 	ctx := context.Background()
-
-	req := queryRequest()
-	req.Exec = "vector"
-	req.BatchSize = 128
-	req.ExecWorkers = 2
-	first, err := client.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := first.Reports[0]
-	if rep.Cached {
-		t.Error("first vector query claims to be cached")
-	}
-	if !rep.Exact {
-		t.Errorf("vector execution not exact: delta=%v", rep.MaxAbsDelta)
-	}
-	if rep.ExecMode != "vector" {
-		t.Errorf("exec mode on the wire = %q, want vector", rep.ExecMode)
+	query := func(c *Client, exec string, batch, workers int) TableExecWire {
+		t.Helper()
+		req := queryRequest()
+		req.Exec, req.BatchSize, req.ExecWorkers = exec, batch, workers
+		resp, err := c.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Reports[0]
 	}
 
-	// A row-mode request for the same selection must answer from the SAME
-	// cached execution: exec knobs are deliberately not part of the key.
-	rowReq := queryRequest()
-	second, err := client.Query(ctx, rowReq)
-	if err != nil {
-		t.Fatal(err)
+	_, _, client := newTestServer(t, Config{})
+	first := query(client, "vector", 128, 2)
+	if first.Cached || !first.Exact || first.ExecMode != "vector" {
+		t.Errorf("first request: cached=%v exact=%v exec_mode=%q, want a fresh exact run labelled vector",
+			first.Cached, first.Exact, first.ExecMode)
 	}
-	if !second.Reports[0].Cached {
-		t.Error("row-mode request did not share the vector run's cached execution")
+	for _, knobs := range []struct {
+		exec           string
+		batch, workers int
+	}{{"row", 0, 0}, {"", 0, 0}, {"vector", 4096, 8}} {
+		rep := query(client, knobs.exec, knobs.batch, knobs.workers)
+		if !rep.Cached {
+			t.Errorf("exec %q batch %d workers %d missed the first request's cached execution",
+				knobs.exec, knobs.batch, knobs.workers)
+		}
+		rep.Cached = false
+		if !reflect.DeepEqual(rep, first) {
+			t.Errorf("exec %q: cached report differs beyond the cached flag\n got %+v\nwant %+v", knobs.exec, rep, first)
+		}
 	}
-	if second.Reports[0].MeasuredSeconds != rep.MeasuredSeconds {
-		t.Error("cached execution differs across exec modes")
-	}
-	// And so must a vector request with different knobs.
-	req.BatchSize = 4096
-	req.ExecWorkers = 8
-	third, err := client.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !third.Reports[0].Cached {
-		t.Error("different batch size / exec workers missed the cache")
+
+	for exec, label := range map[string]string{"row": "row", "": "row"} {
+		_, _, fresh := newTestServer(t, Config{})
+		rep := query(fresh, exec, 0, 0)
+		if rep.Cached || rep.ExecMode != label {
+			t.Errorf("fresh service, exec %q: cached=%v exec_mode=%q, want a fresh run labelled %q", exec, rep.Cached, rep.ExecMode, label)
+		}
+		rep.ExecMode = first.ExecMode
+		if !reflect.DeepEqual(rep, first) {
+			t.Errorf("fresh service, exec %q: report differs beyond the exec_mode label\n got %+v\nwant %+v", exec, rep, first)
+		}
 	}
 }
 

@@ -38,11 +38,12 @@ type ReplayOptions struct {
 	// never affect the report's numbers, so they are NOT part of the
 	// replay cache key.
 	Workers int
-	// ExecMode selects pipeline execution on the /query path: "" or "row"
-	// (the oracle) or "vector". Like Workers, exec knobs change wall-clock
-	// and never a result, so none of them join the exec cache key.
+	// ExecMode is a label that selects nothing: "", "row" or "vector" is
+	// accepted (anything else refused), and the report echoes it ("row" for
+	// the empty one). Like Workers, no exec knob can change a result, so
+	// none of them join the exec cache key.
 	ExecMode string
-	// BatchSize is vector mode's rows per batch (0 = default).
+	// BatchSize is the pipelines' rows per batch (0 = default).
 	BatchSize int
 	// ExecWorkers is accepted and range-checked for the clients that send
 	// it, and has no effect (operator.ExecOptions.Workers).
@@ -57,10 +58,8 @@ func (o ReplayOptions) validate() error {
 	if o.Workers < 0 || o.Workers > MaxReplayWorkers {
 		return fmt.Errorf("%w: workers %d out of range [0, %d]", ErrBadReplay, o.Workers, MaxReplayWorkers)
 	}
-	switch operator.ExecMode(o.ExecMode) {
-	case "", operator.ExecRow, operator.ExecVector:
-	default:
-		return fmt.Errorf("%w: exec mode %q (%s or %s)", ErrBadReplay, o.ExecMode, operator.ExecRow, operator.ExecVector)
+	if _, err := (operator.ExecOptions{Mode: operator.ExecMode(o.ExecMode)}).Normalized(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadReplay, err)
 	}
 	if o.BatchSize < 0 || o.BatchSize > operator.MaxBatchSize {
 		return fmt.Errorf("%w: batch_size %d out of range [0, %d]", ErrBadReplay, o.BatchSize, operator.MaxBatchSize)
@@ -162,8 +161,9 @@ func (s *Service) advisedLayout(ctx context.Context, tw schema.TableWorkload, m 
 
 // ReplayTable answers one table's advise-materialize-replay-report chain:
 // the advice comes from the fingerprint cache (searching on a miss), the
-// layout is materialized through the storage engine, the workload replayed,
-// and the report compared against the cost model. Reports are cached under
+// layout is materialized through the storage engine into a private store
+// that is closed on return, the workload executed over it, and the report
+// compared against the cost model. Reports are cached under
 // (fingerprint, rows, seed); the bool reports whether this call was answered
 // from cache (no replay executed).
 func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*replay.TableReplay, Fingerprint, bool, error) {
@@ -172,7 +172,7 @@ func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*repl
 
 // replayTableAs is ReplayTable under an explicit pricing model (a wire
 // request's resolved ModelSpec, or the service default). The context
-// bounds the embedded advise step's search waits; the materialize-and-scan
+// bounds the embedded advise step's search waits; the materialize-and-execute
 // itself runs to completion once started.
 func (s *Service) replayTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (*replay.TableReplay, Fingerprint, bool, error) {
 	p, err := planExec(tw, opt, nil, m, mkey)

@@ -86,7 +86,9 @@ func guardedMaterialize(open *atomic.Int64) func(schema.TableWorkload, partition
 // TestResidentStoreIdentity: an execution on a resident store equals a
 // fresh, private replay.Operators of the same request field for field
 // (stats, checksums, plans, per-operator accounting, result rows, totals),
-// on every device and exec mode, and only the first selection materializes.
+// on every device, and only the first selection materializes. The exec label
+// rides along (the test floor pins the subtest names): the private run is
+// made under the default label and differs in the echoed label alone.
 func TestResidentStoreIdentity(t *testing.T) {
 	bounds := []uint32{0, 500, 1263, storage.DateDomain}
 	for _, device := range []string{"hdd", "ssd", "mm"} {
@@ -108,12 +110,16 @@ func TestResidentStoreIdentity(t *testing.T) {
 						t.Fatalf("bound %d answered from the exec cache; the store was not exercised", bound)
 					}
 					want, err := replay.Operators(tw, partition.Must(tw.Table, got.Layout.Parts), got.Algorithm,
-						replay.Config{Model: device, MaxRows: opt.MaxRows, Seed: opt.Seed, ExecMode: mode},
+						replay.Config{Model: device, MaxRows: opt.MaxRows, Seed: opt.Seed},
 						&replay.Selection{Attr: 0, Bound: bound})
 					if err != nil {
 						t.Fatal(err)
 					}
 					g, w := *got, *want
+					if g.ExecMode != mode || w.ExecMode != "row" {
+						t.Errorf("bound %d: exec labels %q and %q, want %q and the default's \"row\"", bound, g.ExecMode, w.ExecMode, mode)
+					}
+					w.ExecMode = mode
 					g.Elapsed, w.Elapsed = 0, 0
 					g.ExecSeconds, w.ExecSeconds = nil, nil
 					if !reflect.DeepEqual(g, w) {
@@ -222,7 +228,8 @@ func TestResidentStoreDroppedUnderLease(t *testing.T) {
 	if open.Load() == 0 {
 		t.Fatal("store closed under its second reader")
 	}
-	if _, err := second.engine.Scan(attrset.Of(0)); err != nil {
+	if rep, err := replay.OnEngine(schema.TableWorkload{Table: second.engine.Table(), Queries: tw.Queries},
+		second.engine, "leased", cfg); err != nil || !rep.Exact() {
 		t.Errorf("leased store unreadable after the drop: %v", err)
 	}
 	r.release(second)

@@ -49,7 +49,7 @@ type svcMetrics struct {
 	opSim  map[string]*telemetry.Histogram
 
 	// Per-query execution telemetry from /query: result rows, wall-clock
-	// pipeline execution time, and (vector mode) batch fill ratios.
+	// pipeline execution time, and batch fill ratios.
 	queryRows *telemetry.Counter
 	queryExec *telemetry.Histogram
 	batchFill *telemetry.Histogram
@@ -108,7 +108,7 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 
 	reg.SetHelp("knives_query_rows_total", "Result rows emitted by /query pipeline executions.")
 	reg.SetHelp("knives_query_exec_seconds", "Wall-clock pipeline execution time per /query query.")
-	reg.SetHelp("knives_query_batch_fill_ratio", "Vector-mode batch fill ratios (surviving rows over batch capacity).")
+	reg.SetHelp("knives_query_batch_fill_ratio", "Batch fill ratios (surviving rows over batch capacity).")
 	m.queryRows = reg.Counter("knives_query_rows_total")
 	m.queryExec = reg.Histogram("knives_query_exec_seconds")
 	m.batchFill = reg.Histogram("knives_query_batch_fill_ratio")
@@ -171,8 +171,8 @@ func (m *svcMetrics) recordSearch(name string, st algo.Stats) {
 
 // recordExec folds one /query execution's telemetry in: the per-operator
 // accounting (unknown operator kinds are dropped — bounded label set), and
-// per query the result rows, wall-clock execution seconds, and (vector runs)
-// batch fill ratios. Like every instrumentation point, an unbound service
+// per query the result rows, wall-clock execution seconds, and batch fill
+// ratios. Like every instrumentation point, an unbound service
 // pays one nil check.
 func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 	if m.queryRows == nil {

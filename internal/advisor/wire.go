@@ -173,12 +173,15 @@ type QueryRequest struct {
 	Seed    int64 `json:"seed,omitempty"`
 	Workers int   `json:"workers,omitempty"`
 
-	// Exec selects pipeline execution: "" or "row" (oracle) or "vector".
-	// BatchSize tunes the vector path (0 = default); ExecWorkers is still
-	// accepted and range-checked but no longer does anything. None of the
-	// three can change a result, so — like Workers — they are deliberately
-	// NOT part of the exec cache key: a row-mode and a vector-mode request
-	// for the same workload share one cached execution.
+	// Exec is a label and selects nothing: "", "row" or "vector" is accepted
+	// (anything else is a 400) and echoed as the report's exec_mode ("row"
+	// for the empty one) — every request runs the one executor. BatchSize
+	// tunes its rows per batch (0 = default); ExecWorkers is accepted and
+	// range-checked and does nothing. None of the three can change a result,
+	// so — like Workers — they are deliberately NOT part of the exec cache
+	// key: requests differing only in them share one cached execution, whose
+	// exec_mode is the first request's. Removing the two inert fields from
+	// the wire waits for a PR that may touch bench/, which sends them.
 	Exec        string `json:"exec,omitempty"`
 	BatchSize   int    `json:"batch_size,omitempty"`
 	ExecWorkers int    `json:"exec_workers,omitempty"`

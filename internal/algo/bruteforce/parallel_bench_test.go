@@ -9,8 +9,7 @@ import (
 
 // benchLineitem runs the paper's biggest exhaustive search — Lineitem in
 // fragment mode, ~4.2M candidates — at a fixed worker count. The
-// sequential/parallel pair is the kernel's headline speedup measurement
-// (scripts/bench.sh records both).
+// sequential/parallel pair is the kernel's headline speedup measurement.
 func benchLineitem(b *testing.B, workers int) {
 	bench := schema.TPCH(10)
 	tw := bench.Workload.ForTable(bench.Table("lineitem"))

@@ -174,8 +174,8 @@ func blockMigration(d Device, t *schema.Table, reads, writes []attrset.Set) Migr
 
 // StreamLines returns the cache lines of a partition's logical stream of
 // rows*rowSize bytes at the given line granularity — the integer arithmetic
-// the storage engine counts transfers with (engine.Scan uses the identical
-// formula), exported so the MM migration model and the engine can never
+// the storage engine counts transfers with (its cursors and Repartition use
+// this very function), exported so the MM models and the engine can never
 // disagree by a rounding mode.
 func StreamLines(rows, rowSize, line int64) int64 {
 	if rows <= 0 || rowSize <= 0 || line <= 0 {

@@ -1,4 +1,7 @@
-package storage
+// Package compress holds the column codecs and the compressed-scan estimate
+// behind Table 7, the one experiment that stands in for the paper's
+// commercial column store DBMS-X. Nothing on the scan path uses it.
+package compress
 
 import (
 	"bytes"
@@ -11,6 +14,7 @@ import (
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/schema"
+	"knives/internal/storage"
 )
 
 // Codec compresses a column's values (concatenated fixed-width encoding).
@@ -45,13 +49,13 @@ func (FlateCodec) Compress(data []byte, _ int) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
 	if err != nil {
-		return nil, fmt.Errorf("storage: flate writer: %w", err)
+		return nil, fmt.Errorf("compress: flate writer: %w", err)
 	}
 	if _, err := w.Write(data); err != nil {
-		return nil, fmt.Errorf("storage: flate write: %w", err)
+		return nil, fmt.Errorf("compress: flate write: %w", err)
 	}
 	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("storage: flate close: %w", err)
+		return nil, fmt.Errorf("compress: flate close: %w", err)
 	}
 	return buf.Bytes(), nil
 }
@@ -69,7 +73,7 @@ func (FlateCodec) Decompress(data []byte, _, originalLen int) ([]byte, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("storage: flate read: %w", err)
+			return nil, fmt.Errorf("compress: flate read: %w", err)
 		}
 	}
 	return out, nil
@@ -89,10 +93,10 @@ func (DeltaCodec) FixedWidth() bool { return false }
 // Compress implements Codec.
 func (DeltaCodec) Compress(data []byte, valueSize int) ([]byte, error) {
 	if valueSize != 4 {
-		return nil, fmt.Errorf("storage: delta codec needs 4-byte values, got %d", valueSize)
+		return nil, fmt.Errorf("compress: delta codec needs 4-byte values, got %d", valueSize)
 	}
 	if len(data)%4 != 0 {
-		return nil, fmt.Errorf("storage: delta codec input not a multiple of 4")
+		return nil, fmt.Errorf("compress: delta codec input not a multiple of 4")
 	}
 	out := make([]byte, 0, len(data)/2)
 	var prev int64
@@ -109,14 +113,14 @@ func (DeltaCodec) Compress(data []byte, valueSize int) ([]byte, error) {
 // Decompress implements Codec.
 func (DeltaCodec) Decompress(data []byte, valueSize, originalLen int) ([]byte, error) {
 	if valueSize != 4 {
-		return nil, fmt.Errorf("storage: delta codec needs 4-byte values, got %d", valueSize)
+		return nil, fmt.Errorf("compress: delta codec needs 4-byte values, got %d", valueSize)
 	}
 	out := make([]byte, 0, originalLen)
 	var prev int64
 	for pos := 0; pos < len(data); {
 		d, n := binary.Varint(data[pos:])
 		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt delta stream at %d", pos)
+			return nil, fmt.Errorf("compress: corrupt delta stream at %d", pos)
 		}
 		pos += n
 		prev += d
@@ -125,7 +129,7 @@ func (DeltaCodec) Decompress(data []byte, valueSize, originalLen int) ([]byte, e
 		out = append(out, b[:]...)
 	}
 	if len(out) != originalLen {
-		return nil, fmt.Errorf("storage: delta decompressed %d bytes, want %d", len(out), originalLen)
+		return nil, fmt.Errorf("compress: delta decompressed %d bytes, want %d", len(out), originalLen)
 	}
 	return out, nil
 }
@@ -157,7 +161,7 @@ func codeWidth(n int) int {
 // Compress implements Codec. Layout: [numEntries uint32][entries...][codes...].
 func (DictCodec) Compress(data []byte, valueSize int) ([]byte, error) {
 	if valueSize <= 0 || len(data)%valueSize != 0 {
-		return nil, fmt.Errorf("storage: dict codec: %d bytes not divisible by value size %d", len(data), valueSize)
+		return nil, fmt.Errorf("compress: dict codec: %d bytes not divisible by value size %d", len(data), valueSize)
 	}
 	n := len(data) / valueSize
 	index := make(map[string]int)
@@ -200,12 +204,12 @@ func (DictCodec) Compress(data []byte, valueSize int) ([]byte, error) {
 // Decompress implements Codec.
 func (DictCodec) Decompress(data []byte, valueSize, originalLen int) ([]byte, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("storage: dict stream too short")
+		return nil, fmt.Errorf("compress: dict stream too short")
 	}
 	nEntries := int(binary.LittleEndian.Uint32(data))
 	pos := 4
 	if len(data) < pos+nEntries*valueSize {
-		return nil, fmt.Errorf("storage: dict stream truncated in dictionary")
+		return nil, fmt.Errorf("compress: dict stream truncated in dictionary")
 	}
 	dict := make([][]byte, nEntries)
 	for i := range dict {
@@ -220,12 +224,12 @@ func (DictCodec) Decompress(data []byte, valueSize, originalLen int) ([]byte, er
 		copy(tmp[:w], data[pos:pos+w])
 		code := int(binary.LittleEndian.Uint32(tmp[:]))
 		if code >= nEntries {
-			return nil, fmt.Errorf("storage: dict code %d out of range", code)
+			return nil, fmt.Errorf("compress: dict code %d out of range", code)
 		}
 		out = append(out, dict[code]...)
 	}
 	if len(out) != originalLen {
-		return nil, fmt.Errorf("storage: dict decompressed %d bytes, want %d", len(out), originalLen)
+		return nil, fmt.Errorf("compress: dict decompressed %d bytes, want %d", len(out), originalLen)
 	}
 	return out, nil
 }
@@ -265,9 +269,9 @@ func (s CompressionScheme) codecFor(col schema.Column) Codec {
 // CompressionRatios measures, on a generated sample of the table, the
 // compressed-bytes-per-value of every column under the scheme. Ratios are
 // in (0, 1+ε] relative to the uncompressed width.
-func CompressionRatios(t *schema.Table, gen *Generator, sampleRows int64, scheme CompressionScheme) (map[string]float64, error) {
+func CompressionRatios(t *schema.Table, gen *storage.Generator, sampleRows int64, scheme CompressionScheme) (map[string]float64, error) {
 	if sampleRows <= 0 {
-		return nil, fmt.Errorf("storage: sampleRows must be positive")
+		return nil, fmt.Errorf("compress: sampleRows must be positive")
 	}
 	if sampleRows > t.Rows && t.Rows > 0 {
 		sampleRows = t.Rows
@@ -281,7 +285,7 @@ func CompressionRatios(t *schema.Table, gen *Generator, sampleRows int64, scheme
 		codec := scheme.codecFor(col)
 		comp, err := codec.Compress(raw, col.Size)
 		if err != nil {
-			return nil, fmt.Errorf("storage: compress %s.%s: %w", t.Name, col.Name, err)
+			return nil, fmt.Errorf("compress: compress %s.%s: %w", t.Name, col.Name, err)
 		}
 		ratios[col.Name] = float64(len(comp)) / float64(len(raw))
 	}

@@ -7,14 +7,12 @@ import "testing"
 // depend on map iteration order, scheduling, or hidden randomness.
 // fig1 and fig2 are excluded — they measure wall-clock optimization time —
 // and so is fig10, whose pay-off metric embeds the measured optimization
-// time by definition. ext-vectorized's table is deterministic but its
-// speedup note is measured wall clock (the golden test masks exactly that
-// note), so it sits with the timing experiments here.
+// time by definition.
 func TestExperimentsAreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two full suites")
 	}
-	timing := map[string]bool{"fig1": true, "fig2": true, "fig10": true, "ext-vectorized": true}
+	timing := map[string]bool{"fig1": true, "fig2": true, "fig10": true}
 	fresh := func() *Suite {
 		s := NewSuite()
 		s.Reps = 1

@@ -174,7 +174,7 @@ func sampledTwins(tws []schema.TableWorkload, rows int64) ([]schema.TableWorkloa
 
 // leafTermsDecompose checks the operator layer's accounting claim on real
 // plans: the per-leaf SimTime terms of every pipeline sum EXACTLY to the
-// query's measured seconds — the engine's monolithic pricing, decomposed
+// query's measured seconds — the cost model's per-query price, decomposed
 // per operator with no residue.
 func leafTermsDecompose(rep *replay.OperatorReplay) bool {
 	for qi := range rep.Queries {

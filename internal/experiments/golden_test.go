@@ -47,10 +47,6 @@ func TestGoldenReports(t *testing.T) {
 		// ext-operators pins the σ/π/⋈ pipeline against the cost model on
 		// all three devices plus a selectivity sweep — all simulated seconds.
 		{"ext-operators", nil},
-		// ext-vectorized compares vector-mode pipelines to the row oracle:
-		// every cell is simulated/deterministic except the wall-clock
-		// speedup note, which is masked like fig1's timing ratio.
-		{"ext-vectorized", maskExtVectorized},
 		// ext-replay's times are simulated (virtual-disk) seconds — fully
 		// deterministic, so measured-vs-estimated deltas, exactness
 		// verdicts, and all three rankings are golden without masking.
@@ -120,15 +116,6 @@ func maskFig1(r *Report) {
 	ratio := regexp.MustCompile(`optimization time = .*x$`)
 	for i, n := range r.Notes {
 		r.Notes[i] = ratio.ReplaceAllString(n, "optimization time = "+timingMask+"x")
-	}
-}
-
-// maskExtVectorized blanks the wall-clock speedup note — the one
-// machine-dependent line in an otherwise simulated, deterministic report.
-func maskExtVectorized(r *Report) {
-	ratio := regexp.MustCompile(`in .*x the row oracle's time$`)
-	for i, n := range r.Notes {
-		r.Notes[i] = ratio.ReplaceAllString(n, "in "+timingMask+"x the row oracle's time")
 	}
 }
 

@@ -45,7 +45,6 @@ var registry = []Experiment{
 	{"ext-grouping", "Trojan query grouping across replicas (stripped feature restored)", ExtGrouping},
 	{"ext-replay", "Measured replay of advised layouts vs cost-model predictions (fig3 from execution)", ExtReplay},
 	{"ext-operators", "Operator pipelines: executed sigma/pi/join I/O vs predictions across devices", ExtOperators},
-	{"ext-vectorized", "Vectorized batch-at-a-time execution vs the row oracle (bit-exact, zero-copy batches)", ExtVectorized},
 	{"ext-migrate", "Online migration after workload drift: break-even points and verified transition cost", ExtMigrate},
 	{"ext-device", "Algorithm ranking across the device spectrum (HDD -> SSD -> MM)", ExtDevice},
 	{"ext-recovery", "Crash-recovery equivalence of the durable state store (kill@write and retry schedules)", ExtRecovery},

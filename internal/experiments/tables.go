@@ -3,6 +3,7 @@ package experiments
 import (
 	"knives/internal/algorithms"
 	"knives/internal/cost"
+	"knives/internal/experiments/compress"
 	"knives/internal/metrics"
 	"knives/internal/partition"
 	"knives/internal/schema"
@@ -111,10 +112,10 @@ func Tab7(s *Suite) (*Report, error) {
 	}
 	tws := s.Bench.TableWorkloads()
 
-	for _, scheme := range []storage.CompressionScheme{storage.SchemeDefault, storage.SchemeDictionary} {
+	for _, scheme := range []compress.CompressionScheme{compress.SchemeDefault, compress.SchemeDictionary} {
 		totals := map[string]float64{}
 		for i, tw := range tws {
-			ratios, err := storage.CompressionRatios(tw.Table, gen, sampleRows, scheme)
+			ratios, err := compress.CompressionRatios(tw.Table, gen, sampleRows, scheme)
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +125,7 @@ func Tab7(s *Suite) (*Report, error) {
 				"HillClimb": hcRS[i].Partitioning.Parts,
 			}
 			for name, parts := range layouts {
-				totals[name] += storage.CompressedScanSeconds(tw, parts, s.Disk, ratios, scheme, joinCPU)
+				totals[name] += compress.CompressedScanSeconds(tw, parts, s.Disk, ratios, scheme, joinCPU)
 			}
 		}
 		r.AddRow(scheme.String(), fmtSeconds(totals["Row"]), fmtSeconds(totals["Column"]), fmtSeconds(totals["HillClimb"]))

@@ -9,7 +9,7 @@ import (
 	"knives/internal/storage"
 )
 
-// Tests of the row digest as the three executors compute it: what the
+// Tests of the row digest as the executor and its two oracles compute it: what the
 // checksum must notice, what a column-less row contributes, and that the
 // vector π's scratch is per pipeline.
 
@@ -69,20 +69,15 @@ func (s *editableStore) cell(t *testing.T, a int, row int64) []byte {
 	return nil
 }
 
-// checksums runs query over the store through Engine.Scan, the row pipeline
-// and the vector pipeline, and (with σ) through the two pipelines and the
-// reference; every executor reading the same store must agree, whatever the
-// store holds. It returns the predicate-free and the σ checksum.
+// checksums runs query over the store, without and with σ, through the
+// pipeline, the row oracle and the reference; every one reading the same
+// store must agree, whatever the store holds. It returns the predicate-free
+// and the σ checksum.
 func (s *editableStore) checksums(t *testing.T, label string, query attrset.Set, pred *Pred) (full, selected uint64) {
 	t.Helper()
 	snap, dev := s.e.Snapshot(), testDevice()
-	scan, err := s.e.Scan(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full = scan.Checksum
 	for _, p := range []*Pred{nil, pred} {
-		rowPipe, err := Build(snap, dev, query, p)
+		rowPipe, err := buildRow(snap, dev, query, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +85,7 @@ func (s *editableStore) checksums(t *testing.T, label string, query attrset.Set,
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecPipe, err := BuildExec(snap, dev, query, p, ExecOptions{Mode: ExecVector, BatchSize: 7})
+		vecPipe, err := BuildExec(snap, dev, query, p, ExecOptions{BatchSize: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +102,7 @@ func (s *editableStore) checksums(t *testing.T, label string, query attrset.Set,
 				label, row.Checksum, row.Rows, vec.Checksum, vec.Rows, ref.Checksum)
 		}
 		if p == nil {
-			if row.Checksum != full {
-				t.Fatalf("%s: row pipeline %x, Engine.Scan %x", label, row.Checksum, full)
-			}
+			full = row.Checksum
 		} else {
 			selected = row.Checksum
 		}
@@ -121,8 +114,8 @@ func (s *editableStore) checksums(t *testing.T, label string, query attrset.Set,
 // never asked. On a small table, each of three corruptions of the stored
 // rows — two rows swapped (the same multiset of rows), one column shifted by
 // one row against the others (the same multiset of values per column), one
-// bit of one value flipped — must change the checksum, in Engine.Scan, the
-// row pipeline and the vector pipeline alike, with and without σ.
+// bit of one value flipped — must change the checksum, in the pipeline and
+// both its oracles alike, with and without σ.
 func TestChecksumSensitivity(t *testing.T) {
 	const rows, seed = 60, 5
 	query := attrset.Of(0, 2, 3, 5)
@@ -191,7 +184,7 @@ func TestDigestEmptyProjection(t *testing.T) {
 			{"empty projection, no rows", 0, none},
 			{"projection, no rows", attrset.Of(0, 3), none},
 		} {
-			rowPipe, err := Build(snap, dev, tc.query, &tc.pred)
+			rowPipe, err := buildRow(snap, dev, tc.query, &tc.pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +208,7 @@ func TestDigestEmptyProjection(t *testing.T) {
 				t.Fatalf("%s, %s: %d rows — the case does not test what it says", name, tc.label, row.Rows)
 			}
 			for _, batch := range []int{1, 16, rows + 1} {
-				vecPipe, err := BuildExec(snap, dev, tc.query, &tc.pred, ExecOptions{Mode: ExecVector, BatchSize: batch})
+				vecPipe, err := BuildExec(snap, dev, tc.query, &tc.pred, ExecOptions{BatchSize: batch})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -244,18 +237,18 @@ func TestDigestDoesNotAllocate(t *testing.T) {
 	query := attrset.All(6)
 	pred := U32Less(1, storage.DateDomain/2)
 	for _, p := range []*Pred{nil, &pred} {
-		pipe, err := BuildExec(snap, dev, query, p, ExecOptions{Mode: ExecVector, BatchSize: 700})
+		pipe, err := BuildExec(snap, dev, query, p, ExecOptions{BatchSize: 700})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.vroot.NextBatch(); err != nil {
+		if _, err := pipe.root.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
-		second, err := pipe.vproj.child.NextBatch()
+		second, err := pipe.proj.child.NextBatch()
 		if err != nil || second == nil {
 			t.Fatalf("no second batch: %v", err)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { pipe.vproj.digest(second) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { pipe.proj.digest(second) }); allocs != 0 {
 			t.Errorf("σ=%v: digesting a second batch allocates %.0f times", p != nil, allocs)
 		}
 	}
@@ -274,7 +267,7 @@ func TestDigestSegmentsLongerThanScratch(t *testing.T) {
 	pred := U32Less(1, storage.DateDomain/3)
 	for _, query := range []attrset.Set{attrset.Of(0), attrset.Of(0, 4), attrset.Of(1, 2, 5)} {
 		for _, p := range []*Pred{nil, &pred} {
-			rowPipe, err := Build(snap, dev, query, p)
+			rowPipe, err := buildRow(snap, dev, query, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,7 +280,7 @@ func TestDigestSegmentsLongerThanScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vecPipe, err := BuildExec(snap, dev, query, p, ExecOptions{Mode: ExecVector, BatchSize: batch})
+				vecPipe, err := BuildExec(snap, dev, query, p, ExecOptions{BatchSize: batch})
 				if err != nil {
 					t.Fatal(err)
 				}

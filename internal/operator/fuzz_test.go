@@ -53,7 +53,7 @@ func fuzzLayout(tbl *schema.Table, groups uint64) []attrset.Set {
 // optional pushed-down predicate, that the pipeline returns EXACTLY the
 // rows a trivial oracle derives straight from the deterministic generator
 // — same IDs, same bytes, same order — and that a predicate-free plan's
-// measured stats equal the monolithic Engine.Scan bit for bit.
+// measured stats equal the row-at-a-time scan's bit for bit.
 func FuzzPlanVsOracle(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint16(0x0f), uint16(0), uint32(0))
 	f.Add(uint64(2), uint64(0x15a5), uint16(0xff), uint16(3), uint32(1000))
@@ -145,12 +145,8 @@ func FuzzPlanVsOracle(f *testing.F) {
 		}
 
 		if pred == nil {
-			scan, err := e.Scan(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Stats, scan) {
-				t.Fatalf("predicate-free pipeline stats diverge from Engine.Scan\n got %+v\nwant %+v",
+			if scan := rowScan(t, e.Snapshot(), dev, query); !reflect.DeepEqual(res.Stats, scan) {
+				t.Fatalf("predicate-free pipeline stats diverge from the row scan\n got %+v\nwant %+v",
 					res.Stats, scan)
 			}
 		}
@@ -176,9 +172,9 @@ func fuzzPred(form, attr int, bound uint32) Pred {
 
 // FuzzVectorVsRowOracle checks, for a random layout, row count, projection
 // set, predicate, batch size and backend, that the zero-copy vector pipeline
-// reproduces BOTH its oracles exactly — the row pipeline and the reference
-// copying vector pipeline (reference_test.go): same row stream (IDs and
-// bytes, in order), same checksum, and bit-identical ScanStats and
+// reproduces BOTH its oracles exactly — the row pipeline (row_test.go) and
+// the reference copying vector pipeline (reference_test.go): same row stream
+// (IDs and bytes, in order), same checksum, and bit-identical ScanStats and
 // per-operator OpStats down to Float64bits of every SimTime.
 //
 // The seeds are chosen for what makes page runs interesting on the 64-byte
@@ -271,7 +267,7 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 			return out, res
 		}
 
-		rowPipe, err := Build(snap, dev, query, pred)
+		rowPipe, err := buildRow(snap, dev, query, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +275,7 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 		refRows, refRes := collect(func(fn func(*Row) error) (Result, error) {
 			return refRun(snap, dev, query, pred, batch, fn)
 		})
-		vecPipe, err := BuildExec(snap, dev, query, pred, ExecOptions{Mode: ExecVector, BatchSize: batch})
+		vecPipe, err := BuildExec(snap, dev, query, pred, ExecOptions{BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,8 +72,25 @@ var testLayouts = map[string][]attrset.Set{
 	"grouped": {attrset.Of(0, 2), attrset.Of(1, 4), attrset.Of(3, 5)},
 }
 
+// rowScan runs query through the row-at-a-time oracle (row_test.go) with no
+// predicate: the full scan of the referenced partitions, one cursor step per
+// row. storage's external cross-check pins the same numbers to its
+// monolithic Scan oracle.
+func rowScan(t *testing.T, snap *storage.Snapshot, dev cost.Device, q attrset.Set) storage.ScanStats {
+	t.Helper()
+	pipe, err := buildRow(snap, dev, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
+}
+
 // TestPipelineEqualsScan is the core contract: a pipeline with no
-// predicate must reproduce the monolithic Engine.Scan's ScanStats — every
+// predicate must reproduce the row-at-a-time scan's ScanStats — every
 // field, including the per-partition breakdown, simulated time, and
 // checksum — bit for bit, for every layout x query x device.
 func TestPipelineEqualsScan(t *testing.T) {
@@ -90,10 +107,7 @@ func TestPipelineEqualsScan(t *testing.T) {
 			snap := e.Snapshot()
 			for qi, q := range queries {
 				t.Run(fmt.Sprintf("%s/%s/q%d", dev.Name, lname, qi), func(t *testing.T) {
-					want, err := e.Scan(q)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := rowScan(t, snap, dev, q)
 					pipe, err := Build(snap, dev, q, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -103,7 +117,7 @@ func TestPipelineEqualsScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(res.Stats, want) {
-						t.Errorf("pipeline stats diverge from Engine.Scan\n got %+v\nwant %+v", res.Stats, want)
+						t.Errorf("pipeline stats diverge from the row scan\n got %+v\nwant %+v", res.Stats, want)
 					}
 					if res.Rows != want.Tuples || res.Checksum != want.Checksum {
 						t.Errorf("rows/checksum: got %d/%x want %d/%x", res.Rows, res.Checksum, want.Tuples, want.Checksum)
@@ -133,8 +147,8 @@ func TestPipelineEqualsScan(t *testing.T) {
 
 // TestWhatIfDevice pins the one-store-many-devices property: a pipeline
 // accounting against a different device (same block geometry) over one
-// materialized store must equal a scan on an engine built with that device
-// outright.
+// materialized store must equal a row-at-a-time scan of an engine built
+// with that device outright.
 func TestWhatIfDevice(t *testing.T) {
 	tbl := testTable(t, 300)
 	parts := testLayouts["grouped"]
@@ -156,10 +170,7 @@ func TestWhatIfDevice(t *testing.T) {
 	}
 
 	oracle := loadEngine(t, tbl, parts, whatif, 3)
-	want, err := oracle.Scan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := rowScan(t, oracle.Snapshot(), whatif, q)
 	if !reflect.DeepEqual(res.Stats, want) {
 		t.Errorf("what-if stats diverge\n got %+v\nwant %+v", res.Stats, want)
 	}
@@ -216,21 +227,15 @@ func TestSelectionPushdown(t *testing.T) {
 					}
 				}
 				// Physical reads equal the full scan of the referenced set.
-				want, err := e.Scan(q.Add(1))
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := rowScan(t, e.Snapshot(), dev, q.Add(1))
 				if res.Stats.Seeks != want.Seeks || res.Stats.BytesRead != want.BytesRead ||
 					res.Stats.SimTime != want.SimTime || !reflect.DeepEqual(res.Stats.Parts, want.Parts) {
 					t.Errorf("selective plan's physical reads diverge from full scan\n got %+v\nwant %+v", res.Stats, want)
 				}
 				if bound >= storage.DateDomain {
 					// Selects everything: the result digest must equal the
-					// monolithic scan's over the same attributes.
-					full, err := e.Scan(q)
-					if err != nil {
-						t.Fatal(err)
-					}
+					// predicate-free scan's over the same attributes.
+					full := rowScan(t, e.Snapshot(), dev, q)
 					if res.Checksum != full.Checksum || res.Rows != full.Tuples {
 						t.Errorf("all-pass selection: checksum/rows %x/%d, scan %x/%d",
 							res.Checksum, res.Rows, full.Checksum, full.Tuples)
@@ -244,8 +249,8 @@ func TestSelectionPushdown(t *testing.T) {
 	}
 }
 
-// TestJoinOvershootAlignment drives the merge join's realignment path
-// directly: two σ children with disjoint match sets force each side to
+// TestJoinOvershootAlignment drives the row oracle's merge join through its
+// realignment path directly (no built plan stacks two σ): two σ children with disjoint match sets force each side to
 // overshoot the other's candidate repeatedly, and the join must still
 // terminate having read both partitions in full.
 func TestJoinOvershootAlignment(t *testing.T) {
@@ -284,12 +289,9 @@ func TestJoinOvershootAlignment(t *testing.T) {
 	}
 	// Both partitions must have been drained in full regardless of the
 	// predicates (the common-granularity rule).
+	full := rowScan(t, snap, dev, attrset.All(6))
 	for i, c := range []*storage.PartCursor{c0, c1} {
 		ps := c.Stats()
-		full, err := e.Scan(attrset.All(6))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if ps.BytesRead != full.Parts[i].BytesRead {
 			t.Errorf("partition %d read %d bytes, full scan reads %d", i, ps.BytesRead, full.Parts[i].BytesRead)
 		}

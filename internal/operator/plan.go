@@ -18,50 +18,44 @@ import (
 //	   ├─ scan(part)                 the predicate's attribute
 //	   └─ ...                     ← leaves in canonical layout order
 //
-// Leaves share the engine's proportional buffer split (each cursor's
+// Leaves share the cost model's proportional buffer split (each cursor's
 // allotment is Buff·rowSize/totalRowSize), so the pipeline's physical
-// accounting is the monolithic Scan's, term for term.
+// accounting is the model's, term for term.
 type Pipeline struct {
 	dev    cost.Device
 	query  attrset.Set
-	pred   *Pred
-	root   Operator
-	proj   *Project
-	join   *ReconJoin
-	leaves []*Scan
-	ops    []Operator // bottom-up: leaves (canonical order), σ, ⋈, π
+	opts   ExecOptions
+	root   VecOperator
+	proj   *VecProject
+	join   *VecReconJoin
+	leaves []*VecScan
+	ops    []VecOperator // bottom-up: leaves (canonical order), σ, ⋈, π
 	ran    bool
-
-	// Vector mode (opts.Mode == ExecVector): the same plan shape built from
-	// batch-at-a-time operators over the same cursors.
-	opts    ExecOptions
-	vroot   VecOperator
-	vproj   *VecProject
-	vjoin   *VecReconJoin
-	vleaves []*VecScan
-	vops    []VecOperator
 }
 
-// ExecMode selects a pipeline's execution strategy.
+// ExecMode is a label requests, configs and reports carry. It used to pick
+// between a row-at-a-time and a batch-at-a-time executor; there is one
+// executor now (the batch-at-a-time one, vector.go), and the row Volcano is
+// its test oracle (row_test.go).
 type ExecMode string
 
+// The two labels clients send. Both are accepted and neither selects
+// anything; an empty mode reads as ExecRow, which is what a default request
+// has always been answered with.
 const (
-	// ExecRow is the PR-8 row-at-a-time Volcano path — the oracle every
-	// other mode must match bit for bit.
-	ExecRow ExecMode = "row"
-	// ExecVector is the batch-at-a-time path: batches are views over the
-	// store's pages, σ and π read them in place.
+	ExecRow    ExecMode = "row"
 	ExecVector ExecMode = "vector"
 )
 
 // ExecOptions tune HOW a pipeline executes; they can never change WHAT it
-// computes or measures — every mode shares the cursors, the row digest,
-// and the aggregation order, so results and ScanStats are knob-invariant.
+// computes or measures — results and ScanStats are knob-invariant.
 type ExecOptions struct {
-	// Mode selects row- or batch-at-a-time execution; empty means row.
+	// Mode has no effect: it is validated (ExecRow, ExecVector or empty,
+	// which defaults to ExecRow) and echoed back as a label, because
+	// requests, configs and the frozen benchmark carry it.
 	Mode ExecMode
-	// BatchSize is the rows per batch in vector mode; 0 uses
-	// DefaultBatchSize, bounds are [1, MaxBatchSize].
+	// BatchSize is the rows per batch; 0 uses DefaultBatchSize, bounds are
+	// [1, MaxBatchSize].
 	BatchSize int
 	// Workers has no effect. It used to put each vector leaf on its own
 	// goroutine so page-to-column copies could overlap; a leaf no longer
@@ -73,9 +67,10 @@ type ExecOptions struct {
 	Workers int
 }
 
-// Normalized validates and defaults exec options. The replay and serving
-// layers share it, so a replayed pipeline and the wire-level validation in
-// front of it can never disagree about what a legal knob is.
+// Normalized validates and defaults exec options — the one place an exec
+// mode is looked at. The replay and serving layers call it, so a replayed
+// pipeline and the wire-level validation in front of it can never disagree
+// about what a legal knob is.
 func (o ExecOptions) Normalized() (ExecOptions, error) { return o.normalized() }
 
 // normalized validates and defaults exec options.
@@ -105,18 +100,17 @@ type Result struct {
 	// Rows is the number of result rows the root emitted.
 	Rows int64
 	// Checksum is the row digest of the projected result (storage/digest.go):
-	// equal across layouts, devices, backends and exec modes.
+	// equal across layouts, devices, backends and batch sizes.
 	Checksum uint64
-	// Stats aggregates the pipeline in Engine.Scan's terms — for a plan
-	// with no predicate it equals the monolithic scan's ScanStats bit for
-	// bit (same cursors, same summation order).
+	// Stats aggregates the pipeline per referenced partition, in canonical
+	// layout order, summed the way the cost model sums its terms.
 	Stats storage.ScanStats
 	// Ops breaks the work down per operator, bottom-up (leaves in
 	// canonical layout order, then σ, ⋈, π as present).
 	Ops []OpStats
-	// FillRatios are vector mode's per-batch fill ratios (surviving rows
-	// over batch capacity) in stream order; nil in row mode. A telemetry
-	// signal only — it never feeds a verdict.
+	// FillRatios are the per-batch fill ratios (surviving rows over batch
+	// capacity) in stream order. A telemetry signal only — it never feeds a
+	// verdict.
 	FillRatios []float64
 }
 
@@ -124,18 +118,17 @@ type Result struct {
 // selection predicate over the snapshot, pricing against dev. The device
 // must share the snapshot's block geometry; its buffer and mechanical
 // constants may differ (what-if execution on one materialized store).
-// Attributes outside the table are ignored, like Engine.Scan. A plan
-// referencing no attributes is valid and runs to an empty result for
-// free. Build executes row-at-a-time; BuildExec selects the mode.
+// Attributes outside the table are ignored. A plan referencing no
+// attributes is valid and runs to an empty result for free.
 func Build(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pred) (*Pipeline, error) {
 	return BuildExec(snap, dev, query, pred, ExecOptions{})
 }
 
-// BuildExec is Build with an execution-mode choice: the same plan shape over
-// the same cursors (same proportional buffer split, same canonical leaf
-// order), constructed from row or vector operators. The knobs tune only
-// wall-clock behavior; every result and every measured quantity is
-// mode-, batch-size-, and worker-count-invariant.
+// BuildExec is Build with exec options: leaves in canonical layout order
+// over cursors sharing the proportional buffer split, σ directly above the
+// leaf holding the predicate's attribute, chunk-aligned ⋈, digesting π at
+// the root. The options tune only wall-clock behavior; every result and
+// every measured quantity is batch-size-invariant.
 func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pred, opts ExecOptions) (*Pipeline, error) {
 	opts, err := opts.normalized()
 	if err != nil {
@@ -157,7 +150,7 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 		}
 		needed = needed.Add(pred.Attr)
 	}
-	p := &Pipeline{dev: dev, query: query, pred: pred, opts: opts}
+	p := &Pipeline{dev: dev, query: query, opts: opts}
 	if needed.IsEmpty() {
 		return p, nil
 	}
@@ -173,89 +166,43 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 		}
 	}
 
-	if opts.Mode == ExecVector {
-		return buildVector(p, snap, dev, query, pred, refs, totalRowSize)
-	}
-
-	children := make([]Operator, 0, len(refs))
-	for _, i := range refs {
-		cur, err := snap.Cursor(i, dev, totalRowSize)
-		if err != nil {
-			return nil, err
-		}
-		leaf := NewScan(cur, dev)
-		p.leaves = append(p.leaves, leaf)
-		p.ops = append(p.ops, leaf)
-		var child Operator = leaf
-		if pred != nil && snap.PartAttrs(i).Has(pred.Attr) {
-			sel := NewSelect(leaf, *pred)
-			p.ops = append(p.ops, sel)
-			child = sel
-		}
-		children = append(children, child)
-	}
-
-	root := children[0]
-	if len(children) > 1 {
-		p.join = NewReconJoin(children)
-		p.ops = append(p.ops, p.join)
-		root = p.join
-	}
-	p.proj = NewProject(root, query)
-	p.ops = append(p.ops, p.proj)
-	p.root = p.proj
-	return p, nil
-}
-
-// buildVector assembles the batch-at-a-time plan over the same refs and
-// cursors the row plan would open: leaves in canonical order, σ directly
-// above its leaf, chunk-aligned ⋈, digesting π at the root.
-func buildVector(p *Pipeline, snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pred, refs []int, totalRowSize int64) (*Pipeline, error) {
 	children := make([]VecOperator, 0, len(refs))
 	for _, i := range refs {
 		cur, err := snap.Cursor(i, dev, totalRowSize)
 		if err != nil {
 			return nil, err
 		}
-		leaf := NewVecScan(cur, dev, p.opts.BatchSize)
-		p.vleaves = append(p.vleaves, leaf)
-		p.vops = append(p.vops, leaf)
+		leaf := NewVecScan(cur, dev, opts.BatchSize)
+		p.leaves = append(p.leaves, leaf)
+		p.ops = append(p.ops, leaf)
 		var child VecOperator = leaf
 		if pred != nil && snap.PartAttrs(i).Has(pred.Attr) {
 			child = NewVecSelect(leaf, *pred)
-			p.vops = append(p.vops, child)
+			p.ops = append(p.ops, child)
 		}
 		children = append(children, child)
 	}
 
-	var root VecOperator = children[0]
+	p.root = children[0]
 	if len(children) > 1 {
-		p.vjoin = NewVecReconJoin(children)
-		p.vops = append(p.vops, p.vjoin)
-		root = p.vjoin
+		p.join = NewVecReconJoin(children)
+		p.ops = append(p.ops, p.join)
+		p.root = p.join
 	}
-	p.vproj = NewVecProject(root, query, p.opts.BatchSize)
-	p.vops = append(p.vops, p.vproj)
-	p.vroot = p.vproj
+	p.proj = NewVecProject(p.root, query, opts.BatchSize)
+	p.ops = append(p.ops, p.proj)
+	p.root = p.proj
 	return p, nil
 }
 
-// Describe renders the plan bottom-up, one operator per line. The rendering
-// is mode-invariant: a vector plan names the same operators in the same
-// order as its row twin.
+// Describe renders the plan bottom-up, one operator per line.
 func (p *Pipeline) Describe() string {
-	if p.root == nil && p.vroot == nil {
+	if p.root == nil {
 		return "(empty)"
 	}
-	var names []string
-	if p.vroot != nil {
-		for _, op := range p.vops {
-			names = append(names, op.Name())
-		}
-	} else {
-		for _, op := range p.ops {
-			names = append(names, op.Name())
-		}
+	names := make([]string, len(p.ops))
+	for i, op := range p.ops {
+		names[i] = op.Name()
 	}
 	return strings.Join(names, " → ")
 }
@@ -264,85 +211,29 @@ func (p *Pipeline) Describe() string {
 // RunFunc(nil); a pipeline runs once.
 func (p *Pipeline) Run() (Result, error) { return p.RunFunc(nil) }
 
-// RunFunc drives the pipeline to end of stream, invoking fn (when
-// non-nil) on every result row. Rows passed to fn alias operator-owned
-// buffers and are valid only during the call — copy what you keep.
+// RunFunc drives the pipeline to end of stream on the calling goroutine,
+// invoking fn (when non-nil) on every result row. Rows handed to fn are
+// windows onto the batch's pages: read-only, and gone with the batch — copy
+// what you keep.
 //
-// The returned Result aggregates the leaves' physical accounting in the
-// engine's own shape: Parts in canonical layout order, simulated time
-// summed per partition with the identical seek+scan expression. That
-// reuse — not a parallel implementation — is why executed totals equal
-// Engine.Scan (and therefore the cost model) bit for bit.
+// The returned Result aggregates the leaves' physical accounting per
+// partition: Parts in canonical layout order, simulated time summed per
+// partition with the cost model's seek+scan expression in the cost model's
+// order — which is why executed totals equal predictions bit for bit.
 func (p *Pipeline) RunFunc(fn func(r *Row) error) (Result, error) {
 	if p.ran {
 		return Result{}, fmt.Errorf("operator: pipeline already ran")
 	}
 	p.ran = true
-	if p.opts.Mode == ExecVector {
-		return p.runVector(fn)
-	}
 	var res Result
 	if p.root == nil {
-		return res, nil
-	}
-	for {
-		r, err := p.root.Next()
-		if err != nil {
-			return res, err
-		}
-		if r == nil {
-			break
-		}
-		res.Rows++
-		if fn != nil {
-			if err := fn(r); err != nil {
-				return res, err
-			}
-		}
-	}
-
-	st := &res.Stats
-	for _, leaf := range p.leaves {
-		p.charge(st, leaf.PartStats())
-	}
-	st.Tuples = res.Rows
-	if p.join != nil {
-		st.ReconJoins = p.join.Stats().ReconJoins
-	}
-	st.Checksum = p.proj.Checksum()
-	res.Checksum = st.Checksum
-	for _, op := range p.ops {
-		res.Ops = append(res.Ops, op.Stats())
-	}
-	return res, nil
-}
-
-// charge adds one leaf's measurements to the totals exactly as Engine.Scan
-// does — leaves come in canonical order, and simulated time is charged with
-// the same per-partition grouping and summation order (floating-point
-// addition is not associative; any other order could differ in the last bit).
-func (p *Pipeline) charge(st *storage.ScanStats, ps storage.PartScanStats) {
-	st.Parts = append(st.Parts, ps)
-	st.Seeks += ps.Seeks
-	st.BytesRead += ps.BytesRead
-	st.CacheLines += ps.CacheLines
-	st.SimTime += p.dev.SeekTime*float64(ps.Seeks) +
-		float64(ps.BytesRead)/p.dev.ReadBandwidth
-}
-
-// runVector drives the batch-at-a-time plan to end of stream on the calling
-// goroutine. Rows handed to fn are windows onto the batch's pages: read-only,
-// and gone with the batch.
-func (p *Pipeline) runVector(fn func(r *Row) error) (Result, error) {
-	var res Result
-	if p.vroot == nil {
 		return res, nil
 	}
 	var row Row
 	row.Attrs = p.query
 	qcols := p.query.Attrs()
 	for {
-		b, err := p.vroot.NextBatch()
+		b, err := p.root.NextBatch()
 		if err != nil {
 			return res, err
 		}
@@ -375,20 +266,33 @@ func (p *Pipeline) runVector(fn func(r *Row) error) (Result, error) {
 	}
 
 	st := &res.Stats
-	for _, leaf := range p.vleaves {
+	for _, leaf := range p.leaves {
 		p.charge(st, leaf.PartStats())
 	}
 	st.Tuples = res.Rows
-	if p.vjoin != nil {
-		st.ReconJoins = p.vjoin.Stats().ReconJoins
+	if p.join != nil {
+		st.ReconJoins = p.join.Stats().ReconJoins
 	}
-	st.Checksum = p.vproj.Checksum()
+	st.Checksum = p.proj.Checksum()
 	res.Checksum = st.Checksum
-	for _, op := range p.vops {
+	for _, op := range p.ops {
 		res.Ops = append(res.Ops, op.Stats())
 	}
-	res.FillRatios = p.vproj.FillRatios()
+	res.FillRatios = p.proj.FillRatios()
 	return res, nil
+}
+
+// charge adds one leaf's measurements to the totals — leaves come in
+// canonical order, and simulated time is charged with the cost model's
+// per-partition grouping and summation order (floating-point addition is not
+// associative; any other order could differ in the last bit).
+func (p *Pipeline) charge(st *storage.ScanStats, ps storage.PartScanStats) {
+	st.Parts = append(st.Parts, ps)
+	st.Seeks += ps.Seeks
+	st.BytesRead += ps.BytesRead
+	st.CacheLines += ps.CacheLines
+	st.SimTime += p.dev.SeekTime*float64(ps.Seeks) +
+		float64(ps.BytesRead)/p.dev.ReadBandwidth
 }
 
 // MeasuredSeconds converts executed totals to the seconds dev's pricing

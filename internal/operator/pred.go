@@ -1,19 +1,19 @@
-// Package operator executes σ/π/⋈ pipelines over pinned storage epochs in
-// the Volcano (pull-based iterator) idiom: every operator is a lazy stream
-// of reconstructed rows that does no work until pulled, and every operator
+// Package operator is the system's one executor: σ/π/⋈ pipelines over
+// pinned storage epochs, pulled batch at a time — every operator is a lazy
+// stream of row batches that does no work until pulled, and every operator
 // carries its own measurements (rows, seeks, bytes, cache lines,
 // reconstruction joins, simulated seconds) so a pipeline's total cost
 // decomposes exactly into the cost model's per-partition terms.
 //
-// The package exists to close the measured==predicted loop ABOVE the scan:
-// Engine.Scan already proves a full projection scan costs exactly what the
-// model says; this layer proves the same for composed plans — selections
-// pushed into partition scans, tuple-reconstruction joins stitching a
-// query's attributes back together across vertical partitions, projections
-// digesting the result. The accounting survives composition because the
-// leaves reuse the engine's own cursor mechanics (storage.PartCursor) and
-// the final aggregation reuses the engine's summation order; everything
-// above the leaves moves slice headers, never bytes, and charges nothing.
+// The package closes the measured==predicted loop for composed plans —
+// selections pushed into partition scans, tuple-reconstruction joins
+// stitching a query's attributes back together across vertical partitions,
+// projections digesting the result. The accounting survives composition
+// because the leaves read through the storage layer's cursor mechanics
+// (storage.PartCursor) and the final aggregation keeps the cost model's
+// summation order; everything above the leaves moves slice headers, never
+// bytes, and charges nothing. The row-at-a-time pipeline this replaced is
+// the test oracle in row_test.go.
 package operator
 
 import (

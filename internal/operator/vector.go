@@ -8,19 +8,17 @@ import (
 	"knives/internal/storage"
 )
 
-// Vectorized execution: the same σ/π/⋈ plans, batch-at-a-time. Every
-// operator moves a Batch — up to BatchSize consecutive rows plus a selection
-// vector — instead of one row per interface call, and no operator moves a
-// row's bytes at all: a batch is a set of VIEWS over the pages its leaves'
-// cursors hand out (the store's own pages on a resident backend), one run
-// per page the batch straddles. σ reads the predicate column where it lies
-// and writes a selection vector, ⋈ degenerates to chunk alignment because
-// leaves emit consecutive IDs in lockstep chunks, and π folds the
-// surviving rows straight off the pages into the row digest — the one
-// checksum definition, storage/digest.go, the row path and Engine.Scan
-// compute too. The physical accounting is untouched (batches
-// are cut from the SAME PartCursor stream, page fetch for page fetch) — so
-// checksums, row counts, and ScanStats are bit-equal to the row oracle.
+// The executor: σ/π/⋈ plans run batch-at-a-time. Every operator moves a
+// Batch — up to BatchSize consecutive rows plus a selection vector — and no
+// operator moves a row's bytes at all: a batch is a set of VIEWS over the
+// pages its leaves' cursors hand out (the store's own pages on a resident
+// backend), one run per page the batch straddles. σ reads the predicate
+// column where it lies and writes a selection vector, ⋈ degenerates to chunk
+// alignment because leaves emit consecutive IDs in lockstep chunks, and π
+// folds the surviving rows straight off the pages into the row digest
+// (storage/digest.go). The physical accounting is the PartCursor's, page
+// fetch for page fetch, wherever batches are cut — so checksums, row counts,
+// and ScanStats are bit-equal to the row-at-a-time oracle's (row_test.go).
 //
 // Lifetime: pages are read-only, always — on a resident backend a view IS
 // the store. A batch, and every byte reachable through it, is valid until
@@ -132,12 +130,12 @@ func (b *Batch) live() int {
 	return b.n
 }
 
-// VecOperator is the batch-at-a-time counterpart of Operator: NextBatch
-// returns the stream's next batch, or (nil, nil) at end of stream. Batches
-// are owned by the operator that returned them and are valid only until the
-// next NextBatch call. Stats and Name report in exactly the terms the row
-// operators do, so a vectorized plan's OpStats are comparable (and, by the
-// decomposition identities, equal) to the row path's.
+// VecOperator is a pull-based batch iterator: NextBatch returns the
+// stream's next batch, or (nil, nil) at end of stream. Batches are owned by
+// the operator that returned them and are valid only until the next
+// NextBatch call. Stats may be read at any point and reports the operator's
+// own work (not its children's) so far; Name renders the operator for plan
+// displays, e.g. "σ(a4<1263)".
 type VecOperator interface {
 	NextBatch() (*Batch, error)
 	Stats() OpStats
@@ -148,8 +146,9 @@ type VecOperator interface {
 // in page-sized runs (NextRows) and keeps, per run, the page itself — the
 // batch is a list of views, not a copy. The cursor holds one batch's worth
 // of pages valid (storage.PartCursor.Hold), which is the batch's lifetime:
-// until this leaf's next NextBatch. The cursor stream, and therefore every
-// physical measurement, is identical to the row scan's.
+// until this leaf's next NextBatch. All physical I/O (and therefore all
+// cost) in a pipeline happens here, with the cursor's buffer, seek, and page
+// accounting.
 type VecScan struct {
 	c    *storage.PartCursor
 	dev  cost.Device
@@ -195,8 +194,22 @@ func (s *VecScan) NextBatch() (*Batch, error) {
 // per-partition form.
 func (s *VecScan) PartStats() storage.PartScanStats { return s.c.Stats() }
 
-// Stats prices the leaf exactly as the row Scan does.
-func (s *VecScan) Stats() OpStats { return leafStats(s.c, s.dev, s.out) }
+// Stats prices the leaf's reads under its device's discipline: seek plus
+// scan time for block devices, cache-line transfers times miss latency for
+// cache devices — exactly the cost model's per-partition term.
+func (s *VecScan) Stats() OpStats {
+	ps := s.c.Stats()
+	st := OpStats{
+		Op: "scan", Name: s.Name(), RowsOut: s.out,
+		Seeks: ps.Seeks, BytesRead: ps.BytesRead, CacheLines: ps.CacheLines,
+	}
+	if s.dev.Pricing == cost.PricingCache {
+		st.SimTime = float64(ps.CacheLines) * s.dev.MissLatency
+	} else {
+		st.SimTime = s.dev.SeekTime*float64(ps.Seeks) + float64(ps.BytesRead)/s.dev.ReadBandwidth
+	}
+	return st
+}
 
 // Name renders the leaf with its column group.
 func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
@@ -205,8 +218,10 @@ func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
 // predicate column where it lies on the page, run by run, into the selection
 // vector — no row movement, no per-row pulls, and for the built-in
 // comparison forms no call and no branch per row either (Pred.filterRun).
-// Row counts match the row σ's: every slot that reaches it counts in, every
-// surviving slot counts out.
+// Build pushes it directly above the leaf that stores the predicate's
+// attribute, below any join, so non-matching rows never cost a
+// reconstruction. Every slot that reaches it counts in, every surviving slot
+// counts out.
 type VecSelect struct {
 	child VecOperator
 	pred  Pred
@@ -262,14 +277,18 @@ func (s *VecSelect) Stats() OpStats {
 // Name renders the predicate.
 func (s *VecSelect) Name() string { return "σ(" + s.pred.Name + ")" }
 
-// VecReconJoin is the vectorized ⋈. Because every leaf emits consecutive
-// row IDs in identically-sized chunks, chunk k of every child covers the
-// same ID range — the row path's ID merge collapses into aligning chunk
-// selection vectors. The output batch carries no bytes at all: each
-// attribute points at the view of the child that stores it, and only the
-// intersected selection vector is new. The common-granularity drain is
-// implicit: every child is pulled to end of stream no matter what the
-// selections discard.
+// VecReconJoin is the ⋈: the tuple-reconstruction join that stitches a
+// query's attributes back together across vertical partitions. Because
+// every leaf emits consecutive row IDs in identically-sized chunks, chunk k
+// of every child covers the same ID range — a merge on row ID collapses
+// into aligning chunk selection vectors. The output batch carries no bytes
+// at all: each attribute points at the view of the child that stores it,
+// and only the intersected selection vector is new; one reconstruction join
+// is counted per surviving row per partition beyond the first (the paper's
+// counting). The common-granularity rule — every referenced partition is
+// read in full even under a selective plan, so physical cost stays the cost
+// model's full-scan charge — is implicit: every child is pulled to end of
+// stream no matter what the selections discard.
 type VecReconJoin struct {
 	children []VecOperator
 	out      Batch
@@ -381,17 +400,17 @@ type span struct {
 	base []byte // the segment's first row, sliced at off
 }
 
-// VecProject is the vectorized π: it folds every surviving row's query
-// columns into the row digest (storage/digest.go, the one checksum
-// definition the row Project and Engine.Scan compute too), so the checksum
-// stays layout-, mode-, and batch-size-invariant. The bytes are read where
+// VecProject is the π: it folds every surviving row's query columns into
+// the row digest (storage/digest.go, the one checksum definition), so the
+// checksum stays layout- and batch-size-invariant. The bytes are read where
 // they lie: the batch's slot range is split at the union of its leaves' run
 // boundaries (and at the scratch's length), and inside a segment every
 // leaf's rows sit at a fixed stride on one page — so a segment is folded
 // column-at-a-time into the scratch row hashes rh (independent of each
 // other, which is where the speed comes from), then row by row into the
-// checksum. Where a segment ends never shows in the value. It also records per-batch fill ratios (surviving rows over
-// batch capacity), the serving layer's batching-efficiency signal.
+// checksum. Where a segment ends never shows in the value. It also records
+// per-batch fill ratios (surviving rows over batch capacity), the serving
+// layer's batching-efficiency signal.
 type VecProject struct {
 	child VecOperator
 	attrs attrset.Set

@@ -20,8 +20,8 @@ func vecBatchSweep(rows int64) []int {
 }
 
 // resultsEqual compares two pipeline Results at zero tolerance — floats by
-// their bits — ignoring FillRatios (a vector-only telemetry signal,
-// deliberately absent in row mode).
+// their bits — ignoring FillRatios (a telemetry signal the row oracle does
+// not produce).
 func resultsEqual(t *testing.T, label string, got, want Result) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Checksum != want.Checksum {
@@ -43,11 +43,11 @@ func resultsEqual(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestVectorEqualsRowOracle is the tentpole contract: for every layout x
-// device x query x predicate and every swept batch size, the vectorized
-// pipeline's Result — rows, checksum, ScanStats including the per-partition
-// breakdown and SimTime, and per-operator OpStats — equals the row oracle's
-// bit for bit, and (predicate-free) Engine.Scan's.
+// TestVectorEqualsRowOracle is the executor's contract: for every layout x
+// device x query x predicate and every swept batch size, the pipeline's
+// Result — rows, checksum, ScanStats including the per-partition breakdown
+// and SimTime, and per-operator OpStats — equals the row oracle's bit for
+// bit.
 func TestVectorEqualsRowOracle(t *testing.T) {
 	const rows = 533
 	queries := []attrset.Set{
@@ -67,7 +67,7 @@ func TestVectorEqualsRowOracle(t *testing.T) {
 			for qi, q := range queries {
 				for pi, pred := range preds {
 					t.Run(fmt.Sprintf("%s/%s/q%d/p%d", dev.Name, lname, qi, pi), func(t *testing.T) {
-						rowPipe, err := Build(snap, dev, q, pred)
+						rowPipe, err := buildRow(snap, dev, q, pred)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -75,17 +75,8 @@ func TestVectorEqualsRowOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if pred == nil {
-							scan, err := e.Scan(q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(want.Stats, scan) {
-								t.Fatalf("row oracle itself diverges from Engine.Scan")
-							}
-						}
 						for _, bs := range vecBatchSweep(rows) {
-							vec, err := BuildExec(snap, dev, q, pred, ExecOptions{Mode: ExecVector, BatchSize: bs})
+							vec, err := BuildExec(snap, dev, q, pred, ExecOptions{BatchSize: bs})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -124,7 +115,7 @@ func TestVectorMorselWorkerInvariance(t *testing.T) {
 			snap := e.Snapshot()
 			q := attrset.Of(0, 1, 5)
 
-			rowPipe, err := Build(snap, dev, q, &pred)
+			rowPipe, err := buildRow(snap, dev, q, &pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +125,7 @@ func TestVectorMorselWorkerInvariance(t *testing.T) {
 			}
 			for _, workers := range []int{0, 1, 2, 4, 8, 33} {
 				vec, err := BuildExec(snap, dev, q, &pred,
-					ExecOptions{Mode: ExecVector, BatchSize: 64, Workers: workers})
+					ExecOptions{BatchSize: 64, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,20 +139,19 @@ func TestVectorMorselWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestVectorRowSynthesis checks RunFunc in vector mode hands fn the same
-// row stream — IDs, attribute sets, and column bytes in order — as the row
-// oracle.
+// TestVectorRowSynthesis checks RunFunc hands fn the same row stream — IDs,
+// attribute sets, and column bytes in order — as the row oracle.
 func TestVectorRowSynthesis(t *testing.T) {
 	const rows = 257
 	type gotRow struct {
 		id   int64
 		vals []byte
 	}
-	collect := func(t *testing.T, pipe *Pipeline, q attrset.Set) []gotRow {
+	collect := func(t *testing.T, run func(func(*Row) error) (Result, error), q attrset.Set) []gotRow {
 		t.Helper()
 		var out []gotRow
 		qcols := q.Attrs()
-		_, err := pipe.RunFunc(func(r *Row) error {
+		_, err := run(func(r *Row) error {
 			g := gotRow{id: r.ID}
 			if r.Attrs != q {
 				t.Fatalf("row attrs %v, want %v", r.Attrs, q)
@@ -185,18 +175,18 @@ func TestVectorRowSynthesis(t *testing.T) {
 			snap := e.Snapshot()
 			q := attrset.Of(0, 1, 3)
 
-			rowPipe, err := Build(snap, dev, q, &pred)
+			rowPipe, err := buildRow(snap, dev, q, &pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := collect(t, rowPipe, q)
+			want := collect(t, rowPipe.RunFunc, q)
 
 			vec, err := BuildExec(snap, dev, q, &pred,
-				ExecOptions{Mode: ExecVector, BatchSize: 31, Workers: workers})
+				ExecOptions{BatchSize: 31, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := collect(t, vec, q)
+			got := collect(t, vec.RunFunc, q)
 			if len(got) != len(want) {
 				t.Fatalf("vector emitted %d rows, row oracle %d", len(got), len(want))
 			}
@@ -219,30 +209,30 @@ func TestExecOptionsValidation(t *testing.T) {
 
 	bad := []ExecOptions{
 		{Mode: "columnar"},
-		{Mode: ExecVector, BatchSize: -1},
+		{BatchSize: -1},
 		{Mode: ExecVector, BatchSize: MaxBatchSize + 1},
-		{Mode: ExecVector, Workers: -1},
+		{Mode: ExecRow, Workers: -1},
 	}
 	for _, opts := range bad {
 		if _, err := BuildExec(snap, dev, q, nil, opts); err == nil {
 			t.Errorf("BuildExec accepted %+v", opts)
 		}
 	}
-	// Zero values default instead of erroring.
-	pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{Mode: ExecVector})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.opts.BatchSize != DefaultBatchSize {
-		t.Errorf("zero batch size became %d, want %d", pipe.opts.BatchSize, DefaultBatchSize)
-	}
-	if _, err := BuildExec(snap, dev, q, nil, ExecOptions{}); err != nil {
-		t.Errorf("empty options rejected: %v", err)
+	// Zero values default instead of erroring, and every accepted mode is
+	// the same label-only knob: the empty one reads as "row".
+	for mode, label := range map[ExecMode]ExecMode{"": ExecRow, ExecRow: ExecRow, ExecVector: ExecVector} {
+		pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{Mode: mode})
+		if err != nil {
+			t.Fatalf("mode %q rejected: %v", mode, err)
+		}
+		if pipe.opts.BatchSize != DefaultBatchSize || pipe.opts.Mode != label {
+			t.Errorf("mode %q: normalized to %+v, want mode %q batch %d", mode, pipe.opts, label, DefaultBatchSize)
+		}
 	}
 }
 
-// TestVectorLifecycle covers the vector mode's plumbing corners: Describe
-// parity with the row plan, the run-once guard, empty plans, and callback
+// TestVectorLifecycle covers the pipeline's plumbing corners: Describe
+// parity with the row oracle's plan, the run-once guard, empty plans, and callback
 // error propagation (with and without the inert Workers knob).
 func TestVectorLifecycle(t *testing.T) {
 	dev := testDevice()
@@ -250,16 +240,16 @@ func TestVectorLifecycle(t *testing.T) {
 	snap := e.Snapshot()
 	q := attrset.Of(0, 1)
 
-	rowPipe, err := Build(snap, dev, q, nil)
+	rowPipe, err := buildRow(snap, dev, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := BuildExec(snap, dev, q, nil, ExecOptions{Mode: ExecVector})
+	vec, err := BuildExec(snap, dev, q, nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rd, vd := rowPipe.Describe(), vec.Describe(); rd != vd {
-		t.Errorf("Describe diverges between modes: row %q vector %q", rd, vd)
+		t.Errorf("Describe diverges from the row oracle: row %q pipeline %q", rd, vd)
 	}
 	if _, err := vec.Run(); err != nil {
 		t.Fatal(err)
@@ -268,8 +258,8 @@ func TestVectorLifecycle(t *testing.T) {
 		t.Error("second vector Run accepted")
 	}
 
-	// Empty plan in vector mode: empty result, no ops.
-	empty, err := BuildExec(snap, dev, attrset.Of(), nil, ExecOptions{Mode: ExecVector})
+	// Empty plan: empty result, no ops.
+	empty, err := BuildExec(snap, dev, attrset.Of(), nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +270,7 @@ func TestVectorLifecycle(t *testing.T) {
 	// A callback error aborts the run.
 	wantErr := fmt.Errorf("stop")
 	for _, workers := range []int{0, 4} {
-		pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{Mode: ExecVector, BatchSize: 8, Workers: workers})
+		pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{BatchSize: 8, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

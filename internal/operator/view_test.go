@@ -77,7 +77,7 @@ func TestScanLeavesStoreUntouched(t *testing.T) {
 	want := map[string]Result{}
 	for qi, q := range queries {
 		for pi, p := range preds {
-			pipe, err := Build(e.Snapshot(), dev, q, p)
+			pipe, err := buildRow(e.Snapshot(), dev, q, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestScanLeavesStoreUntouched(t *testing.T) {
 				qi, pi := (g+it)%len(queries), it%len(preds)
 				// A fresh snapshot per run: before, during or after the swap.
 				pipe, err := BuildExec(e.Snapshot(), dev, queries[qi], preds[pi],
-					ExecOptions{Mode: ExecVector, BatchSize: 7 + 50*g})
+					ExecOptions{BatchSize: 7 + 50*g})
 				if err != nil {
 					t.Error(err)
 					return
@@ -183,7 +183,7 @@ func TestVectorReadFaultNoPartialResult(t *testing.T) {
 		if err := e.Load(storage.NewGenerator(5), rows); err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := BuildExec(e.Snapshot(), dev, q, nil, ExecOptions{Mode: ExecVector, BatchSize: batch})
+		pipe, err := BuildExec(e.Snapshot(), dev, q, nil, ExecOptions{BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestVectorScanDoesNotBufferRows(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
-		pipe, err := BuildExec(snap, dev, q, &pred, ExecOptions{Mode: ExecVector, BatchSize: batch})
+		pipe, err := BuildExec(snap, dev, q, &pred, ExecOptions{BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -131,10 +130,9 @@ func TestOnEngineValidation(t *testing.T) {
 	}
 }
 
-// TestOnEngineConcurrentReplays: replays of one loaded engine under the
-// model it was built for may overlap — the line-size re-sync writes nothing
-// when the value already holds. Meaningful under -race, where the parent's
-// unconditional write was reported against every concurrent Scan.
+// TestOnEngineConcurrentReplays: replays of one loaded engine may overlap —
+// a replay only reads it, through cursors on its own snapshot. Meaningful
+// under -race.
 func TestOnEngineConcurrentReplays(t *testing.T) {
 	tw := testWorkload(t, 1_000)
 	cfg := Config{Model: "mm", Seed: 2}
@@ -164,22 +162,12 @@ func TestOnEngineConcurrentReplays(t *testing.T) {
 	wg.Wait()
 }
 
-// sameExecution compares two operator replays field for field, wall clock
-// aside.
-func sameExecution(t *testing.T, got, want *OperatorReplay) {
-	t.Helper()
-	g, w := *got, *want
-	g.Elapsed, w.Elapsed = 0, 0
-	g.ExecSeconds, w.ExecSeconds = nil, nil
-	if !reflect.DeepEqual(g, w) {
-		t.Errorf("shared-engine execution differs from a private one:\n got %+v\nwant %+v", g, w)
-	}
-}
-
 // TestOperatorsOnSharedEngine: executions over one shared, already-loaded
 // engine — from workloads decoded separately, so no table pointer matches
 // the engine's — report exactly what a private materialization reports, for
-// every selection, exec mode, and device, concurrently.
+// every selection and device, concurrently. The exec label rides along (the
+// test floor pins the subtest names): whatever it says, the private run
+// under the default label reports the same numbers.
 func TestOperatorsOnSharedEngine(t *testing.T) {
 	first := testWorkload(t, 3_000)
 	parts := []attrset.Set{attrset.Of(0, 1), attrset.Of(2), attrset.Of(3, 4)}
@@ -204,17 +192,20 @@ func TestOperatorsOnSharedEngine(t *testing.T) {
 						tw := testWorkload(t, 3_000)
 						layout := partition.Must(tw.Table, parts)
 						sel := &Selection{Attr: 2, Bound: bound}
-						want, err := Operators(tw, layout, "test", cfg, sel)
+						plain := cfg
+						plain.ExecMode = ""
+						want, err := Operators(tw, layout, "test", plain, sel)
 						if err != nil {
 							t.Error(err)
 							return
 						}
+						want.ExecMode = mode
 						got, err := OperatorsOn(tw, layout, e, "test", cfg, sel)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						sameExecution(t, got, want)
+						sameReport(t, "shared vs private engine", got, want)
 						if !got.Exact() || got.RowsFull != 3_000 || got.RowsReplayed != 1_000 {
 							t.Errorf("bound %d: exact=%v rows %d/%d, want exact 1000/3000",
 								bound, got.Exact(), got.RowsReplayed, got.RowsFull)

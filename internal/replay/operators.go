@@ -3,7 +3,6 @@ package replay
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"knives/internal/operator"
 	"knives/internal/partition"
@@ -26,10 +25,9 @@ type Selection struct {
 // pred builds the operator predicate.
 func (s Selection) pred() operator.Pred { return operator.U32Less(s.Attr, s.Bound) }
 
-// OperatorReplay is a TableReplay produced by executing σ/π/⋈ pipelines
-// instead of monolithic scans, with the per-query plans and per-operator
-// breakdowns alongside. Queries, Plans, Ops, and ResultRows are
-// index-aligned.
+// OperatorReplay is a TableReplay with the per-query σ/π/⋈ plans and
+// per-operator breakdowns its numbers were composed from alongside.
+// Queries, Plans, Ops, and ResultRows are index-aligned.
 type OperatorReplay struct {
 	TableReplay
 	// Plans[i] renders query i's pipeline bottom-up.
@@ -41,26 +39,26 @@ type OperatorReplay struct {
 	ResultRows []int64
 	// Selection renders the pushed-down predicate; empty without one.
 	Selection string
-	// ExecMode is the execution mode the pipelines ran in ("row"/"vector").
+	// ExecMode echoes Config.ExecMode's label ("row" unless the request
+	// said "vector"); it names no code path.
 	ExecMode string
 	// ExecSeconds[i] is query i's wall-clock pipeline execution time — a
 	// telemetry signal, never a verdict input (verdicts compare simulated
-	// measurements, which are exec-mode-invariant).
+	// measurements).
 	ExecSeconds []float64
-	// FillRatios[i] are query i's per-batch fill ratios in vector mode;
-	// nil per query in row mode.
+	// FillRatios[i] are query i's per-batch fill ratios.
 	FillRatios [][]float64
 }
 
 // Operators materializes the layout (sampled, like Layout) and replays the
 // workload by building and running one operator pipeline per query over an
-// epoch snapshot, instead of calling the engine's monolithic Scan. The
-// pipeline reuses the engine's cursor mechanics and summation order, so
-// every measured quantity still equals the cost model's prediction at zero
-// tolerance — now composed from per-operator terms. With a non-nil sel,
-// every plan gains a σ pushed onto the partition scan holding sel.Attr.
+// epoch snapshot. The pipeline's cursors keep the cost model's accounting
+// and summation order, so every measured quantity equals the model's
+// prediction at zero tolerance — composed from per-operator terms. With a
+// non-nil sel, every plan gains a σ pushed onto the partition scan holding
+// sel.Attr.
 func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	return OperatorsOn(tw, layout, nil, algorithm, cfg, sel)
+	return run(tw, &layout, nil, algorithm, cfg, sel)
 }
 
 // OperatorsOn is Operators over an ALREADY-MATERIALIZED engine that may be
@@ -72,54 +70,7 @@ func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm
 // caller owns it. A nil e materializes privately, which is Operators. The
 // report is the one Operators returns, field for field, wall clock aside.
 func OperatorsOn(tw schema.TableWorkload, layout partition.Partitioning, e *storage.Engine, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	n := len(tw.Queries)
-	rep := &OperatorReplay{
-		Plans:       make([]string, n),
-		Ops:         make([][]operator.OpStats, n),
-		ResultRows:  make([]int64, n),
-		ExecSeconds: make([]float64, n),
-		FillRatios:  make([][]float64, n),
-	}
-	var pred *operator.Pred
-	if sel != nil {
-		p := sel.pred()
-		pred = &p
-		rep.Selection = p.Name
-	}
-	tr, err := run(tw, &layout, e, algorithm, cfg, sel, func(e *storage.Engine, cfg Config) queryExec {
-		rep.ExecMode = cfg.ExecMode
-		opts := operator.ExecOptions{
-			Mode:      operator.ExecMode(cfg.ExecMode),
-			BatchSize: cfg.BatchSize,
-			Workers:   cfg.ExecWorkers,
-		}
-		// One snapshot pins the epoch; every pipeline opens its own cursors
-		// on it, so the query fan-out shares pages without sharing state.
-		snap := e.Snapshot()
-		table := e.Table().Name
-		return func(i int, q schema.TableQuery) (storage.ScanStats, error) {
-			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts)
-			if err != nil {
-				return storage.ScanStats{}, fmt.Errorf("replay: plan %s/%s: %w", table, q.ID, err)
-			}
-			execStart := time.Now()
-			res, err := pipe.Run()
-			if err != nil {
-				return storage.ScanStats{}, fmt.Errorf("replay: exec %s/%s: %w", table, q.ID, err)
-			}
-			rep.ExecSeconds[i] = time.Since(execStart).Seconds()
-			rep.FillRatios[i] = res.FillRatios
-			rep.Plans[i] = pipe.Describe()
-			rep.Ops[i] = res.Ops
-			rep.ResultRows[i] = res.Rows
-			return res.Stats, nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.TableReplay = *tr
-	return rep, nil
+	return run(tw, &layout, e, algorithm, cfg, sel)
 }
 
 // String renders the TableReplay summary with each query's plan and
@@ -129,11 +80,6 @@ func (r *OperatorReplay) String() string {
 	b.WriteString(r.TableReplay.String())
 	if r.Selection != "" {
 		fmt.Fprintf(&b, "  selection: %s\n", r.Selection)
-	}
-	// The oracle mode stays silent so row-mode renderings (and the golden
-	// files pinning them) are unchanged from before exec modes existed.
-	if r.ExecMode != "" && r.ExecMode != "row" {
-		fmt.Fprintf(&b, "  exec: %s\n", r.ExecMode)
 	}
 	for i, q := range r.Queries {
 		fmt.Fprintf(&b, "  %s: %s -> %d rows\n", q.ID, r.Plans[i], r.ResultRows[i])

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,11 +14,10 @@ import (
 // The operator-pipeline acceptance matrix: for EVERY algorithm (plus the
 // Row/Column baselines) x {TPC-H, SSB} table x {HDD, SSD, MM} device, a
 // workload executed through σ/π/⋈ pipelines over an epoch snapshot must
-// measure EXACTLY what the cost model predicts — the same zero-tolerance
-// bar the monolithic-scan differential suite holds, now composed from
-// per-operator terms. Checksums must again be layout- and
-// model-invariant, which also pins them to the monolithic path: the
-// differential suite records the same values for the same data.
+// measure EXACTLY what the cost model predicts, composed from per-operator
+// terms — through OperatorsAlgorithm, one table at a time, where the
+// differential suite next door goes through Benchmark's fan-out and reads
+// only the TableReplay. Checksums must be layout- and model-invariant.
 func TestOperatorsDifferential(t *testing.T) {
 	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
 	if testing.Short() {
@@ -82,10 +82,12 @@ func TestOperatorsDifferential(t *testing.T) {
 	}
 }
 
-// TestOperatorsMatchMonolithicReplay pins the two execution paths to each
-// other directly: the same workload, layout, and config replayed through
-// Layout (monolithic scans) and through Operators (σ/π/⋈ pipelines) must
-// produce identical per-query stats, measurements, and predictions.
+// TestOperatorsMatchMonolithicReplay pins the two entry points to each
+// other: the same workload, layout, and config replayed through Algorithm
+// (the TableReplay alone) and through OperatorsAlgorithm must report
+// identical per-query stats, measurements, and predictions. The name dates
+// from when Layout ran Engine.Scan; storage's pipeline_test.go now holds
+// that identity against the Scan oracle.
 func TestOperatorsMatchMonolithicReplay(t *testing.T) {
 	tw := schema.TPCH(10).TableWorkloads()[0]
 	for _, model := range []string{"hdd", "mm"} {
@@ -237,12 +239,26 @@ func TestOperatorsErrors(t *testing.T) {
 	}
 }
 
-// TestOperatorsVectorDifferential is the vector-mode leg of the acceptance
-// matrix: every algorithm x {TPC-H, SSB} x {HDD, SSD, MM}, executed
-// batch-at-a-time (and with the now-inert ExecWorkers set), must reproduce the row
-// oracle's per-query stats, measurements, and predictions EXACTLY — zero
-// tolerance, checksum for checksum — while still measuring what the cost
-// model predicts.
+// sameReport compares two operator replays field for field, wall clock
+// aside.
+func sameReport(t *testing.T, label string, got, want *OperatorReplay) {
+	t.Helper()
+	g, w := *got, *want
+	g.Elapsed, w.Elapsed = 0, 0
+	g.ExecSeconds, w.ExecSeconds = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: reports differ\n got %+v\nwant %+v", label, g, w)
+	}
+}
+
+// TestOperatorsVectorDifferential is the batch-size leg of the acceptance
+// matrix, on what only real advised layouts add (wide partitions, many
+// leaves, page runs of every length): for every algorithm x {TPC-H, SSB} x
+// {HDD, SSD, MM}, the reports at 64, 1024 and 4096 rows per batch are equal
+// in every field but wall clock and the per-batch fill ratios — every plan,
+// every OpStats, every checksum — and each is exact against the model. The
+// row oracle these used to be compared with lives in the operator package's
+// tests now (TestVectorEqualsRowOracle, FuzzVectorVsRowOracle).
 func TestOperatorsVectorDifferential(t *testing.T) {
 	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
 	if testing.Short() {
@@ -254,53 +270,30 @@ func TestOperatorsVectorDifferential(t *testing.T) {
 			for _, model := range []string{"hdd", "ssd", "mm"} {
 				for _, name := range layouts {
 					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						rowCfg := Config{Model: model, MaxRows: 1_000, Seed: 42}
-						vecCfg := rowCfg
-						vecCfg.ExecMode = "vector"
-						vecCfg.BatchSize = 257 // odd on purpose: never divides a page
-						vecCfg.ExecWorkers = 4
 						for _, tw := range b.TableWorkloads() {
-							want, err := OperatorsAlgorithm(tw, name, rowCfg, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := OperatorsAlgorithm(tw, name, vecCfg, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got.ExecMode != "vector" || want.ExecMode != "row" {
-								t.Fatalf("exec modes: got %q want %q", got.ExecMode, want.ExecMode)
-							}
-							if !got.Exact() {
-								t.Errorf("%s: vectorized executed != predicted (max |delta| %g)",
-									got.Table, got.MaxAbsDelta())
-							}
-							if len(got.Queries) != len(want.Queries) {
-								t.Fatalf("%s: %d vs %d queries", got.Table, len(got.Queries), len(want.Queries))
-							}
-							for i := range want.Queries {
-								w, g := want.Queries[i], got.Queries[i]
-								if g.Stats.Checksum != w.Stats.Checksum ||
-									g.Stats.BytesRead != w.Stats.BytesRead ||
-									g.Stats.Seeks != w.Stats.Seeks ||
-									g.Stats.CacheLines != w.Stats.CacheLines ||
-									g.Stats.ReconJoins != w.Stats.ReconJoins ||
-									g.Stats.SimTime != w.Stats.SimTime ||
-									g.MeasuredSeconds != w.MeasuredSeconds ||
-									g.PredictedSeconds != w.PredictedSeconds {
-									t.Errorf("%s query %s: vector %+v != row %+v", got.Table, g.ID, g, w)
+							var want *OperatorReplay
+							for _, batch := range []int{1024, 64, 4096} {
+								cfg := Config{Model: model, MaxRows: 1_000, Seed: 42, BatchSize: batch}
+								got, err := OperatorsAlgorithm(tw, name, cfg, nil)
+								if err != nil {
+									t.Fatal(err)
 								}
-								if got.Plans[i] != want.Plans[i] {
-									t.Errorf("%s query %s: plan %q != %q", got.Table, g.ID, got.Plans[i], want.Plans[i])
+								if !got.Exact() {
+									t.Errorf("%s batch %d: executed != predicted (max |delta| %g)",
+										got.Table, batch, got.MaxAbsDelta())
 								}
-								if len(got.FillRatios[i]) == 0 {
-									t.Errorf("%s query %s: vector run reported no fill ratios", got.Table, g.ID)
+								for i, q := range got.Queries {
+									if len(got.FillRatios[i]) == 0 {
+										t.Errorf("%s query %s batch %d: no fill ratios", got.Table, q.ID, batch)
+									}
 								}
-							}
-							if got.MeasuredTotal != want.MeasuredTotal || got.PredictedTotal != want.PredictedTotal {
-								t.Errorf("%s totals diverge: vector %.18g/%.18g, row %.18g/%.18g",
-									got.Table, got.MeasuredTotal, got.PredictedTotal,
-									want.MeasuredTotal, want.PredictedTotal)
+								if want == nil {
+									want = got
+									continue
+								}
+								g := *got
+								g.FillRatios = want.FillRatios // one per batch, so batch-size-dependent
+								sameReport(t, fmt.Sprintf("%s batch %d vs 1024", got.Table, batch), &g, want)
 							}
 						}
 					})
@@ -310,9 +303,10 @@ func TestOperatorsVectorDifferential(t *testing.T) {
 	}
 }
 
-// TestOperatorsVectorSelection re-runs the selection leg in vector mode:
-// σ into the selection vector, same result rows, same checksums, same
-// physical I/O, exact against the model.
+// TestOperatorsVectorSelection re-runs the selection leg across batch sizes
+// and the inert exec knobs: σ into the selection vector, same result rows,
+// same checksums, same physical I/O, exact against the model — and no
+// rendering mentions an exec mode.
 func TestOperatorsVectorSelection(t *testing.T) {
 	const shipdate = 10
 	var tw schema.TableWorkload
@@ -322,36 +316,29 @@ func TestOperatorsVectorSelection(t *testing.T) {
 		}
 	}
 	sel := &Selection{Attr: shipdate, Bound: uint32(storage.DateDomain / 2)}
-	rowCfg := Config{Model: "hdd", MaxRows: 2_000, Seed: 42}
-	vecCfg := rowCfg
-	vecCfg.ExecMode = "vector"
-	vecCfg.BatchSize = 64
-	vecCfg.ExecWorkers = 2
-	want, err := OperatorsAlgorithm(tw, "HillClimb", rowCfg, sel)
+	base := Config{Model: "hdd", MaxRows: 2_000, Seed: 42}
+	knobs := base
+	knobs.ExecMode = "vector"
+	knobs.BatchSize = 64
+	knobs.ExecWorkers = 2
+	want, err := OperatorsAlgorithm(tw, "HillClimb", base, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OperatorsAlgorithm(tw, "HillClimb", vecCfg, sel)
+	got, err := OperatorsAlgorithm(tw, "HillClimb", knobs, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Exact() {
-		t.Errorf("vectorized selective run inexact (max |delta| %g)", got.MaxAbsDelta())
+		t.Errorf("selective run inexact (max |delta| %g)", got.MaxAbsDelta())
 	}
-	for i := range want.Queries {
-		if got.ResultRows[i] != want.ResultRows[i] {
-			t.Errorf("query %d: vector emitted %d rows, row oracle %d", i, got.ResultRows[i], want.ResultRows[i])
-		}
-		if got.Queries[i].Stats.Checksum != want.Queries[i].Stats.Checksum {
-			t.Errorf("query %d: vector checksum %x != row %x",
-				i, got.Queries[i].Stats.Checksum, want.Queries[i].Stats.Checksum)
-		}
+	if got.ExecMode != "vector" || want.ExecMode != "row" {
+		t.Errorf("exec mode labels: got %q and %q, want the request's echoed (vector, row)", got.ExecMode, want.ExecMode)
 	}
-	if !strings.Contains(got.String(), "exec: vector") {
-		t.Errorf("vector rendering misses the exec mode:\n%s", got.String())
-	}
-	if strings.Contains(want.String(), "exec:") {
-		t.Errorf("row rendering gained an exec line:\n%s", want.String())
+	got.ExecMode, got.FillRatios = want.ExecMode, want.FillRatios
+	sameReport(t, "batch 64 + knobs vs defaults", got, want)
+	if strings.Contains(got.String(), "exec:") || got.String() != want.String() {
+		t.Errorf("rendering depends on the exec knobs:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 

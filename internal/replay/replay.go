@@ -1,9 +1,9 @@
 // Package replay closes the loop between the paper's estimated verdicts and
 // executed I/O: it materializes any advised layout through the storage
-// engine (mem- or file-backed pages), replays the full per-table workload
-// through a parallel scan pool, and reports measured seeks, bytes, cache
-// lines, and simulated time next to the cost model's predictions — per
-// query and in aggregate.
+// engine (mem- or file-backed pages), executes the full per-table workload
+// as operator pipelines over one epoch snapshot, a query-parallel pool of
+// them, and reports measured seeks, bytes, cache lines, and simulated time
+// next to the cost model's predictions — per query and in aggregate.
 //
 // The headline guarantee is measured == predicted with ZERO tolerance: the
 // engine and the cost model share no pricing code, but they describe the
@@ -78,12 +78,13 @@ type Config struct {
 	// Dir is the directory for file-backed partitions; required iff
 	// Backend is BackendFile.
 	Dir string
-	// ExecMode selects how operator replays execute their pipelines:
-	// "" or "row" (the oracle path) or "vector" (batch-at-a-time). Exec
-	// knobs tune wall-clock only — every reported number is mode-invariant.
+	// ExecMode is a label and selects nothing: "", "row" or "vector" is
+	// validated (operator.ExecOptions.Normalized), defaulted to "row" and
+	// echoed on OperatorReplay.ExecMode. Every replay runs the one executor.
 	ExecMode string
-	// BatchSize is vector mode's rows per batch; 0 uses the operator
-	// layer's default.
+	// BatchSize is the pipelines' rows per batch; 0 uses the operator
+	// layer's default. It tunes wall-clock only — every reported number is
+	// batch-size-invariant.
 	BatchSize int
 	// ExecWorkers is accepted, validated (non-negative) and ignored: every
 	// pipeline runs on its calling goroutine (operator.ExecOptions.Workers).
@@ -257,12 +258,13 @@ func (r *TableReplay) String() string {
 
 // Layout materializes the table through the storage engine under the given
 // layout and replays the workload's queries with a worker pool, comparing
-// every measurement against the cost model. The layout must partition
-// tw.Table; tables larger than cfg.MaxRows are materialized at a sampled
-// row count (the layout and the model both move to the sampled table, so
-// exactness is preserved).
+// every measurement against the cost model: Operators without a selection,
+// less the per-operator breakdown. The layout must partition tw.Table;
+// tables larger than cfg.MaxRows are materialized at a sampled row count
+// (the layout and the model both move to the sampled table, so exactness is
+// preserved).
 func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config) (*TableReplay, error) {
-	return run(tw, &layout, nil, algorithm, cfg, nil, scanExec)
+	return tableReplay(run(tw, &layout, nil, algorithm, cfg, nil))
 }
 
 // OnEngine replays a workload over an ALREADY-MATERIALIZED engine — loaded
@@ -273,34 +275,29 @@ func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm st
 // subsystem uses this to verify a migrated store with the same zero-
 // tolerance harness a fresh materialization gets.
 func OnEngine(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config) (*TableReplay, error) {
-	return run(tw, nil, e, algorithm, cfg, nil, scanExec)
+	return tableReplay(run(tw, nil, e, algorithm, cfg, nil))
 }
 
-// queryExec executes query i of the workload and returns what the engine
-// measured for it. Implementations wrap their own errors.
-type queryExec func(i int, q schema.TableQuery) (storage.ScanStats, error)
-
-// scanExec is the monolithic executor: every query is one Engine.Scan. Scan
-// keeps all state in local cursors, so concurrent scans over one loaded
-// engine are safe.
-func scanExec(e *storage.Engine, _ Config) queryExec {
-	return func(_ int, q schema.TableQuery) (storage.ScanStats, error) {
-		stats, err := e.Scan(q.Attrs)
-		if err != nil {
-			return stats, fmt.Errorf("replay: scan %s/%s: %w", e.Table().Name, q.ID, err)
-		}
-		return stats, nil
+// tableReplay drops an execution's per-operator breakdown: the TableReplay
+// is copied out, so a report cache holding it does not pin the plans and
+// operator stats it was composed from.
+func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
+	if err != nil {
+		return nil, err
 	}
+	tr := rep.TableReplay
+	return &tr, nil
 }
 
 // run is the one replay core behind Layout, OnEngine, Operators, and
 // OperatorsOn: it validates the request, takes the process-wide search slot,
-// obtains the loaded engine (materializing layout, or adopting loaded), fans
-// the queries out through the bound executor, prices every measurement
-// against the model, and accumulates the weighted totals. With a non-nil
-// sel, every query is priced over its attributes plus the selection
-// attribute σ reads. bind receives the loaded engine and the normalized
-// config and returns the per-query executor.
+// obtains the loaded engine (materializing layout, or adopting loaded), pins
+// one epoch snapshot, builds and runs one operator pipeline per query over
+// it — the query fan-out shares pages without sharing state, every pipeline
+// opens its own cursors — prices every measurement against the model, and
+// accumulates the weighted totals. With a non-nil sel, every plan gains a σ
+// pushed onto the partition scan holding sel.Attr and every query is priced
+// over its attributes plus that attribute.
 //
 // The caller names the store one of three ways: layout alone (materialize
 // it, close it on return), loaded alone (the caller's own engine, whose
@@ -312,7 +309,7 @@ func scanExec(e *storage.Engine, _ Config) queryExec {
 // Results land at their query's index and the aggregation runs in query
 // order, keeping every reported number independent of the worker count.
 func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storage.Engine, algorithm string,
-	cfg Config, sel *Selection, bind func(*storage.Engine, Config) queryExec) (*TableReplay, error) {
+	cfg Config, sel *Selection) (*OperatorReplay, error) {
 	cfg, model, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -337,18 +334,9 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 	case loaded.Table() != tw.Table:
 		return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
 			loaded.Table().Name, loaded.Table().Rows, tw.Table.Name, tw.Table.Rows)
-	default:
-		// The caller built the engine, possibly with a different device's
-		// line granularity; re-sync it to the model's so measured cache
-		// lines are counted in the units the model prices them.
-		if line := cfg.Disk.CacheLineSize; line > 0 {
-			if err := loaded.SetCacheLine(line); err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
-			}
-		}
 	}
-	// A replay materializes up to MaxRows of real pages and scans them with
-	// a worker pool — the same class of heavy job as a search. Drawing from
+	// A replay materializes up to MaxRows of real pages and executes over them
+	// with a worker pool — the same class of heavy job as a search. Drawing from
 	// the process-wide gate bounds concurrent replays (stacked fan-outs,
 	// parallel /replay requests) by the core count instead of letting each
 	// request hold its own table copy and pool. No caller holds a slot
@@ -367,19 +355,35 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 	current := e.Layout()
 	sample := current.Table
 	parts := current.Canonical().Parts
-	rep := &TableReplay{
-		Table:        sample.Name,
-		Algorithm:    algorithm,
-		Layout:       current,
-		RowsFull:     tw.Table.Rows,
-		RowsReplayed: e.Rows(),
-		Model:        model.Name(),
-		Backend:      cfg.Backend,
-		Queries:      make([]QueryReplay, len(tw.Queries)),
+	n := len(tw.Queries)
+	rep := &OperatorReplay{
+		TableReplay: TableReplay{
+			Table:        sample.Name,
+			Algorithm:    algorithm,
+			Layout:       current,
+			RowsFull:     tw.Table.Rows,
+			RowsReplayed: e.Rows(),
+			Model:        model.Name(),
+			Backend:      cfg.Backend,
+			Queries:      make([]QueryReplay, n),
+		},
+		Plans:       make([]string, n),
+		Ops:         make([][]operator.OpStats, n),
+		ResultRows:  make([]int64, n),
+		ExecMode:    cfg.ExecMode,
+		ExecSeconds: make([]float64, n),
+		FillRatios:  make([][]float64, n),
 	}
-	exec := bind(e, cfg)
+	var pred *operator.Pred
+	if sel != nil {
+		p := sel.pred()
+		pred = &p
+		rep.Selection = p.Name
+	}
+	opts := operator.ExecOptions{BatchSize: cfg.BatchSize}
+	snap := e.Snapshot()
 	sem := make(chan struct{}, cfg.Workers)
-	errs := make([]error, len(tw.Queries))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i, q := range tw.Queries {
 		wg.Add(1)
@@ -387,16 +391,22 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			stats, err := exec(i, q)
+			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts)
 			if err != nil {
-				errs[i] = err
+				errs[i] = fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
 				return
 			}
-			measured, err := measuredSeconds(model, stats)
+			execStart := time.Now()
+			res, err := pipe.Run()
 			if err != nil {
-				errs[i] = err
+				errs[i] = fmt.Errorf("replay: exec %s/%s: %w", sample.Name, q.ID, err)
 				return
 			}
+			rep.ExecSeconds[i] = time.Since(execStart).Seconds()
+			rep.FillRatios[i] = res.FillRatios
+			rep.Plans[i] = pipe.Describe()
+			rep.Ops[i] = res.Ops
+			rep.ResultRows[i] = res.Rows
 			// Price what the execution references: the query's attributes
 			// plus the selection attribute σ reads.
 			priced := q.Attrs
@@ -406,8 +416,8 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 			rep.Queries[i] = QueryReplay{
 				ID:               q.ID,
 				Weight:           q.Weight,
-				Stats:            stats,
-				MeasuredSeconds:  measured,
+				Stats:            res.Stats,
+				MeasuredSeconds:  operator.MeasuredSeconds(cfg.Disk, res.Stats),
 				PredictedSeconds: model.QueryCost(sample, parts, priced),
 				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
 				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
@@ -491,28 +501,6 @@ func Materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Con
 		return nil, fmt.Errorf("replay: load %s: %w", sample.Name, err)
 	}
 	return e, nil
-}
-
-// measuredSeconds prices a measured scan in the model's unit. For
-// block-priced devices (HDD, SSD) this is the virtual disk's simulated
-// time, already accumulated per partition in the model's summation order;
-// for cache-priced devices (MM) it is the measured cache lines of each
-// referenced partition times the miss latency, summed in the same order the
-// model sums partitions.
-func measuredSeconds(m cost.Model, s storage.ScanStats) (float64, error) {
-	dm, ok := m.(*cost.DeviceModel)
-	if !ok {
-		return 0, fmt.Errorf("replay: cost model %s has no measured pricing", m.Name())
-	}
-	dev := dm.Device()
-	if dev.Pricing == cost.PricingCache {
-		var total float64
-		for _, p := range s.Parts {
-			total += float64(p.CacheLines) * dev.MissLatency
-		}
-		return total, nil
-	}
-	return s.SimTime, nil
 }
 
 // predictedSeeks computes the buffer refills the HDD formulas imply for a

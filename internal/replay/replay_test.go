@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,6 +89,35 @@ func TestLayoutMatchesModelExactly(t *testing.T) {
 		}
 		if rep.MeasuredTotal != rep.PredictedTotal {
 			t.Errorf("%s: totals %v != %v", model, rep.MeasuredTotal, rep.PredictedTotal)
+		}
+	}
+}
+
+// TestLayoutIsOperatorsWithoutSelection: Layout is Operators with no σ, less
+// the per-operator breakdown — the same TableReplay field for field, wall
+// clock aside, on both backends.
+func TestLayoutIsOperatorsWithoutSelection(t *testing.T) {
+	tw := testWorkload(t, 3_000)
+	layout := partition.Must(tw.Table, []attrset.Set{attrset.Of(0, 1), attrset.Of(2), attrset.Of(3, 4)})
+	for _, cfg := range []Config{
+		{Model: "ssd", MaxRows: 1_200, Seed: 9},
+		{Model: "mm", MaxRows: 1_200, Seed: 9, Backend: BackendFile, Dir: t.TempDir()},
+	} {
+		got, err := Layout(tw, layout, "manual", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := Operators(tw, layout, "manual", cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ops.TableReplay
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("%s/%s: Layout differs from Operators' TableReplay\n got %+v\nwant %+v", cfg.Model, cfg.Backend, *got, want)
+		}
+		if !got.Exact() {
+			t.Errorf("%s/%s: not exact", cfg.Model, cfg.Backend)
 		}
 	}
 }

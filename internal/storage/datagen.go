@@ -1,15 +1,14 @@
 // Package storage implements the storage substrate the experiments run on:
 // a deterministic synthetic data generator, page-structured column-group
-// files behind in-memory or on-disk backends, a scan engine with
-// proportional buffer sharing and tuple reconstruction, and the compression
-// codecs used to stand in for the paper's commercial column store DBMS-X
-// (Table 7).
+// files behind in-memory or on-disk backends, epoch snapshots whose
+// partition cursors read them with proportional buffer sharing, the row
+// digest, and in-place repartitioning. Queries execute above it, in
+// internal/operator.
 //
 // The paper's headline numbers come from its I/O cost model, not from
 // wall-clock runs, so this engine's job is validation: demonstrating that
 // real scans over vertically partitioned data reproduce the cost model's
-// orderings (bytes read, seek counts, layout rankings) and exercising the
-// compression trade-offs of Table 7.
+// orderings (bytes read, seek counts, layout rankings).
 package storage
 
 import (

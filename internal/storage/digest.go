@@ -3,9 +3,10 @@ package storage
 import "encoding/binary"
 
 // The row digest: the one definition of the layout-independent result
-// checksum. Engine.Scan, the row pipeline's π and the vector pipeline's π
-// all compute it through this file, and nothing else in the tree knows its
-// constants or its step.
+// checksum. The operator pipeline's π computes it through this file (and so
+// do its row-at-a-time oracles, Engine.Scan and the row π, through
+// FoldValue/FoldRow), and nothing else in the tree knows its constants or
+// its step.
 //
 //	step(h, w)    = x ^ x>>32  where  x = (h ^ w) * digestMul
 //	rowHash(row)  = fold of step from RowSeed over the row's query columns in

@@ -11,7 +11,8 @@ import (
 	"knives/internal/schema"
 )
 
-// ScanStats reports what one query scan did.
+// ScanStats reports what executing one query read: the totals of the
+// partition cursors (snapshot.go) the query's plan opened.
 type ScanStats struct {
 	Tuples     int64   // tuples reconstructed
 	BytesRead  int64   // page bytes fetched from the backends
@@ -36,17 +37,18 @@ type PartScanStats struct {
 	CacheLines int64       // cache lines of the partition's logical stream touched
 }
 
-// Engine executes scan/projection queries over one table stored in a
-// vertical layout, following the paper's common-granularity rule: every
-// partition containing a referenced attribute is read in full, through an
-// I/O buffer shared proportionally to the partitions' row sizes.
+// Engine stores one table in a vertical layout, one page file per
+// partition, and hands out epoch snapshots whose cursors read it under the
+// paper's common-granularity rule: every partition containing a referenced
+// attribute is read in full, through an I/O buffer shared proportionally to
+// the partitions' row sizes. Queries execute above it, in internal/operator.
 //
 // The physical layout lives in an EPOCH the engine swaps atomically:
 // Repartition builds the next epoch's partition files off to the side and
-// publishes them in one pointer store, so any number of concurrent Scans
-// keep streaming the epoch they started on while the store migrates
+// publishes them in one pointer store, so any number of concurrent readers
+// keep streaming the epoch their snapshot pinned while the store migrates
 // underneath them. Superseded partition files stay open (retired) until
-// Close, bounding what an in-flight scan can ever observe to a fully
+// Close, bounding what an in-flight read can ever observe to a fully
 // materialized layout.
 type Engine struct {
 	table      *schema.Table
@@ -58,7 +60,7 @@ type Engine struct {
 	epoch atomic.Pointer[engineEpoch]
 
 	// mu serializes the structural operations (Repartition, Close) against
-	// each other; Scan never takes it.
+	// each other; readers never take it.
 	mu       sync.Mutex
 	retired  []Backend
 	epochSeq int
@@ -66,16 +68,16 @@ type Engine struct {
 }
 
 // engineEpoch is one immutable-after-publish physical layout: the partition
-// files and the row count they hold. Scans snapshot the epoch pointer once
-// on entry and never look back at the engine.
+// files and the row count they hold. A Snapshot loads the epoch pointer once
+// and never looks back at the engine.
 type engineEpoch struct {
 	layout partition.Partitioning
 	parts  []enginePart
 	rows   int64
 }
 
-// DefaultCacheLine is the fallback cache-line granularity Scan counts
-// logical-stream transfers at when the engine's device does not set one; it
+// DefaultCacheLine is the fallback cache-line granularity logical-stream
+// transfers are counted at when the engine's device does not set one; it
 // matches cost.DefaultCacheLineSize.
 const DefaultCacheLine = 64
 
@@ -193,12 +195,11 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// SetCacheLine changes the granularity Scan counts cache-line transfers at.
-// The engine initializes it from its device's CacheLineSize (64-byte
-// default); replay.OnEngine re-syncs it to the model a caller-built engine
-// is validated against. A call that CHANGES the value must happen before
-// Scan, not concurrently with it; a call naming the current value writes
-// nothing and is safe beside any number of scans.
+// SetCacheLine changes the granularity Repartition (and a cursor whose
+// device names none) counts cache-line transfers at. The engine initializes
+// it from its device's CacheLineSize (64-byte default). A call that CHANGES
+// the value must happen before any read, not concurrently with it; a call
+// naming the current value writes nothing.
 func (e *Engine) SetCacheLine(bytes int64) error {
 	if bytes <= 0 {
 		return fmt.Errorf("storage: cache line size %d must be positive", bytes)
@@ -219,8 +220,8 @@ func (e *Engine) Load(gen *Generator, rows int64) error {
 // share nothing during materialization — the generator derives every value
 // from (seed, column, row) statelessly and each partition owns its backend —
 // so any worker count produces byte-identical files. workers <= 0 uses one
-// worker per partition. Load must complete before the first Scan (the same
-// happens-before the engine has always required).
+// worker per partition. Load must complete before the first Snapshot (the
+// same happens-before the engine has always required).
 func (e *Engine) LoadParallel(gen *Generator, rows int64, workers int) error {
 	e.gen = gen
 	ep := e.epoch.Load()
@@ -274,145 +275,4 @@ func (e *Engine) loadPart(p *enginePart, rows int64) error {
 		}
 	}
 	return nil
-}
-
-// Scan executes a projection query: it reads every partition containing a
-// referenced attribute in full, reconstructs tuples, and folds the
-// projected attribute values into the row digest (digest.go), the
-// layout-independent checksum.
-//
-// Scan snapshots the current epoch once and keeps all of its state in local
-// cursors, so after Load has returned, any number of Scans may run
-// concurrently over the same engine — including concurrently with a
-// Repartition, which publishes a new epoch without disturbing the one an
-// in-flight scan is streaming.
-func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
-	ep := e.epoch.Load()
-	var stats ScanStats
-	query = query.Intersect(e.table.AllAttrs())
-	if query.IsEmpty() {
-		return stats, nil
-	}
-
-	// Referenced partitions and the proportional buffer split.
-	var refs []*enginePart
-	var totalRowSize int64
-	for pi := range ep.parts {
-		p := &ep.parts[pi]
-		if p.attrs.Overlaps(query) {
-			refs = append(refs, p)
-			totalRowSize += int64(p.rowSize)
-		}
-	}
-
-	type cursor struct {
-		p         *enginePart
-		pagesBuff int64  // pages per buffer refill
-		page      []byte // current page
-		buf       []byte // what a non-resident backend reads pages into
-		buffered  int64  // pages remaining in the buffer
-		nextPage  int64  // next page index to fetch
-		inPage    int    // row index within the current page
-		seeks     int64  // buffer refills charged to this partition
-		bytes     int64  // page bytes fetched for this partition
-	}
-	cursors := make([]*cursor, len(refs))
-	for i, p := range refs {
-		buff := e.disk.BufferSize * int64(p.rowSize) / totalRowSize
-		pagesBuff := buff / e.disk.BlockSize
-		if pagesBuff < 1 {
-			pagesBuff = 1
-		}
-		cursors[i] = &cursor{p: p, pagesBuff: pagesBuff, buf: pageBuf(p.backend, e.disk.BlockSize)}
-	}
-
-	// fetch loads the cursor's next page, charging a seek whenever its
-	// buffer allotment is exhausted (the cost model's refill rule).
-	fetch := func(c *cursor) error {
-		if c.buffered == 0 {
-			c.seeks++
-			c.buffered = c.pagesBuff
-		}
-		page, err := c.p.backend.ReadPage(c.nextPage, c.buf)
-		if err != nil {
-			return err
-		}
-		c.page = page
-		c.bytes += e.disk.BlockSize
-		c.nextPage++
-		c.buffered--
-		c.inPage = 0
-		return nil
-	}
-
-	h := ChecksumSeed
-	queryCols := query.Attrs()
-	// Map each referenced column to (cursor, offset) for reconstruction.
-	type colRef struct {
-		c    *cursor
-		off  int
-		size int
-	}
-	colRefs := make([]colRef, 0, len(queryCols))
-	for _, col := range queryCols {
-		for _, c := range cursors {
-			if !c.p.attrs.Has(col) {
-				continue
-			}
-			for ci, pc := range c.p.cols {
-				if pc == col {
-					colRefs = append(colRefs, colRef{c: c, off: c.p.offsets[ci], size: e.table.Columns[col].Size})
-				}
-			}
-		}
-	}
-
-	for r := int64(0); r < ep.rows; r++ {
-		for _, c := range cursors {
-			if c.nextPage == 0 || c.inPage == c.p.rowsPerPage {
-				if err := fetch(c); err != nil {
-					return stats, err
-				}
-			}
-		}
-		rh := RowSeed
-		for _, cr := range colRefs {
-			base := cr.c.inPage * cr.c.p.rowSize
-			rh = FoldValue(rh, cr.c.page[base+cr.off:base+cr.off+cr.size])
-		}
-		h = FoldRow(h, rh)
-		for _, c := range cursors {
-			c.inPage++
-		}
-		stats.Tuples++
-		stats.ReconJoins += int64(len(refs) - 1)
-	}
-
-	// Aggregate per-partition measurements in cursor (canonical layout)
-	// order, charging simulated time with the SAME per-partition grouping
-	// and summation order as the block-pricing QueryCost — floating-point addition
-	// is not associative, so any other order could differ in the last bit.
-	for _, c := range cursors {
-		// Cache lines of the partition's logical stream entered by the row
-		// walk above: the walk is sequential and reads the partition in
-		// full, so the distinct lines touched are exactly the lines of
-		// [0, rows*rowSize) — counting them per row would recompute this
-		// constant in the hot loop.
-		lines := cost.StreamLines(ep.rows, int64(c.p.rowSize), e.cacheLine)
-		ps := PartScanStats{
-			Attrs:      c.p.attrs,
-			RowSize:    c.p.rowSize,
-			BytesRead:  c.bytes,
-			Seeks:      c.seeks,
-			CacheLines: lines,
-		}
-		stats.Parts = append(stats.Parts, ps)
-		stats.Seeks += ps.Seeks
-		stats.BytesRead += ps.BytesRead
-		stats.CacheLines += ps.CacheLines
-		stats.SimTime += e.disk.SeekTime*float64(ps.Seeks) +
-			float64(ps.BytesRead)/e.disk.ReadBandwidth
-	}
-	stats.Checksum = h
-	return stats, nil
 }

@@ -7,51 +7,6 @@ import (
 	"knives/internal/schema"
 )
 
-// FuzzCompressRoundTrip pins the compression contract every replay and
-// Table 7 estimate rests on: whatever bytes go into a codec come back out
-// bit-identical. A silent corruption here would skew compressed byte
-// volumes (and therefore every DBMS-X runtime claim) without any test
-// noticing.
-func FuzzCompressRoundTrip(f *testing.F) {
-	f.Add([]byte("quick silent bread knife"), 4, byte(0))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 4, byte(1))
-	f.Add([]byte{0, 0, 0, 0}, 4, byte(2))
-	f.Add([]byte{}, 1, byte(1))
-	f.Fuzz(func(t *testing.T, data []byte, valueSize int, codecSel byte) {
-		var codec Codec
-		switch codecSel % 3 {
-		case 0:
-			codec = FlateCodec{}
-		case 1:
-			codec = DictCodec{}
-		case 2:
-			// Delta only accepts 4-byte values; steer instead of skipping so
-			// the codec still sees arbitrary payloads.
-			codec = DeltaCodec{}
-			valueSize = 4
-		}
-		if valueSize < 1 {
-			valueSize = 1
-		}
-		if valueSize > 64 {
-			valueSize = valueSize%64 + 1
-		}
-		data = data[:len(data)-len(data)%valueSize]
-		comp, err := codec.Compress(data, valueSize)
-		if err != nil {
-			t.Fatalf("%s: compress rejected %d bytes of %d-byte values: %v",
-				codec.Name(), len(data), valueSize, err)
-		}
-		back, err := codec.Decompress(comp, valueSize, len(data))
-		if err != nil {
-			t.Fatalf("%s: decompress: %v", codec.Name(), err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Errorf("%s: round trip of %d bytes not bit-identical", codec.Name(), len(data))
-		}
-	})
-}
-
 // FuzzDatagen pins the generator contract the whole validation story rests
 // on: values are a pure function of (seed, column, row) — so any partition
 // of any layout regenerates identical bytes — and Value fills its

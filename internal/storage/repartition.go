@@ -44,9 +44,8 @@ type RepartitionStats struct {
 // its columns staged, and every partition that newly appears is written in
 // full; column groups present in both layouts keep their files untouched.
 // The new layout is published as a fresh epoch in one atomic swap, so
-// concurrent Scans are never disturbed — a scan streams the epoch it
-// started on, and superseded partition files stay open (retired) until
-// Close. Repartitions serialize against each other.
+// concurrent readers are never disturbed — a snapshot streams the epoch it
+// pinned, and superseded partition files stay open (retired) until Close. Repartitions serialize against each other.
 //
 // workers bounds the partition-parallel read and write pools; <= 0 uses one
 // worker per moved partition. The worker count never changes a reported

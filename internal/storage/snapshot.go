@@ -12,18 +12,17 @@ import (
 // Snapshot pins one engine epoch for operator-level access: the physical
 // layout, the row count, and per-partition page streams, all immutable
 // after the snapshot is taken. Any number of snapshots (and the cursors
-// opened on them) may be used concurrently with Scans and with a
+// opened on them) may be used concurrently with each other and with a
 // Repartition publishing a new epoch — the pinned epoch's backends stay
-// open (retired, at worst) until the engine is closed, exactly the
-// guarantee concurrent Scans already rely on.
+// open (retired, at worst) until the engine is closed.
 //
 // Snapshot is the seam the operator layer (internal/operator) builds its
-// σ/π/⋈ pipeline on: where Engine.Scan is one monolithic "read every
-// referenced partition and reconstruct" loop, a snapshot hands out one
-// PartCursor per partition and lets the caller compose the reads — while
-// keeping the accounting (proportional buffer split, seek-per-refill,
-// whole-page reads) in this package, bit-identical to Scan's, so composed
-// pipelines measure exactly what the cost model predicts.
+// σ/π/⋈ pipeline on: a snapshot hands out one PartCursor per partition and
+// lets the caller compose the reads — while keeping the accounting
+// (proportional buffer split, seek-per-refill, whole-page reads) in this
+// package, so composed pipelines measure exactly what the cost model
+// predicts. The monolithic "read every referenced partition and reconstruct"
+// loop the cursors were cut from survives as their oracle in scan_test.go.
 type Snapshot struct {
 	table     *schema.Table
 	disk      cost.Disk
@@ -31,8 +30,8 @@ type Snapshot struct {
 	ep        *engineEpoch
 }
 
-// Snapshot pins the engine's current epoch. Like Scan, it must not be
-// called before Load has completed.
+// Snapshot pins the engine's current epoch. It must not be called before
+// Load has completed.
 func (e *Engine) Snapshot() *Snapshot {
 	return &Snapshot{table: e.table, disk: e.disk, cacheLine: e.cacheLine, ep: e.epoch.Load()}
 }
@@ -60,13 +59,12 @@ func (s *Snapshot) PartRowSize(i int) int { return s.ep.parts[i].rowSize }
 func (s *Snapshot) CacheLine() int64 { return s.cacheLine }
 
 // PartCursor streams one partition of a pinned epoch row by row, with the
-// SAME accounting Engine.Scan keeps per referenced partition: whole pages
+// accounting the cost model assumes per referenced partition: whole pages
 // fetched in order, one seek charged per buffer refill under the
 // proportional split, BlockSize bytes per page. After a cursor has been
-// advanced through every row, its Stats equal the PartScanStats the same
-// partition would contribute to a full Scan — which is what lets an
-// operator pipeline's per-leaf totals decompose into the cost model's
-// per-partition terms bit for bit.
+// advanced through every row, its Stats are the partition's share of a full
+// scan — which is what lets an operator pipeline's per-leaf totals decompose
+// into the cost model's per-partition terms bit for bit.
 //
 // A cursor keeps all state local; cursors over one snapshot (or many) may
 // be used from different goroutines as long as each individual cursor
@@ -116,7 +114,7 @@ func (s *Snapshot) Cursor(i int, dev cost.Device, totalRowSize int64) (*PartCurs
 		return nil, fmt.Errorf("storage: cursor totalRowSize %d below partition row size %d",
 			totalRowSize, p.rowSize)
 	}
-	// The proportional buffer split, exactly as Scan computes it.
+	// The proportional buffer split, as the cost model computes it.
 	buff := dev.BufferSize * int64(p.rowSize) / totalRowSize
 	pagesBuff := buff / dev.BlockSize
 	if pagesBuff < 1 {
@@ -265,8 +263,8 @@ func (c *PartCursor) Col(a int) []byte {
 
 // Stats returns the cursor's accounting so far. Cache lines are counted
 // over the logical stream the row walk has entered — StreamLines of the
-// rows advanced — matching Scan's per-partition accounting once the
-// cursor has been driven through every row.
+// rows advanced — the partition's full-scan accounting once the cursor has
+// been driven through every row.
 func (c *PartCursor) Stats() PartScanStats {
 	return PartScanStats{
 		Attrs:      c.p.attrs,

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math"
 	"testing"
 
 	"knives/internal/attrset"
@@ -225,106 +224,5 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 	d := smallDisk() // 512-byte blocks cannot hold a 1000-byte row
 	if _, err := NewEngine(partition.Row(tab), d, nil); err == nil {
 		t.Error("NewEngine accepted a row wider than a block")
-	}
-}
-
-func TestCodecsRoundTrip(t *testing.T) {
-	tab := testTable(t, 500)
-	gen := NewGenerator(9)
-	for _, col := range tab.Columns {
-		raw := make([]byte, 500*col.Size)
-		for r := int64(0); r < 500; r++ {
-			gen.Value(col, r, raw[int(r)*col.Size:int(r+1)*col.Size])
-		}
-		codecs := []Codec{FlateCodec{}, DictCodec{}}
-		if col.Size == 4 {
-			codecs = append(codecs, DeltaCodec{})
-		}
-		for _, c := range codecs {
-			comp, err := c.Compress(raw, col.Size)
-			if err != nil {
-				t.Fatalf("%s/%s compress: %v", col.Name, c.Name(), err)
-			}
-			back, err := c.Decompress(comp, col.Size, len(raw))
-			if err != nil {
-				t.Fatalf("%s/%s decompress: %v", col.Name, c.Name(), err)
-			}
-			if string(back) != string(raw) {
-				t.Errorf("%s/%s: round trip mismatch", col.Name, c.Name())
-			}
-		}
-	}
-}
-
-func TestDeltaCodecRejectsBadInput(t *testing.T) {
-	if _, err := (DeltaCodec{}).Compress(make([]byte, 8), 8); err == nil {
-		t.Error("delta accepted 8-byte values")
-	}
-	if _, err := (DeltaCodec{}).Compress(make([]byte, 7), 4); err == nil {
-		t.Error("delta accepted non-multiple length")
-	}
-}
-
-func TestCompressionRatiosAreSane(t *testing.T) {
-	tab := testTable(t, 10_000)
-	gen := NewGenerator(13)
-	for _, scheme := range []CompressionScheme{SchemeDefault, SchemeDictionary} {
-		ratios, err := CompressionRatios(tab, gen, 5_000, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, r := range ratios {
-			if r <= 0 || r > 1.6 {
-				t.Errorf("%v %s ratio = %v, out of sane range", scheme, name, r)
-			}
-		}
-		// Integer keys delta-compress well; repetitive text flate-compresses.
-		if scheme == SchemeDefault {
-			if ratios["id"] > 0.6 {
-				t.Errorf("delta ratio for sequential ints = %v, expected < 0.6", ratios["id"])
-			}
-			if ratios["note"] > 0.9 {
-				t.Errorf("flate ratio for text = %v, expected < 0.9", ratios["note"])
-			}
-		}
-	}
-	if _, err := CompressionRatios(tab, gen, 0, SchemeDefault); err == nil {
-		t.Error("accepted zero sample rows")
-	}
-}
-
-// Table 7's mechanism: under default (variable-length) compression a
-// grouped layout pays a reconstruction CPU penalty that the column layout
-// avoids; dictionary compression narrows the gap.
-func TestCompressedScanTable7Mechanism(t *testing.T) {
-	tab := testTable(t, 1_000_000)
-	gen := NewGenerator(17)
-	tw := schema.TableWorkload{Table: tab, Queries: []schema.TableQuery{
-		{ID: "q", Weight: 1, Attrs: attrset.Of(0, 1)},
-	}}
-	d := cost.DefaultDisk()
-	grouped := []attrset.Set{attrset.Of(0, 1), attrset.Of(2), attrset.Of(3), attrset.Of(4)}
-	col := partition.Column(tab).Parts
-	const joinCPU = 50e-9
-
-	for _, scheme := range []CompressionScheme{SchemeDefault, SchemeDictionary} {
-		ratios, err := CompressionRatios(tab, gen, 5_000, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := CompressedScanSeconds(tw, grouped, d, ratios, scheme, joinCPU)
-		c := CompressedScanSeconds(tw, col, d, ratios, scheme, joinCPU)
-		if g <= 0 || c <= 0 {
-			t.Fatalf("%v: non-positive scan seconds", scheme)
-		}
-		if scheme == SchemeDefault && g <= c {
-			t.Errorf("default compression: grouped (%v) should cost more than column (%v)", g, c)
-		}
-		if scheme == SchemeDictionary {
-			gap := math.Abs(g-c) / c
-			if gap > 0.3 {
-				t.Errorf("dictionary compression: gap %.0f%% too large", gap*100)
-			}
-		}
 	}
 }

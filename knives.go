@@ -18,8 +18,11 @@
 //     the cheapest layout per table, with Row/Column baselines.
 //   - Experiments: Experiments and RunExperiment regenerate every table
 //     and figure of the paper's evaluation.
-//   - Storage: NewEngine executes real scans over partitioned data on a
-//     simulated disk, for validating the cost model's predictions.
+//   - Execution: ExecuteLayout materializes a layout as real pages on a
+//     simulated disk and runs the workload over them as σ/π/⋈ operator
+//     pipelines, for validating the cost model's predictions (replay.go);
+//     NewEngine is the page store underneath, which can also be
+//     repartitioned in place (migrate.go).
 //
 // Quick start:
 //
@@ -121,11 +124,12 @@ type (
 
 // Storage types.
 type (
-	// Engine executes scans over vertically partitioned data.
+	// Engine stores a table as vertically partitioned pages: load it,
+	// repartition it in place, execute over it with ExecuteLayout.
 	Engine = storage.Engine
 	// Generator produces deterministic synthetic rows.
 	Generator = storage.Generator
-	// ScanStats reports what one scan did.
+	// ScanStats reports what executing one query read.
 	ScanStats = storage.ScanStats
 )
 
@@ -222,8 +226,8 @@ func RunExperiment(id string) (*Report, error) {
 // NewGenerator returns a deterministic synthetic data generator.
 func NewGenerator(seed int64) *Generator { return storage.NewGenerator(seed) }
 
-// NewEngine creates a storage engine executing scans over the layout on a
-// simulated disk with in-memory partition files.
+// NewEngine creates a storage engine holding the layout's partition files in
+// memory, with the simulated disk's page geometry.
 func NewEngine(layout Partitioning, d Disk) (*Engine, error) {
 	return storage.NewEngine(layout, d, nil)
 }

@@ -114,8 +114,8 @@ func TestAdvise(t *testing.T) {
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	if got := len(knives.Experiments()); got != 30 {
-		t.Errorf("Experiments() has %d entries, want 30", got)
+	if got := len(knives.Experiments()); got != 29 {
+		t.Errorf("Experiments() has %d entries, want 29", got)
 	}
 	// Run the cheapest experiment end to end through the public API.
 	rep, err := knives.RunExperiment("tab4")
@@ -146,12 +146,18 @@ func TestPublicEngine(t *testing.T) {
 	if err := e.Load(knives.NewGenerator(1), tab.Rows); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := e.Scan(knives.Attrs(0))
+	if e.Rows() != tab.Rows || e.Bytes() <= 0 {
+		t.Errorf("loaded store: %d rows, %d bytes", e.Rows(), e.Bytes())
+	}
+	// Executing over the same layout goes through ExecuteLayout.
+	tw := knives.TableWorkload{Table: tab, Queries: []knives.TableQuery{{ID: "q", Weight: 1, Attrs: knives.Attrs(0)}}}
+	rep, err := knives.ExecuteLayout(tw, knives.ColumnLayout(tab), "Column", knives.ReplayConfig{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Tuples != tab.Rows || stats.BytesRead <= 0 {
-		t.Errorf("scan stats: %+v", stats)
+	stats := rep.Queries[0].Stats
+	if stats.Tuples != tab.Rows || stats.BytesRead <= 0 || !rep.Exact() {
+		t.Errorf("scan stats: %+v (exact %v)", stats, rep.Exact())
 	}
 	if math.IsNaN(stats.SimTime) || stats.SimTime <= 0 {
 		t.Errorf("sim time: %v", stats.SimTime)

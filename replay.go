@@ -7,9 +7,11 @@ import (
 
 // Replay types: the execution-backed validation layer. A replay
 // materializes a layout through the storage engine, executes the full
-// per-table workload with a parallel worker pool, and reports measured
-// seeks, bytes, and simulated time against the cost model's predictions —
-// which must agree bit for bit.
+// per-table workload as σ/π/⋈ operator pipelines with a parallel worker
+// pool, and reports measured seeks, bytes, and simulated time against the
+// cost model's predictions — which must agree bit for bit. Replay* and
+// Execute* run the same executor; Execute* also reports each query's plan
+// and per-operator accounting, and can push a selection into the scans.
 type (
 	// ReplayConfig parameterizes a replay (device/model name with optional
 	// hardware overrides, row cap, worker pool, seed, backend).
@@ -18,9 +20,8 @@ type (
 	TableReplay = replay.TableReplay
 	// QueryReplay is one query's measured execution next to its prediction.
 	QueryReplay = replay.QueryReplay
-	// OperatorReplay is a TableReplay produced by executing every query as
-	// a streaming σ/π/⋈ operator pipeline over an epoch snapshot, with
-	// per-query plans and per-operator accounting alongside.
+	// OperatorReplay is a TableReplay with the per-query plans and
+	// per-operator accounting its numbers were composed from alongside.
 	OperatorReplay = replay.OperatorReplay
 	// Selection pushes σ(attr < bound) into every pipeline of an
 	// operator-backed execution.
