@@ -61,14 +61,15 @@
 //
 //	POST /advise   {tables, queries} or {benchmark, sf} -> per-table advice
 //	POST /replay   same workload + {max_rows, seed, workers} -> advise,
-//	               materialize through the storage engine, replay, and
-//	               report measured vs predicted cost (fingerprint-cached)
-//	POST /query    same workload + {max_rows, seed, workers, selection} ->
-//	               advise, materialize, and EXECUTE every query as a σ/π/⋈
-//	               operator pipeline over an epoch snapshot, answering each
-//	               plan with its per-operator cost decomposition (cached)
-//	POST /observe  {table, queries} -> drift report + current advice;
-//	               batched {batches, batch_id} dedups redelivered IDs
+//	               lease (or load) the advised layout's store, EXECUTE
+//	               every query as a σ/π/⋈ operator pipeline over an epoch
+//	               snapshot, and report measured vs predicted cost (cached)
+//	POST /query    /replay + {selection}: the same chain, report cache and
+//	               stores; answers each plan with its per-operator cost
+//	               decomposition, and keeps the store it loads resident
+//	POST /observe  {batches, batch_id} -> one drift verdict + current
+//	               advice per entry, redelivered IDs deduplicated;
+//	               {table, queries} is a one-entry batch answered bare
 //	POST /migrate  {table, window, max_rows, seed, workers} -> plan the
 //	               applied->advised re-layout against the observed mix,
 //	               execute + verify it on a sampled store, and advance the

@@ -27,13 +27,14 @@ const maxBatchIDLen = 128
 // ObserveBatchID is ObserveBatch under a client batch ID: the first call
 // with an ID ingests and records its outcomes in the dedup window; every
 // later call with the same ID answers those outcomes verbatim (dup=true)
-// without re-ingesting. An empty ID skips dedup entirely.
+// without re-ingesting. An empty ID skips dedup entirely, and so does an
+// empty batch list: nothing was applied that a redelivery could double.
 func (s *Service) ObserveBatchID(ctx context.Context, batchID string, batches []TableObservation) (outs []ObserveOutcome, dup bool, err error) {
-	if batchID == "" {
-		return s.ObserveBatch(ctx, batches), false, nil
-	}
 	if len(batchID) > maxBatchIDLen {
 		return nil, false, fmt.Errorf("%w: batch id longer than %d bytes", ErrBadObservation, maxBatchIDLen)
+	}
+	if batchID == "" || len(batches) == 0 {
+		return s.ObserveBatch(ctx, batches), false, nil
 	}
 	// Per-entry failures live inside the outcomes, so the application
 	// itself never fails and an applied ID is always remembered.

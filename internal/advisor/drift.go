@@ -157,90 +157,6 @@ type DriftReport struct {
 	Recomputes int64 `json:"recomputes"`
 }
 
-// Observe folds a batch of queries into the log, re-runs the O2P shadow
-// over the pricer's snapshot, and recomputes the advice if it drifted past
-// the threshold. On recomputation it returns the fresh advice PAIRED with
-// the log snapshot it was computed from (taken under one critical
-// section), so the service caches exactly that workload's fingerprint —
-// never a newer advice under an older workload's key. The Fingerprint in
-// the recomputedAdvice is the one the tracker covered BEFORE the recompute
-// re-keyed it: the service evicts that key's replay reports, which were
-// computed for advice the drift just invalidated.
-//
-// The shadow run and the portfolio recompute execute outside the tracker
-// lock: a drift-triggered search on a big table must not stall concurrent
-// /advice and /observe traffic for that table. Concurrent Observe batches
-// may therefore both recompute; each installs the advice for its own
-// snapshot and the later install wins, which is at worst one redundant
-// search, never a stale pairing.
-//
-// Ingestion is at-least-once: the batch joins the log before the searches
-// run, so a client retrying after a search error re-ingests it. Searches
-// on validated input do not realistically fail (errors require an invalid
-// layout, which validated queries cannot produce), so this trade is taken
-// over the extra locking a staged commit would need.
-//
-// Weight semantics are uniform across every observation endpoint: weight 0
-// (the JSON default for an omitted field) is coerced to 1 during
-// validation, so an unweighted observed query counts as one execution —
-// the same convention /advise applies to its workloads. Negative and NaN
-// weights are ErrBadObservation.
-func (t *Tracker) Observe(ctx context.Context, queries []schema.TableQuery) (DriftReport, *recomputedAdvice, error) {
-	t.mu.Lock()
-	valid, err := t.validateLocked(queries)
-	if err != nil {
-		t.mu.Unlock()
-		return DriftReport{}, nil, err
-	}
-	return t.observeValidatedLocked(ctx, valid)
-}
-
-// ObserveNamed is Observe for queries carrying column NAMES: the names are
-// resolved against the tracker's current table under the same lock that
-// appends them, so a concurrent re-registration can neither rebind a name
-// to a different column index nor slip an out-of-range bitmask through.
-// Unknown names map to ErrStaleSchema — with name-based observation, an
-// unknown column almost always means the schema moved under the client.
-func (t *Tracker) ObserveNamed(ctx context.Context, named []ObservedQry) (DriftReport, *recomputedAdvice, error) {
-	t.mu.Lock()
-	queries, err := t.resolveNamedLocked(named)
-	if err != nil {
-		t.mu.Unlock()
-		return DriftReport{}, nil, err
-	}
-	return t.observeValidatedLocked(ctx, queries)
-}
-
-// observeValidatedLocked journals and applies one validated batch, then
-// releases t.mu and runs the drift check. The context bounds the searches'
-// slot waits, never the ingestion: by the time the shadow runs, the batch
-// is journaled and logged, and a deadline expiring mid-search reports an
-// error whose retry re-ingests (at-least-once).
-func (t *Tracker) observeValidatedLocked(ctx context.Context, queries []schema.TableQuery) (DriftReport, *recomputedAdvice, error) {
-	// Journal the batch before it joins the log (empty batches fold to
-	// nothing and are not journaled). A failed append returns the error
-	// with the log untouched; the client's retry re-sends the batch.
-	// Ingestion is at-least-once either way (see Observe), and the fold
-	// ingests the journaled copy exactly as ingestLocked does.
-	if t.jn != nil && len(queries) > 0 {
-		ev := statestore.Event{Type: statestore.EvObserve, Table: t.table.Name, Queries: toQueryRecs(queries)}
-		if err := t.jn.append(ev); err != nil {
-			t.mu.Unlock()
-			return DriftReport{}, nil, err
-		}
-	}
-	t.ingestLocked(queries)
-	in := t.driftInputLocked()
-	t.mu.Unlock()
-
-	// Nothing new observed: skip the shadow search — an empty poll must
-	// not burn a process-wide search slot re-pricing an unchanged stream.
-	if len(queries) == 0 {
-		return in.report(), nil, nil
-	}
-	return t.priceDrift(ctx, in, nil)
-}
-
 // validateLocked checks a numeric observation batch against the CURRENT
 // table and returns a normalized copy (weight 0 coerced to 1). Validation
 // runs inside the lock: the caller may have built attr bitmasks against a
@@ -373,8 +289,21 @@ func (t *Tracker) report() DriftReport {
 // enough to DECIDE drift, but installed advice, its fingerprint, and the
 // cache pairing must be computed from the same exact workload in every
 // mode, so sketch and exact trackers are interchangeable beyond the
-// trigger decision. A recompute's per-knife search telemetry goes to tm (nil
-// for a tracker observed outside a service).
+// trigger decision. A recompute's per-knife search telemetry goes to tm.
+//
+// On recomputation it returns the fresh advice PAIRED with the log snapshot
+// it was computed from (taken under one critical section), so the service
+// caches exactly that workload's fingerprint — never a newer advice under
+// an older workload's key. The prevFP in the recomputedAdvice is the one the
+// tracker covered BEFORE the recompute re-keyed it: the service evicts that
+// key's replay reports, which were computed for advice the drift just
+// invalidated.
+//
+// Running outside the tracker lock means a drift-triggered search on a big
+// table does not stall concurrent /advice and /observe traffic for that
+// table. Checks of successive groups may therefore both recompute; each
+// installs the advice for its own snapshot and the later install wins,
+// which is at worst one redundant search, never a stale pairing.
 func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics) (DriftReport, *recomputedAdvice, error) {
 	rep := in.report()
 	if len(in.pricing) == 0 {
@@ -433,7 +362,7 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics)
 	// schema, and pairing advice computed for the old geometry with the
 	// new table would index out of range when priced; the generation
 	// counter catches this even when the re-registration reuses the same
-	// *schema.Table pointer — and (b) no sibling Observe already installed
+	// *schema.Table pointer — and (b) no sibling drift check already installed
 	// advice computed from a LONGER log: within a generation the observed
 	// counter is monotone, so comparing snapshot positions makes the
 	// newest-log advice win regardless of which portfolio search finishes

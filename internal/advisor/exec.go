@@ -3,21 +3,22 @@ package advisor
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"knives/internal/cost"
 	"knives/internal/replay"
 	"knives/internal/schema"
 )
 
-// The exec path answers POST /query: advise the workload (from the
-// fingerprint cache), lease the resident store of the advised layout
-// (materializing it if no earlier request has), and EXECUTE every
-// query as a σ/π/⋈ operator pipeline over an epoch snapshot — returning
-// per-operator accounting next to the same zero-tolerance predictions the
-// replay path verifies against. /replay runs the same pipelines over a
-// private, one-shot store and reports the totals alone; /query keeps the
-// store, reports the plan operators the totals decompose into, and can push
-// a selection predicate into the scans.
+// The executed-report chain answers POST /replay and POST /query alike:
+// advise the workload (from the fingerprint cache), lease the store of the
+// advised layout from the registry (loading it if no earlier request has),
+// EXECUTE every query as a σ/π/⋈ operator pipeline over an epoch snapshot,
+// hold every measurement against the cost model at zero tolerance, and cache
+// the report. /replay is /query without a selection: the two share reports
+// and stores, and an endpoint adds only its execRoute and its renderer
+// (/replay renders the report's totals, /query the plan operators they
+// decompose into).
 
 // ExecSelection names a σ pushed into every pipeline of one table's
 // execution: keep rows whose little-endian u32 column (an int or date
@@ -45,45 +46,73 @@ func (sel ExecSelection) On(t *schema.Table) (*replay.Selection, error) {
 	return &replay.Selection{Attr: attr, Bound: sel.Bound}, nil
 }
 
-// execKey identifies one cached execution: the replay key plus the
-// selection (the predicate changes plans, rows out, and per-query pricing).
+// execKey identifies one cached report: the workload fingerprint (which
+// already covers schema, weights, and query order), the canonical key of the
+// device the execution prices and measures on, the two options that change
+// the materialized data, and the selection (the predicate changes plans,
+// rows out, and per-query pricing; the zero value is "none").
 type execKey struct {
-	replayKey
-	sel ExecSelection
+	fp    Fingerprint
+	model string
+	rows  int64
+	seed  int64
+	sel   ExecSelection
 }
 
-// ExecTable answers one table's advise-lease-execute chain under the
-// service's default pricing model. The bool reports whether the call
-// answered from cache.
+// execRoute is what an endpoint contributes to the chain besides its
+// renderer: the request/hit counter pair it owns in /stats, and whether it
+// is /query — the endpoint whose loaded stores stay resident (the next
+// selection scans the same table; a /replay is one-shot, and retaining its
+// store would only fill the budget with tables nobody asks for twice) and
+// whose executions feed the knives_query_* and knives_operator_* series.
+type execRoute struct {
+	requests atomic.Int64 // table reports answered
+	hits     atomic.Int64 // ...from the report cache, nothing executed
+	query    bool
+}
+
+// ReplayTable answers one table's advise-lease-execute-report chain without
+// a selection, under the service's default pricing model, and returns the
+// report's totals. The bool reports whether the call was answered from
+// cache (nothing executed).
+func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*replay.TableReplay, Fingerprint, bool, error) {
+	rep, fp, cached, err := s.execTableAs(context.Background(), &s.replayRoute, tw, opt, nil, s.model, s.modelKey)
+	if err != nil {
+		return nil, fp, false, err
+	}
+	return &rep.TableReplay, fp, cached, nil
+}
+
+// ExecTable is ReplayTable with an optional selection, returning the whole
+// report, per-operator accounting included.
 func (s *Service) ExecTable(tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection) (*replay.OperatorReplay, Fingerprint, bool, error) {
-	return s.execTableAs(context.Background(), tw, opt, sel, s.model, s.modelKey)
+	return s.execTableAs(context.Background(), &s.queryRoute, tw, opt, sel, s.model, s.modelKey)
 }
 
-// execTableAs is ExecTable under an explicit pricing model (a wire
-// request's resolved ModelSpec, or the service default): replayTableAs with
-// a selection in the key, over the leased resident store.
-func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (*replay.OperatorReplay, Fingerprint, bool, error) {
+// execTableAs is the chain under an explicit pricing model (a wire request's
+// resolved ModelSpec, or the service default). The context bounds the
+// embedded advise step's search waits; the load and the execution run to
+// completion once started.
+func (s *Service) execTableAs(ctx context.Context, rt *execRoute, tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (*replay.OperatorReplay, Fingerprint, bool, error) {
 	p, err := planExec(tw, opt, sel, m, mkey)
 	if err != nil {
 		return nil, Fingerprint{}, false, err
 	}
-	s.queries.Add(1)
+	rt.requests.Add(1)
 	rep, ran, err := s.execEntries.Do(p.key, func() (*replay.OperatorReplay, error) {
 		layout, algorithm, err := s.advisedLayout(ctx, p.tw, m, mkey)
 		if err != nil {
 			return nil, err
 		}
-		// The store outlives the request: a /query that differs from an
-		// earlier one only in its selection scans the table that one
-		// materialized. The lease keeps an eviction or a drift drop from
-		// closing it under this execution.
-		st, err := s.leaseStore(ctx, p, layout)
+		// The lease keeps an eviction or a drift drop from closing the
+		// store under this execution.
+		st, err := s.leaseStore(ctx, p, layout, rt.query)
 		if err != nil {
 			return nil, err
 		}
 		defer s.stores.release(st)
 		rep, err := replay.OperatorsOn(p.tw, layout, st.engine, algorithm, p.cfg, p.sel)
-		if err == nil {
+		if err == nil && rt.query {
 			s.tm.recordExec(rep)
 		}
 		return rep, err
@@ -92,7 +121,7 @@ func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt 
 		return nil, p.key.fp, false, err
 	}
 	if !ran {
-		s.queryHits.Add(1)
+		rt.hits.Add(1)
 	}
 	if !rep.Exact() {
 		s.inexact.Add(1)

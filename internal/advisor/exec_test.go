@@ -33,19 +33,48 @@ func queryRequest() QueryRequest {
 	}
 }
 
+// TestServerQueryEndToEnd: /replay is /query without a selection — one
+// chain, one report cache. Whichever endpoint is asked first executes, the
+// other answers the same report from cache, number for number.
 func TestServerQueryEndToEnd(t *testing.T) {
-	_, _, client := newTestServer(t, Config{})
+	for _, first := range []string{"/query", "/replay"} {
+		t.Run(first[1:]+" first", func(t *testing.T) { testQueryEndToEnd(t, first) })
+	}
+}
+
+func testQueryEndToEnd(t *testing.T, first string) {
+	_, svc, client := newTestServer(t, Config{})
 	ctx := context.Background()
-	resp, err := client.Query(ctx, queryRequest())
-	if err != nil {
-		t.Fatal(err)
+	q := queryRequest()
+	var rep TableExecWire
+	var mono TableReplayWire
+	order := []string{"/query", "/replay"}
+	if first == "/replay" {
+		order = []string{"/replay", "/query"}
 	}
-	if len(resp.Reports) != 1 {
-		t.Fatalf("reports for %d tables, want 1", len(resp.Reports))
+	for _, path := range order {
+		if path == "/query" {
+			resp, err := client.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Reports) != 1 {
+				t.Fatalf("reports for %d tables, want 1", len(resp.Reports))
+			}
+			rep = resp.Reports[0]
+		} else {
+			resp, err := client.Replay(ctx, ReplayRequest{Tables: q.Tables, Queries: q.Queries, MaxRows: q.MaxRows, Seed: q.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mono = resp.Reports[0]
+		}
 	}
-	rep := resp.Reports[0]
-	if rep.Table != "events" || rep.Cached {
-		t.Errorf("first report: table=%q cached=%v", rep.Table, rep.Cached)
+	if rep.Table != "events" || rep.Cached != (first == "/replay") || mono.Cached != (first == "/query") {
+		t.Errorf("%s first: /query table=%q cached=%v, /replay cached=%v", first, rep.Table, rep.Cached, mono.Cached)
+	}
+	if st := svc.Stats(); st.CachedReplays != 1 || st.Replays != 1 || (st.ReplayHits == 1) != mono.Cached {
+		t.Errorf("stats after one /query and one /replay of one workload: %+v", st)
 	}
 	if !rep.Exact || rep.MaxAbsDelta != 0 {
 		t.Errorf("execution not exact: delta=%v", rep.MaxAbsDelta)
@@ -76,16 +105,7 @@ func TestServerQueryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The PR-8 identity at the HTTP layer: without a selection, /query's
-	// pipelines and /replay's monolithic scans agree on every per-query
-	// measured/predicted number and every total — which is what keeps the
-	// two executors honest until they fold.
-	q := queryRequest()
-	replayed, err := client.Replay(ctx, ReplayRequest{Tables: q.Tables, Queries: q.Queries, MaxRows: q.MaxRows, Seed: q.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono := replayed.Reports[0]
+	// /replay renders the totals of the report /query renders in full.
 	if mono.MeasuredSeconds != rep.MeasuredSeconds || mono.PredictedSeconds != rep.PredictedSeconds ||
 		mono.BytesRead != rep.BytesRead || mono.Seeks != rep.Seeks || mono.ReconJoins != rep.ReconJoins ||
 		mono.RowsReplayed != rep.RowsReplayed || mono.Exact != rep.Exact || mono.Fingerprint != rep.Fingerprint {
@@ -105,7 +125,7 @@ func TestServerQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !again.Reports[0].Cached {
-		t.Error("repeated query not served from the exec cache")
+		t.Error("repeated query not served from the report cache")
 	}
 	if again.Reports[0].MeasuredSeconds != rep.MeasuredSeconds {
 		t.Error("cached execution differs from first answer")

@@ -153,6 +153,17 @@ func (in *ingester) lead(sh *ingestShard) {
 // check per distinct tracker. Per-batch failures (validation, or the whole
 // group's journal append) surface on the owning jobs; one bad batch never
 // poisons its groupmates.
+//
+// Ingestion is at-least-once: a batch joins the log before the searches
+// run, so a client retrying after a search error (or an expired deadline)
+// re-ingests it. Searches on validated input do not realistically fail
+// (errors require an invalid layout, which validated queries cannot
+// produce), so this trade is taken over the extra locking a staged commit
+// would need. Weight semantics are uniform across every observation shape:
+// weight 0 (the JSON default for an omitted field) is coerced to 1 during
+// validation, so an unweighted observed query counts as one execution — the
+// same convention /advise applies to its workloads; negative and NaN
+// weights are ErrBadObservation.
 func (in *ingester) process(group []*ingestJob) {
 	svc := in.svc
 

@@ -73,17 +73,6 @@ func (o ReplayOptions) validate() error {
 // ErrBadReplay reports replay options the service refuses to execute.
 var ErrBadReplay = fmt.Errorf("advisor: invalid replay request")
 
-// replayKey identifies one cached replay report: the workload fingerprint
-// (PR-2's cache key, which already covers schema, weights, and query order),
-// the canonical key of the device the replay prices and measures on, plus
-// the two options that change the materialized data.
-type replayKey struct {
-	fp    Fingerprint
-	model string
-	rows  int64
-	seed  int64
-}
-
 // replayConfigFor translates a pricing model into a replay config: the
 // model's full device becomes the config's device (replay.Config treats a
 // named Disk with an empty Model as the device itself), so the engine
@@ -109,9 +98,9 @@ func replayConfigFor(m cost.Model, opt ReplayOptions) (replay.Config, error) {
 	return cfg, nil
 }
 
-// execPlan is what the replay and exec paths decide BEFORE consulting their
-// caches: the weight-normalized workload, the replay config, the resolved
-// selection (nil on the replay path), and the cache key.
+// execPlan is what the executed-report chain decides BEFORE consulting its
+// cache: the weight-normalized workload, the replay config, the resolved
+// selection (nil without one), and the cache key.
 type execPlan struct {
 	tw  schema.TableWorkload
 	cfg replay.Config
@@ -119,10 +108,10 @@ type execPlan struct {
 	key execKey
 }
 
-// planExec is the shared prelude of ReplayTable and ExecTable: validate the
-// options, translate the model into a replay config, resolve the selection
-// against the table, normalize the weights, and fingerprint the workload.
-// Every rejection of outside input on the two paths lives here.
+// planExec is the chain's prelude: validate the options, translate the model
+// into a replay config, resolve the selection against the table, normalize
+// the weights, and fingerprint the workload. Every rejection of outside
+// input on the chain lives here.
 func planExec(tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (execPlan, error) {
 	if err := opt.validate(); err != nil {
 		return execPlan{}, err
@@ -142,7 +131,7 @@ func planExec(tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m 
 		p.key.sel = *sel
 	}
 	p.tw = normalizeWeights(tw)
-	p.key.replayKey = replayKey{fp: FingerprintOf(p.tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed}
+	p.key.fp, p.key.model, p.key.rows, p.key.seed = FingerprintOf(p.tw), mkey, cfg.MaxRows, cfg.Seed
 	return p, nil
 }
 
@@ -157,44 +146,4 @@ func (s *Service) advisedLayout(ctx context.Context, tw schema.TableWorkload, m 
 	}
 	layout, err := partition.New(tw.Table, advice.Layout.Parts)
 	return layout, advice.Algorithm, err
-}
-
-// ReplayTable answers one table's advise-materialize-replay-report chain:
-// the advice comes from the fingerprint cache (searching on a miss), the
-// layout is materialized through the storage engine into a private store
-// that is closed on return, the workload executed over it, and the report
-// compared against the cost model. Reports are cached under
-// (fingerprint, rows, seed); the bool reports whether this call was answered
-// from cache (no replay executed).
-func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*replay.TableReplay, Fingerprint, bool, error) {
-	return s.replayTableAs(context.Background(), tw, opt, s.model, s.modelKey)
-}
-
-// replayTableAs is ReplayTable under an explicit pricing model (a wire
-// request's resolved ModelSpec, or the service default). The context
-// bounds the embedded advise step's search waits; the materialize-and-execute
-// itself runs to completion once started.
-func (s *Service) replayTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (*replay.TableReplay, Fingerprint, bool, error) {
-	p, err := planExec(tw, opt, nil, m, mkey)
-	if err != nil {
-		return nil, Fingerprint{}, false, err
-	}
-	s.replays.Add(1)
-	rep, ran, err := s.replayEntries.Do(p.key.replayKey, func() (*replay.TableReplay, error) {
-		layout, algorithm, err := s.advisedLayout(ctx, p.tw, m, mkey)
-		if err != nil {
-			return nil, err
-		}
-		return replay.Layout(p.tw, layout, algorithm, p.cfg)
-	})
-	if err != nil {
-		return nil, p.key.fp, false, err
-	}
-	if !ran {
-		s.replayHits.Add(1)
-	}
-	if !rep.Exact() {
-		s.inexact.Add(1)
-	}
-	return rep, p.key.fp, !ran, nil
 }

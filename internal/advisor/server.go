@@ -14,6 +14,7 @@ import (
 
 	"knives/internal/algo"
 	"knives/internal/cost"
+	"knives/internal/replay"
 	"knives/internal/schema"
 	"knives/internal/telemetry"
 )
@@ -21,13 +22,15 @@ import (
 // Server exposes a Service over HTTP:
 //
 //	POST /advise   workload in, per-table advice out (fingerprint cache)
-//	POST /replay   workload in -> advise, materialize, replay, report
-//	POST /observe  stream queries for a registered table (drift tracking)
+//	POST /replay   workload in -> advise, lease a store, execute, report
+//	POST /query    /replay with an optional selection, reported per operator
+//	POST /observe  stream queries for registered tables (drift tracking)
 //	POST /migrate  plan + execute-and-verify a drift-triggered re-layout
 //	               of a registered table (fingerprint-pair cache)
 //	GET  /advice?table=NAME   current tracked advice for one table
 //	GET  /tables   registered table names
 //	GET  /stats    service counters
+//	GET  /metrics  Prometheus exposition (with ServerConfig.Telemetry)
 //	GET  /healthz  liveness
 //
 // The handler is safe for concurrent use; every request body is limited to
@@ -87,7 +90,7 @@ func NewServer(svc *Service) *Server {
 	return NewServerWith(svc, ServerConfig{})
 }
 
-// NewServerWith wraps a Service with overload protection: the four POST
+// NewServerWith wraps a Service with overload protection: the five POST
 // endpoints (the ones that search, materialize, or journal) run under the
 // config's deadline and admission gate. The GET endpoints stay ungated so
 // liveness and stats remain observable while the server sheds load.
@@ -338,29 +341,30 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	opt := ReplayOptions{MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers}
-	wires, ok := serveTables(s, w, req.advise(), opt, nil,
-		func(tw schema.TableWorkload, m cost.Model, mkey string) (TableReplayWire, error) {
-			rep, fp, cached, err := s.svc.replayTableAs(r.Context(), tw, opt, m, mkey)
-			if err != nil {
-				return TableReplayWire{}, err
-			}
-			return toReplayWire(rep, fp, cached), nil
-		})
+	wires, ok := serveExec(s, w, r, &s.svc.replayRoute, req.query(), toReplayWire)
 	if ok {
 		writeJSON(w, ReplayResponse{Reports: wires})
 	}
 }
 
-// handleQuery answers POST /query: advise, materialize, and EXECUTE the
-// workload as σ/π/⋈ operator pipelines, decomposing each query's measured
-// cost into per-operator terms. A selection, when present, applies only to
-// its named table; other tables execute unfiltered.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
+	wires, ok := serveExec(s, w, r, &s.svc.queryRoute, req, toExecWire)
+	if ok {
+		writeJSON(w, QueryResponse{Reports: wires})
+	}
+}
+
+// serveExec is the one body behind POST /replay and POST /query: advise,
+// lease the advised layout's store, EXECUTE the workload as σ/π/⋈ operator
+// pipelines, and render each table's report the endpoint's way. A
+// selection, when present, applies only to its named table; other tables
+// execute unfiltered.
+func serveExec[W any](s *Server, w http.ResponseWriter, r *http.Request, rt *execRoute, req QueryRequest,
+	render func(*replay.OperatorReplay, Fingerprint, bool) W) ([]W, bool) {
 	opt := ReplayOptions{
 		MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers,
 		ExecMode: req.Exec, BatchSize: req.BatchSize, ExecWorkers: req.ExecWorkers,
@@ -380,25 +384,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return fmt.Errorf("%w: selection table %q not in workload", ErrBadReplay, sel.Table)
 	}
-	wires, ok := serveTables(s, w, req.advise(), opt, check,
-		func(tw schema.TableWorkload, m cost.Model, mkey string) (TableExecWire, error) {
+	return serveTables(s, w, req.advise(), opt, check,
+		func(tw schema.TableWorkload, m cost.Model, mkey string) (W, error) {
 			var tsel *ExecSelection
 			if sel != nil && sel.Table == tw.Table.Name {
 				tsel = &ExecSelection{Column: sel.Column, Bound: sel.Bound}
 			}
-			rep, fp, cached, err := s.svc.execTableAs(r.Context(), tw, opt, tsel, m, mkey)
+			rep, fp, cached, err := s.svc.execTableAs(r.Context(), rt, tw, opt, tsel, m, mkey)
 			if err != nil {
-				return TableExecWire{}, err
+				var zero W
+				return zero, err
 			}
-			return toExecWire(rep, fp, cached), nil
+			return render(rep, fp, cached), nil
 		})
-	if ok {
-		writeJSON(w, QueryResponse{Reports: wires})
-	}
 }
 
 // observeStatus maps an observe-path error to the HTTP status the
-// single-table path answers with: 400 for a bad observation (the same
+// single-table shape answers with: 400 for a bad observation (the same
 // payload would fail again), 404 for an unregistered table (advise it
 // first), 409 for a schema the observation no longer matches (the client's
 // to fix by re-advising), 503 for an expired deadline or a failed journal
@@ -420,79 +422,66 @@ func observeStatus(err error) int {
 	}
 }
 
+// handleObserve answers POST /observe. Both wire shapes take the one ingest
+// path: a single-table body is a one-entry batch (outside the dedup window —
+// it carries no batch ID the client could replay) answered in the legacy
+// shape, with the entry's verdict as the response's status. Names resolve
+// inside the tracker lock, against the table's current schema — resolving
+// here against a snapshot would race a concurrent re-registration and
+// silently rebind names to different columns. All per-query validation
+// (weights, empty attrs) lives there too, so the rules have one source of
+// truth.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if len(req.Batches) > 0 {
-		s.observeBatched(w, r, req)
-		return
-	}
-	// Names resolve inside the tracker lock, against the table's current
-	// schema — resolving here against a snapshot would race a concurrent
-	// re-registration and silently rebind names to different columns. All
-	// per-query validation (weights, empty attrs) lives there too, so the
-	// rules have one source of truth.
-	rep, err := s.svc.ObserveNamedContext(r.Context(), req.Table, req.Queries)
-	if err != nil {
-		status := observeStatus(err)
-		if status == http.StatusServiceUnavailable {
-			s.retryHint(w)
-		}
-		writeError(w, status, err)
-		return
-	}
-	current, fp, err := s.svc.CurrentState(req.Table)
-	if err != nil {
-		// The tracker can be evicted between Observe and this read.
-		if errors.Is(err, ErrNotRegistered) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, ObserveResponse{Drift: rep, Advice: toWire(current, fp, false)})
-}
-
-// observeBatched answers the batched shape of POST /observe: every entry is
-// ingested (entries fail independently), the response is 200 with one
-// verdict per entry carrying the status the same failure would earn on the
-// single-table path.
-func (s *Server) observeBatched(w http.ResponseWriter, r *http.Request, req ObserveRequest) {
-	if req.Table != "" || len(req.Queries) > 0 {
+	// The shape is decided by the PRESENCE of batches: an empty list is a
+	// batched request with nothing in it, not a single-table one.
+	batched := req.Batches != nil
+	if batched && (req.Table != "" || len(req.Queries) > 0) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("advisor: batched observe excludes the single-table fields (table/queries)"))
 		return
+	}
+	if !batched {
+		req.BatchID, req.Batches = "", []TableObservation{{Table: req.Table, Queries: req.Queries}}
 	}
 	outs, dup, err := s.svc.ObserveBatchID(r.Context(), req.BatchID, req.Batches)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Every entry was ingested (entries fail independently); each verdict
+	// carries the status the same failure earns on the single-table shape.
 	verdicts := make([]TableObserveVerdict, len(outs))
 	for i, o := range outs {
-		v := TableObserveVerdict{Table: o.Table, Status: observeStatus(o.Err)}
-		if o.Err != nil {
-			v.Error = o.Err.Error()
-			verdicts[i] = v
-			continue
-		}
-		current, fp, err := s.svc.CurrentState(o.Table)
-		if err != nil {
+		err := o.Err
+		var current TableAdvice
+		var fp Fingerprint
+		if err == nil {
 			// The tracker can be evicted between the ingest and this read;
 			// the entry WAS applied, so report the read failure, not a 200.
-			v.Status = observeStatus(err)
-			v.Error = err.Error()
-			verdicts[i] = v
+			current, fp, err = s.svc.CurrentState(o.Table)
+		}
+		verdicts[i] = TableObserveVerdict{Table: o.Table, Status: observeStatus(err)}
+		if err != nil {
+			verdicts[i].Error = err.Error()
 			continue
 		}
-		v.Drift = o.Rep
-		v.Advice = toWire(current, fp, false)
-		verdicts[i] = v
+		verdicts[i].Drift, verdicts[i].Advice = o.Rep, toWire(current, fp, false)
 	}
-	writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
+	switch {
+	case batched:
+		writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
+	case verdicts[0].Status != http.StatusOK:
+		if verdicts[0].Status == http.StatusServiceUnavailable {
+			s.retryHint(w)
+		}
+		writeError(w, verdicts[0].Status, errors.New(verdicts[0].Error))
+	default:
+		writeJSON(w, ObserveResponse{Drift: verdicts[0].Drift, Advice: verdicts[0].Advice})
+	}
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {

@@ -127,7 +127,6 @@ type Service struct {
 	// expensive work (portfolio search, materialize-and-scan, migration)
 	// never runs under the service mutex.
 	entries        *statestore.OnceCache[adviceKey, TableAdvice]
-	replayEntries  *statestore.OnceCache[replayKey, *replay.TableReplay]
 	execEntries    *statestore.OnceCache[execKey, *replay.OperatorReplay]
 	migrateEntries *statestore.OnceCache[migrateKey, *MigrationOutcome]
 	// observeSeen is the redelivery-dedup window: recently applied batch
@@ -135,8 +134,8 @@ type Service struct {
 	// answers the original ingest instead of double-counting — and a retry
 	// RACING the original blocks until the first attempt's outcomes exist.
 	observeSeen *statestore.OnceCache[string, []ObserveOutcome]
-	// stores keeps the tables /query materialized loaded between requests;
-	// see storeRegistry.
+	// stores is where every executed report gets its engine, and keeps the
+	// tables /query loaded resident between requests; see storeRegistry.
 	stores *storeRegistry
 
 	// ing is the sharded observe-ingest stage: every observation batch
@@ -151,10 +150,8 @@ type Service struct {
 	hits        atomic.Int64 // answered from cache without searching
 	searches    atomic.Int64 // portfolio searches actually run
 	recomputes  atomic.Int64 // drift-triggered recomputations
-	replays     atomic.Int64 // table replay requests answered
-	replayHits  atomic.Int64 // replays answered from cache without executing
-	queries     atomic.Int64 // table execution (/query) requests answered
-	queryHits   atomic.Int64 // executions answered from cache without executing
+	replayRoute execRoute    // /replay's report requests and cache hits
+	queryRoute  execRoute    // /query's
 	migrations  atomic.Int64 // migration requests answered
 	migrateHits atomic.Int64 // migrations answered from cache without executing
 	// inexact counts /replay, /query and /migrate reports returned (fresh or
@@ -237,11 +234,11 @@ func OpenService(cfg Config) (*Service, error) {
 		jn:             newJournal(st),
 		trackers:       statestore.NewFIFO[string, *Tracker](cfg.TrackerCapacity),
 		entries:        statestore.NewOnceCache[adviceKey, TableAdvice](cfg.CacheCapacity),
-		replayEntries:  statestore.NewOnceCache[replayKey, *replay.TableReplay](DefaultReplayCacheCapacity),
 		execEntries:    statestore.NewOnceCache[execKey, *replay.OperatorReplay](DefaultReplayCacheCapacity),
 		migrateEntries: statestore.NewOnceCache[migrateKey, *MigrationOutcome](DefaultMigrateCacheCapacity),
 		observeSeen:    statestore.NewOnceCache[string, []ObserveOutcome](DefaultObserveDedupWindow),
 		stores:         newStoreRegistry(residentStoreBudget),
+		queryRoute:     execRoute{query: true},
 	}
 	for _, ts := range st.Recovered() {
 		if ts.ModelKey != s.modelKey {
@@ -297,9 +294,9 @@ type Stats struct {
 	Recomputes int64 `json:"recomputes"`
 	Cached     int   `json:"cached_entries"`
 	Tracked    int   `json:"tracked_tables"`
-	// Replays counts replay requests answered; ReplayHits the ones served
-	// from the report cache without materializing anything. CachedReplays
-	// sums both report caches — /replay's reports and /query's executions.
+	// Replays counts /replay table reports answered; ReplayHits the ones
+	// served from the report cache without executing anything. CachedReplays
+	// is the size of that cache, which /replay and /query share.
 	Replays       int64 `json:"replays"`
 	ReplayHits    int64 `json:"replay_hits"`
 	CachedReplays int   `json:"cached_replays"`
@@ -308,9 +305,9 @@ type Stats struct {
 	Migrations       int64 `json:"migrations"`
 	MigrateHits      int64 `json:"migrate_hits"`
 	CachedMigrations int   `json:"cached_migrations"`
-	// ResidentStores counts the materialized tables /query keeps loaded
-	// between requests, ResidentStoreBytes their page bytes (bounded by a
-	// fixed budget).
+	// ResidentStores counts the materialized tables kept loaded between
+	// requests (the ones a /query loaded), ResidentStoreBytes their page
+	// bytes (bounded by a fixed budget).
 	ResidentStores     int   `json:"resident_stores"`
 	ResidentStoreBytes int64 `json:"resident_store_bytes"`
 	// Shed counts requests refused with 429 by the server's admission gate.
@@ -342,8 +339,8 @@ func (s *Service) Stats() Stats {
 	// this order can only overcount misses, never report a negative count.
 	hits := s.hits.Load()
 	req := s.requests.Load()
-	replayHits := s.replayHits.Load()
-	replays := s.replays.Load()
+	replayHits := s.replayRoute.hits.Load()
+	replays := s.replayRoute.requests.Load()
 	migrateHits := s.migrateHits.Load()
 	migrations := s.migrations.Load()
 	stores, storeBytes := s.stores.resident()
@@ -363,7 +360,7 @@ func (s *Service) Stats() Stats {
 		Tracked:          tracked,
 		Replays:          replays,
 		ReplayHits:       replayHits,
-		CachedReplays:    s.replayEntries.Len() + s.execEntries.Len(),
+		CachedReplays:    s.execEntries.Len(),
 		Migrations:       migrations,
 		MigrateHits:      migrateHits,
 		CachedMigrations: s.migrateEntries.Len(),
@@ -676,11 +673,6 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		// would serve the stale layout's report from cache. The seed above
 		// comes first, so a replay racing this eviction can only recompute
 		// against the NEW advice.
-		s.replayEntries.DropFunc(func(k replayKey) bool {
-			return k.fp == rec.prevFP || k.fp == snapFP
-		})
-		// Executions cache the advised layout too — same staleness, same
-		// eviction.
 		s.execEntries.DropFunc(func(k execKey) bool {
 			return k.fp == rec.prevFP || k.fp == snapFP
 		})

@@ -16,7 +16,7 @@ import (
 )
 
 // residentStoreBudget bounds the page bytes the service keeps materialized
-// between /query requests. Retained pages cost the Go heap about twice their
+// between requests. Retained pages cost the Go heap about twice their
 // size (the collector's headroom grows with the live set), so the constant
 // is sized against the daemon's resident set, not against the tables: 16 MiB
 // holds the 20k-row lineitem sample five times over.
@@ -26,7 +26,7 @@ const residentStoreBudget = 16 << 20
 // its accounting: the SAMPLED table (name, materialized rows, columns), the
 // canonical layout, the resolved device, and the generator seed. Weights,
 // query order, selections, and worker counts change none of them, so every
-// /query over the same table and advice shares one store.
+// execution over the same table and advice can share one store.
 type storeKey struct {
 	table  string      // the table's name again, for drops by table
 	schema Fingerprint // the sampled table, fingerprinted without queries
@@ -47,6 +47,7 @@ type residentStore struct {
 	engine *storage.Engine
 	err    error
 	loaded bool   // the load succeeded: bytes is counted, engine needs a Close
+	keep   bool   // some lease taken before the load finished wants it resident
 	bytes  int64  // engine.Bytes()
 	leases int    // in-flight readers, the loader included
 	used   uint64 // registry tick of the last acquire
@@ -57,7 +58,8 @@ type residentStore struct {
 // store evicted or dropped while readers hold it is closed by the last
 // release, never under a reader), and bounded by a byte budget with
 // least-recently-used eviction. A store larger than the whole budget is
-// handed to the requests already waiting for it and never retained.
+// handed to the requests already waiting for it and never retained; so is
+// one no lease asked to keep.
 type storeRegistry struct {
 	budget int64
 	// materialize builds and loads one store; replay.Materialize, except in
@@ -78,15 +80,18 @@ func newStoreRegistry(budget int64) *storeRegistry {
 }
 
 // acquire leases the store under key, running load if no request has built
-// it yet. Every successful acquire is paired with one release. A failed load
-// is answered to everyone who waited on it and forgotten, so the next
-// request retries.
-func (r *storeRegistry) acquire(key storeKey, load func() (*storage.Engine, error)) (*residentStore, error) {
+// it yet. Every successful acquire is paired with one release. keep says
+// whether a store this call loads — or joins while it loads — stays resident
+// afterwards; a resident store is leased either way. A failed load is
+// answered to everyone who waited on it and forgotten, so the next request
+// retries.
+func (r *storeRegistry) acquire(key storeKey, keep bool, load func() (*storage.Engine, error)) (*residentStore, error) {
 	r.mu.Lock()
 	r.tick++
 	if st, ok := r.stores[key]; ok {
 		st.leases++
 		st.used = r.tick
+		st.keep = st.keep || keep
 		r.mu.Unlock()
 		<-st.ready
 		if st.err != nil {
@@ -96,7 +101,7 @@ func (r *storeRegistry) acquire(key storeKey, load func() (*storage.Engine, erro
 		r.hits.Add(1)
 		return st, nil
 	}
-	st := &residentStore{key: key, ready: make(chan struct{}), leases: 1, used: r.tick}
+	st := &residentStore{key: key, ready: make(chan struct{}), leases: 1, used: r.tick, keep: keep}
 	r.stores[key] = st
 	r.mu.Unlock()
 
@@ -117,7 +122,7 @@ func (r *storeRegistry) acquire(key storeKey, load func() (*storage.Engine, erro
 	default:
 		st.loaded, st.bytes = true, st.engine.Bytes()
 		r.bytes += st.bytes
-		if st.bytes > r.budget {
+		if !st.keep || st.bytes > r.budget {
 			r.removeLocked(st)
 		} else {
 			idle = r.evictLocked(st)
@@ -212,7 +217,7 @@ func (r *storeRegistry) resident() (stores int, bytes int64) {
 // the plan's rows, on the plan's device and seed, on the mem backend (the
 // only one the service replays on), under a search slot of its own — the
 // execution that follows takes its slot after this one is returned.
-func (s *Service) leaseStore(ctx context.Context, p execPlan, layout partition.Partitioning) (*residentStore, error) {
+func (s *Service) leaseStore(ctx context.Context, p execPlan, layout partition.Partitioning, keep bool) (*residentStore, error) {
 	t := p.tw.Table
 	sample := schema.Table{Name: t.Name, Columns: t.Columns, Rows: min(t.Rows, p.cfg.MaxRows)}
 	key := storeKey{
@@ -222,7 +227,7 @@ func (s *Service) leaseStore(ctx context.Context, p execPlan, layout partition.P
 		model:  p.key.model,
 		seed:   p.cfg.Seed,
 	}
-	return s.stores.acquire(key, func() (*storage.Engine, error) {
+	return s.stores.acquire(key, keep, func() (*storage.Engine, error) {
 		cfg, _, err := p.cfg.Normalized()
 		if err != nil {
 			return nil, err

@@ -208,11 +208,11 @@ func TestResidentStoreDroppedUnderLease(t *testing.T) {
 	load := func() (*storage.Engine, error) {
 		return guardedMaterialize(&open)(tw, partition.Row(tw.Table), cfg)
 	}
-	first, err := r.acquire(key, load)
+	first, err := r.acquire(key, true, load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.acquire(key, load)
+	second, err := r.acquire(key, true, load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,52 +297,202 @@ func TestResidentStoreFailedLoadRetries(t *testing.T) {
 	}
 }
 
-// TestDriftDropsResidentStore: a drift recompute drops the store of the
-// layout the daemon no longer advises, and the next /query of the observed
-// workload materializes and runs on the new one.
-func TestDriftDropsResidentStore(t *testing.T) {
-	svc := NewService(Config{DriftThreshold: 0.15, DriftWindow: 8})
-	tab := wideTable(t)
-	opt := ReplayOptions{MaxRows: 1_000}
-	before, _, _, err := svc.ExecTable(coAccessWorkload(tab), opt, nil)
+// TestResidentStoreSharedAcrossRoutes: a /replay after a /query with a
+// selection runs on the store that /query left resident — one load, one
+// lease hit — and reports exactly.
+func TestResidentStoreSharedAcrossRoutes(t *testing.T) {
+	svc := NewService(Config{})
+	opt := ReplayOptions{MaxRows: 1_000, Seed: 5}
+	if _, _, _, err := svc.ExecTable(datedWorkload(t, "events"), opt, &ExecSelection{Column: "ts", Bound: 900}); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, cached, err := svc.ReplayTable(datedWorkload(t, "events"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := svc.stores.resident(); n != 1 {
-		t.Fatalf("%d resident stores after the first execution", n)
+	if cached || !rep.Exact() || rep.RowsReplayed != 1_000 {
+		t.Errorf("replay on the resident store: cached=%v exact=%v rows=%d", cached, rep.Exact(), rep.RowsReplayed)
 	}
-	recomputed := false
-	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := svc.Observe(tab.Name, singleColumnBatch())
+	if n, hits := svc.stores.materializations.Load(), svc.stores.hits.Load(); n != 1 || hits != 1 {
+		t.Errorf("%d materializations and %d store hits, want 1 and 1", n, hits)
+	}
+	if st := svc.Stats(); st.ResidentStores != 1 || st.CachedReplays != 2 || st.Replays != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestResidentStoreReplayKeepsNothing: /replay loads what it needs and
+// retains none of it. N replays on N seeds leave the resident stores and
+// their bytes where a /query put them, and close every engine they loaded
+// — the machine-independent witness that one-shot traffic cannot fill the
+// budget (or the heap behind it).
+func TestResidentStoreReplayKeepsNothing(t *testing.T) {
+	svc := NewService(Config{})
+	var open atomic.Int64
+	svc.stores.materialize = guardedMaterialize(&open)
+	opt := ReplayOptions{MaxRows: 1_000}
+	if _, _, _, err := svc.ExecTable(datedWorkload(t, "events"), opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	stores, bytes := svc.stores.resident()
+	held := open.Load()
+	if stores != 1 || held == 0 {
+		t.Fatalf("the /query left %d stores resident on %d backends", stores, held)
+	}
+	const replays = 6
+	for seed := int64(1); seed <= replays; seed++ {
+		rep, _, cached, err := svc.ReplayTable(datedWorkload(t, "events"), ReplayOptions{MaxRows: 1_000, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		recomputed = rep.Recomputed
+		if cached || !rep.Exact() {
+			t.Errorf("seed %d: cached=%v exact=%v", seed, cached, rep.Exact())
+		}
+		if n, b := svc.stores.resident(); n != stores || b != bytes || open.Load() != held {
+			t.Errorf("seed %d: %d stores, %d bytes resident, %d backends open; want %d, %d, %d",
+				seed, n, b, open.Load(), stores, bytes, held)
+		}
 	}
-	if !recomputed {
-		t.Fatal("drift never triggered")
+	if n := svc.stores.materializations.Load(); n != 1+replays {
+		t.Errorf("%d materializations, want %d", n, 1+replays)
 	}
-	if n, b := svc.stores.resident(); n != 0 || b != 0 {
-		t.Errorf("stale layout's store survived the recompute: %d stores, %d bytes", n, b)
+	if n := len(svc.stores.stores); n != 1 {
+		t.Errorf("%d registry entries, want the /query's one", n)
 	}
+}
 
-	tr, err := svc.tracker(tab.Name)
+// TestResidentStoreJoinedLoad: a store is kept iff some lease taken before
+// its load finished asked for that — a /query joining a load a /replay
+// started keeps it, a second /replay does not.
+func TestResidentStoreJoinedLoad(t *testing.T) {
+	tw := datedWorkload(t, "events")
+	cfg, _, err := replay.Config{MaxRows: 500}.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	advice, observed := tr.State()
-	after, _, _, err := svc.ExecTable(observed, opt, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, joinerKeeps := range []bool{false, true} {
+		var open atomic.Int64
+		r := newStoreRegistry(residentStoreBudget)
+		key := storeKey{table: "events"}
+		started, finish := make(chan struct{}), make(chan struct{})
+		leases := make(chan *residentStore, 2)
+		acquire := func(keep bool, load func() (*storage.Engine, error)) {
+			st, err := r.acquire(key, keep, load)
+			if err != nil {
+				t.Error(err)
+			}
+			leases <- st
+		}
+		go acquire(false, func() (*storage.Engine, error) {
+			close(started)
+			<-finish
+			return guardedMaterialize(&open)(tw, partition.Row(tw.Table), cfg)
+		})
+		<-started
+		go acquire(joinerKeeps, func() (*storage.Engine, error) {
+			return nil, errors.New("the joiner loaded a second store")
+		})
+		waitFor(t, "the joiner's lease", func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.stores[key].leases == 2
+		})
+		close(finish)
+		first, second := <-leases, <-leases
+		if first == nil || first != second {
+			t.Fatalf("joinerKeeps=%v: the two leases do not share one store", joinerKeeps)
+		}
+		if n, _ := r.resident(); (n == 1) != joinerKeeps {
+			t.Errorf("joinerKeeps=%v: %d stores resident", joinerKeeps, n)
+		}
+		r.release(first)
+		if open.Load() == 0 {
+			t.Errorf("joinerKeeps=%v: store closed under its second reader", joinerKeeps)
+		}
+		r.release(second)
+		if (open.Load() != 0) != joinerKeeps {
+			t.Errorf("joinerKeeps=%v: %d backends open after the last release", joinerKeeps, open.Load())
+		}
+		r.drop(func(storeKey) bool { return true })
+		if n := open.Load(); n != 0 {
+			t.Errorf("joinerKeeps=%v: %d backends open after dropping everything", joinerKeeps, n)
+		}
 	}
-	if !sameParts(after.Layout, advice.Layout) || sameParts(after.Layout, before.Layout) {
-		t.Errorf("post-drift execution ran on %s; advised %s, stale %s", after.Layout, advice.Layout, before.Layout)
-	}
-	if !after.Exact() {
-		t.Error("post-drift execution not exact")
-	}
-	if n, _ := svc.stores.resident(); n != 1 || svc.stores.materializations.Load() != 2 {
-		t.Errorf("%d resident stores, %d materializations; want 1 and 2", n, svc.stores.materializations.Load())
+}
+
+// TestDriftDropsResidentStore: a drift recompute evicts the report cached
+// for the workload the tracker covered — whichever endpoint put it there —
+// and drops the store of the layout the daemon no longer advises; the next
+// execution of the observed workload loads and runs on the new one.
+func TestDriftDropsResidentStore(t *testing.T) {
+	for _, route := range []string{"/query", "/replay"} {
+		t.Run(route[1:], func(t *testing.T) {
+			svc := NewService(Config{DriftThreshold: 0.15, DriftWindow: 8})
+			tab := wideTable(t)
+			opt := ReplayOptions{MaxRows: 1_000}
+			exec := func(tw schema.TableWorkload) (*replay.TableReplay, bool) {
+				t.Helper()
+				if route == "/replay" {
+					rep, _, cached, err := svc.ReplayTable(tw, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rep, cached
+				}
+				rep, _, cached, err := svc.ExecTable(tw, opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &rep.TableReplay, cached
+			}
+			kept := 0 // what the route leaves resident per load
+			if route == "/query" {
+				kept = 1
+			}
+			before, _ := exec(coAccessWorkload(tab))
+			if _, cached := exec(coAccessWorkload(tab)); !cached {
+				t.Fatal("repeat not cached; the eviction check below would be vacuous")
+			}
+			if n, _ := svc.stores.resident(); n != kept {
+				t.Fatalf("%d resident stores after the first execution, want %d", n, kept)
+			}
+			recomputed := false
+			for batch := 0; batch < 8 && !recomputed; batch++ {
+				rep, err := svc.Observe(tab.Name, singleColumnBatch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				recomputed = rep.Recomputed
+			}
+			if !recomputed {
+				t.Fatal("drift never triggered")
+			}
+			if n, b := svc.stores.resident(); n != 0 || b != 0 {
+				t.Errorf("stale layout's store survived the recompute: %d stores, %d bytes", n, b)
+			}
+			if n := svc.Stats().CachedReplays; n != 0 {
+				t.Errorf("%d reports cached after the recompute; the covered workload's was not evicted", n)
+			}
+
+			tr, err := svc.tracker(tab.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			advice, observed := tr.State()
+			after, cached := exec(observed)
+			if cached {
+				t.Error("post-drift execution answered from cache")
+			}
+			if !sameParts(after.Layout, advice.Layout) || sameParts(after.Layout, before.Layout) {
+				t.Errorf("post-drift execution ran on %s; advised %s, stale %s", after.Layout, advice.Layout, before.Layout)
+			}
+			if !after.Exact() {
+				t.Error("post-drift execution not exact")
+			}
+			if n, _ := svc.stores.resident(); n != kept || svc.stores.materializations.Load() != 2 {
+				t.Errorf("%d resident stores, %d materializations; want %d and 2", n, svc.stores.materializations.Load(), kept)
+			}
+		})
 	}
 }
 

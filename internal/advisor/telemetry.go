@@ -39,8 +39,8 @@ type svcMetrics struct {
 	// migrateExec times migrateOnce: plan + sampled execute-and-verify.
 	migrateExec *telemetry.Histogram
 
-	// materialize times building one resident store (sample, generate,
-	// write pages) — the half of a /query store miss that is not execution.
+	// materialize times building one store (sample, generate, write pages)
+	// — the half of a store miss that is not execution.
 	materialize *telemetry.Histogram
 
 	// Per-operator accounting from /query executions, keyed by operator
@@ -85,7 +85,7 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	m.driftCheck = reg.Histogram("knives_drift_check_seconds")
 	m.driftRecompute = reg.Histogram("knives_drift_recompute_seconds")
 	m.migrateExec = reg.Histogram("knives_migrate_exec_seconds")
-	reg.SetHelp("knives_materialize_seconds", "Time materializing one resident store for /query (a store miss).")
+	reg.SetHelp("knives_materialize_seconds", "Time materializing one store for an executed report (a store miss).")
 	m.materialize = reg.Histogram("knives_materialize_seconds")
 
 	m.knifeSearch = make(map[string]*telemetry.Histogram)
@@ -122,13 +122,13 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.CounterFunc("knives_advice_hits_total", s.hits.Load)
 	reg.CounterFunc("knives_searches_total", s.searches.Load)
 	reg.CounterFunc("knives_recomputes_total", s.recomputes.Load)
-	reg.CounterFunc("knives_replays_total", s.replays.Load)
-	reg.CounterFunc("knives_replay_hits_total", s.replayHits.Load)
-	reg.CounterFunc("knives_queries_total", s.queries.Load)
-	reg.CounterFunc("knives_query_hits_total", s.queryHits.Load)
-	reg.SetHelp("knives_store_hits_total", "/query executions that ran on an already-resident store.")
+	reg.CounterFunc("knives_replays_total", s.replayRoute.requests.Load)
+	reg.CounterFunc("knives_replay_hits_total", s.replayRoute.hits.Load)
+	reg.CounterFunc("knives_queries_total", s.queryRoute.requests.Load)
+	reg.CounterFunc("knives_query_hits_total", s.queryRoute.hits.Load)
+	reg.SetHelp("knives_store_hits_total", "Executions (/replay, /query) that ran on an already-resident store.")
 	reg.CounterFunc("knives_store_hits_total", s.stores.hits.Load)
-	reg.SetHelp("knives_store_materializations_total", "Resident-store materializations run for /query.")
+	reg.SetHelp("knives_store_materializations_total", "Store materializations run for executed reports (/replay, /query); failed ones included.")
 	reg.CounterFunc("knives_store_materializations_total", s.stores.materializations.Load)
 	reg.CounterFunc("knives_migrations_total", s.migrations.Load)
 	reg.CounterFunc("knives_migrate_hits_total", s.migrateHits.Load)
@@ -142,12 +142,10 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.SetHelp("knives_ingest_queue_depth", "Observation batches pending across all ingest shards.")
 	reg.GaugeFunc("knives_ingest_queue_depth", func() float64 { return float64(s.ing.queueDepth()) })
 	reg.GaugeFunc("knives_cached_entries", func() float64 { return float64(s.entries.Len()) })
-	reg.SetHelp("knives_cached_replays", "Cached /replay reports plus cached /query executions.")
-	reg.GaugeFunc("knives_cached_replays", func() float64 {
-		return float64(s.replayEntries.Len() + s.execEntries.Len())
-	})
+	reg.SetHelp("knives_cached_replays", "Cached executed reports (one cache behind /replay and /query).")
+	reg.GaugeFunc("knives_cached_replays", func() float64 { return float64(s.execEntries.Len()) })
 	reg.GaugeFunc("knives_cached_migrations", func() float64 { return float64(s.migrateEntries.Len()) })
-	reg.SetHelp("knives_resident_stores", "Materialized tables kept loaded between /query requests.")
+	reg.SetHelp("knives_resident_stores", "Materialized tables kept loaded between requests (loaded by a /query, leased by any executed report).")
 	reg.GaugeFunc("knives_resident_stores", func() float64 { n, _ := s.stores.resident(); return float64(n) })
 	reg.SetHelp("knives_resident_store_bytes", "Page bytes of the resident stores (bounded by a fixed budget).")
 	reg.GaugeFunc("knives_resident_store_bytes", func() float64 { _, b := s.stores.resident(); return float64(b) })

@@ -99,13 +99,17 @@ type ReplayRequest struct {
 	Model *ModelSpec `json:"model,omitempty"`
 }
 
-// advise returns the request's workload as an AdviseRequest.
-func (r ReplayRequest) advise() AdviseRequest {
-	return AdviseRequest{
+// query returns the request as the /query it is: the same workload and
+// knobs, no selection.
+func (r ReplayRequest) query() QueryRequest {
+	return QueryRequest{
 		Benchmark:   r.Benchmark,
 		ScaleFactor: r.ScaleFactor,
 		Tables:      r.Tables,
 		Queries:     r.Queries,
+		MaxRows:     r.MaxRows,
+		Seed:        r.Seed,
+		Workers:     r.Workers,
 		Model:       r.Model,
 	}
 }
@@ -530,8 +534,9 @@ func toQueryWire(q replay.QueryReplay) QueryReplayWire {
 	}
 }
 
-// toReplayWire renders a replay report for the wire.
-func toReplayWire(r *replay.TableReplay, fp Fingerprint, cached bool) TableReplayWire {
+// toReplayWire renders a report's totals (its embedded TableReplay) for the
+// wire.
+func toReplayWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableReplayWire {
 	qs := make([]QueryReplayWire, len(r.Queries))
 	for i, q := range r.Queries {
 		qs[i] = toQueryWire(q)
