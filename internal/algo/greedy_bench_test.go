@@ -28,4 +28,3 @@ func benchGreedy(b *testing.B, merge func(schema.TableWorkload, cost.Model, []at
 }
 
 func BenchmarkGreedyMergeIncremental(b *testing.B) { benchGreedy(b, GreedyMerge) }
-func BenchmarkGreedyMergeReference(b *testing.B)   { benchGreedy(b, GreedyMergeReference) }

@@ -13,8 +13,12 @@
 //     contraction under the size cap, a classic multilevel-coarsening
 //     heuristic).
 //  4. Within each subgraph, greedily merge the primary partitions that
-//     yield the largest cost improvement, as in the bottom-up algorithms.
-//  5. Finally, try to combine partitions across subgraphs.
+//     yield the largest cost improvement, pricing every candidate against
+//     the whole table's layout. This is the bottom-up algorithms' own loop,
+//     algo.GreedyMerge's, restricted to pairs inside the subgraph
+//     (algo.GreedyMergeClustered).
+//  5. Finally, try to combine partitions across subgraphs: the same loop,
+//     unrestricted.
 //
 // Because steps 3-4 commit to merges inside a subgraph before the global
 // picture is visible — and merges are never undone — HYRISE can land on
@@ -58,19 +62,15 @@ func (h *HYRISE) Partition(tw schema.TableWorkload, model cost.Model) (algo.Resu
 	fragments := partition.Fragments(tw)
 	clusters := kwayPartition(tw, fragments, k)
 
-	// Global state: every fragment starts as its own partition; clusters
-	// are merged one after another against the evolving global state.
-	state := partition.Clone(fragments)
-	for _, cluster := range clusters {
-		var member attrset.Set
+	// Every fragment starts as its own partition; clusters are merged one
+	// after another against the evolving layout, then across clusters.
+	members := make([]attrset.Set, len(clusters))
+	for ci, cluster := range clusters {
 		for _, fi := range cluster {
-			member = member.Union(fragments[fi])
+			members[ci] = members[ci].Union(fragments[fi])
 		}
-		state = mergeWithin(tw, model, state, member, &c)
 	}
-
-	// Final step: try merges across subgraph results.
-	parts, costVal := algo.GreedyMerge(tw, model, state, &c)
+	parts, costVal := algo.GreedyMergeClustered(tw, model, fragments, members, &c)
 	return algo.Finish(tw, parts, costVal, &c, start)
 }
 
@@ -144,43 +144,4 @@ func kwayPartition(tw schema.TableWorkload, fragments []attrset.Set, k int) [][]
 		out = append(out, groups[r])
 	}
 	return out
-}
-
-// mergeWithin greedily merges the state partitions lying inside the given
-// cluster's attribute set, evaluating candidates against the full table
-// state so that buffer sharing with other clusters is priced in. Membership
-// is tracked by attribute sets rather than positions because earlier
-// clusters' merges shift state indexes; fragments are disjoint and merges
-// never cross clusters here, so every part is a subset of exactly one
-// cluster.
-func mergeWithin(
-	tw schema.TableWorkload, model cost.Model,
-	state []attrset.Set, member attrset.Set, c *algo.Counter,
-) []attrset.Set {
-	inCluster := func(p attrset.Set) bool { return member.ContainsAll(p) }
-
-	best := cost.WorkloadCost(model, tw, state)
-	c.Tick()
-	for {
-		bi, bj, bCost := -1, -1, best
-		for i := 0; i < len(state); i++ {
-			if !inCluster(state[i]) {
-				continue
-			}
-			for j := i + 1; j < len(state); j++ {
-				if !inCluster(state[j]) {
-					continue
-				}
-				cand := partition.Merge(state, i, j)
-				if cc := c.Eval(model, tw, cand); cc < bCost-1e-9 {
-					bi, bj, bCost = i, j, cc
-				}
-			}
-		}
-		if bi < 0 {
-			return state
-		}
-		state = partition.Merge(state, bi, bj)
-		best = bCost
-	}
 }

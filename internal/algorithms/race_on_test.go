@@ -1,0 +1,7 @@
+//go:build race
+
+package algorithms
+
+// raceDetector reports that the test binary was built with -race, under
+// which sync.Pool drops a share of what is put back, at random.
+const raceDetector = true

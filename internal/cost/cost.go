@@ -12,6 +12,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"knives/internal/attrset"
 	"knives/internal/schema"
@@ -174,8 +175,12 @@ func (m *DeviceModel) QueryCost(t *schema.Table, parts []attrset.Set, query attr
 // PartitionCoster is an optional fast path implemented by models whose
 // query cost decomposes into a sum over referenced partitions that depends
 // only on each partition's row size and the combined row size of all
-// referenced partitions. Exhaustive searches use it to price candidates
-// without materializing attribute sets.
+// referenced partitions: QueryCost must equal these terms summed in the
+// parts' order, as DeviceModel's does. Every cost-based search prices
+// candidates through it without materializing attribute sets — BruteForce's
+// walk and the bottom-up merge loop of HillClimb, AutoPart and HYRISE, both
+// through a PartitionCostMemo — and falls back to QueryCost for models that
+// do not implement it.
 type PartitionCoster interface {
 	// PartitionCost prices reading one partition of row size rowSize when
 	// the query's referenced partitions have combined row size
@@ -196,8 +201,7 @@ func (m *DeviceModel) PartitionCost(t *schema.Table, rowSize, totalRowSize int64
 	}
 	blocks := PartitionBlocks(t.Rows, rowSize, d.BlockSize)
 
-	buff := d.BufferSize * rowSize / totalRowSize
-	blocksBuff := buff / d.BlockSize
+	blocksBuff := bufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
 	if blocksBuff < 1 {
 		blocksBuff = 1
 	}
@@ -222,11 +226,36 @@ func PartitionSeeks(rows, rowSize, totalRowSize int64, d Disk) int64 {
 		return 0
 	}
 	blocks := PartitionBlocks(rows, rowSize, d.BlockSize)
-	blocksBuff := d.BufferSize * rowSize / totalRowSize / d.BlockSize
+	blocksBuff := bufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
 	if blocksBuff < 1 {
 		blocksBuff = 1
 	}
 	return ceilDiv(blocks, blocksBuff)
+}
+
+// bufferShare returns floor(buffer * rowSize / totalRowSize), a partition's
+// share of the I/O buffer under the proportional split, with the product
+// taken in 128 bits. In int64 it overflows once buffer * rowSize passes
+// 2^63 — a 2^62-byte buffer and a 100-byte row wrap to a tiny share, and a
+// bigger buffer prices worse than a smaller one. Wherever the product fits
+// in int64 the result is the int64 expression's; a quotient past int64
+// saturates (only a rowSize above totalRowSize, which no query prices, can
+// get there).
+func bufferShare(buffer, rowSize, totalRowSize int64) int64 {
+	hi, lo := bits.Mul64(uint64(buffer), uint64(rowSize))
+	if hi|lo>>63 != 0 && buffer|rowSize >= 0 {
+		return wideBufferShare(hi, lo, totalRowSize)
+	}
+	return int64(lo) / totalRowSize // the int64 product, wrapped or not
+}
+
+// wideBufferShare divides a 128-bit buffer * rowSize by totalRowSize.
+func wideBufferShare(hi, lo uint64, totalRowSize int64) int64 {
+	if hi >= uint64(totalRowSize) {
+		return math.MaxInt64
+	}
+	q, _ := bits.Div64(hi, lo, uint64(totalRowSize))
+	return int64(min(q, math.MaxInt64))
 }
 
 // PartitionBlocks returns the number of disk blocks a partition with the

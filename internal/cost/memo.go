@@ -30,13 +30,26 @@ const memoInitialSize = 4096 // power of two, sized for TPC-H-scale searches
 // real table's row width; anything else bypasses the cache and is computed
 // directly.
 func NewPartitionCostMemo(pc PartitionCoster, t *schema.Table) *PartitionCostMemo {
-	return &PartitionCostMemo{
-		pc:   pc,
-		t:    t,
-		keys: make([]uint64, memoInitialSize),
-		vals: make([]float64, memoInitialSize),
-		mask: memoInitialSize - 1,
+	m := new(PartitionCostMemo)
+	m.Reset(pc, t)
+	return m
+}
+
+// Reset empties the memo and rebinds it to another model and table, keeping
+// its slots, so a caller that searches one table after another reuses one
+// memo instead of allocating a table per search. Every cached price depends
+// on the table's row count and the model's device, so a memo must be reset
+// before it prices a different table; the zero value is usable after Reset.
+func (m *PartitionCostMemo) Reset(pc PartitionCoster, t *schema.Table) {
+	switch {
+	case m.keys == nil:
+		m.keys = make([]uint64, memoInitialSize)
+		m.vals = make([]float64, memoInitialSize)
+		m.mask = memoInitialSize - 1
+	case m.n > 0:
+		clear(m.keys)
 	}
+	m.pc, m.t, m.n = pc, t, 0
 }
 
 // Cost returns PartitionCost(t, rowSize, totalRowSize), cached.
