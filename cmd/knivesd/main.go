@@ -9,8 +9,6 @@
 //	        [-block KB] [-seek-ms MS] [-read-mbps MBPS] [-write-mbps MBPS]
 //	        [-cache-line BYTES] [-miss-ns NS]
 //	        [-drift-threshold 0.15] [-drift-window N]
-//	        [-drift-tracking exact|sketch] [-sketch-capacity N]
-//	        [-ingest-shards N] [-ingest-group N]
 //	        [-migrate-window N] [-prewarm tpch|ssb] [-sf N]
 //	        [-wal-dir DIR] [-snapshot-every N]
 //	        [-request-timeout D] [-max-inflight N] [-max-queue N]
@@ -31,14 +29,11 @@
 // replay time by compacting the WAL into a snapshot after that many events
 // (negative = only the snapshot written at shutdown).
 //
-// -drift-tracking selects how trackers price drift per observation batch:
-// "exact" (the default) prices the full retained observation window,
-// "sketch" prices a windowed attribute-set frequency sketch bounded by
-// -sketch-capacity counters per epoch — constant memory and per-batch cost
-// regardless of stream length, with verdicts equivalent to exact while the
-// stream's distinct attribute sets fit the capacity. -ingest-shards and
-// -ingest-group tune the sharded observe-ingest stage that group-commits
-// concurrent observation batches into shared WAL appends.
+// Each observation batch is priced for drift against the tracker's whole
+// retained window, which -drift-window bounds (it must not be negative: a
+// daemon's logs and drift checks would grow with the stream). Concurrent
+// batches ride a sharded ingest stage that group-commits them into shared
+// WAL appends, each fsynced before it is acknowledged.
 //
 // The daemon always serves GET /metrics: one Prometheus text-format scrape
 // covering request latency histograms, admission wait and shed counts,
@@ -115,10 +110,6 @@ type config struct {
 	model          cost.Model
 	driftThreshold float64
 	driftWindow    int
-	driftTracking  string
-	sketchCapacity int
-	ingestShards   int
-	ingestGroup    int
 	migrateWindow  int64
 	prewarm        *schema.Benchmark
 	walDir         string
@@ -141,15 +132,7 @@ func parseFlags(args []string) (config, error) {
 	driftThreshold := fs.Float64("drift-threshold", advisor.DefaultDriftThreshold,
 		"relative cost divergence past which cached advice is recomputed")
 	driftWindow := fs.Int("drift-window", advisor.DefaultDriftWindow,
-		"observed queries each tracker retains (0 = default, negative = unbounded; offline replays only)")
-	driftTracking := fs.String("drift-tracking", advisor.TrackExact,
-		"per-batch drift pricing: exact (price the full window) or sketch (bounded frequency sketch)")
-	sketchCapacity := fs.Int("sketch-capacity", advisor.DefaultSketchCapacity,
-		"attribute-set counters per sketch epoch under -drift-tracking=sketch")
-	ingestShards := fs.Int("ingest-shards", advisor.DefaultIngestShards,
-		"observe-ingest shards (tables hash to a shard; each shard group-commits its batches)")
-	ingestGroup := fs.Int("ingest-group", advisor.DefaultIngestGroup,
-		"max observation batches coalesced into one WAL group commit")
+		"observed queries each tracker retains (0 = default)")
 	migrateWindow := fs.Int64("migrate-window", migrate.DefaultWindow,
 		"default break-even horizon bound for /migrate plans, in queries of the observed mix")
 	prewarm := fs.String("prewarm", "", "benchmark to prewarm advice for: tpch or ssb (empty = none)")
@@ -179,20 +162,11 @@ func parseFlags(args []string) (config, error) {
 		// flag value must not be reinterpreted.
 		return config{}, fmt.Errorf("-drift-threshold must be positive (got %v)", *driftThreshold)
 	}
-	switch *driftTracking {
-	case advisor.TrackExact, advisor.TrackSketch:
-	default:
-		return config{}, fmt.Errorf("-drift-tracking must be %q or %q (got %q)",
-			advisor.TrackExact, advisor.TrackSketch, *driftTracking)
-	}
-	if *sketchCapacity <= 0 {
-		return config{}, fmt.Errorf("-sketch-capacity must be positive (got %d)", *sketchCapacity)
-	}
-	if *ingestShards <= 0 {
-		return config{}, fmt.Errorf("-ingest-shards must be positive (got %d)", *ingestShards)
-	}
-	if *ingestGroup <= 0 {
-		return config{}, fmt.Errorf("-ingest-group must be positive (got %d)", *ingestGroup)
+	if *driftWindow < 0 {
+		// Config.DriftWindow < 0 keeps every observed query, which only a
+		// bounded offline replay can afford; a daemon's memory and per-batch
+		// drift check would grow with the stream.
+		return config{}, fmt.Errorf("-drift-window must be >= 0 (got %d)", *driftWindow)
 	}
 	if *migrateWindow <= 0 || *migrateWindow > advisor.MaxMigrateWindow {
 		return config{}, fmt.Errorf("-migrate-window must be in (0, %d] (got %v)", advisor.MaxMigrateWindow, *migrateWindow)
@@ -219,10 +193,6 @@ func parseFlags(args []string) (config, error) {
 		addr:           *addr,
 		driftThreshold: *driftThreshold,
 		driftWindow:    *driftWindow,
-		driftTracking:  *driftTracking,
-		sketchCapacity: *sketchCapacity,
-		ingestShards:   *ingestShards,
-		ingestGroup:    *ingestGroup,
 		migrateWindow:  *migrateWindow,
 		walDir:         *walDir,
 		snapshotEvery:  *snapshotEvery,
@@ -267,10 +237,6 @@ func newService(cfg config) (*advisor.Service, *telemetry.Registry, error) {
 		Model:          cfg.model,
 		DriftThreshold: cfg.driftThreshold,
 		DriftWindow:    cfg.driftWindow,
-		DriftTracking:  cfg.driftTracking,
-		SketchCapacity: cfg.sketchCapacity,
-		IngestShards:   cfg.ingestShards,
-		IngestGroup:    cfg.ingestGroup,
 		MigrateWindow:  cfg.migrateWindow,
 		Telemetry:      reg,
 	}

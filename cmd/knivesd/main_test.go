@@ -51,9 +51,18 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-migrate-window", "-5"},
 		{"-migrate-window", "2000000000"},
 		{"-nosuchflag"},
+		{"-drift-window", "-1"},
+		// Removed flags are unknown now: a script still passing one fails.
+		{"-drift-tracking", "exact"},
+		{"-sketch-capacity", "64"},
+		{"-ingest-shards", "8"},
+		{"-ingest-group", "64"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) accepted bad input", args)
+		}
+		if code := run(args); code != 2 {
+			t.Errorf("run(%v) exited %d, want 2", args, code)
 		}
 	}
 }

@@ -45,11 +45,6 @@ type Tracker struct {
 
 	log    []schema.TableQuery
 	advice TableAdvice
-	// pricer supplies the workload the per-batch drift check prices: the
-	// exact log (reference) or a windowed attr-set sketch of the stream.
-	// The log itself is ALWAYS kept — it is window-bounded, and it feeds
-	// fingerprints, durability export, migration mixes, and recomputes.
-	pricer driftPricer
 
 	observed    int64 // queries observed since registration
 	recomputes  int64 // drift-triggered advice recomputations
@@ -85,12 +80,9 @@ const DefaultDriftThreshold = 0.15
 const DefaultDriftWindow = 256
 
 // newTracker seeds a tracker with the workload the advice was computed for.
-func newTracker(tw schema.TableWorkload, advice TableAdvice, m cost.Model, mkey string, threshold float64, window int, fp Fingerprint, jn *journal, pricer driftPricer) *Tracker {
+func newTracker(tw schema.TableWorkload, advice TableAdvice, m cost.Model, mkey string, threshold float64, window int, fp Fingerprint, jn *journal) *Tracker {
 	if !(threshold > 0) { // negated compare also catches NaN
 		threshold = DefaultDriftThreshold
-	}
-	if pricer == nil {
-		pricer = exactPricer{}
 	}
 	t := &Tracker{
 		table:     tw.Table,
@@ -100,14 +92,12 @@ func newTracker(tw schema.TableWorkload, advice TableAdvice, m cost.Model, mkey 
 		window:    window,
 		log:       append([]schema.TableQuery(nil), tw.Queries...),
 		advice:    advice,
-		pricer:    pricer,
 		regFP:     fp,
 		applied:   advice,
 		appliedFP: fp,
 		jn:        jn,
 	}
 	t.trim()
-	t.pricer.reset(t.table, t.log)
 	return t
 }
 
@@ -227,52 +217,39 @@ func (t *Tracker) ingestLocked(queries []schema.TableQuery) {
 	t.log = append(t.log, queries...)
 	t.observed += int64(len(queries))
 	t.trim()
-	t.pricer.ingest(queries)
 }
 
 // driftInput is everything the out-of-lock drift check needs, snapshotted
 // under one tracker critical section.
 type driftInput struct {
-	table      *schema.Table
-	model      cost.Model
-	advised    TableAdvice
-	threshold  float64
-	gen        int64
-	obsAt      int64
-	recomputes int64
-	// pricing is the pricer's snapshot: a copy of the log (exact mode) or
-	// the sketch's aggregated synthetic queries (sketch mode).
+	table   *schema.Table
+	model   cost.Model
+	advised TableAdvice
+	gen     int64
+	// rep is the tracker's counters at snapshot time; the check fills in
+	// its verdict.
+	rep DriftReport
+	// pricing is a copy of the window-trimmed log: the workload the drift
+	// check prices.
 	pricing []schema.TableQuery
-}
-
-func (in driftInput) report() DriftReport {
-	return DriftReport{
-		Table:      in.table.Name,
-		Threshold:  in.threshold,
-		Observed:   in.obsAt,
-		Recomputes: in.recomputes,
-	}
 }
 
 // driftInputLocked snapshots the drift check's inputs. Caller holds t.mu.
 func (t *Tracker) driftInputLocked() driftInput {
 	return driftInput{
-		table:      t.table,
-		model:      t.model,
-		advised:    t.advice,
-		threshold:  t.threshold,
-		gen:        t.gen,
-		obsAt:      t.observed,
-		recomputes: t.recomputes,
-		pricing:    t.pricer.snapshot(t.log),
+		table:   t.table,
+		model:   t.model,
+		advised: t.advice,
+		gen:     t.gen,
+		rep:     t.reportLocked(),
+		pricing: append([]schema.TableQuery(nil), t.log...),
 	}
 }
 
-// report returns the tracker's counters as an unchanged DriftReport — what
-// an empty observation batch answers without journaling or pricing.
-func (t *Tracker) report() DriftReport {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// reportLocked returns the tracker's counters as an unchanged DriftReport —
+// what an empty observation batch answers without journaling or pricing,
+// and what the drift check starts from. Caller holds t.mu.
+func (t *Tracker) reportLocked() DriftReport {
 	return DriftReport{
 		Table:      t.table.Name,
 		Threshold:  t.threshold,
@@ -281,15 +258,20 @@ func (t *Tracker) report() DriftReport {
 	}
 }
 
+// report is reportLocked under the tracker lock.
+func (t *Tracker) report() DriftReport {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.reportLocked()
+}
+
 // priceDrift runs the drift check on a snapshot, outside any lock: the O2P
 // shadow prices the snapshot against the advised layout, and past the
-// threshold a portfolio recompute runs over the exact current log. The
-// recompute deliberately re-reads the log rather than using in.pricing: in
-// sketch mode the pricing snapshot is an aggregated approximation good
-// enough to DECIDE drift, but installed advice, its fingerprint, and the
-// cache pairing must be computed from the same exact workload in every
-// mode, so sketch and exact trackers are interchangeable beyond the
-// trigger decision. A recompute's per-knife search telemetry goes to tm.
+// threshold a portfolio recompute runs over the current log. The recompute
+// re-reads the log under the generation check rather than reusing
+// in.pricing, so the advice it installs is paired with the newest log a
+// live generation holds. A recompute's per-knife search telemetry goes to
+// tm.
 //
 // On recomputation it returns the fresh advice PAIRED with the log snapshot
 // it was computed from (taken under one critical section), so the service
@@ -305,7 +287,7 @@ func (t *Tracker) report() DriftReport {
 // installs the advice for its own snapshot and the later install wins,
 // which is at worst one redundant search, never a stale pairing.
 func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics) (DriftReport, *recomputedAdvice, error) {
-	rep := in.report()
+	rep := in.rep
 	if len(in.pricing) == 0 {
 		return rep, nil, nil
 	}
@@ -332,14 +314,14 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics)
 		// is infinitely drifted, not "ratio unknown, stay put".
 		rep.Ratio = math.Inf(1)
 	}
-	if rep.Ratio <= in.threshold {
+	if rep.Ratio <= rep.Threshold {
 		return rep, nil, nil
 	}
 	rep.Drifted = true
 
-	// Snapshot the exact log for the recompute. If a re-registration
-	// landed since the batch was ingested, the advice this check would
-	// compute belongs to a dead generation: report drift, install nothing.
+	// Snapshot the log for the recompute. If a re-registration landed
+	// since the batch was ingested, the advice this check would compute
+	// belongs to a dead generation: report drift, install nothing.
 	t.mu.Lock()
 	if t.gen != in.gen {
 		t.mu.Unlock()
@@ -458,8 +440,6 @@ func (t *Tracker) setAdvice(tw schema.TableWorkload, advice TableAdvice, fp Fing
 	t.applied = advice
 	t.appliedFP = fp
 	t.trim()
-	// The pricer tracks the registration's stream, not the old table's.
-	t.pricer.reset(t.table, t.log)
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package advisor
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,14 +11,12 @@ import (
 	"knives/internal/schema"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// equivStream is the recorded observation stream the differential test
+// verdictStream is the recorded observation stream the verdict pin
 // replays: deterministic, index-derived, three phases — stable co-access
 // traffic, a hard shift to single-column reads (drift), then the drifted
 // mix sustained (stable again under the recomputed advice). Batch sizes and
-// weights vary so the exact log and the sketch see non-uniform mass.
-func equivStream() [][]schema.TableQuery {
+// weights vary so the priced window carries non-uniform mass.
+func verdictStream() [][]schema.TableQuery {
 	var batches [][]schema.TableQuery
 	id := 0
 	add := func(n int, attrs func(j int) attrset.Set) {
@@ -53,21 +50,20 @@ func equivStream() [][]schema.TableQuery {
 	return batches
 }
 
-// replayVerdicts streams equivStream through a fresh service in the given
-// drift-tracking mode and renders one verdict line per batch.
-func replayVerdicts(t *testing.T, mode string) []string {
+// replayVerdicts streams verdictStream through a fresh service and renders
+// one verdict line per batch.
+func replayVerdicts(t *testing.T) []string {
 	t.Helper()
 	svc := NewService(Config{
 		DriftThreshold: 0.15,
 		DriftWindow:    16,
-		DriftTracking:  mode,
 	})
 	register(t, svc)
 	var lines []string
-	for i, batch := range equivStream() {
+	for i, batch := range verdictStream() {
 		rep, err := svc.Observe("events", batch)
 		if err != nil {
-			t.Fatalf("%s mode, batch %d: %v", mode, i, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
 		lines = append(lines, fmt.Sprintf("batch=%02d drifted=%t recomputed=%t observed=%d recomputes=%d",
 			i, rep.Drifted, rep.Recomputed, rep.Observed, rep.Recomputes))
@@ -75,23 +71,13 @@ func replayVerdicts(t *testing.T, mode string) []string {
 	return lines
 }
 
-// The sketch-equivalence pin: on the recorded stream, the windowed
-// space-saving sketch produces batch-for-batch the SAME drift verdicts as
-// the exact full-log pricer, and both match the committed golden file. The
-// stream's distinct attribute sets (4) fit any reasonable capacity, so the
-// aggregated workload prices every fixed layout identically to the log —
-// this test is the evidence behind TrackSketch's contract. Regenerate with
-// go test ./internal/advisor -run TestSketchDriftVerdictsMatchExact -update
-func TestSketchDriftVerdictsMatchExact(t *testing.T) {
-	exact := replayVerdicts(t, TrackExact)
-	sk := replayVerdicts(t, TrackSketch)
-	for i := range exact {
-		if i >= len(sk) || exact[i] != sk[i] {
-			t.Fatalf("verdicts diverge at batch %d:\n  exact:  %s\n  sketch: %s", i, exact[i], sk[i])
-		}
-	}
-
-	got := strings.Join(exact, "\n") + "\n"
+// The drift-verdict pin: on the recorded stream, the per-batch verdicts of
+// pricing the retained window against the O2P shadow match the committed
+// golden file batch for batch. An incremental shadow must reproduce this
+// file unchanged. Regenerate with
+// go test ./internal/advisor -run TestDriftVerdictsGolden -update
+func TestDriftVerdictsGolden(t *testing.T) {
+	got := strings.Join(replayVerdicts(t), "\n") + "\n"
 	golden := filepath.Join("testdata", "observe_verdicts.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -112,6 +98,6 @@ func TestSketchDriftVerdictsMatchExact(t *testing.T) {
 	// The drifted phase must actually have fired — a golden full of
 	// drifted=false would pin nothing.
 	if !strings.Contains(got, "recomputed=true") {
-		t.Error("stream never recomputed; the equivalence pin is vacuous")
+		t.Error("stream never recomputed; the verdict pin is vacuous")
 	}
 }

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"knives/internal/telemetry"
 	"knives/internal/vfs"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // transcriptStep is one request of the recorded HTTP transcript; an empty
 // body is a GET.

@@ -60,7 +60,6 @@ type ingestJob struct {
 // whole group.
 type ingester struct {
 	svc    *Service
-	group  int
 	shards []*ingestShard
 }
 
@@ -70,14 +69,8 @@ type ingestShard struct {
 	leading bool
 }
 
-func newIngester(svc *Service, shards, group int) *ingester {
-	if shards <= 0 {
-		shards = DefaultIngestShards
-	}
-	if group <= 0 {
-		group = DefaultIngestGroup
-	}
-	in := &ingester{svc: svc, group: group, shards: make([]*ingestShard, shards)}
+func newIngester(svc *Service) *ingester {
+	in := &ingester{svc: svc, shards: make([]*ingestShard, DefaultIngestShards)}
 	for i := range in.shards {
 		in.shards[i] = &ingestShard{}
 	}
@@ -125,9 +118,10 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// lead drains the shard until its queue is empty, processing up to group
-// jobs per round. Exactly one leader runs per shard at a time; retiring
-// and the next submitter's takeover are ordered by the shard mutex.
+// lead drains the shard until its queue is empty, processing up to
+// DefaultIngestGroup jobs per round. Exactly one leader runs per shard at a
+// time; retiring and the next submitter's takeover are ordered by the
+// shard mutex.
 func (in *ingester) lead(sh *ingestShard) {
 	for {
 		sh.mu.Lock()
@@ -137,8 +131,8 @@ func (in *ingester) lead(sh *ingestShard) {
 			sh.mu.Unlock()
 			return
 		}
-		if n > in.group {
-			n = in.group
+		if n > DefaultIngestGroup {
+			n = DefaultIngestGroup
 		}
 		group := sh.pending[:n:n]
 		sh.pending = sh.pending[n:]

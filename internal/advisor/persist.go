@@ -184,16 +184,10 @@ func (s *Service) recoverTracker(ts statestore.TableState) (*Tracker, error) {
 		applied:     fromAdviceRec(ts.Applied, table),
 		appliedFP:   Fingerprint(ts.AppliedFP),
 		jn:          s.jn,
-		pricer:      s.cfg.newPricer(),
 	}
 	// The store already trimmed the log to ITS window; re-trim covers a
 	// service configured with a smaller one than the store it opened.
 	t.trim()
-	// Seed the pricer from the recovered log: the sketch's epoch positions
-	// are not journaled, so a sketch tracker restarts with the window's
-	// retained queries in one epoch — the same approximation a fresh
-	// registration gets, converging within one window of traffic.
-	t.pricer.reset(t.table, t.log)
 	return t, nil
 }
 

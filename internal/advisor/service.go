@@ -45,24 +45,6 @@ type Config struct {
 	// the tracked mix) for migration plans whose request does not name one.
 	// 0 uses migrate.DefaultWindow.
 	MigrateWindow int64
-	// DriftTracking selects how trackers price drift per batch: TrackExact
-	// (the default, "" or "exact") copies and prices the full observation
-	// window; TrackSketch ("sketch") prices a windowed attribute-set
-	// frequency sketch — O(distinct attr-sets) per batch with memory
-	// independent of stream length, verdict-equivalent on streams whose
-	// distinct attr-sets fit SketchCapacity. Recomputes, fingerprints, and
-	// caching behave identically in both modes.
-	DriftTracking string
-	// SketchCapacity bounds the sketch tracker's per-epoch counters; 0
-	// uses DefaultSketchCapacity. Ignored under TrackExact.
-	SketchCapacity int
-	// IngestShards is the number of observe-ingest shards; tables hash to
-	// a shard, which serializes and group-commits their batches. 0 uses
-	// DefaultIngestShards.
-	IngestShards int
-	// IngestGroup caps how many pending observation batches one shard
-	// leader drains into a single group commit. 0 uses DefaultIngestGroup.
-	IngestGroup int
 	// Store persists tracker state across restarts. nil (or any store whose
 	// Journaling() is false, like statestore.NewMem()) keeps everything
 	// in-memory only — the pre-durability behavior. A journaling store
@@ -207,21 +189,6 @@ func OpenService(cfg Config) (*Service, error) {
 	if cfg.MigrateWindow == 0 {
 		cfg.MigrateWindow = migrate.DefaultWindow
 	}
-	switch cfg.DriftTracking {
-	case "", TrackExact, TrackSketch:
-	default:
-		return nil, fmt.Errorf("advisor: unknown drift tracking mode %q (want %q or %q)",
-			cfg.DriftTracking, TrackExact, TrackSketch)
-	}
-	if cfg.SketchCapacity == 0 {
-		cfg.SketchCapacity = DefaultSketchCapacity
-	}
-	if cfg.IngestShards == 0 {
-		cfg.IngestShards = DefaultIngestShards
-	}
-	if cfg.IngestGroup == 0 {
-		cfg.IngestGroup = DefaultIngestGroup
-	}
 	st := cfg.Store
 	if st == nil {
 		st = statestore.NewMem()
@@ -265,7 +232,7 @@ func OpenService(cfg Config) (*Service, error) {
 		}
 		s.trackers.Insert(ts.Table.Name, t)
 	}
-	s.ing = newIngester(s, cfg.IngestShards, cfg.IngestGroup)
+	s.ing = newIngester(s)
 	if cfg.Telemetry != nil {
 		s.tm.bind(cfg.Telemetry, s)
 	}
@@ -502,7 +469,7 @@ func (s *Service) registerTracker(tw schema.TableWorkload, advice TableAdvice, f
 			}
 		}
 		s.trackers.Insert(tw.Table.Name,
-			newTracker(tw, advice, m, mkey, s.cfg.DriftThreshold, s.cfg.DriftWindow, fp, s.jn, s.cfg.newPricer()))
+			newTracker(tw, advice, m, mkey, s.cfg.DriftThreshold, s.cfg.DriftWindow, fp, s.jn))
 		return nil
 	}
 	// The fingerprint check and reset happen under s.mu so they always

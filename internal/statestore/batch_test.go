@@ -100,32 +100,6 @@ func TestAppendBatchGroupCommitCosts(t *testing.T) {
 	}
 }
 
-// TestAppendBatchSyncEveryAmortizes verifies SyncEvery counts events, not
-// batches: groups keep accumulating until the threshold, then one sync.
-func TestAppendBatchSyncEveryAmortizes(t *testing.T) {
-	dir := t.TempDir()
-	inj := faultinject.New(mustDir(t, dir))
-	d := mustOpen(t, inj, Options{DriftWindow: 16, SnapshotEvery: -1, SyncEvery: 10})
-	defer d.Close()
-	evs := testEvents(12)
-	if err := d.Append(evs[0]); err != nil { // warm up segment + dir sync
-		t.Fatal(err)
-	}
-	s0 := inj.Count(faultinject.OpSync)
-	if err := d.AppendBatch(evs[1:5]); err != nil { // unsynced: 5 of 10
-		t.Fatal(err)
-	}
-	if ds := inj.Count(faultinject.OpSync) - s0; ds != 0 {
-		t.Fatalf("below SyncEvery threshold, got %d syncs", ds)
-	}
-	if err := d.AppendBatch(evs[5:12]); err != nil { // unsynced: 12 >= 10
-		t.Fatal(err)
-	}
-	if ds := inj.Count(faultinject.OpSync) - s0; ds != 1 {
-		t.Fatalf("crossing SyncEvery threshold must sync once, got %d", ds)
-	}
-}
-
 // TestAppendBatchFailureAppliesNothing: a failed group applies none of its
 // events — all-or-nothing at the caller level — and a retry succeeds with
 // no burned sequences.

@@ -26,11 +26,6 @@ type Options struct {
 	// appends (0 = DefaultSnapshotEvery, negative = only explicit
 	// Snapshot calls).
 	SnapshotEvery int
-	// SyncEvery fsyncs the WAL after every Nth append. 0 or 1 fsyncs
-	// every append — the only setting under which an acknowledged event
-	// is guaranteed to survive a crash; larger values trade the last
-	// SyncEvery-1 events for throughput.
-	SyncEvery int
 	// Metrics, when set, receives WAL timing histograms
 	// (knives_wal_append_seconds, knives_wal_fsync_seconds,
 	// knives_wal_snapshot_seconds) and recovery/snapshot gauges. Nil
@@ -98,7 +93,6 @@ type Durable struct {
 	lastSeq    uint64
 	snapSeq    uint64
 	sinceSnap  int
-	unsynced   int
 	needRepair bool // a failed commit may have left bytes past segEnd
 	closed     bool
 
@@ -240,7 +234,7 @@ func (d *Durable) bindMetrics(reg *telemetry.Registry) {
 		return
 	}
 	reg.SetHelp("knives_wal_append_seconds", "WAL append latency per caller: enqueued through acknowledged, including the wait for and the fsync of its commit.")
-	reg.SetHelp("knives_wal_fsync_seconds", "WAL fsync latency (one observation per fsync; commits below SyncEvery do not sync).")
+	reg.SetHelp("knives_wal_fsync_seconds", "WAL fsync latency (one observation per fsync; every commit syncs).")
 	reg.SetHelp("knives_wal_snapshot_seconds", "Snapshot + WAL truncation latency.")
 	reg.SetHelp("knives_wal_commit_events", "Events made durable per WAL fsync.")
 	reg.SetHelp("knives_wal_commit_callers_total", "Append calls acknowledged by WAL commits; over knives_wal_fsync_seconds_count it is the callers sharing one fsync.")
@@ -328,7 +322,7 @@ func (d *Durable) Append(ev Event) error {
 
 // AppendBatch journals a group of events as one unit of a commit: its
 // frames are contiguous in the journal, in order, and it shares the
-// commit's single write and (at most one) fsync with whatever other groups
+// commit's single write and single fsync with whatever other groups
 // were queued. On any failure none of the events are applied and the WAL
 // is repaired to the last valid boundary before the next commit, so a
 // prefix of the group never leaks into the folded state — though it may
@@ -397,7 +391,7 @@ func (d *Durable) leadLocked(ctx context.Context) {
 }
 
 // commit journals the batch's groups as one write with contiguous sequence
-// numbers, fsyncs once (per SyncEvery), then folds the events in queue
+// numbers, fsyncs once, then folds the events in queue
 // order. A failed write or fsync fails the whole batch: nothing is folded
 // and the next commit truncates back to the pre-commit boundary.
 func (d *Durable) commit(ctx context.Context, batch []*commitReq) error {
@@ -429,19 +423,14 @@ func (d *Durable) commit(ctx context.Context, batch []*commitReq) error {
 	if _, err := d.seg.Write(frame); err != nil {
 		return fmt.Errorf("statestore: append seq %d..%d: %w", first, last, err)
 	}
-	unsynced := d.unsynced + n
-	if d.opt.SyncEvery <= 1 || unsynced >= d.opt.SyncEvery {
-		tSync := time.Now()
-		err := d.seg.Sync()
-		d.fsyncHist.Since(tSync)
-		if err != nil {
-			// Not durable: report failure; the callers retry.
-			return fmt.Errorf("statestore: sync seq %d..%d: %w", first, last, err)
-		}
-		d.commitEvents.Observe(float64(unsynced))
-		unsynced = 0
+	tSync := time.Now()
+	err := d.seg.Sync()
+	d.fsyncHist.Since(tSync)
+	if err != nil {
+		// Not durable: report failure; the callers retry.
+		return fmt.Errorf("statestore: sync seq %d..%d: %w", first, last, err)
 	}
-	d.unsynced = unsynced
+	d.commitEvents.Observe(float64(n))
 	d.needRepair = false
 	d.commitCallers.Add(int64(len(batch)))
 	d.segEnd += int64(len(frame))

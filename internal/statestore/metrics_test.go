@@ -40,7 +40,7 @@ func TestDurableMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"knives_wal_append_seconds_count 10",
-		"knives_wal_fsync_seconds_count 10", // SyncEvery 0 -> fsync per append
+		"knives_wal_fsync_seconds_count 10", // one fsync per commit; ten one-event commits
 		"knives_wal_snapshot_seconds_count 1",
 		"knives_wal_snapshots_total 1",
 		"knives_wal_last_seq 10",

@@ -54,7 +54,7 @@ type Store interface {
 	// Append journals one state event durably.
 	Append(ev Event) error
 	// AppendBatch journals many events as one group commit: all frames go
-	// out in a single write and (subject to SyncEvery) a single fsync, so
+	// out in a single write and a single fsync, so
 	// an ingest group amortizes the durability cost that Append pays per
 	// event. All-or-nothing at the caller's level: on error NONE of the
 	// events count as journaled and none may be applied. A crash between

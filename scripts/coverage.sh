@@ -58,11 +58,6 @@ check internal/faultinject 88.0
 # something if the operator branches are actually exercised (96.0% when the
 # gate was extended).
 check internal/operator 85.0
-# The drift sketch: TrackSketch's verdict-equivalence contract leans on the
-# space-saving bounds this package guarantees, so an untested branch here is
-# a drift verdict that silently diverges from the exact tracker (98.7% when
-# the gate was added).
-check internal/sketch 85.0
 # The telemetry layer: the sharded counters, histogram bucket math, and the
 # exposition writer are what operators steer by — an untested branch here is
 # a dashboard that lies under exactly the load it was built to explain
