@@ -72,6 +72,21 @@ func PortfolioNames() []string {
 	return names
 }
 
+// MaxWeight is the largest query weight the service accepts, on /advise
+// and /observe alike: 2^53, the range in which every integer weight is an
+// exact float64. Weights multiply into every price, and a finite weight
+// like 1e308 overflows the sums to ±Inf/NaN, which JSON cannot render; so
+// validation rejects a larger weight (400) before anything is journaled.
+// At the ceiling every price stays finite on the preset devices even for
+// the largest table the validators accept — 2^63-1 rows, 64 columns — and
+// the largest workload an 8 MiB request body can carry:
+// TestWeightCeilingKeepsPricesFinite works the bound.
+const MaxWeight = 1 << 53
+
+// validWeight reports whether w is a weight the service accepts: 0 (which
+// means 1) up to MaxWeight. The comparisons reject NaN.
+func validWeight(w float64) bool { return w >= 0 && w <= MaxWeight }
+
 // normalizeWeights returns tw with zero query weights replaced by 1 — the
 // system-wide pricing convention (schema.Workload.ForTable applies the same
 // rule). The service normalizes before both fingerprinting and searching,

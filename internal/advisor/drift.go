@@ -9,6 +9,7 @@ import (
 
 	"knives/internal/algo"
 	"knives/internal/algo/o2p"
+	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/schema"
 	"knives/internal/statestore"
@@ -21,17 +22,32 @@ import (
 var ErrStaleSchema = errors.New("advisor: observed attrs outside current table schema")
 
 // ErrBadObservation reports a malformed observed query (no attributes, or
-// a negative weight) — a client bug no amount of re-advising fixes.
+// a weight that is negative, NaN or above MaxWeight) — a client bug no
+// amount of re-advising fixes.
 var ErrBadObservation = errors.New("advisor: malformed observed query")
 
 // Tracker watches the live query stream of one registered table and decides
 // when the advice served for it has gone stale — the paper's Section 6.3
-// drift scenario made operational. It keeps the observed query log and an
-// O2P shadow layout over it: O2P is the portfolio's online algorithm, cheap
-// enough to re-run per observation batch, and it tracks the stream the way
-// an online system would. When the layout the service advised prices the
-// observed workload more than Threshold worse (relatively) than the O2P
-// shadow layout does, the advice has drifted and must be recomputed.
+// drift scenario made operational. It keeps the observed query log, trimmed
+// to the window, and after every observation batch compares the advised
+// layout against an O2P shadow layout: O2P is the portfolio's online
+// algorithm, and it tracks the stream the way an online system would. When
+// the advised layout prices the retained log more than Threshold worse
+// (relatively) than the shadow does, the advice has drifted and is
+// recomputed from the log.
+//
+// The shadow is O2P run over the window's attribute-set summary:
+//
+//   - one query per distinct attribute set in the retained log,
+//   - in order of first appearance,
+//   - each weighted by that set's weights summed in log order.
+//
+// Both layouts are priced over the full retained log, one weighted
+// QueryCost per logged query summed in log order — cost.WorkloadCost. A
+// window in which no attribute set repeats is its own summary, so there the
+// shadow is O2P over the raw log. Everything else — recomputes,
+// fingerprints, the journal, snapshots, recovery and migration mixes —
+// reads the raw log; the summary exists only inside one drift check.
 type Tracker struct {
 	mu sync.Mutex
 
@@ -166,7 +182,7 @@ func (t *Tracker) validateLocked(queries []schema.TableQuery) ([]schema.TableQue
 				"%w: query %s references %v of table %s (re-advise)",
 				ErrStaleSchema, q.ID, q.Attrs, t.table.Name)
 		}
-		if !(q.Weight >= 0) { // negated compare also rejects NaN
+		if !validWeight(q.Weight) {
 			return nil, fmt.Errorf(
 				"%w: query %s has invalid weight %v", ErrBadObservation, q.ID, q.Weight)
 		}
@@ -188,7 +204,7 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 			return nil, fmt.Errorf(
 				"%w: observed query %d references no columns", ErrBadObservation, i+1)
 		}
-		if !(oq.Weight >= 0) { // negated compare also rejects NaN
+		if !validWeight(oq.Weight) {
 			return nil, fmt.Errorf(
 				"%w: observed query %d has invalid weight %v", ErrBadObservation, i+1, oq.Weight)
 		}
@@ -210,9 +226,10 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 	return queries, nil
 }
 
-// ingestLocked applies one validated, already-journaled batch: O(batch)
-// bookkeeping only, no copies of the log and no searches — this is all the
-// work the tracker lock covers on the ingest hot path. Caller holds t.mu.
+// ingestLocked applies one validated, already-journaled batch: an append
+// and, once the window is full, trim's slide of the retained log — a
+// memmove of at most window entries, no allocation in steady state and no
+// pricing or search. Caller holds t.mu.
 func (t *Tracker) ingestLocked(queries []schema.TableQuery) {
 	t.log = append(t.log, queries...)
 	t.observed += int64(len(queries))
@@ -234,7 +251,9 @@ type driftInput struct {
 	pricing []schema.TableQuery
 }
 
-// driftInputLocked snapshots the drift check's inputs. Caller holds t.mu.
+// driftInputLocked snapshots the drift check's inputs, copying the retained
+// log: O(window) under the lock, and the only O(window) work the drift
+// check does there. Caller holds t.mu.
 func (t *Tracker) driftInputLocked() driftInput {
 	return driftInput{
 		table:   t.table,
@@ -266,12 +285,12 @@ func (t *Tracker) report() DriftReport {
 }
 
 // priceDrift runs the drift check on a snapshot, outside any lock: the O2P
-// shadow prices the snapshot against the advised layout, and past the
-// threshold a portfolio recompute runs over the current log. The recompute
-// re-reads the log under the generation check rather than reusing
-// in.pricing, so the advice it installs is paired with the newest log a
-// live generation holds. A recompute's per-knife search telemetry goes to
-// tm.
+// shadow (see Tracker) and the advised layout are priced over the snapshot,
+// and past the threshold a portfolio recompute runs over the current log.
+// The recompute re-reads the log under the generation check rather than
+// reusing in.pricing, so the advice it installs is paired with the newest
+// log a live generation holds. A recompute's per-knife search telemetry
+// goes to tm.
 //
 // On recomputation it returns the fresh advice PAIRED with the log snapshot
 // it was computed from (taken under one critical section), so the service
@@ -291,7 +310,6 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics)
 	if len(in.pricing) == 0 {
 		return rep, nil, nil
 	}
-	ptw := schema.TableWorkload{Table: in.table, Queries: in.pricing}
 
 	// The shadow search draws from the same process-wide budget as every
 	// other kernel entry point, so a burst of /observe traffic cannot
@@ -300,16 +318,12 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics)
 	if err := algo.AcquireSearchSlotCtx(ctx); err != nil {
 		return rep, nil, err
 	}
-	shadow, err := o2p.New().Partition(ptw, in.model)
+	chk := checkWindow(in.model, in.table, in.pricing, in.advised.Layout.Parts)
 	algo.ReleaseSearchSlot()
-	if err != nil {
-		return rep, nil, err
-	}
-	advisedCost := cost.WorkloadCost(in.model, ptw, in.advised.Layout.Parts)
 	switch {
-	case shadow.Cost > 0:
-		rep.Ratio = (advisedCost - shadow.Cost) / shadow.Cost
-	case advisedCost > 0:
+	case chk.shadowCost > 0:
+		rep.Ratio = (chk.advisedCost - chk.shadowCost) / chk.shadowCost
+	case chk.advisedCost > 0:
 		// A zero-cost shadow layout against a positive-cost advised layout
 		// is infinitely drifted, not "ratio unknown, stay put".
 		rep.Ratio = math.Inf(1)
@@ -387,6 +401,49 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput, tm *svcMetrics)
 	// superseded it), report drift without claiming a recompute and hand
 	// nothing back to cache.
 	return rep, rec, nil
+}
+
+// windowCheck is one drift check's pricing: the shadow's parts in the
+// order O2P's analysis leaves them, and both layouts' costs over the log.
+type windowCheck struct {
+	shadow                  []attrset.Set
+	shadowCost, advisedCost float64
+}
+
+// checkWindow builds the log's attribute-set summary in one pass, runs O2P
+// over it, and prices the shadow and the advised layout over the full log.
+// Each distinct set's QueryCost is computed once per layout; the weighted
+// products are then summed in log order exactly as cost.WorkloadCost sums
+// them, so both costs are WorkloadCost's bits.
+func checkWindow(m cost.Model, t *schema.Table, log []schema.TableQuery, advised []attrset.Set) windowCheck {
+	var summary []schema.TableQuery
+	of := make([]int32, len(log)) // summary index of each log entry
+	at := make(map[attrset.Set]int32)
+	for i, q := range log {
+		k, seen := at[q.Attrs]
+		if !seen {
+			k = int32(len(summary))
+			at[q.Attrs] = k
+			summary = append(summary, schema.TableQuery{ID: q.ID, Attrs: q.Attrs})
+		}
+		summary[k].Weight += q.Weight
+		of[i] = k
+	}
+	shadow := o2p.Layout(schema.TableWorkload{Table: t, Queries: summary})
+
+	qc := make([]float64, len(summary))
+	price := func(parts []attrset.Set) float64 {
+		for k, q := range summary {
+			qc[k] = m.QueryCost(t, parts, q.Attrs)
+		}
+		var total float64
+		for i, q := range log {
+			wq := q.Weight * qc[of[i]]
+			total += wq
+		}
+		return total
+	}
+	return windowCheck{shadow: shadow, shadowCost: price(shadow), advisedCost: price(advised)}
 }
 
 // Advice returns the tracker's current advice.

@@ -55,9 +55,11 @@ type ingestJob struct {
 // exactly one shard, whose groups are processed by one leader at a time —
 // no two goroutines ever wait on each other's tracker sets. Holding the
 // locks across journal+apply keeps each table's journal order equal to its
-// apply order, the invariant recovery depends on; the per-event cost under
-// the lock is O(batch), never O(window), and the fsync is shared by the
-// whole group.
+// apply order, the invariant recovery depends on. Under the locks a batch
+// costs its append and trim's memmove of at most the window, and each
+// table one copy of its window for the drift check — O(window) copying,
+// but no pricing and no search, which run after the locks are released;
+// the fsync is shared by the whole group.
 type ingester struct {
 	svc    *Service
 	shards []*ingestShard

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -200,12 +201,19 @@ func retryAfterSeconds(d time.Duration) int {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON renders a 200 response body.
+// writeJSON renders a 200 response body. It encodes into a buffer first:
+// a value JSON cannot render (a ±Inf or NaN price) answers 500 with an
+// error body instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("advisor: encoding response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError renders an error body with the given status.

@@ -371,7 +371,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 		return TableAdvice{}, Fingerprint{}, false, fmt.Errorf("advisor: nil table")
 	}
 	for _, q := range tw.Queries {
-		if !(q.Weight >= 0) { // negated compare also rejects NaN
+		if !validWeight(q.Weight) {
 			return TableAdvice{}, Fingerprint{}, false, fmt.Errorf(
 				"advisor: query %s has invalid weight %v (it would corrupt the cost comparison)", q.ID, q.Weight)
 		}

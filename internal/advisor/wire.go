@@ -471,7 +471,7 @@ func (r AdviseRequest) Materialize() (*schema.Benchmark, error) {
 		if id == "" {
 			id = fmt.Sprintf("q%d", i+1)
 		}
-		if !(qs.Weight >= 0) { // negated compare also rejects NaN
+		if !validWeight(qs.Weight) {
 			return nil, fmt.Errorf("advisor: query %s has invalid weight %v", id, qs.Weight)
 		}
 		q := schema.Query{ID: id, Weight: qs.Weight, Refs: make(map[string]attrset.Set, len(qs.Tables))}

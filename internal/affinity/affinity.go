@@ -99,13 +99,6 @@ func (m *Matrix) bond(i, j int) float64 {
 	return s
 }
 
-// contribution is the net bond energy gained by placing attribute x between
-// neighbors l and r (either may be -1 at a boundary):
-// cont(l, x, r) = 2·bond(l,x) + 2·bond(x,r) − 2·bond(l,r).
-func (m *Matrix) contribution(l, x, r int) float64 {
-	return 2*m.bond(l, x) + 2*m.bond(x, r) - 2*m.bond(l, r)
-}
-
 // Order clusters the matrix with the bond energy algorithm and returns the
 // resulting attribute ordering. Following McCormick's original procedure,
 // each step selects — among the not-yet-placed attributes — the one whose
@@ -136,18 +129,29 @@ func (m *Matrix) Order() []int {
 }
 
 // bestPosition returns the insertion position for x that maximizes its
-// contribution, and that contribution.
+// contribution, and that contribution. Placing x between neighbors l and r
+// (either may be -1 at a boundary) contributes
+// cont(l, x, r) = 2·bond(l,x) + 2·bond(x,r) − 2·bond(l,r). The right
+// neighbor at one position is the left neighbor at the next, so bond(x, r)
+// is carried over as the next position's bond(l, x): bond is symmetric and
+// cached as one bit pattern, so the carried value is the one a lookup would
+// return, and the sum keeps the formula's order.
 func (m *Matrix) bestPosition(order []int, x int) (int, float64) {
-	bestPos, bestCont := 0, m.contribution(-1, x, order[0])
-	for pos := 1; pos <= len(order); pos++ {
-		l := order[pos-1]
-		r := -1
+	bestPos, bestCont := 0, 0.0
+	left := 0.0 // bond(-1, x)
+	for pos := 0; pos <= len(order); pos++ {
+		l, r := -1, -1
+		if pos > 0 {
+			l = order[pos-1]
+		}
 		if pos < len(order) {
 			r = order[pos]
 		}
-		if c := m.contribution(l, x, r); c > bestCont {
+		right := m.bond(x, r)
+		if c := 2*left + 2*right - 2*m.bond(l, r); pos == 0 || c > bestCont {
 			bestCont, bestPos = c, pos
 		}
+		left = right
 	}
 	return bestPos, bestCont
 }

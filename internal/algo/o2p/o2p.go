@@ -71,16 +71,35 @@ func (o *O2P) Partition(tw schema.TableWorkload, model cost.Model) (algo.Result,
 	return split(tw, model, m, order, start)
 }
 
-// split is the partitioning analysis over a clustered ordering.
+// Layout is Partition without the pricing: the parts O2P finds for the
+// stream, in the order its analysis leaves them — the order Partition
+// prices them in. It is for callers that price the layout over another
+// workload than the one it was searched on, as the drift tracker's shadow
+// does: the same parts in the same order price bit for bit as Partition's
+// Cost would on that workload.
+func Layout(tw schema.TableWorkload) []attrset.Set {
+	m, order := cluster(tw)
+	var c algo.Counter
+	return analyze(m, order, &c)
+}
+
+// split is the partitioning analysis over a clustered ordering, priced.
 func split(tw schema.TableWorkload, model cost.Model, m *affinity.Matrix, order []int, start time.Time) (algo.Result, error) {
 	var c algo.Counter
+	parts := analyze(m, order, &c)
+	costVal := c.Eval(model, tw, parts)
+	return algo.Finish(tw, parts, costVal, &c, start)
+}
 
-	// Partitioning analysis: one best split per step, memoized per segment.
-	analyze := func(attrs []int) *segment {
-		k, z := navathe.BestSplit(m, attrs, &c)
+// analyze is the partitioning analysis: one best split per step, memoized
+// per segment, counting every split point evaluated on c. The parts come
+// back in ordering order.
+func analyze(m *affinity.Matrix, order []int, c *algo.Counter) []attrset.Set {
+	seg := func(attrs []int) *segment {
+		k, z := navathe.BestSplit(m, attrs, c)
 		return &segment{attrs: attrs, splitAt: k, z: z}
 	}
-	segs := []*segment{analyze(order)}
+	segs := []*segment{seg(order)}
 	for {
 		bi := -1
 		for i, s := range segs {
@@ -91,10 +110,10 @@ func split(tw schema.TableWorkload, model cost.Model, m *affinity.Matrix, order 
 		if bi < 0 {
 			break
 		}
-		seg := segs[bi]
+		s := segs[bi]
 		next := make([]*segment, 0, len(segs)+1)
 		next = append(next, segs[:bi]...)
-		next = append(next, analyze(seg.attrs[:seg.splitAt]), analyze(seg.attrs[seg.splitAt:]))
+		next = append(next, seg(s.attrs[:s.splitAt]), seg(s.attrs[s.splitAt:]))
 		next = append(next, segs[bi+1:]...)
 		segs = next
 	}
@@ -103,6 +122,5 @@ func split(tw schema.TableWorkload, model cost.Model, m *affinity.Matrix, order 
 	for i, s := range segs {
 		parts[i] = attrset.Of(s.attrs...)
 	}
-	costVal := c.Eval(model, tw, parts)
-	return algo.Finish(tw, parts, costVal, &c, start)
+	return parts
 }

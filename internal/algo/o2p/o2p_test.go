@@ -168,10 +168,12 @@ func TestO2PShadowBitIdentical(t *testing.T) {
 
 var sinkResult algo.Result
 
-// BenchmarkO2PShadow is one drift check's search: O2P over a full 256-query
-// window of lineitem. bonds/query is how many bond energies the clustering
-// computed from matrix rows per query — about |q|·n with the cache, where
-// the uncached loop computed 3·|q|·(n+1).
+// BenchmarkO2PShadow is O2P over a raw 256-query window of lineitem, the
+// search the drift shadow's raw-log oracle runs. The drift check itself
+// folds only the window's 17 distinct attribute sets; BenchmarkDriftCheck
+// in internal/advisor times it. bonds/query is how many bond energies the
+// clustering computed from matrix rows per query — about |q|·n with the
+// cache, where the uncached loop computed 3·|q|·(n+1).
 func BenchmarkO2PShadow(b *testing.B) {
 	var tw schema.TableWorkload
 	for _, w := range schema.TPCH(10).TableWorkloads() {
