@@ -502,23 +502,20 @@ func adviseViaServer(client *advisor.Client, benchName string, sf float64) error
 
 // runObserve streams a benchmark's workload to a running knivesd as batched
 // observations: queries accumulate in an ObserveBuffer and ship as one
-// multi-table POST /observe per -batch queries, exercising the daemon's
-// sharded group-committing ingest stage instead of one request per query.
+// multi-table POST /observe per -batch queries — one WAL commit per request
+// on the daemon — instead of one request per query.
 func runObserve(args []string) error {
-	fs := flag.NewFlagSet("observe", flag.ContinueOnError)
-	server := fs.String("server", "", "base URL of a running knivesd (required)")
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	rounds := fs.Int("rounds", 1, "times the workload is streamed")
-	batch := fs.Int("batch", advisor.DefaultObserveFlushAt, "queries per batched /observe request")
-	retries := fs.Int("retries", 3, "total attempts per request (429/503/transport errors retry)")
-	retryDelay := fs.Duration("retry-delay", 100*time.Millisecond, "base backoff between retries (doubles per attempt)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
-	if err := parseFlags(fs, args); err != nil {
+	c := newCommand("observe")
+	c.table = c.fs.String("table", "all", "table name or all")
+	c.remote("base URL of a running knivesd (required)")
+	c.verboseFlag()
+	rounds := c.fs.Int("rounds", 1, "times the workload is streamed")
+	batch := c.fs.Int("batch", advisor.DefaultObserveFlushAt, "queries per batched /observe request")
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	if *server == "" {
+	defer c.vt.total()
+	if *c.server == "" {
 		return usageError{err: fmt.Errorf("observe needs -server URL (a running knivesd; advise the benchmark there first)")}
 	}
 	if *rounds < 1 {
@@ -527,15 +524,11 @@ func runObserve(args []string) error {
 	if *batch < 1 {
 		return usageError{err: fmt.Errorf("-batch must be >= 1 (got %d)", *batch)}
 	}
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
+	client, err := c.client()
 	if err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
-	defer vt.total()
-	vt.step("build benchmark")
-	client := advisor.NewClient(*server)
-	client.Retry = advisor.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryDelay}
+	c.vt.step("build benchmark")
 	buf := &advisor.ObserveBuffer{Client: client, FlushAt: *batch}
 
 	ctx := context.Background()
@@ -549,15 +542,10 @@ func runObserve(args []string) error {
 		}
 		return nil
 	}
-	matched := false
 	total := 0
 	start := time.Now()
 	for r := 0; r < *rounds; r++ {
-		for _, tw := range bench.TableWorkloads() {
-			if *table != "all" && tw.Table.Name != *table {
-				continue
-			}
-			matched = true
+		err := c.eachTable(func(tw knives.TableWorkload) error {
 			for _, q := range tw.Queries {
 				vs, err := buf.Add(ctx, tw.Table.Name, advisor.ObservedQry{
 					Attrs:  tw.Table.AttrNames(q.Attrs),
@@ -571,12 +559,13 @@ func runObserve(args []string) error {
 					return err
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	vt.step("stream observations")
+	c.vt.step("stream observations")
 	vs, err := buf.Flush(ctx)
 	if err != nil {
 		return err
@@ -584,7 +573,7 @@ func runObserve(args []string) error {
 	if err := collect(vs); err != nil {
 		return err
 	}
-	vt.step("final flush")
+	c.vt.step("final flush")
 	elapsed := time.Since(start)
 
 	names := make([]string, 0, len(last))

@@ -24,6 +24,16 @@ func TestRunAdviseServerMode(t *testing.T) {
 	if got := run([]string{"advise", "-server", ts.URL, "-retries", "0"}); got != 2 {
 		t.Errorf("advise -server -retries 0 = exit %d, want 2", got)
 	}
+	// observe shares advise's -server flags, and their validation.
+	if got := run([]string{"observe", "-server", ts.URL, "-retries", "0", "-sf", "0.01"}); got != 2 {
+		t.Errorf("observe -server -retries 0 = exit %d, want 2", got)
+	}
+	if got := run([]string{"observe", "-benchmark", "tpch", "-sf", "0.01", "-rounds", "2"}); got != 2 {
+		t.Errorf("observe without -server = exit %d, want 2", got)
+	}
+	if got := run([]string{"observe", "-server", ts.URL, "-benchmark", "tpch", "-sf", "0.01", "-rounds", "2"}); got != 0 {
+		t.Errorf("observe -server on an advised benchmark = exit %d, want 0", got)
+	}
 	// A dead server is a command failure, not a usage error.
 	ts.Close()
 	if got := run([]string{"advise", "-server", ts.URL, "-retries", "1", "-benchmark", "tpch", "-sf", "0.01"}); got != 1 {

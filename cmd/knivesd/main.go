@@ -31,13 +31,13 @@
 //
 // Each observation batch is priced for drift against the tracker's whole
 // retained window, which -drift-window bounds (it must not be negative: a
-// daemon's logs and drift checks would grow with the stream). Concurrent
-// batches ride a sharded ingest stage that group-commits them into shared
-// WAL appends, each fsynced before it is acknowledged.
+// daemon's logs and drift checks would grow with the stream). One /observe
+// request is one WAL append (per round of its entries), fsynced before it is
+// acknowledged; concurrent requests may share a write and an fsync.
 //
 // The daemon always serves GET /metrics: one Prometheus text-format scrape
 // covering request latency histograms, admission wait and shed counts,
-// search and cache metrics, ingest group-commit sizes and queue depth,
+// search and cache metrics, ingest group-commit sizes,
 // drift and migration timings, and — with -wal-dir — WAL append/fsync/
 // snapshot durations plus the last recovery's report. -pprof additionally
 // mounts net/http/pprof under GET /debug/pprof/ (off by default: heap and

@@ -296,8 +296,8 @@ func (c *Client) ObserveBatch(ctx context.Context, batches []TableObservation) (
 // the client-side half of the batched ingest pipeline: callers record
 // queries as they see them; the buffer amortizes the HTTP and WAL cost
 // across a whole batch. Not safe for concurrent use — give each producer
-// goroutine its own buffer (the server's ingest stage coalesces across
-// connections anyway).
+// goroutine its own buffer (the server's WAL commit combines concurrent
+// requests anyway).
 type ObserveBuffer struct {
 	// Client ships the flushes; required.
 	Client *Client

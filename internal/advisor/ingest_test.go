@@ -1,12 +1,15 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"knives/internal/attrset"
 	"knives/internal/faultinject"
@@ -155,13 +158,14 @@ func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 	if st.ObserveBatches != workers*batches {
 		t.Errorf("ObserveBatches = %d, want %d", st.ObserveBatches, workers*batches)
 	}
-	if st.IngestGroups < 1 || st.IngestGroups > st.ObserveBatches {
-		t.Errorf("IngestGroups = %d outside [1, %d]", st.IngestGroups, st.ObserveBatches)
+	// Every Observe call is its own round.
+	if st.IngestGroups != st.ObserveBatches {
+		t.Errorf("IngestGroups = %d, want one per batch (%d)", st.IngestGroups, st.ObserveBatches)
 	}
 }
 
-// One bad batch in an ingest group fails alone: groupmates for the same and
-// other tables commit and report normally.
+// One bad batch fails alone: concurrent batches for its table, and the
+// other batches of its own round, commit and report normally.
 func TestIngestBadBatchFailsAlone(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64})
 	register(t, svc)
@@ -197,6 +201,22 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 	}
 	if st := svc.Stats(); st.ObservedQueries != good {
 		t.Errorf("ObservedQueries = %d, want %d (bad batch must not count)", st.ObservedQueries, good)
+	}
+
+	// A bad entry beside a good one in the same round.
+	if _, _, err := svc.AdviseTable(coAccessWorkload(namedWideTable(t, "other"))); err != nil {
+		t.Fatal(err)
+	}
+	groups := svc.Stats().IngestGroups
+	outs := svc.ObserveBatch(context.Background(), []TableObservation{
+		{Table: "other", Queries: []ObservedQry{{Attrs: []string{"zz"}}}},
+		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"a"}}}},
+	})
+	if !errors.Is(outs[0].Err, ErrStaleSchema) || outs[1].Err != nil {
+		t.Errorf("round outcomes: bad=%v good=%v, want ErrStaleSchema and nil", outs[0].Err, outs[1].Err)
+	}
+	if st := svc.Stats(); st.IngestGroups != groups+1 || st.ObservedQueries != good+1 {
+		t.Errorf("after the round: groups +%d, queries %d; want +1 and %d", st.IngestGroups-groups, st.ObservedQueries, good+1)
 	}
 }
 
@@ -355,32 +375,6 @@ func TestObserveConcurrentDuplicateRecompute(t *testing.T) {
 	}
 }
 
-// mergeContexts cancels only when EVERY member is done, and stop releases
-// the watchers.
-func TestMergeContexts(t *testing.T) {
-	a, cancelA := context.WithCancel(context.Background())
-	b, cancelB := context.WithCancel(context.Background())
-	merged, stop := mergeContexts([]context.Context{a, b})
-	defer stop()
-	cancelA()
-	select {
-	case <-merged.Done():
-		t.Fatal("merged context canceled with one member still live")
-	default:
-	}
-	cancelB()
-	<-merged.Done() // must complete: all members are done
-
-	// Single-member merge is the member itself.
-	c, cancelC := context.WithCancel(context.Background())
-	m, stop1 := mergeContexts([]context.Context{c})
-	defer stop1()
-	if m != c {
-		t.Error("single-member merge should return the member")
-	}
-	cancelC()
-}
-
 // The tracker slides its window in place, so a snapshot that aliased the
 // log would be rewritten by the next batch — and a caller scribbling on its
 // snapshot would rewrite the log. Every reader copies under t.mu; this pins
@@ -471,5 +465,227 @@ func TestObserveTraceShowsWalCommit(t *testing.T) {
 	commit, ok2 := depth["wal commit (1 callers, 1 events)"]
 	if !ok || !ok2 || commit != ingest+1 {
 		t.Fatalf("spans %v: want \"wal commit (1 callers, 1 events)\" one level under \"ingest events\"", tr.Spans())
+	}
+}
+
+// One 8-table observe request is one round: one WAL append, one fsync, one
+// ingest group carrying all 8 batches.
+func TestObserveBatchOneCommit(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	fs, err := vfs.Dir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := statestore.Open(fs, statestore.Options{DriftWindow: 64, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := OpenService(Config{DriftWindow: 64, Store: st, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	bench := schema.TPCH(0.01)
+	if err := svc.Prewarm(bench); err != nil {
+		t.Fatal(err)
+	}
+	var batches []TableObservation
+	for _, tw := range bench.TableWorkloads() {
+		var qs []ObservedQry
+		for _, q := range tw.Queries {
+			qs = append(qs, ObservedQry{Attrs: tw.Table.AttrNames(q.Attrs), Weight: q.Weight})
+		}
+		batches = append(batches, TableObservation{Table: tw.Table.Name, Queries: qs})
+	}
+	if len(batches) != 8 {
+		t.Fatalf("TPC-H has %d tables, want 8", len(batches))
+	}
+
+	fsyncs := reg.Histogram("knives_wal_fsync_seconds")
+	groupBatches := reg.Histogram("knives_ingest_group_batches")
+	fsyncs0, groups0 := fsyncs.Count(), svc.Stats().IngestGroups
+	gbCount0, gbSum0 := groupBatches.Count(), groupBatches.Sum()
+	for _, o := range svc.ObserveBatch(context.Background(), batches) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.Table, o.Err)
+		}
+	}
+	if got := fsyncs.Count() - fsyncs0; got != 1 {
+		t.Errorf("one 8-table request took %d fsyncs, want 1", got)
+	}
+	if got := svc.Stats().IngestGroups - groups0; got != 1 {
+		t.Errorf("one 8-table request took %d ingest groups, want 1", got)
+	}
+	if n, sum := groupBatches.Count()-gbCount0, groupBatches.Sum()-gbSum0; n != 1 || sum != 8 {
+		t.Errorf("knives_ingest_group_batches moved by %d observations summing %v, want one of 8", n, sum)
+	}
+}
+
+// withWatchdog runs fn and fails the test with every goroutine's stack if
+// it has not returned within d — a lock-order deadlock reads as a stuck
+// stack instead of a suite timeout.
+func withWatchdog(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("still running after %v (deadlock?):\n%s", d, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// namedWideTable is wideTable under another name.
+func namedWideTable(t *testing.T, name string) *schema.Table {
+	t.Helper()
+	tab := wideTable(t)
+	named, err := schema.NewTable(name, tab.Rows, tab.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return named
+}
+
+// Concurrent rounds over overlapping table sets — in opposite orders, with
+// repeated tables — beside single-table observes and re-registrations
+// never deadlock (rounds lock in name order), and each table's journal
+// order is its apply order: the state recovered from the WAL equals the
+// live state. Run with -race.
+func TestObserveConcurrentRoundsRecover(t *testing.T) {
+	const window = 32
+	dir := t.TempDir()
+	st := durableStore(t, dir, window)
+	svc, err := OpenService(Config{DriftWindow: window, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"t0", "t1", "t2", "t3"}
+	tabs := make(map[string]*schema.Table)
+	for _, n := range names {
+		tabs[n] = namedWideTable(t, n)
+		if _, _, err := svc.AdviseTable(coAccessWorkload(tabs[n])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cols := []string{"a", "b", "c", "d"}
+	obs := func(table string, i int) TableObservation {
+		return TableObservation{Table: table, Queries: []ObservedQry{
+			{Attrs: []string{cols[i%4]}, Weight: float64(1 + i%3)},
+			{Attrs: []string{cols[(i+1)%4], cols[(i+2)%4]}},
+		}}
+	}
+	shapes := [][]string{
+		{"t0", "t1", "t2", "t3"},
+		{"t3", "t2", "t1", "t0"},
+		{"t1", "t1", "t2", "t1"},
+		{"t2", "t0", "t2", "t0"},
+	}
+	const iters = 40
+	ctx := context.Background()
+	withWatchdog(t, time.Minute, func() {
+		var wg sync.WaitGroup
+		for w, shape := range shapes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					batches := make([]TableObservation, len(shape))
+					for j, n := range shape {
+						batches[j] = obs(n, w+i+j)
+					}
+					for _, o := range svc.ObserveBatch(ctx, batches) {
+						if o.Err != nil {
+							t.Errorf("shape %v, %s: %v", shape, o.Table, o.Err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for _, n := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					if _, err := svc.ObserveNamedContext(ctx, n, obs(n, i).Queries); err != nil {
+						t.Errorf("single observe %s: %v", n, err)
+						return
+					}
+				}
+			}()
+		}
+		// Re-registrations alternate each table between two workloads, so
+		// every one resets its tracker while rounds are applying to it.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				tw := coAccessWorkload(tabs[names[i%len(names)]])
+				if i%2 == 1 {
+					tw.Queries = tw.Queries[1:]
+				}
+				if _, _, err := svc.AdviseTable(tw); err != nil {
+					t.Errorf("re-register: %v", err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	})
+
+	live := normalized(svc.ExportState())
+	if err := st.Close(); err != nil { // no snapshot: recovery replays the WAL
+		t.Fatal(err)
+	}
+	st2 := durableStore(t, dir, window)
+	svc2, err := OpenService(Config{DriftWindow: window, Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if !bytes.Equal(normalized(svc2.ExportState()), live) {
+		t.Fatal("state recovered from the WAL differs from the live state: journal order is not apply order")
+	}
+}
+
+// A verdict answers its own batch: concurrent one-query observes on one
+// table each report a distinct Observed — that batch's apply position —
+// never a count shared with a batch it happened to commit beside.
+func TestObserveVerdictIsItsOwnBatch(t *testing.T) {
+	svc, err := OpenService(Config{DriftThreshold: 100, DriftWindow: 64, Store: durableStore(t, t.TempDir(), 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	register(t, svc)
+
+	const n = 32
+	observed := make([]int64, n)
+	withWatchdog(t, time.Minute, func() {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rep, err := svc.Observe("events", []schema.TableQuery{
+					{ID: fmt.Sprintf("o%d", i), Weight: 1, Attrs: attrset.Of(i % 4)},
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				observed[i] = rep.Observed
+			}()
+		}
+		wg.Wait()
+	})
+	slices.Sort(observed)
+	for i, got := range observed {
+		if got != int64(i+1) {
+			t.Fatalf("sorted Observed = %v, want 1..%d: verdicts shared between batches", observed, n)
+		}
 	}
 }

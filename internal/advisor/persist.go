@@ -48,8 +48,8 @@ type contextBatcher interface {
 	AppendBatchContext(ctx context.Context, evs []statestore.Event) error
 }
 
-// appendBatch journals a whole ingest group as one unit of a WAL commit (a
-// write and an fsync it may share with other shards' groups).
+// appendBatch journals a whole observe round as one unit of a WAL commit (a
+// write and an fsync it may share with concurrent requests' rounds).
 // All-or-nothing for the caller: on error none of the events were
 // acknowledged and none may be applied.
 func (j *journal) appendBatch(ctx context.Context, evs []statestore.Event) error {

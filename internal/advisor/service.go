@@ -120,10 +120,6 @@ type Service struct {
 	// tables /query loaded resident between requests; see storeRegistry.
 	stores *storeRegistry
 
-	// ing is the sharded observe-ingest stage: every observation batch
-	// funnels through it so concurrent batches share group commits.
-	ing *ingester
-
 	// tm holds the telemetry handles; the zero value (no registry) leaves
 	// them nil and every instrumentation point free.
 	tm svcMetrics
@@ -232,7 +228,6 @@ func OpenService(cfg Config) (*Service, error) {
 		}
 		s.trackers.Insert(ts.Table.Name, t)
 	}
-	s.ing = newIngester(s)
 	if cfg.Telemetry != nil {
 		s.tm.bind(cfg.Telemetry, s)
 	}
@@ -283,8 +278,8 @@ type Stats struct {
 	// ObservedQueries counts QUERIES ingested by observation batches —
 	// not HTTP requests — so ingest rates stay meaningful under batching.
 	// ObserveBatches counts the applied batches, and IngestGroups the
-	// group commits they coalesced into (groups <= batches; the gap is
-	// the amortization the sharded ingest stage bought).
+	// rounds they were committed in (one WAL append each; a request whose
+	// tables are all distinct is one round).
 	ObservedQueries int64 `json:"observed_queries"`
 	ObserveBatches  int64 `json:"observe_batches"`
 	IngestGroups    int64 `json:"ingest_groups"`
@@ -531,19 +526,9 @@ func (s *Service) Observe(table string, queries []schema.TableQuery) (DriftRepor
 // the shadow search's slot wait and a drift recompute's portfolio fan-out.
 // Weight 0 is coerced to 1 during the tracker's validation — the same
 // convention /advise applies — so both observation endpoints agree.
-// The batch rides the sharded ingest stage: concurrent batches for tables
-// on the same shard coalesce into one group-committed WAL append.
+// The batch is a one-batch round of ingest: one WAL commit of its own.
 func (s *Service) ObserveContext(ctx context.Context, table string, queries []schema.TableQuery) (DriftReport, error) {
-	t, err := s.tracker(table)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	// An empty batch changes nothing: answer the tracker's counters
-	// without journaling a no-op event or entering the ingest stage.
-	if len(queries) == 0 {
-		return t.report(), nil
-	}
-	return s.ing.submit(ctx, &ingestJob{tracker: t, table: table, numeric: queries})
+	return s.observeOne(ctx, &ingestBatch{table: table, numeric: queries})
 }
 
 // ObserveNamed is Observe for queries carrying column names; resolution
@@ -554,14 +539,18 @@ func (s *Service) ObserveNamed(table string, named []ObservedQry) (DriftReport, 
 
 // ObserveNamedContext is ObserveNamed under a request context.
 func (s *Service) ObserveNamedContext(ctx context.Context, table string, named []ObservedQry) (DriftReport, error) {
-	t, err := s.tracker(table)
+	return s.observeOne(ctx, &ingestBatch{table: table, named: named})
+}
+
+// observeOne runs one batch as a round of its own.
+func (s *Service) observeOne(ctx context.Context, b *ingestBatch) (DriftReport, error) {
+	t, err := s.tracker(b.table)
 	if err != nil {
 		return DriftReport{}, err
 	}
-	if len(named) == 0 {
-		return t.report(), nil
-	}
-	return s.ing.submit(ctx, &ingestJob{tracker: t, table: table, named: named})
+	b.tracker = t
+	s.ingest(ctx, []*ingestBatch{b})
+	return b.rep, b.err
 }
 
 // ObserveOutcome is one batch entry's result from ObserveBatch.
@@ -572,33 +561,40 @@ type ObserveOutcome struct {
 }
 
 // ObserveBatch ingests many tables' observation batches from one request.
-// Entries fail independently — outcome i always answers batches[i].
-// Distinct tables are submitted concurrently, so one request's batches
-// land in the ingest stage together and coalesce into shared group
-// commits; repeated entries for the SAME table are submitted in slice
-// order, preserving that table's apply order.
+// Entries fail independently — outcome i always answers batches[i]. The
+// request runs as rounds of ingest: round k holds the k-th entry of each
+// table, in first-appearance order, and rounds run in order — so repeated
+// entries for the SAME table apply and answer in slice order, and a
+// request whose tables are all distinct is one round: one WAL commit.
+// Entries for unregistered tables fail without entering a round.
 func (s *Service) ObserveBatch(ctx context.Context, batches []TableObservation) []ObserveOutcome {
 	out := make([]ObserveOutcome, len(batches))
-	byTable := make(map[string][]int, len(batches))
-	var tables []string // first-appearance order of distinct tables
+	ib := make([]ingestBatch, len(batches))
+	var rounds [][]*ingestBatch
+	seen := make(map[string]int, len(batches)) // entries per table so far
 	for i, b := range batches {
 		out[i].Table = b.Table
-		if _, ok := byTable[b.Table]; !ok {
-			tables = append(tables, b.Table)
+		t, err := s.tracker(b.Table)
+		if err != nil {
+			out[i].Err = err
+			continue
 		}
-		byTable[b.Table] = append(byTable[b.Table], i)
+		ib[i] = ingestBatch{table: b.Table, tracker: t, named: b.Queries}
+		k := seen[b.Table]
+		seen[b.Table]++
+		if k == len(rounds) {
+			rounds = append(rounds, nil)
+		}
+		rounds[k] = append(rounds[k], &ib[i])
 	}
-	var wg sync.WaitGroup
-	for _, tbl := range tables {
-		wg.Add(1)
-		go func(tbl string, idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				out[i].Rep, out[i].Err = s.ObserveNamedContext(ctx, tbl, batches[i].Queries)
-			}
-		}(tbl, byTable[tbl])
+	for _, round := range rounds {
+		s.ingest(ctx, round)
 	}
-	wg.Wait()
+	for i := range ib {
+		if ib[i].tracker != nil {
+			out[i].Rep, out[i].Err = ib[i].rep, ib[i].err
+		}
+	}
 	return out
 }
 

@@ -27,9 +27,9 @@ type svcMetrics struct {
 	knifeSearch     map[string]*telemetry.Histogram
 	knifeCandidates map[string]*telemetry.Counter
 
-	// Ingest stage: submit-to-done wait per batch, group-commit sizes in
-	// batches and queries, and the coalesced drift check (recompute is the
-	// subset that actually moved advice).
+	// Ingest: per-batch wait for its round's commit and drift verdict,
+	// round sizes in batches and queries, and the per-batch drift check
+	// (recompute is the subset that actually moved advice).
 	ingestWait     *telemetry.Histogram
 	groupBatches   *telemetry.Histogram
 	groupQueries   *telemetry.Histogram
@@ -62,18 +62,18 @@ var operatorKinds = []string{"scan", "select", "join", "project"}
 
 // bind registers the service's metrics on reg: the histograms above, plus
 // read-at-scrape bindings for the counters the Service already maintains
-// atomically (no hot-path double-writes) and the cache/tracker/queue-depth
-// gauges. It also installs the process-wide search-gate wait observer —
-// last service bound wins, matching the gate's own process-wide scope.
+// atomically (no hot-path double-writes) and the cache/tracker gauges. It
+// also installs the process-wide search-gate wait observer — last service
+// bound wins, matching the gate's own process-wide scope.
 func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.SetHelp("knives_advise_hit_seconds", "Advise latency answered from the fingerprint cache.")
 	reg.SetHelp("knives_advise_miss_seconds", "Advise latency that ran the portfolio search.")
 	reg.SetHelp("knives_search_seconds", "Portfolio fan-out time per search.")
 	reg.SetHelp("knives_gate_wait_seconds", "Contended waits for a process-wide search slot.")
-	reg.SetHelp("knives_ingest_wait_seconds", "Observe batch wait: submit to group-commit + drift verdict.")
-	reg.SetHelp("knives_ingest_group_batches", "Observation batches coalesced per group commit.")
+	reg.SetHelp("knives_ingest_wait_seconds", "Observe batch wait: round commit + drift verdict.")
+	reg.SetHelp("knives_ingest_group_batches", "Observation batches per group commit (one observe round).")
 	reg.SetHelp("knives_ingest_group_queries", "Queries carried per group commit.")
-	reg.SetHelp("knives_drift_check_seconds", "Coalesced drift check time per table (shadow pricing).")
+	reg.SetHelp("knives_drift_check_seconds", "Drift check time per observation batch (shadow pricing).")
 	reg.SetHelp("knives_drift_recompute_seconds", "Drift checks that recomputed advice (portfolio rerun included).")
 	reg.SetHelp("knives_migrate_exec_seconds", "Migration plan + sampled execute-and-verify time.")
 	m.adviseHit = reg.Histogram("knives_advise_hit_seconds")
@@ -139,8 +139,6 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	reg.CounterFunc("knives_ingest_groups_total", s.ingestGroups.Load)
 	reg.CounterFunc("knives_duplicate_batches_total", s.observeDups.Load)
 
-	reg.SetHelp("knives_ingest_queue_depth", "Observation batches pending across all ingest shards.")
-	reg.GaugeFunc("knives_ingest_queue_depth", func() float64 { return float64(s.ing.queueDepth()) })
 	reg.GaugeFunc("knives_cached_entries", func() float64 { return float64(s.entries.Len()) })
 	reg.SetHelp("knives_cached_replays", "Cached executed reports (one cache behind /replay and /query).")
 	reg.GaugeFunc("knives_cached_replays", func() float64 { return float64(s.execEntries.Len()) })
@@ -193,17 +191,4 @@ func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 			m.batchFill.Observe(r)
 		}
 	}
-}
-
-// queueDepth sums the pending batches across every ingest shard — read only
-// at scrape time, so the shard mutexes are taken briefly and never on the
-// ingest hot path.
-func (in *ingester) queueDepth() int {
-	n := 0
-	for _, sh := range in.shards {
-		sh.mu.Lock()
-		n += len(sh.pending)
-		sh.mu.Unlock()
-	}
-	return n
 }
