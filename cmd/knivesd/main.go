@@ -27,7 +27,7 @@
 // journal to exactly the state the previous process acknowledged. Without it
 // the daemon keeps state in memory only, as before. -snapshot-every bounds
 // replay time by compacting the WAL into a snapshot after that many events
-// (negative = only the snapshot written at shutdown).
+// (negative = only the snapshot written at shutdown; 0 is refused).
 //
 // Each observation batch is priced for drift against the tracker's whole
 // retained window, which -drift-window bounds (it must not be negative: a
@@ -167,6 +167,11 @@ func parseFlags(args []string) (config, error) {
 		// bounded offline replay can afford; a daemon's memory and per-batch
 		// drift check would grow with the stream.
 		return config{}, fmt.Errorf("-drift-window must be >= 0 (got %d)", *driftWindow)
+	}
+	if *snapshotEvery == 0 {
+		// statestore.Open would read 0 as its default cadence; an explicit
+		// flag value must not be reinterpreted.
+		return config{}, fmt.Errorf("-snapshot-every must not be 0 (negative = only at shutdown)")
 	}
 	if *migrateWindow <= 0 || *migrateWindow > advisor.MaxMigrateWindow {
 		return config{}, fmt.Errorf("-migrate-window must be in (0, %d] (got %v)", advisor.MaxMigrateWindow, *migrateWindow)

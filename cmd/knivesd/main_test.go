@@ -52,6 +52,10 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-migrate-window", "2000000000"},
 		{"-nosuchflag"},
 		{"-drift-window", "-1"},
+		{"-snapshot-every", "0"},
+		// A scale factor that puts a table past schema.MaxTableBytes.
+		{"-prewarm", "tpch", "-sf", "1e15"},
+		{"-prewarm", "ssb", "-sf", "1e15"},
 		// Removed flags are unknown now: a script still passing one fails.
 		{"-drift-tracking", "exact"},
 		{"-sketch-capacity", "64"},
@@ -59,7 +63,9 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-ingest-group", "64"},
 	} {
 		if _, err := parseFlags(args); err == nil {
+			// run(args) would start the daemon on flags parseFlags accepts.
 			t.Errorf("parseFlags(%v) accepted bad input", args)
+			continue
 		}
 		if code := run(args); code != 2 {
 			t.Errorf("run(%v) exited %d, want 2", args, code)

@@ -180,39 +180,30 @@ func adviseTable(ctx context.Context, tw schema.TableWorkload, m cost.Model, tm 
 	if err != nil {
 		return TableAdvice{}, err
 	}
-	var names []string
-	var ran []algo.Result
-	for i, a := range algos {
-		if !declined[i] {
-			names = append(names, a.Name())
-			ran = append(ran, results[i])
-		}
-	}
-	return pickCheapest(tw, m, names, ran), nil
-}
-
-// pickCheapest assembles advice from per-algorithm results, comparing in
-// portfolio order against the Column baseline.
-func pickCheapest(tw schema.TableWorkload, m cost.Model, names []string, results []algo.Result) TableAdvice {
+	// The cheapest answer wins, compared in portfolio order against the
+	// Column baseline.
 	adv := TableAdvice{
 		Table:        tw.Table,
-		PerAlgorithm: make(map[string]float64, len(names)),
+		PerAlgorithm: make(map[string]float64, len(algos)),
 		RowCost:      cost.WorkloadCost(m, tw, partition.Row(tw.Table).Parts),
 		ColumnCost:   cost.WorkloadCost(m, tw, partition.Column(tw.Table).Parts),
 	}
 	adv.Algorithm = "Column"
 	adv.Layout = partition.Column(tw.Table)
 	adv.Cost = adv.ColumnCost
-	for i, name := range names {
+	for i, a := range algos {
+		if declined[i] {
+			continue
+		}
 		res := results[i]
-		adv.PerAlgorithm[name] = res.Cost
+		adv.PerAlgorithm[a.Name()] = res.Cost
 		if res.Cost < adv.Cost {
-			adv.Algorithm = name
+			adv.Algorithm = a.Name()
 			adv.Layout = res.Partitioning
 			adv.Cost = res.Cost
 		}
 	}
-	return adv
+	return adv, nil
 }
 
 // Advise runs the portfolio on every table of the benchmark and recommends,

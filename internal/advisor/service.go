@@ -514,6 +514,20 @@ func (s *Service) AdviseBenchmark(b *schema.Benchmark) ([]TableAdvice, []bool, e
 	return sortedAdvice, sortedHits, nil
 }
 
+// Prewarm answers every table of a benchmark before the server takes
+// traffic, so the first clients hit warm advice and live drift trackers
+// instead of racing cold searches. It is AdviseBenchmark with the advice
+// discarded: the tables count as requests and misses in Stats like any
+// organic request, and a repeated Prewarm re-registers trackers evicted
+// past TrackerCapacity without resetting live ones.
+func (s *Service) Prewarm(b *schema.Benchmark) error {
+	if b == nil {
+		return nil
+	}
+	_, _, err := s.AdviseBenchmark(b)
+	return err
+}
+
 // Observe streams a batch of queries for a registered table into its drift
 // tracker. If the advised layout has drifted past the threshold, the advice
 // is recomputed from the observed log, the tracker updated, and the fresh

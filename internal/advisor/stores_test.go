@@ -228,8 +228,7 @@ func TestResidentStoreDroppedUnderLease(t *testing.T) {
 	if open.Load() == 0 {
 		t.Fatal("store closed under its second reader")
 	}
-	if rep, err := replay.OnEngine(schema.TableWorkload{Table: second.engine.Table(), Queries: tw.Queries},
-		second.engine, "leased", cfg); err != nil || !rep.Exact() {
+	if rep, err := replay.OperatorsOn(tw, partition.Row(tw.Table), second.engine, "leased", cfg, nil); err != nil || !rep.Exact() {
 		t.Errorf("leased store unreadable after the drop: %v", err)
 	}
 	r.release(second)

@@ -92,14 +92,55 @@ func TestServerRejectsOverflowingWeights(t *testing.T) {
 	}
 }
 
+// A table past schema.MaxTableBytes is a 400 on /advise with nothing
+// journaled, whether the client spells it out or asks for a benchmark at a
+// scale factor that grows one past it. Before the ceiling, the first
+// priced its Row layout negative on HDD, and TPC-H at sf 1e15 advised a
+// 1-row lineitem (the row count wrapped and clamped to 1).
+func TestServerRejectsTablesPastTheCeiling(t *testing.T) {
+	st := durableStore(t, t.TempDir(), 8)
+	svc, err := OpenService(Config{DriftWindow: 8, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+
+	cols := make([]string, attrset.MaxAttrs)
+	for i := range cols {
+		cols[i] = fmt.Sprintf(`{"name":"c%02d","kind":"char","size":%d}`, i, 1<<20)
+	}
+	wide := fmt.Sprintf(`{"tables":[{"name":"huge","rows":%d,"columns":[%s]}],"queries":[{"id":"q1","tables":{"huge":["c00"]}}]}`,
+		int64(math.MaxInt64), strings.Join(cols, ","))
+	seq := st.LastSeq()
+	for _, body := range []string{wide, `{"benchmark":"tpch","sf":1e15}`, `{"benchmark":"ssb","sf":1e15}`} {
+		resp, err := ts.Client().Post(ts.URL+"/advise", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), `"error"`) {
+			t.Errorf("/advise %.60s…: %d %q, want 400 with an error body", body, resp.StatusCode, b)
+		}
+	}
+	if got := st.LastSeq(); got != seq {
+		t.Errorf("rejected tables journaled %d records", got-seq)
+	}
+}
+
 // TestWeightCeilingKeepsPricesFinite works MaxWeight's bound on the largest
-// table the validators accept: 2^63-1 rows and 64 columns whose widths sum
-// to the largest row size an int64 holds.
+// table the validators accept: 64 columns whose widths sum to
+// schema.MaxRowWidth, and as many rows as schema.MaxTableBytes allows.
 //
 // Analytically: on a block device a partition costs seeks·ts + blocks·B/BW
-// with |seeks| ≤ |blocks| ≤ 2^63 (block counts are int64: past it
-// rows·size wraps, so such a table can price negative — a separate defect,
-// but a finite one), and on the cache device ⌈rows·size/L⌉·miss,
+// with 0 ≤ seeks ≤ blocks < 2^63 (the table-size ceiling keeps rows·size,
+// and so every block count, inside int64), and on the cache device
+// ⌈rows·size/L⌉·miss,
 // whose sizes sum to the row size; so one query costs at most qcMax below,
 // one weighted query qcMax·MaxWeight, and a workload at most that times
 // the queries an 8 MiB body can carry (fewer than maxBodyBytes). O2P and
@@ -108,24 +149,34 @@ func TestServerRejectsOverflowingWeights(t *testing.T) {
 // Every one of those bounds is finite.
 //
 // Empirically: advise and drift-check a workload at MaxWeight on that table
-// under every preset device, and every price the service reports is finite
-// and encodes.
+// under every preset device, and every price the service reports is finite,
+// non-negative and encodes.
 func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 	cols := make([]schema.Column, attrset.MaxAttrs)
 	for i := range cols {
-		cols[i] = schema.Column{Name: fmt.Sprintf("c%02d", i), Kind: schema.KindChar, Size: math.MaxInt64 / attrset.MaxAttrs}
+		cols[i] = schema.Column{Name: fmt.Sprintf("c%02d", i), Kind: schema.KindChar, Size: schema.MaxRowWidth / attrset.MaxAttrs}
 	}
-	tab, err := schema.NewTable("huge", math.MaxInt64, cols)
+	tab, err := schema.NewTable("huge", schema.MaxTableBytes/schema.MaxRowWidth, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.RowSize() <= 0 {
-		t.Fatalf("row size %d wrapped", tab.RowSize())
+	if tab.RowSize() != schema.MaxRowWidth || tab.Bytes() != schema.MaxTableBytes {
+		t.Fatalf("%d rows of %d bytes: not the largest admitted table", tab.Rows, tab.RowSize())
+	}
+	if _, err := schema.NewTable("huge", tab.Rows+1, cols); err == nil {
+		t.Fatal("a table one row past the ceiling was admitted")
 	}
 	finite := func(what string, v float64) {
 		t.Helper()
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatalf("%s = %v", what, v)
+		}
+	}
+	price := func(what string, v float64) {
+		t.Helper()
+		finite(what, v)
+		if v < 0 {
+			t.Fatalf("%s = %v, a negative price", what, v)
 		}
 	}
 
@@ -151,7 +202,9 @@ func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, parts := range [][]attrset.Set{partition.Row(tab).Parts, partition.Column(tab).Parts} {
-			if qc := m.QueryCost(tab, parts, tab.AllAttrs()); math.Abs(qc) > qcMax {
+			qc := m.QueryCost(tab, parts, tab.AllAttrs())
+			price(name+" query cost", qc)
+			if math.Abs(qc) > qcMax {
 				t.Fatalf("%s: query cost %v above the bound %v", name, qc, qcMax)
 			}
 		}
@@ -173,11 +226,11 @@ func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		finite(name+" advised cost", advice.Cost)
-		finite(name+" row cost", advice.RowCost)
-		finite(name+" column cost", advice.ColumnCost)
+		price(name+" advised cost", advice.Cost)
+		price(name+" row cost", advice.RowCost)
+		price(name+" column cost", advice.ColumnCost)
 		for algo, c := range advice.PerAlgorithm {
-			finite(name+" "+algo+" cost", c)
+			price(name+" "+algo+" cost", c)
 		}
 		if _, err := json.Marshal(toWire(advice, Fingerprint{}, false)); err != nil {
 			t.Fatalf("%s: advice does not encode: %v", name, err)

@@ -11,10 +11,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden report files")
 
 // Golden-file tests turn the determinism gate into reviewable artifacts:
-// the exact report bodies of Table 4 and Figures 1 and 10 are committed
-// under testdata/golden and diffed on every run, so any change to the
-// numbers the reproduction claims shows up in a PR as a readable text diff
-// instead of a silent drift.
+// the exact report bodies of the experiments below are committed under
+// testdata/golden and diffed on every run, so any change to the numbers the
+// reproduction claims shows up in a PR as a readable text diff instead of a
+// silent drift.
 //
 // Fig1 and Fig10 embed wall-clock optimization times, which no golden file
 // can pin; their timing-dependent cells and notes are masked at the Report
@@ -35,6 +35,12 @@ func TestGoldenReports(t *testing.T) {
 		id   string
 		mask func(*Report)
 	}{
+		// fig3 is the paper's headline result and fig14 the layouts behind
+		// it: estimated costs and computed partitions only, so golden
+		// without masking. fig3 prints whole seconds; fig14 is the one a
+		// changed layout shows up in.
+		{"fig3", nil},
+		{"fig14", nil},
 		{"tab4", nil},
 		{"fig1", maskFig1},
 		{"fig10", maskFig10},

@@ -125,12 +125,6 @@ func (s *Suite) familyLayouts(name string) ([]partition.Partitioning, float64, e
 	return out, totalCost(rs), nil
 }
 
-// Results returns the cached (or computes the) default-setting layouts of
-// the named algorithm over every table of the benchmark, in benchmark table
-// order. The advisor service uses this after Prewarm to assemble per-table
-// advice without repeating any search.
-func (s *Suite) Results(name string) ([]algo.Result, error) { return s.results(name) }
-
 // Prewarm computes the default-setting layouts of the named algorithms
 // concurrently. Experiments that report on several algorithms call it first
 // so the independent (table x algorithm) partitioning jobs use every core;

@@ -190,12 +190,17 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 		MeasuredSeconds:  measuredSeconds(model, measured),
 	}
 
-	// Verification leg 1: replay the workload over the migrated store.
+	// Verification leg 1: replay the workload over the migrated store, which
+	// must hold exactly the target layout. The report is copied out of the
+	// execution so a cached migration outcome does not keep its per-operator
+	// stats alive.
 	label := fmt.Sprintf("migrated(%s)", p.ToAlgorithm)
-	rep.Migrated, err = replay.OnEngine(sampledTW, e, label, cfg)
+	migrated, err := replay.OperatorsOn(sampledTW, toS, e, label, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("migrate: verify migrated store: %w", err)
 	}
+	tr := migrated.TableReplay
+	rep.Migrated = &tr
 	// Verification leg 2: a fresh materialization of the target layout
 	// from the same generator seed.
 	rep.Fresh, err = replay.Layout(sampledTW, toS, p.ToAlgorithm, freshCfg)

@@ -12,9 +12,9 @@ import (
 	"knives/internal/storage"
 )
 
-// TestOnEngineMatchesLayout: replaying a caller-materialized engine must
-// produce exactly the report a from-scratch Layout replay produces for the
-// same layout, seed, and model (wall clock aside).
+// TestOnEngineMatchesLayout: replaying a caller-materialized engine through
+// OperatorsOn must produce exactly the report a from-scratch Layout replay
+// produces for the same layout, seed, and model (wall clock aside).
 func TestOnEngineMatchesLayout(t *testing.T) {
 	tw := testWorkload(t, 3_000)
 	layout := partition.Must(tw.Table, []attrset.Set{attrset.Of(0, 1), attrset.Of(2), attrset.Of(3, 4)})
@@ -42,15 +42,15 @@ func TestOnEngineMatchesLayout(t *testing.T) {
 			if err := e.Load(storage.NewGenerator(ncfg.Seed), tw.Table.Rows); err != nil {
 				t.Fatal(err)
 			}
-			got, err := OnEngine(tw, e, "test", cfg)
+			got, err := OperatorsOn(tw, layout, e, "test", cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Exact() {
-				t.Error("OnEngine replay not exact against the model")
+				t.Error("replay on the caller's engine not exact against the model")
 			}
 			if got.MeasuredTotal != want.MeasuredTotal || got.PredictedTotal != want.PredictedTotal {
-				t.Errorf("OnEngine totals %.18g/%.18g != Layout's %.18g/%.18g",
+				t.Errorf("engine replay totals %.18g/%.18g != Layout's %.18g/%.18g",
 					got.MeasuredTotal, got.PredictedTotal, want.MeasuredTotal, want.PredictedTotal)
 			}
 			for i := range got.Queries {
@@ -66,7 +66,8 @@ func TestOnEngineMatchesLayout(t *testing.T) {
 }
 
 // TestOnEngineAfterRepartition: the migration contract — an engine whose
-// layout was swapped in place replays exactly like the target layout.
+// layout was swapped in place replays exactly like the target layout, and
+// is refused as a store of the layout it held before.
 func TestOnEngineAfterRepartition(t *testing.T) {
 	tw := testWorkload(t, 2_000)
 	from := partition.Row(tw.Table)
@@ -87,7 +88,10 @@ func TestOnEngineAfterRepartition(t *testing.T) {
 	if _, err := e.Repartition(to, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OnEngine(tw, e, "migrated", cfg)
+	if _, err := OperatorsOn(tw, from, e, "migrated", cfg, nil); err == nil || !strings.Contains(err.Error(), "replayed layout") {
+		t.Errorf("a repartitioned engine verified as its old layout: %v", err)
+	}
+	got, err := OperatorsOn(tw, to, e, "migrated", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestOnEngineAfterRepartition(t *testing.T) {
 // TestOnEngineValidation covers the mismatch paths.
 func TestOnEngineValidation(t *testing.T) {
 	tw := testWorkload(t, 500)
-	other := testWorkload(t, 500)
+	other := testWorkload(t, 400)
 	layout := partition.Row(tw.Table)
 	e, err := storage.NewEngine(layout, cost.DefaultDisk(), nil)
 	if err != nil {
@@ -119,13 +123,13 @@ func TestOnEngineValidation(t *testing.T) {
 	if err := e.Load(storage.NewGenerator(1), tw.Table.Rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OnEngine(other, e, "x", Config{}); err == nil {
+	if _, err := OperatorsOn(other, partition.Row(other.Table), e, "x", Config{}, nil); err == nil {
 		t.Error("foreign workload accepted")
 	}
-	if _, err := OnEngine(schema.TableWorkload{}, e, "x", Config{}); err == nil {
+	if _, err := OperatorsOn(schema.TableWorkload{}, layout, e, "x", Config{}, nil); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := OnEngine(tw, e, "x", Config{Model: "quantum"}); err == nil {
+	if _, err := OperatorsOn(tw, layout, e, "x", Config{Model: "quantum"}, nil); err == nil {
 		t.Error("unknown model accepted")
 	}
 }
@@ -151,11 +155,11 @@ func TestOnEngineConcurrentReplays(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := OnEngine(tw, e, "shared", cfg)
+			rep, err := OperatorsOn(tw, partition.Column(tw.Table), e, "shared", cfg, nil)
 			if err != nil {
 				t.Error(err)
 			} else if !rep.Exact() {
-				t.Error("concurrent OnEngine replay not exact")
+				t.Error("concurrent replay of a shared engine not exact")
 			}
 		}()
 	}

@@ -58,7 +58,7 @@ type OperatorReplay struct {
 // non-nil sel, every plan gains a σ pushed onto the partition scan holding
 // sel.Attr.
 func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	return run(tw, &layout, nil, algorithm, cfg, sel)
+	return run(tw, layout, nil, algorithm, cfg, sel)
 }
 
 // OperatorsOn is Operators over an ALREADY-MATERIALIZED engine that may be
@@ -70,7 +70,7 @@ func Operators(tw schema.TableWorkload, layout partition.Partitioning, algorithm
 // caller owns it. A nil e materializes privately, which is Operators. The
 // report is the one Operators returns, field for field, wall clock aside.
 func OperatorsOn(tw schema.TableWorkload, layout partition.Partitioning, e *storage.Engine, algorithm string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	return run(tw, &layout, e, algorithm, cfg, sel)
+	return run(tw, layout, e, algorithm, cfg, sel)
 }
 
 // String renders the TableReplay summary with each query's plan and

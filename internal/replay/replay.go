@@ -264,18 +264,7 @@ func (r *TableReplay) String() string {
 // (the layout and the model both move to the sampled table, so exactness is
 // preserved).
 func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config) (*TableReplay, error) {
-	return tableReplay(run(tw, &layout, nil, algorithm, cfg, nil))
-}
-
-// OnEngine replays a workload over an ALREADY-MATERIALIZED engine — loaded
-// by the caller, possibly repartitioned since — comparing every measurement
-// against the cost model's predictions for the engine's CURRENT layout.
-// The workload must be over the engine's own (possibly sampled) table; the
-// caller keeps ownership of the engine and closes it. The migration
-// subsystem uses this to verify a migrated store with the same zero-
-// tolerance harness a fresh materialization gets.
-func OnEngine(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config) (*TableReplay, error) {
-	return tableReplay(run(tw, nil, e, algorithm, cfg, nil))
+	return tableReplay(run(tw, layout, nil, algorithm, cfg, nil))
 }
 
 // tableReplay drops an execution's per-operator breakdown: the TableReplay
@@ -289,9 +278,9 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 	return &tr, nil
 }
 
-// run is the one replay core behind Layout, OnEngine, Operators, and
-// OperatorsOn: it validates the request, takes the process-wide search slot,
-// obtains the loaded engine (materializing layout, or adopting loaded), pins
+// run is the one replay core behind Layout, Operators, and OperatorsOn: it
+// validates the request, takes the process-wide search slot, obtains the
+// loaded engine (materializing layout, or adopting loaded), pins
 // one epoch snapshot, builds and runs one operator pipeline per query over
 // it — the query fan-out shares pages without sharing state, every pipeline
 // opens its own cursors — prices every measurement against the model, and
@@ -299,16 +288,14 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 // pushed onto the partition scan holding sel.Attr and every query is priced
 // over its attributes plus that attribute.
 //
-// The caller names the store one of three ways: layout alone (materialize
-// it, close it on return), loaded alone (the caller's own engine, whose
-// table IS the workload's and whose current layout is replayed), or both (a
-// SHARED engine that must hold layout's sampled twin — compared by value,
-// because a resident engine outlives the request whose table pointer it was
-// built from — and that run only ever reads).
+// With a nil loaded, run materializes layout and closes it on return.
+// Otherwise loaded is a SHARED engine that must hold layout's sampled twin —
+// compared by value, because a resident engine outlives the request whose
+// table pointer it was built from — and that run only ever reads.
 //
 // Results land at their query's index and the aggregation runs in query
 // order, keeping every reported number independent of the worker count.
-func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storage.Engine, algorithm string,
+func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage.Engine, algorithm string,
 	cfg Config, sel *Selection) (*OperatorReplay, error) {
 	cfg, model, err := cfg.normalized()
 	if err != nil {
@@ -317,23 +304,16 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 	if tw.Table == nil {
 		return nil, fmt.Errorf("replay: nil table")
 	}
-	if layout != nil {
-		if layout.Table != tw.Table {
-			return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
-		}
-		if err := layout.Validate(); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
+	if layout.Table != tw.Table {
+		return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
 	}
-	switch {
-	case loaded == nil: // materialized below, under the search slot
-	case layout != nil:
-		if err := holdsSample(loaded, *layout, cfg.MaxRows); err != nil {
+	if err := layout.Validate(); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	if loaded != nil {
+		if err := holdsSample(loaded, layout, cfg.MaxRows); err != nil {
 			return nil, err
 		}
-	case loaded.Table() != tw.Table:
-		return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
-			loaded.Table().Name, loaded.Table().Rows, tw.Table.Name, tw.Table.Rows)
 	}
 	// A replay materializes up to MaxRows of real pages and executes over them
 	// with a worker pool — the same class of heavy job as a search. Drawing from
@@ -347,7 +327,7 @@ func run(tw schema.TableWorkload, layout *partition.Partitioning, loaded *storag
 
 	e := loaded
 	if e == nil {
-		if e, err = Materialize(tw, *layout, cfg); err != nil {
+		if e, err = Materialize(tw, layout, cfg); err != nil {
 			return nil, err
 		}
 		defer e.Close()

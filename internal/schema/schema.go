@@ -8,6 +8,7 @@ package schema
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -66,8 +67,21 @@ type Table struct {
 	index map[string]int
 }
 
+// The admitted table size. The cost model and the storage engine take
+// products of a table's sizes in int64 — rows × row width, and block counts
+// times the block size, summed over a layout's partitions — and under these
+// ceilings every one of them fits on the preset devices, with room to
+// spare, instead of wrapping and pricing a table negative.
+const (
+	// MaxRowWidth bounds a row's bytes, the sum of its column sizes.
+	MaxRowWidth = 1 << 30
+	// MaxTableBytes bounds a table's rows × row width.
+	MaxTableBytes = 1 << 60
+)
+
 // NewTable builds a Table and validates it: at least one column, unique
-// column names, positive sizes, at most attrset.MaxAttrs columns.
+// column names, positive sizes, at most attrset.MaxAttrs columns, and a
+// size within MaxRowWidth and MaxTableBytes.
 func NewTable(name string, rows int64, cols []Column) (*Table, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("schema: table %s has no columns", name)
@@ -79,16 +93,60 @@ func NewTable(name string, rows int64, cols []Column) (*Table, error) {
 		return nil, fmt.Errorf("schema: table %s has negative row count %d", name, rows)
 	}
 	t := &Table{Name: name, Columns: cols, Rows: rows, index: make(map[string]int, len(cols))}
+	var width int64
 	for i, c := range cols {
 		if c.Size <= 0 {
 			return nil, fmt.Errorf("schema: table %s column %s has size %d", name, c.Name, c.Size)
 		}
+		if int64(c.Size) > MaxRowWidth-width {
+			return nil, fmt.Errorf("schema: table %s rows are wider than %d bytes", name, MaxRowWidth)
+		}
+		width += int64(c.Size)
 		if _, dup := t.index[c.Name]; dup {
 			return nil, fmt.Errorf("schema: table %s has duplicate column %s", name, c.Name)
 		}
 		t.index[c.Name] = i
 	}
+	if rows > MaxTableBytes/width {
+		return nil, fmt.Errorf("schema: table %s of %d rows x %d bytes is past the %d-byte table ceiling", name, rows, width, int64(MaxTableBytes))
+	}
 	return t, nil
+}
+
+// scaler builds the tables of a built-in benchmark at scale factor sf. It
+// checks a table's row count against MaxTableBytes before converting it to
+// int64, so a scale factor too large for a table is an error rather than a
+// row count that wraps. After the first error it builds nothing.
+type scaler struct {
+	sf  float64
+	err error
+}
+
+// table builds a table of base × sf rows, rounded, and at least 1.
+func (s *scaler) table(name string, base int64, cols []Column) *Table {
+	return s.rows(name, max(1, math.Round(float64(base)*s.sf)), cols)
+}
+
+// rows builds a table of the given whole number of rows.
+func (s *scaler) rows(name string, rows float64, cols []Column) *Table {
+	if s.err != nil {
+		return nil
+	}
+	if !(rows <= MaxTableBytes) {
+		s.err = fmt.Errorf("schema: scale factor %v gives table %s %.4g rows, past the %d-byte table ceiling", s.sf, name, rows, int64(MaxTableBytes))
+		return nil
+	}
+	t, err := NewTable(name, int64(rows), cols)
+	s.err = err
+	return t
+}
+
+// mustBenchmark returns b, panicking on err.
+func mustBenchmark(b *Benchmark, err error) *Benchmark {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // MustTable is NewTable that panics on error; for package-internal literals.
@@ -231,7 +289,9 @@ type Benchmark struct {
 // case-insensitive) at the given scale factor. A zero scale factor means
 // "unset" and uses the paper's default of 10 (the advisor wire format
 // omits the field); a negative one is rejected rather than silently
-// rewritten. Every surface that accepts a benchmark name (the knives CLI,
+// rewritten, and so is one that puts a table past MaxTableBytes (past
+// sf ≈ 1.36e9 for TPC-H and ≈ 1.75e9 for SSB, where lineitem and lineorder
+// outgrow it). Every surface that accepts a benchmark name (the knives CLI,
 // knivesd flags, the advisor wire format) resolves through this one
 // helper.
 func BenchmarkByName(name string, sf float64) (*Benchmark, error) {
@@ -243,9 +303,9 @@ func BenchmarkByName(name string, sf float64) (*Benchmark, error) {
 	}
 	switch strings.ToLower(name) {
 	case "tpch", "tpc-h":
-		return TPCH(sf), nil
+		return tpch(sf)
 	case "ssb":
-		return SSB(sf), nil
+		return ssb(sf)
 	default:
 		return nil, fmt.Errorf("schema: unknown benchmark %q (tpch or ssb)", name)
 	}

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"testing"
 
 	"knives/internal/attrset"
@@ -28,12 +29,50 @@ func TestNewTableValidation(t *testing.T) {
 		{"dup", 1, []Column{{Name: "a", Size: 1}, {Name: "a", Size: 1}}},
 		{"zero size", 1, []Column{{Name: "a", Size: 0}}},
 		{"neg rows", -1, []Column{{Name: "a", Size: 1}}},
+		{"row past MaxRowWidth", 1, []Column{{Name: "a", Size: MaxRowWidth}, {Name: "b", Size: 1}}},
+		{"column wraps int64", 1, []Column{{Name: "a", Size: 8}, {Name: "b", Size: math.MaxInt}}},
+		{"bytes past MaxTableBytes", MaxTableBytes/12 + 1, cols},
+		{"2^63-1 rows of 64 MiB", math.MaxInt64, []Column{{Name: "a", Size: 64 << 20}}},
 	}
 	for _, c := range cases {
 		if _, err := NewTable(c.name, c.rows, c.cols); err == nil {
 			t.Errorf("NewTable(%s) succeeded, want error", c.name)
 		}
 	}
+	if _, err := NewTable("t", MaxTableBytes/12, cols); err != nil {
+		t.Errorf("the largest admitted table of 12-byte rows refused: %v", err)
+	}
+	if _, err := NewTable("t", 1, []Column{{Name: "a", Size: MaxRowWidth}}); err != nil {
+		t.Errorf("a row of MaxRowWidth bytes refused: %v", err)
+	}
+}
+
+// A scale factor that would put a table past MaxTableBytes is refused
+// before any row count is converted: at 1e15 TPC-H's lineitem used to wrap
+// and clamp to 1 row.
+func TestBenchmarkByNameRefusesTablesPastTheCeiling(t *testing.T) {
+	for _, name := range []string{"tpch", "ssb"} {
+		for _, sf := range []float64{1e15, 1e300, math.Inf(1)} {
+			if b, err := BenchmarkByName(name, sf); err == nil {
+				t.Errorf("%s at sf %v admitted (%s has %d rows)", name, sf, b.Tables[0].Name, b.Tables[0].Rows)
+			}
+		}
+		b, err := BenchmarkByName(name, 1e9)
+		if err != nil {
+			t.Fatalf("%s at sf 1e9 refused: %v", name, err)
+		}
+		for _, tab := range b.Tables {
+			if tab.Bytes() <= 0 || tab.Bytes() > MaxTableBytes {
+				t.Errorf("%s at sf 1e9: %s holds %d bytes", name, tab.Name, tab.Bytes())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TPCH(1e15) built a benchmark")
+		}
+	}()
+	TPCH(1e15)
 }
 
 func TestAttrIndexAndAttrs(t *testing.T) {

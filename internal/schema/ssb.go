@@ -8,22 +8,20 @@ import "math"
 // as with TPC-H, an attribute is referenced if it appears anywhere in the
 // query template.
 
-// SSB returns the Star Schema Benchmark at the given scale factor.
-func SSB(sf float64) *Benchmark {
-	scale := func(base int64) int64 {
-		n := int64(math.Round(float64(base) * sf))
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
+// SSB returns the Star Schema Benchmark at the given scale factor. It
+// panics on a scale factor that puts a table past MaxTableBytes, which
+// BenchmarkByName refuses with an error.
+func SSB(sf float64) *Benchmark { return mustBenchmark(ssb(sf)) }
+
+func ssb(sf float64) (*Benchmark, error) {
+	scale := scaler{sf: sf}
 	// Per the SSB spec, PART grows logarithmically with the scale factor.
-	partRows := int64(200_000)
+	partRows := 200_000.0
 	if sf > 1 {
-		partRows = int64(200_000 * (1 + math.Floor(math.Log2(sf))))
+		partRows = 200_000 * (1 + math.Floor(math.Log2(sf)))
 	}
 
-	lineorder := MustTable("lineorder", scale(6_000_000), []Column{
+	lineorder := scale.table("lineorder", 6_000_000, []Column{
 		{Name: "lo_orderkey", Kind: KindInt, Size: 4},
 		{Name: "lo_linenumber", Kind: KindInt, Size: 4},
 		{Name: "lo_custkey", Kind: KindInt, Size: 4},
@@ -42,7 +40,7 @@ func SSB(sf float64) *Benchmark {
 		{Name: "lo_commitdate", Kind: KindDate, Size: 4},
 		{Name: "lo_shipmode", Kind: KindChar, Size: 10},
 	})
-	customer := MustTable("customer", scale(30_000), []Column{
+	customer := scale.table("customer", 30_000, []Column{
 		{Name: "c_custkey", Kind: KindInt, Size: 4},
 		{Name: "c_name", Kind: KindVarchar, Size: 25},
 		{Name: "c_address", Kind: KindVarchar, Size: 25},
@@ -52,7 +50,7 @@ func SSB(sf float64) *Benchmark {
 		{Name: "c_phone", Kind: KindChar, Size: 15},
 		{Name: "c_mktsegment", Kind: KindChar, Size: 10},
 	})
-	supplier := MustTable("supplier", scale(2_000), []Column{
+	supplier := scale.table("supplier", 2_000, []Column{
 		{Name: "s_suppkey", Kind: KindInt, Size: 4},
 		{Name: "s_name", Kind: KindChar, Size: 25},
 		{Name: "s_address", Kind: KindVarchar, Size: 25},
@@ -61,7 +59,7 @@ func SSB(sf float64) *Benchmark {
 		{Name: "s_region", Kind: KindChar, Size: 12},
 		{Name: "s_phone", Kind: KindChar, Size: 15},
 	})
-	part := MustTable("part", partRows, []Column{
+	part := scale.rows("part", partRows, []Column{
 		{Name: "p_partkey", Kind: KindInt, Size: 4},
 		{Name: "p_name", Kind: KindVarchar, Size: 22},
 		{Name: "p_mfgr", Kind: KindChar, Size: 6},
@@ -90,6 +88,9 @@ func SSB(sf float64) *Benchmark {
 		{Name: "d_holidayfl", Kind: KindChar, Size: 1},
 		{Name: "d_weekdayfl", Kind: KindChar, Size: 1},
 	})
+	if scale.err != nil {
+		return nil, scale.err
+	}
 
 	lo, cu, su, pa, da := lineorder, customer, supplier, part, date
 
@@ -180,5 +181,5 @@ func SSB(sf float64) *Benchmark {
 		Name:     "SSB",
 		Tables:   []*Table{lineorder, customer, supplier, part, date},
 		Workload: Workload{Queries: queries},
-	}
+	}, nil
 }

@@ -1,7 +1,5 @@
 package schema
 
-import "math"
-
 // TPC-H table and workload definitions.
 //
 // Column byte widths follow the fixed-width physical encoding the paper's
@@ -15,17 +13,13 @@ import "math"
 // ORDER BY, or a subquery), because the unified setting must read it.
 
 // TPCH returns the TPC-H benchmark at the given scale factor.
-// The paper uses sf = 10.
-func TPCH(sf float64) *Benchmark {
-	scale := func(base int64) int64 {
-		n := int64(math.Round(float64(base) * sf))
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
+// The paper uses sf = 10. It panics on a scale factor that puts a table
+// past MaxTableBytes, which BenchmarkByName refuses with an error.
+func TPCH(sf float64) *Benchmark { return mustBenchmark(tpch(sf)) }
 
-	customer := MustTable("customer", scale(150_000), []Column{
+func tpch(sf float64) (*Benchmark, error) {
+	scale := scaler{sf: sf}
+	customer := scale.table("customer", 150_000, []Column{
 		{Name: "c_custkey", Kind: KindInt, Size: 4},
 		{Name: "c_name", Kind: KindVarchar, Size: 25},
 		{Name: "c_address", Kind: KindVarchar, Size: 40},
@@ -35,7 +29,7 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "c_mktsegment", Kind: KindChar, Size: 10},
 		{Name: "c_comment", Kind: KindVarchar, Size: 117},
 	})
-	lineitem := MustTable("lineitem", scale(6_000_000), []Column{
+	lineitem := scale.table("lineitem", 6_000_000, []Column{
 		{Name: "l_orderkey", Kind: KindInt, Size: 4},
 		{Name: "l_partkey", Kind: KindInt, Size: 4},
 		{Name: "l_suppkey", Kind: KindInt, Size: 4},
@@ -59,7 +53,7 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "n_regionkey", Kind: KindInt, Size: 4},
 		{Name: "n_comment", Kind: KindVarchar, Size: 152},
 	})
-	orders := MustTable("orders", scale(1_500_000), []Column{
+	orders := scale.table("orders", 1_500_000, []Column{
 		{Name: "o_orderkey", Kind: KindInt, Size: 4},
 		{Name: "o_custkey", Kind: KindInt, Size: 4},
 		{Name: "o_orderstatus", Kind: KindChar, Size: 1},
@@ -70,7 +64,7 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "o_shippriority", Kind: KindInt, Size: 4},
 		{Name: "o_comment", Kind: KindVarchar, Size: 79},
 	})
-	part := MustTable("part", scale(200_000), []Column{
+	part := scale.table("part", 200_000, []Column{
 		{Name: "p_partkey", Kind: KindInt, Size: 4},
 		{Name: "p_name", Kind: KindVarchar, Size: 55},
 		{Name: "p_mfgr", Kind: KindChar, Size: 25},
@@ -81,7 +75,7 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "p_retailprice", Kind: KindDecimal, Size: 8},
 		{Name: "p_comment", Kind: KindVarchar, Size: 23},
 	})
-	partsupp := MustTable("partsupp", scale(800_000), []Column{
+	partsupp := scale.table("partsupp", 800_000, []Column{
 		{Name: "ps_partkey", Kind: KindInt, Size: 4},
 		{Name: "ps_suppkey", Kind: KindInt, Size: 4},
 		{Name: "ps_availqty", Kind: KindInt, Size: 4},
@@ -93,7 +87,7 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "r_name", Kind: KindChar, Size: 25},
 		{Name: "r_comment", Kind: KindVarchar, Size: 152},
 	})
-	supplier := MustTable("supplier", scale(10_000), []Column{
+	supplier := scale.table("supplier", 10_000, []Column{
 		{Name: "s_suppkey", Kind: KindInt, Size: 4},
 		{Name: "s_name", Kind: KindChar, Size: 25},
 		{Name: "s_address", Kind: KindVarchar, Size: 40},
@@ -102,6 +96,10 @@ func TPCH(sf float64) *Benchmark {
 		{Name: "s_acctbal", Kind: KindDecimal, Size: 8},
 		{Name: "s_comment", Kind: KindVarchar, Size: 101},
 	})
+
+	if scale.err != nil {
+		return nil, scale.err
+	}
 
 	c, l, n, o, p, ps, r, s := customer, lineitem, nation, orders, part, partsupp, region, supplier
 
@@ -228,5 +226,5 @@ func TPCH(sf float64) *Benchmark {
 		Name:     "TPC-H",
 		Tables:   []*Table{customer, lineitem, nation, orders, part, partsupp, region, supplier},
 		Workload: Workload{Queries: queries},
-	}
+	}, nil
 }
