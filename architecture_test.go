@@ -178,6 +178,14 @@ var architecture = []rule{
 		deleted("ingestShard", "ingester", "DefaultIngestShards", "DefaultIngestGroup", "mergeContexts", "fnv32a"),
 		none(pattern{kind: quoted, names: []string{"knives_ingest_queue_depth"}}),
 	}},
+	{name: "one way to observe", limits: []limit{
+		// Observations enter through Service.ObserveBatchID, named and
+		// batched; the single-table and numeric entry points are gone.
+		none(pattern{kind: declared, pkg: advisor, recv: "Service", names: []string{
+			"Observe", "ObserveContext", "ObserveNamed", "ObserveNamedContext", "ObserveBatch"}}),
+		none(pattern{kind: declared, pkg: advisor, recv: "Client", names: []string{"Observe"}}),
+		deleted("validateLocked", "observeOne"),
+	}},
 	{name: "one checksum definition", limits: []limit{
 		// storage/digest.go defines the row checksum for every executor.
 		none(pattern{kind: imported, from: operator, names: []string{"hash/fnv"}}),
@@ -619,6 +627,9 @@ var plants = []struct {
 	{"one drift shadow", "internal/advisor/drift.go", "", "func init() { o2p.Layout(schema.TableWorkload{}) }"},
 	{"one group commit", "internal/advisor/ingest.go", "", "type ingester struct{}"},
 	{"one group commit", "internal/advisor/telemetry.go", "", `var _ = "knives_ingest_queue_depth"`},
+	{"one way to observe", "internal/advisor/service.go", "", "func (s *Service) ObserveNamed() {}"},
+	{"one way to observe", "internal/advisor/client.go", "", "func (c *Client) Observe() {}"},
+	{"one way to observe", "internal/advisor/drift.go", "", "func (t *Tracker) validateLocked() {}"},
 	{"one checksum definition", "internal/storage/digest.go", "package storage\n", `import _ "hash/fnv"`},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 }

@@ -56,6 +56,11 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		// A scale factor that puts a table past schema.MaxTableBytes.
 		{"-prewarm", "tpch", "-sf", "1e15"},
 		{"-prewarm", "ssb", "-sf", "1e15"},
+		// Device overrides past cost.Device.Validate's domain.
+		{"-seek-ms", "1e12"},
+		{"-read-mbps", "1e-9"},
+		{"-model", "mm", "-miss-ns", "1e10"},
+		{"-block", "1e9"},
 		// Removed flags are unknown now: a script still passing one fails.
 		{"-drift-tracking", "exact"},
 		{"-sketch-capacity", "64"},

@@ -73,15 +73,19 @@ func main() {
 	// timestamp probes the advised layout never anticipated.
 	fmt.Println("\nstreaming drifted query log:")
 	for batch := 1; batch <= 8; batch++ {
-		obs, err := client.Observe(ctx, advisor.ObserveRequest{
+		verdicts, err := client.ObserveBatch(ctx, []advisor.TableObservation{{
 			Table: "events",
 			Queries: []advisor.ObservedQry{
 				{Attrs: []string{"latitude"}},
 				{Attrs: []string{"ts"}},
 			},
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
+		}
+		obs := verdicts[0]
+		if obs.Status != http.StatusOK {
+			log.Fatalf("observe events: %s (status %d)", obs.Error, obs.Status)
 		}
 		fmt.Printf("  batch %d: drift ratio %+.3f (threshold %.2f) recomputed=%v\n",
 			batch, obs.Drift.Ratio, obs.Drift.Threshold, obs.Drift.Recomputed)

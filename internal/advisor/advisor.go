@@ -77,9 +77,10 @@ func PortfolioNames() []string {
 // exact float64. Weights multiply into every price, and a finite weight
 // like 1e308 overflows the sums to ±Inf/NaN, which JSON cannot render; so
 // validation rejects a larger weight (400) before anything is journaled.
-// At the ceiling every price stays finite on the preset devices even for
-// the largest table the validators accept — 2^63-1 rows, 64 columns — and
-// the largest workload an 8 MiB request body can carry:
+// At the ceiling every price stays finite on every device
+// cost.Device.Validate admits, even for the largest table schema.NewTable
+// admits — schema.MaxTableBytes of rows schema.MaxRowWidth wide, 64
+// columns — and the largest workload an 8 MiB request body can carry:
 // TestWeightCeilingKeepsPricesFinite works the bound.
 const MaxWeight = 1 << 53
 

@@ -15,9 +15,10 @@ import (
 )
 
 // RetryPolicy makes a Client ride out transient failures: transport errors,
-// 429 (shed by the admission gate), and 503 (deadline expired server-side)
-// are retried with exponential backoff; every other status is final. The
-// zero value retries nothing — one attempt, exactly the old behavior.
+// 429 (shed by the admission gate), and 503 (deadline expired or journal
+// write failed server-side) are retried with exponential backoff; every
+// other status is final. The zero value retries nothing — one attempt,
+// exactly the old behavior.
 //
 // Retries make POST /observe at-least-once on the wire, but ObserveBatch
 // stamps each logical batch with a client-generated ID the server dedups
@@ -111,8 +112,8 @@ func (e *httpError) Error() string {
 
 // retryable reports whether an attempt's failure is worth retrying: any
 // transport error (connection refused mid-restart, reset mid-shutdown), a
-// 429 shed, or a 503 deadline. 4xx request faults and 500s are final — the
-// same payload would fail the same way.
+// 429 shed, or a 503 (deadline or journal failure). 4xx request faults and
+// 500s are final — the same payload would fail the same way.
 func retryable(err error) bool {
 	var he *httpError
 	if errors.As(err, &he) {
@@ -260,14 +261,6 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (QueryResponse, er
 	return resp, err
 }
 
-// Observe streams a batch of observed queries for a registered table.
-// With retries enabled delivery is at-least-once; see RetryPolicy.
-func (c *Client) Observe(ctx context.Context, req ObserveRequest) (ObserveResponse, error) {
-	var resp ObserveResponse
-	err := c.do(ctx, http.MethodPost, "/observe", req, &resp)
-	return resp, err
-}
-
 // ObserveBatch ships many tables' observation batches in one POST /observe
 // and returns the per-entry verdicts, in submission order. Entries fail
 // independently server-side; the call errors only when the request itself
@@ -279,7 +272,16 @@ func (c *Client) ObserveBatch(ctx context.Context, batches []TableObservation) (
 	if len(batches) == 0 {
 		return nil, nil
 	}
-	id := fmt.Sprintf("%016x-%x", c.nonce(), atomic.AddUint64(&c.batchSeq, 1))
+	return c.observeBatch(ctx, c.batchID(), batches)
+}
+
+// batchID mints a batch ID unique to this client and call.
+func (c *Client) batchID() string {
+	return fmt.Sprintf("%016x-%x", c.nonce(), atomic.AddUint64(&c.batchSeq, 1))
+}
+
+// observeBatch sends batches under the given batch ID.
+func (c *Client) observeBatch(ctx context.Context, id string, batches []TableObservation) ([]TableObserveVerdict, error) {
 	var resp ObserveResponse
 	if err := c.do(ctx, http.MethodPost, "/observe", ObserveRequest{BatchID: id, Batches: batches}, &resp); err != nil {
 		return nil, err
@@ -305,9 +307,14 @@ type ObserveBuffer struct {
 	// pending across all tables; <= 0 means DefaultObserveFlushAt.
 	FlushAt int
 
-	pending int
-	order   []string // first-appearance order of tables with pending queries
+	pending int      // queries not yet acknowledged, cut included
+	order   []string // first-appearance order of tables with queries added since the cut
 	byTable map[string][]ObservedQry
+	// cut is what a failed Flush sent, under cutID. The next Flush
+	// re-sends it under the same ID, so the server's dedup window answers
+	// it if the failed attempt was applied after all.
+	cut   []TableObservation
+	cutID string
 }
 
 // DefaultObserveFlushAt is the automatic flush threshold of an
@@ -339,24 +346,33 @@ func (b *ObserveBuffer) Add(ctx context.Context, table string, q ObservedQry) ([
 // Pending reports how many queries are buffered and not yet shipped.
 func (b *ObserveBuffer) Pending() int { return b.pending }
 
-// Flush ships everything pending as one batched observe (one entry per
+// Flush ships everything pending as batched observes (one entry per
 // table, tables in first-appearance order) and empties the buffer. On
-// error the buffer is left intact so the caller can retry the flush.
+// error nothing is lost: the next Flush re-sends the failed request under
+// its batch ID, then ships whatever was added since. The verdicts of a
+// request acknowledged before the error are returned beside it.
 func (b *ObserveBuffer) Flush(ctx context.Context) ([]TableObserveVerdict, error) {
-	if b.pending == 0 {
-		return nil, nil
+	var verdicts []TableObserveVerdict
+	for b.pending > 0 {
+		if b.cut == nil {
+			b.cut = make([]TableObservation, 0, len(b.order))
+			for _, t := range b.order {
+				b.cut = append(b.cut, TableObservation{Table: t, Queries: b.byTable[t]})
+			}
+			b.cutID = b.Client.batchID()
+			b.order = b.order[:0]
+			b.byTable = make(map[string][]ObservedQry)
+		}
+		v, err := b.Client.observeBatch(ctx, b.cutID, b.cut)
+		if err != nil {
+			return verdicts, err
+		}
+		verdicts = append(verdicts, v...)
+		for _, e := range b.cut {
+			b.pending -= len(e.Queries)
+		}
+		b.cut = nil
 	}
-	batches := make([]TableObservation, 0, len(b.order))
-	for _, t := range b.order {
-		batches = append(batches, TableObservation{Table: t, Queries: b.byTable[t]})
-	}
-	verdicts, err := b.Client.ObserveBatch(ctx, batches)
-	if err != nil {
-		return nil, err
-	}
-	b.pending = 0
-	b.order = b.order[:0]
-	b.byTable = make(map[string][]ObservedQry)
 	return verdicts, nil
 }
 

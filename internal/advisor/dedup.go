@@ -24,23 +24,32 @@ const DefaultObserveDedupWindow = 1024
 // verbatim, so an unbounded ID would be an unbounded memory lever.
 const maxBatchIDLen = 128
 
-// ObserveBatchID is ObserveBatch under a client batch ID: the first call
-// with an ID ingests and records its outcomes in the dedup window; every
-// later call with the same ID answers those outcomes verbatim (dup=true)
-// without re-ingesting. An empty ID skips dedup entirely, and so does an
-// empty batch list: nothing was applied that a redelivery could double.
+// ObserveBatchID is the one way observations enter the service: it ingests
+// many tables' observation batches (see observeBatch) under a client batch
+// ID. The first call with an ID ingests and records its outcomes in the
+// dedup window; every later call with the same ID answers those outcomes
+// verbatim (dup=true) without re-ingesting. An empty ID skips dedup
+// entirely, and so does an empty batch list: nothing was applied that a
+// redelivery could double.
+//
+// A request that applied nothing because the journal failed returns
+// ErrJournal and is NOT remembered: a redelivery under the same ID
+// ingests it. Every ID in the window names an application.
 func (s *Service) ObserveBatchID(ctx context.Context, batchID string, batches []TableObservation) (outs []ObserveOutcome, dup bool, err error) {
 	if len(batchID) > maxBatchIDLen {
 		return nil, false, fmt.Errorf("%w: batch id longer than %d bytes", ErrBadObservation, maxBatchIDLen)
 	}
 	if batchID == "" || len(batches) == 0 {
-		return s.ObserveBatch(ctx, batches), false, nil
+		outs, err = s.observeBatch(ctx, batches)
+		return outs, false, err
 	}
-	// Per-entry failures live inside the outcomes, so the application
-	// itself never fails and an applied ID is always remembered.
-	outs, ran, _ := s.observeSeen.Do(batchID, func() ([]ObserveOutcome, error) {
-		return s.ObserveBatch(ctx, batches), nil
+	// The window drops a failed computation, so only applied IDs stay.
+	outs, ran, err := s.observeSeen.Do(batchID, func() ([]ObserveOutcome, error) {
+		return s.observeBatch(ctx, batches)
 	})
+	if err != nil {
+		return nil, false, err
+	}
 	if !ran {
 		s.observeDups.Add(1)
 	}

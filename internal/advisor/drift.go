@@ -163,40 +163,12 @@ type DriftReport struct {
 	Recomputes int64 `json:"recomputes"`
 }
 
-// validateLocked checks a numeric observation batch against the CURRENT
-// table and returns a normalized copy (weight 0 coerced to 1). Validation
-// runs inside the lock: the caller may have built attr bitmasks against a
-// schema snapshot that a concurrent re-registration has since replaced
-// (setAdvice swaps t.table). Out-of-range attrs would price garbage; fail
-// cleanly and let the client re-advise instead. Caller holds t.mu.
-func (t *Tracker) validateLocked(queries []schema.TableQuery) ([]schema.TableQuery, error) {
-	all := t.table.AllAttrs()
-	out := make([]schema.TableQuery, 0, len(queries))
-	for _, q := range queries {
-		if q.Attrs.IsEmpty() {
-			return nil, fmt.Errorf(
-				"%w: query %s references no attributes", ErrBadObservation, q.ID)
-		}
-		if !all.ContainsAll(q.Attrs) {
-			return nil, fmt.Errorf(
-				"%w: query %s references %v of table %s (re-advise)",
-				ErrStaleSchema, q.ID, q.Attrs, t.table.Name)
-		}
-		if !validWeight(q.Weight) {
-			return nil, fmt.Errorf(
-				"%w: query %s has invalid weight %v", ErrBadObservation, q.ID, q.Weight)
-		}
-		if q.Weight == 0 {
-			q.Weight = 1
-		}
-		out = append(out, q)
-	}
-	return out, nil
-}
-
-// resolveNamedLocked resolves named observations against the tracker's
-// current table and normalizes weights exactly like validateLocked.
-// Caller holds t.mu.
+// resolveNamedLocked validates named observations against the tracker's
+// CURRENT table and returns them as queries, weight 0 coerced to 1.
+// Resolution runs inside the lock: a concurrent re-registration may have
+// replaced the schema (setAdvice swaps t.table) since the client named its
+// columns, and a name that no longer resolves fails cleanly with
+// ErrStaleSchema instead of pricing garbage. Caller holds t.mu.
 func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, error) {
 	queries := make([]schema.TableQuery, 0, len(named))
 	for i, oq := range named {

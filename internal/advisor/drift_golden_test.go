@@ -58,10 +58,10 @@ func replayVerdicts(t *testing.T) []string {
 		DriftThreshold: 0.15,
 		DriftWindow:    16,
 	})
-	register(t, svc)
+	tab := register(t, svc)
 	var lines []string
 	for i, batch := range verdictStream() {
-		rep, err := svc.Observe("events", batch)
+		rep, err := observe(svc, tab, batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}

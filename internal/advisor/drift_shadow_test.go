@@ -122,17 +122,17 @@ func runDriftShadow(t *testing.T, data []byte) driftShadowCoverage {
 	}}
 	register(initial)
 
-	observe := func(step int, batch []schema.TableQuery) {
+	observeBoth := func(step int, batch []schema.TableQuery) {
 		tr, err := plain.tracker(tab.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		advised := tr.Advice().Layout.Parts
-		want, err := plain.Observe(tab.Name, batch)
+		want, err := observe(plain, tab, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := live.Observe(tab.Name, batch)
+		got, err := observe(live, tab, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,15 +180,15 @@ func runDriftShadow(t *testing.T, data []byte) driftShadowCoverage {
 		rng := rand.New(rand.NewSource(int64(step)<<8 | int64(arg)))
 		switch op % 8 {
 		case 0, 1, 2: // a batch of sets from the palette
-			observe(step, shadowQueries(rng, int(arg)%71, true))
+			observeBoth(step, shadowQueries(rng, int(arg)%71, true))
 		case 3: // a batch of random sets
-			observe(step, shadowQueries(rng, int(arg)%71, op&8 != 0))
+			observeBoth(step, shadowQueries(rng, int(arg)%71, op&8 != 0))
 		case 4: // single columns: the co-accessed layouts drift
 			batch := make([]schema.TableQuery, 4+int(arg)%29)
 			for i := range batch {
 				batch[i] = schema.TableQuery{ID: "s", Weight: float64(1+i%5) / 3, Attrs: attrset.Single(rng.Intn(tab.NumAttrs()))}
 			}
-			observe(step, batch)
+			observeBoth(step, batch)
 		case 5: // re-registration: the initial workload, or a fresh one
 			cov.reRegistrations++
 			if arg%3 == 0 {
@@ -209,7 +209,7 @@ func runDriftShadow(t *testing.T, data []byte) driftShadowCoverage {
 				t.Fatalf("step %d: recovered state differs from the uninterrupted service's", step)
 			}
 		case 7:
-			observe(step, nil)
+			observeBoth(step, nil)
 		}
 	}
 	return cov

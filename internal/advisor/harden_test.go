@@ -307,12 +307,13 @@ func TestServerJournalFaultsRetriedToZeroFailures(t *testing.T) {
 		t.Fatalf("advise through fault schedule: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := client.Observe(ctx, ObserveRequest{
-			Table:   "events",
-			Queries: []ObservedQry{{Attrs: []string{"a", "c"}}},
-		}); err != nil {
+		if _, err := observeVia(ctx, client, "events", ObservedQry{Attrs: []string{"a", "c"}}); err != nil {
 			t.Fatalf("observe %d through fault schedule: %v", i, err)
 		}
+	}
+	// Every request applied once: a failed one was retried under its ID.
+	if got := svc.Stats().ObservedQueries; got != 8 {
+		t.Errorf("ObservedQueries = %d after 8 retried requests, want 8", got)
 	}
 
 	// The faults really fired (otherwise this test proves nothing) ...

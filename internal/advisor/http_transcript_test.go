@@ -34,7 +34,7 @@ const (
 		`"queries":[{"id":"q1","tables":{"events":["a","b"]}},{"id":"q2","tables":{"events":["a","b"]}},{"id":"q3","tables":{"events":["c","d"]}}]`
 	transcriptDated = `"tables":[{"name":"dated","rows":1000000,"columns":[{"name":"ts","kind":"date","size":4},{"name":"a","kind":"char","size":100},{"name":"b","kind":"char","size":100},{"name":"c","kind":"char","size":100}]}],` +
 		`"queries":[{"id":"q1","tables":{"dated":["ts","a"]}},{"id":"q2","tables":{"dated":["a","b"]}},{"id":"q3","tables":{"dated":["c"]}}]`
-	transcriptDrift = `{"table":"events","queries":[{"attrs":["a"]},{"attrs":["b"]},{"attrs":["a"]},{"attrs":["b"]}]}`
+	transcriptDrift = `{"batches":[{"table":"events","queries":[{"attrs":["a"]},{"attrs":["b"]},{"attrs":["a"]},{"attrs":["b"]}]}]}`
 )
 
 var transcriptSteps = []transcriptStep{
@@ -44,13 +44,13 @@ var transcriptSteps = []transcriptStep{
 	{"/advise", `{"benchmark":"nosuch"}`},
 	{"/advise", `{"tables":[]} trailing`},
 
-	// Both /observe shapes, every verdict status an entry can earn.
-	{"/observe", `{"table":"events","queries":[{"attrs":["a","b"]},{"attrs":["c","d"],"weight":2}]}`},
-	{"/observe", `{"table":"events"}`},
-	{"/observe", `{"table":"nosuch","queries":[{"attrs":["a"]}]}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":[]}]}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":["a"],"weight":-1}]}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":["zz"]}]}`},
+	// One-entry /observe requests, every verdict status an entry can earn.
+	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["a","b"]},{"attrs":["c","d"],"weight":2}]}]}`},
+	{"/observe", `{"batches":[{"table":"events"}]}`},
+	{"/observe", `{"batches":[{"table":"nosuch","queries":[{"attrs":["a"]}]}]}`},
+	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":[]}]}]}`},
+	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["a"],"weight":-1}]}]}`},
+	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["zz"]}]}]}`},
 	{"/observe", `{}`},
 	{"/observe", `{"batch_id":"b1","batches":[` +
 		`{"table":"events","queries":[{"attrs":["a","b"]}]},` +
@@ -60,12 +60,13 @@ var transcriptSteps = []transcriptStep{
 		`{"table":"events","queries":[]}]}`},
 	{"/observe", `{"batch_id":"b1","batches":[{"table":"events","queries":[{"attrs":["a","b"]}]}]}`},
 	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["c","d"]}]}]}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":["a"]}],"batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`},
+	// The retired single-table shape is an unknown field.
+	{"/observe", `{"table":"events","queries":[{"attrs":["a"]}]}`},
 	{"/observe", `{"batches":[]}`},
 	{"/observe", `{"batch_id":"empty","batches":[]}`},
 	{"/observe", `{"batch_id":"empty","batches":[]}`},
 	{"/observe", `{"batch_id":"` + strings.Repeat("x", maxBatchIDLen+1) + `","batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`},
-	{"/observe", `{"table":"events","nosuchfield":1}`},
+	{"/observe", `{"batches":[],"nosuchfield":1}`},
 
 	// The executed reports: /replay, then /query with and without a σ and
 	// with every exec knob.
@@ -109,11 +110,13 @@ var transcriptSteps = []transcriptStep{
 }
 
 // A journal whose 2nd and 4th writes fail (the 1st is the registration):
-// the legacy and the batched /observe each meet one failed group commit.
+// an /observe with a batch ID and one without each meet one failed group
+// commit, answer 503 with Retry-After, and apply on redelivery — the ID'd
+// one under the same ID.
 var transcriptJournalSteps = []transcriptStep{
 	{"/advise", `{` + transcriptEvents + `}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":["a","b"]}]}`},
-	{"/observe", `{"table":"events","queries":[{"attrs":["a","b"]}]}`},
+	{"/observe", `{"batch_id":"f1","batches":[{"table":"events","queries":[{"attrs":["a","b"]}]}]}`},
+	{"/observe", `{"batch_id":"f1","batches":[{"table":"events","queries":[{"attrs":["a","b"]}]}]}`},
 	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["c","d"]}]}]}`},
 	{"/observe", `{"batches":[{"table":"events","queries":[{"attrs":["c","d"]}]}]}`},
 	{"/stats", ""},

@@ -12,15 +12,14 @@ import (
 	"knives/internal/telemetry"
 )
 
-// ingestBatch is one observation batch of a round: exactly one of
-// numeric/named is set, and ingest fills rep/err.
+// ingestBatch is one observation batch of a round; ingest fills the rest.
 type ingestBatch struct {
 	table   string // the registered name tracker was looked up under
 	tracker *Tracker
-	numeric []schema.TableQuery
 	named   []ObservedQry
 
-	queries []schema.TableQuery // the validated batch
+	queries []schema.TableQuery // the resolved batch
+	applied bool                // journaled and appended to the log
 	in      driftInput
 	rep     DriftReport
 	err     error
@@ -73,11 +72,7 @@ func (s *Service) ingest(ctx context.Context, round []*ingestBatch) {
 	var events []statestore.Event
 	var applied []*ingestBatch
 	for _, b := range round {
-		if b.numeric != nil {
-			b.queries, b.err = b.tracker.validateLocked(b.numeric)
-		} else {
-			b.queries, b.err = b.tracker.resolveNamedLocked(b.named)
-		}
+		b.queries, b.err = b.tracker.resolveNamedLocked(b.named)
 		switch {
 		case b.err != nil:
 		case len(b.queries) == 0:
@@ -103,6 +98,7 @@ func (s *Service) ingest(ctx context.Context, round []*ingestBatch) {
 	}
 	nq := 0
 	for _, b := range applied {
+		b.applied = true
 		b.tracker.ingestLocked(b.queries)
 		b.in = b.tracker.driftInputLocked()
 		nq += len(b.queries)

@@ -23,9 +23,9 @@ const benchStreamLen = 4096
 // observations/sec. Each call carries batchSize queries for each of tables
 // tables, workers the concurrent submitters — so (1, 1, 1) is the
 // per-request baseline (one query, one HTTP-equivalent call, one WAL
-// append+fsync, one O(window) drift check each). One table is observed
-// through Observe; several ride one ObserveBatch call, the /observe
-// request's shape. With a registry bound it also reports fsyncs per call.
+// append+fsync, one O(window) drift check each). Every call is one
+// ObserveBatchID request, the /observe request's shape, carrying one entry
+// per table. With a registry bound it also reports fsyncs per call.
 func benchObserve(b *testing.B, tables, batchSize, workers int, reg *telemetry.Registry) {
 	dir := b.TempDir()
 	fs, err := vfs.Dir(dir)
@@ -82,35 +82,25 @@ func benchObserve(b *testing.B, tables, batchSize, workers int, reg *telemetry.R
 	var calls []func() error
 	for done := 0; done < benchStreamLen; {
 		var obs []TableObservation
-		var batch []schema.TableQuery
 		for _, tab := range tabs {
 			n := min(batchSize, benchStreamLen-done)
 			if n == 0 {
 				break
 			}
-			batch = make([]schema.TableQuery, n)
 			named := make([]ObservedQry, n)
-			for j := range batch {
+			for j := range named {
 				id := done + j
-				batch[j] = schema.TableQuery{
-					ID:     fmt.Sprintf("o%d", id),
-					Weight: float64(1 + id%3),
-					Attrs:  patterns[id%len(patterns)],
-				}
-				named[j] = ObservedQry{Attrs: tab.AttrNames(batch[j].Attrs), Weight: batch[j].Weight}
+				named[j] = ObservedQry{Attrs: tab.AttrNames(patterns[id%len(patterns)]), Weight: float64(1 + id%3)}
 			}
 			obs = append(obs, TableObservation{Table: tab.Name, Queries: named})
 			done += n
 		}
-		if tables == 1 {
-			calls = append(calls, func() error {
-				_, err := svc.Observe("events", batch)
-				return err
-			})
-			continue
-		}
 		calls = append(calls, func() error {
-			for _, o := range svc.ObserveBatch(ctx, obs) {
+			outs, _, err := svc.ObserveBatchID(ctx, "", obs)
+			if err != nil {
+				return err
+			}
+			for _, o := range outs {
 				if o.Err != nil {
 					return o.Err
 				}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,6 +30,34 @@ func register(t *testing.T, svc *Service) *schema.Table {
 	return tab
 }
 
+// observe sends queries for one table as a one-entry request through
+// ObserveBatchID, naming each query's attributes by tab's columns; the
+// request's error, when it has one, is the entry's.
+func observe(svc *Service, tab *schema.Table, queries []schema.TableQuery) (DriftReport, error) {
+	named := make([]ObservedQry, len(queries))
+	for i, q := range queries {
+		named[i] = ObservedQry{Attrs: tab.AttrNames(q.Attrs), Weight: q.Weight}
+	}
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{{Table: tab.Name, Queries: named}})
+	if err != nil {
+		return DriftReport{}, err
+	}
+	return outs[0].Rep, outs[0].Err
+}
+
+// observeVia sends one table's queries through a client as a one-entry
+// batch; a verdict other than 200 is the error.
+func observeVia(ctx context.Context, c *Client, table string, queries ...ObservedQry) (TableObserveVerdict, error) {
+	verdicts, err := c.ObserveBatch(ctx, []TableObservation{{Table: table, Queries: queries}})
+	if err != nil {
+		return TableObserveVerdict{}, err
+	}
+	if v := verdicts[0]; v.Status != http.StatusOK {
+		return v, fmt.Errorf("observe %s: verdict %d: %s", table, v.Status, v.Error)
+	}
+	return verdicts[0], nil
+}
+
 // trackerLog copies the tracker's observation log under its lock.
 func trackerLog(t *testing.T, svc *Service, table string) []schema.TableQuery {
 	t.Helper()
@@ -41,24 +70,24 @@ func trackerLog(t *testing.T, svc *Service, table string) []schema.TableQuery {
 	return append([]schema.TableQuery(nil), tr.log...)
 }
 
-// Weight-0 unification (the bugfix this PR pins): BOTH observation
-// endpoints coerce a zero weight — the JSON default for an omitted field —
-// to 1 during validation, and both reject negative weights. Before the fix
-// the named endpoint coerced and the numeric endpoint silently accepted 0,
-// so the same observation priced differently depending on the entry point.
+// Weight-0 unification: observation coerces a zero weight — the JSON
+// default for an omitted field — to 1 during validation, the convention
+// /advise applies, and rejects negative weights. There is one observe
+// entry point, so an explicit 0 and an omitted weight price the same.
 func TestObserveWeightZeroUnifiedAcrossEndpoints(t *testing.T) {
 	svc := NewService(Config{DriftWindow: 16})
-	register(t, svc)
+	tab := register(t, svc)
 
-	if _, err := svc.Observe("events", []schema.TableQuery{
+	if _, err := observe(svc, tab, []schema.TableQuery{
 		{ID: "z", Weight: 0, Attrs: attrset.Of(0, 1)},
 	}); err != nil {
-		t.Fatalf("numeric observe with weight 0: %v", err)
+		t.Fatalf("observe with weight 0: %v", err)
 	}
-	if _, err := svc.ObserveNamed("events", []ObservedQry{
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{{Table: "events", Queries: []ObservedQry{
 		{Attrs: []string{"a", "b"}}, // weight omitted = 0 on the wire
-	}); err != nil {
-		t.Fatalf("named observe with weight 0: %v", err)
+	}}})
+	if err != nil || outs[0].Err != nil {
+		t.Fatalf("observe with weight omitted: %v / %v", err, outs[0].Err)
 	}
 	log := trackerLog(t, svc, "events")
 	if len(log) < 2 {
@@ -70,15 +99,10 @@ func TestObserveWeightZeroUnifiedAcrossEndpoints(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.Observe("events", []schema.TableQuery{
+	if _, err := observe(svc, tab, []schema.TableQuery{
 		{ID: "n", Weight: -1, Attrs: attrset.Of(0)},
 	}); !errors.Is(err, ErrBadObservation) {
-		t.Errorf("numeric observe with weight -1: err=%v, want ErrBadObservation", err)
-	}
-	if _, err := svc.ObserveNamed("events", []ObservedQry{
-		{Attrs: []string{"a"}, Weight: -1},
-	}); !errors.Is(err, ErrBadObservation) {
-		t.Errorf("named observe with weight -1: err=%v, want ErrBadObservation", err)
+		t.Errorf("observe with weight -1: err=%v, want ErrBadObservation", err)
 	}
 }
 
@@ -93,24 +117,24 @@ func TestObserveEmptyBatchJournalsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	register(t, svc)
+	tab := register(t, svc)
 
-	if _, err := svc.Observe("events", singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 	before := d.LastSeq()
-	repN, err := svc.Observe("events", nil)
+	repN, err := observe(svc, tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repM, err := svc.ObserveNamed("events", []ObservedQry{})
-	if err != nil {
-		t.Fatal(err)
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{{Table: "events"}})
+	if err != nil || outs[0].Err != nil {
+		t.Fatalf("entry without queries: %v / %v", err, outs[0].Err)
 	}
 	if got := d.LastSeq(); got != before {
 		t.Errorf("empty batches moved the WAL from seq %d to %d", before, got)
 	}
-	if repN.Observed != 2 || repM.Observed != 2 {
+	if repM := outs[0].Rep; repN.Observed != 2 || repM.Observed != 2 {
 		t.Errorf("empty-batch reports observed %d/%d, want 2 (unchanged)", repN.Observed, repM.Observed)
 	}
 	st := svc.Stats()
@@ -125,7 +149,7 @@ func TestObserveEmptyBatchJournalsNothing(t *testing.T) {
 // Run with -race; the counters are the regression surface.
 func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64}) // threshold high: no recompute noise
-	register(t, svc)
+	tab := register(t, svc)
 
 	const workers = 8
 	const batches = 5
@@ -142,7 +166,7 @@ func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 						ID: fmt.Sprintf("w%db%dq%d", w, i, j), Weight: 1, Attrs: attrset.Of(0, 1),
 					}
 				}
-				if _, err := svc.Observe("events", batch); err != nil {
+				if _, err := observe(svc, tab, batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -158,7 +182,7 @@ func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 	if st.ObserveBatches != workers*batches {
 		t.Errorf("ObserveBatches = %d, want %d", st.ObserveBatches, workers*batches)
 	}
-	// Every Observe call is its own round.
+	// Every one-entry request is its own round.
 	if st.IngestGroups != st.ObserveBatches {
 		t.Errorf("IngestGroups = %d, want one per batch (%d)", st.IngestGroups, st.ObserveBatches)
 	}
@@ -168,7 +192,7 @@ func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 // other batches of its own round, commit and report normally.
 func TestIngestBadBatchFailsAlone(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64})
-	register(t, svc)
+	tab := register(t, svc)
 
 	const good = 6
 	errs := make([]error, good+1)
@@ -177,7 +201,7 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = svc.Observe("events", []schema.TableQuery{
+			_, errs[i] = observe(svc, tab, []schema.TableQuery{
 				{ID: fmt.Sprintf("g%d", i), Weight: 1, Attrs: attrset.Of(0)},
 			})
 		}(i)
@@ -185,10 +209,15 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Attr index 9 is outside the 4-column schema: ErrStaleSchema.
-		_, errs[good] = svc.Observe("events", []schema.TableQuery{
-			{ID: "bad", Weight: 1, Attrs: attrset.Of(9)},
+		// Column zz is not in the schema: ErrStaleSchema.
+		outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{
+			{Table: "events", Queries: []ObservedQry{{Attrs: []string{"zz"}}}},
 		})
+		if err != nil {
+			errs[good] = err
+			return
+		}
+		errs[good] = outs[0].Err
 	}()
 	wg.Wait()
 	for i := 0; i < good; i++ {
@@ -208,10 +237,13 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := svc.Stats().IngestGroups
-	outs := svc.ObserveBatch(context.Background(), []TableObservation{
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{
 		{Table: "other", Queries: []ObservedQry{{Attrs: []string{"zz"}}}},
 		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"a"}}}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !errors.Is(outs[0].Err, ErrStaleSchema) || outs[1].Err != nil {
 		t.Errorf("round outcomes: bad=%v good=%v, want ErrStaleSchema and nil", outs[0].Err, outs[1].Err)
 	}
@@ -241,9 +273,9 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	register(t, svc)
+	tab := register(t, svc)
 
-	_, err = svc.Observe("events", singleColumnBatch())
+	_, err = observe(svc, tab, singleColumnBatch())
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("observe over failing WAL: err=%v, want ErrJournal", err)
 	}
@@ -255,7 +287,7 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	if log := trackerLog(t, svc, "events"); len(log) != 3 {
 		t.Errorf("failed group left %d queries in the tracker log, want the 3 registered", len(log))
 	}
-	if _, err := svc.Observe("events", singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab, singleColumnBatch()); err != nil {
 		t.Fatalf("retry after journal failure: %v", err)
 	}
 	if got := svc.Stats().ObservedQueries; got != 2 {
@@ -263,17 +295,20 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	}
 }
 
-// ObserveBatch applies repeated entries for the SAME table in slice order
+// A request applies repeated entries for the SAME table in slice order
 // (the wire contract), while entries fail independently.
 func TestObserveBatchSameTableOrderAndIsolation(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64})
 	register(t, svc)
 
-	outs := svc.ObserveBatch(context.Background(), []TableObservation{
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", []TableObservation{
 		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"a"}}, {Attrs: []string{"b"}}}},
 		{Table: "ghost", Queries: []ObservedQry{{Attrs: []string{"x"}}}},
 		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"c"}}}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(outs) != 3 {
 		t.Fatalf("%d outcomes for 3 batches", len(outs))
 	}
@@ -306,7 +341,7 @@ func TestObserveBatchSameTableOrderAndIsolation(t *testing.T) {
 // portfolio search, never stale advice paired under a fresh fingerprint.
 func TestObserveConcurrentDuplicateRecompute(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 0.15, DriftWindow: 8})
-	register(t, svc)
+	tab := register(t, svc)
 	searchesBefore := svc.Stats().Searches
 
 	// Eight single-column queries per batch: past the 0.15 threshold on
@@ -322,7 +357,7 @@ func TestObserveConcurrentDuplicateRecompute(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i], errs[i] = svc.Observe("events", batch)
+			reps[i], errs[i] = observe(svc, tab, batch)
 		}(i)
 	}
 	wg.Wait()
@@ -382,21 +417,22 @@ func TestObserveConcurrentDuplicateRecompute(t *testing.T) {
 func TestTrackerSnapshotsSurviveInPlaceTrim(t *testing.T) {
 	const window = 16
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: window})
-	register(t, svc)
+	tab := register(t, svc)
 	tr, err := svc.tracker("events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rounds differ in weights; IDs are the ones observation assigns.
 	batch := func(round int) []schema.TableQuery {
 		qs := make([]schema.TableQuery, 6)
 		for i := range qs {
-			qs[i] = schema.TableQuery{ID: fmt.Sprintf("r%d-%d", round, i), Weight: float64(1 + i), Attrs: attrset.Of(i%4, (i+1)%4)}
+			qs[i] = schema.TableQuery{ID: fmt.Sprintf("obs%d", i+1), Weight: float64(1+i) + float64(round)/8, Attrs: attrset.Of(i%4, (i+1)%4)}
 		}
 		return qs
 	}
 	var want []schema.TableQuery // the window, maintained without sharing anything
 	for round := 0; round < 8; round++ {
-		if _, err := svc.Observe("events", batch(round)); err != nil {
+		if _, err := observe(svc, tab, batch(round)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, batch(round)...)
@@ -419,7 +455,7 @@ func TestTrackerSnapshotsSurviveInPlaceTrim(t *testing.T) {
 		}
 		// A later batch slides the log down over its own backing array:
 		// the snapshots must not move with it.
-		if _, err := svc.Observe("events", batch(100+round)); err != nil {
+		if _, err := observe(svc, tab, batch(100+round)); err != nil {
 			t.Fatal(err)
 		}
 		for _, snap := range snaps {
@@ -454,8 +490,9 @@ func TestObserveTraceShowsWalCommit(t *testing.T) {
 	register(t, svc)
 
 	ctx, tr := telemetry.NewTrace(context.Background(), "POST /observe")
-	if _, err := svc.ObserveContext(ctx, "events", singleColumnBatch()); err != nil {
-		t.Fatal(err)
+	outs, _, err := svc.ObserveBatchID(ctx, "", []TableObservation{{Table: "events", Queries: []ObservedQry{{Attrs: []string{"a"}}}}})
+	if err != nil || outs[0].Err != nil {
+		t.Fatalf("%v / %v", err, outs[0].Err)
 	}
 	depth := map[string]int{}
 	for _, sp := range tr.Spans() {
@@ -505,7 +542,11 @@ func TestObserveBatchOneCommit(t *testing.T) {
 	groupBatches := reg.Histogram("knives_ingest_group_batches")
 	fsyncs0, groups0 := fsyncs.Count(), svc.Stats().IngestGroups
 	gbCount0, gbSum0 := groupBatches.Count(), groupBatches.Sum()
-	for _, o := range svc.ObserveBatch(context.Background(), batches) {
+	outs, _, err := svc.ObserveBatchID(context.Background(), "", batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.Table, o.Err)
 		}
@@ -551,7 +592,7 @@ func namedWideTable(t *testing.T, name string) *schema.Table {
 }
 
 // Concurrent rounds over overlapping table sets — in opposite orders, with
-// repeated tables — beside single-table observes and re-registrations
+// repeated tables — beside one-entry observes and re-registrations
 // never deadlock (rounds lock in name order), and each table's journal
 // order is its apply order: the state recovered from the WAL equals the
 // live state. Run with -race.
@@ -597,7 +638,12 @@ func TestObserveConcurrentRoundsRecover(t *testing.T) {
 					for j, n := range shape {
 						batches[j] = obs(n, w+i+j)
 					}
-					for _, o := range svc.ObserveBatch(ctx, batches) {
+					outs, _, err := svc.ObserveBatchID(ctx, "", batches)
+					if err != nil {
+						t.Errorf("shape %v: %v", shape, err)
+						return
+					}
+					for _, o := range outs {
 						if o.Err != nil {
 							t.Errorf("shape %v, %s: %v", shape, o.Table, o.Err)
 							return
@@ -611,7 +657,11 @@ func TestObserveConcurrentRoundsRecover(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					if _, err := svc.ObserveNamedContext(ctx, n, obs(n, i).Queries); err != nil {
+					outs, _, err := svc.ObserveBatchID(ctx, "", []TableObservation{obs(n, i)})
+					if err == nil {
+						err = outs[0].Err
+					}
+					if err != nil {
 						t.Errorf("single observe %s: %v", n, err)
 						return
 					}
@@ -661,7 +711,7 @@ func TestObserveVerdictIsItsOwnBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	register(t, svc)
+	tab := register(t, svc)
 
 	const n = 32
 	observed := make([]int64, n)
@@ -671,7 +721,7 @@ func TestObserveVerdictIsItsOwnBatch(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rep, err := svc.Observe("events", []schema.TableQuery{
+				rep, err := observe(svc, tab, []schema.TableQuery{
 					{ID: fmt.Sprintf("o%d", i), Weight: 1, Attrs: attrset.Of(i % 4)},
 				})
 				if err != nil {

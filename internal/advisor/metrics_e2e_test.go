@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -47,10 +48,11 @@ func TestServer503RetryAfterOnExpiredDeadline(t *testing.T) {
 	}
 }
 
-// Regression for the observe path: a journal append failure surfaces as 503
-// through observeStatus, and that 503 must carry Retry-After too. Write #1
-// is the registration's EvAdviseCommit append; write #2 — scheduled to fail
-// — is the first observation batch's group commit.
+// Regression for the observe path: a request that applied nothing because
+// its journal append failed answers 503, and that 503 must carry
+// Retry-After too. Write #1 is the registration's EvAdviseCommit append;
+// write #2 — scheduled to fail — is the first observation batch's group
+// commit.
 func TestServer503RetryAfterOnJournalError(t *testing.T) {
 	fsys, err := vfs.Dir(t.TempDir())
 	if err != nil {
@@ -71,12 +73,23 @@ func TestServer503RetryAfterOnJournalError(t *testing.T) {
 	if resp, err := postAdvise(ts); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("registering advise: status %v, err %v", resp.StatusCode, err)
 	}
-	body := `{"table":"events","queries":[{"attrs":["a","c"]}]}`
-	resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	body := `{"batch_id":"id-1","batches":[{"table":"events","queries":[{"attrs":["a","c"]}]}]}`
+	post := func() (*http.Response, ObserveResponse) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var or ObserveResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp, or
 	}
-	defer resp.Body.Close()
+	resp, _ := post()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("observe through failed append: status %d, want 503", resp.StatusCode)
 	}
@@ -85,6 +98,20 @@ func TestServer503RetryAfterOnJournalError(t *testing.T) {
 	}
 	if inj.Injected() == 0 {
 		t.Fatal("journal fault never fired; the 503 came from somewhere else")
+	}
+	// The failed request applied nothing, so its batch ID stays free: the
+	// redelivery ingests, and only a third delivery is a duplicate.
+	for i, wantDup := range []bool{false, true} {
+		resp, or := post()
+		if resp.StatusCode != http.StatusOK || len(or.Verdicts) != 1 || or.Verdicts[0].Status != http.StatusOK {
+			t.Fatalf("redelivery %d: status %d, verdicts %+v", i+1, resp.StatusCode, or.Verdicts)
+		}
+		if or.Duplicate != wantDup {
+			t.Errorf("redelivery %d: duplicate=%v, want %v", i+1, or.Duplicate, wantDup)
+		}
+	}
+	if got := svc.Stats().ObservedQueries; got != 1 {
+		t.Errorf("ObservedQueries = %d after a failed delivery and two redeliveries, want 1", got)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -152,10 +179,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := client.Observe(ctx, ObserveRequest{
-			Table:   "events",
-			Queries: []ObservedQry{{Attrs: []string{"a", "c"}}},
-		}); err != nil {
+		if _, err := observeVia(ctx, client, "events", ObservedQry{Attrs: []string{"a", "c"}}); err != nil {
 			t.Fatalf("observe %d: %v", i, err)
 		}
 	}
@@ -383,10 +407,7 @@ func TestServerConcurrentScrapeWhileIngesting(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				_, err := client.Observe(ctx, ObserveRequest{
-					Table:   "events",
-					Queries: []ObservedQry{{Attrs: []string{"a", "c"}, Weight: float64(w + 1)}},
-				})
+				_, err := observeVia(ctx, client, "events", ObservedQry{Attrs: []string{"a", "c"}, Weight: float64(w + 1)})
 				if err != nil {
 					errs <- fmt.Errorf("writer %d round %d: %w", w, r, err)
 					return

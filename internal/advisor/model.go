@@ -30,8 +30,9 @@ type ModelSpec struct {
 	Name string `json:"name,omitempty"`
 
 	// Hardware overrides over the named preset; absent (zero) keeps the
-	// preset's value. Every present value must be finite and positive —
-	// anything else is rejected before it can price garbage.
+	// preset's value. Every present value must be finite and positive, and
+	// the resolved device inside cost.Device.Validate's domain — anything
+	// else is rejected before it can price garbage.
 	BlockBytes  int64   `json:"block_bytes,omitempty"`
 	BufferBytes int64   `json:"buffer_bytes,omitempty"`
 	ReadBW      float64 `json:"read_bw,omitempty"`    // bytes/second

@@ -117,15 +117,15 @@ func TestServerModelSpecEndToEnd(t *testing.T) {
 	// reset the drift tracker the default-model advice created. If it did,
 	// the observed count would restart and the tracked advice would flip to
 	// the SSD answer.
-	obs := []ObservedQry{{Attrs: []string{"a", "b"}}}
-	first2, err := client.Observe(ctx, ObserveRequest{Table: "events", Queries: obs})
+	obs := ObservedQry{Attrs: []string{"a", "b"}}
+	first2, err := observeVia(ctx, client, "events", obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Advise(ctx, ssdReq); err != nil {
 		t.Fatal(err)
 	}
-	after, err := client.Observe(ctx, ObserveRequest{Table: "events", Queries: obs})
+	after, err := observeVia(ctx, client, "events", obs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,11 @@ package advisor
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // adviseEvents registers the events table on a test server.
@@ -17,7 +20,7 @@ func adviseEvents(t *testing.T, client *Client) {
 
 // The batched /observe shape end to end: many tables per request, one
 // verdict per entry in submission order, entries failing independently with
-// the status the single-table path would answer.
+// the status the same failure would earn as a request of its own.
 func TestServerObserveBatched(t *testing.T) {
 	_, svc, client := newTestServer(t, Config{DriftThreshold: 100, DriftWindow: 64})
 	adviseEvents(t, client)
@@ -58,35 +61,28 @@ func TestServerObserveBatched(t *testing.T) {
 	}
 }
 
-// The batched shape excludes the legacy single-table fields, and the legacy
-// shape keeps answering exactly as before.
+// The batched request is the only /observe shape: the retired single-table
+// fields are unknown fields, alone or beside batches, and a body carrying
+// them is a 400 that ingests nothing.
 func TestServerObserveBatchedExcludesLegacyFields(t *testing.T) {
-	ts, _, client := newTestServer(t, Config{DriftThreshold: 100})
+	ts, svc, client := newTestServer(t, Config{DriftThreshold: 100})
 	adviseEvents(t, client)
 
-	body := `{"table":"events","queries":[{"attrs":["a"]}],"batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`
-	resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"table":"events","queries":[{"attrs":["a"]}]}`,
+		`{"table":"events","queries":[{"attrs":["a"]}],"batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mixed legacy+batched request: status %d, want 400", resp.StatusCode)
-	}
-
-	// Legacy single-table request still answers with the top-level pair.
-	or, err := client.Observe(context.Background(), ObserveRequest{
-		Table:   "events",
-		Queries: []ObservedQry{{Attrs: []string{"a", "b"}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if or.Drift.Table != "events" || or.Drift.Observed != 1 || len(or.Verdicts) != 0 {
-		t.Errorf("legacy observe response: %+v", or)
-	}
-	if or.Advice.Table != "events" {
-		t.Errorf("legacy observe advice: %+v", or.Advice)
+	if got := svc.Stats().ObservedQueries; got != 0 {
+		t.Errorf("rejected bodies ingested %d queries", got)
 	}
 }
 
@@ -141,5 +137,58 @@ func TestObserveBufferFlushAt(t *testing.T) {
 	vs, err = buf2.Flush(ctx)
 	if err != nil || len(vs) != 1 {
 		t.Fatalf("retried flush: vs=%v err=%v", vs, err)
+	}
+}
+
+// A Flush retried after an error re-sends the failed request under its
+// batch ID, so a request that was applied but whose answers were lost is
+// answered from the dedup window, not ingested twice. The proxy applies
+// every request and drops the first three responses: the first Flush's
+// two attempts both lose theirs, and the retried Flush's first attempt
+// does too.
+func TestObserveBufferFlushRetryKeepsBatchID(t *testing.T) {
+	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64})
+	srv := NewServer(svc)
+	var served atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/observe" || served.Add(1) > 3 {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		srv.ServeHTTP(httptest.NewRecorder(), r)
+		panic(http.ErrAbortHandler) // close the connection unanswered
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	client.HTTPClient = ts.Client()
+	client.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
+	adviseEvents(t, client)
+
+	ctx := context.Background()
+	buf := &ObserveBuffer{Client: client}
+	if _, err := buf.Add(ctx, "events", ObservedQry{Attrs: []string{"a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buf.Flush(ctx); err == nil {
+		t.Fatal("flush succeeded with every response dropped")
+	}
+	if buf.Pending() != 1 {
+		t.Fatalf("failed flush: Pending = %d, want 1", buf.Pending())
+	}
+	vs, err := buf.Flush(ctx)
+	if err != nil {
+		t.Fatalf("retried flush: %v", err)
+	}
+	if len(vs) != 1 || vs[0].Status != http.StatusOK {
+		t.Fatalf("retried flush verdicts: %+v", vs)
+	}
+	if buf.Pending() != 0 {
+		t.Errorf("Pending = %d after the retried flush, want 0", buf.Pending())
+	}
+	if got := served.Load(); got != 4 {
+		t.Errorf("proxy served %d observe requests, want 4", got)
+	}
+	if got := svc.Stats().ObservedQueries; got != 1 {
+		t.Errorf("ObservedQueries = %d, want 1: the retried flush was ingested again", got)
 	}
 }

@@ -38,10 +38,10 @@ func normalized(states []statestore.TableState) []byte {
 }
 
 // driveDrift observes single-column batches until a recompute installs.
-func driveDrift(t *testing.T, svc *Service, table string) {
+func driveDrift(t *testing.T, svc *Service, tab *schema.Table) {
 	t.Helper()
 	for batch := 0; batch < 8; batch++ {
-		rep, err := svc.Observe(table, singleColumnBatch())
+		rep, err := observe(svc, tab, singleColumnBatch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	driveDrift(t, svc, tab.Name)
+	driveDrift(t, svc, tab)
 	// A verified migration advances the applied layout — the EvApplied path.
 	out, _, err := svc.MigrateTable(tab.Name, MigrateOptions{MaxRows: 2_000})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	}
 	// The recovered tracker is live: it observes, prices drift, and keeps
 	// journaling.
-	if _, err := svc2.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc2, tab, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func TestServiceModelMismatchDroppedOnRecovery(t *testing.T) {
 	if got := ssd.TrackedTables(); len(got) != 0 {
 		t.Fatalf("SSD daemon recovered HDD trackers: %v", got)
 	}
-	if _, err := ssd.Observe("events", singleColumnBatch()); !errors.Is(err, ErrNotRegistered) {
+	if _, err := observe(ssd, wideTable(t), singleColumnBatch()); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("observe on a dropped tracker = %v, want ErrNotRegistered", err)
 	}
 	if err := ssd.Close(); err != nil {
@@ -201,10 +201,10 @@ func TestServiceJournalFailureKeepsEquivalence(t *testing.T) {
 	if _, _, err := svc.AdviseTable(coAccessWorkload(tab)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := observe(svc, tab, singleColumnBatch()); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("observe over a failed journal append = %v, want the injected error", err)
 	}
 	// The failed batch joined neither the journal nor the log.
@@ -212,7 +212,7 @@ func TestServiceJournalFailureKeepsEquivalence(t *testing.T) {
 		t.Fatal("failed append left service and journal disagreeing")
 	}
 	// The retry lands it (the store self-repairs its torn tail first).
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 	final := normalized(svc.ExportState())
@@ -256,7 +256,7 @@ func TestServiceCrashMidJournalRecovers(t *testing.T) {
 	}
 	var crashed bool
 	for i := 0; i < 8; i++ {
-		if _, err := svc.Observe(tab.Name, singleColumnBatch()); errors.Is(err, faultinject.ErrCrashed) {
+		if _, err := observe(svc, tab, singleColumnBatch()); errors.Is(err, faultinject.ErrCrashed) {
 			crashed = true
 			break
 		}

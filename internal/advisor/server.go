@@ -407,12 +407,12 @@ func serveExec[W any](s *Server, w http.ResponseWriter, r *http.Request, rt *exe
 		})
 }
 
-// observeStatus maps an observe-path error to the HTTP status the
-// single-table shape answers with: 400 for a bad observation (the same
-// payload would fail again), 404 for an unregistered table (advise it
-// first), 409 for a schema the observation no longer matches (the client's
-// to fix by re-advising), 503 for an expired deadline or a failed journal
-// append (nothing was applied; retry), 500 otherwise.
+// observeStatus maps an entry's observe error to its verdict status: 400
+// for a bad observation (the same payload would fail again), 404 for an
+// unregistered table (advise it first), 409 for a schema the observation
+// no longer matches (the client's to fix by re-advising), 503 for an
+// expired deadline or a failed journal append (nothing was applied; retry),
+// 500 otherwise.
 func observeStatus(err error) int {
 	switch {
 	case err == nil:
@@ -430,38 +430,28 @@ func observeStatus(err error) int {
 	}
 }
 
-// handleObserve answers POST /observe. Both wire shapes take the one ingest
-// path: a single-table body is a one-entry batch (outside the dedup window —
-// it carries no batch ID the client could replay) answered in the legacy
-// shape, with the entry's verdict as the response's status. Names resolve
-// inside the tracker lock, against the table's current schema — resolving
-// here against a snapshot would race a concurrent re-registration and
-// silently rebind names to different columns. All per-query validation
-// (weights, empty attrs) lives there too, so the rules have one source of
-// truth.
+// handleObserve answers POST /observe with one verdict per entry. Names
+// resolve inside the tracker lock, against the table's current schema —
+// resolving here against a snapshot would race a concurrent
+// re-registration and silently rebind names to different columns. All
+// per-query validation (weights, empty attrs) lives there too, so the
+// rules have one source of truth. A request that applied nothing because
+// the journal failed answers 503 with Retry-After, and its batch ID stays
+// free for the retry.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	// The shape is decided by the PRESENCE of batches: an empty list is a
-	// batched request with nothing in it, not a single-table one.
-	batched := req.Batches != nil
-	if batched && (req.Table != "" || len(req.Queries) > 0) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("advisor: batched observe excludes the single-table fields (table/queries)"))
-		return
-	}
-	if !batched {
-		req.BatchID, req.Batches = "", []TableObservation{{Table: req.Table, Queries: req.Queries}}
-	}
 	outs, dup, err := s.svc.ObserveBatchID(r.Context(), req.BatchID, req.Batches)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrBadObservation):
 		writeError(w, http.StatusBadRequest, err)
 		return
+	case err != nil:
+		s.writeServiceError(w, err)
+		return
 	}
-	// Every entry was ingested (entries fail independently); each verdict
-	// carries the status the same failure earns on the single-table shape.
 	verdicts := make([]TableObserveVerdict, len(outs))
 	for i, o := range outs {
 		err := o.Err
@@ -479,17 +469,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		verdicts[i].Drift, verdicts[i].Advice = o.Rep, toWire(current, fp, false)
 	}
-	switch {
-	case batched:
-		writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
-	case verdicts[0].Status != http.StatusOK:
-		if verdicts[0].Status == http.StatusServiceUnavailable {
-			s.retryHint(w)
-		}
-		writeError(w, verdicts[0].Status, errors.New(verdicts[0].Error))
-	default:
-		writeJSON(w, ObserveResponse{Drift: verdicts[0].Drift, Advice: verdicts[0].Advice})
-	}
+	writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {

@@ -183,10 +183,7 @@ func TestServerConcurrentAdviseLoad(t *testing.T) {
 				if len(resp.Advice) != 1 {
 					continue
 				}
-				if _, err := client.Observe(ctx, ObserveRequest{
-					Table:   "events",
-					Queries: []ObservedQry{{Attrs: []string{"a", "b"}}},
-				}); err != nil {
+				if _, err := observeVia(ctx, client, "events", ObservedQry{Attrs: []string{"a", "b"}}); err != nil {
 					errs[c] = err
 					return
 				}
@@ -228,13 +225,10 @@ func TestServerObserveDriftRecomputes(t *testing.T) {
 	}
 	var recomputed bool
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		resp, err := client.Observe(ctx, ObserveRequest{
-			Table: "events",
-			Queries: []ObservedQry{
-				{Attrs: []string{"a"}},
-				{Attrs: []string{"b"}},
-			},
-		})
+		resp, err := observeVia(ctx, client, "events",
+			ObservedQry{Attrs: []string{"a"}},
+			ObservedQry{Attrs: []string{"b"}},
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,8 +278,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if got := post("/advise", `{"unknown_field":1}`); got != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", got)
 	}
-	if got := post("/observe", `{"table":"ghost","queries":[]}`); got != http.StatusNotFound {
-		t.Errorf("observe unknown table: status %d", got)
+	if v, _ := observeVia(ctx, client, "ghost"); v.Status != http.StatusNotFound {
+		t.Errorf("observe unknown table: verdict %d, want 404", v.Status)
 	}
 
 	if _, err := client.Advice(ctx, "ghost"); err == nil {
@@ -317,11 +311,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if _, err := client.Advise(ctx, eventsRequest()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Observe(ctx, ObserveRequest{
-		Table:   "events",
-		Queries: []ObservedQry{{Attrs: []string{"a"}, Weight: -1}},
-	}); err == nil {
-		t.Error("negative query weight accepted by /observe")
+	if v, _ := observeVia(ctx, client, "events", ObservedQry{Attrs: []string{"a"}, Weight: -1}); v.Status != http.StatusBadRequest {
+		t.Errorf("negative query weight answered verdict %d by /observe, want 400", v.Status)
 	}
 }
 

@@ -528,60 +528,25 @@ func (s *Service) Prewarm(b *schema.Benchmark) error {
 	return err
 }
 
-// Observe streams a batch of queries for a registered table into its drift
-// tracker. If the advised layout has drifted past the threshold, the advice
-// is recomputed from the observed log, the tracker updated, and the fresh
-// advice cached under the observed workload's fingerprint.
-func (s *Service) Observe(table string, queries []schema.TableQuery) (DriftReport, error) {
-	return s.ObserveContext(context.Background(), table, queries)
-}
-
-// ObserveContext is Observe under a request context: the deadline covers
-// the shadow search's slot wait and a drift recompute's portfolio fan-out.
-// Weight 0 is coerced to 1 during the tracker's validation — the same
-// convention /advise applies — so both observation endpoints agree.
-// The batch is a one-batch round of ingest: one WAL commit of its own.
-func (s *Service) ObserveContext(ctx context.Context, table string, queries []schema.TableQuery) (DriftReport, error) {
-	return s.observeOne(ctx, &ingestBatch{table: table, numeric: queries})
-}
-
-// ObserveNamed is Observe for queries carrying column names; resolution
-// happens inside the tracker lock, against the table's current schema.
-func (s *Service) ObserveNamed(table string, named []ObservedQry) (DriftReport, error) {
-	return s.ObserveNamedContext(context.Background(), table, named)
-}
-
-// ObserveNamedContext is ObserveNamed under a request context.
-func (s *Service) ObserveNamedContext(ctx context.Context, table string, named []ObservedQry) (DriftReport, error) {
-	return s.observeOne(ctx, &ingestBatch{table: table, named: named})
-}
-
-// observeOne runs one batch as a round of its own.
-func (s *Service) observeOne(ctx context.Context, b *ingestBatch) (DriftReport, error) {
-	t, err := s.tracker(b.table)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	b.tracker = t
-	s.ingest(ctx, []*ingestBatch{b})
-	return b.rep, b.err
-}
-
-// ObserveOutcome is one batch entry's result from ObserveBatch.
+// ObserveOutcome is one batch entry's result from ObserveBatchID.
 type ObserveOutcome struct {
 	Table string
 	Rep   DriftReport
 	Err   error
 }
 
-// ObserveBatch ingests many tables' observation batches from one request.
+// observeBatch ingests many tables' observation batches from one request.
 // Entries fail independently — outcome i always answers batches[i]. The
 // request runs as rounds of ingest: round k holds the k-th entry of each
 // table, in first-appearance order, and rounds run in order — so repeated
 // entries for the SAME table apply and answer in slice order, and a
 // request whose tables are all distinct is one round: one WAL commit.
 // Entries for unregistered tables fail without entering a round.
-func (s *Service) ObserveBatch(ctx context.Context, batches []TableObservation) []ObserveOutcome {
+//
+// A request that applied nothing because the journal failed is retryable
+// as a whole: when no entry was applied and at least one failed with
+// ErrJournal, observeBatch returns that error instead of the outcomes.
+func (s *Service) observeBatch(ctx context.Context, batches []TableObservation) ([]ObserveOutcome, error) {
 	out := make([]ObserveOutcome, len(batches))
 	ib := make([]ingestBatch, len(batches))
 	var rounds [][]*ingestBatch
@@ -604,12 +569,22 @@ func (s *Service) ObserveBatch(ctx context.Context, batches []TableObservation) 
 	for _, round := range rounds {
 		s.ingest(ctx, round)
 	}
+	var applied bool
+	var journalErr error
 	for i := range ib {
-		if ib[i].tracker != nil {
-			out[i].Rep, out[i].Err = ib[i].rep, ib[i].err
+		if ib[i].tracker == nil {
+			continue
+		}
+		out[i].Rep, out[i].Err = ib[i].rep, ib[i].err
+		applied = applied || ib[i].applied
+		if journalErr == nil && errors.Is(ib[i].err, ErrJournal) {
+			journalErr = ib[i].err
 		}
 	}
-	return out
+	if !applied && journalErr != nil {
+		return nil, journalErr
+	}
+	return out, nil
 }
 
 // ErrNotRegistered reports an operation on a table no drift tracker covers

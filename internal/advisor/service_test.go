@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestServiceDriftInvalidatesStaleAdvice(t *testing.T) {
 	var recomputed bool
 	var last DriftReport
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		last, err = svc.Observe(tab.Name, single)
+		last, err = observe(svc, tab, single)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func TestServiceDriftRecomputeCachesSnapshotWorkload(t *testing.T) {
 	log = append(log, coAccessWorkload(tab).Queries...)
 	recomputed := false
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := svc.Observe(tab.Name, single)
+		rep, err := observe(svc, tab, single)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,14 +358,14 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 	}
 	batch := []schema.TableQuery{{ID: "o", Weight: 1, Attrs: attrset.Of(0, 1)}}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Observe(tab.Name, batch); err != nil {
+		if _, err := observe(svc, tab, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, _, err := svc.AdviseTable(tw); err != nil { // identical workload
 		t.Fatal(err)
 	}
-	rep, err := svc.Observe(tab.Name, batch)
+	rep, err := observe(svc, tab, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 	if _, _, err := svc.AdviseTable(other); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = svc.Observe(tab.Name, batch)
+	rep, err = observe(svc, tab, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +390,8 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 
 func TestServiceObserveUnknownTable(t *testing.T) {
 	svc := NewService(Config{})
-	if _, err := svc.Observe("ghost", nil); err == nil {
-		t.Error("Observe accepted an unregistered table")
+	if _, err := observe(svc, &schema.Table{Name: "ghost"}, nil); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("observe on an unregistered table: err=%v, want ErrNotRegistered", err)
 	}
 	if _, err := svc.CurrentAdvice("ghost"); err == nil {
 		t.Error("CurrentAdvice accepted an unregistered table")
@@ -398,11 +399,12 @@ func TestServiceObserveUnknownTable(t *testing.T) {
 }
 
 // Re-registering a table name with a smaller schema must not let observed
-// queries resolved against the old schema price out-of-range attributes:
-// the tracker validates against its current table and fails cleanly.
+// queries named after the old schema price out-of-range attributes: the
+// tracker resolves names against its current table and fails cleanly.
 func TestServiceObserveRejectsAttrsOutsideCurrentSchema(t *testing.T) {
 	svc := NewService(Config{})
-	if _, _, err := svc.AdviseTable(coAccessWorkload(wideTable(t))); err != nil {
+	wide := wideTable(t)
+	if _, _, err := svc.AdviseTable(coAccessWorkload(wide)); err != nil {
 		t.Fatal(err)
 	}
 	small, err := schema.NewTable("events", 1000, []schema.Column{
@@ -417,15 +419,15 @@ func TestServiceObserveRejectsAttrsOutsideCurrentSchema(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	// Attr 3 existed in the 4-column registration but not in the current
+	// Column d existed in the 4-column registration but not in the current
 	// 2-column schema.
-	if _, err := svc.Observe("events", []schema.TableQuery{
+	if _, err := observe(svc, wide, []schema.TableQuery{
 		{ID: "stale", Weight: 1, Attrs: attrset.Of(3)},
-	}); err == nil {
-		t.Error("Observe accepted attrs outside the re-registered schema")
+	}); !errors.Is(err, ErrStaleSchema) {
+		t.Errorf("observe of a column outside the re-registered schema: err=%v, want ErrStaleSchema", err)
 	}
 	// In-range observations still flow.
-	if _, err := svc.Observe("events", []schema.TableQuery{
+	if _, err := observe(svc, small, []schema.TableQuery{
 		{ID: "ok", Weight: 1, Attrs: attrset.Of(0)},
 	}); err != nil {
 		t.Fatal(err)

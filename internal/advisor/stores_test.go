@@ -457,7 +457,7 @@ func TestDriftDropsResidentStore(t *testing.T) {
 			}
 			recomputed := false
 			for batch := 0; batch < 8 && !recomputed; batch++ {
-				rep, err := svc.Observe(tab.Name, singleColumnBatch())
+				rep, err := observe(svc, tab, singleColumnBatch())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,8 +16,8 @@ import (
 	"knives/internal/schema"
 )
 
-// A finite weight past MaxWeight is a 400 on /advise and on both /observe
-// shapes, with an error body and nothing journaled; MaxWeight itself is
+// A finite weight past MaxWeight is a 400 on /advise and a 400 verdict on
+// /observe, with an error and nothing journaled; MaxWeight itself is
 // served. Before the ceiling, 1e308 priced to ±Inf/NaN and every one of
 // these answered 200 with an empty body, the observe batch already in the
 // WAL.
@@ -49,11 +49,13 @@ func TestServerRejectsOverflowingWeights(t *testing.T) {
 			`{"name":"a","kind":"char","size":100},{"name":"b","kind":"char","size":100}]}],`+
 			`"queries":[{"id":"q1","weight":`+weight+`,"tables":{"events":["a","b"]}},{"id":"q2","tables":{"events":["b"]}}]}`)
 	}
-	observe := func(weight string) (int, string) {
-		return post("/observe", `{"table":"events","queries":[{"attrs":["a"],"weight":`+weight+`}]}`)
-	}
-	observeBatched := func(weight string) (int, string) {
-		return post("/observe", `{"batches":[{"table":"events","queries":[{"attrs":["a"],"weight":`+weight+`}]}]}`)
+	observe := func(weight string) (int, string, ObserveResponse) {
+		code, body := post("/observe", `{"batches":[{"table":"events","queries":[{"attrs":["a"],"weight":`+weight+`}]}]}`)
+		var resp ObserveResponse
+		if code == http.StatusOK && json.Unmarshal([]byte(body), &resp) != nil {
+			t.Fatalf("/observe weight %s: %q is not JSON", weight, body)
+		}
+		return code, body, resp
 	}
 
 	for _, w := range []string{"1e308", "9007199254740994", "1.7976931348623157e308"} {
@@ -67,21 +69,17 @@ func TestServerRejectsOverflowingWeights(t *testing.T) {
 
 	seq := st.LastSeq()
 	for _, w := range []string{"1e308", "9007199254740994"} {
-		if code, body := observe(w); code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
-			t.Errorf("/observe weight %s: %d %q, want 400 with an error body", w, code, body)
-		}
-		code, body := observeBatched(w)
-		var resp ObserveResponse
-		if code != http.StatusOK || json.Unmarshal([]byte(body), &resp) != nil ||
-			len(resp.Verdicts) != 1 || resp.Verdicts[0].Status != http.StatusBadRequest {
-			t.Errorf("batched /observe weight %s: %d %q, want one 400 verdict", w, code, body)
+		if code, body, resp := observe(w); code != http.StatusOK ||
+			len(resp.Verdicts) != 1 || resp.Verdicts[0].Status != http.StatusBadRequest || resp.Verdicts[0].Error == "" {
+			t.Errorf("/observe weight %s: %d %q, want one 400 verdict with an error", w, code, body)
 		}
 	}
 	if got := st.LastSeq(); got != seq {
 		t.Errorf("rejected weights journaled %d records", got-seq)
 	}
-	if code, body := observe("9007199254740992"); code != http.StatusOK || !json.Valid([]byte(body)) {
-		t.Fatalf("/observe at MaxWeight: %d %q, want 200 with a JSON body", code, body)
+	if code, body, resp := observe("9007199254740992"); code != http.StatusOK ||
+		len(resp.Verdicts) != 1 || resp.Verdicts[0].Status != http.StatusOK {
+		t.Fatalf("/observe at MaxWeight: %d %q, want one 200 verdict", code, body)
 	}
 
 	// Whatever else cannot be rendered answers 500 with an error body.
@@ -133,6 +131,49 @@ func TestServerRejectsTablesPastTheCeiling(t *testing.T) {
 	}
 }
 
+// A device override past cost.Device.Validate's domain is a 400 before any
+// search runs, on every endpoint that takes a model, with nothing cached.
+// Before the bounds, the first three priced +Inf after the search and
+// answered 500 with the advice already cached, and a what-if /replay on
+// 2^62-byte blocks crashed the process allocating its first page.
+func TestServerRejectsDevicesPastTheDomain(t *testing.T) {
+	svc := NewService(Config{})
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+
+	workload := `"tables":[{"name":"events","rows":1000000,"columns":[` +
+		`{"name":"a","kind":"char","size":100},{"name":"b","kind":"char","size":100}]}],` +
+		`"queries":[{"id":"q1","tables":{"events":["a","b"]}},{"id":"q2","tables":{"events":["b"]}}]`
+	for _, model := range []string{
+		`{"seek_s":1e308}`,
+		`{"read_bw":1e-300}`,
+		`{"name":"mm","miss_s":1e308}`,
+		`{"block_bytes":4611686018427387904}`,
+	} {
+		for _, path := range []string{"/advise", "/replay", "/query"} {
+			body := `{` + workload + `,"model":` + model + `}`
+			if path != "/advise" {
+				body = `{` + workload + `,"max_rows":100,"model":` + model + `}`
+			}
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), ErrBadModel.Error()) {
+				t.Errorf("%s model %s: %d %q, want 400 with the model error", path, model, resp.StatusCode, b)
+			}
+		}
+	}
+	if st := svc.Stats(); st.Cached != 0 || st.Searches != 0 || st.CachedReplays != 0 {
+		t.Errorf("rejected models left %d advice entries, %d searches, %d reports", st.Cached, st.Searches, st.CachedReplays)
+	}
+}
+
 // TestWeightCeilingKeepsPricesFinite works MaxWeight's bound on the largest
 // table the validators accept: 64 columns whose widths sum to
 // schema.MaxRowWidth, and as many rows as schema.MaxTableBytes allows.
@@ -149,8 +190,9 @@ func TestServerRejectsTablesPastTheCeiling(t *testing.T) {
 // Every one of those bounds is finite.
 //
 // Empirically: advise and drift-check a workload at MaxWeight on that table
-// under every preset device, and every price the service reports is finite,
-// non-negative and encodes.
+// under every preset device, and under each preset at the edges of
+// cost.Device.Validate's domain, and every price the service reports is
+// finite, non-negative and encodes.
 func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 	cols := make([]schema.Column, attrset.MaxAttrs)
 	for i := range cols {
@@ -186,65 +228,80 @@ func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 	energy := attrset.MaxAttrs * attrset.MaxAttrs * cell
 	finite("contribution bound", 4*bond)
 	finite("split z bound", energy*energy)
-	for _, name := range []string{"hdd", "ssd", "mm"} {
-		dev, err := cost.DeviceByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var qcMax float64
-		if dev.Pricing == cost.PricingCache {
-			qcMax = (float64(tab.Rows)*float64(tab.RowSize())/float64(dev.CacheLineSize) + attrset.MaxAttrs) * dev.MissLatency
-		} else {
-			qcMax = attrset.MaxAttrs * float64(math.MaxInt64) * (dev.SeekTime + float64(dev.BlockSize)/dev.ReadBandwidth)
-		}
-		m, err := cost.NewDeviceModel(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, parts := range [][]attrset.Set{partition.Row(tab).Parts, partition.Column(tab).Parts} {
-			qc := m.QueryCost(tab, parts, tab.AllAttrs())
-			price(name+" query cost", qc)
-			if math.Abs(qc) > qcMax {
-				t.Fatalf("%s: query cost %v above the bound %v", name, qc, qcMax)
-			}
-		}
-		finite(name+" workload bound", qcMax*MaxWeight*maxQueries)
-
-		// A registration and a window of observations at MaxWeight: pairs
-		// and singles spread over all 64 columns.
-		var queries []schema.TableQuery
-		for i := 0; i < 96; i++ {
-			a := (i * 7) % attrset.MaxAttrs
-			attrs := attrset.Of(a, (a+1+i%5)%attrset.MaxAttrs)
-			if i%3 == 0 {
-				attrs = attrset.Single(a)
-			}
-			queries = append(queries, schema.TableQuery{ID: fmt.Sprintf("q%d", i), Weight: MaxWeight, Attrs: attrs})
-		}
-		svc := NewService(Config{Model: m, DriftWindow: 64})
-		advice, _, err := svc.AdviseTable(schema.TableWorkload{Table: tab, Queries: queries[:32]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		price(name+" advised cost", advice.Cost)
-		price(name+" row cost", advice.RowCost)
-		price(name+" column cost", advice.ColumnCost)
-		for algo, c := range advice.PerAlgorithm {
-			price(name+" "+algo+" cost", c)
-		}
-		if _, err := json.Marshal(toWire(advice, Fingerprint{}, false)); err != nil {
-			t.Fatalf("%s: advice does not encode: %v", name, err)
-		}
-		for off := 32; off < len(queries); off += 16 {
-			rep, err := svc.Observe(tab.Name, queries[off:off+16])
+	// Every preset, and every preset at the edges of the admitted device
+	// domain: the slowest seek, miss and bandwidths, with the smallest and
+	// with the largest blocks and cache lines.
+	slowest := cost.Device{ReadBandwidth: cost.MinBandwidth, WriteBandwidth: cost.MinBandwidth,
+		SeekTime: cost.MaxSeekTime, MissLatency: cost.MaxMissLatency}
+	smallest, largest := slowest, slowest
+	smallest.BlockSize, smallest.CacheLineSize = 1, 1
+	largest.BlockSize, largest.CacheLineSize = cost.MaxBlockSize, cost.MaxBlockSize
+	for _, preset := range []string{"hdd", "ssd", "mm"} {
+		for _, edge := range []struct {
+			name      string
+			overrides cost.Device
+		}{{"", cost.Device{}}, {" slowest, smallest blocks", smallest}, {" slowest, largest blocks", largest}} {
+			name := preset + edge.name
+			base, err := cost.DeviceByName(preset)
 			if err != nil {
 				t.Fatal(err)
 			}
-			finite(name+" drift ratio", rep.Ratio)
-			if _, err := json.Marshal(rep); err != nil {
-				t.Fatalf("%s: drift report does not encode: %v", name, err)
+			dev := base.WithOverrides(edge.overrides)
+			var qcMax float64
+			if dev.Pricing == cost.PricingCache {
+				qcMax = (float64(tab.Rows)*float64(tab.RowSize())/float64(dev.CacheLineSize) + attrset.MaxAttrs) * dev.MissLatency
+			} else {
+				qcMax = attrset.MaxAttrs * float64(math.MaxInt64) * (dev.SeekTime + float64(dev.BlockSize)/dev.ReadBandwidth)
 			}
+			m, err := cost.NewDeviceModel(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parts := range [][]attrset.Set{partition.Row(tab).Parts, partition.Column(tab).Parts} {
+				qc := m.QueryCost(tab, parts, tab.AllAttrs())
+				price(name+" query cost", qc)
+				if math.Abs(qc) > qcMax {
+					t.Fatalf("%s: query cost %v above the bound %v", name, qc, qcMax)
+				}
+			}
+			finite(name+" workload bound", qcMax*MaxWeight*maxQueries)
+
+			// A registration and a window of observations at MaxWeight: pairs
+			// and singles spread over all 64 columns.
+			var queries []schema.TableQuery
+			for i := 0; i < 96; i++ {
+				a := (i * 7) % attrset.MaxAttrs
+				attrs := attrset.Of(a, (a+1+i%5)%attrset.MaxAttrs)
+				if i%3 == 0 {
+					attrs = attrset.Single(a)
+				}
+				queries = append(queries, schema.TableQuery{ID: fmt.Sprintf("q%d", i), Weight: MaxWeight, Attrs: attrs})
+			}
+			svc := NewService(Config{Model: m, DriftWindow: 64})
+			advice, _, err := svc.AdviseTable(schema.TableWorkload{Table: tab, Queries: queries[:32]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			price(name+" advised cost", advice.Cost)
+			price(name+" row cost", advice.RowCost)
+			price(name+" column cost", advice.ColumnCost)
+			for algo, c := range advice.PerAlgorithm {
+				price(name+" "+algo+" cost", c)
+			}
+			if _, err := json.Marshal(toWire(advice, Fingerprint{}, false)); err != nil {
+				t.Fatalf("%s: advice does not encode: %v", name, err)
+			}
+			for off := 32; off < len(queries); off += 16 {
+				rep, err := observe(svc, tab, queries[off:off+16])
+				if err != nil {
+					t.Fatal(err)
+				}
+				finite(name+" drift ratio", rep.Ratio)
+				if _, err := json.Marshal(rep); err != nil {
+					t.Fatalf("%s: drift report does not encode: %v", name, err)
+				}
+			}
+			svc.Close()
 		}
-		svc.Close()
 	}
 }

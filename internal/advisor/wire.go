@@ -338,30 +338,21 @@ func toMigrationWire(o *MigrationOutcome, cached bool) MigrationWire {
 	return w
 }
 
-// ObserveRequest is the body of POST /observe. Two shapes share the
-// endpoint:
-//
-//   - Single-table (legacy): Table + Queries, answered with the top-level
-//     Drift/Advice pair — byte-compatible with every earlier release.
-//   - Batched: Batches carries many tables × many queries in one request,
-//     answered with one TableObserveVerdict per entry, in order. Entries
-//     fail independently: an unknown table or bad query in one batch never
-//     blocks its neighbors. The batched shape excludes the legacy fields.
+// ObserveRequest is the body of POST /observe: Batches carries many tables
+// × many queries in one request, answered with one TableObserveVerdict per
+// entry, in order. Entries fail independently: an unknown table or bad
+// query in one batch never blocks its neighbors.
 //
 // Batches for the same table are applied in slice order; batches for
 // different tables may interleave with other requests.
 type ObserveRequest struct {
-	Table   string        `json:"table,omitempty"`
-	Queries []ObservedQry `json:"queries,omitempty"`
-
 	Batches []TableObservation `json:"batches,omitempty"`
 
-	// BatchID optionally identifies this batched request for redelivery
-	// dedup: a retry re-sending the same ID after a lost response answers
-	// from the server's dedup window instead of re-ingesting (and
-	// double-counting) the applied batches. IDs must be unique per LOGICAL
-	// batch — reusing one for different content answers the first
-	// content's verdicts. Single-table requests ignore it.
+	// BatchID optionally identifies this request for redelivery dedup: a
+	// retry re-sending the same ID after a lost response answers from the
+	// server's dedup window instead of re-ingesting (and double-counting)
+	// the applied batches. IDs must be unique per LOGICAL batch — reusing
+	// one for different content answers the first content's verdicts.
 	BatchID string `json:"batch_id,omitempty"`
 }
 
@@ -380,13 +371,9 @@ type ObservedQry struct {
 	Weight float64  `json:"weight,omitempty"`
 }
 
-// ObserveResponse reports the drift state after an observation request.
-// Single-table requests fill Drift/Advice; batched requests fill Verdicts,
-// one per submitted TableObservation, in submission order.
+// ObserveResponse reports the drift state after an observation request:
+// one verdict per submitted TableObservation, in submission order.
 type ObserveResponse struct {
-	Drift  DriftReport     `json:"drift"`
-	Advice TableAdviceWire `json:"advice"`
-
 	Verdicts []TableObserveVerdict `json:"verdicts,omitempty"`
 
 	// Duplicate reports that the request's BatchID was already applied and
@@ -395,10 +382,10 @@ type ObserveResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// TableObserveVerdict is one batch entry's outcome in a batched observe
-// response. Status mirrors the HTTP code the same failure would earn on the
-// single-table path (200, 400, 404, 409, 503, 500); Error is empty on
-// success, in which case Drift/Advice carry the post-ingest state.
+// TableObserveVerdict is one batch entry's outcome in an observe response.
+// Status is the HTTP code the failure would earn as a request of its own
+// (200, 400, 404, 409, 503, 500); Error is empty on success, in which case
+// Drift/Advice carry the post-ingest state.
 type TableObserveVerdict struct {
 	Table  string          `json:"table"`
 	Status int             `json:"status"`

@@ -193,25 +193,42 @@ func (d Device) WithOverrides(o Device) Device {
 	return d
 }
 
-// Validate reports whether the device parameters are usable. NaN and
-// infinite values fail the negated comparisons, so a corrupted override can
-// never price garbage silently.
+// The admitted device domain. A table is at most schema.MaxTableBytes of
+// rows at most schema.MaxRowWidth wide, so one partition of it spans at
+// most 2^60 blocks and seeks, and a query's partitions hold fewer than
+// 2^61 + 64·b bytes of blocks. Within these bounds a query therefore
+// prices below 2^66·MaxSeekTime + 2^62/MinBandwidth on a block device and
+// below (2^60 + 64)·MaxMissLatency on a cache device, and every byte count
+// fits an int64. A weighted workload multiplies that by less than 2^76
+// (the advisor's weight ceiling times the queries a request can carry)
+// and stays finite.
+const (
+	MaxBlockSize   = 1 << 24 // bytes
+	MinBandwidth   = 1       // bytes/second, reads and writes
+	MaxSeekTime    = 3600    // seconds per buffer refill
+	MaxMissLatency = 1       // seconds per cache miss
+)
+
+// Validate reports whether the device parameters are usable: inside the
+// admitted domain above, so every price of an admitted table is finite.
+// NaN fails the negated comparisons, so a corrupted override can never
+// price garbage silently.
 func (d Device) Validate() error {
 	switch {
-	case d.BlockSize <= 0:
-		return fmt.Errorf("cost: block size %d must be positive", d.BlockSize)
+	case d.BlockSize <= 0 || d.BlockSize > MaxBlockSize:
+		return fmt.Errorf("cost: block size %d must be in [1, %d]", d.BlockSize, MaxBlockSize)
 	case d.BufferSize <= 0:
 		return fmt.Errorf("cost: buffer size %d must be positive", d.BufferSize)
-	case !(d.ReadBandwidth > 0) || math.IsInf(d.ReadBandwidth, 0):
-		return fmt.Errorf("cost: read bandwidth %v must be positive and finite", d.ReadBandwidth)
-	case d.WriteBandwidth != 0 && (!(d.WriteBandwidth > 0) || math.IsInf(d.WriteBandwidth, 0)):
-		return fmt.Errorf("cost: write bandwidth %v must be positive and finite (or 0 to reuse reads)", d.WriteBandwidth)
-	case !(d.SeekTime >= 0) || math.IsInf(d.SeekTime, 0):
-		return fmt.Errorf("cost: seek time %v must be non-negative and finite", d.SeekTime)
+	case !(d.ReadBandwidth >= MinBandwidth) || math.IsInf(d.ReadBandwidth, 0):
+		return fmt.Errorf("cost: read bandwidth %v must be finite and at least %d B/s", d.ReadBandwidth, MinBandwidth)
+	case d.WriteBandwidth != 0 && (!(d.WriteBandwidth >= MinBandwidth) || math.IsInf(d.WriteBandwidth, 0)):
+		return fmt.Errorf("cost: write bandwidth %v must be finite and at least %d B/s (or 0 to reuse reads)", d.WriteBandwidth, MinBandwidth)
+	case !(d.SeekTime >= 0 && d.SeekTime <= MaxSeekTime):
+		return fmt.Errorf("cost: seek time %v must be in [0, %d] s", d.SeekTime, MaxSeekTime)
 	case d.CacheLineSize < 0:
 		return fmt.Errorf("cost: cache line size %d must be non-negative", d.CacheLineSize)
-	case !(d.MissLatency >= 0) || math.IsInf(d.MissLatency, 0):
-		return fmt.Errorf("cost: miss latency %v must be non-negative and finite", d.MissLatency)
+	case !(d.MissLatency >= 0 && d.MissLatency <= MaxMissLatency):
+		return fmt.Errorf("cost: miss latency %v must be in [0, %d] s", d.MissLatency, MaxMissLatency)
 	}
 	return nil
 }

@@ -113,6 +113,34 @@ func TestModelByNameOverrides(t *testing.T) {
 	}
 }
 
+// Validate admits every device up to the domain's bounds and nothing past
+// them: a seek, miss latency or block a step over its ceiling, or a
+// bandwidth a step under its floor, is an error, and so is the first
+// value of each the wire reported priced +Inf.
+func TestValidateBoundsTheDomain(t *testing.T) {
+	for _, name := range []string{"hdd", "ssd", "mm"} {
+		edge := Device{BlockSize: MaxBlockSize, ReadBandwidth: MinBandwidth, WriteBandwidth: MinBandwidth,
+			SeekTime: MaxSeekTime, MissLatency: MaxMissLatency, CacheLineSize: 1}
+		if _, err := ModelByName(name, edge); err != nil {
+			t.Errorf("%s at the bounds: %v", name, err)
+		}
+		for _, past := range []Device{
+			{BlockSize: MaxBlockSize + 1},
+			{ReadBandwidth: math.Nextafter(MinBandwidth, 0)},
+			{WriteBandwidth: math.Nextafter(MinBandwidth, 0)},
+			{SeekTime: math.Nextafter(MaxSeekTime, math.Inf(1))},
+			{MissLatency: math.Nextafter(MaxMissLatency, math.Inf(1))},
+			{SeekTime: 1e308},
+			{ReadBandwidth: 1e-300},
+			{MissLatency: 1e308},
+		} {
+			if _, err := ModelByName(name, past); err == nil {
+				t.Errorf("%s: accepted %+v past the domain", name, past)
+			}
+		}
+	}
+}
+
 // The migration pricing must generalize with the device layer: any valid
 // block device prices like the HDD discipline, any cache device like MM,
 // and an identity transition is exactly zero everywhere.

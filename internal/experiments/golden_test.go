@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden report files")
 // reproduction claims shows up in a PR as a readable text diff instead of a
 // silent drift.
 //
-// Fig1 and Fig10 embed wall-clock optimization times, which no golden file
+// Fig1, Fig2 and Fig10 embed wall-clock optimization times, which no golden file
 // can pin; their timing-dependent cells and notes are masked at the Report
 // level (BEFORE rendering, so column widths stay stable) while everything
 // machine-independent — candidate counts, creation-time estimate, the
@@ -70,6 +70,25 @@ func TestGoldenReports(t *testing.T) {
 		// verdicts all come from deterministic fault schedules over a fixed
 		// event stream, so golden without masking.
 		{"ext-recovery", nil},
+		// The rest of the registry: estimated costs, layouts and counts
+		// over deterministic searches and samples, golden without masking
+		// — except fig2, whose every cell is a measured optimization time.
+		{"fig2", maskFig2},
+		{"fig6", nil},
+		{"fig7", nil},
+		{"fig8", nil},
+		{"fig9", nil},
+		{"fig11", nil},
+		{"fig12", nil},
+		{"fig13", nil},
+		{"tab5", nil},
+		{"tab6", nil},
+		{"tab7", nil},
+		{"ext-selectivity", nil},
+		{"ext-drift", nil},
+		{"ext-convergence", nil},
+		{"ext-replication", nil},
+		{"ext-grouping", nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -122,6 +141,16 @@ func maskFig1(r *Report) {
 	ratio := regexp.MustCompile(`optimization time = .*x$`)
 	for i, n := range r.Notes {
 		r.Notes[i] = ratio.ReplaceAllString(n, "optimization time = "+timingMask+"x")
+	}
+}
+
+// maskFig2 blanks every optimization-time cell; the k column and the
+// notes stay.
+func maskFig2(r *Report) {
+	for _, row := range r.Rows {
+		for i := 1; i < len(row); i++ {
+			row[i] = timingMask
+		}
 	}
 }
 
