@@ -305,3 +305,36 @@ func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 		}
 	}
 }
+
+// A what-if buffer of 2^62 bytes is inside the device domain, and the
+// executor must split it the way the cost model does: the cost model takes
+// buffer × row size in 128 bits, and a storage cursor that took it in int64
+// wrapped to a tiny buffer share, measured more seeks than it predicted and
+// answered "exact": false.
+func TestHugeBufferReplaysExactly(t *testing.T) {
+	ts := httptest.NewServer(NewServer(NewService(Config{})))
+	defer ts.Close()
+	workload := `"tables":[{"name":"events","rows":1000000,"columns":[` +
+		`{"name":"a","kind":"int","size":4},{"name":"b","kind":"char","size":100}]}],` +
+		`"queries":[{"id":"q1","tables":{"events":["a","b"]}},{"id":"q2","tables":{"events":["b"]}}]`
+	for _, path := range []string{"/replay", "/query"} {
+		body := `{` + workload + `,"max_rows":300,"model":{"buffer_bytes":4611686018427387904}}`
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Reports []struct {
+				Exact bool `json:"exact"`
+			} `json:"reports"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(got.Reports) != 1 {
+			t.Fatalf("%s: %d, %d reports, %v", path, resp.StatusCode, len(got.Reports), err)
+		}
+		if !got.Reports[0].Exact {
+			t.Errorf("%s with a 2^62-byte buffer: exact false, want true", path)
+		}
+	}
+}

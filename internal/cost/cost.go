@@ -201,7 +201,7 @@ func (m *DeviceModel) PartitionCost(t *schema.Table, rowSize, totalRowSize int64
 	}
 	blocks := PartitionBlocks(t.Rows, rowSize, d.BlockSize)
 
-	blocksBuff := bufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
+	blocksBuff := BufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
 	if blocksBuff < 1 {
 		blocksBuff = 1
 	}
@@ -226,22 +226,24 @@ func PartitionSeeks(rows, rowSize, totalRowSize int64, d Disk) int64 {
 		return 0
 	}
 	blocks := PartitionBlocks(rows, rowSize, d.BlockSize)
-	blocksBuff := bufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
+	blocksBuff := BufferShare(d.BufferSize, rowSize, totalRowSize) / d.BlockSize
 	if blocksBuff < 1 {
 		blocksBuff = 1
 	}
 	return ceilDiv(blocks, blocksBuff)
 }
 
-// bufferShare returns floor(buffer * rowSize / totalRowSize), a partition's
+// BufferShare returns floor(buffer * rowSize / totalRowSize), a partition's
 // share of the I/O buffer under the proportional split, with the product
-// taken in 128 bits. In int64 it overflows once buffer * rowSize passes
+// taken in 128 bits. It is the one definition of the split: the storage
+// cursors that charge buffer refills call it too, so measured seeks and
+// predicted seeks divide the same share. In int64 it overflows once buffer * rowSize passes
 // 2^63 — a 2^62-byte buffer and a 100-byte row wrap to a tiny share, and a
 // bigger buffer prices worse than a smaller one. Wherever the product fits
 // in int64 the result is the int64 expression's; a quotient past int64
 // saturates (only a rowSize above totalRowSize, which no query prices, can
 // get there).
-func bufferShare(buffer, rowSize, totalRowSize int64) int64 {
+func BufferShare(buffer, rowSize, totalRowSize int64) int64 {
 	hi, lo := bits.Mul64(uint64(buffer), uint64(rowSize))
 	if hi|lo>>63 != 0 && buffer|rowSize >= 0 {
 		return wideBufferShare(hi, lo, totalRowSize)

@@ -249,7 +249,7 @@ func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged m
 	if rows == 0 {
 		return ps, nil
 	}
-	buff := e.disk.BufferSize * int64(p.rowSize) / totalRowSize
+	buff := cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), totalRowSize)
 	pagesBuff := buff / e.disk.BlockSize
 	if pagesBuff < 1 {
 		pagesBuff = 1
@@ -294,7 +294,7 @@ func (e *Engine) writeMovedPart(p *enginePart, rows, totalRowSize int64, staged 
 	if rows == 0 {
 		return ps, nil
 	}
-	buff := e.disk.BufferSize * int64(p.rowSize) / totalRowSize
+	buff := cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), totalRowSize)
 	pagesBuff := buff / e.disk.BlockSize
 	if pagesBuff < 1 {
 		pagesBuff = 1

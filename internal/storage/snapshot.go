@@ -115,7 +115,7 @@ func (s *Snapshot) Cursor(i int, dev cost.Device, totalRowSize int64) (*PartCurs
 			totalRowSize, p.rowSize)
 	}
 	// The proportional buffer split, as the cost model computes it.
-	buff := dev.BufferSize * int64(p.rowSize) / totalRowSize
+	buff := cost.BufferShare(dev.BufferSize, int64(p.rowSize), totalRowSize)
 	pagesBuff := buff / dev.BlockSize
 	if pagesBuff < 1 {
 		pagesBuff = 1
