@@ -21,7 +21,9 @@ import (
 // excluded) records. The index reads code only — comments are dropped at
 // parse time and only the group-commit rule looks at string literals — and
 // resolves a selector x.F through its file's import specs, aliases
-// included, so a rule fails on code and never on prose.
+// included, so a rule fails on code and never on prose. A call argument's
+// type is named from syntax alone (see typeName), enough for the codec
+// rule and no more.
 
 const module = "knives"
 
@@ -34,6 +36,7 @@ const (
 	imported factKind = "imported" // an import spec
 	compared factKind = "compared" // a selector under ==, != or a switch tag
 	quoted   factKind = "quoted"   // a string literal's value
+	passed   factKind = "passed"   // a call argument whose type the index can name
 )
 
 // A fact is one thing the index found in one package.
@@ -48,7 +51,7 @@ type fact struct {
 	// name is the identifier; for an import, the imported path; for a
 	// string literal, its value.
 	name    string
-	typeArg string // the first type argument a used name is instantiated with
+	typeArg string // the first type argument a used name is instantiated with; a passed argument's type
 	call    bool   // a used name is the callee of a call
 	from    string // the import path of the package the fact is in
 	fn      string // enclosing func: "checkWindow", "(ExecOptions).normalized"; "" at package level
@@ -66,7 +69,10 @@ func (f fact) describe(fset *token.FileSet) string {
 	if f.recv != "" {
 		what = "(" + f.recv + ")." + f.name
 	}
-	if f.typeArg != "" {
+	switch {
+	case f.kind == passed:
+		what += "(" + f.typeArg + ")"
+	case f.typeArg != "":
 		what += "[" + f.typeArg + ", …]"
 	}
 	s := fmt.Sprintf("%s: %s %s", fset.Position(f.pos), f.kind, what)
@@ -191,6 +197,14 @@ var architecture = []rule{
 		none(pattern{kind: imported, from: operator, names: []string{"hash/fnv"}}),
 		none(pattern{kind: imported, from: storage, names: []string{"hash/fnv"}}),
 	}},
+	{name: "one observe/advice codec", limits: []limit{
+		// /observe decodes and observe verdicts and advice encode through
+		// the hand-written codec, never through reflection.
+		none(pattern{kind: passed, from: advisor, names: []string{"decodeRequest", "decodeBody"}, typeArg: "ObserveRequest"}),
+		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "ObserveResponse"}),
+		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "AdviseResponse"}),
+		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "TableAdviceWire"}),
+	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
 		unlinked: []string{
@@ -251,9 +265,9 @@ func parseModule(dir string) (*index, error) {
 		return nil, err
 	}
 	for ip, p := range ix.pkgs {
-		top := p.topLevel()
+		top, res := p.topLevel(), p.results()
 		for _, f := range p.files {
-			ix.extract(ip, top, f)
+			ix.extract(ip, top, res, f)
 		}
 	}
 	return ix, nil
@@ -298,8 +312,24 @@ func (ix *index) planted(name string, src []byte) (*index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp.extract(ip, cp.pkgs[ip].topLevel(), f)
+	cp.extract(ip, cp.pkgs[ip].topLevel(), cp.pkgs[ip].results(), f)
 	return cp, nil
+}
+
+// results returns, for each function a package declares at package level
+// with a named first result, that result's type name.
+func (p *pkg) results() map[string]string {
+	res := map[string]string{}
+	for _, f := range p.files {
+		for _, d := range f.syntax.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Type.Results != nil {
+				if id := nameOf(fd.Type.Results.List[0].Type); id != nil {
+					res[fd.Name.Name] = id.Name
+				}
+			}
+		}
+	}
+	return res
 }
 
 // topLevel returns the names a package declares at package level.
@@ -330,8 +360,9 @@ func (p *pkg) topLevel() map[string]bool {
 }
 
 // extract records the facts of one file of the package at import path ip,
-// which declares the names in top at package level.
-func (ix *index) extract(ip string, top map[string]bool, f *file) {
+// which declares the names in top at package level and the functions in
+// results with their result types.
+func (ix *index) extract(ip string, top map[string]bool, results map[string]string, f *file) {
 	f.facts, f.named, f.imports = nil, map[string][]fact{}, nil
 	imports := map[string]string{} // local name -> import path
 	for _, s := range f.syntax.Imports {
@@ -357,6 +388,7 @@ func (ix *index) extract(ip string, top map[string]bool, f *file) {
 		return imp, ok
 	}
 	var fn string
+	var locals map[string]string       // the enclosing func's variables by type name
 	decl := map[*ast.Ident]bool{}      // identifiers recorded as declarations
 	callee := map[*ast.Ident]bool{}    // identifiers that name a called function
 	typeArg := map[*ast.Ident]string{} // instantiated names -> first type argument
@@ -394,6 +426,11 @@ func (ix *index) extract(ip string, top map[string]bool, f *file) {
 		case *ast.CallExpr:
 			if id := nameOf(n.Fun); id != nil {
 				callee[id] = true
+				for _, a := range n.Args {
+					if typ := typeName(a, locals, results); typ != "" {
+						record(fact{kind: passed, name: id.Name, typeArg: typ, pos: a.Pos()})
+					}
+				}
 			}
 		case *ast.IndexExpr:
 			if id, arg := nameOf(n.X), nameOf(n.Index); id != nil && arg != nil {
@@ -439,7 +476,7 @@ func (ix *index) extract(ip string, top map[string]bool, f *file) {
 		return true
 	}
 	for _, d := range f.syntax.Decls {
-		fn = ""
+		fn, locals = "", localTypes(d, results)
 		if fd, ok := d.(*ast.FuncDecl); ok {
 			recv := ""
 			if fd.Recv != nil && len(fd.Recv.List) > 0 {
@@ -462,6 +499,66 @@ func (ix *index) extract(ip string, top map[string]bool, f *file) {
 	for _, x := range f.facts {
 		f.named[x.name] = append(f.named[x.name], x)
 	}
+}
+
+// typeName names the type of an expression as far as syntax tells it: a
+// composite literal's type, a variable's declared type, a package-level
+// function's result type, through & and parentheses; "" when it cannot.
+func typeName(x ast.Expr, locals, results map[string]string) string {
+	switch e := x.(type) {
+	case *ast.ParenExpr:
+		return typeName(e.X, locals, results)
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return typeName(e.X, locals, results)
+		}
+	case *ast.CompositeLit:
+		if id := nameOf(e.Type); id != nil {
+			return id.Name
+		}
+	case *ast.Ident:
+		return locals[e.Name]
+	case *ast.CallExpr:
+		if id, ok := e.Fun.(*ast.Ident); ok {
+			return results[id.Name]
+		}
+	}
+	return ""
+}
+
+// localTypes maps the variables a declaration's functions declare —
+// parameters, var declarations and := assignments — to their type names,
+// ignoring scope: a name declared twice keeps its last type.
+func localTypes(d ast.Decl, results map[string]string) map[string]string {
+	locals := map[string]string{}
+	ast.Inspect(d, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			if id := nameOf(n.Type); id != nil {
+				for _, name := range n.Names {
+					locals[name.Name] = id.Name
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if id := nameOf(n.Type); n.Type != nil && id != nil {
+					locals[name.Name] = id.Name
+				} else if i < len(n.Values) {
+					locals[name.Name] = typeName(n.Values[i], locals, results)
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						locals[id.Name] = typeName(n.Rhs[i], locals, results)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return locals
 }
 
 // nameOf returns the identifier that names an expression's callee, generic
@@ -631,6 +728,11 @@ var plants = []struct {
 	{"one way to observe", "internal/advisor/client.go", "", "func (c *Client) Observe() {}"},
 	{"one way to observe", "internal/advisor/drift.go", "", "func (t *Tracker) validateLocked() {}"},
 	{"one checksum definition", "internal/storage/digest.go", "package storage\n", `import _ "hash/fnv"`},
+	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { var req ObserveRequest; decodeRequest(nil, nil, &req) }"},
+	{"one observe/advice codec", "internal/advisor/codec.go", "", "func init() { decodeBody(nil, nil, &ObserveRequest{}) }"},
+	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, ObserveResponse{}) }"},
+	{"one observe/advice codec", "internal/advisor/server.go", "", "func h(w http.ResponseWriter) { resp := AdviseResponse{}; writeJSON(w, &resp) }"},
+	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, toWire(TableAdvice{}, Fingerprint{}, false)) }"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 }
 

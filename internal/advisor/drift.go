@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"knives/internal/algo"
 	"knives/internal/algo/o2p"
@@ -171,6 +173,7 @@ type DriftReport struct {
 // ErrStaleSchema instead of pricing garbage. Caller holds t.mu.
 func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, error) {
 	queries := make([]schema.TableQuery, 0, len(named))
+	ids := obsIDs.upTo(len(named))
 	for i, oq := range named {
 		if len(oq.Attrs) == 0 {
 			return nil, fmt.Errorf(
@@ -190,12 +193,58 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 			weight = 1
 		}
 		queries = append(queries, schema.TableQuery{
-			ID:     fmt.Sprintf("obs%d", i+1),
+			ID:     obsID(ids, i),
 			Weight: weight,
 			Attrs:  attrs,
 		})
 	}
 	return queries, nil
+}
+
+// obsIDs is the shared table of observed-query IDs "obs1", "obs2", …: a
+// batch's i-th query is always "obs<i+1>", so every tracker can hand out the
+// same strings instead of formatting one per query. It only grows, up to
+// maxSharedObsIDs; a batch longer than that formats its tail.
+var obsIDs idTable
+
+const maxSharedObsIDs = 1 << 12
+
+type idTable struct {
+	mu  sync.Mutex
+	ids atomic.Pointer[[]string]
+}
+
+// upTo returns the table grown to hold the first n IDs, or all it may hold.
+func (t *idTable) upTo(n int) []string {
+	n = min(n, maxSharedObsIDs)
+	if p := t.ids.Load(); p != nil && len(*p) >= n {
+		return *p
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var ids []string
+	if p := t.ids.Load(); p != nil {
+		ids = *p
+	}
+	if len(ids) >= n {
+		return ids
+	}
+	grown := make([]string, min(max(n, 2*len(ids)), maxSharedObsIDs))
+	copy(grown, ids)
+	for i := len(ids); i < len(grown); i++ {
+		grown[i] = "obs" + strconv.Itoa(i+1)
+	}
+	t.ids.Store(&grown)
+	return grown
+}
+
+// obsID is the ID of a batch's i-th query (from 0), from ids when it
+// holds it.
+func obsID(ids []string, i int) string {
+	if i < len(ids) {
+		return ids[i]
+	}
+	return "obs" + strconv.Itoa(i+1)
 }
 
 // ingestLocked applies one validated, already-journaled batch: an append
@@ -434,6 +483,15 @@ func (t *Tracker) State() (TableAdvice, schema.TableWorkload) {
 		Table:   t.table,
 		Queries: append([]schema.TableQuery(nil), t.log...),
 	}
+}
+
+// currentState returns the current advice and the fingerprint of the
+// observed workload it is tracked against, hashed under the lock rather
+// than copied out of it first.
+func (t *Tracker) currentState() (TableAdvice, Fingerprint) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.advice, FingerprintOf(schema.TableWorkload{Table: t.table, Queries: t.log})
 }
 
 // setAdvice replaces the tracked advice and its reference workload; used

@@ -25,28 +25,32 @@ type Fingerprint [sha256.Size]byte
 // String renders the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// FingerprintOf computes the fingerprint of a table workload.
+// FingerprintOf computes the fingerprint of a table workload: one SHA-256
+// over its canonical bytes, built in a pooled buffer.
 func FingerprintOf(tw schema.TableWorkload) Fingerprint {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(uint64(len(s)))
-		h.Write([]byte(s))
+	bp := getBuf()
+	b := appendCanonical(*bp, tw)
+	f := Fingerprint(sha256.Sum256(b))
+	putBuf(bp, b)
+	return f
+}
+
+// appendCanonical appends the bytes a fingerprint hashes: every integer
+// little-endian in 8 bytes, every string its length and then its bytes.
+func appendCanonical(b []byte, tw schema.TableWorkload) []byte {
+	str := func(b []byte, s string) []byte {
+		return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
 	}
 	t := tw.Table
-	writeStr(t.Name)
-	writeInt(uint64(t.Rows))
-	writeInt(uint64(len(t.Columns)))
+	b = str(b, t.Name)
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.Rows))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(t.Columns)))
 	for _, c := range t.Columns {
-		writeStr(c.Name)
-		writeInt(uint64(c.Kind))
-		writeInt(uint64(c.Size))
+		b = str(b, c.Name)
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.Kind))
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.Size))
 	}
-	writeInt(uint64(len(tw.Queries)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(tw.Queries)))
 	for _, q := range tw.Queries {
 		// Zero weights price as 1 everywhere (schema.ForTable normalizes
 		// them), so normalize here too: equal-cost workloads share advice.
@@ -54,10 +58,8 @@ func FingerprintOf(tw schema.TableWorkload) Fingerprint {
 		if w == 0 {
 			w = 1
 		}
-		writeInt(math.Float64bits(w))
-		writeInt(uint64(q.Attrs))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		b = binary.LittleEndian.AppendUint64(b, uint64(q.Attrs))
 	}
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	return b
 }

@@ -1,6 +1,11 @@
 package advisor
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 
 	"knives/internal/algo/o2p"
@@ -75,4 +80,32 @@ func repeatFree(log []schema.TableQuery) bool {
 		seen[q.Attrs] = true
 	}
 	return true
+}
+
+// referenceDecodeObserve is POST /observe's body decode as it was before the
+// hand-written codec: encoding/json reading exactly one document, unknown
+// fields and trailing data rejected — decodeBody over a body in memory.
+func referenceDecodeObserve(body []byte) (ObserveRequest, error) {
+	var req ObserveRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("advisor: bad request body: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return req, errors.New("advisor: bad request body: trailing data after JSON document")
+	}
+	return req, nil
+}
+
+// referenceEncode is a 200 response body as writeJSON renders it with
+// encoding/json, and the error a value it cannot render answers with.
+func referenceEncode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("advisor: encoding response: %w", err)
+	}
+	return buf.Bytes(), nil
 }

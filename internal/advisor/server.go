@@ -328,7 +328,10 @@ func serveTables[W any](s *Server, w http.ResponseWriter, wl AdviseRequest, opt 
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	var req AdviseRequest
-	if !decodeRequest(w, r, &req) {
+	_, sp := telemetry.StartSpan(r.Context(), "wire decode")
+	ok := decodeRequest(w, r, &req)
+	sp.End()
+	if !ok {
 		return
 	}
 	wires, ok := serveTables(s, w, req, ReplayOptions{}, nil,
@@ -340,7 +343,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return toWire(advice, fp, cached), nil
 		})
 	if ok {
-		writeJSON(w, AdviseResponse{Advice: wires})
+		resp := AdviseResponse{Advice: wires}
+		writeWire(w, r, func(b []byte) ([]byte, error) { return appendAdviseResponse(b, &resp) })
 	}
 }
 
@@ -439,8 +443,11 @@ func observeStatus(err error) int {
 // the journal failed answers 503 with Retry-After, and its batch ID stays
 // free for the retry.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if !decodeRequest(w, r, &req) {
+	_, sp := telemetry.StartSpan(r.Context(), "wire decode")
+	req, err := readObserve(w, r)
+	sp.End()
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	outs, dup, err := s.svc.ObserveBatchID(r.Context(), req.BatchID, req.Batches)
@@ -469,7 +476,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		verdicts[i].Drift, verdicts[i].Advice = o.Rep, toWire(current, fp, false)
 	}
-	writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
+	resp := ObserveResponse{Verdicts: verdicts, Duplicate: dup}
+	writeWire(w, r, func(b []byte) ([]byte, error) { return appendObserveResponse(b, &resp) })
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
@@ -509,7 +517,8 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, toWire(advice, fp, false))
+	wire := toWire(advice, fp, false)
+	writeWire(w, r, func(b []byte) ([]byte, error) { return appendAdvice(b, &wire) })
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {

@@ -655,8 +655,8 @@ func (s *Service) CurrentState(table string) (TableAdvice, Fingerprint, error) {
 	if err != nil {
 		return TableAdvice{}, Fingerprint{}, err
 	}
-	advice, tw := t.State()
-	return advice, FingerprintOf(tw), nil
+	advice, fp := t.currentState()
+	return advice, fp, nil
 }
 
 // TrackedTables returns the names of tables with drift trackers, sorted.
