@@ -800,21 +800,13 @@ type jsonw struct {
 	err error
 }
 
-// indents is a newline and enough indentation for every depth the
-// encoders reach.
-const indents = "\n                                "
+// indents is a newline and the indentation of every depth the encoders
+// reach: the names in a verdict's advice layout, at depth 6, are the
+// deepest.
+const indents = "\n            "
 
 // line starts a new line at depth.
-func (e *jsonw) line(depth int) {
-	if n := 1 + 2*depth; n <= len(indents) {
-		e.b = append(e.b, indents[:n]...)
-		return
-	}
-	e.b = append(e.b, '\n')
-	for range depth {
-		e.b = append(e.b, "  "...)
-	}
-}
+func (e *jsonw) line(depth int) { e.b = append(e.b, indents[:1+2*depth]...) }
 
 // field starts an object member at depth: key is the quoted name and its
 // colon, `"name": `.
@@ -911,8 +903,8 @@ func (e *jsonw) string(s string) {
 	e.b = append(b, '"')
 }
 
-// strings writes a []string value at depth.
-func (e *jsonw) strings(depth int, ss []string) {
+// names writes a []string value at depth.
+func (e *jsonw) names(depth int, ss []string) {
 	if ss == nil {
 		e.b = append(e.b, "null"...)
 		return
@@ -954,7 +946,7 @@ func (e *jsonw) advice(depth int, a *TableAdviceWire) {
 				e.b = append(e.b, ',')
 			}
 			e.line(in + 1)
-			e.strings(in+1, part)
+			e.names(in+1, part)
 		}
 		e.line(in)
 		e.b = append(e.b, ']')

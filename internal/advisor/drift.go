@@ -7,7 +7,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"knives/internal/algo"
 	"knives/internal/algo/o2p"
@@ -173,7 +172,6 @@ type DriftReport struct {
 // ErrStaleSchema instead of pricing garbage. Caller holds t.mu.
 func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, error) {
 	queries := make([]schema.TableQuery, 0, len(named))
-	ids := obsIDs.upTo(len(named))
 	for i, oq := range named {
 		if len(oq.Attrs) == 0 {
 			return nil, fmt.Errorf(
@@ -193,7 +191,7 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 			weight = 1
 		}
 		queries = append(queries, schema.TableQuery{
-			ID:     obsID(ids, i),
+			ID:     obsID(i),
 			Weight: weight,
 			Attrs:  attrs,
 		})
@@ -201,48 +199,21 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 	return queries, nil
 }
 
-// obsIDs is the shared table of observed-query IDs "obs1", "obs2", …: a
-// batch's i-th query is always "obs<i+1>", so every tracker can hand out the
-// same strings instead of formatting one per query. It only grows, up to
-// maxSharedObsIDs; a batch longer than that formats its tail.
-var obsIDs idTable
-
-const maxSharedObsIDs = 1 << 12
-
-type idTable struct {
-	mu  sync.Mutex
-	ids atomic.Pointer[[]string]
-}
-
-// upTo returns the table grown to hold the first n IDs, or all it may hold.
-func (t *idTable) upTo(n int) []string {
-	n = min(n, maxSharedObsIDs)
-	if p := t.ids.Load(); p != nil && len(*p) >= n {
-		return *p
+// obsIDs holds the IDs of a batch's first queries, "obs1" … "obs1024",
+// built once at start-up: every tracker hands out these strings instead of
+// formatting one per observed query.
+var obsIDs = func() []string {
+	ids := make([]string, 1024)
+	for i := range ids {
+		ids[i] = "obs" + strconv.Itoa(i+1)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ids []string
-	if p := t.ids.Load(); p != nil {
-		ids = *p
-	}
-	if len(ids) >= n {
-		return ids
-	}
-	grown := make([]string, min(max(n, 2*len(ids)), maxSharedObsIDs))
-	copy(grown, ids)
-	for i := len(ids); i < len(grown); i++ {
-		grown[i] = "obs" + strconv.Itoa(i+1)
-	}
-	t.ids.Store(&grown)
-	return grown
-}
+	return ids
+}()
 
-// obsID is the ID of a batch's i-th query (from 0), from ids when it
-// holds it.
-func obsID(ids []string, i int) string {
-	if i < len(ids) {
-		return ids[i]
+// obsID is the ID of a batch's i-th query (from 0).
+func obsID(i int) string {
+	if i < len(obsIDs) {
+		return obsIDs[i]
 	}
 	return "obs" + strconv.Itoa(i+1)
 }
