@@ -23,7 +23,7 @@ import (
 // resolves a selector x.F through its file's import specs, aliases
 // included, so a rule fails on code and never on prose. A call argument's
 // type is named from syntax alone (see typeName), enough for the codec
-// rule and no more.
+// and search-cache rules and no more.
 
 const module = "knives"
 
@@ -128,10 +128,11 @@ type rule struct {
 func pkgPath(dir string) string { return module + "/" + dir }
 
 var (
-	advisor    = pkgPath("internal/advisor")
-	operator   = pkgPath("internal/operator")
-	storage    = pkgPath("internal/storage")
-	statestore = pkgPath("internal/statestore")
+	advisor        = pkgPath("internal/advisor")
+	operator       = pkgPath("internal/operator")
+	storage        = pkgPath("internal/storage")
+	statestore     = pkgPath("internal/statestore")
+	experimentsPkg = pkgPath("internal/experiments")
 )
 
 // none forbids every fact the pattern matches.
@@ -204,6 +205,14 @@ var architecture = []rule{
 		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "ObserveResponse"}),
 		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "AdviseResponse"}),
 		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "TableAdviceWire"}),
+	}},
+	{name: "one search cache for the suite's benchmark", limits: []limit{
+		// An experiment searches the suite's own benchmark through the
+		// layout cache, keyed by (algorithm, device); only Fig1's timed
+		// searches stay uncached, and they seed it.
+		{match: pattern{kind: passed, from: experimentsPkg, names: []string{"runAll"}, typeArg: "Suite.Bench"}, want: 2},
+		{match: pattern{kind: passed, from: experimentsPkg, names: []string{"runAll"}, typeArg: "Suite.Bench", fn: "(*Suite).searched"}, want: 1},
+		{match: pattern{kind: passed, from: experimentsPkg, names: []string{"runAll"}, typeArg: "Suite.Bench", fn: "timeAlgorithm"}, want: 1},
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
@@ -503,7 +512,8 @@ func (ix *index) extract(ip string, top map[string]bool, results map[string]stri
 
 // typeName names the type of an expression as far as syntax tells it: a
 // composite literal's type, a variable's declared type, a package-level
-// function's result type, through & and parentheses; "" when it cannot.
+// function's result type, through & and parentheses, and a field of any of
+// these as "Type.Field"; "" when it cannot.
 func typeName(x ast.Expr, locals, results map[string]string) string {
 	switch e := x.(type) {
 	case *ast.ParenExpr:
@@ -521,6 +531,11 @@ func typeName(x ast.Expr, locals, results map[string]string) string {
 	case *ast.CallExpr:
 		if id, ok := e.Fun.(*ast.Ident); ok {
 			return results[id.Name]
+		}
+	case *ast.SelectorExpr:
+		// A field of a typed variable: s.Bench with s *Suite is "Suite.Bench".
+		if t := typeName(e.X, locals, results); t != "" {
+			return t + "." + e.Sel.Name
 		}
 	}
 	return ""
@@ -733,6 +748,8 @@ var plants = []struct {
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, ObserveResponse{}) }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func h(w http.ResponseWriter) { resp := AdviseResponse{}; writeJSON(w, &resp) }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, toWire(TableAdvice{}, Fingerprint{}, false)) }"},
+	{"one search cache for the suite's benchmark", "internal/experiments/tables.go", "", "func init() { var s *Suite; runAll(nil, s.Bench, nil) }"},
+	{"one search cache for the suite's benchmark", "internal/experiments/device.go", "", "func (s *Suite) again(a algo.Algorithm) { b := s.Bench; runAll(a, b, s.model()) }"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 }
 

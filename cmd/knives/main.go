@@ -847,6 +847,9 @@ func runExperiment(args []string) error {
 	if rest := extras(); len(rest) > 0 {
 		return usageError{err: fmt.Errorf("experiment takes one id; extra arguments %v", rest)}
 	}
+	if *reps < 1 {
+		return usageError{err: fmt.Errorf("-reps must be >= 1 (got %d)", *reps)}
+	}
 	suite := experiments.NewSuite()
 	suite.Reps = *reps
 

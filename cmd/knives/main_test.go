@@ -124,6 +124,9 @@ func TestRunExitCodes(t *testing.T) {
 		// Trailing junk is rejected, not silently dropped.
 		{[]string{"experiment", "tab4", "junk"}, 2},
 		{[]string{"experiment", "-reps", "1", "tab4", "junk"}, 2},
+		// A repetition count below 1 is a usage error, not a silent 3.
+		{[]string{"experiment", "-reps", "0", "tab4"}, 2},
+		{[]string{"experiment", "tab4", "-reps", "-5"}, 2},
 	}
 	for _, tc := range cases {
 		if got := run(tc.args); got != tc.want {

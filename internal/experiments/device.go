@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"knives/internal/algo"
-	"knives/internal/algorithms"
 	"knives/internal/cost"
 	"knives/internal/partition"
 )
@@ -54,7 +52,7 @@ func ExtDevice(s *Suite) (*Report, error) {
 			case "Column":
 				costs[di][name] = layoutCost(s.Bench, m, partition.Column)
 			default:
-				rs, err := s.deviceResults(name, dev, m)
+				rs, err := s.searched(name, m)
 				if err != nil {
 					return nil, err
 				}
@@ -95,20 +93,6 @@ func ExtDevice(s *Suite) (*Report, error) {
 	r.AddNote("the best algorithm is hardware-dependent: %d pairwise ranking flips across HDD -> SSD -> MM", totalFlips)
 	r.AddNote("as seeks approach zero, grouping loses its advantage over pure columns (paper, Table 6 discussion)")
 	return r, nil
-}
-
-// deviceResults runs (or fetches from the suite cache, for the suite's own
-// disk) the named algorithm's layouts under a device's model.
-func (s *Suite) deviceResults(name string, dev cost.Device, m cost.Model) ([]algo.Result, error) {
-	if dev == s.Disk {
-		// The suite's cache already holds the default-device layouts.
-		return s.results(name)
-	}
-	a, err := algorithms.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return runAll(a, s.Bench, m)
 }
 
 // rankNames orders names by ascending cost (stable: equal costs keep the

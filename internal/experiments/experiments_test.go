@@ -1,18 +1,16 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
-)
 
-// sharedSuite caches the expensive default-setting layouts (BruteForce over
-// Lineitem enumerates ~4.2M candidates) across all tests in this package.
-var sharedSuite = func() *Suite {
-	s := NewSuite()
-	s.Reps = 1
-	return s
-}()
+	"knives/internal/algo"
+	"knives/internal/cost"
+	"knives/internal/schema"
+)
 
 // parsePercent turns "12.34%" into 0.1234.
 func parsePercent(t *testing.T, cell string) float64 {
@@ -45,6 +43,48 @@ func findRow(t *testing.T, r *Report, key string) []string {
 	return nil
 }
 
+// paper holds each registered experiment's report, run at most once per
+// test binary on one suite, so every test of an artifact reads the same
+// report and the paper's searches are paid for once.
+var paper struct {
+	sync.Mutex
+	suite *Suite
+	runs  map[string]paperRun
+}
+
+type paperRun struct {
+	rep *Report
+	err error
+}
+
+// paperReport returns experiment id's report, running it on first use, so
+// the order of first uses is the order the suite's caches fill in
+// (TestExperimentsAreDeterministic's GOMAXPROCS=1 pass walks the registry
+// backwards). Tests read the report and never modify it.
+func paperReport(t *testing.T, id string) *Report {
+	t.Helper()
+	paper.Lock()
+	defer paper.Unlock()
+	if paper.suite == nil {
+		paper.suite = NewSuite()
+		paper.suite.Reps = 1
+		paper.runs = map[string]paperRun{}
+	}
+	if _, ok := paper.runs[id]; !ok {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(paper.suite)
+		paper.runs[id] = paperRun{rep, err}
+	}
+	r := paper.runs[id]
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
+	}
+	return r.rep
+}
+
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
@@ -63,49 +103,57 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 			t.Errorf("missing experiment %s", id)
 		}
 	}
-	if _, err := ByID("fig3"); err != nil {
-		t.Error(err)
-	}
 	if _, err := ByID("nope"); err == nil {
 		t.Error("ByID accepted unknown id")
 	}
 }
 
-// Every registered experiment must run and produce a well-formed report.
-// fig1 and fig2 are timing-heavy and covered separately by the benches, so
-// they run here with the shared suite's single repetition.
+// Every registered experiment produces a well-formed report. Its
+// Test<ID>Shape test holds it to the paper's claim, TestGoldenReports to
+// its golden file.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			rep, err := e.Run(sharedSuite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.ID != e.ID {
-				t.Errorf("report ID = %s, want %s", rep.ID, e.ID)
-			}
-			if len(rep.Rows) == 0 {
-				t.Error("report has no rows")
+			rep := paperReport(t, e.ID)
+			if rep.ID != e.ID || len(rep.Rows) == 0 {
+				t.Errorf("report ID = %s with %d rows", rep.ID, len(rep.Rows))
 			}
 			for _, row := range rep.Rows {
 				if len(row) != len(rep.Header) {
 					t.Errorf("row %v has %d cells, header has %d", row, len(row), len(rep.Header))
 				}
 			}
-			if s := rep.String(); !strings.Contains(s, e.ID) {
+			if !strings.Contains(rep.String(), e.ID) {
 				t.Error("String() lacks the experiment id")
 			}
 		})
 	}
 }
 
+// Figure 1 shape, in candidates rather than seconds: BruteForce considers
+// at least 100x the layouts of every heuristic.
+func TestFig1Shape(t *testing.T) {
+	rep := paperReport(t, "fig1")
+	bf := parseFloat(t, findRow(t, rep, "BruteForce")[2])
+	for _, row := range rep.Rows {
+		if c := parseFloat(t, row[2]); row[0] != "BruteForce" && bf < 100*c {
+			t.Errorf("BruteForce candidates %v < 100 x %s's %v", bf, row[0], c)
+		}
+	}
+}
+
+// Figure 2 makes no machine-independent claim: one row per TPC-H query
+// prefix, one column per fast knife.
+func TestFig2Shape(t *testing.T) {
+	rep := paperReport(t, "fig2")
+	if len(rep.Rows) != 22 || !slices.Equal(rep.Header[1:], fastAlgorithms) {
+		t.Errorf("fig2 has %d rows and columns %v, want 22 rows and %v", len(rep.Rows), rep.Header[1:], fastAlgorithms)
+	}
+}
+
 // Figure 3 shape: HillClimb = BruteForce <= Column < Navathe << Row.
 func TestFig3Shape(t *testing.T) {
-	rep, err := Fig3(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig3")
 	get := func(name string) float64 { return parseFloat(t, findRow(t, rep, name)[1]) }
 	hc, bf, col, nav, row := get("HillClimb"), get("BruteForce"), get("Column"), get("Navathe"), get("Row")
 	if hc != bf {
@@ -121,10 +169,7 @@ func TestFig3Shape(t *testing.T) {
 
 // Figure 4 shape: Row ~84%, Column 0%, HillClimb small, Navathe ~25%.
 func TestFig4Shape(t *testing.T) {
-	rep, err := Fig4(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig4")
 	get := func(name string) float64 { return parsePercent(t, findRow(t, rep, name)[1]) }
 	if v := get("Row"); v < 0.7 || v > 0.95 {
 		t.Errorf("Row unnecessary = %v, paper ~0.84", v)
@@ -143,10 +188,7 @@ func TestFig4Shape(t *testing.T) {
 // Figure 5 shape: Column joins the most, Row zero, HillClimb performs the
 // bulk (>=60%) of Column's joins.
 func TestFig5Shape(t *testing.T) {
-	rep, err := Fig5(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig5")
 	get := func(name string) float64 { return parseFloat(t, findRow(t, rep, name)[1]) }
 	col, row, hc := get("Column"), get("Row"), get("HillClimb")
 	if row != 0 {
@@ -160,10 +202,7 @@ func TestFig5Shape(t *testing.T) {
 // Figure 6 shape: HillClimb closest to PMV, Navathe far, Row hundreds of
 // percent off.
 func TestFig6Shape(t *testing.T) {
-	rep, err := Fig6(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig6")
 	get := func(name string) float64 { return parsePercent(t, findRow(t, rep, name)[1]) }
 	hc, nav, row := get("HillClimb"), get("Navathe"), get("Row")
 	if hc < 0 || hc > 0.25 {
@@ -180,10 +219,7 @@ func TestFig6Shape(t *testing.T) {
 // Figure 7 shape: HillClimb starts >15% and stays positive; Navathe goes
 // negative for larger k.
 func TestFig7Shape(t *testing.T) {
-	rep, err := Fig7(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig7")
 	first := rep.Rows[0]
 	last := rep.Rows[len(rep.Rows)-1]
 	if v := parsePercent(t, first[1]); v < 0.15 {
@@ -200,10 +236,7 @@ func TestFig7Shape(t *testing.T) {
 // Table 3 shape: HillClimb reads 0% unnecessary for k <= 6; Navathe jumps
 // after k = 3.
 func TestTab3Shape(t *testing.T) {
-	rep, err := Tab3(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "tab3")
 	for _, row := range rep.Rows {
 		if v := parsePercent(t, row[1]); v != 0 {
 			t.Errorf("HillClimb unnecessary at k=%s is %v, want 0", row[0], v)
@@ -228,10 +261,7 @@ func TestTab3Shape(t *testing.T) {
 // Table 4 shape: HillClimb joins grow with k; Column joins shrink; exact
 // endpoint values match the paper (6.00 at k=1, 3.40 at k=6 for Column).
 func TestTab4Shape(t *testing.T) {
-	rep, err := Tab4(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "tab4")
 	if v := parseFloat(t, rep.Rows[0][2]); v != 6.00 {
 		t.Errorf("Column joins at k=1 = %v, paper 6.00", v)
 	}
@@ -249,10 +279,7 @@ func TestTab4Shape(t *testing.T) {
 // Figure 8 shape: tiny buffers blow runtimes up by large factors; the
 // default buffer row is exactly zero; huge buffers help slightly.
 func TestFig8Shape(t *testing.T) {
-	rep, err := Fig8(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig8")
 	tiny := findRow(t, rep, "0.08 MB")
 	for i := 1; i < len(tiny); i++ {
 		if v := parseFloat(t, tiny[i]); v < 2 {
@@ -277,10 +304,7 @@ func TestFig8Shape(t *testing.T) {
 // to column layout), beats it clearly around 0.1 MB, and converges to it
 // for huge buffers. This is the paper's core "watch the buffer size" lesson.
 func TestFig9Shape(t *testing.T) {
-	rep, err := Fig9(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig9")
 	for _, row := range rep.Rows {
 		if v := parsePercent(t, row[1]); v > 1.0001 {
 			t.Errorf("HillClimb normalized cost at %s = %v > 100%%", row[0], v)
@@ -301,10 +325,7 @@ func TestFig9Shape(t *testing.T) {
 // Table 5 shape: the HillClimb class improves a few percent on both
 // benchmarks, more on SSB; Navathe/O2P are negative on both.
 func TestTab5Shape(t *testing.T) {
-	rep, err := Tab5(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "tab5")
 	hc := findRow(t, rep, "HillClimb")
 	tpch, ssb := parsePercent(t, hc[1]), parsePercent(t, hc[2])
 	if tpch <= 0 || tpch > 0.1 {
@@ -322,10 +343,7 @@ func TestTab5Shape(t *testing.T) {
 // Table 6 shape: under the MM cost model the HillClimb class has exactly
 // 0.00% improvement and Navathe/O2P are clearly negative.
 func TestTab6Shape(t *testing.T) {
-	rep, err := Tab6(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "tab6")
 	for _, name := range []string{"AutoPart", "HillClimb", "HYRISE", "BruteForce"} {
 		if v := parsePercent(t, findRow(t, rep, name)[2]); v != 0 {
 			t.Errorf("%s MM improvement = %v, paper 0.00%%", name, v)
@@ -339,10 +357,7 @@ func TestTab6Shape(t *testing.T) {
 // Table 7 shape: Column beats HillClimb beats Row under both compression
 // schemes, and dictionary compression narrows the Column-HillClimb gap.
 func TestTab7Shape(t *testing.T) {
-	rep, err := Tab7(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "tab7")
 	if len(rep.Rows) != 2 {
 		t.Fatalf("tab7 has %d rows", len(rep.Rows))
 	}
@@ -362,10 +377,7 @@ func TestTab7Shape(t *testing.T) {
 // Figure 10 shape: everything pays off over Row within well under one
 // workload execution; Navathe and O2P never pay off over Column.
 func TestFig10Shape(t *testing.T) {
-	rep, err := Fig10(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig10")
 	for _, row := range rep.Rows {
 		if v := parsePercent(t, row[1]); v <= 0 || v > 0.6 {
 			t.Errorf("%s pay-off over Row = %v, paper ~0.25", row[0], v)
@@ -384,10 +396,7 @@ func TestFig10Shape(t *testing.T) {
 // Figure 11 shape: block size fragility is negligible, bandwidth moderate,
 // seek time small — the ordering the paper's Appendix A.2 reports.
 func TestFig11Shape(t *testing.T) {
-	rep, err := Fig11(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig11")
 	maxAbs := map[string]float64{}
 	for _, row := range rep.Rows {
 		kind := strings.Fields(row[0])[0]
@@ -415,13 +424,31 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
+// Figure 12 shape: for every layout, re-optimizing per block size moves
+// the estimate least, per seek time more, per bandwidth most.
+func TestFig12Shape(t *testing.T) {
+	rep := paperReport(t, "fig12")
+	for i := 1; i < len(rep.Header); i++ {
+		lo, hi := map[string]float64{}, map[string]float64{}
+		for _, row := range rep.Rows {
+			kind, v := strings.Fields(row[0])[0], parseFloat(t, row[i])
+			if _, ok := lo[kind]; !ok || v < lo[kind] {
+				lo[kind] = v
+			}
+			hi[kind] = max(hi[kind], v)
+		}
+		spread := func(kind string) float64 { return hi[kind] - lo[kind] }
+		if !(spread("block") < spread("seek") && spread("seek") < spread("bw")) {
+			t.Errorf("%s: spreads block %v, seek %v, bw %v; want increasing",
+				rep.Header[i], spread("block"), spread("seek"), spread("bw"))
+		}
+	}
+}
+
 // Figure 13 shape: for buffers >= 10 MB the normalized cost jumps between
 // SF 0.1 and SF 1 and is stable from SF 10 on.
 func TestFig13Shape(t *testing.T) {
-	rep, err := Fig13(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "fig13")
 	var hc01, hc1, hc10, hc100 float64
 	for _, row := range rep.Rows {
 		if row[0] != "HillClimb" {
@@ -451,11 +478,8 @@ func TestFig13Shape(t *testing.T) {
 // HillClimb class agrees on partsupp, where the paper shows one shared
 // layout for AutoPart/HillClimb/HYRISE/Trojan/Optimal.
 func TestFig14Shape(t *testing.T) {
-	rep, err := Fig14(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := len(sharedSuite.Bench.Tables) * (len(evaluatedAlgorithms) + 1)
+	rep := paperReport(t, "fig14")
+	wantRows := len(schema.TPCH(10).Tables) * (len(evaluatedAlgorithms) + 1)
 	if len(rep.Rows) != wantRows {
 		t.Errorf("fig14 has %d rows, want %d", len(rep.Rows), wantRows)
 	}
@@ -475,22 +499,36 @@ func TestFig14Shape(t *testing.T) {
 	}
 }
 
-// The suite caches layouts: the second call must return identical results.
+// The suite searches each (algorithm, device) once: a repeated lookup
+// returns the same backing array, and tab6 and ext-device share one MM
+// search. A six-query workload keeps the searches cheap.
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite()
-	s.Reps = 1
-	r1, err := s.results("HillClimb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.results("HillClimb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1 {
-		if !r1[i].Partitioning.Equal(r2[i].Partitioning) {
-			t.Fatal("cache returned different layouts")
+	s.Bench.Workload = s.Bench.Workload.Prefix(6)
+	hillClimb := func(m *cost.DeviceModel, searches int) *algo.Result {
+		t.Helper()
+		rs, err := s.searched("HillClimb", m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if n := s.layouts.Len(); n != searches {
+			t.Errorf("%d searches cached, want %d", n, searches)
+		}
+		return &rs[0]
+	}
+	if hillClimb(s.model(), 1) != hillClimb(s.model(), 1) {
+		t.Error("default device: HillClimb searched again")
+	}
+	algos := len(evaluatedAlgorithms)
+	if _, err := Tab6(s); err != nil {
+		t.Fatal(err)
+	}
+	mm := hillClimb(cost.NewMM(), 2*algos) // HDD and MM
+	if _, err := ExtDevice(s); err != nil {
+		t.Fatal(err)
+	}
+	if hillClimb(cost.NewMM(), 3*algos) != mm { // HDD, SSD and MM
+		t.Error("MM: ext-device searched HillClimb again")
 	}
 	if _, err := s.results("NoSuchAlgorithm"); err == nil {
 		t.Error("results accepted unknown algorithm")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,10 +9,7 @@ import (
 // The Section 7 claim: the selection predicate changes the layout only for
 // selectivities below ~1e-4.
 func TestExtSelectivityThreshold(t *testing.T) {
-	rep, err := ExtSelectivity(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "ext-selectivity")
 	differs := map[string]string{}
 	for _, row := range rep.Rows {
 		differs[row[0]] = row[1]
@@ -30,10 +28,7 @@ func TestExtSelectivityThreshold(t *testing.T) {
 // The Section 6.3 aside: up to 50% workload change moves costs by roughly
 // 14%; re-optimizing buys almost nothing (low regret).
 func TestExtWorkloadDriftShape(t *testing.T) {
-	rep, err := ExtWorkloadDrift(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "ext-drift")
 	last := rep.Rows[len(rep.Rows)-1] // 50% drift
 	change := parsePercent(t, last[1])
 	if change < 0.02 || change > 0.4 {
@@ -54,10 +49,7 @@ func TestExtWorkloadDriftShape(t *testing.T) {
 // fragmented workloads than on regular ones ("after a few merge steps the
 // costs will not improve any more").
 func TestExtConvergenceShape(t *testing.T) {
-	rep, err := ExtConvergence(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "ext-convergence")
 	regular := parseFloat(t, rep.Rows[0][1])
 	fragmented := parseFloat(t, rep.Rows[len(rep.Rows)-1][1])
 	if fragmented >= regular {
@@ -74,10 +66,7 @@ func TestExtConvergenceShape(t *testing.T) {
 // Trojan query grouping: more replicas monotonically approach the PMV
 // bound, and the group sizes partition the 17 Lineitem queries.
 func TestExtGroupingShape(t *testing.T) {
-	rep, err := ExtGrouping(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "ext-grouping")
 	prev := -1.0
 	for _, row := range rep.Rows {
 		costVal := parseFloat(t, row[1])
@@ -105,10 +94,7 @@ func TestExtGroupingShape(t *testing.T) {
 // Replication never hurts, respects the budget, and closes part of the PMV
 // gap once any budget is granted.
 func TestExtReplicationShape(t *testing.T) {
-	rep, err := ExtReplication(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := paperReport(t, "ext-replication")
 	base := parseFloat(t, rep.Rows[0][1]) // zero budget
 	for _, row := range rep.Rows {
 		budget := parsePercent(t, row[0])
@@ -124,5 +110,65 @@ func TestExtReplicationShape(t *testing.T) {
 	best := parseFloat(t, rep.Rows[len(rep.Rows)-1][1])
 	if best >= base {
 		t.Error("full budget bought no improvement on Lineitem")
+	}
+}
+
+// ext-device: the best knife depends on the hardware. At least one pair of
+// layouts swaps order between HDD and MM, and on MM no heuristic beats
+// Column (tab6: "in main memory no algorithm beats column").
+func TestExtDeviceShape(t *testing.T) {
+	rep := paperReport(t, "ext-device")
+	hdd, mm := map[string]float64{}, map[string]float64{}
+	for _, row := range rep.Rows {
+		hdd[row[0]], mm[row[0]] = parseFloat(t, row[1]), parseFloat(t, row[5])
+	}
+	flips := 0
+	for x := range hdd {
+		for y := range hdd {
+			if hdd[x] < hdd[y] && mm[x] > mm[y] {
+				flips++
+			}
+		}
+	}
+	if flips == 0 {
+		t.Error("no HDD -> MM ranking flip")
+	}
+	for _, name := range evaluatedAlgorithms {
+		if mm[name] < mm["Column"] {
+			t.Errorf("MM: %s (%v) beats Column (%v)", name, mm[name], mm["Column"])
+		}
+	}
+}
+
+// The executed-equals-predicted verdicts: every cell of ext-replay's
+// exact column, ext-operators' exact column and ext-migrate's cost==model
+// and migrated==fresh columns reads "true".
+func TestExtReplayShape(t *testing.T)    { allTrue(t, paperReport(t, "ext-replay"), "exact") }
+func TestExtOperatorsShape(t *testing.T) { allTrue(t, paperReport(t, "ext-operators"), "exact") }
+func TestExtMigrateShape(t *testing.T) {
+	allTrue(t, paperReport(t, "ext-migrate"), "cost==model", "migrated==fresh")
+}
+
+func allTrue(t *testing.T, rep *Report, columns ...string) {
+	for _, col := range columns {
+		i := slices.Index(rep.Header, col)
+		if i < 0 {
+			t.Fatalf("no column %q in %v", col, rep.Header)
+		}
+		for _, row := range rep.Rows {
+			if row[i] != "true" {
+				t.Errorf("%s is %q in row %v", col, row[i], row)
+			}
+		}
+	}
+}
+
+// ext-recovery: every crash and retry schedule recovers exactly.
+func TestExtRecoveryShape(t *testing.T) {
+	rep := paperReport(t, "ext-recovery")
+	for _, row := range rep.Rows {
+		if v := row[len(row)-1]; !strings.HasPrefix(v, "exact(") {
+			t.Errorf("%s: verdict %q", row[0], v)
+		}
 	}
 }

@@ -5,125 +5,74 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden report files")
 
 // Golden-file tests turn the determinism gate into reviewable artifacts:
-// the exact report bodies of the experiments below are committed under
+// the exact body of every registered experiment's report is committed under
 // testdata/golden and diffed on every run, so any change to the numbers the
-// reproduction claims shows up in a PR as a readable text diff instead of a
-// silent drift.
+// reproduction claims shows up as a readable text diff instead of a silent
+// drift.
 //
-// Fig1, Fig2 and Fig10 embed wall-clock optimization times, which no golden file
-// can pin; their timing-dependent cells and notes are masked at the Report
-// level (BEFORE rendering, so column widths stay stable) while everything
-// machine-independent — candidate counts, creation-time estimate, the
-// cost-determined "never" pay-off verdicts — is diffed exactly.
+// fig1, fig2 and fig10 embed wall-clock optimization times, which no golden
+// file can pin; their timing-dependent cells and notes are masked at the
+// Report level (before rendering, so column widths stay stable) while
+// everything machine-independent — candidate counts, the creation-time
+// estimate, the cost-determined "never" pay-off verdicts — is diffed
+// exactly. Every other report is estimated or simulated seconds, layouts
+// and counts, and is diffed whole.
 //
 // Regenerate after an intentional change with:
 //
 //	go test ./internal/experiments -run TestGolden -update
 func TestGoldenReports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig1/fig10 time every algorithm over the full benchmark")
-	}
-	s := NewSuite()
-	s.Reps = 1
-	cases := []struct {
-		id   string
-		mask func(*Report)
-	}{
-		// fig3 is the paper's headline result and fig14 the layouts behind
-		// it: estimated costs and computed partitions only, so golden
-		// without masking. fig3 prints whole seconds; fig14 is the one a
-		// changed layout shows up in.
-		{"fig3", nil},
-		{"fig14", nil},
-		{"tab4", nil},
-		{"fig1", maskFig1},
-		{"fig10", maskFig10},
-		// fig4/fig5/tab3 now carry executed columns from operator pipelines
-		// next to the paper's estimates — simulated I/O over deterministic
-		// samples, so golden without masking, verification verdicts included.
-		{"fig4", nil},
-		{"fig5", nil},
-		{"tab3", nil},
-		// ext-operators pins the σ/π/⋈ pipeline against the cost model on
-		// all three devices plus a selectivity sweep — all simulated seconds.
-		{"ext-operators", nil},
-		// ext-replay's times are simulated (virtual-disk) seconds — fully
-		// deterministic, so measured-vs-estimated deltas, exactness
-		// verdicts, and all three rankings are golden without masking.
-		{"ext-replay", nil},
-		// ext-migrate pins, per algorithm, the drift scenario's break-even
-		// horizons and the measured==predicted migration cost — simulated
-		// seconds again, so golden without masking.
-		{"ext-migrate", nil},
-		// ext-device pins the per-device algorithm ranking and the flips
-		// along the HDD -> SSD -> MM spectrum — estimated costs over
-		// deterministic searches, so golden without masking.
-		{"ext-device", nil},
-		// ext-recovery pins crash-recovery equivalence: acked counts,
-		// snapshot sequences, replayed records, torn-byte lengths, and
-		// verdicts all come from deterministic fault schedules over a fixed
-		// event stream, so golden without masking.
-		{"ext-recovery", nil},
-		// The rest of the registry: estimated costs, layouts and counts
-		// over deterministic searches and samples, golden without masking
-		// — except fig2, whose every cell is a measured optimization time.
-		{"fig2", maskFig2},
-		{"fig6", nil},
-		{"fig7", nil},
-		{"fig8", nil},
-		{"fig9", nil},
-		{"fig11", nil},
-		{"fig12", nil},
-		{"fig13", nil},
-		{"tab5", nil},
-		{"tab6", nil},
-		{"tab7", nil},
-		{"ext-selectivity", nil},
-		{"ext-drift", nil},
-		{"ext-convergence", nil},
-		{"ext-replication", nil},
-		{"ext-grouping", nil},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			e, err := ByID(tc.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := e.Run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.mask != nil {
-				tc.mask(rep)
-			}
-			got := rep.String()
-			path := filepath.Join("testdata", "golden", tc.id+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s report drifted from golden file %s\n--- want:\n%s\n--- got:\n%s",
-					tc.id, path, want, got)
-			}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			diffGolden(t, e.ID, masked(paperReport(t, e.ID)).String())
 		})
+	}
+}
+
+// masks blank the wall-clock cells of the timed experiments.
+var masks = map[string]func(*Report){"fig1": maskFig1, "fig2": maskFig2, "fig10": maskFig10}
+
+// masked returns r with its experiment's mask applied, on a copy: the
+// shared report stays whole for the other tests.
+func masked(r *Report) *Report {
+	mask := masks[r.ID]
+	if mask == nil {
+		return r
+	}
+	c := *r
+	c.Rows = make([][]string, len(r.Rows))
+	for i, row := range r.Rows {
+		c.Rows[i] = slices.Clone(row)
+	}
+	c.Notes = slices.Clone(r.Notes)
+	mask(&c)
+	return &c
+}
+
+// diffGolden compares a rendered report with its golden file, or rewrites
+// the file under -update.
+func diffGolden(t *testing.T, id, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", id+".txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s report drifted from golden file %s\n--- want:\n%s\n--- got:\n%s", id, path, want, got)
 	}
 }
 

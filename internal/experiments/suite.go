@@ -28,10 +28,14 @@ type Suite struct {
 	// Compute-once caches (unbounded; a suite lives for one run), so
 	// different algorithms warm up concurrently and experiments sharing a
 	// result never repeat its searches.
-	layouts  statestore.OnceCache[string, []algo.Result] // default-disk layouts by algorithm name
-	timing   statestore.OnceCache[string, optTiming]     // isolated optimization timings by algorithm name
-	executed statestore.OnceCache[string, executedSet]   // operator replays by layout-family name
+	layouts  statestore.OnceCache[searchKey, []algo.Result] // Bench's layouts by (algorithm, device)
+	timing   statestore.OnceCache[string, optTiming]        // isolated optimization timings by algorithm name
+	executed statestore.OnceCache[string, executedSet]      // operator replays by layout-family name
 }
+
+// searchKey names one search of the suite's benchmark: an algorithm under
+// the cost model of a device (cost.Device.Key).
+type searchKey struct{ algorithm, device string }
 
 // optTiming is one algorithm's measured optimization time, shared by Fig1 and
 // Fig10 instead of each repeating the expensive searches.
@@ -58,17 +62,22 @@ func (s *Suite) reps() int {
 }
 
 // model returns the default HDD cost model.
-func (s *Suite) model() cost.Model { return cost.NewHDD(s.Disk) }
+func (s *Suite) model() *cost.DeviceModel { return cost.NewHDD(s.Disk) }
 
 // results runs (or returns cached) default-setting layouts for the named
 // algorithm over every table of the benchmark.
-func (s *Suite) results(name string) ([]algo.Result, error) {
-	rs, _, err := s.layouts.Do(name, func() ([]algo.Result, error) {
+func (s *Suite) results(name string) ([]algo.Result, error) { return s.searched(name, s.model()) }
+
+// searched runs (or returns cached) the named algorithm's layouts for every
+// table of the benchmark under m: each (algorithm, device) pair searches
+// once per suite, whichever experiment asks first.
+func (s *Suite) searched(name string, m *cost.DeviceModel) ([]algo.Result, error) {
+	rs, _, err := s.layouts.Do(searchKey{name, m.Device().Key()}, func() ([]algo.Result, error) {
 		a, err := algorithms.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		return runAll(a, s.Bench, s.model())
+		return runAll(a, s.Bench, m)
 	})
 	return rs, err
 }
@@ -91,7 +100,7 @@ func (s *Suite) timedSeconds(name string) (float64, int64, error) {
 		// The timed searches are deterministic, so their layouts are
 		// exactly what results() would compute — seed the cache instead
 		// of letting a later caller search all over again.
-		s.layouts.Seed(name, rs)
+		s.layouts.Seed(searchKey{name, s.model().Device().Key()}, rs)
 		return optTiming{seconds: seconds, candidates: candidates}, nil
 	})
 	return t.seconds, t.candidates, err

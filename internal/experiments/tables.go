@@ -69,11 +69,7 @@ func Tab6(s *Suite) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := algorithms.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		mmRS, err := runAll(a, s.Bench, mm)
+		mmRS, err := s.searched(name, mm)
 		if err != nil {
 			return nil, err
 		}
