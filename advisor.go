@@ -3,8 +3,8 @@ package knives
 import "knives/internal/advisor"
 
 // TableAdvice is the advisor's recommendation for one table: the cheapest
-// layout found across the heuristic portfolio, with Row/Column baselines
-// and every algorithm's cost for transparency.
+// layout AutoPart, HillClimb and HYRISE find, with Row/Column baselines
+// and each of the three's cost for transparency.
 type TableAdvice = advisor.TableAdvice
 
 // AdvisorService is a long-running, concurrent partitioning advisor with a
@@ -28,19 +28,21 @@ type (
 	WorkloadFingerprint = advisor.Fingerprint
 )
 
-// Advise runs every heuristic algorithm on every table of the benchmark
-// (concurrently, over the parallel search kernel) and recommends, per
-// table, the cheapest layout found (falling back to column layout when
-// nothing beats it). BruteForce is excluded: the paper's first lesson is
-// that the heuristics already find its layouts at a fraction of the
-// computation.
+// Advise races AutoPart, HillClimb and HYRISE on every table of the
+// benchmark (concurrently, over the parallel search kernel) and
+// recommends, per table, the cheapest layout found (falling back to column
+// layout when nothing beats it). These are the knives that decide the
+// advice: BruteForce finds the same layouts at far greater computation,
+// and Navathe, O2P and Trojan do not win on the shapes the advisor is
+// held to (DESIGN.md's Portfolio paragraph states what that costs).
+// Algorithms and RunExperiment still reach all seven.
 func Advise(b *Benchmark, m CostModel) ([]TableAdvice, error) {
 	return advisor.Advise(b, m)
 }
 
-// AdviseTable races the heuristic portfolio on one table's workload and
-// returns the cheapest layout found, falling back to column layout when
-// nothing beats it.
+// AdviseTable races AutoPart, HillClimb and HYRISE on one table's
+// workload and returns the cheapest layout found, falling back to column
+// layout when nothing beats it.
 func AdviseTable(tw TableWorkload, m CostModel) (TableAdvice, error) {
 	return advisor.AdviseTable(tw, m)
 }

@@ -216,7 +216,13 @@ var architecture = []rule{
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
+		// The daemon races AutoPart, HillClimb and HYRISE, and its drift
+		// shadow runs O2P (which calls into Navathe); the registry and the
+		// knives it alone reaches are the CLI's and the experiments'.
 		unlinked: []string{
+			pkgPath("internal/algorithms"),
+			pkgPath("internal/algo/bruteforce"),
+			pkgPath("internal/algo/trojan"),
 			pkgPath("internal/experiments"),
 			pkgPath("internal/experiments/compress"),
 			pkgPath("internal/faultinject"),
@@ -751,6 +757,8 @@ var plants = []struct {
 	{"one search cache for the suite's benchmark", "internal/experiments/tables.go", "", "func init() { var s *Suite; runAll(nil, s.Bench, nil) }"},
 	{"one search cache for the suite's benchmark", "internal/experiments/device.go", "", "func (s *Suite) again(a algo.Algorithm) { b := s.Bench; runAll(a, b, s.model()) }"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
+	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
+	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},
 }
 
 // checkPlants plants each of plants, as code and as a comment, into a copy

@@ -10,9 +10,9 @@
 //	    Compute layouts and report costs, candidates, and opt time.
 //
 //	knives advise [workload] [remote]
-//	    Recommend the cheapest layout per table across all heuristics —
-//	    locally, or via a running knivesd (-server) with retrying requests
-//	    that back off on 429/503 from a daemon under load.
+//	    Recommend the cheapest layout per table that AutoPart, HillClimb
+//	    and HYRISE find — locally, or via a running knivesd (-server) with
+//	    retrying requests that back off on 429/503 from a daemon under load.
 //
 //	knives observe -server URL [workload] [-table NAME|all]
 //	               [-rounds N] [-batch N] [-retries N] [-retry-delay D]

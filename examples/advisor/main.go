@@ -4,8 +4,9 @@
 // should we vertically partition it for our dashboard workload? This is
 // the "physical design tool" use case from the paper's Section 1.3 — with
 // the twist that the advisor must first pick a partitioning *algorithm*.
-// knives.Advise runs all six heuristics and recommends the cheapest layout
-// per table, reporting each algorithm's cost for transparency.
+// knives.Advise races AutoPart, HillClimb and HYRISE and recommends the
+// cheapest layout per table, reporting each algorithm's cost for
+// transparency.
 package main
 
 import (

@@ -22,8 +22,8 @@ func main() {
 	bench := knives.TPCH(10)
 	model := knives.NewHDDModel(knives.DefaultDisk())
 
-	// 1. Advise: race the heuristic portfolio on every table, keep the
-	// cheapest layout. (The search runs on the FULL-scale workload; only
+	// 1. Advise: race AutoPart, HillClimb and HYRISE on every table, keep
+	// the cheapest layout. (The search runs on the FULL-scale workload; only
 	// the physical copy below is sampled.)
 	advice, err := knives.Advise(bench, model)
 	if err != nil {

@@ -1,40 +1,26 @@
 package advisor
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
-	"knives/internal/algorithms"
+	"knives/internal/algo"
 	"knives/internal/cost"
-	"knives/internal/partition"
 	"knives/internal/schema"
+	"knives/internal/workgen"
 )
 
 // adviseSequential is the pre-refactor façade loop, retained as the oracle:
 // the concurrent portfolio fan-out must be indistinguishable from running
-// every heuristic in order.
+// the six heuristics in order, table by table.
 func adviseSequential(b *schema.Benchmark, m cost.Model) ([]TableAdvice, error) {
 	var out []TableAdvice
 	for _, tw := range b.TableWorkloads() {
-		adv := TableAdvice{
-			Table:        tw.Table,
-			PerAlgorithm: make(map[string]float64),
-			RowCost:      cost.WorkloadCost(m, tw, partition.Row(tw.Table).Parts),
-			ColumnCost:   cost.WorkloadCost(m, tw, partition.Column(tw.Table).Parts),
-		}
-		adv.Algorithm = "Column"
-		adv.Layout = partition.Column(tw.Table)
-		adv.Cost = adv.ColumnCost
-		for _, a := range algorithms.Heuristics() {
-			res, err := a.Partition(tw, m)
-			if err != nil {
-				return nil, err
-			}
-			adv.PerAlgorithm[a.Name()] = res.Cost
-			if res.Cost < adv.Cost {
-				adv.Algorithm = a.Name()
-				adv.Layout = res.Partitioning
-				adv.Cost = res.Cost
-			}
+		adv, err := sixKnifeAdvice(tw, m)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, adv)
 	}
@@ -71,11 +57,63 @@ func TestAdviseMatchesSequentialReference(t *testing.T) {
 		if !g.Layout.Equal(w.Layout) {
 			t.Errorf("%s: layout %s, want %s", g.Table.Name, g.Layout, w.Layout)
 		}
-		for name, c := range w.PerAlgorithm {
-			if g.PerAlgorithm[name] != c {
-				t.Errorf("%s/%s: cost %v, want %v", g.Table.Name, name, g.PerAlgorithm[name], c)
+		if len(g.PerAlgorithm) != len(PortfolioNames()) {
+			t.Errorf("%s: per-algorithm costs %v, want one per served knife %v", g.Table.Name, g.PerAlgorithm, PortfolioNames())
+		}
+		for _, name := range PortfolioNames() {
+			if c, ok := g.PerAlgorithm[name]; !ok || c != w.PerAlgorithm[name] {
+				t.Errorf("%s/%s: cost %v, want %v", g.Table.Name, name, c, w.PerAlgorithm[name])
 			}
 		}
+	}
+}
+
+// The ledger behind serving three knives: on every device, served advice
+// equals the six-heuristic advice — layout parts in order, algorithm and
+// cost bits — on the shapes the service is benchmarked with: the
+// advise-search tables, the mixed workload's cold widths 8/12/16, every
+// TPC-H and SSB table at sf 10, and the drift-cycle table under its
+// registered workload and its drifted one. DESIGN.md's Portfolio paragraph
+// rests on this; if it fails, the cut changed advice.
+func TestServedPortfolioLedger(t *testing.T) {
+	sample := workgen.Shaped(500, []int{8, 12, 16, 18, 20}, 1)
+	sample = append(sample, workgen.Shaped(150, []int{8, 12, 16}, 2)...)
+	sample = append(sample, schema.TPCH(10).TableWorkloads()...)
+	sample = append(sample, schema.SSB(10).TableWorkloads()...)
+	drift := wideTable(t)
+	sample = append(sample, coAccessWorkload(drift), schema.TableWorkload{Table: drift, Queries: singleColumnBatch()})
+	for _, m := range []cost.Model{cost.NewHDD(cost.DefaultDisk()), cost.NewSSD(), cost.NewMM()} {
+		t.Run(m.Name(), func(t *testing.T) {
+			served := make([]TableAdvice, len(sample))
+			six := make([]TableAdvice, len(sample))
+			workers := runtime.GOMAXPROCS(0)
+			err := algo.FanOut(workers, func(w int) error {
+				for i := w; i < len(sample); i += workers {
+					var err error
+					if served[i], err = AdviseTable(sample[i], m); err != nil {
+						return err
+					}
+					if six[i], err = sixKnifeAdvice(sample[i], m); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mismatches := 0
+			for i, got := range served {
+				want := six[i]
+				if got.Algorithm != want.Algorithm || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
+					got.Layout.Table != want.Layout.Table || !slices.Equal(got.Layout.Parts, want.Layout.Parts) {
+					mismatches++
+					t.Errorf("%s: served %s %v at %v, six knives %s %v at %v", sample[i].Table.Name,
+						got.Algorithm, got.Layout, got.Cost, want.Algorithm, want.Layout, want.Cost)
+				}
+			}
+			t.Logf("%d of %d tables advised identically", len(sample)-mismatches, len(sample))
+		})
 	}
 }
 

@@ -349,8 +349,8 @@ func TestServerKnifeMetricsPerAdviseMiss(t *testing.T) {
 		}
 		return string(b)
 	}
-	// The label set is fixed at registration: all six series exist, at zero,
-	// before any search.
+	// The label set is fixed at registration: a series per served knife
+	// exists, at zero, before any search.
 	expo := scrape()
 	for _, name := range PortfolioNames() {
 		if got := sampleValue(t, expo, `knives_knife_search_seconds_count{algo="`+name+`"}`); got != 0 {
@@ -375,10 +375,10 @@ func TestServerKnifeMetricsPerAdviseMiss(t *testing.T) {
 			}
 		}
 	}
-	// Trojan's count is exact: 2^4 - 1 column groups over the four referenced
-	// columns plus the final layout.
-	if got := sampleValue(t, expo, `knives_knife_candidates_total{algo="Trojan"}`); got != 16 {
-		t.Errorf("Trojan candidates = %v, want 16", got)
+	// HillClimb's count is exact: the column layout, then its merges of the
+	// four columns' 6 pairs, of {ab, c, d}'s 3 and of {ab, cd}'s 1.
+	if got := sampleValue(t, expo, `knives_knife_candidates_total{algo="HillClimb"}`); got != 11 {
+		t.Errorf("HillClimb candidates = %v, want 11", got)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -2,7 +2,12 @@ package advisor
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"maps"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"knives/internal/attrset"
@@ -133,6 +138,70 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	// journaling.
 	if _, err := observe(svc2, tab, singleColumnBatch()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A WAL journaled while the portfolio raced six knives still recovers: GET
+// /advice answers the recovered advice with its six per_algorithm entries
+// unchanged, and the next drift recompute journals the served knives only.
+func TestServiceRecoversSixKnifeAdvice(t *testing.T) {
+	dir := t.TempDir()
+	tw := coAccessWorkload(wideTable(t))
+	m := cost.NewHDD(cost.DefaultDisk())
+	old, err := sixKnifeAdvice(tw, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old.PerAlgorithm) != 6 {
+		t.Fatalf("six-knife advice has %d entries", len(old.PerAlgorithm))
+	}
+	st := durableStore(t, dir, 8)
+	if err := st.Append(commitEvent(tw, old, FingerprintOf(tw), modelKeyOf(m))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{DriftThreshold: 0.15, DriftWindow: 8, Store: durableStore(t, dir, 8)}
+	svc, err := OpenService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/advice?table=" + tw.Table.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got TableAdviceWire
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /advice: status %d, %v", resp.StatusCode, err)
+	}
+	if !maps.Equal(got.PerAlgorithm, old.PerAlgorithm) || got.Algorithm != old.Algorithm || got.Cost != old.Cost {
+		t.Errorf("recovered advice %s at %v %v, journaled %s at %v %v",
+			got.Algorithm, got.Cost, got.PerAlgorithm, old.Algorithm, old.Cost, old.PerAlgorithm)
+	}
+
+	driveDrift(t, svc, tw.Table)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = durableStore(t, dir, 8)
+	defer st.Close()
+	recovered := st.Recovered()
+	if len(recovered) != 1 {
+		t.Fatalf("recovered %d tables, want 1", len(recovered))
+	}
+	var names []string
+	for _, ac := range recovered[0].Advice.PerAlgorithm {
+		names = append(names, ac.Name)
+	}
+	want := slices.Sorted(slices.Values(PortfolioNames()))
+	if !slices.Equal(names, want) {
+		t.Errorf("recomputed advice journaled costs for %v, want %v", names, want)
 	}
 }
 

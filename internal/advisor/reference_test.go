@@ -8,12 +8,48 @@ import (
 	"io"
 	"math"
 
+	"knives/internal/algo"
 	"knives/internal/algo/o2p"
+	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/schema"
 )
+
+// sixKnifeAdvice is the advice as the service computed it while the
+// portfolio raced all six of the paper's heuristics: AutoPart, HillClimb,
+// HYRISE, Navathe, O2P and Trojan, run one after another in that order,
+// the first strict minimum against the Column baseline winning, a knife
+// that declines the input (Trojan past its width) left out. Served advice
+// must equal it wherever the ledger samples.
+func sixKnifeAdvice(tw schema.TableWorkload, m cost.Model) (TableAdvice, error) {
+	adv := TableAdvice{
+		Table:        tw.Table,
+		PerAlgorithm: make(map[string]float64),
+		RowCost:      cost.WorkloadCost(m, tw, partition.Row(tw.Table).Parts),
+		ColumnCost:   cost.WorkloadCost(m, tw, partition.Column(tw.Table).Parts),
+	}
+	adv.Algorithm = "Column"
+	adv.Layout = partition.Column(tw.Table)
+	adv.Cost = adv.ColumnCost
+	for _, a := range algorithms.Heuristics() {
+		res, err := a.Partition(tw, m)
+		if errors.Is(err, algo.ErrDeclined) {
+			continue
+		}
+		if err != nil {
+			return TableAdvice{}, err
+		}
+		adv.PerAlgorithm[a.Name()] = res.Cost
+		if res.Cost < adv.Cost {
+			adv.Algorithm = a.Name()
+			adv.Layout = res.Partitioning
+			adv.Cost = res.Cost
+		}
+	}
+	return adv, nil
+}
 
 // rawShadowCheck is the drift check as it was priced before the shadow was
 // restated over the window's attribute-set summary: O2P over every retained

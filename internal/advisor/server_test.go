@@ -80,9 +80,8 @@ func TestServerAdviseEndToEnd(t *testing.T) {
 }
 
 // Regression: a table with 22 referenced columns answered HTTP 500 "trojan:
-// table wide has 22 referenced attrs, cap is 20" although five knives can lay
-// it out. One knife declining an input is not the request's failure: the
-// member is left out, the rest of the portfolio answers.
+// table wide has 22 referenced attrs, cap is 20" while Trojan was served.
+// The served knives have no width cap: every one of them answers.
 func TestServerAdviseWiderThanTrojansCap(t *testing.T) {
 	ts, _, _ := newTestServer(t, Config{})
 	wide := TableSpec{Name: "wide", Rows: 1_000_000}
@@ -117,8 +116,8 @@ func TestServerAdviseWiderThanTrojansCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := out.Advice[0]
-	if _, ok := adv.PerAlgorithm["Trojan"]; ok || len(adv.PerAlgorithm) != len(PortfolioNames())-1 {
-		t.Errorf("per_algorithm = %v, want every knife but Trojan", adv.PerAlgorithm)
+	if len(adv.PerAlgorithm) != len(PortfolioNames()) {
+		t.Errorf("per_algorithm = %v, want every served knife %v", adv.PerAlgorithm, PortfolioNames())
 	}
 	seen := map[string]bool{}
 	for _, part := range adv.Layout {

@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -13,50 +11,15 @@ import (
 	"knives/internal/workgen"
 )
 
-// benchShapedTables draws n synthetic tables the way the advise-search
-// traffic does: widths 8/12/16/18/20 and fragmentation 0..1 walking their
-// 5x5 grid, columns from the fixed-width palette of the paper's cost model,
-// 1e5..6.4e6 rows, 16-32 workgen queries. Seeded, so every run and every
-// build prices the same tables.
+// benchShapedTables draws n tables the way the advise-search traffic does:
+// widths 8/12/16/18/20 walking the fragmentation grid. Seeded, so every run
+// and every build prices the same tables.
 func benchShapedTables(n int) []schema.TableWorkload {
-	widths := []int{8, 12, 16, 18, 20}
-	frags := []float64{0, 0.25, 0.5, 0.75, 1}
-	palette := []schema.Column{
-		{Kind: schema.KindInt, Size: 4},
-		{Kind: schema.KindDecimal, Size: 8},
-		{Kind: schema.KindDate, Size: 4},
-		{Kind: schema.KindChar, Size: 1},
-		{Kind: schema.KindChar, Size: 15},
-		{Kind: schema.KindChar, Size: 25},
-		{Kind: schema.KindVarchar, Size: 44},
-		{Kind: schema.KindVarchar, Size: 117},
-	}
-	rng := rand.New(rand.NewSource(1))
-	out := make([]schema.TableWorkload, n)
-	for i := range out {
-		width := widths[i%len(widths)]
-		cols := make([]schema.Column, width)
-		for c := range cols {
-			cols[c] = palette[rng.Intn(len(palette))]
-			cols[c].Name = fmt.Sprintf("c%d", c)
-		}
-		t := schema.MustTable(fmt.Sprintf("t%d", i), int64(100_000)<<rng.Intn(7), cols)
-		tw, err := workgen.Generate(t, workgen.Config{
-			Queries:       16 + rng.Intn(17),
-			Fragmentation: frags[(i/len(widths))%len(frags)],
-			MeanAttrs:     2 + rng.Intn(width/2),
-			Seed:          rng.Int63(),
-		})
-		if err != nil {
-			panic(err)
-		}
-		out[i] = tw
-	}
-	return out
+	return workgen.Shaped(n, []int{8, 12, 16, 18, 20}, 1)
 }
 
-// BenchmarkPortfolioKnives times each heuristic of the advisor's portfolio
-// on 50 bench-shaped tables under the HDD model. One op is one search of
+// BenchmarkPortfolioKnives times each of the six heuristics (the advisor
+// serves the first three) on 50 bench-shaped tables under the HDD model. One op is one search of
 // each of the 50 tables, so B/op divided by 50 is the bytes one search
 // allocates.
 func BenchmarkPortfolioKnives(b *testing.B) {

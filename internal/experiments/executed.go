@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"knives/internal/algo"
+	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/partition"
 	"knives/internal/replay"
@@ -230,7 +231,7 @@ func ExtOperators(s *Suite) (*Report, error) {
 	}
 	for _, device := range []string{"hdd", "ssd", "mm"} {
 		for _, layout := range []string{"HillClimb", "Column", "Row"} {
-			rep, err := replay.OperatorsAlgorithm(tw, layout, cfg(device), nil)
+			rep, err := executeAlgorithm(tw, layout, cfg(device), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -245,7 +246,7 @@ func ExtOperators(s *Suite) (*Report, error) {
 	var selReps []*replay.OperatorReplay
 	for _, frac := range []float64{0.25, 0.75} {
 		sel := &replay.Selection{Attr: selAttr, Bound: uint32(frac * storage.DateDomain)}
-		rep, err := replay.OperatorsAlgorithm(tw, "HillClimb", cfg("hdd"), sel)
+		rep, err := executeAlgorithm(tw, "HillClimb", cfg("hdd"), sel)
 		if err != nil {
 			return nil, err
 		}
@@ -262,4 +263,18 @@ func ExtOperators(s *Suite) (*Report, error) {
 	}
 	r.AddNote("times are simulated (virtual-device) seconds over %d-row samples; deterministic, no wall clock", int64(extOperatorsSampleRows))
 	return r, nil
+}
+
+// executeAlgorithm executes tw through operator pipelines over the layout
+// the named algorithm (or baseline family) finds at full scale.
+func executeAlgorithm(tw schema.TableWorkload, name string, cfg replay.Config, sel *replay.Selection) (*replay.OperatorReplay, error) {
+	_, m, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	layout, resolved, err := algorithms.Layout(tw, name, m)
+	if err != nil {
+		return nil, err
+	}
+	return replay.Operators(tw, layout, resolved, cfg, sel)
 }

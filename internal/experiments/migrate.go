@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"knives/internal/algo"
 	"knives/internal/algorithms"
 	"knives/internal/cost"
 	"knives/internal/migrate"
-	"knives/internal/partition"
-	"knives/internal/schema"
 	"knives/internal/workgen"
 )
 
@@ -40,10 +37,10 @@ const (
 // All numbers are simulated (virtual-disk) seconds over deterministic
 // data, so the report is byte-stable and golden-diffed without masking.
 func ExtMigrate(s *Suite) (*Report, error) {
-	// The heuristic portfolio — the algorithms the advisor actually races.
-	// BruteForce sits this one out: the drifted mix fragments Lineitem
-	// into 15 atoms, past its Bell-number cap (Bell(15) ≈ 1.4e9
-	// candidates), so it cannot even produce the target layout.
+	// The paper's six heuristics. BruteForce sits this one out: the
+	// drifted mix fragments Lineitem into 15 atoms, past its Bell-number
+	// cap (Bell(15) ≈ 1.4e9 candidates), so it cannot even produce the
+	// target layout.
 	names := evaluatedAlgorithms[:len(evaluatedAlgorithms)-1]
 	if err := s.Prewarm(names...); err != nil {
 		return nil, err
@@ -74,7 +71,7 @@ func ExtMigrate(s *Suite) (*Report, error) {
 			return nil, err
 		}
 		from := rs[liIndex].Partitioning
-		to, err := searchDrifted(name, drifted, m)
+		to, _, err := algorithms.Layout(drifted, name, m)
 		if err != nil {
 			return nil, err
 		}
@@ -115,20 +112,4 @@ func ExtMigrate(s *Suite) (*Report, error) {
 	r.AddNote("times are simulated (virtual-disk) seconds; deterministic, no wall clock")
 	r.AddNote("BruteForce excluded: the drifted mix has 15 atomic fragments, past its Bell-number cap")
 	return r, nil
-}
-
-// searchDrifted runs one algorithm on the drifted workload (full scale),
-// under a process-wide search slot like every kernel invocation.
-func searchDrifted(name string, tw schema.TableWorkload, m cost.Model) (partition.Partitioning, error) {
-	a, err := algorithms.ByName(name)
-	if err != nil {
-		return partition.Partitioning{}, err
-	}
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	res, err := a.Partition(tw, m)
-	if err != nil {
-		return partition.Partitioning{}, fmt.Errorf("experiments: %s on drifted %s: %w", name, tw.Table.Name, err)
-	}
-	return res.Partitioning, nil
 }

@@ -3,6 +3,7 @@ package replay
 import (
 	"testing"
 
+	"knives/internal/algorithms"
 	"knives/internal/operator"
 	"knives/internal/schema"
 )
@@ -15,7 +16,7 @@ func benchmarkLineitem(b *testing.B, workers int) {
 	bench := schema.TPCH(10)
 	tw := bench.Workload.ForTable(bench.Table("lineitem"))
 	for i := 0; i < b.N; i++ {
-		rep, err := Algorithm(tw, "HillClimb", Config{MaxRows: 20_000, Workers: workers, Seed: 1})
+		rep, err := replayAlgorithm(tw, "HillClimb", Config{MaxRows: 20_000, Workers: workers, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func benchmarkOperatorPipeline(b *testing.B, sel *Selection) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	layout, _, err := layoutFor(tw, "HillClimb", model)
+	layout, _, err := algorithms.Layout(tw, "HillClimb", model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func BenchmarkReplaySSD(b *testing.B) {
 	bench := schema.TPCH(10)
 	tw := bench.Workload.ForTable(bench.Table("lineitem"))
 	for i := 0; i < b.N; i++ {
-		rep, err := Algorithm(tw, "HillClimb", Config{Model: "ssd", MaxRows: 20_000, Seed: 1})
+		rep, err := replayAlgorithm(tw, "HillClimb", Config{Model: "ssd", MaxRows: 20_000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"knives/internal/algo"
 	"knives/internal/schema"
 )
 
@@ -37,7 +38,12 @@ func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 			for _, model := range []string{"hdd", "ssd", "mm"} {
 				for _, name := range layouts {
 					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						reps, err := Benchmark(b, name, Config{Model: model, MaxRows: 1_500, Seed: 42})
+						tws := b.TableWorkloads()
+						reps := make([]*TableReplay, len(tws))
+						err := algo.FanOut(len(tws), func(i int) (err error) {
+							reps[i], err = replayAlgorithm(tws[i], name, Config{Model: model, MaxRows: 1_500, Seed: 42})
+							return err
+						})
 						if err != nil {
 							t.Fatal(err)
 						}

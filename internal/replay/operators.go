@@ -90,18 +90,3 @@ func (r *OperatorReplay) String() string {
 	}
 	return b.String()
 }
-
-// OperatorsAlgorithm searches the full-scale workload with the named
-// algorithm ("Row"/"Column" name the baseline families) and replays the
-// resulting layout through operator pipelines.
-func OperatorsAlgorithm(tw schema.TableWorkload, name string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	_, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	layout, resolved, err := layoutFor(tw, name, model)
-	if err != nil {
-		return nil, err
-	}
-	return Operators(tw, layout, resolved, cfg, sel)
-}

@@ -15,9 +15,9 @@ import (
 // Row/Column baselines) x {TPC-H, SSB} table x {HDD, SSD, MM} device, a
 // workload executed through σ/π/⋈ pipelines over an epoch snapshot must
 // measure EXACTLY what the cost model predicts, composed from per-operator
-// terms — through OperatorsAlgorithm, one table at a time, where the
-// differential suite next door goes through Benchmark's fan-out and reads
-// only the TableReplay. Checksums must be layout- and model-invariant.
+// terms — through Operators, one table at a time, where the differential
+// suite next door fans tables out through Layout and reads only the
+// TableReplay. Checksums must be layout- and model-invariant.
 func TestOperatorsDifferential(t *testing.T) {
 	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
 	if testing.Short() {
@@ -37,7 +37,7 @@ func TestOperatorsDifferential(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
 						cfg := Config{Model: model, MaxRows: 1_500, Seed: 42}
 						for _, tw := range b.TableWorkloads() {
-							rep, err := OperatorsAlgorithm(tw, name, cfg, nil)
+							rep, err := operatorsAlgorithm(tw, name, cfg, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -83,8 +83,8 @@ func TestOperatorsDifferential(t *testing.T) {
 }
 
 // TestOperatorsMatchMonolithicReplay pins the two entry points to each
-// other: the same workload, layout, and config replayed through Algorithm
-// (the TableReplay alone) and through OperatorsAlgorithm must report
+// other: the same workload, layout, and config replayed through Layout
+// (the TableReplay alone) and through Operators must report
 // identical per-query stats, measurements, and predictions. The name dates
 // from when Layout ran Engine.Scan; storage's pipeline_test.go now holds
 // that identity against the Scan oracle.
@@ -92,11 +92,11 @@ func TestOperatorsMatchMonolithicReplay(t *testing.T) {
 	tw := schema.TPCH(10).TableWorkloads()[0]
 	for _, model := range []string{"hdd", "mm"} {
 		cfg := Config{Model: model, MaxRows: 1_000, Seed: 7}
-		scanRep, err := Algorithm(tw, "HillClimb", cfg)
+		scanRep, err := replayAlgorithm(tw, "HillClimb", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opRep, err := OperatorsAlgorithm(tw, "HillClimb", cfg, nil)
+		opRep, err := operatorsAlgorithm(tw, "HillClimb", cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestOperatorsSelection(t *testing.T) {
 	var runs []run
 	for _, frac := range []float64{0.25, 0.75} {
 		sel := &Selection{Attr: shipdate, Bound: uint32(frac * storage.DateDomain)}
-		rep, err := OperatorsAlgorithm(tw, "HillClimb", cfg, sel)
+		rep, err := operatorsAlgorithm(tw, "HillClimb", cfg, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestOperatorReplayString(t *testing.T) {
 		}
 	}
 	sel := &Selection{Attr: 10, Bound: uint32(storage.DateDomain / 2)} // σ on l_shipdate
-	rep, err := OperatorsAlgorithm(tw, "Row", Config{Model: "hdd", MaxRows: 500, Seed: 1}, sel)
+	rep, err := operatorsAlgorithm(tw, "Row", Config{Model: "hdd", MaxRows: 500, Seed: 1}, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +227,12 @@ func TestOperatorsErrors(t *testing.T) {
 	if _, err := Operators(schema.TableWorkload{}, partition.Partitioning{}, "x", cfg, nil); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := OperatorsAlgorithm(tw, "NoSuchAlgorithm", cfg, nil); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if _, err := OperatorsAlgorithm(tw, "Row", Config{Model: "nope"}, nil); err == nil {
+	row := partition.Row(tw.Table)
+	if _, err := Operators(tw, row, "Row", Config{Model: "nope"}, nil); err == nil {
 		t.Error("unknown model accepted")
 	}
 	// A selection on an attribute outside the table must fail at Build.
-	if _, err := OperatorsAlgorithm(tw, "Row", cfg, &Selection{Attr: 63, Bound: 1}); err == nil {
+	if _, err := Operators(tw, row, "Row", cfg, &Selection{Attr: 63, Bound: 1}); err == nil {
 		t.Error("selection attribute outside the table accepted")
 	}
 }
@@ -274,7 +272,7 @@ func TestOperatorsVectorDifferential(t *testing.T) {
 							var want *OperatorReplay
 							for _, batch := range []int{1024, 64, 4096} {
 								cfg := Config{Model: model, MaxRows: 1_000, Seed: 42, BatchSize: batch}
-								got, err := OperatorsAlgorithm(tw, name, cfg, nil)
+								got, err := operatorsAlgorithm(tw, name, cfg, nil)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -321,11 +319,11 @@ func TestOperatorsVectorSelection(t *testing.T) {
 	knobs.ExecMode = "vector"
 	knobs.BatchSize = 64
 	knobs.ExecWorkers = 2
-	want, err := OperatorsAlgorithm(tw, "HillClimb", base, sel)
+	want, err := operatorsAlgorithm(tw, "HillClimb", base, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OperatorsAlgorithm(tw, "HillClimb", knobs, sel)
+	got, err := operatorsAlgorithm(tw, "HillClimb", knobs, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func TestConfigExecValidation(t *testing.T) {
 		{Model: "hdd", BatchSize: 1 << 20},
 		{Model: "hdd", ExecWorkers: -1},
 	} {
-		if _, err := OperatorsAlgorithm(tw, "Row", cfg, nil); err == nil {
+		if _, err := operatorsAlgorithm(tw, "Row", cfg, nil); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}

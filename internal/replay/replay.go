@@ -16,8 +16,8 @@
 // implementations no longer simulates the paper's system.
 //
 // Tables larger than Config.MaxRows are materialized at a sampled row
-// count. Layouts are still searched on the FULL-scale workload (the
-// paper's setting); only the physical copy the engine scans is sampled,
+// count. Callers search layouts on the FULL-scale workload (the paper's
+// setting); only the physical copy the engine scans is sampled,
 // and the model prices the sampled table, so the comparison stays exact.
 package replay
 
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"knives/internal/algo"
-	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/operator"
@@ -501,63 +500,4 @@ func predictedSeeks(t *schema.Table, parts []schema.Set, query schema.Set, d cos
 		}
 	}
 	return seeks
-}
-
-// Algorithm searches the FULL-scale table workload with the named algorithm
-// ("Row" and "Column" name the baseline families) and replays the resulting
-// layout. The search runs under a process-wide search slot, like every other
-// kernel invocation.
-func Algorithm(tw schema.TableWorkload, name string, cfg Config) (*TableReplay, error) {
-	_, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	layout, resolved, err := layoutFor(tw, name, model)
-	if err != nil {
-		return nil, err
-	}
-	return Layout(tw, layout, resolved, cfg)
-}
-
-// layoutFor resolves an algorithm name to a layout for the workload.
-func layoutFor(tw schema.TableWorkload, name string, m cost.Model) (partition.Partitioning, string, error) {
-	if tw.Table == nil {
-		return partition.Partitioning{}, "", fmt.Errorf("replay: nil table")
-	}
-	switch strings.ToLower(name) {
-	case "row":
-		return partition.Row(tw.Table), "Row", nil
-	case "column":
-		return partition.Column(tw.Table), "Column", nil
-	}
-	a, err := algorithms.ByName(name)
-	if err != nil {
-		return partition.Partitioning{}, "", fmt.Errorf("replay: %w", err)
-	}
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	res, err := a.Partition(tw, m)
-	if err != nil {
-		return partition.Partitioning{}, "", fmt.Errorf("replay: %s on %s: %w", a.Name(), tw.Table.Name, err)
-	}
-	return res.Partitioning, a.Name(), nil
-}
-
-// Benchmark replays every table of a benchmark under the named algorithm,
-// fanning tables out concurrently. Reports keep the benchmark's table
-// order; the lowest-index error wins, like every fan-out in this codebase.
-func Benchmark(b *schema.Benchmark, name string, cfg Config) ([]*TableReplay, error) {
-	if b == nil {
-		return nil, fmt.Errorf("replay: nil benchmark")
-	}
-	tws := b.TableWorkloads()
-	out := make([]*TableReplay, len(tws))
-	err := algo.FanOut(len(tws), func(i int) (err error) {
-		out[i], err = Algorithm(tws[i], name, cfg)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
@@ -190,51 +191,9 @@ func TestSamplingCapsRows(t *testing.T) {
 	}
 }
 
-func TestAlgorithmResolution(t *testing.T) {
-	tw := testWorkload(t, 2_000)
-	for name, parts := range map[string]int{"row": 1, "Column": 5, "HillClimb": 0} {
-		rep, err := Algorithm(tw, name, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parts > 0 && rep.Layout.NumParts() != parts {
-			t.Errorf("%s: %d parts, want %d", name, rep.Layout.NumParts(), parts)
-		}
-		if !rep.Exact() {
-			t.Errorf("%s: not exact", name)
-		}
-	}
-	if _, err := Algorithm(tw, "nope", Config{}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
-// Benchmark fans tables out and keeps benchmark table order.
-func TestBenchmarkReplay(t *testing.T) {
-	b := schema.TPCH(0.01)
-	reps, err := Benchmark(b, "HillClimb", Config{MaxRows: 1_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(b.Tables) {
-		t.Fatalf("%d reports, want %d", len(reps), len(b.Tables))
-	}
-	for i, rep := range reps {
-		if rep.Table != b.Tables[i].Name {
-			t.Errorf("report %d is for %s, want %s", i, rep.Table, b.Tables[i].Name)
-		}
-		if !rep.Exact() {
-			t.Errorf("%s: not exact", rep.Table)
-		}
-	}
-	if _, err := Benchmark(nil, "HillClimb", Config{}); err == nil {
-		t.Error("nil benchmark accepted")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	tw := testWorkload(t, 1_000)
-	rep, err := Algorithm(tw, "HillClimb", Config{})
+	rep, err := replayAlgorithm(tw, "HillClimb", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,4 +203,32 @@ func TestStringRendering(t *testing.T) {
 			t.Errorf("rendering misses %q:\n%s", want, s)
 		}
 	}
+}
+
+// replayAlgorithm replays tw under the layout the named algorithm finds at
+// full scale, resolved as knives.ReplayAlgorithm resolves it.
+func replayAlgorithm(tw schema.TableWorkload, name string, cfg Config) (*TableReplay, error) {
+	_, m, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	layout, resolved, err := algorithms.Layout(tw, name, m)
+	if err != nil {
+		return nil, err
+	}
+	return Layout(tw, layout, resolved, cfg)
+}
+
+// operatorsAlgorithm is replayAlgorithm through Operators, as
+// knives.ExecuteAlgorithm runs it.
+func operatorsAlgorithm(tw schema.TableWorkload, name string, cfg Config, sel *Selection) (*OperatorReplay, error) {
+	_, m, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	layout, resolved, err := algorithms.Layout(tw, name, m)
+	if err != nil {
+		return nil, err
+	}
+	return Operators(tw, layout, resolved, cfg, sel)
 }

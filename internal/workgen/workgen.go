@@ -9,6 +9,7 @@ package workgen
 
 import (
 	"fmt"
+	"math/rand"
 
 	"knives/internal/attrset"
 	"knives/internal/schema"
@@ -125,6 +126,50 @@ func Drift(tw schema.TableWorkload, fraction float64, seed int64) schema.TableWo
 			q = schema.TableQuery{ID: q.ID + "'", Weight: q.Weight, Attrs: attrs}
 		}
 		out.Queries = append(out.Queries, q)
+	}
+	return out
+}
+
+// shapedColumns is the palette Shaped draws columns from: the fixed-width
+// encodings of the paper's cost model.
+var shapedColumns = []schema.Column{
+	{Kind: schema.KindInt, Size: 4},
+	{Kind: schema.KindDecimal, Size: 8},
+	{Kind: schema.KindDate, Size: 4},
+	{Kind: schema.KindChar, Size: 1},
+	{Kind: schema.KindChar, Size: 15},
+	{Kind: schema.KindChar, Size: 25},
+	{Kind: schema.KindVarchar, Size: 44},
+	{Kind: schema.KindVarchar, Size: 117},
+}
+
+// Shaped draws n synthetic tables the way knivesd's benchmark traffic
+// draws its never-seen /advise tables: table i is widths[i%len(widths)]
+// columns wide at fragmentation 0, 0.25, 0.5, 0.75 or 1 (walking the
+// widths x fragmentations grid), with columns from the fixed-width palette,
+// 1e5..6.4e6 rows and 16-32 queries. The same seed draws the same tables.
+func Shaped(n int, widths []int, seed int64) []schema.TableWorkload {
+	frags := []float64{0, 0.25, 0.5, 0.75, 1}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]schema.TableWorkload, n)
+	for i := range out {
+		width := widths[i%len(widths)]
+		cols := make([]schema.Column, width)
+		for c := range cols {
+			cols[c] = shapedColumns[rng.Intn(len(shapedColumns))]
+			cols[c].Name = fmt.Sprintf("c%d", c)
+		}
+		t := schema.MustTable(fmt.Sprintf("t%d", i), int64(100_000)<<rng.Intn(7), cols)
+		tw, err := Generate(t, Config{
+			Queries:       16 + rng.Intn(17),
+			Fragmentation: frags[(i/len(widths))%len(frags)],
+			MeanAttrs:     2 + rng.Intn(width/2),
+			Seed:          rng.Int63(),
+		})
+		if err != nil {
+			panic(err) // every config is in range by construction
+		}
+		out[i] = tw
 	}
 	return out
 }

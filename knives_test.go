@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"knives"
+	advisorpkg "knives/internal/advisor"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -90,8 +91,13 @@ func TestAdvise(t *testing.T) {
 		if a.ImprovementOverRow() < 0 {
 			t.Errorf("%s: negative improvement over row", a.Table.Name)
 		}
-		if len(a.PerAlgorithm) != 6 {
-			t.Errorf("%s: PerAlgorithm has %d entries, want 6 heuristics", a.Table.Name, len(a.PerAlgorithm))
+		if len(a.PerAlgorithm) != len(advisorpkg.PortfolioNames()) {
+			t.Errorf("%s: PerAlgorithm = %v, want one entry per served knife %v", a.Table.Name, a.PerAlgorithm, advisorpkg.PortfolioNames())
+		}
+		for _, name := range advisorpkg.PortfolioNames() {
+			if _, ok := a.PerAlgorithm[name]; !ok {
+				t.Errorf("%s: PerAlgorithm has no %s entry: %v", a.Table.Name, name, a.PerAlgorithm)
+			}
 		}
 	}
 	// Lineitem is the table where partitioning matters: the advisor must
@@ -161,6 +167,59 @@ func TestPublicEngine(t *testing.T) {
 	}
 	if math.IsNaN(stats.SimTime) || stats.SimTime <= 0 {
 		t.Errorf("sim time: %v", stats.SimTime)
+	}
+}
+
+// ReplayAlgorithm and ExecuteAlgorithm resolve a name the way the CLI's
+// -algorithm does (Row and Column, any case, name the baselines) and
+// replay the layout it finds, exactly.
+func TestReplayAlgorithm(t *testing.T) {
+	bench := knives.TPCH(0.01)
+	tw := bench.Workload.ForTable(bench.Table("partsupp"))
+	cfg := knives.ReplayConfig{MaxRows: 2_000}
+	for _, c := range []struct {
+		name, want string
+		parts      int // 0: whatever the search finds
+	}{{"row", "Row", 1}, {"COLUMN", "Column", 5}, {"HillClimb", "HillClimb", 0}, {"Trojan", "Trojan", 0}} {
+		rep, err := knives.ReplayAlgorithm(tw, c.name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Algorithm != c.want || !rep.Exact() || (c.parts > 0 && rep.Layout.NumParts() != c.parts) {
+			t.Errorf("%s: replayed %s in %d parts, exact %v; want %s", c.name, rep.Algorithm, rep.Layout.NumParts(), rep.Exact(), c.want)
+		}
+	}
+	if _, err := knives.ReplayAlgorithm(tw, "nope", cfg); err == nil {
+		t.Error("ReplayAlgorithm accepted an unknown algorithm")
+	}
+	if _, err := knives.ExecuteAlgorithm(tw, "nope", cfg, nil); err == nil {
+		t.Error("ExecuteAlgorithm accepted an unknown algorithm")
+	}
+	if _, err := knives.ReplayAlgorithm(tw, "Row", knives.ReplayConfig{Model: "nope"}); err == nil {
+		t.Error("ReplayAlgorithm accepted an unknown model")
+	}
+}
+
+// ReplayBenchmark fans tables out and keeps benchmark table order.
+func TestReplayBenchmark(t *testing.T) {
+	b := knives.TPCH(0.01)
+	reps, err := knives.ReplayBenchmark(b, "HillClimb", knives.ReplayConfig{MaxRows: 1_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != len(b.Tables) {
+		t.Fatalf("%d reports, want %d", len(reps), len(b.Tables))
+	}
+	for i, rep := range reps {
+		if rep.Table != b.Tables[i].Name {
+			t.Errorf("report %d is for %s, want %s", i, rep.Table, b.Tables[i].Name)
+		}
+		if !rep.Exact() {
+			t.Errorf("%s: not exact", rep.Table)
+		}
+	}
+	if _, err := knives.ReplayBenchmark(nil, "HillClimb", knives.ReplayConfig{}); err == nil {
+		t.Error("nil benchmark accepted")
 	}
 }
 

@@ -1,6 +1,10 @@
 package knives
 
 import (
+	"fmt"
+
+	"knives/internal/algo"
+	"knives/internal/algorithms"
 	"knives/internal/partition"
 	"knives/internal/replay"
 )
@@ -37,13 +41,41 @@ func ReplayLayout(tw TableWorkload, layout Partitioning, algorithm string, cfg R
 // ReplayAlgorithm searches the full-scale workload with the named algorithm
 // ("Row" and "Column" name the baseline families) and replays the result.
 func ReplayAlgorithm(tw TableWorkload, name string, cfg ReplayConfig) (*TableReplay, error) {
-	return replay.Algorithm(tw, name, cfg)
+	layout, resolved, err := searchLayout(tw, name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return replay.Layout(tw, layout, resolved, cfg)
+}
+
+// searchLayout resolves name to a layout for tw under cfg's cost model. The
+// name search lives here, not in replay, so that knivesd, which replays
+// only advised layouts, links no knife it does not serve.
+func searchLayout(tw TableWorkload, name string, cfg ReplayConfig) (Partitioning, string, error) {
+	_, m, err := cfg.Normalized()
+	if err != nil {
+		return Partitioning{}, "", err
+	}
+	return algorithms.Layout(tw, name, m)
 }
 
 // ReplayBenchmark replays every table of a benchmark under the named
-// algorithm, fanning tables out concurrently.
+// algorithm, fanning tables out concurrently. Reports keep the benchmark's
+// table order; the lowest-index error wins.
 func ReplayBenchmark(b *Benchmark, name string, cfg ReplayConfig) ([]*TableReplay, error) {
-	return replay.Benchmark(b, name, cfg)
+	if b == nil {
+		return nil, fmt.Errorf("knives: nil benchmark")
+	}
+	tws := b.TableWorkloads()
+	out := make([]*TableReplay, len(tws))
+	err := algo.FanOut(len(tws), func(i int) (err error) {
+		out[i], err = ReplayAlgorithm(tws[i], name, cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ReplayAdvice replays an advisor recommendation: the advised layout is
@@ -69,7 +101,11 @@ func ExecuteLayout(tw TableWorkload, layout Partitioning, algorithm string, cfg 
 // algorithm ("Row"/"Column" name the baseline families) and executes the
 // resulting layout through operator pipelines.
 func ExecuteAlgorithm(tw TableWorkload, name string, cfg ReplayConfig, sel *Selection) (*OperatorReplay, error) {
-	return replay.OperatorsAlgorithm(tw, name, cfg, sel)
+	layout, resolved, err := searchLayout(tw, name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return replay.Operators(tw, layout, resolved, cfg, sel)
 }
 
 // ExecuteAdvice executes an advisor recommendation through operator
