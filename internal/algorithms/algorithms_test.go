@@ -39,90 +39,45 @@ func TestByName(t *testing.T) {
 }
 
 // Every algorithm must produce a valid partitioning for every TPC-H and SSB
-// table, and its reported cost must equal an independent re-evaluation.
+// table under every device, and its reported cost must equal an
+// independent re-evaluation.
 func TestAllAlgorithmsProduceValidLayouts(t *testing.T) {
-	model := hdd()
-	for _, bench := range []*schema.Benchmark{schema.TPCH(1), schema.SSB(1)} {
-		for _, tw := range bench.TableWorkloads() {
-			for _, a := range algorithms.All() {
-				res, err := a.Partition(tw, model)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", bench.Name, tw.Table.Name, a.Name(), err)
-				}
-				if err := res.Partitioning.Validate(); err != nil {
-					t.Errorf("%s/%s/%s: invalid layout: %v", bench.Name, tw.Table.Name, a.Name(), err)
-				}
-				recheck := cost.WorkloadCost(model, tw, res.Partitioning.Parts)
-				if math.Abs(recheck-res.Cost) > 1e-6*math.Max(1, recheck) {
-					t.Errorf("%s/%s/%s: reported cost %v != re-evaluated %v",
-						bench.Name, tw.Table.Name, a.Name(), res.Cost, recheck)
-				}
-				if res.Stats.Candidates <= 0 {
-					t.Errorf("%s/%s/%s: no candidates counted", bench.Name, tw.Table.Name, a.Name())
-				}
+	for _, c := range searchedCells(t) {
+		for i, name := range c.knives {
+			res := c.results[i]
+			if name == "Row" || name == "Column" {
+				continue
+			}
+			where := c.workload + "/" + c.tw.Table.Name + "/" + c.device + "/" + name
+			if err := res.Partitioning.Validate(); err != nil {
+				t.Errorf("%s: invalid layout: %v", where, err)
+			}
+			recheck := cost.WorkloadCost(c.model, c.tw, res.Partitioning.Parts)
+			if math.Abs(recheck-res.Cost) > 1e-6*math.Max(1, recheck) {
+				t.Errorf("%s: reported cost %v != re-evaluated %v", where, res.Cost, recheck)
+			}
+			if res.Stats.Candidates <= 0 {
+				t.Errorf("%s: no candidates counted", where)
 			}
 		}
 	}
 }
 
-// Determinism: two runs of the same algorithm must give identical layouts.
+// Determinism: a second run of every heuristic on Lineitem gives the layout
+// the first one did. BruteForce's second run is TestLayoutsGolden's: the
+// golden is its first.
 func TestAlgorithmsAreDeterministic(t *testing.T) {
-	model := hdd()
-	tw := schema.TPCH(1).Workload.ForTable(schema.TPCH(1).Table("lineitem"))
-	for _, a := range algorithms.All() {
-		r1, err1 := a.Partition(tw, model)
-		r2, err2 := a.Partition(tw, model)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %v / %v", a.Name(), err1, err2)
+	for _, c := range searchedCells(t) {
+		if c.workload != "TPC-H" || c.device != "hdd" || c.tw.Table.Name != "lineitem" {
+			continue
 		}
-		if !r1.Partitioning.Equal(r2.Partitioning) {
-			t.Errorf("%s: non-deterministic layouts\n%s\n%s", a.Name(), r1.Partitioning, r2.Partitioning)
-		}
-	}
-}
-
-// Paper lesson 1: HillClimb and AutoPart find layouts with the same cost as
-// BruteForce on every TPC-H table, while evaluating orders of magnitude
-// fewer candidates on the wide tables.
-func TestHillClimbAndAutoPartMatchBruteForce(t *testing.T) {
-	model := hdd()
-	bench := schema.TPCH(10)
-	for _, tw := range bench.TableWorkloads() {
-		bf, err := algorithms.ByName("BruteForce")
-		if err != nil {
-			t.Fatal(err)
-		}
-		optimal, err := bf.Partition(tw, model)
-		if err != nil {
-			t.Fatalf("BruteForce/%s: %v", tw.Table.Name, err)
-		}
-		for _, name := range []string{"HillClimb", "AutoPart"} {
-			a, _ := algorithms.ByName(name)
-			res, err := a.Partition(tw, model)
+		for _, a := range algorithms.Heuristics() {
+			again, err := a.Partition(c.tw, c.model)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, tw.Table.Name, err)
+				t.Fatalf("%s: %v", a.Name(), err)
 			}
-			// Greedy search can in principle be beaten, but on TPC-H the
-			// paper observes exact ties; allow a 1% band for block-packing
-			// rounding asymmetries between the searches.
-			if res.Cost > optimal.Cost*1.01+1e-9 {
-				t.Errorf("%s on %s: cost %v, BruteForce %v (>1%% off)",
-					name, tw.Table.Name, res.Cost, optimal.Cost)
-			}
-			if res.Cost < optimal.Cost-1e-6 && tw.Table.Name != "lineitem" {
-				t.Errorf("%s on %s: cost %v beats BruteForce %v — brute force must be optimal",
-					name, tw.Table.Name, res.Cost, optimal.Cost)
-			}
-		}
-		if tw.Table.Name == "lineitem" {
-			hc, _ := algorithms.ByName("HillClimb")
-			res, err := hc.Partition(tw, model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if optimal.Stats.Candidates < 1000*res.Stats.Candidates {
-				t.Errorf("lineitem: BruteForce evaluated %d candidates vs HillClimb %d — expected >=3 orders of magnitude more",
-					optimal.Stats.Candidates, res.Stats.Candidates)
+			if first := c.result(a.Name()).Partitioning; !first.Equal(again.Partitioning) {
+				t.Errorf("%s: non-deterministic layouts\n%s\n%s", a.Name(), first, again.Partitioning)
 			}
 		}
 	}
@@ -155,36 +110,19 @@ func TestFragmentBruteForceMatchesRaw(t *testing.T) {
 // Paper Figure 3: Navathe and O2P trail the bottom-up algorithms on the
 // full TPC-H workload; every vertically partitioned layout crushes Row.
 func TestQualityOrderingOnTPCH(t *testing.T) {
-	model := hdd()
-	bench := schema.TPCH(10)
-
 	total := func(name string) float64 {
 		var sum float64
-		for _, tw := range bench.TableWorkloads() {
-			a, err := algorithms.ByName(name)
-			if err != nil {
-				t.Fatal(err)
+		for _, c := range searchedCells(t) {
+			if c.workload == "TPC-H" && c.device == "hdd" {
+				sum += c.result(name).Cost
 			}
-			res, err := a.Partition(tw, model)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.Cost
 		}
 		return sum
 	}
-	layoutCost := func(layout func(*schema.Table) partition.Partitioning) float64 {
-		var sum float64
-		for _, tw := range bench.TableWorkloads() {
-			sum += cost.WorkloadCost(model, tw, layout(tw.Table).Parts)
-		}
-		return sum
-	}
-
 	hc := total("HillClimb")
 	nav := total("Navathe")
-	row := layoutCost(partition.Row)
-	col := layoutCost(partition.Column)
+	row := total("Row")
+	col := total("Column")
 
 	if hc >= nav {
 		t.Errorf("HillClimb (%v) should beat Navathe (%v) on full TPC-H", hc, nav)
@@ -248,22 +186,19 @@ func TestHillClimbNeverWorseThanColumn(t *testing.T) {
 // Table 6): the bottom-up algorithms must return layouts costing the same
 // as Column.
 func TestMMModelNothingBeatsColumn(t *testing.T) {
-	model := cost.NewMM()
-	bench := schema.TPCH(1)
-	for _, tw := range bench.TableWorkloads() {
-		colCost := cost.WorkloadCost(model, tw, partition.Column(tw.Table).Parts)
+	for _, c := range searchedCells(t) {
+		if c.workload != "TPC-H" || c.device != "mm" {
+			continue
+		}
+		colCost := c.result("Column").Cost
 		for _, name := range []string{"HillClimb", "AutoPart", "BruteForce"} {
-			a, _ := algorithms.ByName(name)
-			res, err := a.Partition(tw, model)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, tw.Table.Name, err)
-			}
+			res := c.result(name)
 			if res.Cost > colCost+1e-9 {
-				t.Errorf("%s on %s under MM: cost %v > column %v", name, tw.Table.Name, res.Cost, colCost)
+				t.Errorf("%s on %s under MM: cost %v > column %v", name, c.tw.Table.Name, res.Cost, colCost)
 			}
 			if res.Cost < colCost*0.999 {
 				t.Errorf("%s on %s under MM: cost %v beats column %v — MM model should make column optimal",
-					name, tw.Table.Name, res.Cost, colCost)
+					name, c.tw.Table.Name, res.Cost, colCost)
 			}
 		}
 	}
@@ -387,16 +322,13 @@ func TestBruteForceCap(t *testing.T) {
 // Candidate counters must reflect the search-space hierarchy on Lineitem:
 // heuristics << Trojan << BruteForce.
 func TestCandidateCountHierarchy(t *testing.T) {
-	model := hdd()
-	bench := schema.TPCH(10)
-	tw := bench.Workload.ForTable(bench.Table("lineitem"))
 	counts := map[string]int64{}
-	for _, a := range algorithms.All() {
-		res, err := a.Partition(tw, model)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
+	for _, c := range searchedCells(t) {
+		if c.workload == "TPC-H" && c.device == "hdd" && c.tw.Table.Name == "lineitem" {
+			for _, a := range algorithms.All() {
+				counts[a.Name()] = c.result(a.Name()).Stats.Candidates
+			}
 		}
-		counts[a.Name()] = res.Stats.Candidates
 	}
 	if !(counts["HillClimb"] < counts["Trojan"] && counts["Trojan"] < counts["BruteForce"]) {
 		t.Errorf("candidate hierarchy violated: %v", counts)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"knives/internal/algo"
 	"knives/internal/algorithms"
 	"knives/internal/cost"
-	"knives/internal/partition"
 	"knives/internal/schema"
 	"knives/internal/workgen"
 )
@@ -23,52 +21,59 @@ import (
 //     materialization of the target layout (every query checksum and
 //     every measured quantity, zero tolerance).
 //
-// Layouts are searched at FULL scale (the paper's setting); the store is
-// materialized at a sampled row count, like the replay differential suite.
+// Layouts are the ones internal/algorithms searched at FULL scale (the
+// paper's setting) and pinned; each distinct (from, to) pair is executed
+// once per device, on a store materialized at a sampled row count like the
+// replay differential suite's. BruteForce is not searched on the drifted
+// mixes: its target is AutoPart's, which it equalled on all six (benchmark,
+// device) pairs when the layouts were pinned.
 func TestDifferentialMigrationAlgorithmsBenchmarksModels(t *testing.T) {
-	names := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce"}
-	if testing.Short() {
-		names = []string{"HillClimb", "O2P"}
+	pins, err := algorithms.ReadPins("../algorithms/testdata/layouts.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	benches := []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)}
+	names := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce"}
 	facts := map[string]string{"TPC-H": "lineitem", "SSB": "lineorder"}
-	for _, b := range benches {
-		b := b
+	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
 		t.Run(b.Name, func(t *testing.T) {
 			tw := b.Workload.ForTable(b.Table(facts[b.Name]))
 			drifted := workgen.Drift(tw, 0.5, 42)
 			for _, model := range []string{"hdd", "ssd", "mm"} {
+				reports := map[string]*Report{}
 				for _, name := range names {
 					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						// Cases share nothing; the process-wide search gate
-						// bounds the real concurrency, so parallel subtests
-						// just keep every core busy under -race.
-						t.Parallel()
-						m, err := cost.ModelByName(model, cost.Device{})
+						_, from, err := pins.Find(b.Name, tw.Table, model, name)
 						if err != nil {
 							t.Fatal(err)
 						}
-						from := searchLayout(t, name, tw, m)
-						to := searchLayout(t, name, drifted, m)
-						p, err := New(drifted, from, to, m, 0)
+						target := name
+						if name == "BruteForce" {
+							target = "AutoPart"
+						}
+						_, to, err := pins.Find(b.Name+"+drift", drifted.Table, model, target)
 						if err != nil {
 							t.Fatal(err)
 						}
-						p.FromAlgorithm, p.ToAlgorithm = name, name
-						rep, err := Execute(drifted, p, Config{Model: model, MaxRows: 1_500, Seed: 42})
-						if err != nil {
-							t.Fatal(err)
+						key := from.String() + " -> " + to.String()
+						rep, ok := reports[key]
+						if !ok {
+							m, err := cost.ModelByName(model, cost.Device{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							p, err := New(drifted, from, to, m, 0)
+							if err != nil {
+								t.Fatal(err)
+							}
+							p.FromAlgorithm, p.ToAlgorithm = name, name
+							if rep, err = Execute(drifted, p, Config{Model: model, MaxRows: 1_500, Seed: 42}); err != nil {
+								t.Fatal(err)
+							}
+							reports[key] = rep
 						}
 						if !rep.CostExact() {
-							t.Errorf("measured migration cost != predicted: measured=%.18g predicted=%.18g\n"+
-								"  bytes %d/%d -> %d/%d seeks %d/%d -> %d/%d lines %d/%d -> %d/%d",
-								rep.MeasuredSeconds, rep.PredictedSeconds,
-								rep.Measured.BytesRead, rep.Predicted.BytesRead,
-								rep.Measured.BytesWritten, rep.Predicted.BytesWritten,
-								rep.Measured.SeeksRead, rep.Predicted.SeeksRead,
-								rep.Measured.SeeksWrite, rep.Predicted.SeeksWrite,
-								rep.Measured.LinesRead, rep.Predicted.LinesRead,
-								rep.Measured.LinesWritten, rep.Predicted.LinesWritten)
+							t.Errorf("measured migration cost != predicted %+v (measured lines %d/%d):\n%s",
+								rep.Predicted, rep.Measured.LinesRead, rep.Measured.LinesWritten, rep)
 						}
 						if !rep.VerifyExact() {
 							t.Errorf("post-migration replay differs from a fresh materialization of %s", to)
@@ -78,20 +83,4 @@ func TestDifferentialMigrationAlgorithmsBenchmarksModels(t *testing.T) {
 			}
 		})
 	}
-}
-
-// searchLayout runs the named algorithm on the full-scale workload.
-func searchLayout(t *testing.T, name string, tw schema.TableWorkload, m cost.Model) partition.Partitioning {
-	t.Helper()
-	a, err := algorithms.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	res, err := a.Partition(tw, m)
-	if err != nil {
-		t.Fatalf("%s on %s: %v", name, tw.Table.Name, err)
-	}
-	return res.Partitioning
 }

@@ -3,20 +3,23 @@ package replay
 import (
 	"testing"
 
-	"knives/internal/algorithms"
 	"knives/internal/operator"
 	"knives/internal/schema"
 )
 
 // The replay hot path: materialize Lineitem once per iteration and scan the
-// full TPC-H per-table workload against the HillClimb layout. Sequential vs
-// parallel pins the worker pool's speedup on multi-core runners (identical
-// numbers are the correctness contract; wall clock is the perf record).
-func benchmarkLineitem(b *testing.B, workers int) {
-	bench := schema.TPCH(10)
-	tw := bench.Workload.ForTable(bench.Table("lineitem"))
+// full TPC-H per-table workload against the HillClimb layout pinned for the
+// device, read before the timed loop. Sequential vs parallel pins the worker
+// pool's speedup on multi-core runners (identical numbers are the
+// correctness contract; wall clock is the perf record); the SSD leg pins
+// that per-device accounting adds no overhead and stays exact while
+// benchmarked.
+func benchmarkReplay(b *testing.B, device string, workers int) {
+	tw := lineitem()
+	layout := pinned(b, "TPC-H", tw, device, "HillClimb")
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := replayAlgorithm(tw, "HillClimb", Config{MaxRows: 20_000, Workers: workers, Seed: 1})
+		rep, err := Layout(tw, layout, "HillClimb", Config{Model: device, MaxRows: 20_000, Workers: workers, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -24,29 +27,26 @@ func benchmarkLineitem(b *testing.B, workers int) {
 			b.Fatal("replay not exact")
 		}
 		b.ReportMetric(float64(rep.BytesRead), "bytes-replayed")
-		b.ReportMetric(float64(len(rep.Queries)), "queries")
+		b.ReportMetric(rep.MeasuredTotal, device+"-simulated-seconds")
 	}
 }
 
-func BenchmarkReplayLineitemSequential(b *testing.B) { benchmarkLineitem(b, 1) }
-func BenchmarkReplayLineitemParallel(b *testing.B)   { benchmarkLineitem(b, 0) }
+func BenchmarkReplayLineitemSequential(b *testing.B) { benchmarkReplay(b, "hdd", 1) }
+func BenchmarkReplayLineitemParallel(b *testing.B)   { benchmarkReplay(b, "hdd", 0) }
+func BenchmarkReplaySSD(b *testing.B)                { benchmarkReplay(b, "ssd", 0) }
 
-// The operator pipeline on the same hot path — execution ONLY. The layout
-// search, sampled materialization, and epoch snapshot all happen once
+// The operator pipeline on the same hot path — execution ONLY. The pinned
+// layout's lookup, sampled materialization, and epoch snapshot all happen once
 // outside the timed region, so the loop measures what it names: building
 // and draining σ/π/⋈ pipelines. With sel nil the plans are the
 // predicate-free ones the Scan oracle also answers.
 func benchmarkOperatorPipeline(b *testing.B, sel *Selection) {
-	bench := schema.TPCH(10)
-	tw := bench.Workload.ForTable(bench.Table("lineitem"))
-	cfg, model, err := (Config{MaxRows: 20_000, Seed: 1}).normalized()
+	tw := lineitem()
+	cfg, _, err := (Config{MaxRows: 20_000, Seed: 1}).normalized()
 	if err != nil {
 		b.Fatal(err)
 	}
-	layout, _, err := algorithms.Layout(tw, "HillClimb", model)
-	if err != nil {
-		b.Fatal(err)
-	}
+	layout := pinned(b, "TPC-H", tw, "hdd", "HillClimb")
 	e, err := Materialize(tw, layout, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -97,23 +97,4 @@ func BenchmarkOperatorPipelineVectorized(b *testing.B) {
 // storage's BenchmarkEngineScanLineitem.
 func BenchmarkOperatorPipelineVectorizedNoPredicate(b *testing.B) {
 	benchmarkOperatorPipeline(b, nil)
-}
-
-// The SSD leg of the replay record: the same materialize-and-scan chain on
-// the flash device, pinning that per-device accounting adds no overhead and
-// the exactness contract holds while benchmarked.
-func BenchmarkReplaySSD(b *testing.B) {
-	bench := schema.TPCH(10)
-	tw := bench.Workload.ForTable(bench.Table("lineitem"))
-	for i := 0; i < b.N; i++ {
-		rep, err := replayAlgorithm(tw, "HillClimb", Config{Model: "ssd", MaxRows: 20_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Exact() {
-			b.Fatal("SSD replay not exact")
-		}
-		b.ReportMetric(float64(rep.BytesRead), "bytes-replayed")
-		b.ReportMetric(rep.MeasuredTotal, "ssd-simulated-seconds")
-	}
 }

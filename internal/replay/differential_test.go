@@ -2,77 +2,170 @@ package replay
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
-	"knives/internal/algo"
+	"knives/internal/algorithms"
+	"knives/internal/partition"
 	"knives/internal/schema"
 )
 
-// The acceptance matrix, extending the crosscheck guarantee from random toy
-// tables to the layouts the algorithms actually advise: for EVERY algorithm
-// (plus the Row/Column baselines) x {TPC-H, SSB} table x {HDD, SSD, MM}
-// device, the replayed measured seeks, bytes, and simulated time must equal
-// the cost model's predictions exactly — zero tolerance. Layouts are
-// searched at full scale (the paper's setting) and materialized at a
-// sampled row count.
-//
-// The same run pins the reconstruction guarantee: a query's checksum over
-// the projected values is a function of the data alone, so it must be
-// identical across every layout and both cost models.
-func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
-	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
-	if testing.Short() {
-		layouts = []string{"HillClimb", "Row", "Column"}
+// The acceptance matrix extends the crosscheck guarantee from toy tables to
+// the layouts the knives advise: each distinct layout internal/algorithms
+// pinned for a {TPC-H, SSB} table under {HDD, SSD, MM} is materialized once
+// on that device at a sampled row count and executed at every batch size;
+// three tests read that execution, each asserting its own facet.
+var pins = sync.OnceValues(func() (algorithms.Pins, error) {
+	return algorithms.ReadPins("../algorithms/testdata/layouts.golden")
+})
+
+// pinned returns the layout knife is pinned to for tw in workload under device.
+func pinned(tb testing.TB, workload string, tw schema.TableWorkload, device, knife string) partition.Partitioning {
+	tb.Helper()
+	ps, err := pins()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	benches := []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)}
-	for _, b := range benches {
-		b := b
+	_, layout, err := ps.Find(workload, tw.Table, device, knife)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return layout
+}
+
+// batchSizes are the rows per batch every pinned layout runs at; the first
+// is the operator layer's default.
+var batchSizes = []int{1024, 64, 4096}
+
+var (
+	executionsMu sync.Mutex
+	executions   = map[string][]*OperatorReplay{}
+)
+
+// executed returns the replays, one per batch size, of the layout knife is
+// pinned to for tw in bench under device, running it on first use.
+func executed(t *testing.T, bench string, tw schema.TableWorkload, device, knife string) []*OperatorReplay {
+	t.Helper()
+	layout := pinned(t, bench, tw, device, knife)
+	key := bench + "/" + device + "/" + tw.Table.Name + layout.String()
+	executionsMu.Lock()
+	defer executionsMu.Unlock()
+	if reps, ok := executions[key]; ok {
+		return reps
+	}
+	cfg := Config{Model: device, MaxRows: 1_500, Seed: 42}
+	ncfg, _, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Materialize(tw, layout, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var reps []*OperatorReplay
+	for _, batch := range batchSizes {
+		cfg.BatchSize = batch
+		rep, err := OperatorsOn(tw, layout, e, knife, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	executions[key] = reps
+	return reps
+}
+
+// eachPinned calls f in a <bench>/<device>/<knife> subtest for every knife
+// and both baselines, once per table of the benchmark.
+func eachPinned(t *testing.T, f func(t *testing.T, bench string, reps []*OperatorReplay)) {
+	knives := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
+	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
 		t.Run(b.Name, func(t *testing.T) {
-			// Per-query checksums, keyed by table and query position,
-			// shared across all layouts and models of this benchmark.
-			type queryKey struct {
-				table string
-				query int
-			}
-			want := make(map[queryKey]uint64)
-			for _, model := range []string{"hdd", "ssd", "mm"} {
-				for _, name := range layouts {
-					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						tws := b.TableWorkloads()
-						reps := make([]*TableReplay, len(tws))
-						err := algo.FanOut(len(tws), func(i int) (err error) {
-							reps[i], err = replayAlgorithm(tws[i], name, Config{Model: model, MaxRows: 1_500, Seed: 42})
-							return err
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, rep := range reps {
-							if !rep.Exact() {
-								t.Errorf("%s: measured != predicted (max |delta| %g)",
-									rep.Table, rep.MaxAbsDelta())
-								for _, q := range rep.Queries {
-									if !q.Exact() {
-										t.Logf("  %s: seeks %d/%d bytes %d/%d seconds %.18g/%.18g",
-											q.ID, q.Stats.Seeks, q.PredictedSeeks,
-											q.Stats.BytesRead, q.PredictedBytes,
-											q.MeasuredSeconds, q.PredictedSeconds)
-									}
-								}
-							}
-							for qi, q := range rep.Queries {
-								k := queryKey{rep.Table, qi}
-								if prev, ok := want[k]; !ok {
-									want[k] = q.Stats.Checksum
-								} else if q.Stats.Checksum != prev {
-									t.Errorf("%s query %s: checksum %x differs from other layouts' %x — tuple reconstruction is layout-dependent",
-										rep.Table, q.ID, q.Stats.Checksum, prev)
-								}
-							}
+			for _, device := range []string{"hdd", "ssd", "mm"} {
+				for _, knife := range knives {
+					t.Run(device+"/"+knife, func(t *testing.T) {
+						for _, tw := range b.TableWorkloads() {
+							f(t, b.Name, executed(t, b.Name, tw, device, knife))
 						}
 					})
 				}
 			}
 		})
 	}
+}
+
+// Measured seeks, bytes, and simulated time equal the cost model's
+// predictions exactly — zero tolerance. The same run pins the
+// reconstruction guarantee: a query's checksum over the projected values is
+// a function of the data alone, so it must be identical across every layout
+// and device.
+func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
+	type queryKey struct {
+		bench, table string
+		query        int
+	}
+	want := make(map[queryKey]uint64)
+	eachPinned(t, func(t *testing.T, bench string, reps []*OperatorReplay) {
+		rep := reps[0]
+		if !rep.Exact() {
+			t.Errorf("%s: measured != predicted (max |delta| %g)\n%s", rep.Table, rep.MaxAbsDelta(), rep)
+		}
+		for qi, q := range rep.Queries {
+			k := queryKey{bench, rep.Table, qi}
+			if prev, ok := want[k]; !ok {
+				want[k] = q.Stats.Checksum
+			} else if q.Stats.Checksum != prev {
+				t.Errorf("%s query %s: checksum %x differs from other layouts' %x — tuple reconstruction is layout-dependent",
+					rep.Table, q.ID, q.Stats.Checksum, prev)
+			}
+		}
+	})
+}
+
+// The operator-pipeline leg: every query of every pinned layout runs as a
+// σ/π/⋈ pipeline whose plan is described, whose per-operator accounting is
+// reported, and whose root emits every sampled row (there is no selection).
+func TestOperatorsDifferential(t *testing.T) {
+	eachPinned(t, func(t *testing.T, _ string, reps []*OperatorReplay) {
+		rep := reps[0]
+		for qi, q := range rep.Queries {
+			if rep.ResultRows[qi] != rep.RowsReplayed {
+				t.Errorf("%s query %s: pipeline emitted %d rows, store holds %d",
+					rep.Table, q.ID, rep.ResultRows[qi], rep.RowsReplayed)
+			}
+			if rep.Plans[qi] == "" {
+				t.Errorf("%s query %s: empty plan description", rep.Table, q.ID)
+			}
+			if len(rep.Ops[qi]) == 0 {
+				t.Errorf("%s query %s: no per-operator stats", rep.Table, q.ID)
+			}
+		}
+	})
+}
+
+// TestOperatorsVectorDifferential is the batch-size leg, on what only real
+// advised layouts add (wide partitions, many leaves, page runs of every
+// length): the reports at every batch size are equal in every field but
+// wall clock and the per-batch fill ratios — every plan, every OpStats,
+// every checksum — and each is exact against the model. The row oracle
+// lives in the operator package's tests (TestVectorEqualsRowOracle,
+// FuzzVectorVsRowOracle).
+func TestOperatorsVectorDifferential(t *testing.T) {
+	eachPinned(t, func(t *testing.T, _ string, reps []*OperatorReplay) {
+		for i, got := range reps {
+			if !got.Exact() {
+				t.Errorf("%s batch %d: executed != predicted (max |delta| %g)",
+					got.Table, batchSizes[i], got.MaxAbsDelta())
+			}
+			for qi, q := range got.Queries {
+				if len(got.FillRatios[qi]) == 0 {
+					t.Errorf("%s query %s batch %d: no fill ratios", got.Table, q.ID, batchSizes[i])
+				}
+			}
+			g := *got
+			g.FillRatios = reps[0].FillRatios // one per batch, so batch-size-dependent
+			sameReport(t, fmt.Sprintf("%s batch %d vs %d", got.Table, batchSizes[i], batchSizes[0]), &g, reps[0])
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,92 +10,23 @@ import (
 	"knives/internal/storage"
 )
 
-// The operator-pipeline acceptance matrix: for EVERY algorithm (plus the
-// Row/Column baselines) x {TPC-H, SSB} table x {HDD, SSD, MM} device, a
-// workload executed through σ/π/⋈ pipelines over an epoch snapshot must
-// measure EXACTLY what the cost model predicts, composed from per-operator
-// terms — through Operators, one table at a time, where the differential
-// suite next door fans tables out through Layout and reads only the
-// TableReplay. Checksums must be layout- and model-invariant.
-func TestOperatorsDifferential(t *testing.T) {
-	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
-	if testing.Short() {
-		layouts = []string{"HillClimb", "Row", "Column"}
-	}
-	benches := []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)}
-	for _, b := range benches {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			type queryKey struct {
-				table string
-				query int
-			}
-			want := make(map[queryKey]uint64)
-			for _, model := range []string{"hdd", "ssd", "mm"} {
-				for _, name := range layouts {
-					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						cfg := Config{Model: model, MaxRows: 1_500, Seed: 42}
-						for _, tw := range b.TableWorkloads() {
-							rep, err := operatorsAlgorithm(tw, name, cfg, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !rep.Exact() {
-								t.Errorf("%s: executed != predicted (max |delta| %g)",
-									rep.Table, rep.MaxAbsDelta())
-								for _, q := range rep.Queries {
-									if !q.Exact() {
-										t.Logf("  %s: seeks %d/%d bytes %d/%d seconds %.18g/%.18g",
-											q.ID, q.Stats.Seeks, q.PredictedSeeks,
-											q.Stats.BytesRead, q.PredictedBytes,
-											q.MeasuredSeconds, q.PredictedSeconds)
-									}
-								}
-							}
-							for qi, q := range rep.Queries {
-								// Without a selection the pipeline emits every
-								// sampled row, and the plan must mention a π.
-								if rep.ResultRows[qi] != rep.RowsReplayed {
-									t.Errorf("%s query %s: pipeline emitted %d rows, store holds %d",
-										rep.Table, q.ID, rep.ResultRows[qi], rep.RowsReplayed)
-								}
-								if rep.Plans[qi] == "" {
-									t.Errorf("%s query %s: empty plan description", rep.Table, q.ID)
-								}
-								if len(rep.Ops[qi]) == 0 {
-									t.Errorf("%s query %s: no per-operator stats", rep.Table, q.ID)
-								}
-								k := queryKey{rep.Table, qi}
-								if prev, ok := want[k]; !ok {
-									want[k] = q.Stats.Checksum
-								} else if q.Stats.Checksum != prev {
-									t.Errorf("%s query %s: checksum %x differs from other layouts' %x — operator reconstruction is layout-dependent",
-										rep.Table, q.ID, q.Stats.Checksum, prev)
-								}
-							}
-						}
-					})
-				}
-			}
-		})
-	}
-}
-
 // TestOperatorsMatchMonolithicReplay pins the two entry points to each
-// other: the same workload, layout, and config replayed through Layout
-// (the TableReplay alone) and through Operators must report
-// identical per-query stats, measurements, and predictions. The name dates
-// from when Layout ran Engine.Scan; storage's pipeline_test.go now holds
-// that identity against the Scan oracle.
+// other on an advised layout (TPC-H lineitem's pinned HillClimb layout): the
+// same workload, layout, and config replayed through Layout (the
+// TableReplay alone) and through Operators must report identical per-query
+// stats, measurements, and predictions. The name dates from when Layout ran
+// Engine.Scan; storage's pipeline_test.go now holds that identity against
+// the Scan oracle.
 func TestOperatorsMatchMonolithicReplay(t *testing.T) {
-	tw := schema.TPCH(10).TableWorkloads()[0]
+	tw := lineitem()
 	for _, model := range []string{"hdd", "mm"} {
+		layout := pinned(t, "TPC-H", tw, model, "HillClimb")
 		cfg := Config{Model: model, MaxRows: 1_000, Seed: 7}
-		scanRep, err := replayAlgorithm(tw, "HillClimb", cfg)
+		scanRep, err := Layout(tw, layout, "HillClimb", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opRep, err := operatorsAlgorithm(tw, "HillClimb", cfg, nil)
+		opRep, err := Operators(tw, layout, "HillClimb", cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,15 +60,8 @@ func TestOperatorsMatchMonolithicReplay(t *testing.T) {
 // the root emits shrink roughly in proportion to the date fraction.
 func TestOperatorsSelection(t *testing.T) {
 	const shipdate = 10 // l_shipdate, a 4-byte date column
-	var tw schema.TableWorkload
-	for _, cand := range schema.TPCH(10).TableWorkloads() {
-		if cand.Table.Name == "lineitem" {
-			tw = cand
-		}
-	}
-	if tw.Table == nil {
-		t.Fatal("TPC-H has no lineitem workload")
-	}
+	tw := lineitem()
+	layout := pinned(t, "TPC-H", tw, "hdd", "HillClimb")
 	cfg := Config{Model: "hdd", MaxRows: 2_000, Seed: 42}
 
 	type run struct {
@@ -148,7 +71,7 @@ func TestOperatorsSelection(t *testing.T) {
 	var runs []run
 	for _, frac := range []float64{0.25, 0.75} {
 		sel := &Selection{Attr: shipdate, Bound: uint32(frac * storage.DateDomain)}
-		rep, err := operatorsAlgorithm(tw, "HillClimb", cfg, sel)
+		rep, err := Operators(tw, layout, "HillClimb", cfg, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,14 +114,9 @@ func TestOperatorsSelection(t *testing.T) {
 // a divergence from, so the plan, the selection, and every operator row
 // must actually appear in it.
 func TestOperatorReplayString(t *testing.T) {
-	var tw schema.TableWorkload
-	for _, cand := range schema.TPCH(10).TableWorkloads() {
-		if cand.Table.Name == "lineitem" {
-			tw = cand
-		}
-	}
+	tw := lineitem()
 	sel := &Selection{Attr: 10, Bound: uint32(storage.DateDomain / 2)} // σ on l_shipdate
-	rep, err := operatorsAlgorithm(tw, "Row", Config{Model: "hdd", MaxRows: 500, Seed: 1}, sel)
+	rep, err := Operators(tw, partition.Row(tw.Table), "Row", Config{Model: "hdd", MaxRows: 500, Seed: 1}, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,81 +167,25 @@ func sameReport(t *testing.T, label string, got, want *OperatorReplay) {
 	}
 }
 
-// TestOperatorsVectorDifferential is the batch-size leg of the acceptance
-// matrix, on what only real advised layouts add (wide partitions, many
-// leaves, page runs of every length): for every algorithm x {TPC-H, SSB} x
-// {HDD, SSD, MM}, the reports at 64, 1024 and 4096 rows per batch are equal
-// in every field but wall clock and the per-batch fill ratios — every plan,
-// every OpStats, every checksum — and each is exact against the model. The
-// row oracle these used to be compared with lives in the operator package's
-// tests now (TestVectorEqualsRowOracle, FuzzVectorVsRowOracle).
-func TestOperatorsVectorDifferential(t *testing.T) {
-	layouts := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
-	if testing.Short() {
-		layouts = []string{"HillClimb", "Row", "Column"}
-	}
-	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			for _, model := range []string{"hdd", "ssd", "mm"} {
-				for _, name := range layouts {
-					t.Run(fmt.Sprintf("%s/%s", model, name), func(t *testing.T) {
-						for _, tw := range b.TableWorkloads() {
-							var want *OperatorReplay
-							for _, batch := range []int{1024, 64, 4096} {
-								cfg := Config{Model: model, MaxRows: 1_000, Seed: 42, BatchSize: batch}
-								got, err := operatorsAlgorithm(tw, name, cfg, nil)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !got.Exact() {
-									t.Errorf("%s batch %d: executed != predicted (max |delta| %g)",
-										got.Table, batch, got.MaxAbsDelta())
-								}
-								for i, q := range got.Queries {
-									if len(got.FillRatios[i]) == 0 {
-										t.Errorf("%s query %s batch %d: no fill ratios", got.Table, q.ID, batch)
-									}
-								}
-								if want == nil {
-									want = got
-									continue
-								}
-								g := *got
-								g.FillRatios = want.FillRatios // one per batch, so batch-size-dependent
-								sameReport(t, fmt.Sprintf("%s batch %d vs 1024", got.Table, batch), &g, want)
-							}
-						}
-					})
-				}
-			}
-		})
-	}
-}
-
 // TestOperatorsVectorSelection re-runs the selection leg across batch sizes
 // and the inert exec knobs: σ into the selection vector, same result rows,
 // same checksums, same physical I/O, exact against the model — and no
 // rendering mentions an exec mode.
 func TestOperatorsVectorSelection(t *testing.T) {
 	const shipdate = 10
-	var tw schema.TableWorkload
-	for _, cand := range schema.TPCH(10).TableWorkloads() {
-		if cand.Table.Name == "lineitem" {
-			tw = cand
-		}
-	}
+	tw := lineitem()
+	layout := pinned(t, "TPC-H", tw, "hdd", "HillClimb")
 	sel := &Selection{Attr: shipdate, Bound: uint32(storage.DateDomain / 2)}
 	base := Config{Model: "hdd", MaxRows: 2_000, Seed: 42}
 	knobs := base
 	knobs.ExecMode = "vector"
 	knobs.BatchSize = 64
 	knobs.ExecWorkers = 2
-	want, err := operatorsAlgorithm(tw, "HillClimb", base, sel)
+	want, err := Operators(tw, layout, "HillClimb", base, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := operatorsAlgorithm(tw, "HillClimb", knobs, sel)
+	got, err := Operators(tw, layout, "HillClimb", knobs, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +211,7 @@ func TestConfigExecValidation(t *testing.T) {
 		{Model: "hdd", BatchSize: 1 << 20},
 		{Model: "hdd", ExecWorkers: -1},
 	} {
-		if _, err := operatorsAlgorithm(tw, "Row", cfg, nil); err == nil {
+		if _, err := Operators(tw, partition.Row(tw.Table), "Row", cfg, nil); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}

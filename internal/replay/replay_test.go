@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
@@ -193,42 +192,20 @@ func TestSamplingCapsRows(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	tw := testWorkload(t, 1_000)
-	rep, err := replayAlgorithm(tw, "HillClimb", Config{})
+	rep, err := Layout(tw, partition.Column(tw.Table), "Column", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := rep.String()
-	for _, want := range []string{"replay events", "algorithm=HillClimb", "exact=true", "q1"} {
+	for _, want := range []string{"replay events", "algorithm=Column", "exact=true", "q1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering misses %q:\n%s", want, s)
 		}
 	}
 }
 
-// replayAlgorithm replays tw under the layout the named algorithm finds at
-// full scale, resolved as knives.ReplayAlgorithm resolves it.
-func replayAlgorithm(tw schema.TableWorkload, name string, cfg Config) (*TableReplay, error) {
-	_, m, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	layout, resolved, err := algorithms.Layout(tw, name, m)
-	if err != nil {
-		return nil, err
-	}
-	return Layout(tw, layout, resolved, cfg)
-}
-
-// operatorsAlgorithm is replayAlgorithm through Operators, as
-// knives.ExecuteAlgorithm runs it.
-func operatorsAlgorithm(tw schema.TableWorkload, name string, cfg Config, sel *Selection) (*OperatorReplay, error) {
-	_, m, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	layout, resolved, err := algorithms.Layout(tw, name, m)
-	if err != nil {
-		return nil, err
-	}
-	return Operators(tw, layout, resolved, cfg, sel)
+// lineitem is TPC-H SF 10's lineitem workload.
+func lineitem() schema.TableWorkload {
+	b := schema.TPCH(10)
+	return b.Workload.ForTable(b.Table("lineitem"))
 }
