@@ -214,6 +214,15 @@ var architecture = []rule{
 		{match: pattern{kind: passed, from: experimentsPkg, names: []string{"runAll"}, typeArg: "Suite.Bench", fn: "(*Suite).searched"}, want: 1},
 		{match: pattern{kind: passed, from: experimentsPkg, names: []string{"runAll"}, typeArg: "Suite.Bench", fn: "timeAlgorithm"}, want: 1},
 	}},
+	{name: "no knob that changes no number", limits: []limit{
+		// Pool widths and batch sizes are the service's: no request, advisor
+		// option, executor option or CLI flag carries a worker count or a
+		// batch size that cannot change a reported number.
+		deleted("ExecWorkers", "MaxReplayWorkers"),
+		none(pattern{kind: declared, pkg: advisor, names: []string{"Workers", "BatchSize"}}),
+		none(pattern{kind: declared, pkg: operator, names: []string{"Workers"}}),
+		none(pattern{kind: quoted, from: pkgPath("cmd/knives"), names: []string{"workers", "exec-workers"}}),
+	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
 		// The daemon races AutoPart, HillClimb and HYRISE, and its drift
@@ -756,6 +765,11 @@ var plants = []struct {
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, toWire(TableAdvice{}, Fingerprint{}, false)) }"},
 	{"one search cache for the suite's benchmark", "internal/experiments/tables.go", "", "func init() { var s *Suite; runAll(nil, s.Bench, nil) }"},
 	{"one search cache for the suite's benchmark", "internal/experiments/device.go", "", "func (s *Suite) again(a algo.Algorithm) { b := s.Bench; runAll(a, b, s.model()) }"},
+	{"no knob that changes no number", "internal/replay/replay.go", "", "var _ = Config{}.ExecWorkers"},
+	{"no knob that changes no number", "internal/advisor/replay.go", "", "const MaxReplayWorkers = 256"},
+	{"no knob that changes no number", "internal/advisor/replay.go", "", "type legacyOptions struct{ Workers, BatchSize int }"},
+	{"no knob that changes no number", "internal/operator/plan.go", "", "type legacyExec struct{ Workers int }"},
+	{"no knob that changes no number", "cmd/knives/main.go", "", `var _ = flag.Int("workers", 0, "")`},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
 	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},

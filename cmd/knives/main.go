@@ -23,23 +23,21 @@
 //	    or run knivesd with -prewarm) so the tables are registered.
 //
 //	knives exec [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
-//	            [-batch N]
 //	            [-select-table NAME -select-column COL [-select-bound N]]
 //	            [remote]
 //	    Advise (or name) a layout per table, materialize it, run every query
 //	    as a streaming σ/π/⋈ operator pipeline over an epoch snapshot, print
 //	    each plan with its per-operator accounting, and verify the measured
 //	    cost equals the cost model bit for bit (non-zero exit otherwise).
-//	    -batch sets the pipelines' rows per batch (same numbers at any
-//	    size); -select-* pushes a σ(column < bound) on an int or date
-//	    column into one table's scans. With -server, a running knivesd
-//	    executes via POST /query instead.
+//	    -select-* pushes a σ(column < bound) on an int or date column into
+//	    one table's scans. With -server, a running knivesd executes via
+//	    POST /query instead.
 //
 //	knives replay [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
 //	              [store]
-//	    exec minus the selection, -batch, and -server knobs and the
-//	    per-operator rows of the report: the same chain on the same
-//	    executor, on mem- or file-backed pages.
+//	    exec minus the selection and -server flags and the per-operator
+//	    rows of the report: the same chain on the same executor, on mem- or
+//	    file-backed pages.
 //
 //	knives migrate [workload] [target: -algorithm advisor|NAME] [sample] [store]
 //	               [-drift F] [-drift-seed N] [-window N]
@@ -58,7 +56,7 @@
 //
 //	workload  -benchmark tpch|ssb  -sf N
 //	target    -table NAME|all  -algorithm ...  -model hdd|ssd|mm  [device flags]
-//	sample    -rows N  -workers N  -seed N
+//	sample    -rows N  -seed N
 //	store     -backend mem|file  -dir PATH
 //	remote    -server URL  -retries N  -retry-delay D
 //
@@ -231,9 +229,8 @@ type command struct {
 	families                   bool // -algorithm also accepts Row and Column
 	devf                       func() (knives.Disk, error)
 	// sample(): the materialized copy.
-	rows    *int64
-	workers *int
-	seed    *int64
+	rows *int64
+	seed *int64
 	// store(): where partition pages live.
 	backend, dir *string
 	// remote(): a running knivesd answers instead.
@@ -267,7 +264,6 @@ func (c *command) target(algoDefault, algoUsage string, families bool) {
 
 func (c *command) sample() {
 	c.rows = c.fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	c.workers = c.fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
 	c.seed = c.fs.Int64("seed", 1, "data generator seed")
 }
 
@@ -322,12 +318,10 @@ func (c *command) client() (*advisor.Client, error) {
 // replayConfig assembles the materialize-and-execute config from the shared
 // flags, creates the temp dir a file backend without -dir needs (cleanup
 // removes it), and validates the result before any portfolio search runs:
-// an unknown backend or a bad batch size must fail fast, not after minutes
-// of optimization (and not never, when a migration plan happens to be an
-// identity).
-func (c *command) replayConfig(cfg knives.ReplayConfig) (knives.ReplayConfig, func(), error) {
-	cfg.Model, cfg.Disk = *c.modelName, c.override
-	cfg.MaxRows, cfg.Workers, cfg.Seed = *c.rows, *c.workers, *c.seed
+// an unknown backend must fail fast, not after minutes of optimization (and
+// not never, when a migration plan happens to be an identity).
+func (c *command) replayConfig() (knives.ReplayConfig, func(), error) {
+	cfg := knives.ReplayConfig{Model: *c.modelName, Disk: c.override, MaxRows: *c.rows, Seed: *c.seed}
 	cleanup := func() {}
 	if c.backend != nil {
 		cfg.Backend, cfg.Dir = *c.backend, *c.dir
@@ -610,7 +604,7 @@ func runExec(args []string) error { return runExecute("exec", args) }
 // layout per table, materialize it, execute the workload as σ/π/⋈ operator
 // pipelines over an epoch snapshot, and verify that measured equals
 // predicted bit for bit. exec prints each plan with its per-operator
-// accounting, takes a selection and a batch size, and can run via a knivesd's
+// accounting, takes a selection, and can run via a knivesd's
 // POST /query; replay prints the totals alone and keeps the page-store
 // flags.
 func runExecute(name string, args []string) error {
@@ -619,10 +613,8 @@ func runExecute(name string, args []string) error {
 	c.target("advisor", "layout source: an algorithm name, Row, Column, or advisor (portfolio winner)", true)
 	c.sample()
 	var selTable, selColumn *string
-	var batch *int
 	var selBound *uint64
 	if pipelines {
-		batch = c.fs.Int("batch", 0, "pipeline rows per batch (0 = default); never changes the numbers")
 		selTable = c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
 		selColumn = c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
 		selBound = c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
@@ -637,7 +629,6 @@ func runExecute(name string, args []string) error {
 	defer c.vt.total()
 
 	var sel *advisor.SelectionSpec
-	var cfg knives.ReplayConfig
 	if pipelines {
 		if (*selTable == "") != (*selColumn == "") {
 			return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
@@ -648,13 +639,12 @@ func runExecute(name string, args []string) error {
 		if *selTable != "" {
 			sel = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
 		}
-		cfg.BatchSize = *batch
 		if *c.server != "" {
-			return execViaServer(c, cfg, sel)
+			return execViaServer(c, sel)
 		}
 	}
 
-	cfg, cleanup, err := c.replayConfig(cfg)
+	cfg, cleanup, err := c.replayConfig()
 	defer cleanup()
 	if err != nil {
 		return err
@@ -709,7 +699,7 @@ func runExecute(name string, args []string) error {
 
 // execViaServer asks a running knivesd to execute the benchmark via POST
 // /query and renders the tables -table selects.
-func execViaServer(c *command, cfg knives.ReplayConfig, sel *advisor.SelectionSpec) error {
+func execViaServer(c *command, sel *advisor.SelectionSpec) error {
 	client, err := c.client()
 	if err != nil {
 		return err
@@ -719,8 +709,6 @@ func execViaServer(c *command, cfg knives.ReplayConfig, sel *advisor.SelectionSp
 		ScaleFactor: *c.sf,
 		MaxRows:     *c.rows,
 		Seed:        *c.seed,
-		Workers:     *c.workers,
-		BatchSize:   cfg.BatchSize,
 		Selection:   sel,
 		Model:       &advisor.ModelSpec{Name: *c.modelName},
 	})
@@ -773,7 +761,7 @@ func runMigrate(args []string) error {
 	if *drift < 0 || *drift > 1 {
 		return usageError{err: fmt.Errorf("-drift %v outside [0, 1]", *drift)}
 	}
-	cfg, cleanup, err := c.replayConfig(knives.MigrationConfig{})
+	cfg, cleanup, err := c.replayConfig()
 	defer cleanup()
 	if err != nil {
 		return err

@@ -168,10 +168,10 @@ func TestRunReplaySmallTable(t *testing.T) {
 		// through the same path.
 		{"replay", runReplay, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
 		{"migrate", runMigrate, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
-		// exec has no page-store flags; its knobs are the batch size and the
-		// pushed-down selection (region's int key), and the baseline
-		// families are layout sources like any algorithm.
-		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm", "-batch", "64"}},
+		// exec has no page-store flags; its own flags are the pushed-down
+		// selection (region's int key), and the baseline families are
+		// layout sources like any algorithm.
+		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm"}},
 		{"exec", runExec, []string{"-algorithm", "Column", "-select-table", "region", "-select-column", "r_regionkey", "-select-bound", "3"}},
 	} {
 		args := append([]string{"-table", "region", "-sf", "0.01", "-rows", "500"}, tc.extra...)
@@ -195,7 +195,6 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 		switch cmd {
 		case "exec":
 			cases = append(cases[:len(cases):len(cases)],
-				append([]string{"-batch", "-1"}, region...),
 				append([]string{"-select-table", "region"}, region...),
 				append([]string{"-select-table", "region", "-select-column", "nope"}, region...))
 		default:
@@ -230,13 +229,18 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 		"-select-table", "nosuch", "-select-column", "r_regionkey", "-select-bound", "5"}); got != 2 {
 		t.Errorf("exec -select-table nosuch exited %d, want 2", got)
 	}
-	// Each subcommand keeps exactly its own flags: replay has no batch knob,
-	// exec no page store, and the executor-selecting flags are gone from both.
+	// Each subcommand keeps exactly its own flags: exec has no page store,
+	// and the executor-selecting, pool-sizing and batch-sizing flags are gone
+	// from every executing command.
 	for _, args := range [][]string{
 		{"replay", "-batch", "64"},
+		{"exec", "-batch", "64"},
 		{"replay", "-exec", "vector"},
 		{"exec", "-exec", "vector"},
 		{"exec", "-exec-workers", "2"},
+		{"replay", "-workers", "2"},
+		{"exec", "-workers", "2"},
+		{"migrate", "-workers", "2"},
 	} {
 		if got := run(args); got != 2 {
 			t.Errorf("%v exited %d, want 2 (flag provided but not defined)", args, got)

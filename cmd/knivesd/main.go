@@ -55,17 +55,16 @@
 // Endpoints:
 //
 //	POST /advise   {tables, queries} or {benchmark, sf} -> per-table advice
-//	POST /replay   same workload + {max_rows, seed, workers} -> advise,
+//	POST /replay   same workload + {max_rows, seed, model} -> advise,
 //	               lease (or load) the advised layout's store, EXECUTE
 //	               every query as a σ/π/⋈ operator pipeline over an epoch
 //	               snapshot, and report measured vs predicted cost (cached)
-//	POST /query    /replay + {selection}: the same chain, report cache and
+//	POST /query    /replay + {selection, exec}: the same chain, report cache and
 //	               stores; answers each plan with its per-operator cost
 //	               decomposition, and keeps the store it loads resident
 //	POST /observe  {batches, batch_id} -> one drift verdict + current
-//	               advice per entry, redelivered IDs deduplicated;
-//	               {table, queries} is a one-entry batch answered bare
-//	POST /migrate  {table, window, max_rows, seed, workers} -> plan the
+//	               advice per entry, redelivered IDs deduplicated
+//	POST /migrate  {table, window, max_rows, seed} -> plan the
 //	               applied->advised re-layout against the observed mix,
 //	               execute + verify it on a sampled store, and advance the
 //	               applied layout when it proves out (pair-cached)

@@ -202,19 +202,18 @@ func TestServerQueryErrors(t *testing.T) {
 	}
 }
 
-// TestServerQueryExecModes pins that the exec knob selects nothing. On one
-// service, exec "vector" (with the other knobs turned), "row" and "" share
-// ONE cached execution — exec knobs are deliberately not part of the key, the
-// same exclusion the replay cache applies to workers — and answer reports
-// equal in every field but cached. On fresh services, each label's own
-// execution differs from the others' in the echoed exec_mode alone, and the
-// default request still answers "row".
+// TestServerQueryExecModes pins that the exec label selects nothing. On one
+// service, exec "vector", "row" and "" share ONE cached execution — the label
+// is deliberately not part of the key — and answer reports equal in every
+// field but cached. On fresh services, each label's own execution differs
+// from the others' in the echoed exec_mode alone, and the default request
+// still answers "row".
 func TestServerQueryExecModes(t *testing.T) {
 	ctx := context.Background()
-	query := func(c *Client, exec string, batch, workers int) TableExecWire {
+	query := func(c *Client, exec string) TableExecWire {
 		t.Helper()
 		req := queryRequest()
-		req.Exec, req.BatchSize, req.ExecWorkers = exec, batch, workers
+		req.Exec = exec
 		resp, err := c.Query(ctx, req)
 		if err != nil {
 			t.Fatal(err)
@@ -223,29 +222,25 @@ func TestServerQueryExecModes(t *testing.T) {
 	}
 
 	_, _, client := newTestServer(t, Config{})
-	first := query(client, "vector", 128, 2)
+	first := query(client, "vector")
 	if first.Cached || !first.Exact || first.ExecMode != "vector" {
 		t.Errorf("first request: cached=%v exact=%v exec_mode=%q, want a fresh exact run labelled vector",
 			first.Cached, first.Exact, first.ExecMode)
 	}
-	for _, knobs := range []struct {
-		exec           string
-		batch, workers int
-	}{{"row", 0, 0}, {"", 0, 0}, {"vector", 4096, 8}} {
-		rep := query(client, knobs.exec, knobs.batch, knobs.workers)
+	for _, exec := range []string{"row", "", "vector"} {
+		rep := query(client, exec)
 		if !rep.Cached {
-			t.Errorf("exec %q batch %d workers %d missed the first request's cached execution",
-				knobs.exec, knobs.batch, knobs.workers)
+			t.Errorf("exec %q missed the first request's cached execution", exec)
 		}
 		rep.Cached = false
 		if !reflect.DeepEqual(rep, first) {
-			t.Errorf("exec %q: cached report differs beyond the cached flag\n got %+v\nwant %+v", knobs.exec, rep, first)
+			t.Errorf("exec %q: cached report differs beyond the cached flag\n got %+v\nwant %+v", exec, rep, first)
 		}
 	}
 
 	for exec, label := range map[string]string{"row": "row", "": "row"} {
 		_, _, fresh := newTestServer(t, Config{})
-		rep := query(fresh, exec, 0, 0)
+		rep := query(fresh, exec)
 		if rep.Cached || rep.ExecMode != label {
 			t.Errorf("fresh service, exec %q: cached=%v exec_mode=%q, want a fresh run labelled %q", exec, rep.Cached, rep.ExecMode, label)
 		}
@@ -256,38 +251,14 @@ func TestServerQueryExecModes(t *testing.T) {
 	}
 }
 
-// TestServerQueryExecValidation: malformed exec knobs answer 400.
+// TestServerQueryExecValidation: an unknown exec label answers 400. (A body
+// carrying a retired pool or batch field is an unknown field, a 400 that
+// TestHTTPTranscript records once per field.)
 func TestServerQueryExecValidation(t *testing.T) {
 	_, _, client := newTestServer(t, Config{})
-	ctx := context.Background()
-
 	req := queryRequest()
 	req.Exec = "columnar"
-	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "exec mode") {
+	if _, err := client.Query(context.Background(), req); err == nil || !strings.Contains(err.Error(), "exec mode") {
 		t.Errorf("unknown exec mode error = %v", err)
-	}
-
-	req = queryRequest()
-	req.BatchSize = -1
-	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "batch_size") {
-		t.Errorf("negative batch_size error = %v", err)
-	}
-
-	req = queryRequest()
-	req.BatchSize = 1 << 20
-	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "batch_size") {
-		t.Errorf("oversized batch_size error = %v", err)
-	}
-
-	req = queryRequest()
-	req.ExecWorkers = -1
-	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "exec_workers") {
-		t.Errorf("negative exec_workers error = %v", err)
-	}
-
-	req = queryRequest()
-	req.ExecWorkers = MaxReplayWorkers + 1
-	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "exec_workers") {
-		t.Errorf("oversized exec_workers error = %v", err)
 	}
 }

@@ -69,20 +69,21 @@ var transcriptSteps = []transcriptStep{
 	{"/observe", `{"batches":[],"nosuchfield":1}`},
 
 	// The executed reports: /replay, then /query with and without a σ and
-	// with every exec knob.
+	// with the exec label. A body carrying a retired pool or batch field
+	// (workers, batch_size, exec_workers) is an unknown field.
 	{"/replay", `{` + transcriptDated + `,"max_rows":600,"seed":3}`},
-	{"/replay", `{` + transcriptDated + `,"max_rows":600,"seed":3,"workers":2}`},
+	{"/replay", `{` + transcriptDated + `,"max_rows":600,"seed":3}`},
 	{"/replay", `{` + transcriptDated + `,"max_rows":600,"seed":3,"model":{"name":"ssd"}}`},
 	{"/replay", `{` + transcriptDated + `,"max_rows":-1}`},
-	{"/replay", `{` + transcriptDated + `,"workers":100000}`},
+	{"/replay", `{` + transcriptDated + `,"workers":2}`},
 	{"/replay", `{` + transcriptEvents + `,"max_rows":500}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"ts","bound":1263}}`},
-	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"ts","bound":400},"exec":"vector","batch_size":64,"exec_workers":2}`},
+	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"ts","bound":400},"exec":"vector"}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"ts","bound":1263},"exec":"row"}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"exec":"columnar"}`},
-	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"batch_size":-1}`},
-	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"exec_workers":100000}`},
+	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"batch_size":64}`},
+	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"exec_workers":2}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"a","bound":1}}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"nosuch","column":"ts","bound":1}}`},
 	{"/query", `{` + transcriptDated + `,"max_rows":600,"seed":4,"selection":{"table":"dated","column":"","bound":1}}`},

@@ -187,7 +187,6 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	// batch fill ratios) carry samples in the scrape below.
 	qreq := queryRequest()
 	qreq.Exec = "vector"
-	qreq.BatchSize = 64
 	qres, err := client.Query(ctx, qreq)
 	if err != nil {
 		t.Fatal(err)

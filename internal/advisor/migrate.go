@@ -36,11 +36,10 @@ type MigrateOptions struct {
 	// Window bounds the acceptable break-even horizon in queries; 0 uses
 	// the service's configured default.
 	Window int64
-	// MaxRows, Seed, Workers parameterize the sampled verification
-	// execution exactly like a replay (same limits).
+	// MaxRows and Seed parameterize the sampled verification execution
+	// exactly like a replay (same limits).
 	MaxRows int64
 	Seed    int64
-	Workers int
 }
 
 // validate enforces the request-side limits (shared with replay where the
@@ -51,9 +50,6 @@ func (o MigrateOptions) validate() error {
 	}
 	if o.MaxRows < 0 || o.MaxRows > MaxReplayRows {
 		return fmt.Errorf("%w: max_rows %d out of range [0, %d]", ErrBadMigrate, o.MaxRows, MaxReplayRows)
-	}
-	if o.Workers < 0 || o.Workers > MaxReplayWorkers {
-		return fmt.Errorf("%w: workers %d out of range [0, %d]", ErrBadMigrate, o.Workers, MaxReplayWorkers)
 	}
 	return nil
 }
@@ -112,7 +108,7 @@ func (s *Service) MigrateTable(table string, opt MigrateOptions) (*MigrationOutc
 	// The tracker prices the migration under the model that registered it —
 	// a store advised for SSD is planned and verified on the SSD device.
 	st := t.MigrationState()
-	rcfg, err := replayConfigFor(st.model, ReplayOptions{MaxRows: opt.MaxRows, Seed: opt.Seed, Workers: opt.Workers})
+	rcfg, err := replayConfigFor(st.model, ReplayOptions{MaxRows: opt.MaxRows, Seed: opt.Seed})
 	if err != nil {
 		return nil, false, err
 	}

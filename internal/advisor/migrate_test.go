@@ -218,8 +218,6 @@ func TestMigrateTableValidation(t *testing.T) {
 		{Window: MaxMigrateWindow + 1},
 		{MaxRows: -1},
 		{MaxRows: MaxReplayRows + 1},
-		{Workers: -1},
-		{Workers: MaxReplayWorkers + 1},
 	}
 	for _, opt := range bad {
 		if _, _, err := svc.MigrateTable("nope", opt); err == nil || !strings.Contains(err.Error(), "invalid migrate") {

@@ -11,43 +11,31 @@ import (
 	"knives/internal/schema"
 )
 
-// Replay limits: the server materializes real pages and scans them, so the
-// request must not be able to ask for unbounded work.
-const (
-	// MaxReplayRows caps how many rows one replay may materialize per table.
-	MaxReplayRows = 1_000_000
-	// MaxReplayWorkers caps the requested worker pool (the count never
-	// changes a reported number, only memory and scheduling).
-	MaxReplayWorkers = 256
-)
+// MaxReplayRows caps how many rows one replay may materialize per table:
+// the server materializes real pages and scans them, so the request must
+// not be able to ask for unbounded work.
+const MaxReplayRows = 1_000_000
 
 // DefaultReplayCacheCapacity bounds the replay report cache. Reports carry
 // per-query measurements and are an order of magnitude bigger than advice
 // entries, so the bound is correspondingly smaller.
 const DefaultReplayCacheCapacity = 256
 
-// ReplayOptions are the knobs one replay request may turn. The zero value
-// uses the service defaults.
+// ReplayOptions are what one replay request may set: the two options that
+// change the materialized data, and a label. The zero value uses the
+// service defaults. The executor's pools are sized by the service, never
+// by a request.
 type ReplayOptions struct {
 	// MaxRows caps the materialized rows per table; 0 uses
 	// replay.DefaultMaxRows.
 	MaxRows int64
 	// Seed feeds the deterministic data generator.
 	Seed int64
-	// Workers bounds the replay worker pool; 0 uses GOMAXPROCS. Workers
-	// never affect the report's numbers, so they are NOT part of the
-	// replay cache key.
-	Workers int
 	// ExecMode is a label that selects nothing: "", "row" or "vector" is
 	// accepted (anything else refused), and the report echoes it ("row" for
-	// the empty one). Like Workers, no exec knob can change a result, so
-	// none of them join the exec cache key.
+	// the empty one). It cannot change a result, so it is not part of the
+	// exec cache key.
 	ExecMode string
-	// BatchSize is the pipelines' rows per batch (0 = default).
-	BatchSize int
-	// ExecWorkers is accepted and range-checked for the clients that send
-	// it, and has no effect (operator.ExecOptions.Workers).
-	ExecWorkers int
 }
 
 // validate enforces the request-side limits.
@@ -55,17 +43,8 @@ func (o ReplayOptions) validate() error {
 	if o.MaxRows < 0 || o.MaxRows > MaxReplayRows {
 		return fmt.Errorf("%w: max_rows %d out of range [0, %d]", ErrBadReplay, o.MaxRows, MaxReplayRows)
 	}
-	if o.Workers < 0 || o.Workers > MaxReplayWorkers {
-		return fmt.Errorf("%w: workers %d out of range [0, %d]", ErrBadReplay, o.Workers, MaxReplayWorkers)
-	}
 	if _, err := (operator.ExecOptions{Mode: operator.ExecMode(o.ExecMode)}).Normalized(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadReplay, err)
-	}
-	if o.BatchSize < 0 || o.BatchSize > operator.MaxBatchSize {
-		return fmt.Errorf("%w: batch_size %d out of range [0, %d]", ErrBadReplay, o.BatchSize, operator.MaxBatchSize)
-	}
-	if o.ExecWorkers < 0 || o.ExecWorkers > MaxReplayWorkers {
-		return fmt.Errorf("%w: exec_workers %d out of range [0, %d]", ErrBadReplay, o.ExecWorkers, MaxReplayWorkers)
 	}
 	return nil
 }
@@ -83,15 +62,7 @@ func replayConfigFor(m cost.Model, opt ReplayOptions) (replay.Config, error) {
 	if !ok {
 		return replay.Config{}, fmt.Errorf("advisor: cost model %s has no replay pricing", m.Name())
 	}
-	cfg := replay.Config{
-		Disk:        dm.Device(),
-		MaxRows:     opt.MaxRows,
-		Seed:        opt.Seed,
-		Workers:     opt.Workers,
-		ExecMode:    opt.ExecMode,
-		BatchSize:   opt.BatchSize,
-		ExecWorkers: opt.ExecWorkers,
-	}
+	cfg := replay.Config{Disk: dm.Device(), MaxRows: opt.MaxRows, Seed: opt.Seed, ExecMode: opt.ExecMode}
 	if cfg.MaxRows == 0 {
 		cfg.MaxRows = replay.DefaultMaxRows
 	}

@@ -56,9 +56,9 @@ func TestServiceReplayTable(t *testing.T) {
 	if !cached2 || rep2 != rep || fp2 != fp {
 		t.Error("repeat replay not served from cache")
 	}
-	// Workers are not part of the key; rows and seed are.
-	if _, _, cached, _ := svc.ReplayTable(tw, ReplayOptions{MaxRows: 2_000, Workers: 4}); !cached {
-		t.Error("worker count changed the cache key")
+	// The exec label is not part of the key; rows and seed are.
+	if _, _, cached, _ := svc.ReplayTable(tw, ReplayOptions{MaxRows: 2_000, ExecMode: "vector"}); !cached {
+		t.Error("exec label changed the cache key")
 	}
 	if _, _, cached, _ := svc.ReplayTable(tw, ReplayOptions{MaxRows: 1_000}); cached {
 		t.Error("row cap did not change the cache key")
@@ -99,8 +99,7 @@ func TestServiceReplayRejectsBadOptions(t *testing.T) {
 	for _, opt := range []ReplayOptions{
 		{MaxRows: -1},
 		{MaxRows: MaxReplayRows + 1},
-		{Workers: -2},
-		{Workers: MaxReplayWorkers + 1},
+		{ExecMode: "columnar"},
 	} {
 		if _, _, _, err := svc.ReplayTable(tw, opt); err == nil {
 			t.Errorf("options %+v accepted", opt)
@@ -252,8 +251,7 @@ func TestServerReplayRejectsBadRequests(t *testing.T) {
 		`{"unknown_field":1}`,
 		`{"benchmark":"tpch","max_rows":-5}`,
 		`{"benchmark":"tpch","max_rows":2000000}`,
-		`{"benchmark":"tpch","workers":-1}`,
-		`{"benchmark":"tpch","workers":100000}`,
+		`{"benchmark":"tpch","workers":2}`,
 	}
 	for _, body := range badRequests {
 		if got := post(body); got != http.StatusBadRequest {

@@ -377,10 +377,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // execute unfiltered.
 func serveExec[W any](s *Server, w http.ResponseWriter, r *http.Request, rt *execRoute, req QueryRequest,
 	render func(*replay.OperatorReplay, Fingerprint, bool) W) ([]W, bool) {
-	opt := ReplayOptions{
-		MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers,
-		ExecMode: req.Exec, BatchSize: req.BatchSize, ExecWorkers: req.ExecWorkers,
-	}
+	opt := ReplayOptions{MaxRows: req.MaxRows, Seed: req.Seed, ExecMode: req.Exec}
 	sel := req.Selection
 	check := func(tws []schema.TableWorkload) error {
 		if sel == nil {
@@ -490,7 +487,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out, cached, err := s.svc.MigrateTable(req.Table, MigrateOptions{
-		Window: req.Window, MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers,
+		Window: req.Window, MaxRows: req.MaxRows, Seed: req.Seed,
 	})
 	if err != nil {
 		switch {

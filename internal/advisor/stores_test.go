@@ -146,7 +146,7 @@ func TestResidentStoreIdentity(t *testing.T) {
 // store (the guard backend fails it), resident bytes never pass the budget,
 // and once the readers are gone every evicted store has been closed.
 func TestResidentStoreLeases(t *testing.T) {
-	opt := ReplayOptions{MaxRows: 1_500, Seed: 1, Workers: 2}
+	opt := ReplayOptions{MaxRows: 1_500, Seed: 1}
 	probe := NewService(Config{})
 	if _, _, _, err := probe.ExecTable(datedWorkload(t, "left"), opt, nil); err != nil {
 		t.Fatal(err)

@@ -88,10 +88,8 @@ type ReplayRequest struct {
 
 	// MaxRows caps the materialized rows per table (0 = server default,
 	// bounded by MaxReplayRows). Seed feeds the deterministic generator.
-	// Workers bounds the worker pool and never changes a reported number.
 	MaxRows int64 `json:"max_rows,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	Workers int   `json:"workers,omitempty"`
 
 	// Model optionally names the device the replay materializes, measures,
 	// and prices on (with optional hardware overrides); absent means the
@@ -109,7 +107,6 @@ func (r ReplayRequest) query() QueryRequest {
 		Queries:     r.Queries,
 		MaxRows:     r.MaxRows,
 		Seed:        r.Seed,
-		Workers:     r.Workers,
 		Model:       r.Model,
 	}
 }
@@ -172,23 +169,18 @@ type QueryRequest struct {
 	Tables  []TableSpec `json:"tables,omitempty"`
 	Queries []QuerySpec `json:"queries,omitempty"`
 
-	// MaxRows, Seed, and Workers behave exactly as on /replay.
+	// MaxRows and Seed behave exactly as on /replay.
 	MaxRows int64 `json:"max_rows,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	Workers int   `json:"workers,omitempty"`
 
 	// Exec is a label and selects nothing: "", "row" or "vector" is accepted
 	// (anything else is a 400) and echoed as the report's exec_mode ("row"
-	// for the empty one) — every request runs the one executor. BatchSize
-	// tunes its rows per batch (0 = default); ExecWorkers is accepted and
-	// range-checked and does nothing. None of the three can change a result,
-	// so — like Workers — they are deliberately NOT part of the exec cache
-	// key: requests differing only in them share one cached execution, whose
-	// exec_mode is the first request's. Removing the two inert fields from
-	// the wire waits for a PR that may touch bench/, which sends them.
-	Exec        string `json:"exec,omitempty"`
-	BatchSize   int    `json:"batch_size,omitempty"`
-	ExecWorkers int    `json:"exec_workers,omitempty"`
+	// for the empty one) — every request runs the one executor. It cannot
+	// change a result, so it is deliberately NOT part of the exec cache key:
+	// requests differing only in it share one cached execution, whose
+	// exec_mode is the first request's. bench/ sends "vector", which keeps
+	// the field on the wire.
+	Exec string `json:"exec,omitempty"`
 
 	// Selection optionally pushes a σ into the named table's pipelines.
 	Selection *SelectionSpec `json:"selection,omitempty"`
@@ -255,11 +247,10 @@ type MigrateRequest struct {
 	// Window bounds the acceptable break-even horizon in queries of the
 	// observed mix (0 = server default). Plans beyond it are refused.
 	Window int64 `json:"window,omitempty"`
-	// MaxRows, Seed, Workers parameterize the sampled verification
-	// execution, exactly like /replay's knobs.
+	// MaxRows and Seed parameterize the sampled verification execution,
+	// exactly like /replay's.
 	MaxRows int64 `json:"max_rows,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	Workers int   `json:"workers,omitempty"`
 }
 
 // MigrationWire is one migration outcome as served over HTTP.

@@ -7,15 +7,18 @@ import (
 	"time"
 )
 
-// SearchGate bounds how many partitioning searches run at once across the
-// whole process, however many experiment suites, advisor services, and
-// benchmarks overlap. Both the experiments fan-out (Prewarm x runAll) and
-// the advisor's portfolio fan-out draw from this one budget, so stacked
-// parallelism cannot admit dozens of concurrent searches: BruteForce's
-// walker pool draws from its own GOMAXPROCS-1 budget shared across searches
-// (bruteforce/parallel.go), which keeps worst-case runnable CPU-bound
-// goroutines bounded by ~2x the core count rather than growing
-// quadratically.
+// SearchGate bounds how many heavy jobs run at once across the whole
+// process, however many experiment suites, advisor services, and benchmarks
+// overlap: searches (the experiments fan-out and the advisor's portfolio
+// fan-out), replays, store loads and migrations each hold one of its
+// GOMAXPROCS slots. A slot bounds jobs, not goroutines. A search runs on
+// its slot's goroutine, and BruteForce's walkers draw from their own
+// GOMAXPROCS-1 budget shared across searches (bruteforce/parallel.go); but
+// a replay runs up to replay.Config.Workers pipelines under its one slot,
+// and a store load or a repartition as many loaders or movers, each
+// GOMAXPROCS by default. The bound that holds for runnable CPU-bound
+// goroutines is therefore slots x GOMAXPROCS (GOMAXPROCS squared), plus
+// the walker budget, not a small multiple of the core count.
 var searchGate = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // gateWaitObserver, when set, receives the wait duration of every CONTENDED

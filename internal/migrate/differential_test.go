@@ -6,6 +6,7 @@ import (
 
 	"knives/internal/algorithms"
 	"knives/internal/cost"
+	"knives/internal/partition"
 	"knives/internal/schema"
 	"knives/internal/workgen"
 )
@@ -82,5 +83,80 @@ func TestDifferentialMigrationAlgorithmsBenchmarksModels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// refillBuffer is a device buffer of four 8 KiB pages: at 1,500 sampled rows
+// the wider partitions of a fact table span several buffer fills, which under
+// the presets' 8 MiB buffer no partition does.
+const refillBuffer = 32 << 10
+
+// TestMigrationBufferRefills is the refill leg of the matrix above, on each
+// fact table and every device with the buffer shrunk to refillBuffer: the
+// pinned HillClimb transition to its drifted layout, and Row to Column,
+// which moves every byte. The repartition's refill accounting and the
+// verification scans' must both still equal the model's; every verification
+// refills, and so does the Row to Column repartition's read of the one wide
+// partition.
+func TestMigrationBufferRefills(t *testing.T) {
+	pins, err := algorithms.ReadPins("../algorithms/testdata/layouts.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := cost.Device{BufferSize: refillBuffer}
+	facts := map[string]string{"TPC-H": "lineitem", "SSB": "lineorder"}
+	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
+		tw := b.Workload.ForTable(b.Table(facts[b.Name]))
+		drifted := workgen.Drift(tw, 0.5, 42)
+		for _, model := range []string{"hdd", "ssd", "mm"} {
+			_, hcFrom, err := pins.Find(b.Name, tw.Table, model, "HillClimb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hcTo, err := pins.Find(b.Name+"+drift", drifted.Table, model, "HillClimb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range []struct {
+				name     string
+				from, to partition.Partitioning
+			}{
+				{"HillClimb", hcFrom, hcTo},
+				{"Row->Column", partition.Row(drifted.Table), partition.Column(drifted.Table)},
+			} {
+				t.Run(b.Name+"/"+model+"/"+tr.name, func(t *testing.T) {
+					m, err := cost.ModelByName(model, small)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, err := New(drifted, tr.from, tr.to, m, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := Execute(drifted, p, Config{Model: model, Disk: small, MaxRows: 1_500, Seed: 42})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.CostExact() {
+						t.Errorf("measured migration cost != predicted %+v:\n%s", rep.Predicted, rep)
+					}
+					if !rep.VerifyExact() {
+						t.Errorf("post-migration replay differs from a fresh materialization of %s", tr.to)
+					}
+					var most int64
+					for _, q := range rep.Migrated.Queries {
+						for _, p := range q.Stats.Parts {
+							most = max(most, p.Seeks)
+						}
+					}
+					if most < 2 {
+						t.Errorf("no verified partition took a second buffer fill (most seeks %d)", most)
+					}
+					if tr.name == "Row->Column" && rep.Measured.SeeksRead < 2 {
+						t.Errorf("repartition read the row partition in %d buffer fill(s): no refill", rep.Measured.SeeksRead)
+					}
+				})
+			}
+		}
 	}
 }

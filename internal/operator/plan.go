@@ -55,16 +55,11 @@ type ExecOptions struct {
 	// requests, configs and the frozen benchmark carry it.
 	Mode ExecMode
 	// BatchSize is the rows per batch; 0 uses DefaultBatchSize, bounds are
-	// [1, MaxBatchSize].
+	// [1, MaxBatchSize]. Production leaves it zero: it is the seam the
+	// batch-size legs of this package's tests and of the replay
+	// differential turn, which hold every reported number
+	// batch-size-invariant.
 	BatchSize int
-	// Workers has no effect. It used to put each vector leaf on its own
-	// goroutine so page-to-column copies could overlap; a leaf no longer
-	// copies anything, so there was nothing left to overlap and the hand-off
-	// cost more than it hid (CHANGES.md, PR 16). The field is still accepted
-	// and validated (non-negative) because requests, flags and configs carry
-	// it — and since every reported number was worker-invariant by contract,
-	// ignoring it changes no output.
-	Workers int
 }
 
 // Normalized validates and defaults exec options — the one place an exec
@@ -87,9 +82,6 @@ func (o ExecOptions) normalized() (ExecOptions, error) {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = DefaultBatchSize
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("operator: exec workers %d must be non-negative", o.Workers)
 	}
 	return o, nil
 }

@@ -101,44 +101,6 @@ func TestVectorEqualsRowOracle(t *testing.T) {
 	}
 }
 
-// TestVectorMorselWorkerInvariance pins what ExecOptions.Workers promised
-// when it drove morsel feeders and still promises now that it drives
-// nothing: no worker count (including over-provisioned ones) changes a
-// reported number — every one reproduces the row oracle exactly.
-func TestVectorMorselWorkerInvariance(t *testing.T) {
-	const rows = 533
-	pred := U32Less(1, storage.DateDomain/3)
-	for lname, parts := range testLayouts {
-		t.Run(lname, func(t *testing.T) {
-			dev := testDevice()
-			e := loadEngine(t, testTable(t, rows), parts, dev, 13)
-			snap := e.Snapshot()
-			q := attrset.Of(0, 1, 5)
-
-			rowPipe, err := buildRow(snap, dev, q, &pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := rowPipe.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{0, 1, 2, 4, 8, 33} {
-				vec, err := BuildExec(snap, dev, q, &pred,
-					ExecOptions{BatchSize: 64, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := vec.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsEqual(t, fmt.Sprintf("workers=%d", workers), got, want)
-			}
-		})
-	}
-}
-
 // TestVectorRowSynthesis checks RunFunc hands fn the same row stream — IDs,
 // attribute sets, and column bytes in order — as the row oracle.
 func TestVectorRowSynthesis(t *testing.T) {
@@ -168,8 +130,8 @@ func TestVectorRowSynthesis(t *testing.T) {
 		return out
 	}
 	pred := U32Less(1, storage.DateDomain/2)
-	for _, workers := range []int{0, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, batch := range []int{31, 1} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			dev := testDevice()
 			e := loadEngine(t, testTable(t, rows), testLayouts["grouped"], dev, 3)
 			snap := e.Snapshot()
@@ -181,8 +143,7 @@ func TestVectorRowSynthesis(t *testing.T) {
 			}
 			want := collect(t, rowPipe.RunFunc, q)
 
-			vec, err := BuildExec(snap, dev, q, &pred,
-				ExecOptions{BatchSize: 31, Workers: workers})
+			vec, err := BuildExec(snap, dev, q, &pred, ExecOptions{BatchSize: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +172,6 @@ func TestExecOptionsValidation(t *testing.T) {
 		{Mode: "columnar"},
 		{BatchSize: -1},
 		{Mode: ExecVector, BatchSize: MaxBatchSize + 1},
-		{Mode: ExecRow, Workers: -1},
 	}
 	for _, opts := range bad {
 		if _, err := BuildExec(snap, dev, q, nil, opts); err == nil {
@@ -233,7 +193,7 @@ func TestExecOptionsValidation(t *testing.T) {
 
 // TestVectorLifecycle covers the pipeline's plumbing corners: Describe
 // parity with the row oracle's plan, the run-once guard, empty plans, and callback
-// error propagation (with and without the inert Workers knob).
+// error propagation.
 func TestVectorLifecycle(t *testing.T) {
 	dev := testDevice()
 	e := loadEngine(t, testTable(t, 150), testLayouts["grouped"], dev, 1)
@@ -269,14 +229,12 @@ func TestVectorLifecycle(t *testing.T) {
 
 	// A callback error aborts the run.
 	wantErr := fmt.Errorf("stop")
-	for _, workers := range []int{0, 4} {
-		pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{BatchSize: 8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipe.RunFunc(func(*Row) error { return wantErr }); err != wantErr {
-			t.Errorf("workers=%d: callback error not propagated: %v", workers, err)
-		}
+	pipe, err := BuildExec(snap, dev, q, nil, ExecOptions{BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.RunFunc(func(*Row) error { return wantErr }); err != wantErr {
+		t.Errorf("callback error not propagated: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"knives/internal/algorithms"
+	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/schema"
 )
@@ -168,4 +169,45 @@ func TestOperatorsVectorDifferential(t *testing.T) {
 			sameReport(t, fmt.Sprintf("%s batch %d vs %d", got.Table, batchSizes[i], batchSizes[0]), &g, reps[0])
 		}
 	})
+}
+
+// refillBuffer is a device buffer of four 8 KiB pages. Under the presets'
+// 8 MiB buffer every partition of a 1,500-row sample fits one buffer fill,
+// so the suite above never counts a refill; under this one the wider
+// partitions of a fact table span several.
+const refillBuffer = 32 << 10
+
+// TestDifferentialBufferRefills is the refill leg: the pinned HillClimb, Row
+// and Column layouts of both fact tables run on every device with its buffer
+// shrunk to refillBuffer, still exact against the model, and at least one
+// partition of each layout must take more than one buffer fill. No layout is
+// searched for the small buffer: the model prices any layout on any device.
+func TestDifferentialBufferRefills(t *testing.T) {
+	facts := map[string]string{"TPC-H": "lineitem", "SSB": "lineorder"}
+	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
+		tw := b.Workload.ForTable(b.Table(facts[b.Name]))
+		for _, device := range []string{"hdd", "ssd", "mm"} {
+			for _, knife := range []string{"HillClimb", "Row", "Column"} {
+				t.Run(b.Name+"/"+device+"/"+knife, func(t *testing.T) {
+					cfg := Config{Model: device, Disk: cost.Device{BufferSize: refillBuffer}, MaxRows: 1_500, Seed: 42}
+					rep, err := Operators(tw, pinned(t, b.Name, tw, device, knife), knife, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.Exact() {
+						t.Errorf("measured != predicted (max |delta| %g)\n%s", rep.MaxAbsDelta(), rep)
+					}
+					var most int64
+					for _, q := range rep.Queries {
+						for _, p := range q.Stats.Parts {
+							most = max(most, p.Seeks)
+						}
+					}
+					if most < 2 {
+						t.Errorf("no partition took a second buffer fill (most seeks %d): the leg counts no refill", most)
+					}
+				})
+			}
+		}
+	}
 }

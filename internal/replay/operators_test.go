@@ -167,8 +167,8 @@ func sameReport(t *testing.T, label string, got, want *OperatorReplay) {
 	}
 }
 
-// TestOperatorsVectorSelection re-runs the selection leg across batch sizes
-// and the inert exec knobs: σ into the selection vector, same result rows,
+// TestOperatorsVectorSelection re-runs the selection leg at another batch
+// size and the "vector" exec label: σ into the selection vector, same result rows,
 // same checksums, same physical I/O, exact against the model — and no
 // rendering mentions an exec mode.
 func TestOperatorsVectorSelection(t *testing.T) {
@@ -180,7 +180,6 @@ func TestOperatorsVectorSelection(t *testing.T) {
 	knobs := base
 	knobs.ExecMode = "vector"
 	knobs.BatchSize = 64
-	knobs.ExecWorkers = 2
 	want, err := Operators(tw, layout, "HillClimb", base, sel)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +208,6 @@ func TestConfigExecValidation(t *testing.T) {
 		{Model: "hdd", ExecMode: "columnar"},
 		{Model: "hdd", BatchSize: -1},
 		{Model: "hdd", BatchSize: 1 << 20},
-		{Model: "hdd", ExecWorkers: -1},
 	} {
 		if _, err := Operators(tw, partition.Row(tw.Table), "Row", cfg, nil); err == nil {
 			t.Errorf("config %+v accepted", cfg)

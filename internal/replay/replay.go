@@ -67,7 +67,8 @@ type Config struct {
 	MaxRows int64
 	// Workers bounds the partition-parallel load and the query-parallel
 	// scan pool; <= 0 uses GOMAXPROCS. The worker count never changes a
-	// single reported number — only how fast it is produced.
+	// single reported number — only how fast it is produced. The served
+	// path leaves it zero; the benchmark and the tests set it.
 	Workers int
 	// Seed feeds the deterministic data generator.
 	Seed int64
@@ -82,12 +83,10 @@ type Config struct {
 	// echoed on OperatorReplay.ExecMode. Every replay runs the one executor.
 	ExecMode string
 	// BatchSize is the pipelines' rows per batch; 0 uses the operator
-	// layer's default. It tunes wall-clock only — every reported number is
-	// batch-size-invariant.
+	// layer's default. Production leaves it zero: it is the seam the
+	// differential suite's batch-size legs turn, which hold every reported
+	// number batch-size-invariant.
 	BatchSize int
-	// ExecWorkers is accepted, validated (non-negative) and ignored: every
-	// pipeline runs on its calling goroutine (operator.ExecOptions.Workers).
-	ExecWorkers int
 }
 
 // Normalized validates and defaults a config, returning the cost model the
@@ -147,15 +146,11 @@ func (c Config) normalized() (Config, cost.Model, error) {
 	}
 	// Exec knobs validate and default through the operator layer itself, so
 	// a replay and the pipeline it builds can never disagree about legality.
-	eo, err := operator.ExecOptions{
-		Mode:      operator.ExecMode(c.ExecMode),
-		BatchSize: c.BatchSize,
-		Workers:   c.ExecWorkers,
-	}.Normalized()
+	eo, err := operator.ExecOptions{Mode: operator.ExecMode(c.ExecMode), BatchSize: c.BatchSize}.Normalized()
 	if err != nil {
 		return c, nil, fmt.Errorf("replay: %w", err)
 	}
-	c.ExecMode, c.BatchSize, c.ExecWorkers = string(eo.Mode), eo.BatchSize, eo.Workers
+	c.ExecMode, c.BatchSize = string(eo.Mode), eo.BatchSize
 	return c, m, nil
 }
 
