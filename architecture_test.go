@@ -132,6 +132,7 @@ var (
 	operator       = pkgPath("internal/operator")
 	storage        = pkgPath("internal/storage")
 	statestore     = pkgPath("internal/statestore")
+	replayPkg      = pkgPath("internal/replay")
 	experimentsPkg = pkgPath("internal/experiments")
 )
 
@@ -158,6 +159,13 @@ var architecture = []rule{
 		// Only ExecOptions.normalized looks at an exec mode.
 		none(pattern{kind: used, pkg: operator, names: []string{"ExecRow", "ExecVector"}, fn: "!(ExecOptions).normalized"}),
 		none(pattern{kind: compared, names: []string{"Mode", "ExecMode", "Exec"}, fn: "!(ExecOptions).normalized"}),
+	}},
+	{name: "one pass per request", limits: []limit{
+		// A replay runs its workload's pipelines as lockstep groups, σ once
+		// per batch and each shared column prefix folded once; a pipeline
+		// run on its own would pay for both again.
+		none(pattern{kind: used, from: replayPkg, names: []string{"Run", "RunFunc"}}),
+		{match: pattern{kind: used, from: replayPkg, pkg: operator, names: []string{"RunGroup"}, call: true}, want: 1},
 	}},
 	{name: "one report chain", limits: []limit{
 		// /replay is /query without a selection: every execution goes through
@@ -745,6 +753,8 @@ var plants = []struct {
 	{"one executor", "internal/replay/replay.go", "", "var _ = operator.ExecVector"},
 	{"one executor", "internal/operator/plan.go", "", "func init() { if o.Mode == ExecVector {} }"},
 	{"one executor", "internal/replay/replay.go", "", "func init() { switch cfg.ExecMode {} }"},
+	{"one pass per request", "internal/replay/replay.go", "", "func init() { var p *operator.Pipeline; p.Run() }"},
+	{"one pass per request", "internal/replay/operators.go", "", "func init() { var p *operator.Pipeline; _ = p.RunFunc }"},
 	{"one report chain", "internal/advisor/exec.go", "", "func init() { replay.Operators() }"},
 	{"one report chain", "internal/replay/replay.go", "", "func OnEngine() {}"},
 	{"one report chain", "internal/advisor/drift.go", "", "func (t *Tracker) Observe() {}"},

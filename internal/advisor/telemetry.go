@@ -107,7 +107,7 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	}
 
 	reg.SetHelp("knives_query_rows_total", "Result rows emitted by /query pipeline executions.")
-	reg.SetHelp("knives_query_exec_seconds", "Wall-clock pipeline execution time per /query query.")
+	reg.SetHelp("knives_query_exec_seconds", "Wall-clock execution time per /query query: its even share of its lockstep group's time.")
 	reg.SetHelp("knives_query_batch_fill_ratio", "Batch fill ratios (surviving rows over batch capacity).")
 	m.queryRows = reg.Counter("knives_query_rows_total")
 	m.queryExec = reg.Histogram("knives_query_exec_seconds")

@@ -225,31 +225,54 @@ func TestDigestEmptyProjection(t *testing.T) {
 	}
 }
 
-// TestDigestDoesNotAllocate: π's row-hash scratch is part of the operator —
-// bounded, reused, never allocated per batch or per segment. Digesting a
-// batch, dense or through a selection vector, and longer than the scratch,
-// allocates nothing.
+// TestDigestDoesNotAllocate: π's row-hash scratch belongs to the group —
+// a stack of vectors sized when the group forms, reused for every batch and
+// segment. Digesting a batch, dense or through a selection vector, and
+// longer than the scratch, allocates nothing: for a group of one and for a
+// group whose members share prefixes, duplicate one another, project
+// nothing and project everything.
 func TestDigestDoesNotAllocate(t *testing.T) {
 	const rows = 1500
 	dev := testDevice()
 	e := loadEngine(t, testTable(t, rows), testLayouts["column"], dev, 6)
 	snap := e.Snapshot()
-	query := attrset.All(6)
 	pred := U32Less(1, storage.DateDomain/2)
-	for _, p := range []*Pred{nil, &pred} {
-		pipe, err := BuildExec(snap, dev, query, p, ExecOptions{BatchSize: 700})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipe.root.NextBatch(); err != nil {
-			t.Fatal(err)
-		}
-		second, err := pipe.proj.child.NextBatch()
-		if err != nil || second == nil {
-			t.Fatalf("no second batch: %v", err)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { pipe.proj.digest(second) }); allocs != 0 {
-			t.Errorf("σ=%v: digesting a second batch allocates %.0f times", p != nil, allocs)
+	groups := map[string][]attrset.Set{
+		"one":    {attrset.All(6)},
+		"shared": {attrset.Of(0, 1, 2), attrset.Of(0, 1, 3, 5), attrset.Of(0, 2), attrset.Of(0, 2), attrset.Of(), attrset.All(6)},
+	}
+	for name, queries := range groups {
+		for _, p := range []*Pred{nil, &pred} {
+			var pipes []*Pipeline
+			var projs []*VecProject
+			for _, q := range queries {
+				pipe, err := BuildExec(snap, dev, q, p, ExecOptions{BatchSize: 700})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pipe.proj == nil {
+					continue // the empty plan, without σ
+				}
+				if pipe.sel != nil {
+					pipe.sel.memo = new(selMemo)
+				}
+				pipes = append(pipes, pipe)
+				projs = append(projs, pipe.proj)
+			}
+			dg := newGroupDigest(snap, projs)
+			batches := make([]*Batch, len(pipes))
+			for range 2 { // digest the second batch: every buffer has grown
+				for i, pipe := range pipes {
+					b, err := pipe.proj.child.NextBatch()
+					if err != nil || b == nil {
+						t.Fatalf("%s: no batch: %v", name, err)
+					}
+					batches[i] = b
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() { dg.digest(batches) }); allocs != 0 {
+				t.Errorf("%s group, σ=%v: digesting a batch allocates %.0f times", name, p != nil, allocs)
+			}
 		}
 	}
 }

@@ -1,0 +1,295 @@
+package operator
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"strings"
+	"testing"
+
+	"knives/internal/attrset"
+	"knives/internal/cost"
+	"knives/internal/partition"
+	"knives/internal/schema"
+	"knives/internal/storage"
+)
+
+// groupDevices are the three presets at a small block geometry — 512-byte
+// pages, a 2 KiB buffer — so a fuzzed table of a few hundred rows spans many
+// pages and buffer refills while each device keeps its pricing discipline.
+func groupDevices() []cost.Device {
+	var devs []cost.Device
+	for _, d := range []cost.Device{cost.HDDDevice(), cost.SSDDevice(), cost.MMDevice()} {
+		devs = append(devs, d.WithBlockSize(512).WithBuffer(2048))
+	}
+	return devs
+}
+
+// groupBatchSizes are the rows per batch a fuzzed group runs at: one row, a
+// prime no page's row count divides, the default, and the largest the
+// served path would see.
+var groupBatchSizes = []int{1, 31, 1024, 4096}
+
+// groupCase derives a table, a layout, a predicate and up to 24 projections
+// from one seed. Projections are drawn to hit what a group shares and what
+// it must not: duplicates, empty ones, single attributes, ones inside σ's
+// partition, and extensions and truncations of earlier ones (shared
+// prefixes that then diverge).
+func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, parts []attrset.Set, predAttr, form int, pivot uint64, queries []attrset.Set) {
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	ncols := 1 + rng.IntN(12)
+	for i := 0; i < ncols; i++ {
+		c := schema.Column{Name: fmt.Sprintf("g%d", i)}
+		switch rng.IntN(5) {
+		case 0:
+			c.Kind, c.Size = schema.KindInt, 4
+		case 1:
+			c.Kind, c.Size = schema.KindDate, 4
+		case 2:
+			c.Kind, c.Size = schema.KindDecimal, 8
+		case 3:
+			c.Kind, c.Size = schema.KindChar, 1+rng.IntN(30)
+		default:
+			c.Kind, c.Size = schema.KindVarchar, 1+rng.IntN(30)
+		}
+		cols = append(cols, c)
+	}
+	groups := make([]attrset.Set, 1+rng.IntN(4))
+	for a := range cols {
+		g := rng.IntN(len(groups))
+		groups[g] = groups[g].Add(a)
+	}
+	for _, g := range groups {
+		if !g.IsEmpty() {
+			parts = append(parts, g)
+		}
+	}
+
+	predAttr, pivot = rng.IntN(ncols), rng.Uint64()
+	form = int(shape % 6) // 0-3: groupPred's forms; 4, 5: no predicate
+	home := parts[0]      // σ's partition, or any one without σ
+	for _, p := range parts {
+		if p.Has(predAttr) {
+			home = p
+		}
+	}
+	random := func(within attrset.Set) attrset.Set {
+		var q attrset.Set
+		for _, a := range within.Attrs() {
+			if rng.IntN(2) == 0 {
+				q = q.Add(a)
+			}
+		}
+		return q
+	}
+	all := attrset.All(ncols)
+	for i := 0; i < 1+int(nproj)%24; i++ {
+		var q attrset.Set
+		switch k := rng.IntN(8); {
+		case k == 0 && i > 0: // a duplicate
+			q = queries[rng.IntN(i)]
+		case k == 1: // empty
+		case k == 2: // one attribute
+			q = attrset.Single(rng.IntN(ncols))
+		case k == 3: // inside σ's partition
+			q = random(home)
+		case k >= 4 && i > 0: // an earlier one's prefix, then its own tail
+			prev := queries[rng.IntN(i)].Attrs()
+			keep := rng.IntN(len(prev) + 1)
+			q = attrset.Of(prev[:keep]...)
+			if keep > 0 {
+				q = q.Union(random(all.Minus(attrset.All(prev[keep-1] + 1))))
+			} else {
+				q = random(all)
+			}
+		default:
+			q = random(all)
+		}
+		queries = append(queries, q)
+	}
+	return cols, parts, predAttr, form, pivot, queries
+}
+
+// groupPred builds σ's predicate of the given form on attr, its bound the
+// attribute's generated value at row pivot % rows, so the predicate keeps
+// some rows and drops others: the tagged comparisons (inline when the column
+// is wide enough, through Match otherwise) and a hand-built Pred that only
+// Match can evaluate.
+func groupPred(tbl *schema.Table, seed int64, form, attr int, pivot uint64) Pred {
+	c := tbl.Columns[attr]
+	v := make([]byte, max(c.Size, 8))
+	storage.NewGenerator(seed).Value(c, int64(pivot%uint64(tbl.Rows)), v[:c.Size])
+	switch form {
+	case 0:
+		return U32Less(attr, binary.LittleEndian.Uint32(v))
+	case 1:
+		return U32GreaterEq(attr, binary.LittleEndian.Uint32(v))
+	case 2:
+		return U64Less(attr, binary.LittleEndian.Uint64(v))
+	}
+	return Pred{Attr: attr, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
+}
+
+// FuzzGroupVsAlone holds RunGroup to its contract: every member's Result —
+// rows, checksum, ScanStats with its per-partition breakdown, per-operator
+// OpStats and fill ratios — equals the one its pipeline returns run alone,
+// field for field, and its checksum equals the row oracle's, on every
+// device and at every batch size, with a tagged, an untagged or no
+// predicate.
+func FuzzGroupVsAlone(f *testing.F) {
+	// Arguments: seed, nproj (projections-1, mod 24), shape (predicate form),
+	// rowsRaw (rows-1, mod 700).
+	f.Add(uint64(1), uint8(16), uint8(0), uint16(499))
+	f.Add(uint64(2), uint8(23), uint8(1), uint16(699))
+	f.Add(uint64(3), uint8(8), uint8(2), uint16(256))
+	f.Add(uint64(4), uint8(12), uint8(3), uint16(333))
+	f.Add(uint64(5), uint8(20), uint8(4), uint16(600))
+	f.Add(uint64(6), uint8(0), uint8(0), uint16(40))
+	f.Add(uint64(7), uint8(5), uint8(5), uint16(0))
+	f.Add(uint64(8), uint8(23), uint8(0), uint16(150))
+	f.Fuzz(func(t *testing.T, seed uint64, nproj, shape uint8, rowsRaw uint16) {
+		rows := int64(rowsRaw)%700 + 1
+		cols, parts, predAttr, form, pivot, queries := groupCase(seed, nproj, shape)
+		tbl, err := schema.NewTable("group", rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := partition.New(tbl, parts)
+		if err != nil {
+			t.Fatalf("groupCase built an invalid partitioning: %v", err)
+		}
+		var pred *Pred
+		if form < 4 {
+			p := groupPred(tbl, int64(seed), form, predAttr, pivot)
+			pred = &p
+		}
+		for _, dev := range groupDevices() {
+			e, err := storage.NewEngine(layout, dev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.Load(storage.NewGenerator(int64(seed)), rows); err != nil {
+				t.Fatal(err)
+			}
+			snap := e.Snapshot()
+			oracle := make([]Result, len(queries))
+			for i, q := range queries {
+				rowPipe, err := buildRow(snap, dev, q, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if oracle[i], err = rowPipe.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, batch := range groupBatchSizes {
+				opts := ExecOptions{BatchSize: batch}
+				group := make([]*Pipeline, len(queries))
+				for i, q := range queries {
+					if group[i], err = BuildExec(snap, dev, q, pred, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := RunGroup(group)
+				if err != nil {
+					t.Fatalf("%s batch %d: %v", dev.Name, batch, err)
+				}
+				for i, q := range queries {
+					alone, err := BuildExec(snap, dev, q, pred, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := alone.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s batch %d, member %d of %d (%v over %v, σ %v)",
+						dev.Name, batch, i, len(queries), q, parts, pred != nil)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("%s: group result differs from the pipeline alone\n got %+v\nwant %+v", label, got[i], want)
+					}
+					if got[i].Checksum != oracle[i].Checksum || got[i].Rows != oracle[i].Rows {
+						t.Fatalf("%s: checksum %x (%d rows), row oracle %x (%d rows)",
+							label, got[i].Checksum, got[i].Rows, oracle[i].Checksum, oracle[i].Rows)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestRunGroupContract covers what a group refuses: members over different
+// snapshots, predicates or batch sizes, a pipeline that already ran, one
+// listed twice — and what it allows: an empty group, empty plans beside
+// others.
+func TestRunGroupContract(t *testing.T) {
+	dev := testDevice()
+	e := loadEngine(t, testTable(t, 200), testLayouts["grouped"], dev, 3)
+	other := loadEngine(t, testTable(t, 200), testLayouts["grouped"], dev, 3)
+	snap := e.Snapshot()
+	p1, p2 := U32Less(1, 900), U32Less(1, 900)
+	build := func(s *storage.Snapshot, q attrset.Set, p *Pred, batch int) *Pipeline {
+		t.Helper()
+		pipe, err := BuildExec(s, dev, q, p, ExecOptions{BatchSize: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pipe
+	}
+	q := attrset.Of(0, 1)
+	if res, err := RunGroup(nil); err != nil || res != nil {
+		t.Errorf("empty group: %v, %v", res, err)
+	}
+	ran := build(snap, q, nil, 0)
+	if _, err := ran.Run(); err != nil {
+		t.Fatal(err)
+	}
+	twice := build(snap, q, nil, 0)
+	for name, pipes := range map[string][]*Pipeline{
+		"two snapshots":  {build(snap, q, nil, 0), build(other.Snapshot(), q, nil, 0)},
+		"two predicates": {build(snap, q, &p1, 0), build(snap, q, &p2, 0)},
+		"σ beside none":  {build(snap, q, &p1, 0), build(snap, q, nil, 0)},
+		"two batches":    {build(snap, q, nil, 64), build(snap, q, nil, 65)},
+		"already ran":    {build(snap, q, nil, 0), ran},
+		"listed twice":   {twice, build(snap, q, nil, 0), twice},
+	} {
+		if _, err := RunGroup(pipes); err == nil {
+			t.Errorf("%s: group accepted", name)
+		}
+	}
+	// Out of step while running: a member one batch ahead, and a member
+	// whose batches lose their first row on the way to π.
+	ahead := []*Pipeline{build(snap, q, nil, 64), build(snap, q, nil, 64)}
+	if _, err := ahead[1].proj.child.NextBatch(); err != nil {
+		t.Fatal(err)
+	}
+	thinned := []*Pipeline{build(snap, q, nil, 64), build(snap, q, nil, 64)}
+	thinned[1].proj.child = dropFirstRow{thinned[1].proj.child}
+	for name, pipes := range map[string][]*Pipeline{"a batch ahead": ahead, "another selection": thinned} {
+		if _, err := RunGroup(pipes); err == nil || !strings.Contains(err.Error(), "out of step") {
+			t.Errorf("%s: %v, want an out-of-step error", name, err)
+		}
+	}
+
+	res, err := RunGroup([]*Pipeline{build(snap, attrset.Of(), nil, 0), build(snap, q, nil, 0), build(snap, attrset.Of(), nil, 0)})
+	if err != nil || res[0].Rows != 0 || len(res[0].Ops) != 0 || res[1].Rows != 200 || res[2].Rows != 0 {
+		t.Errorf("empty plans beside a full one: %+v, %v", res, err)
+	}
+}
+
+// dropFirstRow deselects every batch's first slot: a member whose selection
+// disagrees with its group's.
+type dropFirstRow struct{ VecOperator }
+
+func (d dropFirstRow) NextBatch() (*Batch, error) {
+	b, err := d.VecOperator.NextBatch()
+	if b != nil {
+		b.sel = nil
+		for i := 1; i < b.n; i++ {
+			b.sel = append(b.sel, int32(i))
+		}
+	}
+	return b, err
+}

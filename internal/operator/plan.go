@@ -23,14 +23,22 @@ import (
 // accounting is the model's, term for term.
 type Pipeline struct {
 	dev    cost.Device
+	snap   *storage.Snapshot
+	pred   *Pred
 	query  attrset.Set
 	opts   ExecOptions
-	root   VecOperator
-	proj   *VecProject
+	proj   *VecProject // the root; nil for the empty plan
 	join   *VecReconJoin
+	sel    *VecSelect
 	leaves []*VecScan
-	ops    []VecOperator // bottom-up: leaves (canonical order), σ, ⋈, π
+	ops    []planOp // bottom-up: leaves (canonical order), σ, ⋈, π
 	ran    bool
+}
+
+// planOp is what a plan reports of each of its operators.
+type planOp interface {
+	Stats() OpStats
+	Name() string
 }
 
 // ExecMode is a label requests, configs and reports carry. It used to pick
@@ -142,7 +150,7 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 		}
 		needed = needed.Add(pred.Attr)
 	}
-	p := &Pipeline{dev: dev, query: query, opts: opts}
+	p := &Pipeline{dev: dev, snap: snap, pred: pred, query: query, opts: opts}
 	if needed.IsEmpty() {
 		return p, nil
 	}
@@ -169,27 +177,27 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 		p.ops = append(p.ops, leaf)
 		var child VecOperator = leaf
 		if pred != nil && snap.PartAttrs(i).Has(pred.Attr) {
-			child = NewVecSelect(leaf, *pred)
-			p.ops = append(p.ops, child)
+			p.sel = NewVecSelect(leaf, *pred)
+			p.ops = append(p.ops, p.sel)
+			child = p.sel
 		}
 		children = append(children, child)
 	}
 
-	p.root = children[0]
+	top := children[0]
 	if len(children) > 1 {
 		p.join = NewVecReconJoin(children)
 		p.ops = append(p.ops, p.join)
-		p.root = p.join
+		top = p.join
 	}
-	p.proj = NewVecProject(p.root, query, opts.BatchSize)
+	p.proj = NewVecProject(top, query, opts.BatchSize)
 	p.ops = append(p.ops, p.proj)
-	p.root = p.proj
 	return p, nil
 }
 
 // Describe renders the plan bottom-up, one operator per line.
 func (p *Pipeline) Describe() string {
-	if p.root == nil {
+	if p.proj == nil {
 		return "(empty)"
 	}
 	names := make([]string, len(p.ops))
@@ -199,64 +207,56 @@ func (p *Pipeline) Describe() string {
 	return strings.Join(names, " → ")
 }
 
-// Run drives the pipeline to end of stream and aggregates. Equivalent to
-// RunFunc(nil); a pipeline runs once.
+// Run drives the pipeline to end of stream and aggregates: RunGroup of one.
+// A pipeline runs once.
 func (p *Pipeline) Run() (Result, error) { return p.RunFunc(nil) }
 
-// RunFunc drives the pipeline to end of stream on the calling goroutine,
-// invoking fn (when non-nil) on every result row. Rows handed to fn are
-// windows onto the batch's pages: read-only, and gone with the batch — copy
-// what you keep.
+// RunFunc is Run on the calling goroutine, invoking fn (when non-nil) on
+// every result row. Rows handed to fn are windows onto the batch's pages:
+// read-only, and gone with the batch — copy what you keep. On an error the
+// Result carries only the rows delivered before it.
 //
 // The returned Result aggregates the leaves' physical accounting per
 // partition: Parts in canonical layout order, simulated time summed per
 // partition with the cost model's seek+scan expression in the cost model's
 // order — which is why executed totals equal predictions bit for bit.
 func (p *Pipeline) RunFunc(fn func(r *Row) error) (Result, error) {
-	if p.ran {
-		return Result{}, fmt.Errorf("operator: pipeline already ran")
+	res, err := runGroup([]*Pipeline{p}, fn)
+	if res == nil {
+		return Result{}, err
 	}
-	p.ran = true
-	var res Result
-	if p.root == nil {
-		return res, nil
-	}
-	var row Row
-	row.Attrs = p.query
-	qcols := p.query.Attrs()
-	for {
-		b, err := p.root.NextBatch()
-		if err != nil {
-			return res, err
-		}
-		if b == nil {
-			break
-		}
-		res.Rows += int64(b.live())
-		if fn != nil {
-			emit := func(slot int) error {
-				row.ID = b.Base + int64(slot)
-				for _, a := range qcols {
-					row.vals[a] = b.Col(a, slot)
-				}
-				return fn(&row)
-			}
-			if b.sel == nil {
-				for i := 0; i < b.n; i++ {
-					if err := emit(i); err != nil {
-						return res, err
-					}
-				}
-			} else {
-				for _, s := range b.sel {
-					if err := emit(int(s)); err != nil {
-						return res, err
-					}
-				}
-			}
-		}
-	}
+	return res[0], err
+}
 
+// emit hands fn every surviving row of b, p's batch at π.
+func (p *Pipeline) emit(b *Batch, row *Row, fn func(r *Row) error) error {
+	row.Attrs = p.query
+	one := func(slot int) error {
+		row.ID = b.Base + int64(slot)
+		for _, a := range p.proj.cols {
+			row.vals[a] = b.Col(a, slot)
+		}
+		return fn(row)
+	}
+	if b.sel == nil {
+		for i := 0; i < b.n; i++ {
+			if err := one(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, s := range b.sel {
+		if err := one(int(s)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// result aggregates a finished run.
+func (p *Pipeline) result() Result {
+	res := Result{Rows: p.proj.rows}
 	st := &res.Stats
 	for _, leaf := range p.leaves {
 		p.charge(st, leaf.PartStats())
@@ -271,7 +271,7 @@ func (p *Pipeline) RunFunc(fn func(r *Row) error) (Result, error) {
 		res.Ops = append(res.Ops, op.Stats())
 	}
 	res.FillRatios = p.proj.FillRatios()
-	return res, nil
+	return res
 }
 
 // charge adds one leaf's measurements to the totals — leaves come in

@@ -1,9 +1,12 @@
 // Package operator is the system's one executor: σ/π/⋈ pipelines over
-// pinned storage epochs, pulled batch at a time — every operator is a lazy
-// stream of row batches that does no work until pulled, and every operator
-// carries its own measurements (rows, seeks, bytes, cache lines,
-// reconstruction joins, simulated seconds) so a pipeline's total cost
-// decomposes exactly into the cost model's per-partition terms.
+// pinned storage epochs, pulled batch at a time — every operator below the
+// π at the root is a lazy stream of row batches that does no work until
+// pulled, and every operator carries its own measurements (rows, seeks,
+// bytes, cache lines, reconstruction joins, simulated seconds) so a
+// pipeline's total cost decomposes exactly into the cost model's
+// per-partition terms. RunGroup drives pipelines that share a snapshot and
+// a predicate in lockstep, doing their common σ and digest work once per
+// batch; Pipeline.Run is a group of one.
 //
 // The package closes the measured==predicted loop for composed plans —
 // selections pushed into partition scans, tuple-reconstruction joins

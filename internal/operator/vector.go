@@ -16,9 +16,11 @@ import (
 // column where it lies and writes a selection vector, ⋈ degenerates to chunk
 // alignment because leaves emit consecutive IDs in lockstep chunks, and π
 // folds the surviving rows straight off the pages into the row digest
-// (storage/digest.go). The physical accounting is the PartCursor's, page
-// fetch for page fetch, wherever batches are cut — so checksums, row counts,
-// and ScanStats are bit-equal to the row-at-a-time oracle's (row_test.go).
+// (storage/digest.go) — once per batch for a whole group of pipelines
+// (group.go), which also share σ's vector. The physical accounting is the
+// PartCursor's, page fetch for page fetch, wherever batches are cut — so
+// checksums, row counts, and ScanStats are bit-equal to the row-at-a-time
+// oracle's (row_test.go).
 //
 // Lifetime: pages are read-only, always — on a resident backend a view IS
 // the store. A batch, and every byte reachable through it, is valid until
@@ -84,8 +86,6 @@ type Batch struct {
 	src   [attrset.MaxAttrs]*view
 	offs  [attrset.MaxAttrs]int
 	width [attrset.MaxAttrs]int
-
-	selBuf []int32 // σ's backing storage, grown to the batch's row count
 }
 
 // newLeafBatch lays out the (empty) batch one leaf fills over and over, and
@@ -221,10 +221,13 @@ func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
 // Build pushes it directly above the leaf that stores the predicate's
 // attribute, below any join, so non-matching rows never cost a
 // reconstruction. Every slot that reaches it counts in, every surviving slot
-// counts out.
+// counts out. The vector lives in a selMemo: its own, or the one RunGroup
+// gives every σ of a group, where the first σ to see a batch filters it and
+// the others take its vector.
 type VecSelect struct {
 	child VecOperator
 	pred  Pred
+	memo  *selMemo // nil until the first batch or RunGroup sets it
 	in    int64
 	out   int64
 }
@@ -234,38 +237,49 @@ func NewVecSelect(child VecOperator, pred Pred) *VecSelect {
 	return &VecSelect{child: child, pred: pred}
 }
 
-// NextBatch pulls one batch and filters it: the selection vector is written
-// in place, over the batch's own backing storage.
+// NextBatch pulls one batch and filters it into the memo's buffer, or takes
+// the selection the memo recorded for the same rows.
 func (s *VecSelect) NextBatch() (*Batch, error) {
 	b, err := s.child.NextBatch()
 	if b == nil || err != nil {
 		return nil, err
 	}
+	if s.memo == nil {
+		s.memo = new(selMemo)
+	}
+	m := s.memo
 	a := s.pred.Attr
 	v, off, w := b.src[a], b.offs[a], b.width[a]
-	if cap(b.selBuf) < b.n {
-		b.selBuf = make([]int32, b.n)
-	}
-	sel := b.selBuf[:b.n]
-	k := 0
 	if b.sel == nil {
 		s.in += int64(b.n)
-		for ri := range v.runs {
-			k = s.pred.filterRun(&v.runs[ri], v.rowSize, off, w, sel, k)
+		if m.n != b.n || m.base != b.Base {
+			sel := m.grow(b.n)
+			k := 0
+			for ri := range v.runs {
+				k = s.pred.filterRun(&v.runs[ri], v.rowSize, off, w, sel, k)
+			}
+			m.base, m.n, m.sel = b.Base, b.n, sel[:k]
 		}
+		b.sel = m.sel
 	} else {
 		// A batch some other σ already thinned: only its survivors are
-		// looked at, compacted in place (k never passes the read position).
+		// looked at, compacted into the memo's buffer (k never passes the
+		// read position, should that be the same buffer). What survives
+		// depends on the σ below, not on Base and length alone, so nothing
+		// is recorded.
 		s.in += int64(len(b.sel))
+		sel := m.grow(len(b.sel))
+		k := 0
 		for _, i := range b.sel {
 			if s.pred.Match(v.row(int(i))[off : off+w]) {
 				sel[k] = i
 				k++
 			}
 		}
+		m.n = 0
+		b.sel = sel[:k]
 	}
-	b.sel = sel[:k]
-	s.out += int64(k)
+	s.out += int64(len(b.sel))
 	return b, nil
 }
 
@@ -387,35 +401,18 @@ func (j *VecReconJoin) Stats() OpStats {
 // Name renders the join.
 func (j *VecReconJoin) Name() string { return "⋈" }
 
-// span is one query attribute as the digest reads it: where its values lie
-// in its leaf's partition row, and where the current batch's current segment
-// lies in that leaf's runs (v, ri, base).
-type span struct {
-	attr   int
-	off, w int
-
-	v    *view
-	rs   int    // v's row stride
-	ri   int    // v's run under the current segment
-	base []byte // the segment's first row, sliced at off
-}
-
-// VecProject is the π: it folds every surviving row's query columns into
-// the row digest (storage/digest.go, the one checksum definition), so the
-// checksum stays layout- and batch-size-invariant. The bytes are read where
-// they lie: the batch's slot range is split at the union of its leaves' run
-// boundaries (and at the scratch's length), and inside a segment every
-// leaf's rows sit at a fixed stride on one page — so a segment is folded
-// column-at-a-time into the scratch row hashes rh (independent of each
-// other, which is where the speed comes from), then row by row into the
-// checksum. Where a segment ends never shows in the value. It also records
-// per-batch fill ratios (surviving rows over batch capacity), the serving
-// layer's batching-efficiency signal.
+// VecProject is the π at every pipeline's root: the projection onto attrs
+// and its row digest (storage/digest.go, the one checksum definition), so
+// the checksum stays layout- and batch-size-invariant. It is the pipeline's
+// sink rather than a stream: RunGroup pulls each batch through its child
+// and folds the surviving rows' query columns into h, together with the
+// other members of its group (groupDigest), then accounts the batch here.
+// It also records per-batch fill ratios (surviving rows over batch
+// capacity), the serving layer's batching-efficiency signal.
 type VecProject struct {
 	child VecOperator
 	attrs attrset.Set
-	spans []span      // one per query attribute, ascending; placed onto each batch's views
-	rh    [256]uint64 // row hashes of the segment being folded
+	cols  []int // attrs, ascending: the order a row hash folds them in
 	h     uint64
 	rows  int64
 	cap   int
@@ -425,70 +422,14 @@ type VecProject struct {
 // NewVecProject projects child onto attrs; cap is the pipeline batch size
 // the fill ratios are measured against.
 func NewVecProject(child VecOperator, attrs attrset.Set, cap int) *VecProject {
-	p := &VecProject{child: child, attrs: attrs, h: storage.ChecksumSeed, cap: cap}
-	for _, a := range attrs.Attrs() {
-		p.spans = append(p.spans, span{attr: a})
-	}
-	return p
+	return &VecProject{child: child, attrs: attrs, cols: attrs.Attrs(), h: storage.ChecksumSeed, cap: cap}
 }
 
-// NextBatch digests one batch's surviving rows.
-func (p *VecProject) NextBatch() (*Batch, error) {
-	b, err := p.child.NextBatch()
-	if b == nil || err != nil {
-		return nil, err
-	}
-	p.digest(b)
-	p.rows += int64(b.live())
-	p.fills = append(p.fills, float64(b.live())/float64(p.cap))
-	return b, nil
-}
-
-// digest folds b's surviving rows into the checksum, segment by segment.
-func (p *VecProject) digest(b *Batch) {
-	for k := range p.spans {
-		sp := &p.spans[k]
-		sp.v, sp.ri = b.src[sp.attr], 0
-		sp.off, sp.w, sp.rs = b.offs[sp.attr], b.width[sp.attr], sp.v.rowSize
-	}
-
-	si := 0 // next entry of b.sel
-	for s := 0; s < b.n; {
-		// The segment starting at slot s ends where the first leaf runs out
-		// of page, or the scratch out of room: step every span onto the run
-		// holding s, then take the nearest run end. (With no spans — an
-		// empty projection under σ — the rows are column-less.)
-		e := min(b.n, s+len(p.rh))
-		for k := range p.spans {
-			sp := &p.spans[k]
-			r := &sp.v.runs[sp.ri]
-			if r.first+r.n <= s {
-				sp.ri++
-				r = &sp.v.runs[sp.ri]
-			}
-			sp.base = r.rows[(s-r.first)*sp.rs+sp.off:]
-			if end := r.first + r.n; end < e {
-				e = end
-			}
-		}
-		rh := p.rh[:e-s]
-		var sel []int32 // the segment's survivors; nil = all of [s, e)
-		if b.sel != nil {
-			sj := si
-			for sj < len(b.sel) && int(b.sel[sj]) < e {
-				sj++
-			}
-			sel, si = b.sel[si:sj], sj
-			rh = rh[:len(sel)]
-		}
-		storage.SeedRows(rh)
-		for k := range p.spans {
-			sp := &p.spans[k]
-			storage.FoldColumn(rh, sp.base, sp.rs, sp.w, sel, s)
-		}
-		p.h = storage.FoldRows(p.h, rh)
-		s = e
-	}
+// account records one digested batch's row flow and fill ratio.
+func (p *VecProject) account(b *Batch) {
+	live := b.live()
+	p.rows += int64(live)
+	p.fills = append(p.fills, float64(live)/float64(p.cap))
 }
 
 // Checksum returns the digest of everything projected so far.

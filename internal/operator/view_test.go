@@ -220,7 +220,8 @@ func TestVectorReadFaultNoPartialResult(t *testing.T) {
 // with the batch — the σ leaf's selection vector (4 bytes per slot) and the
 // leaves' run lists (one descriptor per page, times 4 for everything append
 // allocates on the way to that length) — and by nothing else: π's row-hash
-// scratch is a fixed array inside the operator, whatever the batch size. The
+// scratch is a stack of fixed-length vectors per group, whatever the batch
+// size. The
 // column buffers this replaced would add the table's size on top.
 func TestVectorScanDoesNotBufferRows(t *testing.T) {
 	const rows = 20_000

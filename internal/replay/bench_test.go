@@ -9,8 +9,9 @@ import (
 
 // The replay hot path: materialize Lineitem once per iteration and scan the
 // full TPC-H per-table workload against the HillClimb layout pinned for the
-// device, read before the timed loop. Sequential vs parallel pins the worker
-// pool's speedup on multi-core runners (identical numbers are the
+// device, read before the timed loop. Sequential (one lockstep group, the
+// most shared work) vs parallel (GOMAXPROCS groups side by side) records
+// what the grouping trades on multi-core runners (identical numbers are the
 // correctness contract; wall clock is the perf record); the SSD leg pins
 // that per-device accounting adds no overhead and stays exact while
 // benchmarked.
@@ -97,4 +98,36 @@ func BenchmarkOperatorPipelineVectorized(b *testing.B) {
 // storage's BenchmarkEngineScanLineitem.
 func BenchmarkOperatorPipelineVectorizedNoPredicate(b *testing.B) {
 	benchmarkOperatorPipeline(b, nil)
+}
+
+// BenchmarkOperatorsOnQuery is the served /query shape, one layer down:
+// OperatorsOn over a resident 20k-row lineitem store holding its pinned
+// HillClimb layout, σ on l_shipdate keeping about half the rows, the query
+// groups at their default width. Materialization happens once, outside the
+// timed loop; run it with -benchmem, since B/op is most of what a /query
+// allocates below the report encoder.
+func BenchmarkOperatorsOnQuery(b *testing.B) {
+	tw := lineitem()
+	cfg := Config{MaxRows: 20_000, Seed: 1}
+	ncfg, _, err := cfg.Normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout := pinned(b, "TPC-H", tw, "hdd", "HillClimb")
+	e, err := Materialize(tw, layout, ncfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	sel := &Selection{Attr: tw.Table.AttrIndex("l_shipdate"), Bound: 1263}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := OperatorsOn(tw, layout, e, "HillClimb", cfg, sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Exact() {
+			b.Fatal("execution not exact")
+		}
+	}
 }

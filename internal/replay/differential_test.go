@@ -1,14 +1,17 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
 	"knives/internal/algorithms"
+	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/schema"
+	"knives/internal/storage"
 )
 
 // The acceptance matrix extends the crosscheck guarantee from toy tables to
@@ -38,23 +41,43 @@ func pinned(tb testing.TB, workload string, tw schema.TableWorkload, device, kni
 // is the operator layer's default.
 var batchSizes = []int{1024, 64, 4096}
 
-var (
-	executionsMu sync.Mutex
-	executions   = map[string][]*OperatorReplay{}
+// pinnedRun is one pinned layout's executions on one device: the report at
+// each of batchSizes, and one under sel at 64 rows per batch — 1,500 rows
+// make 23 full batches there, so σ sees many batches of one length.
+type pinnedRun struct {
+	tw       schema.TableWorkload
+	reps     []*OperatorReplay
+	sel      Selection
+	selected *OperatorReplay
+}
+
+// The differential's fixed knobs: the sampled rows and data seed every
+// checksum oracle regenerates, and two lockstep groups, so members share σ
+// and column prefixes within a group and groups run side by side whatever
+// the core count.
+const (
+	diffRows    = 1_500
+	diffSeed    = 42
+	diffWorkers = 2
 )
 
-// executed returns the replays, one per batch size, of the layout knife is
-// pinned to for tw in bench under device, running it on first use.
-func executed(t *testing.T, bench string, tw schema.TableWorkload, device, knife string) []*OperatorReplay {
+var (
+	executionsMu sync.Mutex
+	executions   = map[string]*pinnedRun{}
+)
+
+// executed returns the executions of the layout knife is pinned to for tw
+// in bench under device, running them on first use.
+func executed(t *testing.T, bench string, tw schema.TableWorkload, device, knife string) *pinnedRun {
 	t.Helper()
 	layout := pinned(t, bench, tw, device, knife)
 	key := bench + "/" + device + "/" + tw.Table.Name + layout.String()
 	executionsMu.Lock()
 	defer executionsMu.Unlock()
-	if reps, ok := executions[key]; ok {
-		return reps
+	if run, ok := executions[key]; ok {
+		return run
 	}
-	cfg := Config{Model: device, MaxRows: 1_500, Seed: 42}
+	cfg := Config{Model: device, MaxRows: diffRows, Seed: diffSeed, Workers: diffWorkers}
 	ncfg, _, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
@@ -64,22 +87,74 @@ func executed(t *testing.T, bench string, tw schema.TableWorkload, device, knife
 		t.Fatal(err)
 	}
 	defer e.Close()
-	var reps []*OperatorReplay
+	run := &pinnedRun{tw: tw, sel: selectionFor(tw.Table, e.Rows())}
 	for _, batch := range batchSizes {
 		cfg.BatchSize = batch
 		rep, err := OperatorsOn(tw, layout, e, knife, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps = append(reps, rep)
+		run.reps = append(run.reps, rep)
 	}
-	executions[key] = reps
-	return reps
+	cfg.BatchSize = 64
+	if run.selected, err = OperatorsOn(tw, layout, e, knife, cfg, &run.sel); err != nil {
+		t.Fatal(err)
+	}
+	executions[key] = run
+	return run
+}
+
+// selectionFor picks the differential's σ for a table: its first date
+// column below the middle of the date domain, else its first int column
+// (generated as the row number plus a little jitter) below half the rows.
+func selectionFor(tbl *schema.Table, rows int64) Selection {
+	for i, c := range tbl.Columns {
+		if c.Kind == schema.KindDate && c.Size >= 4 {
+			return Selection{Attr: i, Bound: storage.DateDomain / 2}
+		}
+	}
+	for i, c := range tbl.Columns {
+		if c.Kind == schema.KindInt && c.Size >= 4 {
+			return Selection{Attr: i, Bound: uint32(rows / 2)}
+		}
+	}
+	panic("replay: table " + tbl.Name + " has no int or date column to select on")
+}
+
+// checksumOracle is query q's result checksum over rows generated rows of
+// tbl under sel, derived straight from the data generator and the digest's
+// definition (storage.FoldValue, storage.FoldRow) with no executor in
+// between.
+func checksumOracle(tbl *schema.Table, rows int64, q attrset.Set, sel *Selection) uint64 {
+	cols := q.Intersect(tbl.AllAttrs()).Attrs()
+	h := storage.ChecksumSeed
+	if len(cols) == 0 && sel == nil {
+		return h // the empty plan
+	}
+	gen := storage.NewGenerator(diffSeed)
+	buf := make([]byte, tbl.RowSize())
+	for r := int64(0); r < rows; r++ {
+		if sel != nil {
+			c := tbl.Columns[sel.Attr]
+			gen.Value(c, r, buf[:c.Size])
+			if binary.LittleEndian.Uint32(buf) >= sel.Bound {
+				continue
+			}
+		}
+		rh := storage.RowSeed
+		for _, a := range cols {
+			c := tbl.Columns[a]
+			gen.Value(c, r, buf[:c.Size])
+			rh = storage.FoldValue(rh, buf[:c.Size])
+		}
+		h = storage.FoldRow(h, rh)
+	}
+	return h
 }
 
 // eachPinned calls f in a <bench>/<device>/<knife> subtest for every knife
 // and both baselines, once per table of the benchmark.
-func eachPinned(t *testing.T, f func(t *testing.T, bench string, reps []*OperatorReplay)) {
+func eachPinned(t *testing.T, f func(t *testing.T, bench string, run *pinnedRun)) {
 	knives := []string{"AutoPart", "HillClimb", "HYRISE", "Navathe", "O2P", "Trojan", "BruteForce", "Row", "Column"}
 	for _, b := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
 		t.Run(b.Name, func(t *testing.T) {
@@ -97,28 +172,38 @@ func eachPinned(t *testing.T, f func(t *testing.T, bench string, reps []*Operato
 }
 
 // Measured seeks, bytes, and simulated time equal the cost model's
-// predictions exactly — zero tolerance. The same run pins the
-// reconstruction guarantee: a query's checksum over the projected values is
-// a function of the data alone, so it must be identical across every layout
-// and device.
+// predictions exactly — zero tolerance — with and without a σ. The same
+// runs pin the reconstruction guarantee: every query's checksum over the
+// projected values is the one the data generator and the digest's
+// definition give, on every layout and device, so tuple reconstruction,
+// σ and the lockstep groups' shared work are all invisible in it.
 func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 	type queryKey struct {
 		bench, table string
 		query        int
+		selected     bool
 	}
-	want := make(map[queryKey]uint64)
-	eachPinned(t, func(t *testing.T, bench string, reps []*OperatorReplay) {
-		rep := reps[0]
-		if !rep.Exact() {
-			t.Errorf("%s: measured != predicted (max |delta| %g)\n%s", rep.Table, rep.MaxAbsDelta(), rep)
-		}
-		for qi, q := range rep.Queries {
-			k := queryKey{bench, rep.Table, qi}
-			if prev, ok := want[k]; !ok {
-				want[k] = q.Stats.Checksum
-			} else if q.Stats.Checksum != prev {
-				t.Errorf("%s query %s: checksum %x differs from other layouts' %x — tuple reconstruction is layout-dependent",
-					rep.Table, q.ID, q.Stats.Checksum, prev)
+	oracle := make(map[queryKey]uint64)
+	eachPinned(t, func(t *testing.T, bench string, run *pinnedRun) {
+		for _, rep := range []*OperatorReplay{run.reps[0], run.selected} {
+			if !rep.Exact() {
+				t.Errorf("%s σ=%q: measured != predicted (max |delta| %g)\n%s", rep.Table, rep.Selection, rep.MaxAbsDelta(), rep)
+			}
+			var sel *Selection
+			if rep.Selection != "" {
+				sel = &run.sel
+			}
+			for qi, q := range rep.Queries {
+				k := queryKey{bench, rep.Table, qi, sel != nil}
+				want, ok := oracle[k]
+				if !ok {
+					want = checksumOracle(rep.Layout.Table, rep.RowsReplayed, run.tw.Queries[qi].Attrs, sel)
+					oracle[k] = want
+				}
+				if q.Stats.Checksum != want {
+					t.Errorf("%s query %s σ=%q: checksum %x, the generator's rows give %x",
+						rep.Table, q.ID, rep.Selection, q.Stats.Checksum, want)
+				}
 			}
 		}
 	})
@@ -128,8 +213,8 @@ func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 // σ/π/⋈ pipeline whose plan is described, whose per-operator accounting is
 // reported, and whose root emits every sampled row (there is no selection).
 func TestOperatorsDifferential(t *testing.T) {
-	eachPinned(t, func(t *testing.T, _ string, reps []*OperatorReplay) {
-		rep := reps[0]
+	eachPinned(t, func(t *testing.T, _ string, run *pinnedRun) {
+		rep := run.reps[0]
 		for qi, q := range rep.Queries {
 			if rep.ResultRows[qi] != rep.RowsReplayed {
 				t.Errorf("%s query %s: pipeline emitted %d rows, store holds %d",
@@ -153,7 +238,8 @@ func TestOperatorsDifferential(t *testing.T) {
 // lives in the operator package's tests (TestVectorEqualsRowOracle,
 // FuzzVectorVsRowOracle).
 func TestOperatorsVectorDifferential(t *testing.T) {
-	eachPinned(t, func(t *testing.T, _ string, reps []*OperatorReplay) {
+	eachPinned(t, func(t *testing.T, _ string, run *pinnedRun) {
+		reps := run.reps
 		for i, got := range reps {
 			if !got.Exact() {
 				t.Errorf("%s batch %d: executed != predicted (max |delta| %g)",

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -266,5 +268,56 @@ func TestOperatorsOnRefusesForeignEngine(t *testing.T) {
 		if _, err := OperatorsOn(c.tw, c.layout, e, "x", c.cfg, nil); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want one mentioning %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestOperatorsOnAllocations pins what the served /query shape allocates
+// below the report encoder: OperatorsOn over a resident 20k-row lineitem
+// store in its pinned HillClimb layout, σ on l_shipdate, two lockstep
+// groups. Per call: every pipeline's leaves, cursors and operators, one σ
+// buffer and one row-hash stack per group, and the report. The ceilings are
+// the values measured when the groups went in (1,696 allocations and
+// 376,552 bytes on go1.24, linux/amd64; bytes get 0.1 % of slack); a
+// change that allocates more per request fails here first.
+func TestOperatorsOnAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation moves allocations to the heap; the ceilings are the plain build's")
+	}
+	const maxAllocs, maxBytes = 1_696, 377_000
+	tw := lineitem()
+	cfg := Config{MaxRows: 20_000, Seed: 1, Workers: 2}
+	ncfg, _, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := pinned(t, "TPC-H", tw, "hdd", "HillClimb")
+	e, err := Materialize(tw, layout, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sel := &Selection{Attr: tw.Table.AttrIndex("l_shipdate"), Bound: 1263}
+	run := func() {
+		if _, err := OperatorsOn(tw, layout, e, "HillClimb", cfg, sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, run)
+	// Bytes: the least of three five-call averages, since anything else
+	// allocating in the process only ever adds.
+	bytes := uint64(math.MaxUint64)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range 5 {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes = min(bytes, (m1.TotalAlloc-m0.TotalAlloc)/5)
+	}
+	t.Logf("OperatorsOn: %.0f allocations, %d bytes per call", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("OperatorsOn allocates %.0f times and %d bytes per call; the ceilings are %d and %d",
+			allocs, bytes, maxAllocs, maxBytes)
 	}
 }

@@ -42,9 +42,10 @@ type OperatorReplay struct {
 	// ExecMode echoes Config.ExecMode's label ("row" unless the request
 	// said "vector"); it names no code path.
 	ExecMode string
-	// ExecSeconds[i] is query i's wall-clock pipeline execution time — a
-	// telemetry signal, never a verdict input (verdicts compare simulated
-	// measurements).
+	// ExecSeconds[i] is query i's share of the wall-clock time its lockstep
+	// group spent executing: the group's time split evenly across its
+	// members, so a group's shares sum to its time. A telemetry signal,
+	// never a verdict input (verdicts compare simulated measurements).
 	ExecSeconds []float64
 	// FillRatios[i] are query i's per-batch fill ratios.
 	FillRatios [][]float64

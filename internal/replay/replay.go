@@ -1,9 +1,11 @@
 // Package replay closes the loop between the paper's estimated verdicts and
 // executed I/O: it materializes any advised layout through the storage
 // engine (mem- or file-backed pages), executes the full per-table workload
-// as operator pipelines over one epoch snapshot, a query-parallel pool of
-// them, and reports measured seeks, bytes, cache lines, and simulated time
-// next to the cost model's predictions — per query and in aggregate.
+// as operator pipelines over one epoch snapshot — run as a few lockstep
+// groups (operator.RunGroup) that evaluate σ once per batch and fold each
+// shared column prefix once — and reports measured seeks, bytes, cache
+// lines, and simulated time next to the cost model's predictions — per
+// query and in aggregate.
 //
 // The headline guarantee is measured == predicted with ZERO tolerance: the
 // engine and the cost model share no pricing code, but they describe the
@@ -65,10 +67,12 @@ type Config struct {
 	// MaxRows caps the materialized row count per table; 0 uses
 	// DefaultMaxRows, negative is invalid.
 	MaxRows int64
-	// Workers bounds the partition-parallel load and the query-parallel
-	// scan pool; <= 0 uses GOMAXPROCS. The worker count never changes a
-	// single reported number — only how fast it is produced. The served
-	// path leaves it zero; the benchmark and the tests set it.
+	// Workers bounds the partition-parallel load and the number of
+	// lockstep groups the workload's pipelines run in, side by side; <= 0
+	// uses GOMAXPROCS. Fewer groups share more work, more run in parallel.
+	// The worker count never changes a single reported number — only how
+	// fast it is produced. The served path leaves it zero; the benchmark
+	// and the tests set it.
 	Workers int
 	// Seed feeds the deterministic data generator.
 	Seed int64
@@ -251,7 +255,7 @@ func (r *TableReplay) String() string {
 }
 
 // Layout materializes the table through the storage engine under the given
-// layout and replays the workload's queries with a worker pool, comparing
+// layout and replays the workload's queries in lockstep groups, comparing
 // every measurement against the cost model: Operators without a selection,
 // less the per-operator breakdown. The layout must partition tw.Table;
 // tables larger than cfg.MaxRows are materialized at a sampled row count
@@ -275,12 +279,13 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 // run is the one replay core behind Layout, Operators, and OperatorsOn: it
 // validates the request, takes the process-wide search slot, obtains the
 // loaded engine (materializing layout, or adopting loaded), pins
-// one epoch snapshot, builds and runs one operator pipeline per query over
-// it — the query fan-out shares pages without sharing state, every pipeline
-// opens its own cursors — prices every measurement against the model, and
-// accumulates the weighted totals. With a non-nil sel, every plan gains a σ
-// pushed onto the partition scan holding sel.Attr and every query is priced
-// over its attributes plus that attribute.
+// one epoch snapshot, builds one operator pipeline per query over it —
+// every pipeline opens its own cursors — and runs them as at most
+// cfg.Workers lockstep groups side by side (lockstepGroups), prices every
+// measurement against the model, and accumulates the weighted totals. With
+// a non-nil sel, every plan gains a σ pushed onto the partition scan holding
+// sel.Attr and every query is priced over its attributes plus that
+// attribute.
 //
 // With a nil loaded, run materializes layout and closes it on return.
 // Otherwise loaded is a SHARED engine that must hold layout's sampled twin —
@@ -288,7 +293,8 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 // table pointer it was built from — and that run only ever reads.
 //
 // Results land at their query's index and the aggregation runs in query
-// order, keeping every reported number independent of the worker count.
+// order, keeping every reported number independent of the worker count and
+// the grouping; only ExecSeconds, wall clock, sees them.
 func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage.Engine, algorithm string,
 	cfg Config, sel *Selection) (*OperatorReplay, error) {
 	cfg, model, err := cfg.normalized()
@@ -310,7 +316,7 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		}
 	}
 	// A replay materializes up to MaxRows of real pages and executes over them
-	// with a worker pool — the same class of heavy job as a search. Drawing from
+	// in parallel groups — the same class of heavy job as a search. Drawing from
 	// the process-wide gate bounds concurrent replays (stacked fan-outs,
 	// parallel /replay requests) by the core count instead of letting each
 	// request hold its own table copy and pool. No caller holds a slot
@@ -356,29 +362,31 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 	}
 	opts := operator.ExecOptions{BatchSize: cfg.BatchSize}
 	snap := e.Snapshot()
-	sem := make(chan struct{}, cfg.Workers)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	pipes := make([]*operator.Pipeline, n)
 	for i, q := range tw.Queries {
-		wg.Add(1)
-		go func(i int, q schema.TableQuery) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pipe, err := operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
-				return
-			}
-			execStart := time.Now()
-			res, err := pipe.Run()
-			if err != nil {
-				errs[i] = fmt.Errorf("replay: exec %s/%s: %w", sample.Name, q.ID, err)
-				return
-			}
-			rep.ExecSeconds[i] = time.Since(execStart).Seconds()
+		if pipes[i], err = operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts); err != nil {
+			return nil, fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
+		}
+	}
+	groups := lockstepGroups(tw.Queries, sample.AllAttrs(), cfg.Workers)
+	errs := make([]error, len(groups))
+	execute := func(g int) {
+		members := make([]*operator.Pipeline, len(groups[g]))
+		for k, i := range groups[g] {
+			members[k] = pipes[i]
+		}
+		execStart := time.Now()
+		results, err := operator.RunGroup(members)
+		if err != nil {
+			errs[g] = fmt.Errorf("replay: exec %s/%s: %w", sample.Name, tw.Queries[groups[g][0]].ID, err)
+			return
+		}
+		share := time.Since(execStart).Seconds() / float64(len(members))
+		for k, i := range groups[g] {
+			q, res := tw.Queries[i], results[k]
+			rep.ExecSeconds[i] = share
 			rep.FillRatios[i] = res.FillRatios
-			rep.Plans[i] = pipe.Describe()
+			rep.Plans[i] = pipes[i].Describe()
 			rep.Ops[i] = res.Ops
 			rep.ResultRows[i] = res.Rows
 			// Price what the execution references: the query's attributes
@@ -396,7 +404,18 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
 				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
 			}
-		}(i, q)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < len(groups); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			execute(g)
+		}()
+	}
+	if len(groups) > 0 {
+		execute(0)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -420,6 +439,68 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// lockstepGroups splits a workload's queries into at most workers groups
+// for operator.RunGroup: sorted lexicographically by their attribute lists
+// (within the table), cut into contiguous runs, and balanced by column
+// folds. A query costs one fold per attribute its run's predecessor does
+// not share as a prefix, plus its own FoldRows pass; a group's first query
+// shares nothing. The cut minimizes the costliest group. The grouping moves
+// wall clock only: every member's result is the one it computes alone.
+func lockstepGroups(queries []schema.TableQuery, all attrset.Set, workers int) [][]int {
+	n := len(queries)
+	if n == 0 {
+		return nil
+	}
+	order := make([]int, n)
+	cols := make([][]int, n)
+	for i, q := range queries {
+		order[i], cols[i] = i, q.Attrs.Intersect(all).Attrs()
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(cols[a], cols[b]) })
+	// sum[i] is the cost of order[:i] as one group; a group starting at
+	// order[a] adds back the prefix order[a] shared with its predecessor.
+	sum := make([]int, n+1)
+	shared := make([]int, n)
+	for k, i := range order {
+		if k > 0 {
+			prev := cols[order[k-1]]
+			for shared[k] < len(cols[i]) && shared[k] < len(prev) && cols[i][shared[k]] == prev[shared[k]] {
+				shared[k]++
+			}
+		}
+		sum[k+1] = sum[k] + len(cols[i]) - shared[k] + 1
+	}
+	cost := func(a, b int) int { return sum[b] - sum[a] + shared[a] } // order[a:b] as one group
+
+	// best[g][b]: the least possible costliest group splitting order[:b]
+	// into g+1 groups; cut[g][b] where its last group starts.
+	k := min(max(workers, 1), n)
+	best := make([][]int, k)
+	cut := make([][]int, k)
+	for g := range best {
+		best[g], cut[g] = make([]int, n+1), make([]int, n+1)
+		for b := g + 1; b <= n; b++ {
+			if g == 0 {
+				best[g][b] = cost(0, b)
+				continue
+			}
+			best[g][b] = -1
+			for a := g; a < b; a++ {
+				if c := max(best[g-1][a], cost(a, b)); best[g][b] < 0 || c < best[g][b] {
+					best[g][b], cut[g][b] = c, a
+				}
+			}
+		}
+	}
+	groups := make([][]int, k)
+	for g, b := k-1, n; g >= 0; g-- {
+		a := cut[g][b]
+		groups[g] = order[a:b]
+		b = a
+	}
+	return groups
 }
 
 // holdsSample reports (as an error) whether a shared engine stores what

@@ -36,7 +36,10 @@ import "encoding/binary"
 //     fast: π folds a segment column-at-a-time into a scratch vector of row
 //     hashes (FoldColumn — the multiplies of neighbouring rows overlap
 //     instead of waiting on one chain), then pays one serial step per row
-//     (FoldRows).
+//     (FoldRows). A row hash folds its columns in ascending attribute order,
+//     so projections whose attribute lists share a prefix share the row
+//     hashes of that prefix: a group of them folds it once (FoldColumn's
+//     source/destination form) and each pays FoldRows on its own vector.
 //
 // No load below reads past its value's last byte: an over-read would pull the
 // neighbouring column's bytes into the word and make the value depend on the
@@ -101,51 +104,55 @@ func SeedRows(rh []uint64) {
 	}
 }
 
-// FoldColumn folds one column of consecutive stored rows into their row
-// hashes: rh[k] takes the w-byte value at col[i*stride:], where i is k when
-// sel is nil and sel[k]-base otherwise (sel lists surviving slots; base is
-// the slot col starts at). The common widths get one load per value.
-func FoldColumn(rh []uint64, col []byte, stride, w int, sel []int32, base int) {
+// FoldColumn folds one column of consecutive stored rows into row hashes:
+// dst[k] = src[k] with the w-byte value at col[i*stride:] folded in, where i
+// is k when sel is nil and sel[k]-base otherwise (sel lists surviving slots;
+// base is the slot col starts at). dst and src may be the same vector (fold
+// in place) or distinct ones of which src is at least as long: a group of
+// projections folds a shared column prefix once and branches off it. The
+// common widths get one load per value.
+func FoldColumn(dst, src []uint64, col []byte, stride, w int, sel []int32, base int) {
+	src = src[:len(dst)]
 	if sel == nil {
 		switch w {
 		case 1:
-			for k := range rh {
-				rh[k] = step(rh[k], uint64(col[k*stride]))
+			for k := range dst {
+				dst[k] = step(src[k], uint64(col[k*stride]))
 			}
 		case 4:
-			for k := range rh {
-				rh[k] = step(rh[k], uint64(binary.LittleEndian.Uint32(col[k*stride:])))
+			for k := range dst {
+				dst[k] = step(src[k], uint64(binary.LittleEndian.Uint32(col[k*stride:])))
 			}
 		case 8:
-			for k := range rh {
-				rh[k] = step(rh[k], binary.LittleEndian.Uint64(col[k*stride:]))
+			for k := range dst {
+				dst[k] = step(src[k], binary.LittleEndian.Uint64(col[k*stride:]))
 			}
 		default:
-			for k := range rh {
+			for k := range dst {
 				o := k * stride
-				rh[k] = FoldValue(rh[k], col[o:o+w])
+				dst[k] = FoldValue(src[k], col[o:o+w])
 			}
 		}
 		return
 	}
-	sel = sel[:len(rh)]
+	sel = sel[:len(dst)]
 	switch w {
 	case 1:
 		for k, s := range sel {
-			rh[k] = step(rh[k], uint64(col[(int(s)-base)*stride]))
+			dst[k] = step(src[k], uint64(col[(int(s)-base)*stride]))
 		}
 	case 4:
 		for k, s := range sel {
-			rh[k] = step(rh[k], uint64(binary.LittleEndian.Uint32(col[(int(s)-base)*stride:])))
+			dst[k] = step(src[k], uint64(binary.LittleEndian.Uint32(col[(int(s)-base)*stride:])))
 		}
 	case 8:
 		for k, s := range sel {
-			rh[k] = step(rh[k], binary.LittleEndian.Uint64(col[(int(s)-base)*stride:]))
+			dst[k] = step(src[k], binary.LittleEndian.Uint64(col[(int(s)-base)*stride:]))
 		}
 	default:
 		for k, s := range sel {
 			o := (int(s) - base) * stride
-			rh[k] = FoldValue(rh[k], col[o:o+w])
+			dst[k] = FoldValue(src[k], col[o:o+w])
 		}
 	}
 }

@@ -68,11 +68,19 @@ func FuzzDigestVsReference(f *testing.F) {
 			}
 		}
 
+		// Dense, in place and from a source vector into a destination one;
+		// the source must come out untouched.
 		rh := append([]uint64(nil), start...)
-		FoldColumn(rh, col, stride, w, nil, 0)
+		FoldColumn(rh, rh, col, stride, w, nil, 0)
+		dst := make([]uint64, n)
+		FoldColumn(dst, start, col, stride, w, nil, 0)
 		for k := range rh {
-			if rh[k] != want[k] {
-				t.Fatalf("FoldColumn width %d stride %d row %d of %d: %#x, definition %#x", w, stride, k, n, rh[k], want[k])
+			if rh[k] != want[k] || dst[k] != want[k] {
+				t.Fatalf("FoldColumn width %d stride %d row %d of %d: in place %#x, into a destination %#x, definition %#x",
+					w, stride, k, n, rh[k], dst[k], want[k])
+			}
+			if start[k] != refStep(seed, uint64(k)) {
+				t.Fatalf("FoldColumn width %d wrote its source vector at row %d", w, k)
 			}
 		}
 
@@ -85,7 +93,7 @@ func FuzzDigestVsReference(f *testing.F) {
 		if sel == nil {
 			sel = []int32{} // an empty selection, not a dense column
 		}
-		FoldColumn(rh, col, stride, w, sel, int(base))
+		FoldColumn(rh, rh, col, stride, w, sel, int(base))
 		for k, s := range sel {
 			if rh[k] != want[int(s)-int(base)] {
 				t.Fatalf("FoldColumn width %d stride %d slot %d (sel %v, base %d): %#x, definition %#x",
@@ -132,14 +140,14 @@ func BenchmarkDigest(b *testing.B) {
 			b.SetBytes(int64(rows * w))
 			for i := 0; i < b.N; i++ {
 				SeedRows(rh)
-				FoldColumn(rh, col, stride, w, nil, 0)
+				FoldColumn(rh, rh, col, stride, w, nil, 0)
 			}
 		})
 		b.Run(fmt.Sprintf("w=%d/sel", w), func(b *testing.B) {
 			b.SetBytes(int64(len(sel) * w))
 			for i := 0; i < b.N; i++ {
 				SeedRows(rh[:len(sel)])
-				FoldColumn(rh[:len(sel)], col, stride, w, sel, 0)
+				FoldColumn(rh[:len(sel)], rh, col, stride, w, sel, 0)
 			}
 		})
 	}
