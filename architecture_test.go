@@ -161,11 +161,14 @@ var architecture = []rule{
 		none(pattern{kind: compared, names: []string{"Mode", "ExecMode", "Exec"}, fn: "!(ExecOptions).normalized"}),
 	}},
 	{name: "one pass per request", limits: []limit{
-		// A replay runs its workload's pipelines as lockstep groups, σ once
-		// per batch and each shared column prefix folded once; a pipeline
-		// run on its own would pay for both again.
+		// A replay runs its workload's pipelines as one lockstep group on
+		// the request's goroutine, σ once per batch and each shared column
+		// prefix folded once; a pipeline run on its own would pay for both
+		// again, and a group pool would pay for a fold per extra group.
 		none(pattern{kind: used, from: replayPkg, names: []string{"Run", "RunFunc"}}),
 		{match: pattern{kind: used, from: replayPkg, pkg: operator, names: []string{"RunGroup"}, call: true}, want: 1},
+		deleted("lockstepGroups"),
+		none(pattern{kind: imported, from: replayPkg, names: []string{"sync"}}),
 	}},
 	{name: "one report chain", limits: []limit{
 		// /replay is /query without a selection: every execution goes through
@@ -755,6 +758,8 @@ var plants = []struct {
 	{"one executor", "internal/replay/replay.go", "", "func init() { switch cfg.ExecMode {} }"},
 	{"one pass per request", "internal/replay/replay.go", "", "func init() { var p *operator.Pipeline; p.Run() }"},
 	{"one pass per request", "internal/replay/operators.go", "", "func init() { var p *operator.Pipeline; _ = p.RunFunc }"},
+	{"one pass per request", "internal/replay/replay.go", "", "func lockstepGroups() {}"},
+	{"one pass per request", "internal/replay/operators.go", "package replay\n", `import _ "sync"`},
 	{"one report chain", "internal/advisor/exec.go", "", "func init() { replay.Operators() }"},
 	{"one report chain", "internal/replay/replay.go", "", "func OnEngine() {}"},
 	{"one report chain", "internal/advisor/drift.go", "", "func (t *Tracker) Observe() {}"},

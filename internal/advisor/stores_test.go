@@ -121,7 +121,7 @@ func TestResidentStoreIdentity(t *testing.T) {
 					}
 					w.ExecMode = mode
 					g.Elapsed, w.Elapsed = 0, 0
-					g.ExecSeconds, w.ExecSeconds = nil, nil
+					g.ExecSeconds, w.ExecSeconds = 0, 0
 					if !reflect.DeepEqual(g, w) {
 						t.Errorf("bound %d: resident execution differs from a fresh one:\n got %+v\nwant %+v", bound, g, w)
 					}

@@ -107,7 +107,7 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 	}
 
 	reg.SetHelp("knives_query_rows_total", "Result rows emitted by /query pipeline executions.")
-	reg.SetHelp("knives_query_exec_seconds", "Wall-clock execution time per /query query: its even share of its lockstep group's time.")
+	reg.SetHelp("knives_query_exec_seconds", "Wall-clock execution time per executed /query table: its workload's one lockstep group, all queries together.")
 	reg.SetHelp("knives_query_batch_fill_ratio", "Batch fill ratios (surviving rows over batch capacity).")
 	m.queryRows = reg.Counter("knives_query_rows_total")
 	m.queryExec = reg.Histogram("knives_query_exec_seconds")
@@ -166,9 +166,9 @@ func (m *svcMetrics) recordSearch(name string, st algo.Stats) {
 }
 
 // recordExec folds one /query execution's telemetry in: the per-operator
-// accounting (unknown operator kinds are dropped — bounded label set), and
-// per query the result rows, wall-clock execution seconds, and batch fill
-// ratios. Like every instrumentation point, an unbound service
+// accounting (unknown operator kinds are dropped — bounded label set), per
+// query the result rows and batch fill ratios, and the table's wall-clock
+// execution seconds. Like every instrumentation point, an unbound service
 // pays one nil check.
 func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 	if m.queryRows == nil {
@@ -183,9 +183,7 @@ func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 	for i := range rep.ResultRows {
 		m.queryRows.Add(rep.ResultRows[i])
 	}
-	for _, s := range rep.ExecSeconds {
-		m.queryExec.Observe(s)
-	}
+	m.queryExec.Observe(rep.ExecSeconds)
 	for _, ratios := range rep.FillRatios {
 		for _, r := range ratios {
 			m.batchFill.Observe(r)

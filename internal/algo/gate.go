@@ -11,11 +11,11 @@ import (
 // process, however many experiment suites, advisor services, and benchmarks
 // overlap: searches (the experiments fan-out and the advisor's portfolio
 // fan-out), replays, store loads and migrations each hold one of its
-// GOMAXPROCS slots. A slot bounds jobs, not goroutines. A search runs on
-// its slot's goroutine, and BruteForce's walkers draw from their own
-// GOMAXPROCS-1 budget shared across searches (bruteforce/parallel.go); but
-// a replay runs up to replay.Config.Workers pipelines under its one slot,
-// and a store load or a repartition as many loaders or movers, each
+// GOMAXPROCS slots. A slot bounds jobs, not goroutines. A search and a
+// replay's execution run on their slot's goroutine, and BruteForce's
+// walkers draw from their own GOMAXPROCS-1 budget shared across searches
+// (bruteforce/parallel.go); only a store load and a repartition fan out,
+// up to replay.Config.Workers loaders or movers under their one slot,
 // GOMAXPROCS by default. The bound that holds for runnable CPU-bound
 // goroutines is therefore slots x GOMAXPROCS (GOMAXPROCS squared), plus
 // the walker budget, not a small multiple of the core count.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"knives/internal/algorithms"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
@@ -276,6 +277,43 @@ func TestRunGroupContract(t *testing.T) {
 	res, err := RunGroup([]*Pipeline{build(snap, attrset.Of(), nil, 0), build(snap, q, nil, 0), build(snap, attrset.Of(), nil, 0)})
 	if err != nil || res[0].Rows != 0 || len(res[0].Ops) != 0 || res[1].Rows != 200 || res[2].Rows != 0 {
 		t.Errorf("empty plans beside a full one: %+v, %v", res, err)
+	}
+}
+
+// TestGroupDigestFoldsEachPrefixOnce pins what one group saves on the served
+// shape: lineitem's 17 queries over its pinned HillClimb layout. Alone, each
+// pipeline folds every attribute it projects, 74 column folds per batch; the
+// group digest's prefix trie holds each distinct prefix once, 49.
+func TestGroupDigestFoldsEachPrefixOnce(t *testing.T) {
+	b := schema.TPCH(10)
+	tw := b.Workload.ForTable(b.Table("lineitem"))
+	pins, err := algorithms.ReadPins("../algorithms/testdata/layouts.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layout, err := pins.Find("TPC-H", tw.Table, "hdd", "HillClimb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, err := schema.NewTable(tw.Table.Name, 2_000, tw.Table.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := cost.HDDDevice()
+	snap := loadEngine(t, sample, layout.Parts, dev, 1).Snapshot()
+	var projs []*VecProject
+	alone := 0
+	for _, q := range tw.Queries {
+		p, err := BuildExec(snap, dev, q.Attrs, nil, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		projs = append(projs, p.proj)
+		alone += len(p.proj.cols)
+	}
+	d := newGroupDigest(snap, projs)
+	if len(projs) != 17 || alone != 74 || len(d.nodes) != 49 {
+		t.Errorf("%d queries fold %d columns alone and %d in one group, want 17, 74 and 49", len(projs), alone, len(d.nodes))
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 
 // The replay hot path: materialize Lineitem once per iteration and scan the
 // full TPC-H per-table workload against the HillClimb layout pinned for the
-// device, read before the timed loop. Sequential (one lockstep group, the
-// most shared work) vs parallel (GOMAXPROCS groups side by side) records
-// what the grouping trades on multi-core runners (identical numbers are the
-// correctness contract; wall clock is the perf record); the SSD leg pins
-// that per-device accounting adds no overhead and stays exact while
-// benchmarked.
+// device, read before the timed loop. Sequential (one partition loader) vs
+// parallel (GOMAXPROCS loaders) records what the partition-parallel load
+// trades on multi-core runners; the execution is one lockstep group on the
+// calling goroutine either way (identical numbers are the correctness
+// contract; wall clock is the perf record). The SSD leg pins that
+// per-device accounting adds no overhead and stays exact while benchmarked.
 func benchmarkReplay(b *testing.B, device string, workers int) {
 	tw := lineitem()
 	layout := pinned(b, "TPC-H", tw, device, "HillClimb")

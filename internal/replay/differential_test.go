@@ -52,9 +52,9 @@ type pinnedRun struct {
 }
 
 // The differential's fixed knobs: the sampled rows and data seed every
-// checksum oracle regenerates, and two lockstep groups, so members share σ
-// and column prefixes within a group and groups run side by side whatever
-// the core count.
+// checksum oracle regenerates, and two partition loaders, so the load runs
+// in parallel whatever the core count. The execution is one lockstep group,
+// every member sharing σ and column prefixes with the others.
 const (
 	diffRows    = 1_500
 	diffSeed    = 42
@@ -176,7 +176,7 @@ func eachPinned(t *testing.T, f func(t *testing.T, bench string, run *pinnedRun)
 // runs pin the reconstruction guarantee: every query's checksum over the
 // projected values is the one the data generator and the digest's
 // definition give, on every layout and device, so tuple reconstruction,
-// σ and the lockstep groups' shared work are all invisible in it.
+// σ and the lockstep group's shared work are all invisible in it.
 func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 	type queryKey struct {
 		bench, table string

@@ -42,11 +42,11 @@ type OperatorReplay struct {
 	// ExecMode echoes Config.ExecMode's label ("row" unless the request
 	// said "vector"); it names no code path.
 	ExecMode string
-	// ExecSeconds[i] is query i's share of the wall-clock time its lockstep
-	// group spent executing: the group's time split evenly across its
-	// members, so a group's shares sum to its time. A telemetry signal,
-	// never a verdict input (verdicts compare simulated measurements).
-	ExecSeconds []float64
+	// ExecSeconds is the wall-clock time the workload's one lockstep group
+	// spent executing, all queries together: the group shares σ and column
+	// folds, so no query has a time of its own. A telemetry signal, never a
+	// verdict input (verdicts compare simulated measurements).
+	ExecSeconds float64
 	// FillRatios[i] are query i's per-batch fill ratios.
 	FillRatios [][]float64
 }

@@ -161,7 +161,7 @@ func sameReport(t *testing.T, label string, got, want *OperatorReplay) {
 	t.Helper()
 	g, w := *got, *want
 	g.Elapsed, w.Elapsed = 0, 0
-	g.ExecSeconds, w.ExecSeconds = nil, nil
+	g.ExecSeconds, w.ExecSeconds = 0, 0
 	if !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: reports differ\n got %+v\nwant %+v", label, g, w)
 	}

@@ -1,11 +1,11 @@
 // Package replay closes the loop between the paper's estimated verdicts and
 // executed I/O: it materializes any advised layout through the storage
 // engine (mem- or file-backed pages), executes the full per-table workload
-// as operator pipelines over one epoch snapshot — run as a few lockstep
-// groups (operator.RunGroup) that evaluate σ once per batch and fold each
-// shared column prefix once — and reports measured seeks, bytes, cache
-// lines, and simulated time next to the cost model's predictions — per
-// query and in aggregate.
+// as operator pipelines over one epoch snapshot — run as one lockstep group
+// (operator.RunGroup) on the request's goroutine, which evaluates σ once
+// per batch and folds each shared column prefix once — and reports measured
+// seeks, bytes, cache lines, and simulated time next to the cost model's
+// predictions — per query and in aggregate.
 //
 // The headline guarantee is measured == predicted with ZERO tolerance: the
 // engine and the cost model share no pricing code, but they describe the
@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"knives/internal/algo"
@@ -67,12 +66,11 @@ type Config struct {
 	// MaxRows caps the materialized row count per table; 0 uses
 	// DefaultMaxRows, negative is invalid.
 	MaxRows int64
-	// Workers bounds the partition-parallel load and the number of
-	// lockstep groups the workload's pipelines run in, side by side; <= 0
-	// uses GOMAXPROCS. Fewer groups share more work, more run in parallel.
-	// The worker count never changes a single reported number — only how
-	// fast it is produced. The served path leaves it zero; the benchmark
-	// and the tests set it.
+	// Workers bounds the partition-parallel load; <= 0 uses GOMAXPROCS.
+	// The execution is one lockstep group on the calling goroutine whatever
+	// it says. The worker count never changes a single reported number —
+	// only how fast it is produced. The served path leaves it zero; the
+	// benchmark and the tests set it.
 	Workers int
 	// Seed feeds the deterministic data generator.
 	Seed int64
@@ -255,7 +253,7 @@ func (r *TableReplay) String() string {
 }
 
 // Layout materializes the table through the storage engine under the given
-// layout and replays the workload's queries in lockstep groups, comparing
+// layout and replays the workload's queries in one lockstep group, comparing
 // every measurement against the cost model: Operators without a selection,
 // less the per-operator breakdown. The layout must partition tw.Table;
 // tables larger than cfg.MaxRows are materialized at a sampled row count
@@ -280,12 +278,17 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 // validates the request, takes the process-wide search slot, obtains the
 // loaded engine (materializing layout, or adopting loaded), pins
 // one epoch snapshot, builds one operator pipeline per query over it —
-// every pipeline opens its own cursors — and runs them as at most
-// cfg.Workers lockstep groups side by side (lockstepGroups), prices every
-// measurement against the model, and accumulates the weighted totals. With
-// a non-nil sel, every plan gains a σ pushed onto the partition scan holding
-// sel.Attr and every query is priced over its attributes plus that
-// attribute.
+// every pipeline opens its own cursors — and runs them as one lockstep group
+// on the calling goroutine (operator.RunGroup), prices every measurement
+// against the model, and accumulates the weighted totals. With a non-nil
+// sel, every plan gains a σ pushed onto the partition scan holding sel.Attr
+// and every query is priced over its attributes plus that attribute.
+//
+// One group shares the most work and holds one core per search slot. On an
+// idle two-core box, two groups on two cores ran the served lineitem shape
+// in about 2.7 ms and one group takes 3.7 ms; under two closed-loop
+// clients, whose requests already fill both cores, the second group bought
+// nothing end to end.
 //
 // With a nil loaded, run materializes layout and closes it on return.
 // Otherwise loaded is a SHARED engine that must hold layout's sampled twin —
@@ -293,8 +296,8 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 // table pointer it was built from — and that run only ever reads.
 //
 // Results land at their query's index and the aggregation runs in query
-// order, keeping every reported number independent of the worker count and
-// the grouping; only ExecSeconds, wall clock, sees them.
+// order, keeping every reported number independent of the worker count;
+// only ExecSeconds and Elapsed, wall clock, see it.
 func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage.Engine, algorithm string,
 	cfg Config, sel *Selection) (*OperatorReplay, error) {
 	cfg, model, err := cfg.normalized()
@@ -316,11 +319,11 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		}
 	}
 	// A replay materializes up to MaxRows of real pages and executes over them
-	// in parallel groups — the same class of heavy job as a search. Drawing from
-	// the process-wide gate bounds concurrent replays (stacked fan-outs,
-	// parallel /replay requests) by the core count instead of letting each
-	// request hold its own table copy and pool. No caller holds a slot
-	// while invoking a replay, so this cannot deadlock.
+	// — the same class of heavy job as a search. Drawing from the
+	// process-wide gate bounds concurrent replays (stacked fan-outs, parallel
+	// /replay requests) by the core count instead of letting each request
+	// hold its own table copy. No caller holds a slot while invoking a
+	// replay, so this cannot deadlock.
 	algo.AcquireSearchSlot()
 	defer algo.ReleaseSearchSlot()
 	start := time.Now()
@@ -347,12 +350,11 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 			Backend:      cfg.Backend,
 			Queries:      make([]QueryReplay, n),
 		},
-		Plans:       make([]string, n),
-		Ops:         make([][]operator.OpStats, n),
-		ResultRows:  make([]int64, n),
-		ExecMode:    cfg.ExecMode,
-		ExecSeconds: make([]float64, n),
-		FillRatios:  make([][]float64, n),
+		Plans:      make([]string, n),
+		Ops:        make([][]operator.OpStats, n),
+		ResultRows: make([]int64, n),
+		ExecMode:   cfg.ExecMode,
+		FillRatios: make([][]float64, n),
 	}
 	var pred *operator.Pred
 	if sel != nil {
@@ -368,59 +370,32 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 			return nil, fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
 		}
 	}
-	groups := lockstepGroups(tw.Queries, sample.AllAttrs(), cfg.Workers)
-	errs := make([]error, len(groups))
-	execute := func(g int) {
-		members := make([]*operator.Pipeline, len(groups[g]))
-		for k, i := range groups[g] {
-			members[k] = pipes[i]
-		}
-		execStart := time.Now()
-		results, err := operator.RunGroup(members)
-		if err != nil {
-			errs[g] = fmt.Errorf("replay: exec %s/%s: %w", sample.Name, tw.Queries[groups[g][0]].ID, err)
-			return
-		}
-		share := time.Since(execStart).Seconds() / float64(len(members))
-		for k, i := range groups[g] {
-			q, res := tw.Queries[i], results[k]
-			rep.ExecSeconds[i] = share
-			rep.FillRatios[i] = res.FillRatios
-			rep.Plans[i] = pipes[i].Describe()
-			rep.Ops[i] = res.Ops
-			rep.ResultRows[i] = res.Rows
-			// Price what the execution references: the query's attributes
-			// plus the selection attribute σ reads.
-			priced := q.Attrs
-			if sel != nil {
-				priced = priced.Union(attrset.Single(sel.Attr)).Intersect(sample.AllAttrs())
-			}
-			rep.Queries[i] = QueryReplay{
-				ID:               q.ID,
-				Weight:           q.Weight,
-				Stats:            res.Stats,
-				MeasuredSeconds:  operator.MeasuredSeconds(cfg.Disk, res.Stats),
-				PredictedSeconds: model.QueryCost(sample, parts, priced),
-				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
-				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
-			}
-		}
+	execStart := time.Now()
+	results, err := operator.RunGroup(pipes)
+	if err != nil {
+		return nil, fmt.Errorf("replay: exec %s: %w", sample.Name, err)
 	}
-	var wg sync.WaitGroup
-	for g := 1; g < len(groups); g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			execute(g)
-		}()
-	}
-	if len(groups) > 0 {
-		execute(0)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	rep.ExecSeconds = time.Since(execStart).Seconds()
+	for i, q := range tw.Queries {
+		res := results[i]
+		rep.FillRatios[i] = res.FillRatios
+		rep.Plans[i] = pipes[i].Describe()
+		rep.Ops[i] = res.Ops
+		rep.ResultRows[i] = res.Rows
+		// Price what the execution references: the query's attributes plus
+		// the selection attribute σ reads.
+		priced := q.Attrs
+		if sel != nil {
+			priced = priced.Union(attrset.Single(sel.Attr)).Intersect(sample.AllAttrs())
+		}
+		rep.Queries[i] = QueryReplay{
+			ID:               q.ID,
+			Weight:           q.Weight,
+			Stats:            res.Stats,
+			MeasuredSeconds:  operator.MeasuredSeconds(cfg.Disk, res.Stats),
+			PredictedSeconds: model.QueryCost(sample, parts, priced),
+			PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
+			PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
 		}
 	}
 
@@ -439,68 +414,6 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// lockstepGroups splits a workload's queries into at most workers groups
-// for operator.RunGroup: sorted lexicographically by their attribute lists
-// (within the table), cut into contiguous runs, and balanced by column
-// folds. A query costs one fold per attribute its run's predecessor does
-// not share as a prefix, plus its own FoldRows pass; a group's first query
-// shares nothing. The cut minimizes the costliest group. The grouping moves
-// wall clock only: every member's result is the one it computes alone.
-func lockstepGroups(queries []schema.TableQuery, all attrset.Set, workers int) [][]int {
-	n := len(queries)
-	if n == 0 {
-		return nil
-	}
-	order := make([]int, n)
-	cols := make([][]int, n)
-	for i, q := range queries {
-		order[i], cols[i] = i, q.Attrs.Intersect(all).Attrs()
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(cols[a], cols[b]) })
-	// sum[i] is the cost of order[:i] as one group; a group starting at
-	// order[a] adds back the prefix order[a] shared with its predecessor.
-	sum := make([]int, n+1)
-	shared := make([]int, n)
-	for k, i := range order {
-		if k > 0 {
-			prev := cols[order[k-1]]
-			for shared[k] < len(cols[i]) && shared[k] < len(prev) && cols[i][shared[k]] == prev[shared[k]] {
-				shared[k]++
-			}
-		}
-		sum[k+1] = sum[k] + len(cols[i]) - shared[k] + 1
-	}
-	cost := func(a, b int) int { return sum[b] - sum[a] + shared[a] } // order[a:b] as one group
-
-	// best[g][b]: the least possible costliest group splitting order[:b]
-	// into g+1 groups; cut[g][b] where its last group starts.
-	k := min(max(workers, 1), n)
-	best := make([][]int, k)
-	cut := make([][]int, k)
-	for g := range best {
-		best[g], cut[g] = make([]int, n+1), make([]int, n+1)
-		for b := g + 1; b <= n; b++ {
-			if g == 0 {
-				best[g][b] = cost(0, b)
-				continue
-			}
-			best[g][b] = -1
-			for a := g; a < b; a++ {
-				if c := max(best[g-1][a], cost(a, b)); best[g][b] < 0 || c < best[g][b] {
-					best[g][b], cut[g][b] = c, a
-				}
-			}
-		}
-	}
-	groups := make([][]int, k)
-	for g, b := k-1, n; g >= 0; g-- {
-		a := cut[g][b]
-		groups[g] = order[a:b]
-		b = a
-	}
-	return groups
 }
 
 // holdsSample reports (as an error) whether a shared engine stores what

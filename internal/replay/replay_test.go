@@ -1,8 +1,8 @@
 package replay
 
 import (
+	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -127,15 +127,16 @@ func TestLayoutIsOperatorsWithoutSelection(t *testing.T) {
 func TestWorkerCountInvariance(t *testing.T) {
 	tw := testWorkload(t, 3_000)
 	layout := partition.Column(tw.Table)
-	base, err := Layout(tw, layout, "Column", Config{Workers: 1, Seed: 3})
+	base, err := Operators(tw, layout, "Column", Config{Workers: 1, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		rep, err := Layout(tw, layout, "Column", Config{Workers: workers, Seed: 3})
+		rep, err := Operators(tw, layout, "Column", Config{Workers: workers, Seed: 3}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameReport(t, fmt.Sprintf("workers=%d", workers), rep, base)
 		if rep.MeasuredTotal != base.MeasuredTotal || rep.PredictedTotal != base.PredictedTotal {
 			t.Errorf("workers=%d: totals differ from sequential", workers)
 		}
@@ -146,63 +147,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Errorf("workers=%d query %s: stats differ from sequential", workers, q.ID)
 			}
 		}
-	}
-}
-
-// TestLockstepGroups pins the grouping's shape on lineitem's 17 queries:
-// min(workers, queries) non-empty groups that together hold every query
-// once, each a contiguous run of the queries in lexicographic order of their
-// attribute lists, and — for two groups — the cut no other cut beats on the
-// costliest group's column folds.
-func TestLockstepGroups(t *testing.T) {
-	tw := lineitem()
-	all := tw.Table.AllAttrs()
-	cols := func(i int) []int { return tw.Queries[i].Attrs.Intersect(all).Attrs() }
-	// folds prices a group as RunGroup's digest pays for it: each attribute
-	// past the prefix shared with its predecessor, plus one FoldRows each.
-	folds := func(g []int) int {
-		n := 0
-		for k, i := range g {
-			shared := 0
-			if k > 0 {
-				prev := cols(g[k-1])
-				for shared < len(cols(i)) && shared < len(prev) && cols(i)[shared] == prev[shared] {
-					shared++
-				}
-			}
-			n += len(cols(i)) - shared + 1
-		}
-		return n
-	}
-	var sorted []int
-	for _, workers := range []int{0, 1, 2, 3, 17, 40} {
-		groups := lockstepGroups(tw.Queries, all, workers)
-		if want := min(max(workers, 1), len(tw.Queries)); len(groups) != want {
-			t.Fatalf("workers %d: %d groups, want %d", workers, len(groups), want)
-		}
-		var flat []int
-		for _, g := range groups {
-			if len(g) == 0 {
-				t.Fatalf("workers %d: an empty group in %v", workers, groups)
-			}
-			flat = append(flat, g...)
-		}
-		if sorted == nil {
-			sorted = flat
-		}
-		if !slices.Equal(flat, sorted) || !slices.IsSortedFunc(flat, func(a, b int) int { return slices.Compare(cols(a), cols(b)) }) {
-			t.Errorf("workers %d: groups %v are not one lexicographic run %v cut in pieces", workers, groups, sorted)
-		}
-	}
-	two := lockstepGroups(tw.Queries, all, 2)
-	got := max(folds(two[0]), folds(two[1]))
-	for cut := 1; cut < len(sorted); cut++ {
-		if c := max(folds(sorted[:cut]), folds(sorted[cut:])); c < got {
-			t.Errorf("cutting at %d costs %d folds at most, the chosen cut %d", cut, c, got)
-		}
-	}
-	if folds(sorted) != 49+len(sorted) {
-		t.Errorf("one group folds %d columns, want lineitem's 49 distinct prefixes", folds(sorted)-len(sorted))
 	}
 }
 

@@ -225,20 +225,34 @@ func (e *Engine) Load(gen *Generator, rows int64) error {
 func (e *Engine) LoadParallel(gen *Generator, rows int64, workers int) error {
 	e.gen = gen
 	ep := e.epoch.Load()
-	if workers <= 0 || workers > len(ep.parts) {
-		workers = len(ep.parts)
+	if err := fanOut(len(ep.parts), workers, func(pi int) error { return e.loadPart(&ep.parts[pi], rows) }); err != nil {
+		return err
+	}
+	ep.rows = rows
+	return nil
+}
+
+// fanOut runs f(0..n-1) with at most workers calls in flight (<= 0: all
+// of them) and returns the lowest-index error, like every fan-out in this
+// codebase. A load's partitions and a repartition's movers share it.
+func fanOut(n, workers int, f func(i int) error) error {
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	if workers == 0 {
+		return nil
 	}
 	sem := make(chan struct{}, workers)
-	errs := make([]error, len(ep.parts))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for pi := range ep.parts {
+	for i := range n {
 		wg.Add(1)
-		go func(pi int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[pi] = e.loadPart(&ep.parts[pi], rows)
-		}(pi)
+			errs[i] = f(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -246,7 +260,6 @@ func (e *Engine) LoadParallel(gen *Generator, rows int64, workers int) error {
 			return err
 		}
 	}
-	ep.rows = rows
 	return nil
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"knives/internal/attrset"
 	"knives/internal/cost"
@@ -152,7 +151,7 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 		}
 	}
 	readStats := make([]PartMoveStats, len(readParts))
-	if err := runMovers(len(readParts), workers, func(i int) error {
+	if err := fanOut(len(readParts), workers, func(i int) error {
 		var err error
 		readStats[i], err = e.readMovedPart(readParts[i], rows, readRowSize, staged)
 		return err
@@ -162,7 +161,7 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 
 	// Write phase: assemble and write every created partition's pages.
 	writeStats := make([]PartMoveStats, len(writeIdx))
-	if err := runMovers(len(writeIdx), workers, func(i int) error {
+	if err := fanOut(len(writeIdx), workers, func(i int) error {
 		var err error
 		writeStats[i], err = e.writeMovedPart(&next.parts[writeIdx[i]], rows, writeRowSize, staged)
 		return err
@@ -207,36 +206,6 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	e.epoch.Store(next)
 	failed = false
 	return stats, nil
-}
-
-// runMovers runs f(0..n-1) on a bounded worker pool and returns the
-// lowest-index error, like every fan-out in this codebase.
-func runMovers(n, workers int, f func(i int) error) error {
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers == 0 {
-		return nil
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readMovedPart streams one moved source partition in full through its
