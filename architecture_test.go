@@ -134,6 +134,7 @@ var (
 	statestore     = pkgPath("internal/statestore")
 	replayPkg      = pkgPath("internal/replay")
 	experimentsPkg = pkgPath("internal/experiments")
+	attrsetPkg     = pkgPath("internal/attrset")
 )
 
 // none forbids every fact the pattern matches.
@@ -169,6 +170,18 @@ var architecture = []rule{
 		{match: pattern{kind: used, from: replayPkg, pkg: operator, names: []string{"RunGroup"}, call: true}, want: 1},
 		deleted("lockstepGroups"),
 		none(pattern{kind: imported, from: replayPkg, names: []string{"sync"}}),
+	}},
+	{name: "one row format", limits: []limit{
+		// Where an attribute lies in a partition row is the epoch's row
+		// format (storage.ColLoc, Snapshot.Format), laid out once per epoch;
+		// a plan binds its columns to it at build. No cursor, batch or
+		// partition keeps a per-attribute copy, and no state is sized by
+		// MaxAttrs instead of the table but the row RunFunc hands out.
+		deleted("ColSpec", "newLeafBatch"),
+		none(pattern{kind: declared, pkg: storage, names: []string{"offsets", "widths"}}),
+		none(pattern{kind: declared, pkg: operator, names: []string{"offs", "width"}}),
+		none(pattern{kind: used, from: storage, pkg: attrsetPkg, names: []string{"MaxAttrs"}}),
+		{match: pattern{kind: used, from: operator, pkg: attrsetPkg, names: []string{"MaxAttrs"}}, want: 1},
 	}},
 	{name: "one report chain", limits: []limit{
 		// /replay is /query without a selection: every execution goes through
@@ -760,6 +773,10 @@ var plants = []struct {
 	{"one pass per request", "internal/replay/operators.go", "", "func init() { var p *operator.Pipeline; _ = p.RunFunc }"},
 	{"one pass per request", "internal/replay/replay.go", "", "func lockstepGroups() {}"},
 	{"one pass per request", "internal/replay/operators.go", "package replay\n", `import _ "sync"`},
+	{"one row format", "internal/storage/snapshot.go", "", "func (c *PartCursor) ColSpec(a int) (int, int) { return 0, 0 }"},
+	{"one row format", "internal/storage/engine.go", "", "type legacyPart struct{ offsets [attrset.MaxAttrs]int }"},
+	{"one row format", "internal/operator/vector.go", "", "type legacyBatch struct{ offs, width []int }"},
+	{"one row format", "internal/operator/vector.go", "", "var _ [attrset.MaxAttrs]*view"},
 	{"one report chain", "internal/advisor/exec.go", "", "func init() { replay.Operators() }"},
 	{"one report chain", "internal/replay/replay.go", "", "func OnEngine() {}"},
 	{"one report chain", "internal/advisor/drift.go", "", "func (t *Tracker) Observe() {}"},

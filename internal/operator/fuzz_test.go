@@ -3,6 +3,7 @@ package operator
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -30,6 +31,44 @@ func fuzzTable(rows int64) *schema.Table {
 		panic(err)
 	}
 	return tbl
+}
+
+// fuzzWideTable is fuzzTable's columns repeated out to attrset.MaxAttrs.
+func fuzzWideTable(rows int64) *schema.Table {
+	narrow := fuzzTable(rows).Columns
+	cols := make([]schema.Column, attrset.MaxAttrs)
+	for i := range cols {
+		cols[i] = narrow[i%len(narrow)]
+		cols[i].Name = fmt.Sprintf("w%d", i)
+	}
+	tbl, err := schema.NewTable("wide", rows, cols)
+	if err != nil {
+		panic(err)
+	}
+	return tbl
+}
+
+// fuzzWideLayout derives a partitioning of the wide table from the fuzz
+// input: predAttr alone, every other column dealt in a shuffled order to a
+// random partition it still fits in on the 64-byte test pages, or to a new
+// one.
+func fuzzWideLayout(tbl *schema.Table, groups uint64, predAttr int) []attrset.Set {
+	rng := rand.New(rand.NewPCG(groups, groups^0x9e3779b97f4a7c15))
+	parts := []attrset.Set{attrset.Single(predAttr)}
+	sizes := []int{tbl.Columns[predAttr].Size}
+	for _, a := range rng.Perm(len(tbl.Columns)) {
+		if a == predAttr {
+			continue
+		}
+		size := tbl.Columns[a].Size
+		g := 1 + rng.IntN(len(parts)) // parts[0] is σ's alone; len(parts): a new one
+		if g == len(parts) || sizes[g]+size > int(testDevice().BlockSize) {
+			parts, sizes = append(parts, 0), append(sizes, 0)
+			g = len(parts) - 1
+		}
+		parts[g], sizes[g] = parts[g].Add(a), sizes[g]+size
+	}
+	return parts
 }
 
 // fuzzLayout derives a covering disjoint partitioning from the fuzz input:
@@ -182,10 +221,13 @@ func fuzzPred(form, attr int, bound uint32) Pred {
 // counts that end mid-page, the all-in-one layout whose 39-byte row leaves
 // ONE row per page, 1-row batches, batches larger than the table, leaves
 // whose page boundaries never coincide, and the file backend (real page
-// buffers recycled through the cursor's ring, via vfs).
+// buffers recycled through the cursor's ring, via vfs). Shape bit 3 swaps in
+// the wide table (fuzzWideTable): attrset.MaxAttrs columns, σ's attribute
+// alone in its partition, the query the 16-bit mask repeated across all 64.
 func FuzzVectorVsRowOracle(f *testing.F) {
 	// Arguments: seed, groups, qmask, predSel, bound, batchRaw (batch-1),
-	// rowsRaw (rows-1), shape (bit 0: file backend; bits 1-2: predicate form).
+	// rowsRaw (rows-1), shape (bit 0: file backend; bits 1-2: predicate form;
+	// bit 3: the wide table).
 	f.Add(uint64(1), uint64(0), uint16(0x0f), uint16(0), uint32(0), uint16(1), uint16(256), uint8(0))
 	f.Add(uint64(2), uint64(0x15a5), uint16(0xff), uint16(3), uint32(1000), uint16(6), uint16(256), uint8(2))
 	f.Add(uint64(3), uint64(0x9249), uint16(0x31), uint16(11), uint32(1<<31), uint16(63), uint16(256), uint8(5))
@@ -207,10 +249,25 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 	// per page): a 13-row batch spans seven pages of one and at most two of
 	// the others.
 	f.Add(uint64(11), uint64(0o00012003), uint16(0xfe), uint16(9), uint32(150), uint16(12), uint16(200), uint8(1))
+	// The wide table: 1-row batches on the file backend, batches of 13, 64
+	// and past the table's end under each predicate form, none, and a
+	// projection of every column.
+	f.Add(uint64(12), uint64(1), uint16(0xffff), uint16(127), uint32(1263), uint16(0), uint16(40), uint8(9))
+	f.Add(uint64(13), uint64(2), uint16(0x5a3c), uint16(5), uint32(1<<20), uint16(12), uint16(298), uint8(10))
+	f.Add(uint64(14), uint64(3), uint16(0x8001), uint16(0), uint32(0), uint16(63), uint16(150), uint8(8))
+	f.Add(uint64(15), uint64(4), uint16(0x0ff0), uint16(99), uint32(7), uint16(199), uint16(99), uint8(15))
 	f.Fuzz(func(t *testing.T, seed, groups uint64, qmask, predSel uint16, bound uint32, batchRaw, rowsRaw uint16, shape uint8) {
 		rows := int64(rowsRaw)%300 + 1 // [1, 300]
 		tbl := fuzzTable(rows)
+		query := attrset.Set(qmask & 0xff)
+		predAttr := int(predSel>>1) % len(tbl.Columns)
 		parts := fuzzLayout(tbl, groups)
+		if shape&8 != 0 {
+			tbl = fuzzWideTable(rows)
+			query = attrset.Set(uint64(qmask) * 0x0001000100010001)
+			predAttr = int(predSel>>1) % len(tbl.Columns)
+			parts = fuzzWideLayout(tbl, groups, predAttr)
+		}
 		layout, err := partition.New(tbl, parts)
 		if err != nil {
 			t.Fatalf("fuzzLayout built an invalid partitioning: %v", err)
@@ -236,10 +293,9 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 		}
 		snap := e.Snapshot()
 
-		query := attrset.Set(qmask & 0xff)
 		var pred *Pred
 		if predSel&1 != 0 {
-			p := fuzzPred(int(shape>>1), int(predSel>>1)%len(tbl.Columns), bound)
+			p := fuzzPred(int(shape>>1), predAttr, bound)
 			pred = &p
 		}
 		batch := int(batchRaw)%(int(rows)+16) + 1 // [1, rows+16]

@@ -40,15 +40,14 @@ func (m *selMemo) grow(n int) []int32 {
 	return m.buf[:n]
 }
 
-// prefixNode is one node of a group's prefix trie: the attribute folded at
+// prefixNode is one node of a group's prefix trie: an attribute folded at
 // some depth of a member's ascending attribute list, taking the row hashes
 // of the prefix before it (vector src) to those of the prefix through it
 // (vector dst). The trie holds each distinct prefix once.
 type prefixNode struct {
-	attr     int
 	part     int // index into groupDigest.parts
 	src, dst int // row-hash vectors: the parent's, and this node's
-	off, w   int // where attr lies in its partition row
+	off, w   int // where the attribute lies in its partition row
 }
 
 // partRead is one partition the digest reads, through ONE member's view of
@@ -57,11 +56,9 @@ type prefixNode struct {
 // once per partition, not once per member. ri and row place the current
 // segment's first row.
 type partRead struct {
-	member int // the member whose batch supplies the view
-	attr   int // an attribute of the partition that member's batch carries
-	v      *view
-	ri     int
-	row    []byte
+	v   *view
+	ri  int
+	row []byte
 }
 
 // groupDigest is π's work for a whole group: the members' row hashes, folded
@@ -84,35 +81,31 @@ type groupDigest struct {
 // Sorted lexicographically, each member shares with its predecessor the
 // longest prefix it shares with any member before it, so adding only the
 // nodes past that prefix builds every distinct prefix exactly once, in
-// preorder.
-func newGroupDigest(snap *storage.Snapshot, projs []*VecProject) *groupDigest {
-	order := make([]int, len(projs))
+// preorder. Each node reads its attribute where the plan that added it
+// binds it.
+func newGroupDigest(members []*Pipeline) *groupDigest {
+	order := make([]int, len(members))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(projs[a].cols, projs[b].cols) })
+	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(members[a].proj.cols, members[b].proj.cols) })
 
 	d := &groupDigest{}
-	var parent []int            // parent[k]: node k's parent; -1: the empty prefix
-	partOf := make(map[int]int) // snapshot partition → index into d.parts
-	var path, prev []int        // the previous member's nodes and attributes
+	var parent []int                                  // parent[k]: node k's parent; -1: the empty prefix
+	partOf := make([]int, len(members[0].bind.views)) // snapshot partition → 1 + index into d.parts; 0: unread
+	var path, prev []int                              // the previous member's nodes and attributes
 	for _, m := range order {
-		cols := projs[m].cols
+		bind, cols := members[m].bind, members[m].proj.cols
 		shared := 0
 		for shared < len(cols) && shared < len(prev) && cols[shared] == prev[shared] {
 			shared++
 		}
 		path = path[:shared]
 		for _, a := range cols[shared:] {
-			part := 0
-			for !snap.PartAttrs(part).Has(a) {
-				part++
-			}
-			pi, ok := partOf[part]
-			if !ok {
-				pi = len(d.parts)
-				partOf[part] = pi
-				d.parts = append(d.parts, partRead{member: m, attr: a})
+			l := bind.loc[a]
+			if partOf[l.Part] == 0 {
+				d.parts = append(d.parts, partRead{v: bind.views[l.Part]})
+				partOf[l.Part] = len(d.parts)
 			}
 			up := -1
 			if len(path) > 0 {
@@ -120,13 +113,13 @@ func newGroupDigest(snap *storage.Snapshot, projs []*VecProject) *groupDigest {
 			}
 			path = append(path, len(d.nodes))
 			parent = append(parent, up)
-			d.nodes = append(d.nodes, prefixNode{attr: a, part: pi})
+			d.nodes = append(d.nodes, prefixNode{part: partOf[l.Part] - 1, off: l.Off, w: l.Width})
 		}
 		end := -1
 		if len(cols) > 0 {
 			end = path[len(cols)-1]
 		}
-		d.projs = append(d.projs, projs[m])
+		d.projs = append(d.projs, members[m].proj)
 		d.ends = append(d.ends, end)
 		prev = cols
 	}
@@ -160,24 +153,16 @@ func (d *groupDigest) vector(v int) []uint64 {
 	return d.rh[v*scratchRows : (v+1)*scratchRows]
 }
 
-// digest folds one lockstep batch into every member's checksum. batches is
-// indexed like the projections newGroupDigest was given, and every batch
-// covers the same rows under the same selection (runGroup checks). The
-// slot range is split at the union of the read partitions' run boundaries
-// and at the scratch's length; inside a segment every partition's rows sit
-// at a fixed stride on one page, and where a segment ends never shows.
-func (d *groupDigest) digest(batches []*Batch) {
+// digest folds one lockstep batch into every member's checksum: b is any
+// member's, since every member's batch covers the same rows under the same
+// selection (lockstep checks). The slot range is split at the union of the
+// read partitions' run boundaries and at the scratch's length; inside a
+// segment every partition's rows sit at a fixed stride on one page, and
+// where a segment ends never shows.
+func (d *groupDigest) digest(b *Batch) {
 	for i := range d.parts {
-		pr := &d.parts[i]
-		pr.v, pr.ri = batches[pr.member].src[pr.attr], 0
+		d.parts[i].ri = 0
 	}
-	for k := range d.nodes {
-		nd := &d.nodes[k]
-		b := batches[d.parts[nd.part].member]
-		nd.off, nd.w = b.offs[nd.attr], b.width[nd.attr]
-	}
-
-	b := batches[0]
 	si := 0 // next entry of b.sel
 	for s := 0; s < b.n; {
 		// Step every partition onto the run holding slot s and end the
@@ -274,7 +259,7 @@ func runGroup(pipes []*Pipeline, fn func(r *Row) error) ([]Result, error) {
 		}
 	}
 
-	err := lockstep(first.snap, live, fn)
+	err := lockstep(live, fn)
 	res := make([]Result, len(pipes))
 	for i, p := range pipes {
 		switch {
@@ -291,15 +276,11 @@ func runGroup(pipes []*Pipeline, fn func(r *Row) error) ([]Result, error) {
 // lockstep drives the members to end of stream together: one batch from
 // each per step, checked to cover the same rows under the same selection,
 // digested once for all of them, accounted to each.
-func lockstep(snap *storage.Snapshot, live []*Pipeline, fn func(r *Row) error) error {
+func lockstep(live []*Pipeline, fn func(r *Row) error) error {
 	if len(live) == 0 {
 		return nil
 	}
-	projs := make([]*VecProject, len(live))
-	for i, p := range live {
-		projs[i] = p.proj
-	}
-	dg := newGroupDigest(snap, projs)
+	dg := newGroupDigest(live)
 	batches := make([]*Batch, len(live))
 	var row Row
 	for {
@@ -329,7 +310,7 @@ func lockstep(snap *storage.Snapshot, live []*Pipeline, fn func(r *Row) error) e
 					o.n, o.Base, o.live(), b.n, b.Base, b.live())
 			}
 		}
-		dg.digest(batches)
+		dg.digest(b)
 		for i, p := range live {
 			p.proj.account(batches[i])
 		}

@@ -36,10 +36,20 @@ var groupBatchSizes = []int{1, 31, 1024, 4096}
 // from one seed. Projections are drawn to hit what a group shares and what
 // it must not: duplicates, empty ones, single attributes, ones inside σ's
 // partition, and extensions and truncations of earlier ones (shared
-// prefixes that then diverge).
+// prefixes that then diverge). Shapes 6-11 draw a wide table instead: 13
+// to attrset.MaxAttrs columns, MaxAttrs half the time, over 8-15
+// partitions, σ's attribute alone in its own — every slice sized by the
+// table, at the limit.
 func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, parts []attrset.Set, predAttr, form int, pivot uint64, queries []attrset.Set) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	wide := shape%12 >= 6
 	ncols := 1 + rng.IntN(12)
+	if wide {
+		ncols = attrset.MaxAttrs
+		if rng.IntN(2) == 0 {
+			ncols -= rng.IntN(attrset.MaxAttrs - 12)
+		}
+	}
 	for i := 0; i < ncols; i++ {
 		c := schema.Column{Name: fmt.Sprintf("g%d", i)}
 		switch rng.IntN(5) {
@@ -57,9 +67,19 @@ func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, par
 		cols = append(cols, c)
 	}
 	groups := make([]attrset.Set, 1+rng.IntN(4))
+	if wide {
+		groups = make([]attrset.Set, 8+rng.IntN(8))
+	}
 	for a := range cols {
 		g := rng.IntN(len(groups))
 		groups[g] = groups[g].Add(a)
+	}
+	predAttr, pivot = rng.IntN(ncols), rng.Uint64()
+	if wide {
+		for g := range groups {
+			groups[g] = groups[g].Remove(predAttr)
+		}
+		groups = append(groups, attrset.Single(predAttr))
 	}
 	for _, g := range groups {
 		if !g.IsEmpty() {
@@ -67,7 +87,6 @@ func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, par
 		}
 	}
 
-	predAttr, pivot = rng.IntN(ncols), rng.Uint64()
 	form = int(shape % 6) // 0-3: groupPred's forms; 4, 5: no predicate
 	home := parts[0]      // σ's partition, or any one without σ
 	for _, p := range parts {
@@ -139,8 +158,8 @@ func groupPred(tbl *schema.Table, seed int64, form, attr int, pivot uint64) Pred
 // device and at every batch size, with a tagged, an untagged or no
 // predicate.
 func FuzzGroupVsAlone(f *testing.F) {
-	// Arguments: seed, nproj (projections-1, mod 24), shape (predicate form),
-	// rowsRaw (rows-1, mod 700).
+	// Arguments: seed, nproj (projections-1, mod 24), shape (predicate form;
+	// 6-11 mod 12 draw a wide table), rowsRaw (rows-1, mod 700).
 	f.Add(uint64(1), uint8(16), uint8(0), uint16(499))
 	f.Add(uint64(2), uint8(23), uint8(1), uint16(699))
 	f.Add(uint64(3), uint8(8), uint8(2), uint16(256))
@@ -149,6 +168,13 @@ func FuzzGroupVsAlone(f *testing.F) {
 	f.Add(uint64(6), uint8(0), uint8(0), uint16(40))
 	f.Add(uint64(7), uint8(5), uint8(5), uint16(0))
 	f.Add(uint64(8), uint8(23), uint8(0), uint16(150))
+	// Wide tables: 41 columns over 10 partitions, then MaxAttrs columns over
+	// 9, 15 and 9, under each predicate form and none.
+	f.Add(uint64(9), uint8(23), uint8(6), uint16(299))
+	f.Add(uint64(11), uint8(15), uint8(8), uint16(120))
+	f.Add(uint64(13), uint8(9), uint8(10), uint16(60))
+	f.Add(uint64(17), uint8(20), uint8(9), uint16(511))
+	f.Add(uint64(11), uint8(23), uint8(7), uint16(699))
 	f.Fuzz(func(t *testing.T, seed uint64, nproj, shape uint8, rowsRaw uint16) {
 		rows := int64(rowsRaw)%700 + 1
 		cols, parts, predAttr, form, pivot, queries := groupCase(seed, nproj, shape)
@@ -301,19 +327,19 @@ func TestGroupDigestFoldsEachPrefixOnce(t *testing.T) {
 	}
 	dev := cost.HDDDevice()
 	snap := loadEngine(t, sample, layout.Parts, dev, 1).Snapshot()
-	var projs []*VecProject
+	var pipes []*Pipeline
 	alone := 0
 	for _, q := range tw.Queries {
 		p, err := BuildExec(snap, dev, q.Attrs, nil, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		projs = append(projs, p.proj)
+		pipes = append(pipes, p)
 		alone += len(p.proj.cols)
 	}
-	d := newGroupDigest(snap, projs)
-	if len(projs) != 17 || alone != 74 || len(d.nodes) != 49 {
-		t.Errorf("%d queries fold %d columns alone and %d in one group, want 17, 74 and 49", len(projs), alone, len(d.nodes))
+	d := newGroupDigest(pipes)
+	if len(pipes) != 17 || alone != 74 || len(d.nodes) != 49 {
+		t.Errorf("%d queries fold %d columns alone and %d in one group, want 17, 74 and 49", len(pipes), alone, len(d.nodes))
 	}
 }
 

@@ -28,6 +28,7 @@ type Pipeline struct {
 	query  attrset.Set
 	opts   ExecOptions
 	proj   *VecProject // the root; nil for the empty plan
+	bind   *binding    // where its batches find their columns
 	join   *VecReconJoin
 	sel    *VecSelect
 	leaves []*VecScan
@@ -127,8 +128,9 @@ func Build(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pre
 // BuildExec is Build with exec options: leaves in canonical layout order
 // over cursors sharing the proportional buffer split, σ directly above the
 // leaf holding the predicate's attribute, chunk-aligned ⋈, digesting π at
-// the root. The options tune only wall-clock behavior; every result and
-// every measured quantity is batch-size-invariant.
+// the root — every column bound here, once, to the snapshot's row format
+// and its leaf's view. The options tune only wall-clock behavior; every
+// result and every measured quantity is batch-size-invariant.
 func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pred, opts ExecOptions) (*Pipeline, error) {
 	opts, err := opts.normalized()
 	if err != nil {
@@ -166,31 +168,34 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 		}
 	}
 
+	p.bind = &binding{loc: snap.Format(), views: make([]*view, snap.NumParts())}
 	children := make([]VecOperator, 0, len(refs))
+	var read attrset.Set
 	for _, i := range refs {
 		cur, err := snap.Cursor(i, dev, totalRowSize)
 		if err != nil {
 			return nil, err
 		}
-		leaf := NewVecScan(cur, dev, opts.BatchSize)
+		leaf := newVecScan(p.bind, i, cur, dev, opts.BatchSize)
 		p.leaves = append(p.leaves, leaf)
 		p.ops = append(p.ops, leaf)
 		var child VecOperator = leaf
 		if pred != nil && snap.PartAttrs(i).Has(pred.Attr) {
-			p.sel = NewVecSelect(leaf, *pred)
+			p.sel = newVecSelect(leaf, leaf, *pred)
 			p.ops = append(p.ops, p.sel)
 			child = p.sel
 		}
 		children = append(children, child)
+		read = read.Union(snap.PartAttrs(i))
 	}
 
 	top := children[0]
 	if len(children) > 1 {
-		p.join = NewVecReconJoin(children)
+		p.join = newVecReconJoin(children, p.bind, read)
 		p.ops = append(p.ops, p.join)
 		top = p.join
 	}
-	p.proj = NewVecProject(top, query, opts.BatchSize)
+	p.proj = newVecProject(top, query, opts.BatchSize)
 	p.ops = append(p.ops, p.proj)
 	return p, nil
 }

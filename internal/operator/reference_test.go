@@ -5,6 +5,7 @@ import (
 
 	"knives/internal/attrset"
 	"knives/internal/cost"
+	"knives/internal/schema"
 	"knives/internal/storage"
 )
 
@@ -40,12 +41,11 @@ type refBatch struct {
 }
 
 // newRefBatch allocates the reusable buffers for one leaf's column group.
-func newRefBatch(c *storage.PartCursor, size int) *refBatch {
-	b := &refBatch{attrs: c.Attrs(), selBuf: make([]int32, 0, size)}
-	for _, a := range c.Attrs().Attrs() {
-		_, w := c.ColSpec(a)
-		b.width[a] = w
-		b.cols[a] = make([]byte, size*w)
+func newRefBatch(s *refScan) *refBatch {
+	b := &refBatch{attrs: s.attrs, selBuf: make([]int32, 0, s.size)}
+	for _, a := range s.cols {
+		b.width[a] = s.width[a]
+		b.cols[a] = make([]byte, s.size*s.width[a])
 	}
 	return b
 }
@@ -82,11 +82,16 @@ type refScan struct {
 	out   int64
 }
 
-// newRefScan opens a vectorized leaf over cur with the given batch size.
-func newRefScan(cur *storage.PartCursor, dev cost.Device, size int) *refScan {
+// newRefScan opens a vectorized leaf over cur, a partition of tbl, with the
+// given batch size. It places the partition's columns in its rows itself,
+// from the schema: in attribute order, each value right after the one
+// before, as the engine lays a row out.
+func newRefScan(tbl *schema.Table, cur *storage.PartCursor, dev cost.Device, size int) *refScan {
 	s := &refScan{c: cur, dev: dev, attrs: cur.Attrs(), cols: cur.Attrs().Attrs(), size: size}
+	off := 0
 	for _, a := range s.cols {
-		s.offs[a], s.width[a] = cur.ColSpec(a)
+		s.offs[a], s.width[a] = off, tbl.Columns[a].Size
+		off += s.width[a]
 	}
 	return s
 }
@@ -136,7 +141,7 @@ func (s *refScan) FillInto(b *refBatch) error {
 // NextBatch fills the scan's own reusable batch.
 func (s *refScan) NextBatch() (*refBatch, error) {
 	if s.buf == nil {
-		s.buf = newRefBatch(s.c, s.size)
+		s.buf = newRefBatch(s)
 	}
 	if err := s.FillInto(s.buf); err != nil {
 		return nil, err
@@ -428,7 +433,7 @@ func refRun(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pr
 		if err != nil {
 			return res, err
 		}
-		leaf := newRefScan(cur, dev, size)
+		leaf := newRefScan(snap.Table(), cur, dev, size)
 		leaves = append(leaves, leaf)
 		ops = append(ops, leaf)
 		var child refOperator = leaf

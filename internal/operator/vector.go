@@ -12,15 +12,16 @@ import (
 // Batch — up to BatchSize consecutive rows plus a selection vector — and no
 // operator moves a row's bytes at all: a batch is a set of VIEWS over the
 // pages its leaves' cursors hand out (the store's own pages on a resident
-// backend), one run per page the batch straddles. σ reads the predicate
-// column where it lies and writes a selection vector, ⋈ degenerates to chunk
-// alignment because leaves emit consecutive IDs in lockstep chunks, and π
-// folds the surviving rows straight off the pages into the row digest
-// (storage/digest.go) — once per batch for a whole group of pipelines
-// (group.go), which also share σ's vector. The physical accounting is the
-// PartCursor's, page fetch for page fetch, wherever batches are cut — so
-// checksums, row counts, and ScanStats are bit-equal to the row-at-a-time
-// oracle's (row_test.go).
+// backend), one view per partition and one run per page the batch
+// straddles, its columns bound once when the plan is built (binding). σ
+// reads the predicate column where it lies and writes a selection vector, ⋈
+// degenerates to chunk alignment because leaves emit consecutive IDs in
+// lockstep chunks, and π folds the surviving rows straight off the pages
+// into the row digest (storage/digest.go) — once per batch for a whole
+// group of pipelines (group.go), which also share σ's vector. The physical
+// accounting is the PartCursor's, page fetch for page fetch, wherever
+// batches are cut — so checksums, row counts, and ScanStats are bit-equal
+// to the row-at-a-time oracle's (row_test.go).
 //
 // Lifetime: pages are read-only, always — on a resident backend a view IS
 // the store. A batch, and every byte reachable through it, is valid until
@@ -67,13 +68,21 @@ func (v *view) row(i int) []byte {
 	return v.runs[k].rows[(i-v.runs[k].first)*v.rowSize:]
 }
 
+// binding is where a plan's batches find their columns, fixed at build: the
+// epoch's row format (storage.Snapshot.Format) and, per partition, the view
+// of the leaf reading it (nil where none does). A leaf refills its view and
+// never replaces it, so every batch of a plan shares one binding.
+type binding struct {
+	loc   []storage.ColLoc
+	views []*view
+}
+
 // Batch is one chunk of up to BatchSize consecutive rows flowing through a
 // vectorized pipeline. Rows occupy slots 0..n-1; slot i holds row Base+i of
-// the stored table, and attribute a's value lies width[a] bytes at offs[a]
-// into slot i's row of src[a], the view of the leaf that stores a. A nil
-// selection vector means every slot survives; a non-nil one lists the
-// surviving slots in ascending order (σ only ever shrinks it). A leaf batch
-// owns its view; a join's output batch aliases its children's.
+// the stored table, and attribute a's value lies where the plan's binding
+// places it: in slot i's row of the view of the partition that stores a. A
+// nil selection vector means every slot survives; a non-nil one lists the
+// surviving slots in ascending order (σ only ever shrinks it).
 type Batch struct {
 	// Base is the table row ID of slot 0; leaves emit consecutive IDs, so
 	// slot i is row Base+i.
@@ -81,23 +90,8 @@ type Batch struct {
 
 	n     int
 	attrs attrset.Set
-	cols  []int // attrs, ascending
 	sel   []int32
-	src   [attrset.MaxAttrs]*view
-	offs  [attrset.MaxAttrs]int
-	width [attrset.MaxAttrs]int
-}
-
-// newLeafBatch lays out the (empty) batch one leaf fills over and over, and
-// the view it owns.
-func newLeafBatch(c *storage.PartCursor) (*Batch, *view) {
-	b := &Batch{attrs: c.Attrs(), cols: c.Attrs().Attrs()}
-	v := &view{rowSize: c.RowSize()}
-	for _, a := range b.cols {
-		b.src[a] = v
-		b.offs[a], b.width[a] = c.ColSpec(a)
-	}
-	return b, v
+	bind  *binding
 }
 
 // Len returns the number of row slots filled.
@@ -114,12 +108,11 @@ func (b *Batch) Attrs() attrset.Set { return b.attrs }
 // when the batch does not carry a. The bytes are a read-only window onto a
 // page, valid as long as the batch is.
 func (b *Batch) Col(a, i int) []byte {
-	v := b.src[a]
-	if v == nil {
+	if !b.attrs.Has(a) {
 		return nil
 	}
-	off := b.offs[a]
-	return v.row(i)[off : off+b.width[a] : off+b.width[a]]
+	l := b.bind.loc[a]
+	return b.bind.views[l.Part].row(i)[l.Off : l.Off+l.Width : l.Off+l.Width]
 }
 
 // live returns how many of the batch's slots survive its selection.
@@ -153,22 +146,25 @@ type VecScan struct {
 	c    *storage.PartCursor
 	dev  cost.Device
 	size int
-	buf  *Batch
-	view *view // buf's own
+	buf  Batch
+	view view // the plan's binding points at it for the plan's life
 	out  int64
 }
 
-// NewVecScan opens a vectorized leaf over cur with the given batch size.
-func NewVecScan(cur *storage.PartCursor, dev cost.Device, size int) *VecScan {
+// newVecScan opens a leaf over cur, partition part of bind's snapshot, and
+// binds its view there.
+func newVecScan(bind *binding, part int, cur *storage.PartCursor, dev cost.Device, size int) *VecScan {
 	cur.Hold(size)
-	b, v := newLeafBatch(cur)
-	return &VecScan{c: cur, dev: dev, size: size, buf: b, view: v}
+	s := &VecScan{c: cur, dev: dev, size: size,
+		buf: Batch{attrs: cur.Attrs(), bind: bind}, view: view{rowSize: cur.RowSize()}}
+	bind.views[part] = &s.view
+	return s
 }
 
 // NextBatch cuts the next batch: up to the batch size in page-sized runs, no
 // per-row work. The previous batch's page references are dropped first.
 func (s *VecScan) NextBatch() (*Batch, error) {
-	b, v := s.buf, s.view
+	b, v := &s.buf, &s.view
 	clear(v.runs)
 	v.runs, v.at = v.runs[:0], 0
 	b.Base, b.sel, b.n = s.out, nil, 0
@@ -220,21 +216,26 @@ func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
 // comparison forms no call and no branch per row either (Pred.filterRun).
 // Build pushes it directly above the leaf that stores the predicate's
 // attribute, below any join, so non-matching rows never cost a
-// reconstruction. Every slot that reaches it counts in, every surviving slot
-// counts out. The vector lives in a selMemo: its own, or the one RunGroup
-// gives every σ of a group, where the first σ to see a batch filters it and
-// the others take its vector.
+// reconstruction, and binds it to that leaf's view and the column's place
+// in the row once. Every slot that reaches it counts in, every surviving
+// slot counts out. The vector lives in a selMemo: its own, or the one
+// RunGroup gives every σ of a group, where the first σ to see a batch
+// filters it and the others take its vector.
 type VecSelect struct {
 	child VecOperator
 	pred  Pred
-	memo  *selMemo // nil until the first batch or RunGroup sets it
+	v     *view          // the view of the leaf storing pred.Attr
+	col   storage.ColLoc // where pred.Attr lies in that leaf's rows
+	memo  *selMemo       // nil until the first batch or RunGroup sets it
 	in    int64
 	out   int64
 }
 
-// NewVecSelect wraps child in the predicate.
-func NewVecSelect(child VecOperator, pred Pred) *VecSelect {
-	return &VecSelect{child: child, pred: pred}
+// newVecSelect filters child's batches on pred, reading the predicate's
+// column off leaf's pages: the leaf it sits directly above in a plan, and
+// in any case the one storing pred.Attr.
+func newVecSelect(child VecOperator, leaf *VecScan, pred Pred) *VecSelect {
+	return &VecSelect{child: child, pred: pred, v: &leaf.view, col: leaf.buf.bind.loc[pred.Attr]}
 }
 
 // NextBatch pulls one batch and filters it into the memo's buffer, or takes
@@ -248,8 +249,7 @@ func (s *VecSelect) NextBatch() (*Batch, error) {
 		s.memo = new(selMemo)
 	}
 	m := s.memo
-	a := s.pred.Attr
-	v, off, w := b.src[a], b.offs[a], b.width[a]
+	v, off, w := s.v, s.col.Off, s.col.Width
 	if b.sel == nil {
 		s.in += int64(b.n)
 		if m.n != b.n || m.base != b.Base {
@@ -296,13 +296,14 @@ func (s *VecSelect) Name() string { return "σ(" + s.pred.Name + ")" }
 // every leaf emits consecutive row IDs in identically-sized chunks, chunk k
 // of every child covers the same ID range — a merge on row ID collapses
 // into aligning chunk selection vectors. The output batch carries no bytes
-// at all: each attribute points at the view of the child that stores it,
-// and only the intersected selection vector is new; one reconstruction join
-// is counted per surviving row per partition beyond the first (the paper's
-// counting). The common-granularity rule — every referenced partition is
-// read in full even under a selective plan, so physical cost stays the cost
-// model's full-scan charge — is implicit: every child is pulled to end of
-// stream no matter what the selections discard.
+// at all: it shares its children's binding, which already places every
+// attribute in the view of the leaf storing it, so only the intersected
+// selection vector is new; one reconstruction join is counted per
+// surviving row per partition beyond the first (the paper's counting). The
+// common-granularity rule — every referenced partition is read in full even
+// under a selective plan, so physical cost stays the cost model's full-scan
+// charge — is implicit: every child is pulled to end of stream no matter
+// what the selections discard.
 type VecReconJoin struct {
 	children []VecOperator
 	out      Batch
@@ -313,10 +314,11 @@ type VecReconJoin struct {
 	done     bool
 }
 
-// NewVecReconJoin merges the children's batch streams. Children must carry
+// newVecReconJoin merges the children's batch streams into batches carrying
+// attrs, the union of theirs, through their binding. Children must carry
 // disjoint attribute sets (vertical partitions do by construction).
-func NewVecReconJoin(children []VecOperator) *VecReconJoin {
-	return &VecReconJoin{children: children}
+func newVecReconJoin(children []VecOperator, bind *binding, attrs attrset.Set) *VecReconJoin {
+	return &VecReconJoin{children: children, out: Batch{attrs: attrs, bind: bind}}
 }
 
 // NextBatch aligns one chunk across every child.
@@ -343,10 +345,6 @@ func (j *VecReconJoin) NextBatch() (*Batch, error) {
 		} else if b.Base != j.out.Base || b.n != j.out.n {
 			return nil, fmt.Errorf("operator: join children out of chunk alignment (base %d/%d rows %d/%d)",
 				b.Base, j.out.Base, b.n, j.out.n)
-		}
-		j.out.attrs = j.out.attrs.Union(b.attrs)
-		for _, a := range b.cols {
-			j.out.src[a], j.out.offs[a], j.out.width[a] = b.src[a], b.offs[a], b.width[a]
 		}
 		sel = intersectSel(sel, b.sel, &j.selBuf)
 	}
@@ -419,9 +417,9 @@ type VecProject struct {
 	fills []float64
 }
 
-// NewVecProject projects child onto attrs; cap is the pipeline batch size
+// newVecProject projects child onto attrs; cap is the pipeline batch size
 // the fill ratios are measured against.
-func NewVecProject(child VecOperator, attrs attrset.Set, cap int) *VecProject {
+func newVecProject(child VecOperator, attrs attrset.Set, cap int) *VecProject {
 	return &VecProject{child: child, attrs: attrs, cols: attrs.Attrs(), h: storage.ChecksumSeed, cap: cap}
 }
 

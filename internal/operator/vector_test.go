@@ -247,8 +247,8 @@ func TestBatchAccessors(t *testing.T) {
 		{rows: []byte{9, 0, 1, 9, 2, 3}, first: 0, n: 2},
 		{rows: []byte{9, 4, 5, 9, 6, 7}, first: 2, n: 2},
 	}}
-	b := &Batch{n: 4, attrs: attrset.Of(2), cols: []int{2}}
-	b.src[2], b.offs[2], b.width[2] = v, 1, 2
+	bind := &binding{loc: []storage.ColLoc{2: {Part: 1, Off: 1, Width: 2}, 3: {Part: 0}}, views: []*view{nil, v}}
+	b := &Batch{n: 4, attrs: attrset.Of(2), bind: bind}
 	if b.Len() != 4 {
 		t.Errorf("Len = %d", b.Len())
 	}
@@ -329,8 +329,9 @@ func TestVecSelectStacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner := NewVecSelect(NewVecScan(cur, dev, 23), preds[0])
-		outer := NewVecSelect(inner, preds[1])
+		leaf := newVecScan(&binding{loc: snap.Format(), views: make([]*view, 1)}, 0, cur, dev, 23)
+		inner := newVecSelect(leaf, leaf, preds[0])
+		outer := newVecSelect(inner, leaf, preds[1])
 		var got []int64
 		for {
 			b, err := outer.NextBatch()

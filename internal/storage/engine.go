@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,13 +69,20 @@ type Engine struct {
 }
 
 // engineEpoch is one immutable-after-publish physical layout: the partition
-// files and the row count they hold. A Snapshot loads the epoch pointer once
-// and never looks back at the engine.
+// files, the row count they hold, and the row format everything reading or
+// writing them goes by. A Snapshot loads the epoch pointer once and never
+// looks back at the engine.
 type engineEpoch struct {
 	layout partition.Partitioning
 	parts  []enginePart
+	loc    []ColLoc // by attribute
 	rows   int64
 }
+
+// ColLoc is where one attribute lies in an epoch's row format: the
+// partition holding it (canonical order), and its byte offset and width
+// within that partition's rows.
+type ColLoc struct{ Part, Off, Width int }
 
 // DefaultCacheLine is the fallback cache-line granularity logical-stream
 // transfers are counted at when the engine's device does not set one; it
@@ -84,28 +92,41 @@ const DefaultCacheLine = 64
 type enginePart struct {
 	attrs       attrset.Set
 	cols        []int // column indexes in attribute order
-	offsets     []int // byte offset of each column within the partition row
 	rowSize     int
 	rowsPerPage int
 	backend     Backend
 }
 
-// buildPart lays one partition's row format out over the table's columns.
-func buildPart(t *schema.Table, p attrset.Set, blockSize int64) (enginePart, error) {
-	ep := enginePart{attrs: p}
-	off := 0
-	p.ForEach(func(a int) {
-		ep.cols = append(ep.cols, a)
-		ep.offsets = append(ep.offsets, off)
-		off += t.Columns[a].Size
+// buildPart lays partition i out over the table's columns: its row size and
+// page capacity, and where each of its attributes lies in the epoch's row
+// format. The caller attaches the backend.
+func (ep *engineEpoch) buildPart(t *schema.Table, i int, blockSize int64) (*enginePart, error) {
+	part := &ep.parts[i]
+	part.attrs = ep.layout.Parts[i]
+	part.attrs.ForEach(func(a int) {
+		part.cols = append(part.cols, a)
+		ep.loc[a] = ColLoc{Part: i, Off: part.rowSize, Width: t.Columns[a].Size}
+		part.rowSize += t.Columns[a].Size
 	})
-	ep.rowSize = off
-	ep.rowsPerPage = int(blockSize) / off
-	if ep.rowsPerPage < 1 {
-		return enginePart{}, fmt.Errorf("storage: partition %v row size %d exceeds block size %d",
-			p, off, blockSize)
+	part.rowsPerPage = int(blockSize) / part.rowSize
+	if part.rowsPerPage < 1 {
+		return nil, fmt.Errorf("storage: partition %v row size %d exceeds block size %d",
+			part.attrs, part.rowSize, blockSize)
 	}
-	return ep, nil
+	return part, nil
+}
+
+// widestFirst orders partitions the way both fanOut pools take them and the
+// migration cost model sums its terms: decreasing row size, ties by smallest
+// attribute. The widest first leaves a narrow one to finish last; equal row
+// sizes price identically, so tie order never changes a sum.
+func widestFirst(parts []*enginePart) {
+	slices.SortFunc(parts, func(a, b *enginePart) int {
+		if a.rowSize != b.rowSize {
+			return b.rowSize - a.rowSize
+		}
+		return a.attrs.Min() - b.attrs.Min()
+	})
 }
 
 // NewEngine creates an engine for the table with the given layout and disk
@@ -132,23 +153,22 @@ func NewEngine(layout partition.Partitioning, disk cost.Disk, newBackend func(na
 	if cacheLine <= 0 {
 		cacheLine = DefaultCacheLine
 	}
-	e := &Engine{table: t, disk: disk, cacheLine: cacheLine, newBackend: newBackend}
-	ep := &engineEpoch{layout: layout.Canonical()}
-	for i, p := range ep.layout.Parts {
-		part, err := buildPart(t, p, disk.BlockSize)
+	ep := &engineEpoch{layout: layout.Canonical(), parts: make([]enginePart, len(layout.Parts)), loc: make([]ColLoc, len(t.Columns))}
+	for i := range ep.parts {
+		part, err := ep.buildPart(t, i, disk.BlockSize)
 		if err == nil {
 			part.backend, err = newBackend(fmt.Sprintf("%s_p%d", t.Name, i), int(disk.BlockSize))
 		}
 		if err != nil {
 			// The partitions before i already own a backend (an open file on
 			// the file backend) that no engine will ever close.
-			for _, built := range ep.parts {
+			for _, built := range ep.parts[:i] {
 				built.backend.Close()
 			}
 			return nil, err
 		}
-		ep.parts = append(ep.parts, part)
 	}
+	e := &Engine{table: t, disk: disk, cacheLine: cacheLine, newBackend: newBackend}
 	e.epoch.Store(ep)
 	return e, nil
 }
@@ -225,35 +245,51 @@ func (e *Engine) Load(gen *Generator, rows int64) error {
 func (e *Engine) LoadParallel(gen *Generator, rows int64, workers int) error {
 	e.gen = gen
 	ep := e.epoch.Load()
-	if err := fanOut(len(ep.parts), workers, func(pi int) error { return e.loadPart(&ep.parts[pi], rows) }); err != nil {
+	parts := make([]*enginePart, len(ep.parts))
+	for i := range parts {
+		parts[i] = &ep.parts[i]
+	}
+	widestFirst(parts)
+	if err := fanOut(len(parts), workers, func(i int) error { return e.loadPart(parts[i], ep.loc, rows) }); err != nil {
 		return err
 	}
 	ep.rows = rows
 	return nil
 }
 
-// fanOut runs f(0..n-1) with at most workers calls in flight (<= 0: all
-// of them) and returns the lowest-index error, like every fan-out in this
-// codebase. A load's partitions and a repartition's movers share it.
+// fanOut runs f(0..n-1) on min(workers, n) workers (<= 0: n) — the
+// caller's goroutine and workers-1 more, each taking the next index until
+// none is left — and returns the lowest-index error, like every fan-out in
+// this codebase. A panicking call becomes its item's error: the pool runs
+// under requests, and net/http recovers only the handler's own goroutine.
+// A load's partitions and a repartition's movers share it.
 func fanOut(n, workers int, f func(i int) error) error {
 	if workers <= 0 || workers > n {
 		workers = n
 	}
-	if workers == 0 {
-		return nil
-	}
-	sem := make(chan struct{}, workers)
 	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						errs[i] = fmt.Errorf("storage: worker on item %d panicked: %v", i, r)
+					}
+				}()
+				errs[i] = f(i)
+			}()
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range n {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = f(i)
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -263,15 +299,15 @@ func fanOut(n, workers int, f func(i int) error) error {
 	return nil
 }
 
-// loadPart generates and writes one partition's pages.
-func (e *Engine) loadPart(p *enginePart, rows int64) error {
+// loadPart generates and writes one partition's pages in the row format loc.
+func (e *Engine) loadPart(p *enginePart, loc []ColLoc, rows int64) error {
 	page := make([]byte, e.disk.BlockSize)
 	inPage := 0
 	for r := int64(0); r < rows; r++ {
 		base := inPage * p.rowSize
-		for ci, col := range p.cols {
-			c := e.table.Columns[col]
-			e.gen.Value(c, r, page[base+p.offsets[ci]:base+p.offsets[ci]+c.Size])
+		for _, col := range p.cols {
+			l := loc[col]
+			e.gen.Value(e.table.Columns[col], r, page[base+l.Off:base+l.Off+l.Width])
 		}
 		inPage++
 		if inPage == p.rowsPerPage {

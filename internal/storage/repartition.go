@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"knives/internal/attrset"
 	"knives/internal/cost"
@@ -69,14 +68,15 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 
 	// Classify: partitions shared by both layouts survive untouched with
 	// their backends; the rest are moved.
-	next := &engineEpoch{layout: newLayout.Canonical(), rows: rows}
+	next := &engineEpoch{layout: newLayout.Canonical(), parts: make([]enginePart, len(newLayout.Parts)),
+		loc: make([]ColLoc, len(e.table.Columns)), rows: rows}
 	oldByAttrs := make(map[attrset.Set]*enginePart, len(old.parts))
 	for pi := range old.parts {
 		oldByAttrs[old.parts[pi].attrs] = &old.parts[pi]
 	}
 	newByAttrs := make(map[attrset.Set]bool, len(next.layout.Parts))
 	e.epochSeq++
-	var writeIdx []int // indexes into next.parts that must be written
+	var writeParts []*enginePart // the parts of next that must be written
 	// A failed repartition keeps the old epoch, so the backends created for
 	// the aborted one must be closed on the way out — otherwise every retry
 	// of a file-backed migration would leak open partition files.
@@ -91,7 +91,7 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	}()
 	for i, p := range next.layout.Parts {
 		newByAttrs[p] = true
-		part, err := buildPart(e.table, p, e.disk.BlockSize)
+		part, err := next.buildPart(e.table, i, e.disk.BlockSize)
 		if err != nil {
 			return stats, err
 		}
@@ -105,9 +105,8 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 			}
 			part.backend = b
 			created = append(created, b)
-			writeIdx = append(writeIdx, i)
+			writeParts = append(writeParts, part)
 		}
-		next.parts = append(next.parts, part)
 	}
 	var readParts []*enginePart
 	for pi := range old.parts {
@@ -116,26 +115,15 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 		}
 	}
 
-	// Order both move lists the way the migration cost model sums its
-	// terms: decreasing row size, ties by smallest attribute. Equal row
-	// sizes price identically, so tie order never changes the sum.
-	byMoveOrder := func(a, b *enginePart) bool {
-		if a.rowSize != b.rowSize {
-			return a.rowSize > b.rowSize
-		}
-		return a.attrs.Min() < b.attrs.Min()
-	}
-	sort.Slice(readParts, func(i, j int) bool { return byMoveOrder(readParts[i], readParts[j]) })
-	sort.Slice(writeIdx, func(i, j int) bool {
-		return byMoveOrder(&next.parts[writeIdx[i]], &next.parts[writeIdx[j]])
-	})
+	widestFirst(readParts)
+	widestFirst(writeParts)
 
 	var readRowSize, writeRowSize int64
 	for _, p := range readParts {
 		readRowSize += int64(p.rowSize)
 	}
-	for _, i := range writeIdx {
-		writeRowSize += int64(next.parts[i].rowSize)
+	for _, p := range writeParts {
+		writeRowSize += int64(p.rowSize)
 	}
 
 	// Read phase: stage every moved source partition's columns
@@ -153,17 +141,17 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	readStats := make([]PartMoveStats, len(readParts))
 	if err := fanOut(len(readParts), workers, func(i int) error {
 		var err error
-		readStats[i], err = e.readMovedPart(readParts[i], rows, readRowSize, staged)
+		readStats[i], err = e.readMovedPart(readParts[i], old.loc, rows, readRowSize, staged)
 		return err
 	}); err != nil {
 		return stats, err
 	}
 
 	// Write phase: assemble and write every created partition's pages.
-	writeStats := make([]PartMoveStats, len(writeIdx))
-	if err := fanOut(len(writeIdx), workers, func(i int) error {
+	writeStats := make([]PartMoveStats, len(writeParts))
+	if err := fanOut(len(writeParts), workers, func(i int) error {
 		var err error
-		writeStats[i], err = e.writeMovedPart(&next.parts[writeIdx[i]], rows, writeRowSize, staged)
+		writeStats[i], err = e.writeMovedPart(writeParts[i], next.loc, rows, writeRowSize, staged)
 		return err
 	}); err != nil {
 		return stats, err
@@ -211,8 +199,8 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 // readMovedPart streams one moved source partition in full through its
 // buffer share, staging every column's values contiguously. The buffer
 // refill accounting is the cost model's: pagesBuff pages per seek under the
-// proportional split across ALL moved source partitions.
-func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
+// proportional split across ALL moved source partitions, in loc's row format.
+func (e *Engine) readMovedPart(p *enginePart, loc []ColLoc, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
 	ps := PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize}
 	ps.CacheLines = cost.StreamLines(rows, int64(p.rowSize), e.cacheLine)
 	if rows == 0 {
@@ -245,9 +233,9 @@ func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged m
 			inPage = 0
 		}
 		base := inPage * p.rowSize
-		for ci, col := range p.cols {
-			size := e.table.Columns[col].Size
-			copy(staged[col][r*int64(size):(r+1)*int64(size)], page[base+p.offsets[ci]:base+p.offsets[ci]+size])
+		for _, col := range p.cols {
+			l := loc[col]
+			copy(staged[col][r*int64(l.Width):(r+1)*int64(l.Width)], page[base+l.Off:base+l.Off+l.Width])
 		}
 		inPage++
 	}
@@ -256,8 +244,8 @@ func (e *Engine) readMovedPart(p *enginePart, rows, totalRowSize int64, staged m
 
 // writeMovedPart assembles one created partition's pages from the staged
 // columns and writes them, charging buffer refills under the proportional
-// split across ALL created partitions.
-func (e *Engine) writeMovedPart(p *enginePart, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
+// split across ALL created partitions, in loc's row format.
+func (e *Engine) writeMovedPart(p *enginePart, loc []ColLoc, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
 	ps := PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize}
 	ps.CacheLines = cost.StreamLines(rows, int64(p.rowSize), e.cacheLine)
 	if rows == 0 {
@@ -288,14 +276,14 @@ func (e *Engine) writeMovedPart(p *enginePart, rows, totalRowSize int64, staged 
 	}
 	for r := int64(0); r < rows; r++ {
 		base := inPage * p.rowSize
-		for ci, col := range p.cols {
-			size := e.table.Columns[col].Size
+		for _, col := range p.cols {
+			l := loc[col]
 			src, ok := staged[col]
 			if !ok {
 				return ps, fmt.Errorf("storage: repartition target %v needs column %s, which no moved source partition holds",
 					p.attrs, e.table.Columns[col].Name)
 			}
-			copy(page[base+p.offsets[ci]:base+p.offsets[ci]+size], src[r*int64(size):(r+1)*int64(size)])
+			copy(page[base+l.Off:base+l.Off+l.Width], src[r*int64(l.Width):(r+1)*int64(l.Width)])
 		}
 		inPage++
 		if inPage == p.rowsPerPage {

@@ -98,10 +98,12 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 			if !c.p.attrs.Has(col) {
 				continue
 			}
-			for ci, pc := range c.p.cols {
+			off := 0
+			for _, pc := range c.p.cols {
 				if pc == col {
-					colRefs = append(colRefs, colRef{c: c, off: c.p.offsets[ci], size: e.table.Columns[col].Size})
+					colRefs = append(colRefs, colRef{c: c, off: off, size: e.table.Columns[col].Size})
 				}
+				off += e.table.Columns[pc].Size
 			}
 		}
 	}

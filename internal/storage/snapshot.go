@@ -54,6 +54,11 @@ func (s *Snapshot) PartAttrs(i int) attrset.Set { return s.ep.parts[i].attrs }
 // PartRowSize returns the bytes one row of partition i occupies.
 func (s *Snapshot) PartRowSize(i int) int { return s.ep.parts[i].rowSize }
 
+// Format returns the pinned epoch's row format: where each attribute of
+// the table lies, indexed by attribute. The slice is the epoch's own and
+// read-only; a plan binds its columns to it once, at build.
+func (s *Snapshot) Format() []ColLoc { return s.ep.loc }
+
 // CacheLine returns the granularity the engine counts cache-line
 // transfers at (initialized from its device, see SetCacheLine).
 func (s *Snapshot) CacheLine() int64 { return s.cacheLine }
@@ -71,6 +76,7 @@ func (s *Snapshot) CacheLine() int64 { return s.cacheLine }
 // stays on one.
 type PartCursor struct {
 	p   *enginePart
+	loc []ColLoc // the epoch's row format
 	dev cost.Device
 
 	pagesBuff int64
@@ -84,11 +90,6 @@ type PartCursor struct {
 	seeks     int64
 	bytes     int64
 	cacheLine int64
-
-	// offsets[a] and widths[a] are the byte offset and width of attribute a
-	// within the partition row; -1 and 0 when the partition does not hold a.
-	offsets [attrset.MaxAttrs]int
-	widths  [attrset.MaxAttrs]int
 }
 
 // Cursor opens a cursor over partition i, accounting against dev. The
@@ -125,18 +126,11 @@ func (s *Snapshot) Cursor(i int, dev cost.Device, totalRowSize int64) (*PartCurs
 		line = s.cacheLine
 	}
 	c := &PartCursor{
-		p: p, dev: dev, pagesBuff: pagesBuff,
+		p: p, loc: s.ep.loc, dev: dev, pagesBuff: pagesBuff,
 		rows: s.ep.rows, cacheLine: line,
 	}
 	if !p.backend.Resident() {
 		c.ring = make([][]byte, 1)
-	}
-	for a := range c.offsets {
-		c.offsets[a] = -1
-	}
-	for ci, col := range p.cols {
-		c.offsets[col] = p.offsets[ci]
-		c.widths[col] = s.table.Columns[col].Size
 	}
 	return c, nil
 }
@@ -241,24 +235,16 @@ func (c *PartCursor) NextRows(max int) (page []byte, start, n int, err error) {
 	return c.page, start, n, nil
 }
 
-// ColSpec returns the byte offset and width of attribute a within one
-// partition row, or (-1, 0) when the partition does not hold a. Together
-// with NextRows it lets a batch reader address page[ (start+i)*RowSize()+off
-// : ... +off+width ] without per-row calls.
-func (c *PartCursor) ColSpec(a int) (off, width int) {
-	return c.offsets[a], c.widths[a]
-}
-
 // Col returns the current row's bytes of attribute a, valid until the next
 // Next call and read-only like every page. It returns nil when the
 // partition does not hold a.
 func (c *PartCursor) Col(a int) []byte {
-	off := c.offsets[a]
-	if off < 0 {
+	if !c.p.attrs.Has(a) {
 		return nil
 	}
-	base := c.inPage*c.p.rowSize + off
-	return c.page[base : base+c.widths[a]]
+	l := c.loc[a]
+	base := c.inPage*c.p.rowSize + l.Off
+	return c.page[base : base+l.Width]
 }
 
 // Stats returns the cursor's accounting so far. Cache lines are counted

@@ -175,7 +175,8 @@ func TestCursorSnapshotSurvivesRepartition(t *testing.T) {
 }
 
 // TestNextRowsMatchesNext drives two cursors over the same partition — one
-// row by row through Next/Col, one in runs through NextRows/ColSpec with a
+// row by row through Next/Col, one in runs through NextRows and the epoch's
+// row format (Snapshot.Format) with a
 // rotating run length — and requires the same bytes in the same order AND
 // bit-identical accounting (seeks, bytes, cache lines) at end of stream.
 // This is the contract the vectorized scan's batching rests on.
@@ -228,8 +229,8 @@ func TestNextRowsMatchesNext(t *testing.T) {
 				for i := 0; i < n; i++ {
 					base := (start + i) * rs
 					for _, a := range attrs {
-						off, w := runCur.ColSpec(a)
-						got = append(got, page[base+off:base+off+w]...)
+						l := snap.Format()[a]
+						got = append(got, page[base+l.Off:base+l.Off+l.Width]...)
 					}
 				}
 			}
@@ -242,13 +243,24 @@ func TestNextRowsMatchesNext(t *testing.T) {
 		}
 	}
 
-	// ColSpec on an attribute the partition does not hold.
+	// Col on an attribute the partition does not hold; the row format
+	// places it in the partition that does.
 	c, err := snap.Cursor(0, dev, total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off, w := c.ColSpec(1); off != -1 || w != 0 {
-		t.Fatalf("ColSpec(absent) = %d,%d", off, w)
+	read, err := snap.Cursor(0, dev, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := read.Next(); !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if got := read.Col(1); got != nil {
+		t.Fatalf("Col(absent) = %v", got)
+	}
+	if l := snap.Format()[1]; l.Part != 1 || l.Off != 0 || l.Width != snap.PartRowSize(1) {
+		t.Fatalf("Format()[1] = %+v, want partition 1 at offset 0, %d bytes wide", l, snap.PartRowSize(1))
 	}
 	// NextRows with a non-positive max reads nothing and charges nothing.
 	if _, _, n, err := c.NextRows(0); n != 0 || err != nil {

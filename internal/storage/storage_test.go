@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"knives/internal/attrset"
@@ -224,5 +228,56 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 	d := smallDisk() // 512-byte blocks cannot hold a 1000-byte row
 	if _, err := NewEngine(partition.Row(tab), d, nil); err == nil {
 		t.Error("NewEngine accepted a row wider than a block")
+	}
+}
+
+// TestFanOutBoundsGoroutinesAndRecoversPanics holds the load and
+// repartition pool to its contract: it is workers wide counting the
+// caller's goroutine (none other at one), every item runs once, and a
+// panicking item comes back as that item's error — the lowest-index one —
+// instead of killing the process the pool runs in.
+func TestFanOutBoundsGoroutinesAndRecoversPanics(t *testing.T) {
+	const n = 16
+	for _, workers := range []int{1, 2, 3, n, 0} {
+		base := runtime.NumGoroutine()
+		var ran [n]atomic.Int32
+		var inFlight, peakFlight, peakExtra atomic.Int64
+		raise := func(p *atomic.Int64, v int64) {
+			for old := p.Load(); v > old && !p.CompareAndSwap(old, v); old = p.Load() {
+			}
+		}
+		err := fanOut(n, workers, func(i int) error {
+			ran[i].Add(1)
+			raise(&peakFlight, inFlight.Add(1))
+			defer inFlight.Add(-1)
+			raise(&peakExtra, int64(runtime.NumGoroutine()-base))
+			runtime.Gosched()
+			switch i {
+			case 5, 11:
+				panic(fmt.Sprintf("item %d", i))
+			case 9:
+				return errInjected
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "panicked: item 5") {
+			t.Errorf("workers %d: error %v, want item 5's panic", workers, err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Errorf("workers %d: item %d ran %d times", workers, i, got)
+			}
+		}
+		width := int64(workers) // the caller's goroutine is one worker
+		if workers <= 0 {
+			width = n
+		}
+		if peakExtra.Load() > width-1 || peakFlight.Load() > width {
+			t.Errorf("workers %d: %d goroutines beyond the caller's and %d items in flight, want at most %d and %d",
+				workers, peakExtra.Load(), peakFlight.Load(), width-1, width)
+		}
+	}
+	if err := fanOut(0, 4, func(int) error { panic("no items") }); err != nil {
+		t.Errorf("no items: %v", err)
 	}
 }
