@@ -47,11 +47,11 @@ type fact struct {
 	// package's own path for a bare identifier it declares at package
 	// level ("" for a field, a method, or a local).
 	pkg  string
-	recv string // a method's receiver type, without the star
+	recv string // a method's receiver type, without the star; a struct field's struct
 	// name is the identifier; for an import, the imported path; for a
 	// string literal, its value.
 	name    string
-	typeArg string // the first type argument a used name is instantiated with; a passed argument's type
+	typeArg string // the first type argument a used name is instantiated with; a passed argument's type; "func" for a func-typed field
 	call    bool   // a used name is the callee of a call
 	from    string // the import path of the package the fact is in
 	fn      string // enclosing func: "checkWindow", "(ExecOptions).normalized"; "" at package level
@@ -72,6 +72,8 @@ func (f fact) describe(fset *token.FileSet) string {
 	switch {
 	case f.kind == passed:
 		what += "(" + f.typeArg + ")"
+	case f.kind == declared && f.typeArg != "":
+		what += " " + f.typeArg
 	case f.typeArg != "":
 		what += "[" + f.typeArg + ", …]"
 	}
@@ -246,6 +248,14 @@ var architecture = []rule{
 		none(pattern{kind: declared, pkg: advisor, names: []string{"Workers", "BatchSize"}}),
 		none(pattern{kind: declared, pkg: operator, names: []string{"Workers"}}),
 		none(pattern{kind: quoted, from: pkgPath("cmd/knives"), names: []string{"workers", "exec-workers"}}),
+	}},
+	{name: "one selection form", limits: []limit{
+		// σ is attribute < bound over a little-endian u32 column, from the
+		// wire to the executor: no second comparison form, no predicate
+		// closure, and one root execution API (Execute*) for reports.
+		deleted("U32GreaterEq", "U64Less", "predForm"),
+		none(pattern{kind: declared, pkg: operator, recv: "Pred", typeArg: "func"}),
+		none(pattern{pkg: module, names: []string{"ReplayLayout", "ReplayAlgorithm", "ReplayBenchmark", "ReplayAdvice"}}),
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
@@ -463,13 +473,28 @@ func (ix *index) extract(ip string, top map[string]bool, results map[string]stri
 			return false
 		case *ast.TypeSpec:
 			declare(n.Name, "")
+			if st, ok := n.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					_, isFunc := fl.Type.(*ast.FuncType)
+					for _, id := range fl.Names {
+						decl[id] = true
+						x := fact{kind: declared, pkg: ip, recv: n.Name.Name, name: id.Name, pos: id.Pos()}
+						if isFunc {
+							x.typeArg = "func"
+						}
+						record(x)
+					}
+				}
+			}
 		case *ast.ValueSpec:
 			for _, id := range n.Names {
 				declare(id, "")
 			}
 		case *ast.Field:
 			for _, id := range n.Names {
-				declare(id, "")
+				if !decl[id] {
+					declare(id, "")
+				}
 			}
 		case *ast.CallExpr:
 			if id := nameOf(n.Fun); id != nil {
@@ -802,6 +827,11 @@ var plants = []struct {
 	{"no knob that changes no number", "internal/advisor/replay.go", "", "type legacyOptions struct{ Workers, BatchSize int }"},
 	{"no knob that changes no number", "internal/operator/plan.go", "", "type legacyExec struct{ Workers int }"},
 	{"no knob that changes no number", "cmd/knives/main.go", "", `var _ = flag.Int("workers", 0, "")`},
+	{"one selection form", "internal/operator/pred.go", "", "func U64Less(attr int, bound uint64) Pred { return Pred{} }"},
+	{"one selection form", "internal/operator/pred.go", "", "type predForm uint8"},
+	{"one selection form", "internal/operator/pred.go", "type Pred struct {\n", "\tMatch func(col []byte) bool"},
+	{"one selection form", "replay.go", "", "func ReplayLayout() {}"},
+	{"one selection form", "cmd/knives/main.go", "", "func init() { knives.ReplayAdvice() }"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
 	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},

@@ -669,21 +669,21 @@ func runExecute(name string, args []string) error {
 			return err
 		}
 		c.vt.step("advise " + tw.Table.Name)
+		var tsel *knives.Selection
+		if sel != nil && sel.Table == tw.Table.Name {
+			tsel = opSel
+		}
+		exec, err := knives.ExecuteLayout(tw, layout, algorithm, cfg, tsel)
+		if err != nil {
+			return err
+		}
+		// replay prints the totals alone, exec the plans and operators too.
 		var rep interface {
 			fmt.Stringer
 			Exact() bool
-		}
+		} = &exec.TableReplay
 		if pipelines {
-			var tsel *knives.Selection
-			if sel != nil && sel.Table == tw.Table.Name {
-				tsel = opSel
-			}
-			rep, err = knives.ExecuteLayout(tw, layout, algorithm, cfg, tsel)
-		} else {
-			rep, err = knives.ReplayLayout(tw, layout, algorithm, cfg)
-		}
-		if err != nil {
-			return err
+			rep = exec
 		}
 		c.vt.step(name + " " + tw.Table.Name)
 		fmt.Print(rep)

@@ -3,7 +3,7 @@
 // The paper's verdicts are estimated costs; the advisor picks layouts by
 // those estimates; and the replay subsystem is the receipt: it materializes
 // the advised layout through the storage engine, executes the real TPC-H
-// per-table workload over the pages with a parallel worker pool, and checks
+// per-table workload over the pages as σ/π/⋈ operator pipelines, and checks
 // that the measured seeks, bytes, and simulated time equal the cost model's
 // predictions bit for bit. This example replays Lineitem's portfolio winner
 // against the Row and Column baselines and prints the measured ranking —
@@ -38,23 +38,23 @@ func main() {
 	fmt.Printf("advice: %s via %s, estimated %.1f s/workload\n\n",
 		lineitem.Table.Name, lineitem.Algorithm, lineitem.Cost)
 
-	// 2. Replay: materialize a 50k-row sample of each layout and execute
-	// all Lineitem queries against the pages.
+	// 2. Execute: materialize a 50k-row sample of each layout and run all
+	// Lineitem queries against the pages (no selection).
 	tw := bench.Workload.ForTable(bench.Table("lineitem"))
 	cfg := knives.ReplayConfig{MaxRows: 50_000, Seed: 1}
 
 	type run struct {
 		name string
-		rep  *knives.TableReplay
+		rep  *knives.OperatorReplay
 	}
 	var runs []run
-	advised, err := knives.ReplayAdvice(tw, lineitem, cfg)
+	advised, err := knives.ExecuteAdvice(tw, lineitem, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	runs = append(runs, run{lineitem.Algorithm + " (advised)", advised})
 	for _, baseline := range []string{"Row", "Column"} {
-		rep, err := knives.ReplayAlgorithm(tw, baseline, cfg)
+		rep, err := knives.ExecuteAlgorithm(tw, baseline, cfg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

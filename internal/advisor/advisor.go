@@ -91,9 +91,22 @@ func PortfolioNames() []string {
 // TestWeightCeilingKeepsPricesFinite works the bound.
 const MaxWeight = 1 << 53
 
+// MinWeight is the smallest positive query weight the service accepts, on
+// /advise and /observe alike: 2^-53, MaxWeight's reciprocal. On every
+// device cost.Device.Validate admits, a query that reads anything prices at
+// least 2^-60 s and below 2^78 s, so its weighted cost lies in [2^-113,
+// 2^131]: a normal, nonzero float, far from underflow and overflow alike. A
+// query that reads nothing prices 0 under every layout. So a drift check's
+// shadow layout prices a window 0 only when the advised layout does too,
+// and their ratio stays finite. Below the floor a weight like 5e-324 can
+// round the shadow's cost to 0 and not the advised one's, and a +Inf ratio
+// cannot be rendered, so validation rejects such a weight (400) before
+// anything is journaled. TestWeightFloorKeepsPricesNormal works the bound.
+const MinWeight = 0x1p-53
+
 // validWeight reports whether w is a weight the service accepts: 0 (which
-// means 1) up to MaxWeight. The comparisons reject NaN.
-func validWeight(w float64) bool { return w >= 0 && w <= MaxWeight }
+// means 1), or MinWeight up to MaxWeight. The comparisons reject NaN.
+func validWeight(w float64) bool { return w == 0 || w >= MinWeight && w <= MaxWeight }
 
 // normalizeWeights returns tw with zero query weights replaced by 1 — the
 // system-wide pricing convention (schema.Workload.ForTable applies the same

@@ -28,11 +28,12 @@ type ExecSelection struct {
 	Bound  uint32
 }
 
-// On binds the selection to a table's column. The predicate compares the
-// column's first four bytes as a little-endian u32, so anything but an int
-// or date column (the engine's u32 encodings) is refused: on a narrower
-// column no row could ever match, and on text it would filter on the first
-// four characters.
+// On binds the selection to a table's column as the executor's one
+// predicate form (operator.Pred): the column's first four bytes read as a
+// little-endian u32. So anything but an int or date column (the engine's
+// u32 encodings) is refused: on text it would filter on the first four
+// characters, on a decimal on its low half, and a column narrower than four
+// bytes holds no u32 at all.
 func (sel ExecSelection) On(t *schema.Table) (*replay.Selection, error) {
 	attr := t.AttrIndex(sel.Column)
 	if attr < 0 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -87,6 +88,85 @@ func TestServerRejectsOverflowingWeights(t *testing.T) {
 	writeJSON(rec, map[string]float64{"ratio": math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error"`) {
 		t.Errorf("unencodable response: %d %q, want 500 with an error body", rec.Code, rec.Body.String())
+	}
+}
+
+// A positive weight below MinWeight is a 400 on /advise and a 400 verdict
+// on /observe, with nothing journaled; MinWeight itself is served, and so is
+// 0 (which means 1). Before the floor, 5e-324 on an /observe whose advised
+// layout reads a query's column beside another priced the shadow's cost to
+// 0 and the advised one's to 5e-324: the drift ratio went +Inf, which JSON
+// cannot render, and the request answered 500 with the batch already in the
+// WAL.
+func TestServerRejectsUnderflowingWeights(t *testing.T) {
+	st := durableStore(t, t.TempDir(), 8)
+	svc, err := OpenService(Config{DriftWindow: 8, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	// 300k rows of two 100-byte columns on the HDD: column a alone prices
+	// about 0.35 s, a and b together about 0.7 s, so 5e-324 (2^-1074) times
+	// the first rounds to 0 and times the second to 5e-324.
+	advise := func(weight string) (int, string) {
+		return post("/advise", `{"tables":[{"name":"events","rows":300000,"columns":[`+
+			`{"name":"a","kind":"char","size":100},{"name":"b","kind":"char","size":100}]}],`+
+			`"queries":[{"id":"q1","weight":`+weight+`,"tables":{"events":["a","b"]}}]}`)
+	}
+	// A batch of a whole window (8) of queries on a alone: the registration
+	// leaves the window, and the shadow reads a alone.
+	observe := func(weight string) (int, string, ObserveResponse) {
+		q := `{"attrs":["a"],"weight":` + weight + `}`
+		code, body := post("/observe", `{"batches":[{"table":"events","queries":[`+strings.Repeat(q+",", 7)+q+`]}]}`)
+		var resp ObserveResponse
+		if code == http.StatusOK && json.Unmarshal([]byte(body), &resp) != nil {
+			t.Fatalf("/observe weight %s: %q is not JSON", weight, body)
+		}
+		return code, body, resp
+	}
+
+	for _, w := range []string{"5e-324", "1e-300", "1e-17"} {
+		if code, body := advise(w); code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
+			t.Errorf("/advise weight %s: %d %q, want 400 with an error body", w, code, body)
+		}
+	}
+	code, body := advise("100")
+	var advice AdviseResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &advice) != nil ||
+		len(advice.Advice) != 1 || len(advice.Advice[0].Layout) != 1 {
+		t.Fatalf("/advise: %d %q, want 200 advising a and b together", code, body)
+	}
+	seq := st.LastSeq()
+	for _, w := range []string{"5e-324", "1e-300", "1e-17"} {
+		if code, body, resp := observe(w); code != http.StatusOK ||
+			len(resp.Verdicts) != 1 || resp.Verdicts[0].Status != http.StatusBadRequest || resp.Verdicts[0].Error == "" {
+			t.Errorf("/observe weight %s: %d %q, want one 400 verdict with an error", w, code, body)
+		}
+	}
+	if got := st.LastSeq(); got != seq {
+		t.Errorf("rejected weights journaled %d records", got-seq)
+	}
+	for _, w := range []string{strconv.FormatFloat(MinWeight, 'g', -1, 64), "0"} {
+		if code, body, resp := observe(w); code != http.StatusOK ||
+			len(resp.Verdicts) != 1 || resp.Verdicts[0].Status != http.StatusOK {
+			t.Fatalf("/observe weight %s: %d %q, want one 200 verdict", w, code, body)
+		}
 	}
 }
 
@@ -300,6 +380,98 @@ func TestWeightCeilingKeepsPricesFinite(t *testing.T) {
 				if _, err := json.Marshal(rep); err != nil {
 					t.Fatalf("%s: drift report does not encode: %v", name, err)
 				}
+			}
+			svc.Close()
+		}
+	}
+}
+
+// TestWeightFloorKeepsPricesNormal works MinWeight's bound from below, on
+// a table whose every price is as small as prices get: one row of two
+// 1-byte columns.
+//
+// Analytically: a query that reads anything reads at least one block of at
+// least one byte at no more than cost.MaxBandwidth, or misses at least one
+// line at no less than cost.MinMissLatency, so it prices at least 2^-60 s;
+// weighted at MinWeight that is at least 2^-113, and so is every sum of
+// such terms: a normal float. (The upper side is
+// TestWeightCeilingKeepsPricesFinite's.)
+//
+// Empirically: under every preset, and under each preset at the fast edges
+// of cost.Device.Validate's domain — MaxBandwidth, MinMissLatency, no seek,
+// 1-byte blocks and lines — every query prices at least 2^-60 s in the row
+// and the column layout, and a workload advised and drift-checked at
+// MinWeight reports normal prices and finite drift ratios that encode.
+func TestWeightFloorKeepsPricesNormal(t *testing.T) {
+	tab, err := schema.NewTable("tiny", 1, []schema.Column{
+		{Name: "a", Kind: schema.KindChar, Size: 1}, {Name: "b", Kind: schema.KindChar, Size: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal := func(what string, v float64) {
+		t.Helper()
+		if !(v >= 0x1p-1022) || math.IsInf(v, 0) {
+			t.Fatalf("%s = %v, not a normal positive float", what, v)
+		}
+	}
+	fastest := cost.Device{ReadBandwidth: cost.MaxBandwidth, WriteBandwidth: cost.MaxBandwidth,
+		MissLatency: cost.MinMissLatency, BlockSize: 1, CacheLineSize: 1}
+	for _, preset := range []string{"hdd", "ssd", "mm"} {
+		for _, fast := range []bool{false, true} {
+			dev, err := cost.DeviceByName(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := preset
+			if fast {
+				dev = dev.WithOverrides(fastest)
+				dev.SeekTime = 0
+				name += " fastest, smallest blocks, no seek"
+			}
+			m, err := cost.NewDeviceModel(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parts := range [][]attrset.Set{partition.Row(tab).Parts, partition.Column(tab).Parts} {
+				for _, q := range []attrset.Set{attrset.Of(0), attrset.Of(1), attrset.Of(0, 1)} {
+					qc := m.QueryCost(tab, parts, q)
+					if qc < 0x1p-60 {
+						t.Fatalf("%s: query %v over %v costs %v, below 2^-60", name, q, parts, qc)
+					}
+					normal(name+" weighted query cost", MinWeight*qc)
+				}
+			}
+
+			// Register a and b together, then observe a window of queries
+			// on a alone, all at MinWeight.
+			svc := NewService(Config{Model: m, DriftWindow: 8})
+			advice, _, err := svc.AdviseTable(schema.TableWorkload{Table: tab,
+				Queries: []schema.TableQuery{{ID: "q1", Weight: MinWeight, Attrs: attrset.Of(0, 1)}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			normal(name+" advised cost", advice.Cost)
+			normal(name+" row cost", advice.RowCost)
+			normal(name+" column cost", advice.ColumnCost)
+			for algo, c := range advice.PerAlgorithm {
+				normal(name+" "+algo+" cost", c)
+			}
+			if _, err := json.Marshal(toWire(advice, Fingerprint{}, false)); err != nil {
+				t.Fatalf("%s: advice does not encode: %v", name, err)
+			}
+			window := make([]schema.TableQuery, 8)
+			for i := range window {
+				window[i] = schema.TableQuery{ID: fmt.Sprintf("o%d", i), Weight: MinWeight, Attrs: attrset.Of(0)}
+			}
+			rep, err := observe(svc, tab, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsInf(rep.Ratio, 0) || math.IsNaN(rep.Ratio) {
+				t.Fatalf("%s: drift ratio %v", name, rep.Ratio)
+			}
+			if _, err := json.Marshal(rep); err != nil {
+				t.Fatalf("%s: drift report does not encode: %v", name, err)
 			}
 			svc.Close()
 		}

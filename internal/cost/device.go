@@ -2,7 +2,6 @@ package cost
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -201,11 +200,17 @@ func (d Device) WithOverrides(o Device) Device {
 // below (2^60 + 64)·MaxMissLatency on a cache device, and every byte count
 // fits an int64. A weighted workload multiplies that by less than 2^76
 // (the advisor's weight ceiling times the queries a request can carry)
-// and stays finite.
+// and stays finite. From below, a query that reads anything reads at least
+// one block of at least one byte, or misses at least one line, so it prices
+// at least 2^-60 s: one byte at MaxBandwidth, or one miss at MinMissLatency
+// (a zero miss latency prices every query of a cache device 0). Times the
+// advisor's weight floor that stays a normal float.
 const (
 	MaxBlockSize   = 1 << 24 // bytes
 	MinBandwidth   = 1       // bytes/second, reads and writes
+	MaxBandwidth   = 1 << 60 // bytes/second, reads and writes
 	MaxSeekTime    = 3600    // seconds per buffer refill
+	MinMissLatency = 0x1p-60 // seconds per cache miss, unless misses are free (0)
 	MaxMissLatency = 1       // seconds per cache miss
 )
 
@@ -219,16 +224,16 @@ func (d Device) Validate() error {
 		return fmt.Errorf("cost: block size %d must be in [1, %d]", d.BlockSize, MaxBlockSize)
 	case d.BufferSize <= 0:
 		return fmt.Errorf("cost: buffer size %d must be positive", d.BufferSize)
-	case !(d.ReadBandwidth >= MinBandwidth) || math.IsInf(d.ReadBandwidth, 0):
-		return fmt.Errorf("cost: read bandwidth %v must be finite and at least %d B/s", d.ReadBandwidth, MinBandwidth)
-	case d.WriteBandwidth != 0 && (!(d.WriteBandwidth >= MinBandwidth) || math.IsInf(d.WriteBandwidth, 0)):
-		return fmt.Errorf("cost: write bandwidth %v must be finite and at least %d B/s (or 0 to reuse reads)", d.WriteBandwidth, MinBandwidth)
+	case !(d.ReadBandwidth >= MinBandwidth && d.ReadBandwidth <= MaxBandwidth):
+		return fmt.Errorf("cost: read bandwidth %v must be in [%d, 2^60] B/s", d.ReadBandwidth, MinBandwidth)
+	case d.WriteBandwidth != 0 && !(d.WriteBandwidth >= MinBandwidth && d.WriteBandwidth <= MaxBandwidth):
+		return fmt.Errorf("cost: write bandwidth %v must be in [%d, 2^60] B/s (or 0 to reuse reads)", d.WriteBandwidth, MinBandwidth)
 	case !(d.SeekTime >= 0 && d.SeekTime <= MaxSeekTime):
 		return fmt.Errorf("cost: seek time %v must be in [0, %d] s", d.SeekTime, MaxSeekTime)
 	case d.CacheLineSize < 0:
 		return fmt.Errorf("cost: cache line size %d must be non-negative", d.CacheLineSize)
-	case !(d.MissLatency >= 0 && d.MissLatency <= MaxMissLatency):
-		return fmt.Errorf("cost: miss latency %v must be in [0, %d] s", d.MissLatency, MaxMissLatency)
+	case d.MissLatency != 0 && !(d.MissLatency >= MinMissLatency && d.MissLatency <= MaxMissLatency):
+		return fmt.Errorf("cost: miss latency %v must be 0 or in [2^-60, %d] s", d.MissLatency, MaxMissLatency)
 	}
 	return nil
 }

@@ -114,22 +114,30 @@ func TestModelByNameOverrides(t *testing.T) {
 }
 
 // Validate admits every device up to the domain's bounds and nothing past
-// them: a seek, miss latency or block a step over its ceiling, or a
-// bandwidth a step under its floor, is an error, and so is the first
-// value of each the wire reported priced +Inf.
+// them: a seek, miss latency, bandwidth or block a step over its ceiling, or
+// a bandwidth or nonzero miss latency a step under its floor, is an error,
+// and so is the first value of each the wire reported priced +Inf.
 func TestValidateBoundsTheDomain(t *testing.T) {
 	for _, name := range []string{"hdd", "ssd", "mm"} {
-		edge := Device{BlockSize: MaxBlockSize, ReadBandwidth: MinBandwidth, WriteBandwidth: MinBandwidth,
+		slow := Device{BlockSize: MaxBlockSize, ReadBandwidth: MinBandwidth, WriteBandwidth: MinBandwidth,
 			SeekTime: MaxSeekTime, MissLatency: MaxMissLatency, CacheLineSize: 1}
-		if _, err := ModelByName(name, edge); err != nil {
-			t.Errorf("%s at the bounds: %v", name, err)
+		fast := Device{ReadBandwidth: MaxBandwidth, WriteBandwidth: MaxBandwidth, MissLatency: MinMissLatency}
+		for _, edge := range []Device{slow, fast} {
+			if _, err := ModelByName(name, edge); err != nil {
+				t.Errorf("%s at the bounds: %v", name, err)
+			}
 		}
 		for _, past := range []Device{
 			{BlockSize: MaxBlockSize + 1},
 			{ReadBandwidth: math.Nextafter(MinBandwidth, 0)},
 			{WriteBandwidth: math.Nextafter(MinBandwidth, 0)},
+			{ReadBandwidth: math.Nextafter(MaxBandwidth, math.Inf(1))},
+			{WriteBandwidth: math.Nextafter(MaxBandwidth, math.Inf(1))},
 			{SeekTime: math.Nextafter(MaxSeekTime, math.Inf(1))},
 			{MissLatency: math.Nextafter(MaxMissLatency, math.Inf(1))},
+			{MissLatency: math.Nextafter(MinMissLatency, 0)},
+			{MissLatency: 5e-324},
+			{ReadBandwidth: math.MaxFloat64},
 			{SeekTime: 1e308},
 			{ReadBandwidth: 1e-300},
 			{MissLatency: 1e308},

@@ -48,6 +48,35 @@ func fuzzWideTable(rows int64) *schema.Table {
 	return tbl
 }
 
+// u32Cols returns the table's int and date columns: the u32 columns a σ
+// reads.
+func u32Cols(tbl *schema.Table) []int {
+	var out []int
+	for a, c := range tbl.Columns {
+		if c.Kind == schema.KindInt || c.Kind == schema.KindDate {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// fuzzBound reads a fuzzed bound in one of four ranges, by mode: as drawn,
+// across the whole u32 range; folded into the date domain, and into the int
+// columns' values (row index plus jitter below 7), where σ cuts scattered
+// patterns; and mirrored from the top, where a drawn 0 is 2^32-1 and σ keeps
+// every row.
+func fuzzBound(mode uint8, bound uint32, rows int64) uint32 {
+	switch mode & 3 {
+	case 1:
+		return bound % storage.DateDomain
+	case 2:
+		return bound % uint32(rows+7)
+	case 3:
+		return ^bound
+	}
+	return bound
+}
+
 // fuzzWideLayout derives a partitioning of the wide table from the fuzz
 // input: predAttr alone, every other column dealt in a shuffled order to a
 // random partition it still fits in on the 64-byte test pages, or to a new
@@ -119,7 +148,8 @@ func FuzzPlanVsOracle(f *testing.F) {
 		query := attrset.Set(qmask & 0xff)
 		var pred *Pred
 		if predSel&1 != 0 {
-			p := U32Less(int(predSel>>1)%len(tbl.Columns), bound)
+			u32 := u32Cols(tbl)
+			p := U32Less(u32[int(predSel>>1)%len(u32)], bound)
 			pred = &p
 		}
 
@@ -157,7 +187,7 @@ func FuzzPlanVsOracle(f *testing.F) {
 		for r := int64(0); r < rows; r++ {
 			if pred != nil {
 				gen.Value(tbl.Columns[pred.Attr], r, colBuf[pred.Attr])
-				if !pred.Match(colBuf[pred.Attr]) {
+				if !pred.match(colBuf[pred.Attr]) {
 					continue
 				}
 			}
@@ -192,23 +222,6 @@ func FuzzPlanVsOracle(f *testing.F) {
 	})
 }
 
-// fuzzPred picks one of the predicate shapes σ evaluates: the three tagged
-// comparison forms (inline over a run when the column is wide enough, Match
-// otherwise — the attribute is arbitrary, so both happen) and a hand-built
-// Pred that can only go through Match.
-func fuzzPred(form, attr int, bound uint32) Pred {
-	switch form % 4 {
-	case 0:
-		return U32Less(attr, bound)
-	case 1:
-		return U32GreaterEq(attr, bound)
-	case 2:
-		// Spread the 32 fuzzed bits over the decimal encoding's range.
-		return U64Less(attr, uint64(bound)<<16|uint64(bound>>16))
-	}
-	return Pred{Attr: attr, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
-}
-
 // FuzzVectorVsRowOracle checks, for a random layout, row count, projection
 // set, predicate, batch size and backend, that the zero-copy vector pipeline
 // reproduces BOTH its oracles exactly — the row pipeline (row_test.go) and
@@ -221,13 +234,16 @@ func fuzzPred(form, attr int, bound uint32) Pred {
 // counts that end mid-page, the all-in-one layout whose 39-byte row leaves
 // ONE row per page, 1-row batches, batches larger than the table, leaves
 // whose page boundaries never coincide, and the file backend (real page
-// buffers recycled through the cursor's ring, via vfs). Shape bit 3 swaps in
-// the wide table (fuzzWideTable): attrset.MaxAttrs columns, σ's attribute
-// alone in its partition, the query the 16-bit mask repeated across all 64.
+// buffers recycled through the cursor's ring, via vfs). σ reads any int or
+// date column (predSel picks it) at a bound read in fuzzBound's four ranges,
+// among them the empty and the full selection. Shape bit 3 swaps in the
+// wide table (fuzzWideTable): attrset.MaxAttrs columns, any of its 32 u32
+// columns σ's, alone in its partition, the query the 16-bit mask repeated
+// across all 64.
 func FuzzVectorVsRowOracle(f *testing.F) {
 	// Arguments: seed, groups, qmask, predSel, bound, batchRaw (batch-1),
-	// rowsRaw (rows-1), shape (bit 0: file backend; bits 1-2: predicate form;
-	// bit 3: the wide table).
+	// rowsRaw (rows-1), shape (bit 0: file backend; bits 1-2: fuzzBound's
+	// mode; bit 3: the wide table).
 	f.Add(uint64(1), uint64(0), uint16(0x0f), uint16(0), uint32(0), uint16(1), uint16(256), uint8(0))
 	f.Add(uint64(2), uint64(0x15a5), uint16(0xff), uint16(3), uint32(1000), uint16(6), uint16(256), uint8(2))
 	f.Add(uint64(3), uint64(0x9249), uint16(0x31), uint16(11), uint32(1<<31), uint16(63), uint16(256), uint8(5))
@@ -238,34 +254,43 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 	f.Add(uint64(6), uint64(0), uint16(0xa5), uint16(9), uint32(60), uint16(6), uint16(99), uint8(1))
 	// Four two-column groups at 8, 8, 4 and 6 rows per page: batches of 5 and
 	// 11 rows are coprime to all of them, 299 rows end mid-page on every
-	// leaf, and σ runs on the decimal (the u64 form: about half, then a
-	// bound past 2^32 that keeps every row) and on a char column (Match).
+	// leaf, and σ on an int column keeps its first 7 rows, every row (the
+	// mirrored bound), then about three quarters of them.
 	f.Add(uint64(7), uint64(0o76543210), uint16(0xff), uint16(5), uint32(7), uint16(4), uint16(298), uint8(4))
 	f.Add(uint64(8), uint64(0o76543210), uint16(0x5b), uint16(13), uint32(9), uint16(10), uint16(298), uint8(7))
 	f.Add(uint64(9), uint64(0o76543210), uint16(0x3c), uint16(5), uint32(1<<20), uint16(4), uint16(299), uint8(4))
-	// 8, 5, 8 and 5 rows per page, 37-row batches, ≥ on a date, file backend.
+	// 8, 5, 8 and 5 rows per page, 37-row batches, half a date's domain,
+	// file backend.
 	f.Add(uint64(10), uint64(0o00112233), uint16(0xff), uint16(3), uint32(1263), uint16(36), uint16(299), uint8(3))
 	// A 28-byte leaf (2 rows per page) beside 3- and 4-byte ones (21 and 16
 	// per page): a 13-row batch spans seven pages of one and at most two of
 	// the others.
 	f.Add(uint64(11), uint64(0o00012003), uint16(0xfe), uint16(9), uint32(150), uint16(12), uint16(200), uint8(1))
 	// The wide table: 1-row batches on the file backend, batches of 13, 64
-	// and past the table's end under each predicate form, none, and a
-	// projection of every column.
+	// and past the table's end under σ on its last date, on an int, on a
+	// middle date keeping every row, and none, and a projection of every
+	// column.
 	f.Add(uint64(12), uint64(1), uint16(0xffff), uint16(127), uint32(1263), uint16(0), uint16(40), uint8(9))
 	f.Add(uint64(13), uint64(2), uint16(0x5a3c), uint16(5), uint32(1<<20), uint16(12), uint16(298), uint8(10))
 	f.Add(uint64(14), uint64(3), uint16(0x8001), uint16(0), uint32(0), uint16(63), uint16(150), uint8(8))
 	f.Add(uint64(15), uint64(4), uint16(0x0ff0), uint16(99), uint32(7), uint16(199), uint16(99), uint8(15))
+	// The empty selection (bound 0) on both tables, and the full one
+	// (2^32-1) on the narrow table.
+	f.Add(uint64(16), uint64(0x15a5), uint16(0xff), uint16(3), uint32(0), uint16(6), uint16(256), uint8(0))
+	f.Add(uint64(17), uint64(5), uint16(0xffff), uint16(41), uint32(0), uint16(30), uint16(200), uint8(8))
+	f.Add(uint64(18), uint64(0o76543210), uint16(0xff), uint16(1), uint32(0), uint16(4), uint16(298), uint8(6))
 	f.Fuzz(func(t *testing.T, seed, groups uint64, qmask, predSel uint16, bound uint32, batchRaw, rowsRaw uint16, shape uint8) {
 		rows := int64(rowsRaw)%300 + 1 // [1, 300]
 		tbl := fuzzTable(rows)
 		query := attrset.Set(qmask & 0xff)
-		predAttr := int(predSel>>1) % len(tbl.Columns)
+		u32 := u32Cols(tbl)
+		predAttr := u32[int(predSel>>1)%len(u32)]
 		parts := fuzzLayout(tbl, groups)
 		if shape&8 != 0 {
 			tbl = fuzzWideTable(rows)
 			query = attrset.Set(uint64(qmask) * 0x0001000100010001)
-			predAttr = int(predSel>>1) % len(tbl.Columns)
+			u32 = u32Cols(tbl)
+			predAttr = u32[int(predSel>>1)%len(u32)]
 			parts = fuzzWideLayout(tbl, groups, predAttr)
 		}
 		layout, err := partition.New(tbl, parts)
@@ -295,7 +320,7 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 
 		var pred *Pred
 		if predSel&1 != 0 {
-			p := fuzzPred(int(shape>>1), predAttr, bound)
+			p := U32Less(predAttr, fuzzBound(shape>>1, bound, rows))
 			pred = &p
 		}
 		batch := int(batchRaw)%(int(rows)+16) + 1 // [1, rows+16]

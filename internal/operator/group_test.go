@@ -3,6 +3,7 @@ package operator
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -33,13 +34,15 @@ func groupDevices() []cost.Device {
 var groupBatchSizes = []int{1, 31, 1024, 4096}
 
 // groupCase derives a table, a layout, a predicate and up to 24 projections
-// from one seed. Projections are drawn to hit what a group shares and what
-// it must not: duplicates, empty ones, single attributes, ones inside σ's
-// partition, and extensions and truncations of earlier ones (shared
-// prefixes that then diverge). Shapes 6-11 draw a wide table instead: 13
-// to attrset.MaxAttrs columns, MaxAttrs half the time, over 8-15
-// partitions, σ's attribute alone in its own — every slice sized by the
-// table, at the limit.
+// from one seed. σ's attribute is any column, made an int or a date. Its
+// bound (shape mod 6) keeps nothing (0), every row (1) or a scattered cut
+// (2, 3: the attribute's value at row pivot); 4 and 5 draw no σ.
+// Projections are drawn to hit what a group shares and what it must not:
+// duplicates, empty ones, single attributes, ones inside σ's partition, and
+// extensions and truncations of earlier ones (shared prefixes that then
+// diverge). Shapes 6-11 draw a wide table instead: 13 to attrset.MaxAttrs
+// columns, MaxAttrs half the time, over 8-15 partitions, σ's attribute
+// alone in its own — every slice sized by the table, at the limit.
 func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, parts []attrset.Set, predAttr, form int, pivot uint64, queries []attrset.Set) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	wide := shape%12 >= 6
@@ -75,6 +78,10 @@ func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, par
 		groups[g] = groups[g].Add(a)
 	}
 	predAttr, pivot = rng.IntN(ncols), rng.Uint64()
+	cols[predAttr].Kind, cols[predAttr].Size = schema.KindInt, 4
+	if rng.IntN(2) == 0 {
+		cols[predAttr].Kind = schema.KindDate
+	}
 	if wide {
 		for g := range groups {
 			groups[g] = groups[g].Remove(predAttr)
@@ -87,7 +94,7 @@ func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, par
 		}
 	}
 
-	form = int(shape % 6) // 0-3: groupPred's forms; 4, 5: no predicate
+	form = int(shape % 6) // 0-3: groupBound's bounds; 4, 5: no predicate
 	home := parts[0]      // σ's partition, or any one without σ
 	for _, p := range parts {
 		if p.Has(predAttr) {
@@ -131,34 +138,29 @@ func groupCase(seed uint64, nproj uint8, shape uint8) (cols []schema.Column, par
 	return cols, parts, predAttr, form, pivot, queries
 }
 
-// groupPred builds σ's predicate of the given form on attr, its bound the
-// attribute's generated value at row pivot % rows, so the predicate keeps
-// some rows and drops others: the tagged comparisons (inline when the column
-// is wide enough, through Match otherwise) and a hand-built Pred that only
-// Match can evaluate.
-func groupPred(tbl *schema.Table, seed int64, form, attr int, pivot uint64) Pred {
-	c := tbl.Columns[attr]
-	v := make([]byte, max(c.Size, 8))
-	storage.NewGenerator(seed).Value(c, int64(pivot%uint64(tbl.Rows)), v[:c.Size])
+// groupBound is σ's bound for a form: 0, which keeps nothing; 2^32-1,
+// which keeps every row; and attr's generated value at row pivot % rows,
+// which keeps some rows and drops others.
+func groupBound(tbl *schema.Table, seed int64, form, attr int, pivot uint64) uint32 {
 	switch form {
 	case 0:
-		return U32Less(attr, binary.LittleEndian.Uint32(v))
+		return 0
 	case 1:
-		return U32GreaterEq(attr, binary.LittleEndian.Uint32(v))
-	case 2:
-		return U64Less(attr, binary.LittleEndian.Uint64(v))
+		return math.MaxUint32
 	}
-	return Pred{Attr: attr, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
+	v := make([]byte, 4)
+	storage.NewGenerator(seed).Value(tbl.Columns[attr], int64(pivot%uint64(tbl.Rows)), v)
+	return binary.LittleEndian.Uint32(v)
 }
 
 // FuzzGroupVsAlone holds RunGroup to its contract: every member's Result —
 // rows, checksum, ScanStats with its per-partition breakdown, per-operator
 // OpStats and fill ratios — equals the one its pipeline returns run alone,
 // field for field, and its checksum equals the row oracle's, on every
-// device and at every batch size, with a tagged, an untagged or no
-// predicate.
+// device and at every batch size, with σ keeping nothing, everything or a
+// scattered cut, or with no σ.
 func FuzzGroupVsAlone(f *testing.F) {
-	// Arguments: seed, nproj (projections-1, mod 24), shape (predicate form;
+	// Arguments: seed, nproj (projections-1, mod 24), shape (σ's bound mod 6;
 	// 6-11 mod 12 draw a wide table), rowsRaw (rows-1, mod 700).
 	f.Add(uint64(1), uint8(16), uint8(0), uint16(499))
 	f.Add(uint64(2), uint8(23), uint8(1), uint16(699))
@@ -168,8 +170,7 @@ func FuzzGroupVsAlone(f *testing.F) {
 	f.Add(uint64(6), uint8(0), uint8(0), uint16(40))
 	f.Add(uint64(7), uint8(5), uint8(5), uint16(0))
 	f.Add(uint64(8), uint8(23), uint8(0), uint16(150))
-	// Wide tables: 41 columns over 10 partitions, then MaxAttrs columns over
-	// 9, 15 and 9, under each predicate form and none.
+	// Wide tables, under each bound and none.
 	f.Add(uint64(9), uint8(23), uint8(6), uint16(299))
 	f.Add(uint64(11), uint8(15), uint8(8), uint16(120))
 	f.Add(uint64(13), uint8(9), uint8(10), uint16(60))
@@ -188,7 +189,7 @@ func FuzzGroupVsAlone(f *testing.F) {
 		}
 		var pred *Pred
 		if form < 4 {
-			p := groupPred(tbl, int64(seed), form, predAttr, pivot)
+			p := U32Less(predAttr, groupBound(tbl, int64(seed), form, predAttr, pivot))
 			pred = &p
 		}
 		for _, dev := range groupDevices() {

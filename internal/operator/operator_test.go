@@ -250,13 +250,14 @@ func TestSelectionPushdown(t *testing.T) {
 }
 
 // TestJoinOvershootAlignment drives the row oracle's merge join through its
-// realignment path directly (no built plan stacks two σ): two σ children with disjoint match sets force each side to
-// overshoot the other's candidate repeatedly, and the join must still
-// terminate having read both partitions in full.
+// realignment path directly (no built plan stacks two σ): two σ children
+// with different, interleaved match sets force each side to overshoot the
+// other's candidate repeatedly, and the join must still terminate having
+// read both partitions in full.
 func TestJoinOvershootAlignment(t *testing.T) {
 	tbl := testTable(t, 200)
 	dev := testDevice()
-	e := loadEngine(t, tbl, []attrset.Set{attrset.Of(0, 1), attrset.Of(2, 3, 4, 5)}, dev, 5)
+	e := loadEngine(t, tbl, []attrset.Set{attrset.Of(0, 4), attrset.Of(1, 2, 3, 5)}, dev, 5)
 	snap := e.Snapshot()
 	total := int64(snap.PartRowSize(0) + snap.PartRowSize(1))
 	c0, err := snap.Cursor(0, dev, total)
@@ -268,11 +269,11 @@ func TestJoinOvershootAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a0 is near-sequential (row + jitter<7): "a0 < 50" keeps roughly the
-	// first 50 rows; "a4 >= bound" keeps a different, interleaved set.
+	// first 50 rows; "a1 < DateDomain/2" keeps a scattered half of them all.
 	s0 := NewSelect(NewScan(c0, dev), U32Less(0, 50))
-	s1 := NewSelect(NewScan(c1, dev), U32GreaterEq(4, 20))
+	s1 := NewSelect(NewScan(c1, dev), U32Less(1, storage.DateDomain/2))
 	join := NewReconJoin([]Operator{s0, s1})
-	proj := NewProject(join, attrset.Of(0, 4))
+	proj := NewProject(join, attrset.Of(0, 1))
 	rows := 0
 	for {
 		r, err := proj.Next()
@@ -282,7 +283,7 @@ func TestJoinOvershootAlignment(t *testing.T) {
 		if r == nil {
 			break
 		}
-		if r.Col(0) == nil || r.Col(4) == nil {
+		if r.Col(0) == nil || r.Col(1) == nil {
 			t.Fatalf("joined row missing a side")
 		}
 		rows++
@@ -318,9 +319,10 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(snap, bad, attrset.Of(0), nil); err == nil {
 		t.Error("mismatched block size accepted")
 	}
-	noMatch := Pred{Attr: 0, Name: "broken"}
-	if _, err := Build(snap, dev, attrset.Of(0), &noMatch); err == nil {
-		t.Error("predicate without Match accepted")
+	narrow := loadEngine(t, fuzzTable(50), []attrset.Set{attrset.All(8)}, dev, 1)
+	short := U32Less(3, 1) // f3 is char(3): no u32 to read
+	if _, err := Build(narrow.Snapshot(), dev, attrset.Of(0), &short); err == nil {
+		t.Error("predicate on a 3-byte column accepted")
 	}
 	outside := U32Less(63, 1)
 	if _, err := Build(snap, dev, attrset.Of(0), &outside); err == nil {
@@ -371,36 +373,33 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 }
 
+// TestPreds holds the branchless filterRun to σ's definition (Pred.match)
+// where the generated data never goes: values and bounds at 0, around
+// 2^31 (a signed comparison would flip there) and at 2^32-1, at a stride
+// wider than the column.
 func TestPreds(t *testing.T) {
-	le4 := make([]byte, 4)
-	binary.LittleEndian.PutUint32(le4, 100)
-	le8 := make([]byte, 8)
-	binary.LittleEndian.PutUint64(le8, 5000)
-
-	if p := U32Less(0, 101); !p.Match(le4) {
-		t.Error("U32Less(101) rejects 100")
+	vals := []uint32{0, 1, 100, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1, 7}
+	const stride = 6
+	r := run{rows: make([]byte, len(vals)*stride), first: 3, n: len(vals)}
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(r.rows[i*stride+2:], v)
 	}
-	if p := U32Less(0, 100); p.Match(le4) {
-		t.Error("U32Less(100) accepts 100")
+	for _, bound := range []uint32{0, 1, 100, 101, 1 << 31, 1<<31 + 1, 1<<32 - 1} {
+		p := U32Less(0, bound)
+		sel := make([]int32, 2+len(vals))
+		got := sel[2:p.filterRun(&r, stride, 2, sel, 2)]
+		var want []int32
+		for i := range vals {
+			if p.match(r.rows[i*stride+2:]) {
+				want = append(want, int32(r.first+i))
+			}
+		}
+		if !reflect.DeepEqual(append([]int32{}, got...), append([]int32{}, want...)) {
+			t.Errorf("%v over %v: filterRun kept slots %v, the definition %v", p, vals, got, want)
+		}
 	}
-	if p := U32GreaterEq(0, 100); !p.Match(le4) {
-		t.Error("U32GreaterEq(100) rejects 100")
-	}
-	if p := U32GreaterEq(0, 101); p.Match(le4) {
-		t.Error("U32GreaterEq(101) accepts 100")
-	}
-	if p := U64Less(0, 5001); !p.Match(le8) {
-		t.Error("U64Less(5001) rejects 5000")
-	}
-	if p := U64Less(0, 5000); p.Match(le8) {
-		t.Error("U64Less(5000) accepts 5000")
-	}
-	// Narrow columns never match numeric predicates.
-	if p := U32Less(0, 1<<30); p.Match([]byte{1}) {
-		t.Error("U32Less matched a 1-byte column")
-	}
-	if p := U64Less(0, 1<<60); p.Match(le4) {
-		t.Error("U64Less matched a 4-byte column")
+	if got := U32Less(10, 1263).String(); got != "a10<1263" {
+		t.Errorf("String() = %q", got)
 	}
 }
 

@@ -143,12 +143,13 @@ func BuildExec(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred 
 	query = query.Intersect(all)
 	needed := query
 	if pred != nil {
-		if pred.Match == nil {
-			return nil, fmt.Errorf("operator: predicate %q has no Match function", pred.Name)
-		}
 		if !all.Has(pred.Attr) {
 			return nil, fmt.Errorf("operator: predicate attribute %d outside table %s",
 				pred.Attr, snap.Table().Name)
+		}
+		if c := snap.Table().Columns[pred.Attr]; c.Size < 4 {
+			return nil, fmt.Errorf("operator: predicate %v reads a u32 from %s.%s, which is %d bytes wide",
+				pred, snap.Table().Name, c.Name, c.Size)
 		}
 		needed = needed.Add(pred.Attr)
 	}

@@ -12,19 +12,19 @@ import (
 // The reference vector pipeline: the copying implementation the production
 // path replaced, kept verbatim as its oracle. A leaf TRANSPOSES every page
 // run into per-attribute column buffers the batch owns (refScan.FillInto),
-// σ calls Pred.Match per row, ⋈ aliases column slices, and π digests the
-// column buffers row by row with the row digest spelled out byte by byte —
-// no views, no page lifetime to get wrong, no inline predicate forms, no
-// word loads. It shares nothing with vector.go but the cursors, OpStats
-// and intersectSel, so a bug in how the production path walks runs, splits
-// segments or evaluates a tagged predicate cannot hide in both. refRun is
-// buildVector + runVector over these operators.
+// σ evaluates σ's definition (Pred.match) per row, ⋈ aliases column slices,
+// and π digests the column buffers row by row with the row digest spelled
+// out byte by byte — no views, no page lifetime to get wrong, no
+// branchless comparison, no word loads. It shares nothing with vector.go
+// but the cursors and OpStats, so a bug in how the production path walks
+// runs, splits segments or evaluates the predicate cannot hide in both.
+// refRun is buildVector + runVector over these operators.
 
 // refBatch is one chunk of up to cap consecutive rows flowing through the
 // reference pipeline. Rows occupy slots 0..n-1; slot i holds row Base+i of
 // the stored table, and attribute a's value lives at cols[a][i*w:(i+1)*w].
 // A nil selection vector means every slot survives; a non-nil one lists the
-// surviving slots in ascending order (σ only ever shrinks it). Leaf batches
+// surviving slots in ascending order (the plan's σ writes it). Leaf batches
 // own their column buffers; a join's output batch aliases its children's.
 type refBatch struct {
 	// Base is the table row ID of slot 0; leaves emit consecutive IDs, so
@@ -176,8 +176,8 @@ func (s *refScan) Name() string { return "scan" + s.attrs.String() }
 
 // refSelect is the vectorized σ: the predicate is evaluated over the batch's
 // predicate column into the selection vector — no row movement, no
-// per-row pulls. Row counts match the row σ's: every slot that reaches it
-// counts in, every surviving slot counts out.
+// per-row pulls. It sits directly on a leaf, so every slot reaches it: all
+// count in, every surviving slot counts out, as in the row σ.
 type refSelect struct {
 	child refOperator
 	pred  Pred
@@ -190,28 +190,18 @@ func newRefSelect(child refOperator, pred Pred) *refSelect {
 	return &refSelect{child: child, pred: pred}
 }
 
-// Apply evaluates the predicate into b's selection vector in place, one
-// Match call per row — the definition the inline forms must agree with.
+// Apply evaluates the predicate into b's selection vector, one match per
+// row — the definition filterRun must agree with.
 func (s *refSelect) Apply(b *refBatch) {
 	w := b.width[s.pred.Attr]
 	col := b.cols[s.pred.Attr]
 	sel := b.selBuf[:0]
-	if b.sel == nil {
-		s.in += int64(b.n)
-		for i := 0; i < b.n; i++ {
-			if s.pred.Match(col[i*w : (i+1)*w]) {
-				sel = append(sel, int32(i))
-			}
-		}
-	} else {
-		s.in += int64(len(b.sel))
-		for _, i := range b.sel {
-			off := int(i) * w
-			if s.pred.Match(col[off : off+w]) {
-				sel = append(sel, i)
-			}
+	for i := 0; i < b.n; i++ {
+		if s.pred.match(col[i*w : (i+1)*w]) {
+			sel = append(sel, int32(i))
 		}
 	}
+	s.in += int64(b.n)
 	b.selBuf = sel
 	b.sel = sel
 	s.out += int64(len(sel))
@@ -233,19 +223,18 @@ func (s *refSelect) Stats() OpStats {
 }
 
 // Name renders the predicate.
-func (s *refSelect) Name() string { return "σ(" + s.pred.Name + ")" }
+func (s *refSelect) Name() string { return "σ(" + s.pred.String() + ")" }
 
 // refJoin is the vectorized ⋈. Because every leaf emits consecutive
 // row IDs in identically-sized chunks, chunk k of every child covers the
-// same ID range — the row path's ID merge collapses into aligning chunk
-// selection vectors. The output batch carries no copies at all: its column
-// slices alias the children's buffers and only the intersected selection
-// vector is new. The common-granularity drain is implicit: every child is
-// pulled to end of stream no matter what the selections discard.
+// same ID range — the row path's ID merge collapses into aligning chunks.
+// The output batch carries no copies at all: its column slices alias the
+// children's buffers, and its selection vector is the one σ child's. The
+// common-granularity drain is implicit: every child is pulled to end of
+// stream no matter what the selection discards.
 type refJoin struct {
 	children []refOperator
 	out      refBatch
-	selBuf   []int32
 	in       int64
 	emitted  int64
 	joins    int64
@@ -263,7 +252,7 @@ func (j *refJoin) NextBatch() (*refBatch, error) {
 	if j.done {
 		return nil, nil
 	}
-	var sel []int32 // nil = every slot survives so far
+	var sel []int32 // nil = every slot survives
 	first := true
 	ended := 0
 	for _, c := range j.children {
@@ -288,7 +277,9 @@ func (j *refJoin) NextBatch() (*refBatch, error) {
 			j.out.cols[a] = b.cols[a]
 			j.out.width[a] = b.width[a]
 		}
-		sel = intersectSel(sel, b.sel, &j.selBuf)
+		if b.sel != nil {
+			sel = b.sel
+		}
 	}
 	if ended > 0 {
 		// Same-sized chunks over the same row count end together; a straggler

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -14,12 +15,12 @@ import (
 
 // The row-at-a-time Volcano pipeline: the executor the batch-at-a-time one
 // (vector.go) replaced in production, kept verbatim as its oracle. One row
-// per interface call, one cursor Next per row, σ through Pred.Match, ⋈ as a
-// merge on row ID, π through FoldValue/FoldRow. It shares the cursors, Row,
-// OpStats and the digest's row-at-a-time entry points with production and
-// nothing of how batches are cut, filtered, aligned or folded. buildRow
-// plans exactly as BuildExec does; rowPipeline.RunFunc aggregates with its
-// own copy of the charge.
+// per interface call, one cursor Next per row, σ through Pred.match (σ's
+// definition, below), ⋈ as a merge on row ID, π through FoldValue/FoldRow.
+// It shares the cursors, Row, OpStats and the digest's row-at-a-time entry
+// points with production and nothing of how batches are cut, filtered,
+// aligned or folded. buildRow plans exactly as BuildExec does;
+// rowPipeline.RunFunc aggregates with its own copy of the charge.
 
 // Operator is a pull-based (Volcano-style) row iterator. Next returns the
 // stream's next row, or (nil, nil) at end of stream; once it has returned
@@ -116,7 +117,7 @@ func (s *Select) Next() (*Row, error) {
 			return nil, err
 		}
 		s.in++
-		if s.pred.Match(r.Col(s.pred.Attr)) {
+		if s.pred.match(r.Col(s.pred.Attr)) {
 			s.out++
 			return r, nil
 		}
@@ -129,7 +130,12 @@ func (s *Select) Stats() OpStats {
 }
 
 // Name renders the predicate.
-func (s *Select) Name() string { return "σ(" + s.pred.Name + ")" }
+func (s *Select) Name() string { return "σ(" + s.pred.String() + ")" }
+
+// match is σ's definition, one row at a time: the attribute's first four
+// column bytes, read as a little-endian u32, below the bound. The oracles
+// evaluate it per row; production's branchless Pred.filterRun must agree.
+func (p Pred) match(col []byte) bool { return binary.LittleEndian.Uint32(col) < p.Bound }
 
 // ReconJoin is the ⋈ operator: the tuple-reconstruction join that stitches
 // a query's attributes back together across vertical partitions by merging

@@ -82,7 +82,7 @@ type binding struct {
 // the stored table, and attribute a's value lies where the plan's binding
 // places it: in slot i's row of the view of the partition that stores a. A
 // nil selection vector means every slot survives; a non-nil one lists the
-// surviving slots in ascending order (σ only ever shrinks it).
+// surviving slots in ascending order (the plan's σ writes it).
 type Batch struct {
 	// Base is the table row ID of slot 0; leaves emit consecutive IDs, so
 	// slot i is row Base+i.
@@ -212,21 +212,21 @@ func (s *VecScan) Name() string { return "scan" + s.buf.attrs.String() }
 
 // VecSelect is the vectorized σ: the predicate is evaluated over the
 // predicate column where it lies on the page, run by run, into the selection
-// vector — no row movement, no per-row pulls, and for the built-in
-// comparison forms no call and no branch per row either (Pred.filterRun).
-// Build pushes it directly above the leaf that stores the predicate's
-// attribute, below any join, so non-matching rows never cost a
+// vector — no row movement, no per-row pulls, no call and no branch per row
+// (Pred.filterRun). Build pushes it directly above the leaf that stores the
+// predicate's attribute, below any join, so non-matching rows never cost a
 // reconstruction, and binds it to that leaf's view and the column's place
-// in the row once. Every slot that reaches it counts in, every surviving
-// slot counts out. The vector lives in a selMemo: its own, or the one
-// RunGroup gives every σ of a group, where the first σ to see a batch
-// filters it and the others take its vector.
+// in the row once. It is a plan's only σ, so every batch reaches it whole:
+// every slot counts in, every surviving slot counts out. The vector lives
+// in a selMemo: its own, or the one RunGroup gives every σ of a group,
+// where the first σ to see a batch filters it and the others take its
+// vector.
 type VecSelect struct {
 	child VecOperator
 	pred  Pred
-	v     *view          // the view of the leaf storing pred.Attr
-	col   storage.ColLoc // where pred.Attr lies in that leaf's rows
-	memo  *selMemo       // nil until the first batch or RunGroup sets it
+	v     *view    // the view of the leaf storing pred.Attr
+	off   int      // where pred.Attr lies in that leaf's rows
+	memo  *selMemo // nil until the first batch or RunGroup sets it
 	in    int64
 	out   int64
 }
@@ -235,7 +235,7 @@ type VecSelect struct {
 // column off leaf's pages: the leaf it sits directly above in a plan, and
 // in any case the one storing pred.Attr.
 func newVecSelect(child VecOperator, leaf *VecScan, pred Pred) *VecSelect {
-	return &VecSelect{child: child, pred: pred, v: &leaf.view, col: leaf.buf.bind.loc[pred.Attr]}
+	return &VecSelect{child: child, pred: pred, v: &leaf.view, off: leaf.buf.bind.loc[pred.Attr].Off}
 }
 
 // NextBatch pulls one batch and filters it into the memo's buffer, or takes
@@ -249,36 +249,15 @@ func (s *VecSelect) NextBatch() (*Batch, error) {
 		s.memo = new(selMemo)
 	}
 	m := s.memo
-	v, off, w := s.v, s.col.Off, s.col.Width
-	if b.sel == nil {
-		s.in += int64(b.n)
-		if m.n != b.n || m.base != b.Base {
-			sel := m.grow(b.n)
-			k := 0
-			for ri := range v.runs {
-				k = s.pred.filterRun(&v.runs[ri], v.rowSize, off, w, sel, k)
-			}
-			m.base, m.n, m.sel = b.Base, b.n, sel[:k]
+	if m.n != b.n || m.base != b.Base {
+		sel, k := m.grow(b.n), 0
+		for ri := range s.v.runs {
+			k = s.pred.filterRun(&s.v.runs[ri], s.v.rowSize, s.off, sel, k)
 		}
-		b.sel = m.sel
-	} else {
-		// A batch some other σ already thinned: only its survivors are
-		// looked at, compacted into the memo's buffer (k never passes the
-		// read position, should that be the same buffer). What survives
-		// depends on the σ below, not on Base and length alone, so nothing
-		// is recorded.
-		s.in += int64(len(b.sel))
-		sel := m.grow(len(b.sel))
-		k := 0
-		for _, i := range b.sel {
-			if s.pred.Match(v.row(int(i))[off : off+w]) {
-				sel[k] = i
-				k++
-			}
-		}
-		m.n = 0
-		b.sel = sel[:k]
+		m.base, m.n, m.sel = b.Base, b.n, sel[:k]
 	}
+	b.sel = m.sel
+	s.in += int64(b.n)
 	s.out += int64(len(b.sel))
 	return b, nil
 }
@@ -288,26 +267,29 @@ func (s *VecSelect) Stats() OpStats {
 	return OpStats{Op: "select", Name: s.Name(), RowsIn: s.in, RowsOut: s.out}
 }
 
-// Name renders the predicate.
-func (s *VecSelect) Name() string { return "σ(" + s.pred.Name + ")" }
+// Name renders the predicate, e.g. "σ(a10<1263)".
+func (s *VecSelect) Name() string {
+	var b [32]byte
+	return string(append(s.pred.appendTo(append(b[:0], "σ("...)), ')'))
+}
 
 // VecReconJoin is the ⋈: the tuple-reconstruction join that stitches a
 // query's attributes back together across vertical partitions. Because
 // every leaf emits consecutive row IDs in identically-sized chunks, chunk k
 // of every child covers the same ID range — a merge on row ID collapses
-// into aligning chunk selection vectors. The output batch carries no bytes
-// at all: it shares its children's binding, which already places every
-// attribute in the view of the leaf storing it, so only the intersected
-// selection vector is new; one reconstruction join is counted per
-// surviving row per partition beyond the first (the paper's counting). The
-// common-granularity rule — every referenced partition is read in full even
-// under a selective plan, so physical cost stays the cost model's full-scan
-// charge — is implicit: every child is pulled to end of stream no matter
-// what the selections discard.
+// into aligning chunks. The output batch carries no bytes at all: it shares
+// its children's binding, which already places every attribute in the view
+// of the leaf storing it, and takes the selection vector of its one σ
+// child (a plan holds at most one σ; the other children pass every slot);
+// one reconstruction join is counted per surviving row per partition
+// beyond the first (the paper's counting). The common-granularity rule —
+// every referenced partition is read in full even under a selective plan,
+// so physical cost stays the cost model's full-scan charge — is implicit:
+// every child is pulled to end of stream no matter what the selection
+// discards.
 type VecReconJoin struct {
 	children []VecOperator
 	out      Batch
-	selBuf   []int32
 	in       int64
 	emitted  int64
 	joins    int64
@@ -326,7 +308,7 @@ func (j *VecReconJoin) NextBatch() (*Batch, error) {
 	if j.done {
 		return nil, nil
 	}
-	var sel []int32 // nil = every slot survives so far
+	var sel []int32 // nil = every slot survives
 	first := true
 	ended := 0
 	for _, c := range j.children {
@@ -346,7 +328,9 @@ func (j *VecReconJoin) NextBatch() (*Batch, error) {
 			return nil, fmt.Errorf("operator: join children out of chunk alignment (base %d/%d rows %d/%d)",
 				b.Base, j.out.Base, b.n, j.out.n)
 		}
-		sel = intersectSel(sel, b.sel, &j.selBuf)
+		if b.sel != nil {
+			sel = b.sel
+		}
 	}
 	if ended > 0 {
 		// Same-sized chunks over the same row count end together; a straggler
@@ -362,33 +346,6 @@ func (j *VecReconJoin) NextBatch() (*Batch, error) {
 	j.emitted += int64(live)
 	j.joins += int64(live) * int64(len(j.children)-1)
 	return &j.out, nil
-}
-
-// intersectSel intersects two selection vectors (nil = all slots). buf is
-// the join-owned backing storage, grown once and reused per chunk.
-func intersectSel(a, b []int32, buf *[]int32) []int32 {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		return b
-	}
-	out := (*buf)[:0]
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		switch {
-		case a[i] < b[k]:
-			i++
-		case a[i] > b[k]:
-			k++
-		default:
-			out = append(out, a[i])
-			i++
-			k++
-		}
-	}
-	*buf = out
-	return out
 }
 
 // Stats reports the merge's row flow and reconstruction count.

@@ -272,86 +272,3 @@ func TestBatchAccessors(t *testing.T) {
 		t.Errorf("selected batch: sel %v live %d", b.Sel(), b.live())
 	}
 }
-
-// TestIntersectSel pins the selection-vector intersection (nil = all).
-func TestIntersectSel(t *testing.T) {
-	var buf []int32
-	if got := intersectSel(nil, nil, &buf); got != nil {
-		t.Errorf("nil∩nil = %v", got)
-	}
-	a := []int32{0, 2, 5}
-	if got := intersectSel(a, nil, &buf); !reflect.DeepEqual(got, a) {
-		t.Errorf("a∩nil = %v", got)
-	}
-	if got := intersectSel(nil, a, &buf); !reflect.DeepEqual(got, a) {
-		t.Errorf("nil∩a = %v", got)
-	}
-	b := []int32{2, 3, 5, 7}
-	if got := intersectSel(a, b, &buf); !reflect.DeepEqual(got, []int32{2, 5}) {
-		t.Errorf("a∩b = %v", got)
-	}
-	if got := intersectSel([]int32{1}, []int32{2}, &buf); len(got) != 0 {
-		t.Errorf("disjoint = %v", got)
-	}
-}
-
-// TestVecSelectStacked covers the σ-over-σ path no built plan takes: a
-// selection over an already-thinned batch evaluates survivors only and
-// compacts the selection vector in place. Both orders must keep exactly the
-// rows both predicates match, and count only what reached them.
-func TestVecSelectStacked(t *testing.T) {
-	const rows = 300
-	dev := testDevice()
-	e := loadEngine(t, testTable(t, rows), testLayouts["row"], dev, 9)
-	snap := e.Snapshot()
-	lo, hi := U32GreaterEq(1, storage.DateDomain/4), U32Less(1, storage.DateDomain/2)
-	odd := Pred{Attr: 3, Name: "odd", Match: func(col []byte) bool { return col[0]&1 == 1 }}
-	for _, preds := range [][2]Pred{{lo, hi}, {hi, odd}, {odd, lo}} {
-		var want []int64
-		cur, err := snap.Cursor(0, dev, int64(snap.PartRowSize(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := int64(0); ; id++ {
-			ok, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if preds[0].Match(cur.Col(preds[0].Attr)) && preds[1].Match(cur.Col(preds[1].Attr)) {
-				want = append(want, id)
-			}
-		}
-
-		cur, err = snap.Cursor(0, dev, int64(snap.PartRowSize(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaf := newVecScan(&binding{loc: snap.Format(), views: make([]*view, 1)}, 0, cur, dev, 23)
-		inner := newVecSelect(leaf, leaf, preds[0])
-		outer := newVecSelect(inner, leaf, preds[1])
-		var got []int64
-		for {
-			b, err := outer.NextBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			for _, s := range b.Sel() {
-				got = append(got, b.Base+int64(s))
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s then %s: kept %v, want %v", preds[0].Name, preds[1].Name, got, want)
-		}
-		in, out := inner.Stats(), outer.Stats()
-		if in.RowsIn != rows || out.RowsIn != in.RowsOut || out.RowsOut != int64(len(want)) {
-			t.Errorf("%s then %s: row flow %d->%d, %d->%d, want %d->·->%d",
-				preds[0].Name, preds[1].Name, in.RowsIn, in.RowsOut, out.RowsIn, out.RowsOut, rows, len(want))
-		}
-	}
-}

@@ -54,18 +54,13 @@ func benchmarkOperatorPipeline(b *testing.B, sel *Selection) {
 	}
 	defer e.Close()
 	snap := e.Snapshot()
-	var pred *operator.Pred
-	if sel != nil {
-		p := sel.pred()
-		pred = &p
-	}
 
 	var rows int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows = 0
 		for _, q := range tw.Queries {
-			pipe, err := operator.Build(snap, cfg.Disk, q.Attrs, pred)
+			pipe, err := operator.Build(snap, cfg.Disk, q.Attrs, sel)
 			if err != nil {
 				b.Fatal(err)
 			}

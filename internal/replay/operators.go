@@ -10,20 +10,15 @@ import (
 	"knives/internal/storage"
 )
 
-// Selection configures an optional σ pushed down into every query of an
-// operator replay: accept rows whose little-endian u32 column Attr (an int
-// or date column) is strictly below Bound. The selection attribute joins
-// each query's referenced set, exactly as a WHERE clause would, and the
-// common-granularity rule still reads every referenced partition in full —
-// so the PREDICTED cost of a selective query is the full-scan
-// cost of (query attrs ∪ {Attr}), and the measurement must equal it.
-type Selection struct {
-	Attr  int
-	Bound uint32
-}
-
-// pred builds the operator predicate.
-func (s Selection) pred() operator.Pred { return operator.U32Less(s.Attr, s.Bound) }
+// Selection is the σ an operator replay pushes into every query: accept
+// rows whose little-endian u32 column Attr (an int or date column) is
+// strictly below Bound — operator.Pred, the executor's one selection form.
+// The selection attribute joins each query's referenced set, exactly as a
+// WHERE clause would, and the common-granularity rule still reads every
+// referenced partition in full — so the PREDICTED cost of a selective query
+// is the full-scan cost of (query attrs ∪ {Attr}), and the measurement must
+// equal it.
+type Selection = operator.Pred
 
 // OperatorReplay is a TableReplay with the per-query σ/π/⋈ plans and
 // per-operator breakdowns its numbers were composed from alongside.

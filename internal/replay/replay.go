@@ -356,17 +356,14 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		ExecMode:   cfg.ExecMode,
 		FillRatios: make([][]float64, n),
 	}
-	var pred *operator.Pred
 	if sel != nil {
-		p := sel.pred()
-		pred = &p
-		rep.Selection = p.Name
+		rep.Selection = sel.String()
 	}
 	opts := operator.ExecOptions{BatchSize: cfg.BatchSize}
 	snap := e.Snapshot()
 	pipes := make([]*operator.Pipeline, n)
 	for i, q := range tw.Queries {
-		if pipes[i], err = operator.BuildExec(snap, cfg.Disk, q.Attrs, pred, opts); err != nil {
+		if pipes[i], err = operator.BuildExec(snap, cfg.Disk, q.Attrs, sel, opts); err != nil {
 			return nil, fmt.Errorf("replay: plan %s/%s: %w", sample.Name, q.ID, err)
 		}
 	}

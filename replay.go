@@ -1,21 +1,18 @@
 package knives
 
 import (
-	"fmt"
-
-	"knives/internal/algo"
 	"knives/internal/algorithms"
 	"knives/internal/partition"
 	"knives/internal/replay"
 )
 
-// Replay types: the execution-backed validation layer. A replay
-// materializes a layout through the storage engine, executes the full
-// per-table workload as σ/π/⋈ operator pipelines with a parallel worker
-// pool, and reports measured seeks, bytes, and simulated time against the
-// cost model's predictions — which must agree bit for bit. Replay* and
-// Execute* run the same executor; Execute* also reports each query's plan
-// and per-operator accounting, and can push a selection into the scans.
+// Replay types: the execution-backed validation layer. An execution
+// materializes a layout through the storage engine, runs the full per-table
+// workload as σ/π/⋈ operator pipelines, and reports measured seeks, bytes,
+// and simulated time against the cost model's predictions — which must
+// agree bit for bit — with each query's plan and per-operator accounting
+// alongside; a selection can be pushed into the scans. The report's
+// TableReplay is the totals alone.
 type (
 	// ReplayConfig parameterizes a replay (device/model name with optional
 	// hardware overrides, row cap, worker pool, seed, backend).
@@ -32,22 +29,6 @@ type (
 	Selection = replay.Selection
 )
 
-// ReplayLayout materializes the table under the given layout and replays
-// the workload, comparing every measurement against the cost model.
-func ReplayLayout(tw TableWorkload, layout Partitioning, algorithm string, cfg ReplayConfig) (*TableReplay, error) {
-	return replay.Layout(tw, layout, algorithm, cfg)
-}
-
-// ReplayAlgorithm searches the full-scale workload with the named algorithm
-// ("Row" and "Column" name the baseline families) and replays the result.
-func ReplayAlgorithm(tw TableWorkload, name string, cfg ReplayConfig) (*TableReplay, error) {
-	layout, resolved, err := searchLayout(tw, name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return replay.Layout(tw, layout, resolved, cfg)
-}
-
 // searchLayout resolves name to a layout for tw under cfg's cost model. The
 // name search lives here, not in replay, so that knivesd, which replays
 // only advised layouts, links no knife it does not serve.
@@ -57,35 +38,6 @@ func searchLayout(tw TableWorkload, name string, cfg ReplayConfig) (Partitioning
 		return Partitioning{}, "", err
 	}
 	return algorithms.Layout(tw, name, m)
-}
-
-// ReplayBenchmark replays every table of a benchmark under the named
-// algorithm, fanning tables out concurrently. Reports keep the benchmark's
-// table order; the lowest-index error wins.
-func ReplayBenchmark(b *Benchmark, name string, cfg ReplayConfig) ([]*TableReplay, error) {
-	if b == nil {
-		return nil, fmt.Errorf("knives: nil benchmark")
-	}
-	tws := b.TableWorkloads()
-	out := make([]*TableReplay, len(tws))
-	err := algo.FanOut(len(tws), func(i int) (err error) {
-		out[i], err = ReplayAlgorithm(tws[i], name, cfg)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReplayAdvice replays an advisor recommendation: the advised layout is
-// rebound onto the workload's table and replayed under the config.
-func ReplayAdvice(tw TableWorkload, advice TableAdvice, cfg ReplayConfig) (*TableReplay, error) {
-	layout, err := partition.New(tw.Table, advice.Layout.Parts)
-	if err != nil {
-		return nil, err
-	}
-	return replay.Layout(tw, layout, advice.Algorithm, cfg)
 }
 
 // ExecuteLayout materializes the table under the given layout and EXECUTES
