@@ -137,6 +137,7 @@ var (
 	replayPkg      = pkgPath("internal/replay")
 	experimentsPkg = pkgPath("internal/experiments")
 	attrsetPkg     = pkgPath("internal/attrset")
+	costPkg        = pkgPath("internal/cost")
 )
 
 // none forbids every fact the pattern matches.
@@ -256,6 +257,19 @@ var architecture = []rule{
 		deleted("U32GreaterEq", "U64Less", "predForm"),
 		none(pattern{kind: declared, pkg: operator, recv: "Pred", typeArg: "func"}),
 		none(pattern{pkg: module, names: []string{"ReplayLayout", "ReplayAlgorithm", "ReplayBenchmark", "ReplayAdvice"}}),
+	}},
+	{name: "one reader, one writer", limits: []limit{
+		// Storage moves bytes through two primitives: PartCursor reads, for
+		// a scan and a repartition alike, and one partition writer writes,
+		// for a load and a repartition alike; so the buffer-refill rule is
+		// written twice, once per direction. The cache line is the device's,
+		// fixed when the engine is built.
+		deleted("readMovedPart", "writeMovedPart", "loadPart", "SetCacheLine", "DefaultCacheLine"),
+		none(pattern{kind: declared, pkg: storage, recv: "Snapshot", names: []string{"CacheLine"}}),
+		none(pattern{kind: declared, pkg: storage, recv: "Engine", names: []string{"gen"}}),
+		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}}, want: 2},
+		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}, fn: "(*Snapshot).Cursor"}, want: 1},
+		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}, fn: "(*Engine).writePart"}, want: 1},
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
@@ -832,6 +846,15 @@ var plants = []struct {
 	{"one selection form", "internal/operator/pred.go", "type Pred struct {\n", "\tMatch func(col []byte) bool"},
 	{"one selection form", "replay.go", "", "func ReplayLayout() {}"},
 	{"one selection form", "cmd/knives/main.go", "", "func init() { knives.ReplayAdvice() }"},
+	{"one reader, one writer", "internal/storage/repartition.go", "", "func (e *Engine) readMovedPart() {}"},
+	{"one reader, one writer", "internal/storage/repartition.go", "", "func (e *Engine) writeMovedPart() {}"},
+	{"one reader, one writer", "internal/storage/engine.go", "", "func (e *Engine) loadPart() {}"},
+	{"one reader, one writer", "internal/storage/engine.go", "", "func (e *Engine) SetCacheLine(bytes int64) error { return nil }"},
+	{"one reader, one writer", "internal/storage/engine.go", "", "const DefaultCacheLine = 64"},
+	{"one reader, one writer", "internal/storage/snapshot.go", "", "func (s *Snapshot) CacheLine() int64 { return s.disk.CacheLineSize }"},
+	{"one reader, one writer", "internal/storage/engine.go", "type Engine struct {\n", "\tgen *Generator"},
+	{"one reader, one writer", "internal/storage/engine.go", "", "func (e *Engine) readShare(p *enginePart, total int64) int64 { return cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), total) }"},
+	{"one reader, one writer", "internal/storage/snapshot.go", "p := &s.ep.parts[i]\n", "\t_ = cost.BufferShare"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
 	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},

@@ -23,21 +23,16 @@
 //	    or run knivesd with -prewarm) so the tables are registered.
 //
 //	knives exec [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
-//	            [-select-table NAME -select-column COL [-select-bound N]]
+//	            [store] [-select-table NAME -select-column COL [-select-bound N]]
 //	            [remote]
-//	    Advise (or name) a layout per table, materialize it, run every query
-//	    as a streaming σ/π/⋈ operator pipeline over an epoch snapshot, print
-//	    each plan with its per-operator accounting, and verify the measured
-//	    cost equals the cost model bit for bit (non-zero exit otherwise).
+//	    Advise (or name) a layout per table, materialize it on mem- or
+//	    file-backed pages, run every query as a streaming σ/π/⋈ operator
+//	    pipeline over an epoch snapshot, print the table's totals, then each
+//	    plan with its per-operator accounting, and verify the measured cost
+//	    equals the cost model bit for bit (non-zero exit otherwise).
 //	    -select-* pushes a σ(column < bound) on an int or date column into
 //	    one table's scans. With -server, a running knivesd executes via
-//	    POST /query instead.
-//
-//	knives replay [workload] [target: -algorithm advisor|NAME|Row|Column] [sample]
-//	              [store]
-//	    exec minus the selection and -server flags and the per-operator
-//	    rows of the report: the same chain on the same executor, on mem- or
-//	    file-backed pages.
+//	    POST /query instead (the store flags are refused there).
 //
 //	knives migrate [workload] [target: -algorithm advisor|NAME] [sample] [store]
 //	               [-drift F] [-drift-seed N] [-window N]
@@ -66,8 +61,8 @@
 // -read-mbps, -write-mbps, -cache-line BYTES, -miss-ns (0 = keep the
 // preset's value).
 //
-// advise, observe, replay, exec, and migrate accept -verbose: a per-step
-// timing breakdown (benchmark build, per-table searches, replays, server
+// advise, observe, exec, and migrate accept -verbose: a per-step
+// timing breakdown (benchmark build, per-table searches, executions, server
 // round-trips) printed to stderr, leaving stdout parseable.
 package main
 
@@ -112,8 +107,6 @@ func run(args []string) int {
 		err = runAdvise(args[1:])
 	case "observe":
 		err = runObserve(args[1:])
-	case "replay":
-		err = runReplay(args[1:])
 	case "exec":
 		err = runExec(args[1:])
 	case "migrate":
@@ -206,16 +199,15 @@ commands:
   optimize [flags]          compute layouts for one or all tables
   advise [flags]            recommend the best layout per table
   observe [flags]           stream batched observations to a running knivesd
-  replay [flags]            execute advised layouts and verify the cost model
-  exec [flags]              run the workload as σ/π/⋈ operator pipelines (optionally via knivesd)
+  exec [flags]              execute advised layouts as σ/π/⋈ pipelines, verify the cost model (optionally via knivesd)
   migrate [flags]           plan + execute a drift-triggered re-layout and verify it
   experiment <id|all>       regenerate a paper figure or table
 
 run "knives <command> -h" for command flags`)
 }
 
-// command is the flag set and per-table loop that optimize, advise, replay,
-// exec, and migrate share. Each subcommand registers only the flag groups it
+// command is the flag set and per-table loop that optimize, advise, exec,
+// and migrate share. Each subcommand registers only the flag groups it
 // accepts — so none gains a flag it did not have — parses, and resolves the
 // shared ones in one place.
 type command struct {
@@ -321,18 +313,16 @@ func (c *command) client() (*advisor.Client, error) {
 // an unknown backend must fail fast, not after minutes of optimization (and
 // not never, when a migration plan happens to be an identity).
 func (c *command) replayConfig() (knives.ReplayConfig, func(), error) {
-	cfg := knives.ReplayConfig{Model: *c.modelName, Disk: c.override, MaxRows: *c.rows, Seed: *c.seed}
+	cfg := knives.ReplayConfig{Model: *c.modelName, Disk: c.override, MaxRows: *c.rows, Seed: *c.seed,
+		Backend: *c.backend, Dir: *c.dir}
 	cleanup := func() {}
-	if c.backend != nil {
-		cfg.Backend, cfg.Dir = *c.backend, *c.dir
-		if cfg.Backend == "file" && cfg.Dir == "" {
-			tmp, err := os.MkdirTemp("", "knives-"+c.fs.Name()+"-")
-			if err != nil {
-				return cfg, cleanup, err
-			}
-			cleanup = func() { os.RemoveAll(tmp) }
-			cfg.Dir = tmp
+	if cfg.Backend == "file" && cfg.Dir == "" {
+		tmp, err := os.MkdirTemp("", "knives-"+c.fs.Name()+"-")
+		if err != nil {
+			return cfg, cleanup, err
 		}
+		cleanup = func() { os.RemoveAll(tmp) }
+		cfg.Dir = tmp
 	}
 	_, _, err := cfg.Normalized()
 	return cfg, cleanup, err
@@ -596,52 +586,44 @@ func runObserve(args []string) error {
 	return nil
 }
 
-func runReplay(args []string) error { return runExecute("replay", args) }
-
-func runExec(args []string) error { return runExecute("exec", args) }
-
-// runExecute is both `knives exec` and `knives replay`: advise (or name) a
-// layout per table, materialize it, execute the workload as σ/π/⋈ operator
-// pipelines over an epoch snapshot, and verify that measured equals
-// predicted bit for bit. exec prints each plan with its per-operator
-// accounting, takes a selection, and can run via a knivesd's
-// POST /query; replay prints the totals alone and keeps the page-store
-// flags.
-func runExecute(name string, args []string) error {
-	pipelines := name == "exec"
-	c := newCommand(name)
+// runExec advises (or names) a layout per table, materializes it on mem- or
+// file-backed pages, executes the workload as σ/π/⋈ operator pipelines over
+// an epoch snapshot, prints each table's totals, plans and per-operator
+// accounting, and verifies that measured equals predicted bit for bit. With
+// -server, a running knivesd executes via POST /query instead, so the
+// page-store flags are refused there.
+func runExec(args []string) error {
+	c := newCommand("exec")
 	c.target("advisor", "layout source: an algorithm name, Row, Column, or advisor (portfolio winner)", true)
 	c.sample()
-	var selTable, selColumn *string
-	var selBound *uint64
-	if pipelines {
-		selTable = c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
-		selColumn = c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
-		selBound = c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
-		c.remote("execute via a running knivesd at this base URL (POST /query)")
-	} else {
-		c.store()
-	}
+	c.store()
+	selTable := c.fs.String("select-table", "", "table whose pipelines gain a pushed-down selection")
+	selColumn := c.fs.String("select-column", "", "u32 column (int or date) the selection filters on")
+	selBound := c.fs.Uint64("select-bound", 0, "keep rows with column value strictly below this bound")
+	c.remote("execute via a running knivesd at this base URL (POST /query)")
 	c.verboseFlag()
 	if err := c.parse(args); err != nil {
 		return err
 	}
 	defer c.vt.total()
 
+	if (*selTable == "") != (*selColumn == "") {
+		return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
+	}
+	if *selBound > 1<<32-1 {
+		return usageError{err: fmt.Errorf("-select-bound %d exceeds uint32", *selBound)}
+	}
 	var sel *advisor.SelectionSpec
-	if pipelines {
-		if (*selTable == "") != (*selColumn == "") {
-			return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
+	if *selTable != "" {
+		sel = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
+	}
+	if *c.server != "" {
+		local := false
+		c.fs.Visit(func(f *flag.Flag) { local = local || f.Name == "backend" || f.Name == "dir" })
+		if local {
+			return usageError{err: fmt.Errorf("-backend and -dir apply to a local run, not with -server")}
 		}
-		if *selBound > 1<<32-1 {
-			return usageError{err: fmt.Errorf("-select-bound %d exceeds uint32", *selBound)}
-		}
-		if *selTable != "" {
-			sel = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
-		}
-		if *c.server != "" {
-			return execViaServer(c, sel)
-		}
+		return execViaServer(c, sel)
 	}
 
 	cfg, cleanup, err := c.replayConfig()
@@ -673,19 +655,11 @@ func runExecute(name string, args []string) error {
 		if sel != nil && sel.Table == tw.Table.Name {
 			tsel = opSel
 		}
-		exec, err := knives.ExecuteLayout(tw, layout, algorithm, cfg, tsel)
+		rep, err := knives.ExecuteLayout(tw, layout, algorithm, cfg, tsel)
 		if err != nil {
 			return err
 		}
-		// replay prints the totals alone, exec the plans and operators too.
-		var rep interface {
-			fmt.Stringer
-			Exact() bool
-		} = &exec.TableReplay
-		if pipelines {
-			rep = exec
-		}
-		c.vt.step(name + " " + tw.Table.Name)
+		c.vt.step("exec " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
 		allExact = allExact && rep.Exact()

@@ -150,10 +150,10 @@ func TestRunAdvise(t *testing.T) {
 	}
 }
 
-// replay, exec, and migrate share one flag set and one per-table loop, so
-// the same cases drive all three: a nil error IS the zero-tolerance
-// assertion (any measured/predicted divergence makes the command error).
-func TestRunReplaySmallTable(t *testing.T) {
+// exec and migrate share one flag set and one per-table loop, so the same
+// cases drive both: a nil error IS the zero-tolerance assertion (any
+// measured/predicted divergence makes the command error).
+func TestRunExecSmallTable(t *testing.T) {
 	for _, tc := range []struct {
 		cmd   string
 		run   func([]string) error
@@ -161,17 +161,15 @@ func TestRunReplaySmallTable(t *testing.T) {
 	}{
 		// Region at SF 0.01 with a capped sample: the full advise-
 		// materialize-execute-verify path.
-		{"replay", runReplay, nil},
 		{"exec", runExec, nil},
 		{"migrate", runMigrate, []string{"-drift", "0.5"}},
 		// A named algorithm, the MM model, and the file backend all flow
 		// through the same path.
-		{"replay", runReplay, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
+		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
 		{"migrate", runMigrate, []string{"-algorithm", "HillClimb", "-model", "mm", "-backend", "file"}},
-		// exec has no page-store flags; its own flags are the pushed-down
-		// selection (region's int key), and the baseline families are
-		// layout sources like any algorithm.
-		{"exec", runExec, []string{"-algorithm", "HillClimb", "-model", "mm"}},
+		// exec's own flags are the pushed-down selection (region's int
+		// key), and the baseline families are layout sources like any
+		// algorithm.
 		{"exec", runExec, []string{"-algorithm", "Column", "-select-table", "region", "-select-column", "r_regionkey", "-select-bound", "3"}},
 	} {
 		args := append([]string{"-table", "region", "-sf", "0.01", "-rows", "500"}, tc.extra...)
@@ -181,7 +179,7 @@ func TestRunReplaySmallTable(t *testing.T) {
 	}
 }
 
-func TestRunReplayRejectsBadFlags(t *testing.T) {
+func TestRunExecRejectsBadFlags(t *testing.T) {
 	region := []string{"-table", "region", "-sf", "0.01"}
 	shared := [][]string{
 		{"-model", "quantum"},
@@ -189,16 +187,14 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 		append([]string{"-algorithm", "Nope"}, region...),
 		{"-table", "nonexistent", "-sf", "0.01"},
 		append([]string{"-rows", "-4"}, region...),
+		append([]string{"-backend", "s3"}, region...),
 	}
-	for _, cmd := range []string{"replay", "exec", "migrate"} {
+	for _, cmd := range []string{"exec", "migrate"} {
 		cases := shared
-		switch cmd {
-		case "exec":
+		if cmd == "exec" {
 			cases = append(cases[:len(cases):len(cases)],
 				append([]string{"-select-table", "region"}, region...),
 				append([]string{"-select-table", "region", "-select-column", "nope"}, region...))
-		default:
-			cases = append(cases[:len(cases):len(cases)], append([]string{"-backend", "s3"}, region...))
 		}
 		for _, args := range cases {
 			if got := run(append([]string{cmd}, args...)); got == 0 {
@@ -229,25 +225,27 @@ func TestRunReplayRejectsBadFlags(t *testing.T) {
 		"-select-table", "nosuch", "-select-column", "r_regionkey", "-select-bound", "5"}); got != 2 {
 		t.Errorf("exec -select-table nosuch exited %d, want 2", got)
 	}
-	// Each subcommand keeps exactly its own flags: exec has no page store,
-	// and the executor-selecting, pool-sizing and batch-sizing flags are gone
-	// from every executing command.
+	// The executor-selecting, pool-sizing and batch-sizing flags are gone
+	// from every executing command, and replay is exec now.
 	for _, args := range [][]string{
-		{"replay", "-batch", "64"},
 		{"exec", "-batch", "64"},
-		{"replay", "-exec", "vector"},
 		{"exec", "-exec", "vector"},
 		{"exec", "-exec-workers", "2"},
-		{"replay", "-workers", "2"},
 		{"exec", "-workers", "2"},
 		{"migrate", "-workers", "2"},
+		{"replay", "-table", "region", "-sf", "0.01"},
 	} {
 		if got := run(args); got != 2 {
-			t.Errorf("%v exited %d, want 2 (flag provided but not defined)", args, got)
+			t.Errorf("%v exited %d, want 2 (usage error)", args, got)
 		}
 	}
-	if got := run([]string{"exec", "-backend", "file"}); got != 2 {
-		t.Errorf("exec accepted replay's -backend flag (exit %d)", got)
+	// The page store is a local run's: with -server the daemon's store
+	// answers, so -backend and -dir are refused before any request.
+	for _, store := range [][]string{{"-backend", "file"}, {"-dir", t.TempDir()}, {"-backend", "mem"}} {
+		args := append([]string{"exec", "-server", "http://127.0.0.1:1"}, store...)
+		if got := run(args); got != 2 {
+			t.Errorf("%v exited %d, want 2 (usage error)", args, got)
+		}
 	}
 }
 

@@ -31,16 +31,12 @@ func TestOnEngineMatchesLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := storage.NewEngine(layout, ncfg.Disk, nil)
+			// The model's device names the cache line the replay is priced in.
+			e, err := storage.NewEngine(layout, m.(*cost.DeviceModel).Device(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			if dev := m.(*cost.DeviceModel).Device(); dev.Pricing == cost.PricingCache {
-				if err := e.SetCacheLine(dev.CacheLineSize); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if err := e.Load(storage.NewGenerator(ncfg.Seed), tw.Table.Rows); err != nil {
 				t.Fatal(err)
 			}

@@ -23,14 +23,6 @@ type Backend interface {
 	Close() error
 }
 
-// pageBuf returns the buffer b.ReadPage needs: nil for a resident backend.
-func pageBuf(b Backend, pageSize int64) []byte {
-	if b.Resident() {
-		return nil
-	}
-	return make([]byte, pageSize)
-}
-
 // memBackend keeps pages in memory; the default for tests, experiments and
 // the daemon's resident stores. A page is written once and never touched
 // again, which is what lets ReadPage hand it out instead of copying it.

@@ -82,10 +82,10 @@ func (g *Generator) Value(col schema.Column, row int64, dst []byte) {
 		// Key-like: mostly sequential with occasional jitter, giving delta
 		// encoding something to work with.
 		v := uint32(row) + uint32(r%7)
-		binary.LittleEndian.PutUint32(pad4(dst), v)
+		putU32(dst, v)
 	case schema.KindDate:
 		v := uint32(r % DateDomain)
-		binary.LittleEndian.PutUint32(pad4(dst), v)
+		putU32(dst, v)
 	case schema.KindDecimal:
 		// Prices with two decimals from a bounded domain.
 		v := uint64(r%9_000_00) + 100_00
@@ -93,7 +93,7 @@ func (g *Generator) Value(col schema.Column, row int64, dst []byte) {
 			binary.LittleEndian.PutUint64(dst[:8], v)
 			zero(dst[8:])
 		} else {
-			binary.LittleEndian.PutUint32(pad4(dst), uint32(v))
+			putU32(dst, uint32(v))
 		}
 	case schema.KindChar, schema.KindVarchar:
 		g.fillText(dst, r)
@@ -102,14 +102,12 @@ func (g *Generator) Value(col schema.Column, row int64, dst []byte) {
 	}
 }
 
-// pad4 returns a 4-byte window of dst, zeroing any tail beyond it.
-func pad4(dst []byte) []byte {
-	if len(dst) >= 4 {
-		zero(dst[4:])
-		return dst[:4]
-	}
-	// Narrower than 4 bytes: use what is there (value truncates).
-	return dst
+// putU32 writes v little-endian into dst: zero-padded past 4 bytes,
+// truncated to dst's width below (a 1–3 byte column keeps the low bytes).
+func putU32(dst []byte, v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	zero(dst[copy(dst, b[:]):])
 }
 
 func zero(b []byte) {

@@ -54,8 +54,6 @@ type PartScanStats struct {
 type Engine struct {
 	table      *schema.Table
 	disk       cost.Disk
-	gen        *Generator
-	cacheLine  int64
 	newBackend func(name string, pageSize int) (Backend, error)
 
 	epoch atomic.Pointer[engineEpoch]
@@ -83,11 +81,6 @@ type engineEpoch struct {
 // partition holding it (canonical order), and its byte offset and width
 // within that partition's rows.
 type ColLoc struct{ Part, Off, Width int }
-
-// DefaultCacheLine is the fallback cache-line granularity logical-stream
-// transfers are counted at when the engine's device does not set one; it
-// matches cost.DefaultCacheLineSize.
-const DefaultCacheLine = 64
 
 type enginePart struct {
 	attrs       attrset.Set
@@ -130,9 +123,12 @@ func widestFirst(parts []*enginePart) {
 }
 
 // NewEngine creates an engine for the table with the given layout and disk
-// parameters. newBackend is invoked once per partition file (and again for
-// every partition a later Repartition creates); pass nil to use in-memory
-// backends.
+// parameters. The disk's geometry is the page format, and its cache line
+// the granularity the engine counts logical-stream transfers at (a device
+// that names none counts 64-byte lines, cost.DefaultCacheLineSize); both
+// are fixed for the engine's life. newBackend is invoked once per partition
+// file (and again for every partition a later Repartition creates); pass
+// nil to use in-memory backends.
 func NewEngine(layout partition.Partitioning, disk cost.Disk, newBackend func(name string, pageSize int) (Backend, error)) (*Engine, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
@@ -146,12 +142,8 @@ func NewEngine(layout partition.Partitioning, disk cost.Disk, newBackend func(na
 		}
 	}
 	t := layout.Table
-	// The device's own cache-line granularity drives the engine's line
-	// accounting, so a cache-priced device measures with the lines it is
-	// priced in without any caller having to call SetCacheLine.
-	cacheLine := disk.CacheLineSize
-	if cacheLine <= 0 {
-		cacheLine = DefaultCacheLine
+	if disk.CacheLineSize == 0 {
+		disk.CacheLineSize = cost.DefaultCacheLineSize
 	}
 	ep := &engineEpoch{layout: layout.Canonical(), parts: make([]enginePart, len(layout.Parts)), loc: make([]ColLoc, len(t.Columns))}
 	for i := range ep.parts {
@@ -168,7 +160,7 @@ func NewEngine(layout partition.Partitioning, disk cost.Disk, newBackend func(na
 			return nil, err
 		}
 	}
-	e := &Engine{table: t, disk: disk, cacheLine: cacheLine, newBackend: newBackend}
+	e := &Engine{table: t, disk: disk, newBackend: newBackend}
 	e.epoch.Store(ep)
 	return e, nil
 }
@@ -215,42 +207,42 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// SetCacheLine changes the granularity Repartition (and a cursor whose
-// device names none) counts cache-line transfers at. The engine initializes
-// it from its device's CacheLineSize (64-byte default). A call that CHANGES
-// the value must happen before any read, not concurrently with it; a call
-// naming the current value writes nothing.
-func (e *Engine) SetCacheLine(bytes int64) error {
-	if bytes <= 0 {
-		return fmt.Errorf("storage: cache line size %d must be positive", bytes)
-	}
-	if e.cacheLine != bytes {
-		e.cacheLine = bytes
-	}
-	return nil
-}
-
 // Load generates rows rows with gen and writes every partition's pages.
 func (e *Engine) Load(gen *Generator, rows int64) error {
 	return e.LoadParallel(gen, rows, 1)
 }
 
 // LoadParallel is Load with a partition-parallel worker pool: each partition
-// file is generated and written by one worker, workers at a time. Partitions
-// share nothing during materialization — the generator derives every value
-// from (seed, column, row) statelessly and each partition owns its backend —
-// so any worker count produces byte-identical files. workers <= 0 uses one
-// worker per partition. Load must complete before the first Snapshot (the
-// same happens-before the engine has always required).
+// file is generated and written by one worker, workers at a time, through
+// the writer a Repartition writes with. Partitions share nothing during
+// materialization — the generator derives every value from (seed, column,
+// row) statelessly and each partition owns its backend — so any worker
+// count produces byte-identical files. workers <= 0 uses one worker per
+// partition. An engine is loaded once: a store whose current epoch holds
+// pages (loaded, or repartitioned) is refused, with nothing written. Load
+// must complete before the first Snapshot (the same happens-before the
+// engine has always required).
 func (e *Engine) LoadParallel(gen *Generator, rows int64, workers int) error {
-	e.gen = gen
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	ep := e.epoch.Load()
 	parts := make([]*enginePart, len(ep.parts))
+	var rowSize int64
 	for i := range parts {
 		parts[i] = &ep.parts[i]
+		rowSize += int64(parts[i].rowSize)
+		if n := parts[i].backend.Pages(); n > 0 {
+			return fmt.Errorf("storage: load into %s, whose partition %v already holds %d pages: a store is loaded once",
+				e.table.Name, parts[i].attrs, n)
+		}
 	}
 	widestFirst(parts)
-	if err := fanOut(len(parts), workers, func(i int) error { return e.loadPart(parts[i], ep.loc, rows) }); err != nil {
+	if err := fanOut(len(parts), workers, func(i int) error {
+		_, err := e.writePart(parts[i], ep.loc, rows, rowSize, func(col int, r int64, dst []byte) {
+			gen.Value(e.table.Columns[col], r, dst)
+		})
+		return err
+	}); err != nil {
 		return err
 	}
 	ep.rows = rows
@@ -299,29 +291,39 @@ func fanOut(n, workers int, f func(i int) error) error {
 	return nil
 }
 
-// loadPart generates and writes one partition's pages in the row format loc.
-func (e *Engine) loadPart(p *enginePart, loc []ColLoc, rows int64) error {
+// writePart lays rows rows of partition p out in pages in the row format
+// loc, taking each cell from value, and appends the pages to p's backend:
+// whole pages, the last one zero-padded, one seek charged per buffer refill
+// under the proportional split of the buffer across partitions of combined
+// row size totalRowSize — the migration cost model's write term. It is the
+// one writer: a load discards its stats, a repartition reports them.
+func (e *Engine) writePart(p *enginePart, loc []ColLoc, rows, totalRowSize int64, value func(col int, r int64, dst []byte)) (PartMoveStats, error) {
+	ps := PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize,
+		CacheLines: cost.StreamLines(rows, int64(p.rowSize), e.disk.CacheLineSize)}
+	pagesBuff := max(cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), totalRowSize)/e.disk.BlockSize, 1)
 	page := make([]byte, e.disk.BlockSize)
-	inPage := 0
-	for r := int64(0); r < rows; r++ {
-		base := inPage * p.rowSize
-		for _, col := range p.cols {
-			l := loc[col]
-			e.gen.Value(e.table.Columns[col], r, page[base+l.Off:base+l.Off+l.Width])
-		}
-		inPage++
-		if inPage == p.rowsPerPage {
-			if err := p.backend.WritePage(page); err != nil {
-				return err
+	var buffered int64
+	for r := int64(0); r < rows; {
+		n := min(int64(p.rowsPerPage), rows-r)
+		for k := range n {
+			base := int(k) * p.rowSize
+			for _, col := range p.cols {
+				l := loc[col]
+				value(col, r+k, page[base+l.Off:base+l.Off+l.Width])
 			}
-			zero(page)
-			inPage = 0
 		}
-	}
-	if inPage > 0 {
+		r += n
+		if buffered == 0 {
+			ps.Seeks++
+			buffered = pagesBuff
+		}
 		if err := p.backend.WritePage(page); err != nil {
-			return err
+			return ps, err
 		}
+		ps.Bytes += e.disk.BlockSize
+		ps.Pages++
+		buffered--
+		zero(page)
 	}
-	return nil
+	return ps, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"knives/internal/attrset"
-	"knives/internal/cost"
 	"knives/internal/partition"
 )
 
@@ -38,9 +37,12 @@ type RepartitionStats struct {
 
 // Repartition transforms the store from its current layout into newLayout
 // without a reload: every source partition that does not survive the
-// transition is read in full (through the proportionally shared buffer),
-// its columns staged, and every partition that newly appears is written in
-// full; column groups present in both layouts keep their files untouched.
+// transition is read in full through a PartCursor over the current epoch —
+// the scan path's reads and accounting, on the engine's device, with the
+// moved partitions' combined row size as the buffer denominator — its
+// columns staged, and every partition that newly appears is written in full
+// by the writer a load writes with; column groups present in both layouts
+// keep their files untouched.
 // The new layout is published as a fresh epoch in one atomic swap, so
 // concurrent readers are never disturbed — a snapshot streams the epoch it
 // pinned, and superseded partition files stay open (retired) until Close. Repartitions serialize against each other.
@@ -70,9 +72,9 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	// their backends; the rest are moved.
 	next := &engineEpoch{layout: newLayout.Canonical(), parts: make([]enginePart, len(newLayout.Parts)),
 		loc: make([]ColLoc, len(e.table.Columns)), rows: rows}
-	oldByAttrs := make(map[attrset.Set]*enginePart, len(old.parts))
+	oldIndex := make(map[attrset.Set]int, len(old.parts))
 	for pi := range old.parts {
-		oldByAttrs[old.parts[pi].attrs] = &old.parts[pi]
+		oldIndex[old.parts[pi].attrs] = pi
 	}
 	newByAttrs := make(map[attrset.Set]bool, len(next.layout.Parts))
 	e.epochSeq++
@@ -95,8 +97,8 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 		if err != nil {
 			return stats, err
 		}
-		if keep, ok := oldByAttrs[p]; ok {
-			part.backend = keep.backend
+		if pi, ok := oldIndex[p]; ok {
+			part.backend = old.parts[pi].backend
 			stats.PartsKept++
 		} else {
 			b, err := e.newBackend(fmt.Sprintf("%s_e%d_p%d", e.table.Name, e.epochSeq, i), int(e.disk.BlockSize))
@@ -127,22 +129,40 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	}
 
 	// Read phase: stage every moved source partition's columns
-	// column-contiguously in memory. Every column of a moved source
-	// partition lands in some moved target partition (a surviving target
-	// partition is identical to a surviving source partition, so its
-	// columns were never in a moved one), which is what lets the write
-	// phase assemble rows from the staging area alone.
-	staged := make(map[int][]byte, 8)
+	// column-contiguously in memory, one cursor per partition. Every column
+	// of a created partition lies in some moved source partition (a
+	// surviving target partition is identical to a surviving source
+	// partition, so its columns were never in a moved one), which is what
+	// lets the write phase assemble rows from the staging area alone.
+	staged := make([][]byte, len(e.table.Columns))
 	for _, p := range readParts {
 		for _, col := range p.cols {
 			staged[col] = make([]byte, rows*int64(e.table.Columns[col].Size))
 		}
 	}
+	for _, p := range writeParts {
+		for _, col := range p.cols {
+			if staged[col] == nil {
+				return stats, fmt.Errorf("storage: repartition target %v needs column %s, which no moved source partition holds",
+					p.attrs, e.table.Columns[col].Name)
+			}
+		}
+	}
+	src := &Snapshot{table: e.table, disk: e.disk, ep: old}
 	readStats := make([]PartMoveStats, len(readParts))
 	if err := fanOut(len(readParts), workers, func(i int) error {
-		var err error
-		readStats[i], err = e.readMovedPart(readParts[i], old.loc, rows, readRowSize, staged)
-		return err
+		p := readParts[i]
+		c, err := src.Cursor(oldIndex[p.attrs], e.disk, readRowSize)
+		if err == nil {
+			err = stage(c, staged)
+		}
+		if err != nil {
+			return fmt.Errorf("storage: repartition read %v: %w", p.attrs, err)
+		}
+		cs := c.Stats()
+		readStats[i] = PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize, Pages: cs.BytesRead / e.disk.BlockSize,
+			Bytes: cs.BytesRead, Seeks: cs.Seeks, CacheLines: cs.CacheLines}
+		return nil
 	}); err != nil {
 		return stats, err
 	}
@@ -151,7 +171,10 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	writeStats := make([]PartMoveStats, len(writeParts))
 	if err := fanOut(len(writeParts), workers, func(i int) error {
 		var err error
-		writeStats[i], err = e.writeMovedPart(writeParts[i], next.loc, rows, writeRowSize, staged)
+		writeStats[i], err = e.writePart(writeParts[i], next.loc, rows, writeRowSize, func(col int, r int64, dst []byte) {
+			w := int64(len(dst))
+			copy(dst, staged[col][r*w:(r+1)*w])
+		})
 		return err
 	}); err != nil {
 		return stats, err
@@ -196,106 +219,23 @@ func (e *Engine) Repartition(newLayout partition.Partitioning, workers int) (Rep
 	return stats, nil
 }
 
-// readMovedPart streams one moved source partition in full through its
-// buffer share, staging every column's values contiguously. The buffer
-// refill accounting is the cost model's: pagesBuff pages per seek under the
-// proportional split across ALL moved source partitions, in loc's row format.
-func (e *Engine) readMovedPart(p *enginePart, loc []ColLoc, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
-	ps := PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize}
-	ps.CacheLines = cost.StreamLines(rows, int64(p.rowSize), e.cacheLine)
-	if rows == 0 {
-		return ps, nil
-	}
-	buff := cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), totalRowSize)
-	pagesBuff := buff / e.disk.BlockSize
-	if pagesBuff < 1 {
-		pagesBuff = 1
-	}
-	var page []byte
-	buf := pageBuf(p.backend, e.disk.BlockSize)
-	var buffered int64
-	inPage := p.rowsPerPage // force an initial fetch
-	var nextPage int64
-	for r := int64(0); r < rows; r++ {
-		if inPage == p.rowsPerPage {
-			if buffered == 0 {
-				ps.Seeks++
-				buffered = pagesBuff
-			}
-			var err error
-			if page, err = p.backend.ReadPage(nextPage, buf); err != nil {
-				return ps, fmt.Errorf("storage: repartition read %v: %w", p.attrs, err)
-			}
-			ps.Bytes += e.disk.BlockSize
-			ps.Pages++
-			nextPage++
-			buffered--
-			inPage = 0
-		}
-		base := inPage * p.rowSize
-		for _, col := range p.cols {
-			l := loc[col]
-			copy(staged[col][r*int64(l.Width):(r+1)*int64(l.Width)], page[base+l.Off:base+l.Off+l.Width])
-		}
-		inPage++
-	}
-	return ps, nil
-}
-
-// writeMovedPart assembles one created partition's pages from the staged
-// columns and writes them, charging buffer refills under the proportional
-// split across ALL created partitions, in loc's row format.
-func (e *Engine) writeMovedPart(p *enginePart, loc []ColLoc, rows, totalRowSize int64, staged map[int][]byte) (PartMoveStats, error) {
-	ps := PartMoveStats{Attrs: p.attrs, RowSize: p.rowSize}
-	ps.CacheLines = cost.StreamLines(rows, int64(p.rowSize), e.cacheLine)
-	if rows == 0 {
-		return ps, nil
-	}
-	buff := cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), totalRowSize)
-	pagesBuff := buff / e.disk.BlockSize
-	if pagesBuff < 1 {
-		pagesBuff = 1
-	}
-	page := make([]byte, e.disk.BlockSize)
-	var buffered int64
-	inPage := 0
-	flush := func() error {
-		if buffered == 0 {
-			ps.Seeks++
-			buffered = pagesBuff
-		}
-		if err := p.backend.WritePage(page); err != nil {
+// stage drives c through its partition, copying each column's values into
+// staged[col], contiguously in row order, a page of rows at a time.
+func stage(c *PartCursor, staged [][]byte) error {
+	p, loc := c.p, c.loc
+	for r := 0; ; {
+		page, start, n, err := c.NextRows(p.rowsPerPage)
+		if err != nil || n == 0 {
 			return err
 		}
-		ps.Bytes += e.disk.BlockSize
-		ps.Pages++
-		buffered--
-		zero(page)
-		inPage = 0
-		return nil
-	}
-	for r := int64(0); r < rows; r++ {
-		base := inPage * p.rowSize
 		for _, col := range p.cols {
 			l := loc[col]
-			src, ok := staged[col]
-			if !ok {
-				return ps, fmt.Errorf("storage: repartition target %v needs column %s, which no moved source partition holds",
-					p.attrs, e.table.Columns[col].Name)
-			}
-			copy(page[base+l.Off:base+l.Off+l.Width], src[r*int64(l.Width):(r+1)*int64(l.Width)])
-		}
-		inPage++
-		if inPage == p.rowsPerPage {
-			if err := flush(); err != nil {
-				return ps, err
+			dst := staged[col][r*l.Width : (r+n)*l.Width]
+			for k := range n {
+				off := (start+k)*p.rowSize + l.Off
+				copy(dst[k*l.Width:(k+1)*l.Width], page[off:off+l.Width])
 			}
 		}
+		r += n
 	}
-	if inPage > 0 {
-		if err := flush(); err != nil {
-			return ps, err
-		}
-	}
-	return ps, nil
 }

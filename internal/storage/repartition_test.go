@@ -335,10 +335,9 @@ func TestRepartitionMMLinesMatchModel(t *testing.T) {
 	from := partition.Row(tab)
 	to := partition.Must(tab, []attrset.Set{attrset.Of(0, 1), attrset.Of(2, 3, 4)})
 	mm := cost.NewMM()
-	e := loadEngine(t, from, smallDisk(), 600, nil)
-	if err := e.SetCacheLine(mm.Device().CacheLineSize); err != nil {
-		t.Fatal(err)
-	}
+	disk := smallDisk()
+	disk.CacheLineSize = mm.Device().CacheLineSize
+	e := loadEngine(t, from, disk, 600, nil)
 	stats, err := e.Repartition(to, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 		// full, so the distinct lines touched are exactly the lines of
 		// [0, rows*rowSize) — counting them per row would recompute this
 		// constant in the hot loop.
-		lines := cost.StreamLines(ep.rows, int64(c.p.rowSize), e.cacheLine)
+		lines := cost.StreamLines(ep.rows, int64(c.p.rowSize), e.disk.CacheLineSize)
 		ps := PartScanStats{
 			Attrs:      c.p.attrs,
 			RowSize:    c.p.rowSize,
@@ -156,4 +156,12 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 	}
 	stats.Checksum = h
 	return stats, nil
+}
+
+// pageBuf returns the buffer b.ReadPage needs: nil for a resident backend.
+func pageBuf(b Backend, pageSize int64) []byte {
+	if b.Resident() {
+		return nil
+	}
+	return make([]byte, pageSize)
 }

@@ -24,16 +24,15 @@ import (
 // predicts. The monolithic "read every referenced partition and reconstruct"
 // loop the cursors were cut from survives as their oracle in scan_test.go.
 type Snapshot struct {
-	table     *schema.Table
-	disk      cost.Disk
-	cacheLine int64
-	ep        *engineEpoch
+	table *schema.Table
+	disk  cost.Disk
+	ep    *engineEpoch
 }
 
 // Snapshot pins the engine's current epoch. It must not be called before
 // Load has completed.
 func (e *Engine) Snapshot() *Snapshot {
-	return &Snapshot{table: e.table, disk: e.disk, cacheLine: e.cacheLine, ep: e.epoch.Load()}
+	return &Snapshot{table: e.table, disk: e.disk, ep: e.epoch.Load()}
 }
 
 // Table returns the logical table the snapshot stores.
@@ -58,10 +57,6 @@ func (s *Snapshot) PartRowSize(i int) int { return s.ep.parts[i].rowSize }
 // the table lies, indexed by attribute. The slice is the epoch's own and
 // read-only; a plan binds its columns to it once, at build.
 func (s *Snapshot) Format() []ColLoc { return s.ep.loc }
-
-// CacheLine returns the granularity the engine counts cache-line
-// transfers at (initialized from its device, see SetCacheLine).
-func (s *Snapshot) CacheLine() int64 { return s.cacheLine }
 
 // PartCursor streams one partition of a pinned epoch row by row, with the
 // accounting the cost model assumes per referenced partition: whole pages
@@ -94,9 +89,10 @@ type PartCursor struct {
 
 // Cursor opens a cursor over partition i, accounting against dev. The
 // device's block size must equal the page size the epoch was materialized
-// with (its geometry IS the file format); buffer size and the mechanical
-// constants may differ from the engine's own device, which is how one
-// materialized store serves measurements for several what-if devices.
+// with (its geometry IS the file format); buffer size, cache line and the
+// mechanical constants may differ from the engine's own device, which is
+// how one materialized store serves measurements for several what-if
+// devices. A device that names no cache line counts the engine's.
 //
 // totalRowSize is the combined row size of every partition the surrounding
 // query references — the denominator of the cost model's proportional
@@ -123,7 +119,7 @@ func (s *Snapshot) Cursor(i int, dev cost.Device, totalRowSize int64) (*PartCurs
 	}
 	line := dev.CacheLineSize
 	if line <= 0 {
-		line = s.cacheLine
+		line = s.disk.CacheLineSize
 	}
 	c := &PartCursor{
 		p: p, loc: s.ep.loc, dev: dev, pagesBuff: pagesBuff,

@@ -63,8 +63,8 @@ func TestCursorMatchesScan(t *testing.T) {
 	if snap.Rows() != 301 || snap.NumParts() != 3 || snap.Table().Name != "snap" {
 		t.Fatalf("snapshot accessors: rows=%d parts=%d table=%s", snap.Rows(), snap.NumParts(), snap.Table().Name)
 	}
-	if snap.CacheLine() != dev.CacheLineSize {
-		t.Fatalf("cache line %d, want %d", snap.CacheLine(), dev.CacheLineSize)
+	if snap.disk.CacheLineSize != dev.CacheLineSize {
+		t.Fatalf("cache line %d, want the device's %d", snap.disk.CacheLineSize, dev.CacheLineSize)
 	}
 	if got := snap.Layout().Parts; len(got) != 3 {
 		t.Fatalf("layout parts: %v", got)

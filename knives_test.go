@@ -170,6 +170,44 @@ func TestPublicEngine(t *testing.T) {
 	}
 }
 
+// A loaded store refuses a second Load, without writing a page: appending a
+// second load's pages behind the first's would leave the cursors reading
+// the first load's rows as the second's. A repartitioned store holds pages
+// too, so it refuses a Load as well.
+func TestPublicEngineRefusesSecondLoad(t *testing.T) {
+	tab, err := knives.NewTable("t", 5000, []knives.Column{
+		{Name: "a", Kind: knives.KindInt, Size: 4},
+		{Name: "b", Kind: knives.KindVarchar, Size: 32},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := knives.NewEngine(knives.ColumnLayout(tab), knives.DefaultDisk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Load(knives.NewGenerator(1), 5000); err != nil {
+		t.Fatal(err)
+	}
+	rows, bytes := e.Rows(), e.Bytes()
+	if err := e.Load(knives.NewGenerator(2), 3000); err == nil {
+		t.Error("a second Load on a loaded store succeeded")
+	}
+	if e.Rows() != rows || e.Bytes() != bytes {
+		t.Errorf("refused Load changed the store: %d rows, %d bytes; want %d, %d", e.Rows(), e.Bytes(), rows, bytes)
+	}
+	if _, err := e.Repartition(knives.RowLayout(tab), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load(knives.NewGenerator(2), 3000); err == nil {
+		t.Error("a Load after a Repartition succeeded")
+	}
+	if e.Rows() != rows {
+		t.Errorf("refused Load changed the row count to %d, want %d", e.Rows(), rows)
+	}
+}
+
 // ExecuteAlgorithm resolves a name the way the CLI's -algorithm does (Row
 // and Column, any case, name the baselines) and executes the layout it
 // finds, exactly.
