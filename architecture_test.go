@@ -135,6 +135,7 @@ var (
 	storage        = pkgPath("internal/storage")
 	statestore     = pkgPath("internal/statestore")
 	replayPkg      = pkgPath("internal/replay")
+	migratePkg     = pkgPath("internal/migrate")
 	experimentsPkg = pkgPath("internal/experiments")
 	attrsetPkg     = pkgPath("internal/attrset")
 	costPkg        = pkgPath("internal/cost")
@@ -270,6 +271,18 @@ var architecture = []rule{
 		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}}, want: 2},
 		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}, fn: "(*Snapshot).Cursor"}, want: 1},
 		{match: pattern{kind: used, from: storage, pkg: costPkg, names: []string{"BufferShare"}, fn: "(*Engine).writePart"}, want: 1},
+	}},
+	{name: "answers come from the generator", limits: []limit{
+		// /migrate materializes one store and checks what it answers against
+		// the data generator (replay.Expected), not against a second store
+		// that the same writer filled; the oracle folds row at a time and
+		// shares no column kernel with the executor it checks.
+		deleted("checksumOracle"),
+		none(pattern{kind: declared, pkg: migratePkg, recv: "Report", names: []string{"Fresh"}}),
+		none(pattern{kind: used, from: migratePkg, pkg: replayPkg, names: []string{"Layout"}}),
+		{match: pattern{kind: used, from: migratePkg, pkg: replayPkg, names: []string{"Materialize"}}, want: 1},
+		{match: pattern{kind: declared, pkg: replayPkg, names: []string{"Expected"}}, want: 1},
+		none(pattern{kind: used, from: replayPkg, pkg: storage, names: []string{"FoldColumn", "FoldRows", "SeedRows"}, fn: "Expected"}),
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
@@ -855,6 +868,12 @@ var plants = []struct {
 	{"one reader, one writer", "internal/storage/engine.go", "type Engine struct {\n", "\tgen *Generator"},
 	{"one reader, one writer", "internal/storage/engine.go", "", "func (e *Engine) readShare(p *enginePart, total int64) int64 { return cost.BufferShare(e.disk.BufferSize, int64(p.rowSize), total) }"},
 	{"one reader, one writer", "internal/storage/snapshot.go", "p := &s.ep.parts[i]\n", "\t_ = cost.BufferShare"},
+	{"answers come from the generator", "internal/replay/replay.go", "", "func checksumOracle() {}"},
+	{"answers come from the generator", "internal/migrate/migrate.go", "type Report struct {\n", "\tFresh *replay.TableReplay"},
+	{"answers come from the generator", "internal/migrate/migrate.go", "", "func init() { replay.Layout(schema.TableWorkload{}, partition.Partitioning{}, \"\", Config{}) }"},
+	{"answers come from the generator", "internal/migrate/migrate.go", "", "func init() { _, _ = replay.Materialize(schema.TableWorkload{}, partition.Partitioning{}, Config{}) }"},
+	{"answers come from the generator", "internal/replay/operators.go", "", "func Expected() {}"},
+	{"answers come from the generator", "internal/replay/replay.go", "\tt, gen := tw.Table, storage.NewGenerator(seed)\n", "\tstorage.FoldColumn(nil, nil, nil, 0, 0, nil, 0)"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
 	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},

@@ -41,8 +41,8 @@
 //	    workload drifts by fraction F, the layout advised for the drifted
 //	    mix becomes the target, and the store is repartitioned in place —
 //	    with the measured migration cost checked against the cost model
-//	    and the migrated store verified against a fresh materialization,
-//	    both at zero tolerance (non-zero exit on any divergence).
+//	    and the migrated store verified against the data generator, both
+//	    at zero tolerance (non-zero exit on any divergence).
 //
 //	knives experiment ID|all [-reps N]
 //	    Regenerate a paper figure/table (fig1..fig14, tab3..tab7).

@@ -111,7 +111,7 @@ func main() {
 		fmt.Printf("  refused: %s\n", mig.Reason)
 	}
 	if mig.Executed {
-		fmt.Printf("  sampled execution on %d rows: cost exact=%v, migrated==fresh=%v, applied=%v\n",
+		fmt.Printf("  sampled execution on %d rows: cost exact=%v, migrated==generator=%v, applied=%v\n",
 			mig.RowsExecuted, mig.CostExact, mig.VerifyExact, mig.AppliedUpdated)
 	}
 

@@ -19,8 +19,8 @@ import (
 // and proves the transition safe before anyone touches a production store.
 
 // DefaultMigrateCacheCapacity bounds the migration outcome cache. Outcomes
-// carry two replay reports plus the plan, the same weight class as replay
-// entries.
+// carry one replay report, the generator's answer per query and the plan,
+// the same weight class as replay entries.
 const DefaultMigrateCacheCapacity = 256
 
 // MaxMigrateWindow bounds the requestable break-even horizon so a request

@@ -99,7 +99,7 @@ func TestMigrateTableClosesDriftLoop(t *testing.T) {
 			out.Report.MeasuredSeconds, out.Report.PredictedSeconds)
 	}
 	if !out.Report.VerifyExact() {
-		t.Error("migrated store failed verification against fresh materialization")
+		t.Error("migrated store failed verification against the generator")
 	}
 	if !p.Viable {
 		t.Errorf("single-column traffic on 100-byte columns should amortize fast; refused: %s", p.Reason)

@@ -120,7 +120,6 @@ func TestResidentStoreIdentity(t *testing.T) {
 						t.Errorf("bound %d: exec labels %q and %q, want %q and the default's \"row\"", bound, g.ExecMode, w.ExecMode, mode)
 					}
 					w.ExecMode = mode
-					g.Elapsed, w.Elapsed = 0, 0
 					g.ExecSeconds, w.ExecSeconds = 0, 0
 					if !reflect.DeepEqual(g, w) {
 						t.Errorf("bound %d: resident execution differs from a fresh one:\n got %+v\nwant %+v", bound, g, w)

@@ -142,11 +142,11 @@ func TestExtDeviceShape(t *testing.T) {
 
 // The executed-equals-predicted verdicts: every cell of ext-replay's
 // exact column, ext-operators' exact column and ext-migrate's cost==model
-// and migrated==fresh columns reads "true".
+// and migrated==generator columns reads "true".
 func TestExtReplayShape(t *testing.T)    { allTrue(t, paperReport(t, "ext-replay"), "exact") }
 func TestExtOperatorsShape(t *testing.T) { allTrue(t, paperReport(t, "ext-operators"), "exact") }
 func TestExtMigrateShape(t *testing.T) {
-	allTrue(t, paperReport(t, "ext-migrate"), "cost==model", "migrated==fresh")
+	allTrue(t, paperReport(t, "ext-migrate"), "cost==model", "migrated==generator")
 }
 
 func allTrue(t *testing.T, rep *Report, columns ...string) {

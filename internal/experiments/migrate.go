@@ -31,8 +31,8 @@ const (
 // algorithm, both the ECONOMICS (break-even points differ wildly: a knife
 // whose layout barely moves amortizes in a handful of queries, one that
 // reshuffles everything may never pay off) and the MECHANICS
-// (measured == predicted migration cost, migrated == fresh store, both at
-// zero tolerance).
+// (measured == predicted migration cost, the migrated store's answers ==
+// the data generator's, both at zero tolerance).
 //
 // All numbers are simulated (virtual-disk) seconds over deterministic
 // data, so the report is byte-stable and golden-diffed without masking.
@@ -48,7 +48,7 @@ func ExtMigrate(s *Suite) (*Report, error) {
 	r := &Report{
 		ID:     "ext-migrate",
 		Title:  "Online migration after 50% workload drift (Lineitem): break-even and verified cost",
-		Header: []string{"algorithm", "migration (s)", "gain/query (s)", "break-even", "verdict", "cost==model", "migrated==fresh"},
+		Header: []string{"algorithm", "migration (s)", "gain/query (s)", "break-even", "verdict", "cost==model", "migrated==generator"},
 	}
 	m := cost.NewHDD(s.Disk)
 	li := s.Bench.Table("lineitem")
@@ -108,7 +108,7 @@ func ExtMigrate(s *Suite) (*Report, error) {
 	r.AddNote("workload drift: %.0f%% of Lineitem queries perturbed (seed %d); window %d queries",
 		migrateDriftFraction*100, migrateDriftSeed, int64(migrateWindow))
 	r.AddNote("migration cost priced at full scale; executed and verified on %d-row samples (seed 1)", int64(migrateSampleRows))
-	r.AddNote("measured repartition == migration cost model AND migrated == fresh store for every algorithm: %v", allExact)
+	r.AddNote("measured repartition == migration cost model AND migrated == generator for every algorithm: %v", allExact)
 	r.AddNote("times are simulated (virtual-disk) seconds; deterministic, no wall clock")
 	r.AddNote("BruteForce excluded: the drifted mix has 15 atomic fragments, past its Bell-number cap")
 	return r, nil

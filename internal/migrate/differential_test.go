@@ -18,9 +18,9 @@ import (
 //
 //  1. the measured repartition cost must equal the migration cost model's
 //     prediction bit for bit, and
-//  2. the migrated store must be indistinguishable from a fresh
-//     materialization of the target layout (every query checksum and
-//     every measured quantity, zero tolerance).
+//  2. the migrated store must hold the target layout, replay exactly
+//     against the cost model, and give every query the checksum and result
+//     rows the data generator gives (zero tolerance).
 //
 // Layouts are the ones internal/algorithms searched at FULL scale (the
 // paper's setting) and pinned; each distinct (from, to) pair is executed
@@ -77,7 +77,7 @@ func TestDifferentialMigrationAlgorithmsBenchmarksModels(t *testing.T) {
 								rep.Predicted, rep.Measured.LinesRead, rep.Measured.LinesWritten, rep)
 						}
 						if !rep.VerifyExact() {
-							t.Errorf("post-migration replay differs from a fresh materialization of %s", to)
+							t.Errorf("the migrated store of %s does not verify against the generator:\n%s", to, rep)
 						}
 					})
 				}
@@ -141,7 +141,7 @@ func TestMigrationBufferRefills(t *testing.T) {
 						t.Errorf("measured migration cost != predicted %+v:\n%s", rep.Predicted, rep)
 					}
 					if !rep.VerifyExact() {
-						t.Errorf("post-migration replay differs from a fresh materialization of %s", tr.to)
+						t.Errorf("the migrated store of %s does not verify against the generator:\n%s", tr.to, rep)
 					}
 					var most int64
 					for _, q := range rep.Migrated.Queries {

@@ -2,10 +2,8 @@ package migrate
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
-	"time"
 
 	"knives/internal/algo"
 	"knives/internal/cost"
@@ -17,16 +15,17 @@ import (
 
 // Config parameterizes a migration execution. It is the replay
 // configuration verbatim — model, disk, row cap, worker pool, seed,
-// backend — because the verification leg IS a replay: the migrated store
-// and a fresh materialization of the target layout are replayed under the
-// same config and must agree on every number.
+// backend — because the verification IS a replay: the migrated store is
+// replayed under it, and its Seed is the generator's the replay's answers
+// are checked against. A file-backed store writes its partition files into
+// Dir.
 type Config = replay.Config
 
 // Report is the outcome of executing one planned migration on a (possibly
 // sampled) store: the measured repartition next to the migration cost
-// model's prediction for the executed row count, and the two verification
-// replays (the migrated store vs a fresh materialization of the target
-// layout), all compared at zero tolerance.
+// model's prediction for the executed row count, and the replay of the
+// migrated store next to the answers the data generator gives, all
+// compared at zero tolerance.
 type Report struct {
 	Plan *Plan
 	// RowsFull is the logical table's row count; RowsExecuted is how many
@@ -40,11 +39,11 @@ type Report struct {
 	// MeasuredSeconds prices the measured repartition in the model's unit;
 	// PredictedSeconds is Predicted.Seconds.
 	MeasuredSeconds, PredictedSeconds float64
-	// Migrated replays the workload over the migrated store; Fresh replays
-	// it over a from-scratch materialization of the target layout.
-	Migrated, Fresh *replay.TableReplay
-	// Elapsed is the wall-clock time of the whole execute-and-verify run.
-	Elapsed time.Duration
+	// Migrated replays the workload over the layout the migrated store
+	// holds; Expected is each query's answer derived from the data
+	// generator alone (replay.Expected), in the workload's query order.
+	Migrated *replay.TableReplay
+	Expected []replay.Answer
 }
 
 // CostExact reports whether the measured repartition equals the migration
@@ -65,36 +64,23 @@ func (r *Report) CostExact() bool {
 		r.Measured.SeeksWrite == r.Predicted.SeeksWrite
 }
 
-// VerifyExact reports whether the migrated store is indistinguishable from
-// a fresh materialization of the target layout: every query's checksum and
-// every measured quantity agree, and both replays match the cost model
-// exactly.
+// VerifyExact reports whether the migrated store holds the target layout
+// and the generator's data: its replay matches the cost model exactly, it
+// holds the plan's TO layout at RowsExecuted rows, and every query's
+// checksum and result rows (Stats.Tuples) equal the generator's. Checksums
+// are layout-independent, so only the layout check sees a store that kept
+// the wrong partitions.
 func (r *Report) VerifyExact() bool {
-	a, b := r.Migrated, r.Fresh
-	if a == nil || b == nil || len(a.Queries) != len(b.Queries) {
-		return false
-	}
-	if !a.Exact() || !b.Exact() {
-		return false
-	}
-	for i := range a.Queries {
-		qa, qb := a.Queries[i], b.Queries[i]
-		if qa.Stats.Checksum != qb.Stats.Checksum ||
-			qa.Stats.Seeks != qb.Stats.Seeks ||
-			qa.Stats.BytesRead != qb.Stats.BytesRead ||
-			qa.Stats.CacheLines != qb.Stats.CacheLines ||
-			qa.Stats.ReconJoins != qb.Stats.ReconJoins ||
-			qa.Stats.Tuples != qb.Stats.Tuples ||
-			qa.MeasuredSeconds != qb.MeasuredSeconds ||
-			qa.PredictedSeconds != qb.PredictedSeconds {
-			return false
-		}
-	}
-	return a.MeasuredTotal == b.MeasuredTotal && a.PredictedTotal == b.PredictedTotal
+	m := r.Migrated
+	return m != nil && m.Exact() && m.RowsReplayed == r.RowsExecuted &&
+		slices.Equal(m.Layout.Canonical().Parts, r.Plan.To.Canonical().Parts) &&
+		slices.EqualFunc(m.Queries, r.Expected, func(q replay.QueryReplay, a replay.Answer) bool {
+			return q.Stats.Checksum == a.Checksum && q.Stats.Tuples == a.Rows
+		})
 }
 
 // Exact is the headline verdict: measured migration cost equals predicted
-// AND the migrated store verifies against a fresh materialization.
+// AND the migrated store verifies against the generator.
 func (r *Report) Exact() bool { return r.CostExact() && r.VerifyExact() }
 
 // String renders the report for the CLI.
@@ -107,7 +93,7 @@ func (r *Report) String() string {
 		r.Measured.BytesWritten, r.Measured.SeeksWrite, r.Measured.PartsKept)
 	fmt.Fprintf(&b, "  migration cost measured=%.9e predicted=%.9e exact=%v\n",
 		r.MeasuredSeconds, r.PredictedSeconds, r.CostExact())
-	fmt.Fprintf(&b, "  verification: migrated==fresh exact=%v (replayed %d queries)\n",
+	fmt.Fprintf(&b, "  verification: migrated==generator exact=%v (replayed %d queries)\n",
 		r.VerifyExact(), len(r.Migrated.Queries))
 	return b.String()
 }
@@ -117,9 +103,10 @@ func (r *Report) String() string {
 // cfg.MaxRows, the replay rule), transformed into the TO layout with the
 // partition-parallel Repartition, the measured transition compared against
 // the migration cost model at the executed scale, and the migrated store
-// replayed against a fresh materialization of the target layout — all at
-// zero tolerance. Non-viable plans execute too: verification is how a
-// refusal is proven honest, it just must never touch a production store.
+// replayed, its answers checked against the data generator's — all at
+// zero tolerance. The migrated store is the only one materialized.
+// Non-viable plans execute too: verification is how a refusal is proven
+// honest, it just must never touch a production store.
 func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("migrate: nil plan")
@@ -134,36 +121,21 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 	if model.Name() != p.Model {
 		return nil, fmt.Errorf("migrate: plan priced under %s, execution config says %s", p.Model, model.Name())
 	}
-	start := time.Now()
-
-	// File-backed runs get two subdirectories: the live store (which holds
-	// both epochs' partition files until Close) and the fresh verification
-	// materialization, so the two engines can never truncate each other's
-	// open files.
-	storeCfg, freshCfg := cfg, cfg
-	if cfg.Backend == replay.BackendFile {
-		storeCfg.Dir = filepath.Join(cfg.Dir, "store")
-		freshCfg.Dir = filepath.Join(cfg.Dir, "fresh")
-		for _, d := range []string{storeCfg.Dir, freshCfg.Dir} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				return nil, fmt.Errorf("migrate: %w", err)
-			}
-		}
-	}
-
 	// Materialize (the replay's own sampling rule, so the verification
-	// replays see the same store scale) + repartition under one process-wide
-	// search slot (the same heavy-job class as a replay); released before
-	// the verification replays take their own slots, so stacked acquisition
-	// cannot deadlock.
+	// replay sees the same store scale) + the generator's answers at that
+	// scale + repartition under one process-wide search slot (all three the
+	// same heavy-job class as a replay); released before the verification
+	// replay takes its own slot, so stacked acquisition cannot deadlock.
 	algo.AcquireSearchSlot()
-	e, err := replay.Materialize(tw, p.From, storeCfg)
+	e, err := replay.Materialize(tw, p.From, cfg)
 	if err != nil {
 		algo.ReleaseSearchSlot()
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
 	defer e.Close()
 	sample, fromS := e.Table(), e.Layout()
+	sampledTW := schema.TableWorkload{Table: sample, Queries: normalizeWeights(tw.Queries)}
+	expected := replay.Expected(sampledTW, sample.Rows, cfg.Seed, nil)
 	toS, err := partition.New(sample, p.To.Parts)
 	var measured storage.RepartitionStats
 	if err == nil {
@@ -173,7 +145,6 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("migrate: %w", err)
 	}
-	sampledTW := schema.TableWorkload{Table: sample, Queries: normalizeWeights(tw.Queries)}
 
 	predicted, err := cost.MigrationCost(model, sample, fromS.Parts, toS.Parts)
 	if err != nil {
@@ -188,26 +159,20 @@ func Execute(tw schema.TableWorkload, p *Plan, cfg Config) (*Report, error) {
 		Measured:         measured,
 		PredictedSeconds: predicted.Seconds,
 		MeasuredSeconds:  measuredSeconds(model, measured),
+		Expected:         expected,
 	}
 
-	// Verification leg 1: replay the workload over the migrated store, which
-	// must hold exactly the target layout. The report is copied out of the
-	// execution so a cached migration outcome does not keep its per-operator
-	// stats alive.
+	// Verification: replay the workload over the layout the migrated store
+	// holds — VerifyExact checks it is the target, and its answers against
+	// the generator's. The report is copied out of the execution so a
+	// cached migration outcome does not keep its per-operator stats alive.
 	label := fmt.Sprintf("migrated(%s)", p.ToAlgorithm)
-	migrated, err := replay.OperatorsOn(sampledTW, toS, e, label, cfg, nil)
+	migrated, err := replay.OperatorsOn(sampledTW, e.Layout(), e, label, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("migrate: verify migrated store: %w", err)
 	}
 	tr := migrated.TableReplay
 	rep.Migrated = &tr
-	// Verification leg 2: a fresh materialization of the target layout
-	// from the same generator seed.
-	rep.Fresh, err = replay.Layout(sampledTW, toS, p.ToAlgorithm, freshCfg)
-	if err != nil {
-		return nil, fmt.Errorf("migrate: verify fresh materialization: %w", err)
-	}
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 

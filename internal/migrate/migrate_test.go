@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,10 +38,14 @@ func execWorkload(tab *schema.Table) schema.TableWorkload {
 }
 
 // TestExecuteEndToEnd drives the whole plan-execute-verify chain on both
-// models and both backends and demands exactness everywhere.
+// models and both backends and demands exactness everywhere; then tampers
+// with each real report, which the verdict and its rendering must see. Its
+// workload holds a query that references no column: the executor's empty
+// result and the generator's must agree on it too.
 func TestExecuteEndToEnd(t *testing.T) {
 	tab := execTable(t)
 	tw := execWorkload(tab)
+	tw.Queries = append(tw.Queries, schema.TableQuery{ID: "none", Weight: 1, Attrs: attrset.Of()})
 	from := partition.Row(tab)
 	to := partition.Must(tab, []attrset.Set{attrset.Of(0, 1), attrset.Of(2, 3), attrset.Of(4)})
 	for _, model := range []string{"hdd", "mm"} {
@@ -68,7 +73,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 						rep.MeasuredSeconds, rep.PredictedSeconds)
 				}
 				if !rep.VerifyExact() {
-					t.Error("migrated store differs from fresh materialization")
+					t.Error("migrated store differs from what the generator gives")
 				}
 				if !rep.Exact() {
 					t.Error("report not exact")
@@ -76,8 +81,30 @@ func TestExecuteEndToEnd(t *testing.T) {
 				if rep.RowsExecuted != tab.Rows {
 					t.Errorf("executed %d rows, want %d", rep.RowsExecuted, tab.Rows)
 				}
-				if s := rep.String(); !strings.Contains(s, "exact=true") {
+				if s := rep.String(); !strings.Contains(s, "migrated==generator exact=true") {
 					t.Errorf("report rendering lost the verdict:\n%s", s)
+				}
+				for _, tc := range []struct {
+					name   string
+					tamper func(r *Report)
+				}{
+					{"checksum flipped", func(r *Report) { r.Migrated.Queries[1].Stats.Checksum ^= 1 << 17 }},
+					{"result rows off by one", func(r *Report) { r.Migrated.Queries[2].Stats.Tuples-- }},
+					{"source layout held", func(r *Report) { r.Migrated.Layout = partition.Must(r.Migrated.Layout.Table, from.Parts) }},
+				} {
+					bad, migrated := *rep, *rep.Migrated
+					migrated.Queries = slices.Clone(migrated.Queries)
+					bad.Migrated = &migrated
+					tc.tamper(&bad)
+					if bad.VerifyExact() || bad.Exact() {
+						t.Errorf("%s: the verdict still holds", tc.name)
+					}
+					if s := bad.String(); !strings.Contains(s, "migrated==generator exact=false") {
+						t.Errorf("%s: the rendering does not say so:\n%s", tc.name, s)
+					}
+				}
+				if !rep.VerifyExact() {
+					t.Error("tampering with copies changed the report")
 				}
 			})
 		}

@@ -264,6 +264,7 @@ func runGroup(pipes []*Pipeline, fn func(r *Row) error) ([]Result, error) {
 	for i, p := range pipes {
 		switch {
 		case p.proj == nil:
+			res[i].Checksum, res[i].Stats.Checksum = storage.ChecksumSeed, storage.ChecksumSeed
 		case err != nil:
 			res[i].Rows = p.proj.rows
 		default:

@@ -302,7 +302,8 @@ func TestRunGroupContract(t *testing.T) {
 	}
 
 	res, err := RunGroup([]*Pipeline{build(snap, attrset.Of(), nil, 0), build(snap, q, nil, 0), build(snap, attrset.Of(), nil, 0)})
-	if err != nil || res[0].Rows != 0 || len(res[0].Ops) != 0 || res[1].Rows != 200 || res[2].Rows != 0 {
+	if err != nil || res[0].Rows != 0 || len(res[0].Ops) != 0 || res[1].Rows != 200 || res[2].Rows != 0 ||
+		res[0].Checksum != storage.ChecksumSeed || res[2].Stats.Checksum != storage.ChecksumSeed {
 		t.Errorf("empty plans beside a full one: %+v, %v", res, err)
 	}
 }

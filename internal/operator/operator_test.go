@@ -349,7 +349,8 @@ func TestPipelineLifecycle(t *testing.T) {
 		t.Error("second Run accepted")
 	}
 
-	// Empty plan: runs to an empty result, describes as empty.
+	// Empty plan: runs to an empty result (digest.go's empty checksum),
+	// describes as empty.
 	empty, err := Build(e.Snapshot(), dev, attrset.Of(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +359,8 @@ func TestPipelineLifecycle(t *testing.T) {
 		t.Errorf("empty Describe: %q", d)
 	}
 	res, err := empty.Run()
-	if err != nil || res.Rows != 0 || len(res.Ops) != 0 {
+	if err != nil || res.Rows != 0 || len(res.Ops) != 0 ||
+		res.Checksum != storage.ChecksumSeed || res.Stats.Checksum != storage.ChecksumSeed {
 		t.Errorf("empty plan: %+v, %v", res, err)
 	}
 

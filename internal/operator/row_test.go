@@ -405,6 +405,7 @@ func (p *rowPipeline) Run() (Result, error) { return p.RunFunc(nil) }
 func (p *rowPipeline) RunFunc(fn func(r *Row) error) (Result, error) {
 	var res Result
 	if p.root == nil {
+		res.Checksum, res.Stats.Checksum = storage.ChecksumSeed, storage.ChecksumSeed
 		return res, nil
 	}
 	for {

@@ -1,13 +1,11 @@
 package replay
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
 	"knives/internal/algorithms"
-	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/schema"
@@ -51,10 +49,11 @@ type pinnedRun struct {
 	selected *OperatorReplay
 }
 
-// The differential's fixed knobs: the sampled rows and data seed every
-// checksum oracle regenerates, and two partition loaders, so the load runs
-// in parallel whatever the core count. The execution is one lockstep group,
-// every member sharing σ and column prefixes with the others.
+// The differential's fixed knobs: the sampled rows and data seed the
+// generator's answers are derived from, and two partition loaders, so the
+// load runs in parallel whatever the core count. The execution is one
+// lockstep group, every member sharing σ and column prefixes with the
+// others.
 const (
 	diffRows    = 1_500
 	diffSeed    = 42
@@ -121,37 +120,6 @@ func selectionFor(tbl *schema.Table, rows int64) Selection {
 	panic("replay: table " + tbl.Name + " has no int or date column to select on")
 }
 
-// checksumOracle is query q's result checksum over rows generated rows of
-// tbl under sel, derived straight from the data generator and the digest's
-// definition (storage.FoldValue, storage.FoldRow) with no executor in
-// between.
-func checksumOracle(tbl *schema.Table, rows int64, q attrset.Set, sel *Selection) uint64 {
-	cols := q.Intersect(tbl.AllAttrs()).Attrs()
-	h := storage.ChecksumSeed
-	if len(cols) == 0 && sel == nil {
-		return h // the empty plan
-	}
-	gen := storage.NewGenerator(diffSeed)
-	buf := make([]byte, tbl.RowSize())
-	for r := int64(0); r < rows; r++ {
-		if sel != nil {
-			c := tbl.Columns[sel.Attr]
-			gen.Value(c, r, buf[:c.Size])
-			if binary.LittleEndian.Uint32(buf) >= sel.Bound {
-				continue
-			}
-		}
-		rh := storage.RowSeed
-		for _, a := range cols {
-			c := tbl.Columns[a]
-			gen.Value(c, r, buf[:c.Size])
-			rh = storage.FoldValue(rh, buf[:c.Size])
-		}
-		h = storage.FoldRow(h, rh)
-	}
-	return h
-}
-
 // eachPinned calls f in a <bench>/<device>/<knife> subtest for every knife
 // and both baselines, once per table of the benchmark.
 func eachPinned(t *testing.T, f func(t *testing.T, bench string, run *pinnedRun)) {
@@ -174,16 +142,16 @@ func eachPinned(t *testing.T, f func(t *testing.T, bench string, run *pinnedRun)
 // Measured seeks, bytes, and simulated time equal the cost model's
 // predictions exactly — zero tolerance — with and without a σ. The same
 // runs pin the reconstruction guarantee: every query's checksum over the
-// projected values is the one the data generator and the digest's
-// definition give, on every layout and device, so tuple reconstruction,
-// σ and the lockstep group's shared work are all invisible in it.
+// projected values and its result rows are the ones the data generator and
+// the digest's definition give (Expected), on every layout and device, so
+// tuple reconstruction, σ and the lockstep group's shared work are all
+// invisible in them.
 func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
-	type queryKey struct {
+	type tableKey struct {
 		bench, table string
-		query        int
 		selected     bool
 	}
-	oracle := make(map[queryKey]uint64)
+	oracle := make(map[tableKey][]Answer)
 	eachPinned(t, func(t *testing.T, bench string, run *pinnedRun) {
 		for _, rep := range []*OperatorReplay{run.reps[0], run.selected} {
 			if !rep.Exact() {
@@ -193,16 +161,17 @@ func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 			if rep.Selection != "" {
 				sel = &run.sel
 			}
+			k := tableKey{bench, rep.Table, sel != nil}
+			want, ok := oracle[k]
+			if !ok {
+				tw := schema.TableWorkload{Table: rep.Layout.Table, Queries: run.tw.Queries}
+				want = Expected(tw, rep.RowsReplayed, diffSeed, sel)
+				oracle[k] = want
+			}
 			for qi, q := range rep.Queries {
-				k := queryKey{bench, rep.Table, qi, sel != nil}
-				want, ok := oracle[k]
-				if !ok {
-					want = checksumOracle(rep.Layout.Table, rep.RowsReplayed, run.tw.Queries[qi].Attrs, sel)
-					oracle[k] = want
-				}
-				if q.Stats.Checksum != want {
-					t.Errorf("%s query %s σ=%q: checksum %x, the generator's rows give %x",
-						rep.Table, q.ID, rep.Selection, q.Stats.Checksum, want)
+				if q.Stats.Checksum != want[qi].Checksum || rep.ResultRows[qi] != want[qi].Rows {
+					t.Errorf("%s query %s σ=%q: checksum %x over %d rows, the generator's rows give %x over %d",
+						rep.Table, q.ID, rep.Selection, q.Stats.Checksum, rep.ResultRows[qi], want[qi].Checksum, want[qi].Rows)
 				}
 			}
 		}

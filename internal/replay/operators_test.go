@@ -160,7 +160,6 @@ func TestOperatorsErrors(t *testing.T) {
 func sameReport(t *testing.T, label string, got, want *OperatorReplay) {
 	t.Helper()
 	g, w := *got, *want
-	g.Elapsed, w.Elapsed = 0, 0
 	g.ExecSeconds, w.ExecSeconds = 0, 0
 	if !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: reports differ\n got %+v\nwant %+v", label, g, w)

@@ -24,6 +24,7 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -204,10 +205,6 @@ type TableReplay struct {
 	MeasuredTotal, PredictedTotal float64
 	// Unweighted engine totals across all queries.
 	BytesRead, Seeks, ReconJoins, Tuples int64
-	// Elapsed is the wall-clock time run spent holding its search slot:
-	// materialization plus replay when run built the store, the replay
-	// alone over a caller's or a resident engine.
-	Elapsed time.Duration
 }
 
 // Exact reports whether every query and the aggregate matched predictions
@@ -297,7 +294,7 @@ func tableReplay(rep *OperatorReplay, err error) (*TableReplay, error) {
 //
 // Results land at their query's index and the aggregation runs in query
 // order, keeping every reported number independent of the worker count;
-// only ExecSeconds and Elapsed, wall clock, see it.
+// only ExecSeconds, wall clock, sees it.
 func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage.Engine, algorithm string,
 	cfg Config, sel *Selection) (*OperatorReplay, error) {
 	cfg, model, err := cfg.normalized()
@@ -326,7 +323,6 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 	// replay, so this cannot deadlock.
 	algo.AcquireSearchSlot()
 	defer algo.ReleaseSearchSlot()
-	start := time.Now()
 
 	e := loaded
 	if e == nil {
@@ -409,7 +405,6 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		rep.ReconJoins += q.Stats.ReconJoins
 		rep.Tuples += q.Stats.Tuples
 	}
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
@@ -466,6 +461,70 @@ func Materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Con
 		return nil, fmt.Errorf("replay: load %s: %w", sample.Name, err)
 	}
 	return e, nil
+}
+
+// Answer is one query's result as the data generator gives it: the row
+// digest of its rows (storage's digest.go) and how many rows it returns.
+type Answer struct {
+	Checksum uint64
+	Rows     int64
+}
+
+// Expected is the oracle an execution's answers are checked against: each
+// query of tw over rows 0..rows-1 of what the generator makes under seed,
+// kept by sel when it is non-nil. It is one row-at-a-time pass that
+// generates each referenced column once per row and folds the values with
+// storage.FoldValue and storage.FoldRow only — no store, no operator code
+// and no FoldColumn, so it shares no primitive with what it checks. Queries
+// over the same columns have one answer, folded once. sel must be one the
+// executor accepts: an attribute of the table at least four bytes wide. A
+// query referencing nothing without a σ returns no rows.
+func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answer {
+	t, gen := tw.Table, storage.NewGenerator(seed)
+	index := make(map[attrset.Set]int) // a distinct column set's slot in cols
+	var cols [][]int
+	var distinct []Answer
+	var referenced attrset.Set
+	for _, q := range tw.Queries {
+		set := q.Attrs.Intersect(t.AllAttrs())
+		if _, ok := index[set]; !ok {
+			index[set] = len(cols)
+			cols = append(cols, set.Attrs())
+			distinct = append(distinct, Answer{Checksum: storage.ChecksumSeed})
+		}
+		referenced = referenced.Union(set)
+	}
+	if sel != nil {
+		referenced = referenced.Add(sel.Attr)
+	}
+	vals := make([][]byte, len(t.Columns))
+	for a, c := range t.Columns {
+		vals[a] = make([]byte, c.Size)
+	}
+	generated := referenced.Attrs()
+	for r := int64(0); r < rows; r++ {
+		for _, a := range generated {
+			gen.Value(t.Columns[a], r, vals[a])
+		}
+		if sel != nil && binary.LittleEndian.Uint32(vals[sel.Attr]) >= sel.Bound {
+			continue
+		}
+		for k, qc := range cols {
+			if len(qc) > 0 || sel != nil {
+				rh := storage.RowSeed
+				for _, a := range qc {
+					rh = storage.FoldValue(rh, vals[a])
+				}
+				distinct[k].Checksum = storage.FoldRow(distinct[k].Checksum, rh)
+				distinct[k].Rows++
+			}
+		}
+	}
+	answers := make([]Answer, len(tw.Queries))
+	for i, q := range tw.Queries {
+		answers[i] = distinct[index[q.Attrs.Intersect(t.AllAttrs())]]
+	}
+	return answers
 }
 
 // predictedSeeks computes the buffer refills the HDD formulas imply for a

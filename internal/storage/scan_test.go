@@ -30,6 +30,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 	var stats ScanStats
 	query = query.Intersect(e.table.AllAttrs())
 	if query.IsEmpty() {
+		stats.Checksum = ChecksumSeed // the empty result's
 		return stats, nil
 	}
 

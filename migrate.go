@@ -19,7 +19,8 @@ type (
 	// MigrationReport is the outcome of executing and verifying a plan.
 	MigrationReport = migrate.Report
 	// MigrationConfig parameterizes an execution (it is the replay config:
-	// model, disk, row cap, workers, seed, backend).
+	// model, disk, row cap, workers, seed, backend); the seed also derives
+	// the answers the migrated store is checked against.
 	MigrationConfig = migrate.Config
 	// MigrationBreakdown is the migration cost model's per-partition
 	// pricing of a transition.
@@ -49,8 +50,9 @@ func MigratePlan(tw TableWorkload, from, to Partitioning, m CostModel, window in
 // MigrateExecute performs a planned migration on a sampled store and
 // verifies it: the from-layout is materialized, repartitioned into the
 // to-layout without a reload, the measured transition compared against the
-// migration cost model, and the migrated store replayed against a fresh
-// materialization of the target — all at zero tolerance.
+// migration cost model, and the migrated store replayed, its layout checked
+// against the target and its answers against the data generator's — all at
+// zero tolerance. The migrated store is the only one materialized.
 func MigrateExecute(tw TableWorkload, p *MigrationPlan, cfg MigrationConfig) (*MigrationReport, error) {
 	return migrate.Execute(tw, p, cfg)
 }
