@@ -226,6 +226,14 @@ var architecture = []rule{
 		none(pattern{kind: imported, from: operator, names: []string{"hash/fnv"}}),
 		none(pattern{kind: imported, from: storage, names: []string{"hash/fnv"}}),
 	}},
+	{name: "the digest is a sum over cells", limits: []limit{
+		// A checksum is a sum of per-cell terms keyed by (row id,
+		// attribute): a group hashes each referenced cell once per request
+		// into its column's total, and a query adds its columns' totals. The
+		// per-row chain and the prefix trie of row-hash vectors that shared
+		// its work stay deleted.
+		deleted("prefixNode", "scratchRows", "FoldColumn", "FoldRows", "SeedRows"),
+	}},
 	{name: "one observe/advice codec", limits: []limit{
 		// /observe decodes and observe verdicts and advice encode through
 		// the hand-written codec, never through reflection.
@@ -275,14 +283,14 @@ var architecture = []rule{
 	{name: "answers come from the generator", limits: []limit{
 		// /migrate materializes one store and checks what it answers against
 		// the data generator (replay.Expected), not against a second store
-		// that the same writer filled; the oracle folds row at a time and
+		// that the same writer filled; the oracle hashes cell by cell and
 		// shares no column kernel with the executor it checks.
 		deleted("checksumOracle"),
 		none(pattern{kind: declared, pkg: migratePkg, recv: "Report", names: []string{"Fresh"}}),
 		none(pattern{kind: used, from: migratePkg, pkg: replayPkg, names: []string{"Layout"}}),
 		{match: pattern{kind: used, from: migratePkg, pkg: replayPkg, names: []string{"Materialize"}}, want: 1},
 		{match: pattern{kind: declared, pkg: replayPkg, names: []string{"Expected"}}, want: 1},
-		none(pattern{kind: used, from: replayPkg, pkg: storage, names: []string{"FoldColumn", "FoldRows", "SeedRows"}, fn: "Expected"}),
+		none(pattern{kind: used, from: replayPkg, pkg: storage, names: []string{"SumColumn"}, fn: "Expected"}),
 	}},
 	{name: "knivesd links what it serves",
 		root: pkgPath("cmd/knivesd"),
@@ -842,6 +850,8 @@ var plants = []struct {
 	{"one way to observe", "internal/advisor/client.go", "", "func (c *Client) Observe() {}"},
 	{"one way to observe", "internal/advisor/drift.go", "", "func (t *Tracker) validateLocked() {}"},
 	{"one checksum definition", "internal/storage/digest.go", "package storage\n", `import _ "hash/fnv"`},
+	{"the digest is a sum over cells", "internal/operator/group.go", "", "const scratchRows = 256"},
+	{"the digest is a sum over cells", "internal/storage/digest.go", "", "func FoldRows(h uint64, rh []uint64) uint64 { return h }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { var req ObserveRequest; decodeRequest(nil, nil, &req) }"},
 	{"one observe/advice codec", "internal/advisor/codec.go", "", "func init() { decodeBody(nil, nil, &ObserveRequest{}) }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, ObserveResponse{}) }"},
@@ -873,7 +883,7 @@ var plants = []struct {
 	{"answers come from the generator", "internal/migrate/migrate.go", "", "func init() { replay.Layout(schema.TableWorkload{}, partition.Partitioning{}, \"\", Config{}) }"},
 	{"answers come from the generator", "internal/migrate/migrate.go", "", "func init() { _, _ = replay.Materialize(schema.TableWorkload{}, partition.Partitioning{}, Config{}) }"},
 	{"answers come from the generator", "internal/replay/operators.go", "", "func Expected() {}"},
-	{"answers come from the generator", "internal/replay/replay.go", "\tt, gen := tw.Table, storage.NewGenerator(seed)\n", "\tstorage.FoldColumn(nil, nil, nil, 0, 0, nil, 0)"},
+	{"answers come from the generator", "internal/replay/replay.go", "\tt, gen := tw.Table, storage.NewGenerator(seed)\n", "\tstorage.SumColumn(nil, 0, 0, 0, 0, 0, nil, 0)"},
 	{"knivesd links what it serves", "internal/advisor/service.go", "package advisor\n", `import _ "knives/internal/metrics"`},
 	{"knivesd links what it serves", "internal/replay/replay.go", "package replay\n", `import _ "knives/internal/algo/trojan"`},
 	{"knivesd links what it serves", "internal/advisor/advisor.go", "package advisor\n", `import _ "knives/internal/algorithms"`},

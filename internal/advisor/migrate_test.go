@@ -14,20 +14,20 @@ import (
 	"knives/internal/schema"
 )
 
-// driftService advises the co-access workload and streams single-column
-// traffic until the tracker recomputes, returning the service and the
+// driftService advises the mixed-width co-access workload and streams the
+// split traffic until the tracker recomputes, returning the service and the
 // pre-drift advice.
 func driftService(t *testing.T) (*Service, *schema.Table, TableAdvice) {
 	t.Helper()
 	svc := NewService(Config{DriftThreshold: 0.15, DriftWindow: 8})
-	tab := wideTable(t)
-	stale, _, err := svc.AdviseTable(coAccessWorkload(tab))
+	tab := mixedTable(t)
+	stale, _, err := svc.AdviseTable(mixedCoAccessWorkload(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recomputed := false
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := observe(svc, tab, singleColumnBatch())
+		rep, err := observe(svc, tab, splitBatch(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,48 @@ func driftService(t *testing.T) (*Service, *schema.Table, TableAdvice) {
 	return svc, tab, stale
 }
 
-// singleColumnBatch is the drifted traffic: a and b only ever read alone.
+// mixedTable is wideTable beside a column of each width the digest's
+// column kernel specialises: e an int, f a date, g an 8-byte decimal. A
+// migration verifies the columns its drifted traffic reads, so that traffic
+// reads every width.
+func mixedTable(t *testing.T) *schema.Table {
+	t.Helper()
+	tab, err := schema.NewTable("events", 1_000_000, []schema.Column{
+		{Name: "a", Kind: schema.KindChar, Size: 100},
+		{Name: "b", Kind: schema.KindChar, Size: 100},
+		{Name: "c", Kind: schema.KindChar, Size: 100},
+		{Name: "d", Kind: schema.KindChar, Size: 100},
+		{Name: "e", Kind: schema.KindInt, Size: 4},
+		{Name: "f", Kind: schema.KindDate, Size: 4},
+		{Name: "g", Kind: schema.KindDecimal, Size: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// mixedCoAccessWorkload references a and b, with the narrow columns,
+// strictly together; c and d together.
+func mixedCoAccessWorkload(tab *schema.Table) schema.TableWorkload {
+	return schema.TableWorkload{Table: tab, Queries: []schema.TableQuery{
+		{ID: "q1", Weight: 1, Attrs: attrset.Of(0, 1, 4, 5, 6)},
+		{ID: "q2", Weight: 1, Attrs: attrset.Of(0, 1, 4, 5, 6)},
+		{ID: "q3", Weight: 1, Attrs: attrset.Of(2, 3)},
+	}}
+}
+
+// splitBatch is the drifted traffic on mixedTable, each query at weight w:
+// a (with e) and b (with f and g) only ever read apart.
+func splitBatch(w float64) []schema.TableQuery {
+	return []schema.TableQuery{
+		{ID: "s1", Weight: w, Attrs: attrset.Of(0, 4)},
+		{ID: "s2", Weight: w, Attrs: attrset.Of(1, 5, 6)},
+	}
+}
+
+// singleColumnBatch is the drifted traffic on wideTable: a and b only ever
+// read alone.
 func singleColumnBatch() []schema.TableQuery {
 	return []schema.TableQuery{
 		{ID: "s1", Weight: 1, Attrs: attrset.Of(0)},
@@ -102,7 +143,7 @@ func TestMigrateTableClosesDriftLoop(t *testing.T) {
 		t.Error("migrated store failed verification against the generator")
 	}
 	if !p.Viable {
-		t.Errorf("single-column traffic on 100-byte columns should amortize fast; refused: %s", p.Reason)
+		t.Errorf("split traffic on 100-byte columns should amortize fast; refused: %s", p.Reason)
 	}
 	if !out.AppliedUpdated {
 		t.Error("verified viable migration did not advance the applied layout")
@@ -190,10 +231,7 @@ func TestMigrateTableRekeysOnMixChange(t *testing.T) {
 	// windowed log (the mix plans amortize over) genuinely changes. (An
 	// identical-weight batch would trim to a byte-identical window, and an
 	// unchanged mix legitimately stays cached.)
-	rep, err := observe(svc, tab, []schema.TableQuery{
-		{ID: "s1", Weight: 3, Attrs: attrset.Of(0)},
-		{ID: "s2", Weight: 3, Attrs: attrset.Of(1)},
-	})
+	rep, err := observe(svc, tab, splitBatch(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // Tests of the row digest as the executor and its two oracles compute it: what the
 // checksum must notice, what a column-less row contributes, and that the
-// vector π's scratch is per pipeline.
+// group digest allocates only when it forms.
 
 // editableStore loads the test table into memory backends the test keeps a
 // handle on, so a test can corrupt the store BEFORE anything scans it (a mem
@@ -115,11 +116,12 @@ func (s *editableStore) checksums(t *testing.T, label string, query attrset.Set,
 }
 
 // TestChecksumSensitivity: what the byte-stream digest this replaced was
-// never asked. On a small table, each of three corruptions of the stored
+// never asked. On a small table, each of four corruptions of the stored
 // rows — two rows swapped (the same multiset of rows), one column shifted by
-// one row against the others (the same multiset of values per column), one
-// bit of one value flipped — must change the checksum, in the pipeline and
-// both its oracles alike, with and without σ.
+// one row against the others (the same multiset of values per column), two
+// equal-width columns swapped within one row (the same multiset of values
+// per row), one bit of one value flipped — must change the checksum, in the
+// pipeline and both its oracles alike, with and without σ.
 func TestChecksumSensitivity(t *testing.T) {
 	const rows, seed = 60, 5
 	query := attrset.Of(0, 2, 3, 5)
@@ -164,14 +166,30 @@ func TestChecksumSensitivity(t *testing.T) {
 				t.Errorf("%s layout, %s: σ checksum %x did not change", name, what, gotSel)
 			}
 		}
+
+		// Columns 0 and 4 (both 4-byte ints) swapped in row 23: a digest
+		// keyed by row alone, not by (row, attribute), cannot see it.
+		swapped := attrset.Of(0, 2, 4)
+		wantFull, wantSel = clean.checksums(t, name+"/clean", swapped, &pred)
+		s := newEditableStore(t, rows, parts, seed)
+		x, y := s.cell(t, 0, 23), s.cell(t, 4, 23)
+		if bytes.Equal(x, y) {
+			t.Fatalf("%s layout: columns 0 and 4 of row 23 are equal; the swap changes nothing", name)
+		}
+		for i := range x {
+			x[i], y[i] = y[i], x[i]
+		}
+		gotFull, gotSel := s.checksums(t, name+"/columns 0 and 4 swapped in row 23", swapped, &pred)
+		if gotFull == wantFull || gotSel == wantSel {
+			t.Errorf("%s layout, columns 0 and 4 swapped in row 23: checksums %x / σ %x did not change", name, gotFull, gotSel)
+		}
 	}
 }
 
 // TestDigestEmptyProjection pins the corner the executors could disagree on:
 // σ on a column outside an EMPTY projection yields rows with no columns. The
-// definition says such a row hashes to RowSeed and is folded like any other,
-// so the checksum counts the rows; a result with no rows — empty projection
-// or not — is ChecksumSeed.
+// definition says such a row adds RowSeed alone, so the checksum counts the
+// rows; a result with no rows — empty projection or not — is ChecksumSeed.
 func TestDigestEmptyProjection(t *testing.T) {
 	const rows = 100
 	dev := testDevice()
@@ -200,10 +218,7 @@ func TestDigestEmptyProjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := storage.ChecksumSeed
-			for i := int64(0); i < row.Rows; i++ {
-				want = storage.FoldRow(want, storage.RowSeed)
-			}
+			want := storage.ChecksumSeed + uint64(row.Rows)*storage.RowSeed
 			if row.Checksum != want || ref.Checksum != want || ref.Rows != row.Rows {
 				t.Errorf("%s, %s: row %x (%d rows), reference %x (%d rows), definition %x",
 					name, tc.label, row.Checksum, row.Rows, ref.Checksum, ref.Rows, want)
@@ -229,12 +244,11 @@ func TestDigestEmptyProjection(t *testing.T) {
 	}
 }
 
-// TestDigestDoesNotAllocate: π's row-hash scratch belongs to the group —
-// a stack of vectors sized when the group forms, reused for every batch and
-// segment. Digesting a batch, dense or through a selection vector, and
-// longer than the scratch, allocates nothing: for a group of one and for a
-// group whose members share prefixes, duplicate one another, project
-// nothing and project everything.
+// TestDigestDoesNotAllocate: π's column list and totals belong to the
+// group, sized when the group forms and reused for every batch. Digesting a
+// batch, dense or through a selection vector, allocates nothing: for a
+// group of one and for a group whose members share columns, duplicate one
+// another, project nothing and project everything.
 func TestDigestDoesNotAllocate(t *testing.T) {
 	const rows = 1500
 	dev := testDevice()
@@ -279,12 +293,12 @@ func TestDigestDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDigestSegmentsLongerThanScratch: on the served 8 KiB pages a narrow
-// leaf holds hundreds of rows per page, so a segment outgrows π's fixed
-// scratch and is cut at the scratch's length as well. Where it is cut must
-// not show: vector == row == reference, dense and under σ, for batches
-// shorter than, equal to and longer than a page's rows.
-func TestDigestSegmentsLongerThanScratch(t *testing.T) {
+// TestDigestAcrossPageRuns: on the served 8 KiB pages a narrow leaf holds
+// hundreds of rows per page and a wide one a few dozen, so a batch's columns
+// are summed over page runs that end at different slots in each partition.
+// Where a run ends must not show: vector == row == reference, dense and
+// under σ, for batches shorter than, equal to and longer than a page's rows.
+func TestDigestAcrossPageRuns(t *testing.T) {
 	const rows = 3000
 	dev := cost.DefaultDisk()
 	e := loadEngine(t, testTable(t, rows), testLayouts["column"], dev, 8)

@@ -279,6 +279,8 @@ func FuzzVectorVsRowOracle(f *testing.F) {
 	f.Add(uint64(16), uint64(0x15a5), uint16(0xff), uint16(3), uint32(0), uint16(6), uint16(256), uint8(0))
 	f.Add(uint64(17), uint64(5), uint16(0xffff), uint16(41), uint32(0), uint16(30), uint16(200), uint8(8))
 	f.Add(uint64(18), uint64(0o76543210), uint16(0xff), uint16(1), uint32(0), uint16(4), uint16(298), uint8(6))
+	// The empty plan: no column and no σ, whose checksum is the seed.
+	f.Add(uint64(15), uint64(16434968), uint16(0), uint16(86), uint32(9), uint16(9), uint16(298), uint8('+'))
 	f.Fuzz(func(t *testing.T, seed, groups uint64, qmask, predSel uint16, bound uint32, batchRaw, rowsRaw uint16, shape uint8) {
 		rows := int64(rowsRaw)%300 + 1 // [1, 300]
 		tbl := fuzzTable(rows)

@@ -308,11 +308,12 @@ func TestRunGroupContract(t *testing.T) {
 	}
 }
 
-// TestGroupDigestFoldsEachPrefixOnce pins what one group saves on the served
+// TestGroupDigestHashesEachCellOnce pins what one group saves on the served
 // shape: lineitem's 17 queries over its pinned HillClimb layout. Alone, each
-// pipeline folds every attribute it projects, 74 column folds per batch; the
-// group digest's prefix trie holds each distinct prefix once, 49.
-func TestGroupDigestFoldsEachPrefixOnce(t *testing.T) {
+// pipeline hashes every cell it projects, 74 per row; the group digest
+// lists each distinct projected column once and hashes 14 per row, the
+// union of the queries' columns.
+func TestGroupDigestHashesEachCellOnce(t *testing.T) {
 	b := schema.TPCH(10)
 	tw := b.Workload.ForTable(b.Table("lineitem"))
 	pins, err := algorithms.ReadPins("../algorithms/testdata/layouts.golden")
@@ -330,6 +331,7 @@ func TestGroupDigestFoldsEachPrefixOnce(t *testing.T) {
 	dev := cost.HDDDevice()
 	snap := loadEngine(t, sample, layout.Parts, dev, 1).Snapshot()
 	var pipes []*Pipeline
+	var union attrset.Set
 	alone := 0
 	for _, q := range tw.Queries {
 		p, err := BuildExec(snap, dev, q.Attrs, nil, ExecOptions{})
@@ -338,10 +340,16 @@ func TestGroupDigestFoldsEachPrefixOnce(t *testing.T) {
 		}
 		pipes = append(pipes, p)
 		alone += len(p.proj.cols)
+		union = union.Union(p.proj.attrs)
 	}
 	d := newGroupDigest(pipes)
-	if len(pipes) != 17 || alone != 74 || len(d.nodes) != 49 {
-		t.Errorf("%d queries fold %d columns alone and %d in one group, want 17, 74 and 49", len(pipes), alone, len(d.nodes))
+	var listed attrset.Set
+	for _, c := range d.cols {
+		listed = listed.Add(c.attr)
+	}
+	if len(pipes) != 17 || alone != 74 || len(d.cols) != 14 || listed != union {
+		t.Errorf("%d queries hash %d cells per row alone and %d (%v) in one group, want 17, 74 and 14 (%v)",
+			len(pipes), alone, len(d.cols), listed, union)
 	}
 }
 

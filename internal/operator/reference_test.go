@@ -17,7 +17,7 @@ import (
 // out byte by byte — no views, no page lifetime to get wrong, no
 // branchless comparison, no word loads. It shares nothing with vector.go
 // but the cursors and OpStats, so a bug in how the production path walks
-// runs, splits segments or evaluates the predicate cannot hide in both.
+// runs, sums columns or evaluates the predicate cannot hide in both.
 // refRun is buildVector + runVector over these operators.
 
 // refBatch is one chunk of up to cap consecutive rows flowing through the
@@ -307,36 +307,37 @@ func (j *refJoin) Name() string { return "⋈" }
 
 // The row digest, spelled out byte by byte — the definition production code
 // (storage/digest.go) must equal, sharing nothing with it: its own
-// constants, no word loads, no width cases.
+// constants, no word loads, no width cases, no running key.
 //
 //	refStep(h, w) = x ^ x>>32, x = (h ^ w) * 0xd6e8feb86659fd93
-//	row hash      = refStep from 0xbb67ae8584caa73b over the row's query
-//	                columns in ascending attribute order, each value cut into
-//	                8-byte little-endian words, the last one zero-extended
-//	checksum      = refStep from 0x6a09e667f3bcc908 over the row hashes of
-//	                the surviving rows, in row order
+//	cell (i, a)   = refStep from (64·i + a) * 0x9e3779b97f4a7c15 over the
+//	                value cut into 8-byte little-endian words, the last one
+//	                zero-extended
+//	checksum      = 0x6a09e667f3bcc908 + Σ over the surviving rows of
+//	                (0xbb67ae8584caa73b + Σ over the query's columns of the
+//	                cell), mod 2^64
 func refStep(h, w uint64) uint64 {
 	x := (h ^ w) * 0xd6e8feb86659fd93
 	return x ^ x>>32
 }
 
-// refRowHash folds one value into a row hash: byte j of the value is byte
-// j%8 of word j/8.
-func refRowHash(rh uint64, v []byte) uint64 {
+// refCell hashes row i's value v of attribute a: byte j of the value is
+// byte j%8 of word j/8.
+func refCell(i int64, a int, v []byte) uint64 {
+	h := (uint64(i)*64 + uint64(a)) * 0x9e3779b97f4a7c15
 	for at := 0; at < len(v); at += 8 {
 		var w uint64
 		for j := at; j < at+8 && j < len(v); j++ {
 			w |= uint64(v[j]) << (8 * uint(j-at))
 		}
-		rh = refStep(rh, w)
+		h = refStep(h, w)
 	}
-	return rh
+	return h
 }
 
 // refProject is the vectorized π: one loop hashes every surviving row's
-// query columns in ascending attribute order and folds the row hash into the
-// checksum — the definition above, row at a time, a column-less row
-// included. It also records per-batch fill ratios (surviving rows over batch
+// query cells and adds them, and the row's own term, into the checksum —
+// the definition above, row at a time, a column-less row included. It also records per-batch fill ratios (surviving rows over batch
 // capacity), the serving layer's batching-efficiency signal.
 type refProject struct {
 	child refOperator
@@ -361,12 +362,11 @@ func (p *refProject) NextBatch() (*refBatch, error) {
 		return nil, err
 	}
 	digest := func(i int) {
-		rh := uint64(0xbb67ae8584caa73b)
+		p.h += 0xbb67ae8584caa73b
 		for _, a := range p.cols {
 			w := b.width[a]
-			rh = refRowHash(rh, b.cols[a][i*w:(i+1)*w])
+			p.h += refCell(b.Base+int64(i), a, b.cols[a][i*w:(i+1)*w])
 		}
-		p.h = refStep(p.h, rh)
 	}
 	if b.sel == nil {
 		for i := 0; i < b.n; i++ {
@@ -407,6 +407,8 @@ func refRun(snap *storage.Snapshot, dev cost.Device, query attrset.Set, pred *Pr
 		needed = needed.Add(pred.Attr)
 	}
 	if needed.IsEmpty() {
+		// The empty result's checksum is the seed.
+		res.Checksum, res.Stats.Checksum = 0x6a09e667f3bcc908, 0x6a09e667f3bcc908
 		return res, nil
 	}
 	var refs []int

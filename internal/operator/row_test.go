@@ -16,10 +16,10 @@ import (
 // The row-at-a-time Volcano pipeline: the executor the batch-at-a-time one
 // (vector.go) replaced in production, kept verbatim as its oracle. One row
 // per interface call, one cursor Next per row, σ through Pred.match (σ's
-// definition, below), ⋈ as a merge on row ID, π through FoldValue/FoldRow.
-// It shares the cursors, Row, OpStats and the digest's row-at-a-time entry
-// points with production and nothing of how batches are cut, filtered,
-// aligned or folded. buildRow plans exactly as BuildExec does;
+// definition, below), ⋈ as a merge on row ID, π through storage.Cell.
+// It shares the cursors, Row, OpStats and the digest's per-cell primitive
+// with production and nothing of how batches are cut, filtered, aligned or
+// summed. buildRow plans exactly as BuildExec does;
 // rowPipeline.RunFunc aggregates with its own copy of the charge.
 
 // Operator is a pull-based (Volcano-style) row iterator. Next returns the
@@ -273,7 +273,7 @@ func (j *ReconJoin) Stats() OpStats {
 func (j *ReconJoin) Name() string { return "⋈" }
 
 // Project is the π operator: it restricts rows to the query's attributes
-// and folds them into the row digest — the one checksum definition, in
+// and adds their cells into the row digest — the one checksum definition, in
 // storage/digest.go, that Engine.Scan and the vector π compute too — so a
 // pipeline's result checksum is directly comparable to a monolithic scan's.
 type Project struct {
@@ -299,13 +299,12 @@ func (p *Project) Next() (*Row, error) {
 		return nil, err
 	}
 	p.in++
-	rh := storage.RowSeed
+	p.h += storage.RowSeed
 	for _, a := range p.cols {
 		b := r.Col(a)
-		rh = storage.FoldValue(rh, b)
+		p.h += storage.Cell(r.ID, a, b)
 		p.out.vals[a] = b
 	}
-	p.h = storage.FoldRow(p.h, rh)
 	p.out.ID = r.ID
 	return &p.out, nil
 }

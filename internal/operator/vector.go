@@ -16,9 +16,9 @@ import (
 // straddles, its columns bound once when the plan is built (binding). σ
 // reads the predicate column where it lies and writes a selection vector, ⋈
 // degenerates to chunk alignment because leaves emit consecutive IDs in
-// lockstep chunks, and π folds the surviving rows straight off the pages
-// into the row digest (storage/digest.go) — once per batch for a whole
-// group of pipelines (group.go), which also share σ's vector. The physical
+// lockstep chunks, and π sums the surviving rows' cells straight off the
+// pages into the row digest (storage/digest.go) — once for a whole group
+// of pipelines (group.go), which also share σ's vector. The physical
 // accounting is the PartCursor's, page fetch for page fetch, wherever
 // batches are cut — so checksums, row counts, and ScanStats are bit-equal
 // to the row-at-a-time oracle's (row_test.go).
@@ -360,14 +360,15 @@ func (j *VecReconJoin) Name() string { return "⋈" }
 // and its row digest (storage/digest.go, the one checksum definition), so
 // the checksum stays layout- and batch-size-invariant. It is the pipeline's
 // sink rather than a stream: RunGroup pulls each batch through its child
-// and folds the surviving rows' query columns into h, together with the
-// other members of its group (groupDigest), then accounts the batch here.
-// It also records per-batch fill ratios (surviving rows over batch
-// capacity), the serving layer's batching-efficiency signal.
+// and sums the surviving rows' query columns, together with the other
+// members of its group (groupDigest), then accounts the batch here; the
+// group sets h at end of stream. It also records per-batch fill ratios
+// (surviving rows over batch capacity), the serving layer's
+// batching-efficiency signal.
 type VecProject struct {
 	child VecOperator
 	attrs attrset.Set
-	cols  []int // attrs, ascending: the order a row hash folds them in
+	cols  []int // attrs, ascending
 	h     uint64
 	rows  int64
 	cap   int

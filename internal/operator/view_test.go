@@ -219,10 +219,9 @@ func TestVectorReadFaultNoPartialResult(t *testing.T) {
 // (here: the whole table in one batch) may differ by what legitimately grows
 // with the batch — the σ leaf's selection vector (4 bytes per slot) and the
 // leaves' run lists (one descriptor per page, times 4 for everything append
-// allocates on the way to that length) — and by nothing else: π's row-hash
-// scratch is a stack of fixed-length vectors per group, whatever the batch
-// size. The
-// column buffers this replaced would add the table's size on top.
+// allocates on the way to that length) — and by nothing else: π keeps one
+// running total per column, whatever the batch size. The column buffers
+// this replaced would add the table's size on top.
 func TestVectorScanDoesNotBufferRows(t *testing.T) {
 	const rows = 20_000
 	tbl, err := schema.NewTable("wide", rows, []schema.Column{

@@ -271,17 +271,17 @@ func TestOperatorsOnRefusesForeignEngine(t *testing.T) {
 // below the report encoder: OperatorsOn over a resident 20k-row lineitem
 // store in its pinned HillClimb layout, σ on l_shipdate, one lockstep group
 // on the calling goroutine. Per call: every pipeline's leaves, cursors and
-// operators, the group's σ buffer and row-hash stack, and the report. The
-// ceilings are the values measured once plans bound their columns to the
-// epoch's row format instead of copying them per cursor and per batch
-// (1,447 allocations and 144,241 bytes on go1.24, linux/amd64; bytes get
-// 0.1 % of slack); a change that allocates more per request fails here
-// first.
+// operators, the group's σ buffer and column list, and the report. The
+// ceilings are the values measured once the group digest summed each
+// distinct column instead of folding a prefix trie of row-hash vectors
+// (1,407 allocations and 125,865 bytes on go1.24, linux/amd64; bytes get
+// 0.1 % of slack; 1,447 and 144,241 with the trie); a change that
+// allocates more per request fails here first.
 func TestOperatorsOnAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation moves allocations to the heap; the ceilings are the plain build's")
 	}
-	const maxAllocs, maxBytes = 1_447, 144_400
+	const maxAllocs, maxBytes = 1_407, 126_000
 	tw := lineitem()
 	cfg := Config{MaxRows: 20_000, Seed: 1}
 	ncfg, _, err := cfg.Normalized()

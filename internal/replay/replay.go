@@ -473,10 +473,10 @@ type Answer struct {
 // Expected is the oracle an execution's answers are checked against: each
 // query of tw over rows 0..rows-1 of what the generator makes under seed,
 // kept by sel when it is non-nil. It is one row-at-a-time pass that
-// generates each referenced column once per row and folds the values with
-// storage.FoldValue and storage.FoldRow only — no store, no operator code
-// and no FoldColumn, so it shares no primitive with what it checks. Queries
-// over the same columns have one answer, folded once. sel must be one the
+// generates each referenced column once per row and adds up the cells with
+// storage.Cell only — no store, no operator code and no column kernel, so
+// it shares no primitive with what it checks. Each referenced cell is
+// hashed once and added to every query projecting it. sel must be one the
 // executor accepts: an attribute of the table at least four bytes wide. A
 // query referencing nothing without a σ returns no rows.
 func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answer {
@@ -484,7 +484,7 @@ func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answe
 	index := make(map[attrset.Set]int) // a distinct column set's slot in cols
 	var cols [][]int
 	var distinct []Answer
-	var referenced attrset.Set
+	var projected attrset.Set
 	for _, q := range tw.Queries {
 		set := q.Attrs.Intersect(t.AllAttrs())
 		if _, ok := index[set]; !ok {
@@ -492,8 +492,9 @@ func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answe
 			cols = append(cols, set.Attrs())
 			distinct = append(distinct, Answer{Checksum: storage.ChecksumSeed})
 		}
-		referenced = referenced.Union(set)
+		projected = projected.Union(set)
 	}
+	referenced := projected
 	if sel != nil {
 		referenced = referenced.Add(sel.Attr)
 	}
@@ -501,7 +502,8 @@ func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answe
 	for a, c := range t.Columns {
 		vals[a] = make([]byte, c.Size)
 	}
-	generated := referenced.Attrs()
+	generated, hashed := referenced.Attrs(), projected.Attrs()
+	cells := make([]uint64, len(t.Columns))
 	for r := int64(0); r < rows; r++ {
 		for _, a := range generated {
 			gen.Value(t.Columns[a], r, vals[a])
@@ -509,13 +511,16 @@ func Expected(tw schema.TableWorkload, rows, seed int64, sel *Selection) []Answe
 		if sel != nil && binary.LittleEndian.Uint32(vals[sel.Attr]) >= sel.Bound {
 			continue
 		}
+		for _, a := range hashed {
+			cells[a] = storage.Cell(r, a, vals[a])
+		}
 		for k, qc := range cols {
 			if len(qc) > 0 || sel != nil {
-				rh := storage.RowSeed
+				h := distinct[k].Checksum + storage.RowSeed
 				for _, a := range qc {
-					rh = storage.FoldValue(rh, vals[a])
+					h += cells[a]
 				}
-				distinct[k].Checksum = storage.FoldRow(distinct[k].Checksum, rh)
+				distinct[k].Checksum = h
 				distinct[k].Rows++
 			}
 		}

@@ -7,7 +7,7 @@ import (
 
 // Engine.Scan is the monolithic executor production ran until every scan
 // moved onto the operator pipeline: one loop that reads every referenced
-// partition through its own private cursors, reconstructs tuples and folds
+// partition through its own private cursors, reconstructs tuples and sums
 // the digest. It is kept verbatim as the ORACLE the cursor mechanics
 // (snapshot.go) and the pipeline built on them are checked against — it
 // shares the digest and the backends with production and none of the cursor
@@ -16,9 +16,9 @@ import (
 // import the operator layer) pins operator pipelines to it.
 
 // Scan executes a projection query: it reads every partition containing a
-// referenced attribute in full, reconstructs tuples, and folds the
-// projected attribute values into the row digest (digest.go), the
-// layout-independent checksum.
+// referenced attribute in full, reconstructs tuples, and adds the
+// projected cells into the row digest (digest.go), the layout-independent
+// checksum.
 //
 // Scan snapshots the current epoch once and keeps all of its state in local
 // cursors, so after Load has returned, any number of Scans may run
@@ -90,6 +90,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 	// Map each referenced column to (cursor, offset) for reconstruction.
 	type colRef struct {
 		c    *cursor
+		attr int
 		off  int
 		size int
 	}
@@ -102,7 +103,7 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 			off := 0
 			for _, pc := range c.p.cols {
 				if pc == col {
-					colRefs = append(colRefs, colRef{c: c, off: off, size: e.table.Columns[col].Size})
+					colRefs = append(colRefs, colRef{c: c, attr: col, off: off, size: e.table.Columns[col].Size})
 				}
 				off += e.table.Columns[pc].Size
 			}
@@ -117,12 +118,11 @@ func (e *Engine) Scan(query attrset.Set) (ScanStats, error) {
 				}
 			}
 		}
-		rh := RowSeed
+		h += RowSeed
 		for _, cr := range colRefs {
 			base := cr.c.inPage * cr.c.p.rowSize
-			rh = FoldValue(rh, cr.c.page[base+cr.off:base+cr.off+cr.size])
+			h += Cell(r, cr.attr, cr.c.page[base+cr.off:base+cr.off+cr.size])
 		}
-		h = FoldRow(h, rh)
 		for _, c := range cursors {
 			c.inPage++
 		}
