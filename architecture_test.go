@@ -242,6 +242,14 @@ var architecture = []rule{
 		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "AdviseResponse"}),
 		none(pattern{kind: passed, from: advisor, names: []string{"writeJSON"}, typeArg: "TableAdviceWire"}),
 	}},
+	{name: "executed reports encode by hand", limits: []limit{
+		// /query and /replay answer through the codec's appender like
+		// /observe and /advise; reflection encodes only the cold bodies of
+		// /migrate, /tables, /stats and /healthz. A query's result rows are
+		// its stats' tuples, counted once.
+		{match: pattern{kind: used, from: advisor, pkg: advisor, names: []string{"writeJSON"}, call: true}, want: 4},
+		none(pattern{kind: declared, pkg: replayPkg, names: []string{"ResultRows"}}),
+	}},
 	{name: "one search cache for the suite's benchmark", limits: []limit{
 		// An experiment searches the suite's own benchmark through the
 		// layout cache, keyed by (algorithm, device); only Fig1's timed
@@ -857,6 +865,8 @@ var plants = []struct {
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, ObserveResponse{}) }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func h(w http.ResponseWriter) { resp := AdviseResponse{}; writeJSON(w, &resp) }"},
 	{"one observe/advice codec", "internal/advisor/server.go", "", "func init() { writeJSON(nil, toWire(TableAdvice{}, Fingerprint{}, false)) }"},
+	{"executed reports encode by hand", "internal/advisor/server.go", "", "func init() { writeJSON(nil, QueryResponse{}) }"},
+	{"executed reports encode by hand", "internal/replay/operators.go", "type OperatorReplay struct {\n", "\tResultRows []int64"},
 	{"one search cache for the suite's benchmark", "internal/experiments/tables.go", "", "func init() { var s *Suite; runAll(nil, s.Bench, nil) }"},
 	{"one search cache for the suite's benchmark", "internal/experiments/device.go", "", "func (s *Suite) again(a algo.Algorithm) { b := s.Bench; runAll(a, b, s.model()) }"},
 	{"no knob that changes no number", "internal/replay/replay.go", "", "var _ = Config{}.ExecWorkers"},

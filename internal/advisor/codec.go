@@ -13,6 +13,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"knives/internal/operator"
 	"knives/internal/telemetry"
 )
 
@@ -790,9 +791,16 @@ func (d *obsDecoder) skip() error {
 // The encoders write what json.Encoder with SetIndent("", "  ") writes for
 // the same value, trailing newline included, straight into a buffer: HTML
 // escaping, encoding/json's float format, map keys in sorted order, null
-// for nil slices and maps, and the omitempty fields left out when empty. A
-// non-finite float fails the encoding with encoding/json's error for the
-// first one in document order.
+// for nil slices and maps, [] and {} for empty ones, and the omitempty
+// fields left out when empty. A non-finite float fails the encoding with
+// encoding/json's error for the first one in document order.
+//
+// One value, one method; a value that two responses carry is written by
+// one method for both. A layout is one method for advice and the two
+// executed reports. A /query report (TableExecWire) and a /replay report
+// (TableReplayWire) are one report method over the same header and totals,
+// which differ only in their per-query list; a /replay query is the
+// measures a /query pipeline opens with.
 
 // jsonw accumulates one encoding and its first unsupported value.
 type jsonw struct {
@@ -801,21 +809,82 @@ type jsonw struct {
 }
 
 // indents is a newline and the indentation of every depth the encoders
-// reach: the names in a verdict's advice layout, at depth 6, are the
+// reach: an operator's fields in a /query report, at depth 7, are the
 // deepest.
-const indents = "\n            "
+const indents = "\n              "
 
-// line starts a new line at depth.
-func (e *jsonw) line(depth int) { e.b = append(e.b, indents[:1+2*depth]...) }
-
-// field starts an object member at depth: key is the quoted name and its
-// colon, `"name": `.
-func (e *jsonw) field(depth int, first bool, key string) {
-	if !first {
-		e.b = append(e.b, ',')
+// next starts a new line at depth for the next member or element, after a
+// comma unless it is the first in its container.
+func (e *jsonw) next(depth int) {
+	b := e.b
+	if c := b[len(b)-1]; c != '{' && c != '[' {
+		b = append(b, ',')
 	}
-	e.line(depth)
-	e.b = append(e.b, key...)
+	e.b = append(b, indents[:1+2*depth]...)
+}
+
+// end closes the container opened at depth with c, on a line of its own.
+func (e *jsonw) end(depth int, c byte) {
+	e.b = append(e.b, indents[:1+2*depth]...)
+	e.b = append(e.b, c)
+}
+
+// field starts the object member named key at depth.
+func (e *jsonw) field(depth int, key string) {
+	e.next(depth)
+	b := append(e.b, '"')
+	b = append(b, key...)
+	e.b = append(b, '"', ':', ' ')
+}
+
+// list opens the slice s, or writes it whole when it has no elements: null
+// when nil, [] when empty. It reports whether elements follow; each starts
+// with next, and the last is followed by end(depth, ']').
+func list[T any](e *jsonw, s []T) bool {
+	switch {
+	case s == nil:
+		e.b = append(e.b, "null"...)
+	case len(s) == 0:
+		e.b = append(e.b, "[]"...)
+	default:
+		e.b = append(e.b, '[')
+		return true
+	}
+	return false
+}
+
+func (e *jsonw) strField(depth int, key, v string) {
+	e.field(depth, key)
+	e.string(v)
+}
+
+func (e *jsonw) intField(depth int, key string, v int64) {
+	e.field(depth, key)
+	e.b = strconv.AppendInt(e.b, v, 10)
+}
+
+// omitIntField and omitStrField write an omitempty member: nothing when
+// the value is zero.
+func (e *jsonw) omitIntField(depth int, key string, v int64) {
+	if v != 0 {
+		e.intField(depth, key, v)
+	}
+}
+
+func (e *jsonw) omitStrField(depth int, key, v string) {
+	if v != "" {
+		e.strField(depth, key, v)
+	}
+}
+
+func (e *jsonw) floatField(depth int, key string, f float64) {
+	e.field(depth, key)
+	e.float(f)
+}
+
+func (e *jsonw) boolField(depth int, key string, v bool) {
+	e.field(depth, key)
+	e.b = strconv.AppendBool(e.b, v)
 }
 
 func (e *jsonw) float(f float64) {
@@ -838,16 +907,6 @@ func (e *jsonw) float(f float64) {
 		}
 	}
 }
-
-func (e *jsonw) bool(v bool) {
-	if v {
-		e.b = append(e.b, "true"...)
-	} else {
-		e.b = append(e.b, "false"...)
-	}
-}
-
-func (e *jsonw) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
 
 const hexDigits = "0123456789abcdef"
 
@@ -903,65 +962,39 @@ func (e *jsonw) string(s string) {
 	e.b = append(b, '"')
 }
 
-// names writes a []string value at depth.
-func (e *jsonw) names(depth int, ss []string) {
-	if ss == nil {
-		e.b = append(e.b, "null"...)
+// layout writes a layout at depth: its partitions, each a list of column
+// names.
+func (e *jsonw) layout(depth int, l [][]string) {
+	if !list(e, l) {
 		return
 	}
-	if len(ss) == 0 {
-		e.b = append(e.b, "[]"...)
-		return
-	}
-	e.b = append(e.b, '[')
-	for i, s := range ss {
-		if i > 0 {
-			e.b = append(e.b, ',')
+	for _, part := range l {
+		e.next(depth + 1)
+		if list(e, part) {
+			for _, name := range part {
+				e.next(depth + 2)
+				e.string(name)
+			}
+			e.end(depth+1, ']')
 		}
-		e.line(depth + 1)
-		e.string(s)
 	}
-	e.line(depth)
-	e.b = append(e.b, ']')
+	e.end(depth, ']')
 }
 
 // advice writes a TableAdviceWire at depth.
 func (e *jsonw) advice(depth int, a *TableAdviceWire) {
 	in := depth + 1
 	e.b = append(e.b, '{')
-	e.field(in, true, `"table": `)
-	e.string(a.Table)
-	e.field(in, false, `"algorithm": `)
-	e.string(a.Algorithm)
-	e.field(in, false, `"layout": `)
-	switch {
-	case a.Layout == nil:
-		e.b = append(e.b, "null"...)
-	case len(a.Layout) == 0:
-		e.b = append(e.b, "[]"...)
-	default:
-		e.b = append(e.b, '[')
-		for i, part := range a.Layout {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.line(in + 1)
-			e.names(in+1, part)
-		}
-		e.line(in)
-		e.b = append(e.b, ']')
-	}
-	e.field(in, false, `"cost": `)
-	e.float(a.Cost)
-	e.field(in, false, `"row_cost": `)
-	e.float(a.RowCost)
-	e.field(in, false, `"column_cost": `)
-	e.float(a.ColumnCost)
-	e.field(in, false, `"improvement_over_row": `)
-	e.float(a.ImprovementOverRow)
-	e.field(in, false, `"improvement_over_column": `)
-	e.float(a.ImprovementOverColumn)
-	e.field(in, false, `"per_algorithm": `)
+	e.strField(in, "table", a.Table)
+	e.strField(in, "algorithm", a.Algorithm)
+	e.field(in, "layout")
+	e.layout(in, a.Layout)
+	e.floatField(in, "cost", a.Cost)
+	e.floatField(in, "row_cost", a.RowCost)
+	e.floatField(in, "column_cost", a.ColumnCost)
+	e.floatField(in, "improvement_over_row", a.ImprovementOverRow)
+	e.floatField(in, "improvement_over_column", a.ImprovementOverColumn)
+	e.field(in, "per_algorithm")
 	switch {
 	case a.PerAlgorithm == nil:
 		e.b = append(e.b, "null"...)
@@ -975,66 +1008,145 @@ func (e *jsonw) advice(depth int, a *TableAdviceWire) {
 		}
 		slices.Sort(keys)
 		e.b = append(e.b, '{')
-		for i, k := range keys {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.line(in + 1)
+		for _, k := range keys {
+			e.next(in + 1)
 			e.string(k)
 			e.b = append(e.b, ": "...)
 			e.float(a.PerAlgorithm[k])
 		}
-		e.line(in)
-		e.b = append(e.b, '}')
+		e.end(in, '}')
 	}
-	e.field(in, false, `"fingerprint": `)
-	e.string(a.Fingerprint)
-	e.field(in, false, `"cached": `)
-	e.bool(a.Cached)
-	e.line(depth)
-	e.b = append(e.b, '}')
+	e.strField(in, "fingerprint", a.Fingerprint)
+	e.boolField(in, "cached", a.Cached)
+	e.end(depth, '}')
 }
 
 // drift writes a DriftReport at depth.
 func (e *jsonw) drift(depth int, r *DriftReport) {
 	in := depth + 1
 	e.b = append(e.b, '{')
-	e.field(in, true, `"table": `)
-	e.string(r.Table)
-	e.field(in, false, `"ratio": `)
-	e.float(r.Ratio)
-	e.field(in, false, `"threshold": `)
-	e.float(r.Threshold)
-	e.field(in, false, `"drifted": `)
-	e.bool(r.Drifted)
-	e.field(in, false, `"recomputed": `)
-	e.bool(r.Recomputed)
-	e.field(in, false, `"observed": `)
-	e.int(r.Observed)
-	e.field(in, false, `"recomputes": `)
-	e.int(r.Recomputes)
-	e.line(depth)
-	e.b = append(e.b, '}')
+	e.strField(in, "table", r.Table)
+	e.floatField(in, "ratio", r.Ratio)
+	e.floatField(in, "threshold", r.Threshold)
+	e.boolField(in, "drifted", r.Drifted)
+	e.boolField(in, "recomputed", r.Recomputed)
+	e.intField(in, "observed", r.Observed)
+	e.intField(in, "recomputes", r.Recomputes)
+	e.end(depth, '}')
 }
 
 // verdict writes a TableObserveVerdict at depth.
 func (e *jsonw) verdict(depth int, v *TableObserveVerdict) {
 	in := depth + 1
 	e.b = append(e.b, '{')
-	e.field(in, true, `"table": `)
-	e.string(v.Table)
-	e.field(in, false, `"status": `)
-	e.int(int64(v.Status))
-	if v.Error != "" {
-		e.field(in, false, `"error": `)
-		e.string(v.Error)
-	}
-	e.field(in, false, `"drift": `)
+	e.strField(in, "table", v.Table)
+	e.intField(in, "status", int64(v.Status))
+	e.omitStrField(in, "error", v.Error)
+	e.field(in, "drift")
 	e.drift(in, &v.Drift)
-	e.field(in, false, `"advice": `)
+	e.field(in, "advice")
 	e.advice(in, &v.Advice)
-	e.line(depth)
-	e.b = append(e.b, '}')
+	e.end(depth, '}')
+}
+
+// report writes an executed table report at depth: a TableExecWire's
+// fields, its per-query list written by entries under key — a /query
+// report's pipelines, or a /replay report's queries.
+func (e *jsonw) report(depth int, r *TableExecWire, key string, entries func(depth int)) {
+	in := depth + 1
+	e.b = append(e.b, '{')
+	e.strField(in, "table", r.Table)
+	e.strField(in, "algorithm", r.Algorithm)
+	e.field(in, "layout")
+	e.layout(in, r.Layout)
+	e.strField(in, "model", r.Model)
+	e.omitStrField(in, "selection", r.Selection)
+	e.omitStrField(in, "exec_mode", r.ExecMode)
+	e.intField(in, "rows_replayed", r.RowsReplayed)
+	e.intField(in, "rows_full", r.RowsFull)
+	e.floatField(in, "measured_seconds", r.MeasuredSeconds)
+	e.floatField(in, "predicted_seconds", r.PredictedSeconds)
+	e.boolField(in, "exact", r.Exact)
+	e.floatField(in, "max_abs_delta", r.MaxAbsDelta)
+	e.intField(in, "bytes_read", r.BytesRead)
+	e.intField(in, "seeks", r.Seeks)
+	e.intField(in, "recon_joins", r.ReconJoins)
+	e.field(in, key)
+	entries(in)
+	e.strField(in, "fingerprint", r.Fingerprint)
+	e.boolField(in, "cached", r.Cached)
+	e.end(depth, '}')
+}
+
+// measures writes a QueryReplayWire's fields at depth: a /replay query is
+// these alone, and a /query pipeline opens with them.
+func (e *jsonw) measures(depth int, q *QueryReplayWire) {
+	e.strField(depth, "id", q.ID)
+	e.floatField(depth, "weight", q.Weight)
+	e.intField(depth, "seeks", q.Seeks)
+	e.intField(depth, "bytes_read", q.BytesRead)
+	e.intField(depth, "cache_lines", q.CacheLines)
+	e.intField(depth, "recon_joins", q.ReconJoins)
+	e.strField(depth, "checksum", q.Checksum)
+	e.floatField(depth, "measured_seconds", q.MeasuredSeconds)
+	e.floatField(depth, "predicted_seconds", q.PredictedSeconds)
+}
+
+// pipelines writes a /query report's pipelines at depth.
+func (e *jsonw) pipelines(depth int, ps []PipelineWire) {
+	if !list(e, ps) {
+		return
+	}
+	for i := range ps {
+		p := &ps[i]
+		e.next(depth + 1)
+		e.b = append(e.b, '{')
+		e.measures(depth+2, &p.QueryReplayWire)
+		e.strField(depth+2, "plan", p.Plan)
+		e.intField(depth+2, "result_rows", p.ResultRows)
+		e.field(depth+2, "operators")
+		e.ops(depth+2, p.Operators)
+		e.end(depth+1, '}')
+	}
+	e.end(depth, ']')
+}
+
+// queries writes a /replay report's per-query measures at depth.
+func (e *jsonw) queries(depth int, qs []QueryReplayWire) {
+	if !list(e, qs) {
+		return
+	}
+	for i := range qs {
+		e.next(depth + 1)
+		e.b = append(e.b, '{')
+		e.measures(depth+2, &qs[i])
+		e.end(depth+1, '}')
+	}
+	e.end(depth, ']')
+}
+
+// ops writes a pipeline's operators at depth.
+func (e *jsonw) ops(depth int, ops []operator.OpStats) {
+	if !list(e, ops) {
+		return
+	}
+	in := depth + 2
+	for i := range ops {
+		o := &ops[i]
+		e.next(depth + 1)
+		e.b = append(e.b, '{')
+		e.strField(in, "op", o.Op)
+		e.strField(in, "name", o.Name)
+		e.intField(in, "rows_in", o.RowsIn)
+		e.intField(in, "rows_out", o.RowsOut)
+		e.omitIntField(in, "seeks", o.Seeks)
+		e.omitIntField(in, "bytes_read", o.BytesRead)
+		e.omitIntField(in, "cache_lines", o.CacheLines)
+		e.omitIntField(in, "recon_joins", o.ReconJoins)
+		e.floatField(in, "sim_time", o.SimTime)
+		e.end(depth+1, '}')
+	}
+	e.end(depth, ']')
 }
 
 // done ends a top-level value with encoding/json's trailing newline.
@@ -1048,56 +1160,38 @@ func (e *jsonw) done() ([]byte, error) {
 // appendObserveResponse appends r's encoding to b.
 func appendObserveResponse(b []byte, r *ObserveResponse) ([]byte, error) {
 	e := jsonw{b: append(b, '{')}
-	first := true
 	if len(r.Verdicts) > 0 {
-		e.field(1, true, `"verdicts": `)
+		e.field(1, "verdicts")
 		e.b = append(e.b, '[')
 		for i := range r.Verdicts {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.line(2)
+			e.next(2)
 			e.verdict(2, &r.Verdicts[i])
 		}
-		e.line(1)
-		e.b = append(e.b, ']')
-		first = false
+		e.end(1, ']')
 	}
 	if r.Duplicate {
-		e.field(1, first, `"duplicate": `)
-		e.bool(true)
-		first = false
+		e.boolField(1, "duplicate", true)
 	}
-	if !first {
-		e.line(0)
+	if len(r.Verdicts) > 0 || r.Duplicate {
+		e.end(0, '}')
+	} else {
+		e.b = append(e.b, '}')
 	}
-	e.b = append(e.b, '}')
 	return e.done()
 }
 
 // appendAdviseResponse appends r's encoding to b.
 func appendAdviseResponse(b []byte, r *AdviseResponse) ([]byte, error) {
 	e := jsonw{b: append(b, '{')}
-	e.field(1, true, `"advice": `)
-	switch {
-	case r.Advice == nil:
-		e.b = append(e.b, "null"...)
-	case len(r.Advice) == 0:
-		e.b = append(e.b, "[]"...)
-	default:
-		e.b = append(e.b, '[')
+	e.field(1, "advice")
+	if list(&e, r.Advice) {
 		for i := range r.Advice {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.line(2)
+			e.next(2)
 			e.advice(2, &r.Advice[i])
 		}
-		e.line(1)
-		e.b = append(e.b, ']')
+		e.end(1, ']')
 	}
-	e.line(0)
-	e.b = append(e.b, '}')
+	e.end(0, '}')
 	return e.done()
 }
 
@@ -1105,6 +1199,47 @@ func appendAdviseResponse(b []byte, r *AdviseResponse) ([]byte, error) {
 func appendAdvice(b []byte, a *TableAdviceWire) ([]byte, error) {
 	e := jsonw{b: b}
 	e.advice(0, a)
+	return e.done()
+}
+
+// appendQueryResponse appends r's encoding to b.
+func appendQueryResponse(b []byte, r *QueryResponse) ([]byte, error) {
+	e := jsonw{b: append(b, '{')}
+	e.field(1, "reports")
+	if list(&e, r.Reports) {
+		for i := range r.Reports {
+			rep := &r.Reports[i]
+			e.next(2)
+			e.report(2, rep, "pipelines", func(in int) { e.pipelines(in, rep.Pipelines) })
+		}
+		e.end(1, ']')
+	}
+	e.end(0, '}')
+	return e.done()
+}
+
+// appendReplayResponse appends r's encoding to b: each report is a /query
+// report's header and totals around its own list of per-query measures.
+func appendReplayResponse(b []byte, r *ReplayResponse) ([]byte, error) {
+	e := jsonw{b: append(b, '{')}
+	e.field(1, "reports")
+	if list(&e, r.Reports) {
+		for i := range r.Reports {
+			rep := &r.Reports[i]
+			head := TableExecWire{
+				Table: rep.Table, Algorithm: rep.Algorithm, Layout: rep.Layout, Model: rep.Model,
+				RowsReplayed: rep.RowsReplayed, RowsFull: rep.RowsFull,
+				MeasuredSeconds: rep.MeasuredSeconds, PredictedSeconds: rep.PredictedSeconds,
+				Exact: rep.Exact, MaxAbsDelta: rep.MaxAbsDelta,
+				BytesRead: rep.BytesRead, Seeks: rep.Seeks, ReconJoins: rep.ReconJoins,
+				Fingerprint: rep.Fingerprint, Cached: rep.Cached,
+			}
+			e.next(2)
+			e.report(2, &head, "queries", func(in int) { e.queries(in, rep.Queries) })
+		}
+		e.end(1, ']')
+	}
+	e.end(0, '}')
 	return e.done()
 }
 

@@ -3,6 +3,7 @@ package advisor
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"math"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
+	"knives/internal/operator"
 	"knives/internal/schema"
 	"knives/internal/statestore"
 	"knives/internal/vfs"
@@ -213,11 +215,72 @@ func encodeCase(name string, x, y float64, shape uint8) (ObserveResponse, Advise
 	return obs, adv2, adv
 }
 
-// checkEncode encodes the values encodeCase builds with the codec and with
-// encoding/json: the same bytes, or the same error.
+// executedCase builds a /query and a /replay response from the same parts
+// as encodeCase: name reaches every plan and operator name beside the
+// executor's own → π ⋈ σ, the two floats every measure, and the shape bits
+// choose nil, empty or full reports, layouts, pipelines and operators, and
+// which omitempty fields are set.
+func executedCase(name string, x, y float64, shape uint8) (QueryResponse, ReplayResponse) {
+	_, _, adv := encodeCase(name, x, y, shape)
+	ops := []operator.OpStats{
+		{Op: "scan", Name: "scan{0,4}" + name, RowsOut: int64(shape) << 20,
+			Seeks: int64(shape & 1), BytesRead: int64(shape&2) << 40, CacheLines: int64(shape & 4), ReconJoins: int64(shape & 8), SimTime: x},
+		{Op: "select", Name: "σ(a10<1263)", RowsIn: 7, RowsOut: -3, SimTime: y},
+		{Op: "join", Name: "⋈" + name, ReconJoins: 5},
+		{Op: "project", Name: "π{0,4}", Seeks: -1, BytesRead: 2, CacheLines: 3, ReconJoins: 4, SimTime: x * y},
+	}
+	q := QueryReplayWire{ID: name, Weight: y, Seeks: -1, BytesRead: int64(shape) << 33, ReconJoins: 3,
+		Checksum: fmt.Sprintf("%016x", uint64(shape)*0x9e3779b97f4a7c15), MeasuredSeconds: x, PredictedSeconds: y}
+	pipes := []PipelineWire{
+		{QueryReplayWire: q, Plan: "scan{0,4} → σ(a10<1263) → ⋈ → π{0,4}" + name, ResultRows: int64(shape), Operators: ops},
+		{QueryReplayWire: QueryReplayWire{ID: "q2"}, Plan: name},
+		{Operators: []operator.OpStats{}},
+	}
+	exec := TableExecWire{
+		Table: name, Algorithm: adv.Algorithm, Layout: adv.Layout, Model: "hdd" + name,
+		RowsReplayed: int64(shape), RowsFull: 6_000_000, MeasuredSeconds: x, PredictedSeconds: y,
+		Exact: shape&2 != 0, MaxAbsDelta: x - y, BytesRead: int64(shape) << 50, Seeks: -int64(shape), ReconJoins: 1,
+		Fingerprint: adv.Fingerprint, Cached: shape&1 != 0,
+	}
+	if shape&1 != 0 {
+		exec.Selection = "a10<1263" + name
+	}
+	if shape&32 != 0 {
+		exec.ExecMode = "vector"
+	}
+	replay := TableReplayWire{
+		Table: exec.Table, Algorithm: exec.Algorithm, Layout: exec.Layout, Model: exec.Model,
+		RowsReplayed: exec.RowsReplayed, RowsFull: exec.RowsFull, MeasuredSeconds: y, PredictedSeconds: x,
+		Exact: exec.Exact, MaxAbsDelta: y - x, BytesRead: exec.BytesRead, Seeks: exec.Seeks, ReconJoins: exec.ReconJoins,
+		Fingerprint: exec.Fingerprint, Cached: exec.Cached,
+	}
+	switch shape >> 3 & 3 {
+	case 1:
+		exec.Pipelines, replay.Queries = []PipelineWire{}, []QueryReplayWire{}
+	case 2:
+		exec.Pipelines, replay.Queries = pipes, []QueryReplayWire{q, {}, q}
+	case 3:
+		exec.Pipelines, replay.Queries = pipes[:1], []QueryReplayWire{q}
+	}
+	var qr QueryResponse
+	var rr ReplayResponse
+	switch shape >> 6 {
+	case 1:
+		qr.Reports, rr.Reports = []TableExecWire{}, []TableReplayWire{}
+	case 2:
+		qr.Reports, rr.Reports = []TableExecWire{exec}, []TableReplayWire{replay}
+	case 3:
+		qr.Reports, rr.Reports = []TableExecWire{exec, {}, exec}, []TableReplayWire{replay, {}}
+	}
+	return qr, rr
+}
+
+// checkEncode encodes the values encodeCase and executedCase build with the
+// codec and with encoding/json: the same bytes, or the same error.
 func checkEncode(t *testing.T, name string, x, y float64, shape uint8) {
 	t.Helper()
 	obs, adv, one := encodeCase(name, x, y, shape)
+	query, replay := executedCase(name, x, y, shape)
 	for _, c := range []struct {
 		v   any
 		app func([]byte) ([]byte, error)
@@ -225,6 +288,8 @@ func checkEncode(t *testing.T, name string, x, y float64, shape uint8) {
 		{obs, func(b []byte) ([]byte, error) { return appendObserveResponse(b, &obs) }},
 		{adv, func(b []byte) ([]byte, error) { return appendAdviseResponse(b, &adv) }},
 		{one, func(b []byte) ([]byte, error) { return appendAdvice(b, &one) }},
+		{query, func(b []byte) ([]byte, error) { return appendQueryResponse(b, &query) }},
+		{replay, func(b []byte) ([]byte, error) { return appendReplayResponse(b, &replay) }},
 	} {
 		want, werr := referenceEncode(c.v)
 		got, gerr := c.app(nil)
@@ -246,7 +311,7 @@ var encodeFloats = []float64{0, math.Copysign(0, -1), 0.5, 1e-6, 9.99e-7, 1e-7, 
 	123456789.125, 1e-300, 5e-324, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
 
 func TestObserveEncodeMatchesReference(t *testing.T) {
-	names := []string{"", "events", "<script>&amp;", "a\u2028b\u2029c", "bad\xffutf8\xc3", "\x00\x01\x1f\"\\/\b\f\n\r\t\x7f", "é€😀"}
+	names := []string{"", "events", "<script>&amp;", "a\u2028b\u2029c", "bad\xffutf8\xc3", "\x00\x01\x1f\"\\/\b\f\n\r\t\x7f", "é€😀", "→ π ⋈ σ"}
 	for i, name := range names {
 		for j, x := range encodeFloats {
 			y := encodeFloats[(i+3*j)%len(encodeFloats)]
@@ -272,18 +337,35 @@ func TestObserveEncodeRefusesNonFinite(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
 		t.Errorf("got %d %q, want 500 %q", rec.Code, rec.Body, want)
 	}
+
+	// In a /query report, an operator's time comes before a later report's
+	// delta.
+	query := QueryResponse{Reports: []TableExecWire{
+		{Pipelines: []PipelineWire{{Operators: []operator.OpStats{{SimTime: 1}, {SimTime: math.Inf(-1)}}}}},
+		{MaxAbsDelta: math.NaN()},
+	}}
+	rec = httptest.NewRecorder()
+	writeWire(rec, httptest.NewRequest(http.MethodPost, "/query", nil), func(b []byte) ([]byte, error) {
+		return appendQueryResponse(b, &query)
+	})
+	want = `{"error":"advisor: encoding response: json: unsupported value: -Inf"}` + "\n"
+	if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+		t.Errorf("/query: got %d %q, want 500 %q", rec.Code, rec.Body, want)
+	}
 }
 
 // FuzzObserveWireVsReference holds the codec to encoding/json: decoding
 // never panics, and it rejects what encoding/json rejects with the same
 // text or accepts what it accepts with an equal value; encoding the values
-// encodeCase builds yields encoding/json's bytes or its error.
+// encodeCase and executedCase build yields encoding/json's bytes or its
+// error.
 func FuzzObserveWireVsReference(f *testing.F) {
 	for i, body := range decodeCases {
 		f.Add([]byte(body), "events", encodeFloats[i%len(encodeFloats)], 0.5, uint8(i))
 	}
 	f.Add(benchObserveBody(f, 32), "<&>\u2028\xff", math.Inf(1), math.NaN(), uint8(0xff))
 	f.Add(benchObserveBody(f, 1), "", 1e-7, 1e21, uint8(0x9a))
+	f.Add([]byte(`{}`), "→ π ⋈ σ <>&\u2028\xed\xa0\x80", 9.99e-7, 1e21, uint8(0xf7))
 	f.Fuzz(func(t *testing.T, body []byte, name string, x, y float64, shape uint8) {
 		checkDecode(t, body)
 		checkEncode(t, name, x, y, shape)
@@ -365,6 +447,68 @@ func BenchmarkObserveWire(b *testing.B) {
 	})
 }
 
+// benchQueryRequest is a body shaped like the query-scan benchmark's: TPC-H
+// lineitem at SF 10 with its 17 registered queries, 20,000 sampled rows,
+// the vector label, and a σ on l_shipdate.
+func benchQueryRequest() QueryRequest {
+	tpch := schema.TPCH(10)
+	tw := tpch.Workload.ForTable(tpch.Table("lineitem"))
+	t := tw.Table
+	ts := TableSpec{Name: t.Name, Rows: t.Rows}
+	for _, c := range t.Columns {
+		ts.Columns = append(ts.Columns, ColumnSpec{Name: c.Name, Kind: c.Kind.String(), Size: c.Size})
+	}
+	req := QueryRequest{Tables: []TableSpec{ts}, MaxRows: 20000, Seed: 1, Exec: "vector",
+		Selection: &SelectionSpec{Table: t.Name, Column: "l_shipdate", Bound: 1263}}
+	for _, q := range tw.Queries {
+		req.Queries = append(req.Queries, QuerySpec{ID: q.ID, Weight: q.Weight, Tables: map[string][]string{t.Name: t.AttrNames(q.Attrs)}})
+	}
+	return req
+}
+
+// benchQueryResponse is the response a fresh server answers
+// benchQueryRequest with.
+func benchQueryResponse(tb testing.TB) QueryResponse {
+	tb.Helper()
+	body, err := json.Marshal(benchQueryRequest())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	NewServer(NewService(Config{})).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	var resp QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		tb.Fatalf("%d %v: %s", rec.Code, err, rec.Body)
+	}
+	return resp
+}
+
+// BenchmarkQueryWire times encoding one bench-shaped /query response both
+// ways: 17 pipelines of the lineitem report.
+func BenchmarkQueryWire(b *testing.B) {
+	resp := benchQueryResponse(b)
+	b.Run("encode/encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := referenceEncode(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode/codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			bp := getBuf()
+			out, err := appendQueryResponse(*bp, &resp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(out)))
+			putBuf(bp, out)
+		}
+	})
+}
+
 // decodeAllocs and handlerAllocs are the allocation budgets below: the
 // counts measured on go1.24 (17 and 136; encoding/json took 1482 and 1717)
 // plus a slack of about 15 % for runtime and library changes.
@@ -433,9 +577,44 @@ func TestObserveWireAllocations(t *testing.T) {
 	}
 }
 
+// The bench-shaped lineitem /query report, 17 pipelines of σ, π and ⋈
+// operators, fits a pooled buffer, and encoding it into a warm one
+// allocates nothing.
+func TestQueryWireAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops pooled buffers at random under -race")
+	}
+	resp := benchQueryResponse(t)
+	if n := len(resp.Reports[0].Pipelines); n != 17 {
+		t.Fatalf("the lineitem report has %d pipelines, want 17", n)
+	}
+	var size int
+	enc := testing.AllocsPerRun(50, func() {
+		bp := getBuf()
+		b, err := appendQueryResponse(*bp, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = len(b)
+		putBuf(bp, b)
+	})
+	t.Logf("the /query body: %d bytes, %v allocations", size, enc)
+	if size > maxPooledBuf {
+		t.Fatalf("the /query body is %d bytes, more than a pooled buffer keeps (%d)", size, maxPooledBuf)
+	}
+	if enc != 0 {
+		t.Errorf("encoding the %d-byte /query report took %v allocations, want 0", size, enc)
+	}
+	want, err := referenceEncode(resp)
+	if got, gerr := appendQueryResponse(nil, &resp); gerr != nil || err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the /query report encodes to %d bytes (%v), encoding/json to %d (%v)", len(got), gerr, len(want), err)
+	}
+}
+
 // A traced request's tree shows where the wire's time goes: /observe
-// decodes, ingests (the WAL commit beneath it) and encodes, and /advise
-// decodes and encodes around its search.
+// decodes, ingests (the WAL commit beneath it) and encodes, /advise
+// decodes and encodes around its search, and /query encodes its report
+// last.
 func TestWireSpansInRequestTrace(t *testing.T) {
 	fsys, err := vfs.Dir(t.TempDir())
 	if err != nil {
@@ -483,5 +662,9 @@ func TestWireSpansInRequestTrace(t *testing.T) {
 	want := []string{"wire decode", "ingest events", "  wal commit (1 callers, 1 events)", "wire encode"}
 	if !slices.Equal(observe, want) {
 		t.Errorf("/observe trace %q, want %q", observe, want)
+	}
+	query := spans(post("/query", `{`+transcriptDated+`,"max_rows":600,"selection":{"table":"dated","column":"ts","bound":900}}`))
+	if len(query) < 2 || query[len(query)-1] != "wire encode" {
+		t.Errorf("/query trace %q: want wire encode last", query)
 	}
 }

@@ -355,7 +355,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	wires, ok := serveExec(s, w, r, &s.svc.replayRoute, req.query(), toReplayWire)
 	if ok {
-		writeJSON(w, ReplayResponse{Reports: wires})
+		resp := ReplayResponse{Reports: wires}
+		writeWire(w, r, func(b []byte) ([]byte, error) { return appendReplayResponse(b, &resp) })
 	}
 }
 
@@ -366,7 +367,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wires, ok := serveExec(s, w, r, &s.svc.queryRoute, req, toExecWire)
 	if ok {
-		writeJSON(w, QueryResponse{Reports: wires})
+		resp := QueryResponse{Reports: wires}
+		writeWire(w, r, func(b []byte) ([]byte, error) { return appendQueryResponse(b, &resp) })
 	}
 }
 

@@ -180,8 +180,8 @@ func (m *svcMetrics) recordExec(rep *replay.OperatorReplay) {
 			m.opSim[st.Op].Observe(st.SimTime)
 		}
 	}
-	for i := range rep.ResultRows {
-		m.queryRows.Add(rep.ResultRows[i])
+	for i := range rep.Queries {
+		m.queryRows.Add(rep.Queries[i].Stats.Tuples)
 	}
 	m.queryExec.Observe(rep.ExecSeconds)
 	for _, ratios := range rep.FillRatios {

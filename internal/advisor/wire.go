@@ -546,7 +546,7 @@ func toExecWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableExec
 		ps[i] = PipelineWire{
 			QueryReplayWire: toQueryWire(q),
 			Plan:            r.Plans[i],
-			ResultRows:      r.ResultRows[i],
+			ResultRows:      q.Stats.Tuples,
 			Operators:       r.Ops[i],
 		}
 	}

@@ -10,7 +10,7 @@ package attrset
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"strconv"
 )
 
 // MaxAttrs is the largest number of attributes a Set can hold.
@@ -131,16 +131,15 @@ func (s Set) Subsets(fn func(sub Set) bool) {
 
 // String renders s like "{0,3,5}".
 func (s Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(a int) {
-		if !first {
-			b.WriteByte(',')
+	// Braces, commas and up to two digits per index: 3·MaxAttrs bytes hold
+	// the full set.
+	var buf [3 * MaxAttrs]byte
+	b := append(buf[:0], '{')
+	for t := s; t != 0; t &= t - 1 {
+		if t != s {
+			b = append(b, ',')
 		}
-		first = false
-		fmt.Fprintf(&b, "%d", a)
-	})
-	b.WriteByte('}')
-	return b.String()
+		b = strconv.AppendInt(b, int64(bits.TrailingZeros64(uint64(t))), 10)
+	}
+	return string(append(b, '}'))
 }

@@ -1,7 +1,9 @@
 package attrset
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +147,31 @@ func TestString(t *testing.T) {
 	}
 	if got := Set(0).String(); got != "{}" {
 		t.Errorf("String = %q", got)
+	}
+	// Against the rendering spelled out with fmt, the full set included;
+	// the string itself is the one allocation.
+	want := func(s Set) string {
+		parts := make([]string, 0, s.Len())
+		for _, a := range s.Attrs() {
+			parts = append(parts, fmt.Sprint(a))
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []Set{All(MaxAttrs), Of(0), Of(63), Of(9, 10, 63)} {
+		if got := s.String(); got != want(s) {
+			t.Errorf("%#x.String() = %q, want %q", uint64(s), got, want(s))
+		}
+	}
+	for range 1000 {
+		s := Set(rng.Uint64() & rng.Uint64())
+		if got := s.String(); got != want(s) {
+			t.Fatalf("%#x.String() = %q, want %q", uint64(s), got, want(s))
+		}
+	}
+	full := All(MaxAttrs)
+	if n := testing.AllocsPerRun(100, func() { _ = full.String() }); n > 1 {
+		t.Errorf("String of the full set allocated %v times, want 1", n)
 	}
 }
 

@@ -218,8 +218,8 @@ func ExtOperators(s *Suite) (*Report, error) {
 			sigma = "-"
 		}
 		var rows int64
-		if len(rep.ResultRows) > 0 {
-			rows = rep.ResultRows[0]
+		if len(rep.Queries) > 0 {
+			rows = rep.Queries[0].Stats.Tuples
 		}
 		r.AddRow(device, rep.Algorithm, sigma,
 			fmtSeconds(rep.MeasuredTotal), fmtSeconds(rep.PredictedTotal),

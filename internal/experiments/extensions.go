@@ -74,7 +74,7 @@ func ExtSelectivity(s *Suite) (*Report, error) {
 		}
 		r.AddRow(fmt.Sprintf("%.0e", sel), differs, fmtSeconds(res.Cost),
 			fmt.Sprintf("%d", res.Partitioning.NumParts()),
-			fmtSeconds(rep.MeasuredTotal), fmt.Sprintf("%d", rep.ResultRows[0]))
+			fmtSeconds(rep.MeasuredTotal), fmt.Sprintf("%d", rep.Queries[0].Stats.Tuples))
 	}
 	r.AddNote("paper (Section 7): selection predicates affect layouts only beyond ~1e-4 selectivity on uniform data")
 	r.AddNote("executed: σ(l_shipdate<bound) pushed into pipelines over %d-row samples; measured == predicted for every selectivity: %v", int64(executedSampleRows), exact)

@@ -169,9 +169,9 @@ func TestDifferentialAlgorithmsBenchmarksModels(t *testing.T) {
 				oracle[k] = want
 			}
 			for qi, q := range rep.Queries {
-				if q.Stats.Checksum != want[qi].Checksum || rep.ResultRows[qi] != want[qi].Rows {
+				if q.Stats.Checksum != want[qi].Checksum || q.Stats.Tuples != want[qi].Rows {
 					t.Errorf("%s query %s σ=%q: checksum %x over %d rows, the generator's rows give %x over %d",
-						rep.Table, q.ID, rep.Selection, q.Stats.Checksum, rep.ResultRows[qi], want[qi].Checksum, want[qi].Rows)
+						rep.Table, q.ID, rep.Selection, q.Stats.Checksum, q.Stats.Tuples, want[qi].Checksum, want[qi].Rows)
 				}
 			}
 		}
@@ -185,9 +185,9 @@ func TestOperatorsDifferential(t *testing.T) {
 	eachPinned(t, func(t *testing.T, _ string, run *pinnedRun) {
 		rep := run.reps[0]
 		for qi, q := range rep.Queries {
-			if rep.ResultRows[qi] != rep.RowsReplayed {
+			if q.Stats.Tuples != rep.RowsReplayed {
 				t.Errorf("%s query %s: pipeline emitted %d rows, store holds %d",
-					rep.Table, q.ID, rep.ResultRows[qi], rep.RowsReplayed)
+					rep.Table, q.ID, q.Stats.Tuples, rep.RowsReplayed)
 			}
 			if rep.Plans[qi] == "" {
 				t.Errorf("%s query %s: empty plan description", rep.Table, q.ID)

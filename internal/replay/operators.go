@@ -22,16 +22,15 @@ type Selection = operator.Pred
 
 // OperatorReplay is a TableReplay with the per-query σ/π/⋈ plans and
 // per-operator breakdowns its numbers were composed from alongside.
-// Queries, Plans, Ops, and ResultRows are index-aligned.
+// Queries, Plans, and Ops are index-aligned; query i's root emitted
+// Queries[i].Stats.Tuples rows (the sampled row count without a selection,
+// the surviving rows with one).
 type OperatorReplay struct {
 	TableReplay
 	// Plans[i] renders query i's pipeline bottom-up.
 	Plans []string
 	// Ops[i] is query i's per-operator accounting in plan order.
 	Ops [][]operator.OpStats
-	// ResultRows[i] counts rows query i's root emitted (the sampled row
-	// count without a selection; the surviving rows with one).
-	ResultRows []int64
 	// Selection renders the pushed-down predicate; empty without one.
 	Selection string
 	// ExecMode echoes Config.ExecMode's label ("row" unless the request
@@ -78,7 +77,7 @@ func (r *OperatorReplay) String() string {
 		fmt.Fprintf(&b, "  selection: %s\n", r.Selection)
 	}
 	for i, q := range r.Queries {
-		fmt.Fprintf(&b, "  %s: %s -> %d rows\n", q.ID, r.Plans[i], r.ResultRows[i])
+		fmt.Fprintf(&b, "  %s: %s -> %d rows\n", q.ID, r.Plans[i], q.Stats.Tuples)
 		for _, op := range r.Ops[i] {
 			fmt.Fprintf(&b, "    %-28s in=%-8d out=%-8d seeks=%-6d bytes=%-10d joins=%-6d sim=%.6e\n",
 				op.Name, op.RowsIn, op.RowsOut, op.Seeks, op.BytesRead, op.ReconJoins, op.SimTime)

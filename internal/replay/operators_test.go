@@ -82,8 +82,8 @@ func TestOperatorsSelection(t *testing.T) {
 			t.Errorf("frac %.2f: executed != predicted (max |delta| %g) — selectivity leaked into I/O",
 				frac, rep.MaxAbsDelta())
 		}
-		for qi := range rep.Queries {
-			got := rep.ResultRows[qi]
+		for qi, q := range rep.Queries {
+			got := q.Stats.Tuples
 			if got >= rep.RowsReplayed {
 				t.Errorf("frac %.2f query %d: σ emitted %d of %d rows — no filtering",
 					frac, qi, got, rep.RowsReplayed)
@@ -104,9 +104,9 @@ func TestOperatorsSelection(t *testing.T) {
 		t.Errorf("selectivity changed I/O: %.2f read %d bytes/%d seeks, %.2f read %d/%d",
 			runs[0].frac, a.BytesRead, a.Seeks, runs[1].frac, b.BytesRead, b.Seeks)
 	}
-	if a.ResultRows[0] >= b.ResultRows[0] {
+	if a.Queries[0].Stats.Tuples >= b.Queries[0].Stats.Tuples {
 		t.Errorf("tighter bound emitted more rows: %d (frac %.2f) >= %d (frac %.2f)",
-			a.ResultRows[0], runs[0].frac, b.ResultRows[0], runs[1].frac)
+			a.Queries[0].Stats.Tuples, runs[0].frac, b.Queries[0].Stats.Tuples, runs[1].frac)
 	}
 }
 

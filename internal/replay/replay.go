@@ -348,7 +348,6 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		},
 		Plans:      make([]string, n),
 		Ops:        make([][]operator.OpStats, n),
-		ResultRows: make([]int64, n),
 		ExecMode:   cfg.ExecMode,
 		FillRatios: make([][]float64, n),
 	}
@@ -374,7 +373,6 @@ func run(tw schema.TableWorkload, layout partition.Partitioning, loaded *storage
 		rep.FillRatios[i] = res.FillRatios
 		rep.Plans[i] = pipes[i].Describe()
 		rep.Ops[i] = res.Ops
-		rep.ResultRows[i] = res.Rows
 		// Price what the execution references: the query's attributes plus
 		// the selection attribute σ reads.
 		priced := q.Attrs
